@@ -15,10 +15,9 @@
 use std::fmt::Debug;
 
 use crate::graph::Graph;
-use crate::space::{StateId, StateSpace};
-use crate::sym::Symmetric;
+use crate::space::{Keying, StateId, StateSpace};
 use crate::telemetry::{Observer, NOOP};
-use crate::valence::{QuotientSolver, Valences};
+use crate::valence::{Solver, Valences};
 use crate::{LayeredModel, Pid, ValenceSolver, Value};
 
 /// Witness that `x ∼_s y`: the process `j` modulo which they agree, and a
@@ -100,18 +99,20 @@ pub fn valence_graph<M: LayeredModel>(
 /// Id-typed twin of [`valence_graph`]: builds `(X, ∼_v)` over interned
 /// states, assembling the adjacency directly in CSR form (no per-vertex
 /// `Vec` growth or membership scans).
-pub fn valence_graph_ids<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
+///
+/// Over a [`QuotientSolver`](crate::QuotientSolver) the vertices are orbit
+/// representatives. Because a shared-valence edge depends only on the two
+/// states' valence *flags* — and valence is invariant under process
+/// renaming — collapsing a layer to orbit representatives preserves which
+/// valence classes are present, and therefore preserves the *connected*
+/// verdict of the layer's valence graph (vertex and edge counts
+/// legitimately shrink).
+pub fn valence_graph_ids<M: LayeredModel, K: Keying<M>>(
+    solver: &mut Solver<'_, M, K>,
     ids: &[StateId],
 ) -> Graph {
     let vals: Vec<Valences> = ids.iter().map(|&id| solver.valences_id(id)).collect();
-    valence_graph_from_flags(&vals, solver.observer())
-}
-
-/// Assembles `(X, ∼_v)` in CSR form directly from precomputed valence
-/// flags — the shared back half of [`valence_graph_ids`] and its quotient
-/// twin.
-fn valence_graph_from_flags(vals: &[Valences], obs: &dyn Observer) -> Graph {
+    let obs = solver.observer();
     let n = vals.len();
     let mut offsets = Vec::with_capacity(n + 1);
     let mut edges = Vec::new();
@@ -136,21 +137,8 @@ fn valence_graph_from_flags(vals: &[Valences], obs: &dyn Observer) -> Graph {
     Graph::from_csr(n, &offsets, &edges)
 }
 
-/// Quotient twin of [`valence_graph_ids`]: the graph `(X, ∼_v)` over orbit
-/// representatives in a [`QuotientSolver`]'s arena.
-///
-/// Because a shared-valence edge depends only on the two states' valence
-/// *flags* — and valence is invariant under process renaming — collapsing a
-/// layer to orbit representatives preserves which valence classes are
-/// present, and therefore preserves the *connected* verdict of the layer's
-/// valence graph (vertex and edge counts legitimately shrink).
-pub fn quotient_valence_graph_ids<M: Symmetric>(
-    solver: &mut QuotientSolver<'_, M>,
-    ids: &[StateId],
-) -> Graph {
-    let vals: Vec<Valences> = ids.iter().map(|&id| solver.valences_id(id)).collect();
-    valence_graph_from_flags(&vals, solver.observer())
-}
+/// The quotient name of [`valence_graph_ids`] (the same function).
+pub use valence_graph_ids as quotient_valence_graph_ids;
 
 /// Summary of a connectivity analysis of a state set.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -202,26 +190,20 @@ pub fn valence_report<M: LayeredModel>(
 }
 
 /// Id-typed twin of [`valence_report`]: connectivity of `(X, ∼_v)` over
-/// interned states.
-pub fn valence_report_ids<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
+/// interned states. Over a [`QuotientSolver`](crate::QuotientSolver) the
+/// `connected` verdict matches the full layer's (see
+/// [`valence_graph_ids`]); `states`, `components` and `diameter` describe
+/// the collapsed graph.
+pub fn valence_report_ids<M: LayeredModel, K: Keying<M>>(
+    solver: &mut Solver<'_, M, K>,
     ids: &[StateId],
 ) -> ConnectivityReport {
     let g = valence_graph_ids(solver, ids);
     ConnectivityReport::from_graph(&g, solver.observer())
 }
 
-/// Quotient twin of [`valence_report_ids`]: connectivity of `(X, ∼_v)` over
-/// orbit representatives. The `connected` verdict matches the full layer's
-/// (see [`quotient_valence_graph_ids`]); `states`, `components` and
-/// `diameter` describe the collapsed graph.
-pub fn quotient_valence_report_ids<M: Symmetric>(
-    solver: &mut QuotientSolver<'_, M>,
-    ids: &[StateId],
-) -> ConnectivityReport {
-    let g = quotient_valence_graph_ids(solver, ids);
-    ConnectivityReport::from_graph(&g, solver.observer())
-}
+/// The quotient name of [`valence_report_ids`] (the same function).
+pub use valence_report_ids as quotient_valence_report_ids;
 
 /// Id-typed twin of [`similarity_graph`]: the graph `(X, ∼_s)` over interned
 /// states resolved out of `space`.

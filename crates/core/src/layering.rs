@@ -22,12 +22,11 @@
 
 use std::collections::HashSet;
 
-use crate::connectivity::{quotient_valence_report_ids, valence_report_ids, ConnectivityReport};
+use crate::connectivity::{valence_report_ids, ConnectivityReport};
 use crate::model::ExecutionTrace;
-use crate::space::{StateId, StateSpace};
-use crate::sym::Symmetric;
+use crate::space::{Keying, StateId};
 use crate::telemetry::Span;
-use crate::valence::{undecided_non_failed, QuotientSolver, Valence};
+use crate::valence::{undecided_non_failed, Solver, Valence};
 use crate::{LayeredModel, ValenceSolver};
 
 /// Lemma 4.1, executed: a bivalent state in `S(x)`, if any.
@@ -45,9 +44,11 @@ pub fn bivalent_successor<M: LayeredModel>(
 }
 
 /// Id-typed twin of [`bivalent_successor`]: walks the interned successor
-/// list of `x` (cached in the solver's arena) without cloning states.
-pub fn bivalent_successor_id<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
+/// list of `x` (cached in the solver's arena) without cloning states — under
+/// [`Orbits`](crate::space::Orbits), the first bivalent orbit in the
+/// collapsed layer of `x`'s representative, in edge order.
+pub fn bivalent_successor_id<M: LayeredModel, K: Keying<M>>(
+    solver: &mut Solver<'_, M, K>,
     x: StateId,
 ) -> Option<StateId> {
     let obs = solver.observer();
@@ -56,6 +57,9 @@ pub fn bivalent_successor_id<M: LayeredModel>(
         solver.is_bivalent_id(y)
     })
 }
+
+/// The quotient name of [`bivalent_successor_id`] (the same function).
+pub use bivalent_successor_id as bivalent_successor_quotient_id;
 
 /// Why a bivalent run stopped before reaching its target length.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,7 +104,7 @@ impl<S> BivalentRunOutcome<S> {
 
 /// Id-typed result of the Theorem 4.2 construction: the chain is a path of
 /// [`StateId`]s into the solver's arena, materialized into full states only
-/// at the API boundary (see [`InternedRun::materialize`]).
+/// at the API boundary (see [`dequotient_run`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InternedRun {
     /// The constructed chain of bivalent state ids (empty when no bivalent
@@ -118,24 +122,6 @@ impl InternedRun {
     pub fn reached_target(&self) -> bool {
         self.stuck.is_none() && !self.chain.is_empty()
     }
-
-    /// Clones the chain's states back out of `space` into the state-typed
-    /// outcome the public wrappers return.
-    #[must_use]
-    pub fn materialize<M: LayeredModel>(
-        &self,
-        space: &StateSpace<M>,
-    ) -> BivalentRunOutcome<M::State> {
-        BivalentRunOutcome {
-            chain: if self.chain.is_empty() {
-                None
-            } else {
-                Some(ExecutionTrace::new(space.materialize(&self.chain)))
-            },
-            stuck: self.stuck.clone(),
-            undecided_per_state: self.undecided_per_state.clone(),
-        }
-    }
 }
 
 /// The Theorem 4.2 loop: find a bivalent initial state and extend it through
@@ -149,17 +135,27 @@ pub fn build_bivalent_run<M: LayeredModel>(
     steps: usize,
 ) -> BivalentRunOutcome<M::State> {
     let run = build_bivalent_run_interned(solver, steps);
-    run.materialize(solver.space())
+    dequotient_run(solver, &run)
 }
 
 /// Id-typed twin of [`build_bivalent_run`]: the whole Theorem 4.2 loop runs
-/// on dense ids; only the returned [`InternedRun`] needs materializing.
-pub fn build_bivalent_run_interned<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
+/// on dense ids; only the returned [`InternedRun`] needs materializing
+/// ([`dequotient_run`]).
+///
+/// Over a [`QuotientSolver`](crate::QuotientSolver) the loop finds a
+/// bivalent initial orbit and extends it through collapsed layers. The
+/// recorded undecided counts are taken on the representatives, which is
+/// sound: the number of undecided non-failed processes is invariant under
+/// renaming (`decision` and `failed_at` transport along the permutation),
+/// so every member of the orbit has the same count.
+pub fn build_bivalent_run_interned<M: LayeredModel, K: Keying<M>>(
+    solver: &mut Solver<'_, M, K>,
     steps: usize,
 ) -> InternedRun {
+    let obs = solver.observer();
+    let whole_run_span =
+        K::RUN_SPAN_COVERS_SEARCH.then(|| Span::enter(obs, "layering.bivalent_run"));
     let Some(x0) = solver.bivalent_initial_id() else {
-        let obs = solver.observer();
         obs.counter("layering.stuck", 1);
         obs.event("layering.stuck", "no_bivalent_initial_state");
         return InternedRun {
@@ -168,8 +164,15 @@ pub fn build_bivalent_run_interned<M: LayeredModel>(
             undecided_per_state: Vec::new(),
         };
     };
-    extend_bivalent_run_interned(solver, x0, steps)
+    match whole_run_span {
+        Some(_span) => extend_chain(solver, x0, steps),
+        None => extend_bivalent_run_interned(solver, x0, steps),
+    }
 }
+
+/// The quotient name of [`build_bivalent_run_interned`] (the same
+/// function); de-quotient its run with [`dequotient_run`].
+pub use build_bivalent_run_interned as build_bivalent_run_quotient;
 
 /// The Theorem 4.2 loop from a given bivalent starting state.
 ///
@@ -183,7 +186,7 @@ pub fn extend_bivalent_run<M: LayeredModel>(
 ) -> BivalentRunOutcome<M::State> {
     let id = solver.intern(&start);
     let run = extend_bivalent_run_interned(solver, id, steps);
-    run.materialize(solver.space())
+    dequotient_run(solver, &run)
 }
 
 /// Id-typed twin of [`extend_bivalent_run`].
@@ -191,8 +194,8 @@ pub fn extend_bivalent_run<M: LayeredModel>(
 /// # Panics
 ///
 /// Panics if `start` is not bivalent under the solver's horizon.
-pub fn extend_bivalent_run_interned<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
+pub fn extend_bivalent_run_interned<M: LayeredModel, K: Keying<M>>(
+    solver: &mut Solver<'_, M, K>,
     start: StateId,
     steps: usize,
 ) -> InternedRun {
@@ -200,9 +203,19 @@ pub fn extend_bivalent_run_interned<M: LayeredModel>(
         solver.is_bivalent_id(start),
         "extend_bivalent_run requires a bivalent starting state"
     );
+    let _span = Span::enter(solver.observer(), "layering.bivalent_run");
+    extend_chain(solver, start, steps)
+}
+
+/// The Theorem 4.2 chain from the bivalent `start` (Lemma 4.1 applied
+/// layer by layer).
+fn extend_chain<M: LayeredModel, K: Keying<M>>(
+    solver: &mut Solver<'_, M, K>,
+    start: StateId,
+    steps: usize,
+) -> InternedRun {
     let model = solver.model();
     let obs = solver.observer();
-    let _span = Span::enter(obs, "layering.bivalent_run");
     let mut chain = vec![start];
     let mut undecided = vec![undecided_non_failed(model, &solver.space().resolve(start)).len()];
     for _ in 0..steps {
@@ -222,8 +235,10 @@ pub fn extend_bivalent_run_interned<M: LayeredModel>(
                 obs.event(
                     "layering.stuck",
                     &format!(
-                        "no_bivalent_successor depth={depth} layer_states={} components={}",
-                        report.states, report.components
+                        "no_bivalent_successor depth={depth} layer_{}={} components={}",
+                        K::UNIT,
+                        report.states,
+                        report.components
                     ),
                 );
                 return InternedRun {
@@ -272,47 +287,18 @@ impl<S> LayerScan<S> {
 /// Lemma 4.1 is ever applied to — which is both cheaper and avoids vacuous
 /// failures on univalent states near the horizon (whose layers can contain
 /// `NoValence` successors purely due to lookahead truncation).
-pub fn scan_layer_valence_connectivity<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
-    depth_limit: usize,
-    only_bivalent: bool,
-) -> LayerScan<M::State> {
-    scan_ids(solver, depth_limit, only_bivalent)
-}
-
-/// [`scan_layer_valence_connectivity`] with the successor computation fanned
-/// out across up to `threads` scoped workers.
 ///
-/// The reachable region is first expanded in parallel into the solver's
-/// arena ([`StateSpace::expand_layers_parallel`], which is bit-identical to
-/// sequential expansion); the scan itself then runs over fully cached
-/// adjacency. The returned [`LayerScan`] — layers checked, states seen, and
-/// any violation — is therefore identical to the sequential path's.
-pub fn scan_layer_valence_connectivity_parallel<M>(
-    solver: &mut ValenceSolver<'_, M>,
-    depth_limit: usize,
-    only_bivalent: bool,
-    threads: usize,
-) -> LayerScan<M::State>
-where
-    M: LayeredModel + Sync,
-    M::State: Send + Sync,
-{
-    let model = solver.model();
-    let obs = solver.observer();
-    let roots = model.initial_states();
-    // Valence lookahead reaches the horizon; the scan itself needs layers of
-    // states down to `depth_limit`. Expanding to the max covers both, so the
-    // scan below finds every successor list already cached.
-    let expand_to = solver.horizon().max(depth_limit + 1);
-    solver
-        .space_mut()
-        .expand_layers_parallel(model, &roots, expand_to, threads, obs);
-    scan_ids(solver, depth_limit, only_bivalent)
-}
-
-fn scan_ids<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
+/// Over a [`QuotientSolver`](crate::QuotientSolver) the sweep visits one
+/// representative per reachable orbit and checks each representative's
+/// *orbit-collapsed* layer. Soundness: over an equivariant layering the
+/// quotient BFS visits exactly the orbits of the full BFS's states
+/// (bivalence is orbit-invariant, so the `only_bivalent` filter selects the
+/// same orbits), and a collapsed layer's `connected` verdict equals the
+/// full layer's (see [`valence_report_ids`]). `layers_checked` /
+/// `states_seen` then count *orbits* and are smaller than the full scan's
+/// — that reduction is the point.
+pub fn scan_layer_valence_connectivity<M: LayeredModel, K: Keying<M>>(
+    solver: &mut Solver<'_, M, K>,
     depth_limit: usize,
     only_bivalent: bool,
 ) -> LayerScan<M::State> {
@@ -322,7 +308,7 @@ fn scan_ids<M: LayeredModel>(
     let mut frontier: Vec<StateId> = Vec::new();
     let mut roots_seen: HashSet<StateId> = HashSet::new();
     for x in model.initial_states() {
-        let id = solver.intern(&x);
+        let id = solver.intern_id(&x);
         if roots_seen.insert(id) {
             frontier.push(id);
         }
@@ -354,8 +340,10 @@ fn scan_ids<M: LayeredModel>(
                 obs.event(
                     "layering.scan_violation",
                     &format!(
-                        "disconnected layer: {} states in {} components",
-                        report.states, report.components
+                        "disconnected layer: {} {} in {} components",
+                        report.states,
+                        K::UNIT,
+                        report.components
                     ),
                 );
                 return LayerScan {
@@ -388,219 +376,61 @@ fn scan_ids<M: LayeredModel>(
     }
 }
 
-/// Quotient twin of [`scan_layer_valence_connectivity`]: sweeps one orbit
-/// representative per reachable orbit and checks valence connectivity of
-/// each representative's *orbit-collapsed* layer.
-///
-/// Soundness: over an equivariant layering the quotient BFS visits exactly
-/// the orbits of the full BFS's states (bivalence is orbit-invariant, so
-/// the `only_bivalent` filter selects the same orbits), and a collapsed
-/// layer's `connected` verdict equals the full layer's (see
-/// [`quotient_valence_report_ids`]). `layers_checked` / `states_seen`
-/// count *orbits* and are therefore smaller than the full scan's — that
-/// reduction is the point.
-pub fn scan_layer_valence_connectivity_quotient<M: Symmetric>(
-    solver: &mut QuotientSolver<'_, M>,
-    depth_limit: usize,
-    only_bivalent: bool,
-) -> LayerScan<M::State> {
-    scan_quotient_ids(solver, depth_limit, only_bivalent)
-}
+/// The quotient name of [`scan_layer_valence_connectivity`] (the same
+/// function).
+pub use scan_layer_valence_connectivity as scan_layer_valence_connectivity_quotient;
 
-/// [`scan_layer_valence_connectivity_quotient`] with the successor
-/// computation *and canonicalization* fanned out across up to `threads`
-/// scoped workers, by pre-expanding the quotient graph with
-/// [`QuotientSpace::expand_layers_parallel`](crate::space::QuotientSpace::expand_layers_parallel)
-/// (bit-identical to sequential expansion) before the scan.
-pub fn scan_layer_valence_connectivity_quotient_parallel<M>(
-    solver: &mut QuotientSolver<'_, M>,
+/// [`scan_layer_valence_connectivity`] with the successor computation (and,
+/// over the quotient, canonicalization) fanned out across up to `threads`
+/// scoped workers.
+///
+/// The reachable region is first expanded in parallel into the solver's
+/// arena ([`Arena::expand_layers_parallel`](crate::space::Arena::expand_layers_parallel),
+/// which is bit-identical to sequential expansion); the scan itself then
+/// runs over fully cached adjacency. The returned [`LayerScan`] — layers
+/// checked, states seen, and any violation — is therefore identical to the
+/// sequential path's.
+pub fn scan_layer_valence_connectivity_parallel<M, K>(
+    solver: &mut Solver<'_, M, K>,
     depth_limit: usize,
     only_bivalent: bool,
     threads: usize,
 ) -> LayerScan<M::State>
 where
-    M: Symmetric + Sync,
+    M: LayeredModel + Sync,
     M::State: Send + Sync,
+    K: Keying<M>,
 {
     let model = solver.model();
     let obs = solver.observer();
     let roots = model.initial_states();
+    // Valence lookahead reaches the horizon; the scan itself needs layers of
+    // states down to `depth_limit`. Expanding to the max covers both, so the
+    // scan below finds every successor list already cached.
     let expand_to = solver.horizon().max(depth_limit + 1);
     solver
         .space_mut()
         .expand_layers_parallel(model, &roots, expand_to, threads, obs);
-    scan_quotient_ids(solver, depth_limit, only_bivalent)
+    scan_layer_valence_connectivity(solver, depth_limit, only_bivalent)
 }
 
-fn scan_quotient_ids<M: Symmetric>(
-    solver: &mut QuotientSolver<'_, M>,
-    depth_limit: usize,
-    only_bivalent: bool,
-) -> LayerScan<M::State> {
-    let model = solver.model();
-    let obs = solver.observer();
-    let _span = Span::enter(obs, "layering.layer_scan");
-    let mut frontier: Vec<StateId> = Vec::new();
-    let mut roots_seen: HashSet<StateId> = HashSet::new();
-    for x in model.initial_states() {
-        let (id, _) = solver.intern(&x);
-        if roots_seen.insert(id) {
-            frontier.push(id);
-        }
-    }
-    let mut states_seen = frontier.len();
-    let mut layers_checked = 0;
-    obs.gauge("engine.frontier_width", frontier.len() as u64);
-    for _ in 0..=depth_limit {
-        let mut next: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for &id in &frontier {
-            obs.counter("engine.states_visited", 1);
-            let _check_span =
-                Span::enter_with(obs, "layering.check_layer", &[("state", id.index() as u64)]);
-            if only_bivalent {
-                let bivalent = {
-                    let _classify_span = Span::enter(obs, "valence.classify");
-                    solver.is_bivalent_id(id)
-                };
-                if !bivalent {
-                    continue;
-                }
-            }
-            let layer = solver.successor_ids(id);
-            let report = quotient_valence_report_ids(solver, &layer);
-            layers_checked += 1;
-            obs.counter("layering.layers_scanned", 1);
-            if !report.connected {
-                obs.event(
-                    "layering.scan_violation",
-                    &format!(
-                        "disconnected layer: {} orbits in {} components",
-                        report.states, report.components
-                    ),
-                );
-                return LayerScan {
-                    layers_checked,
-                    states_seen,
-                    violation: Some((solver.space().resolve(id), report)),
-                };
-            }
-            if model.depth(&solver.space().resolve(id)) < depth_limit {
-                for y in layer {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
-            }
-        }
-        frontier = next;
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        states_seen += frontier.len();
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    LayerScan {
-        layers_checked,
-        states_seen,
-        violation: None,
-    }
-}
+/// The quotient name of [`scan_layer_valence_connectivity_parallel`] (the
+/// same function).
+pub use scan_layer_valence_connectivity_parallel as scan_layer_valence_connectivity_quotient_parallel;
 
-/// Quotient twin of [`bivalent_successor_id`]: the first bivalent orbit in
-/// the collapsed layer of `x`'s representative, in edge order.
-pub fn bivalent_successor_quotient_id<M: Symmetric>(
-    solver: &mut QuotientSolver<'_, M>,
-    x: StateId,
-) -> Option<StateId> {
-    let obs = solver.observer();
-    solver.successor_ids(x).into_iter().find(|&y| {
-        obs.counter("layering.candidates_tested", 1);
-        solver.is_bivalent_id(y)
-    })
-}
-
-/// The Theorem 4.2 loop over the quotient graph: finds a bivalent initial
-/// orbit and extends it through `steps` collapsed layers, keeping every
-/// orbit bivalent. The returned [`InternedRun`]'s chain holds ids into the
-/// solver's [`QuotientSpace`](crate::space::QuotientSpace); de-quotient it
-/// into a genuine execution with [`dequotient_run`].
-///
-/// The recorded undecided counts are taken on the representatives, which
-/// is sound: the number of undecided non-failed processes is invariant
-/// under renaming (`decision` and `failed_at` transport along the
-/// permutation), so every member of the orbit has the same count.
-pub fn build_bivalent_run_quotient<M: Symmetric>(
-    solver: &mut QuotientSolver<'_, M>,
-    steps: usize,
-) -> InternedRun {
-    let obs = solver.observer();
-    let _span = Span::enter(obs, "layering.bivalent_run");
-    let Some(x0) = solver.bivalent_initial_id() else {
-        obs.counter("layering.stuck", 1);
-        obs.event("layering.stuck", "no_bivalent_initial_state");
-        return InternedRun {
-            chain: Vec::new(),
-            stuck: Some(Stuck::NoBivalentInitialState),
-            undecided_per_state: Vec::new(),
-        };
-    };
-    let model = solver.model();
-    let mut chain = vec![x0];
-    let mut undecided = vec![undecided_non_failed(model, &solver.space().resolve(x0)).len()];
-    for _ in 0..steps {
-        let x = *chain.last().expect("chain is non-empty");
-        match bivalent_successor_quotient_id(solver, x) {
-            Some(y) => {
-                obs.counter("layering.extensions", 1);
-                undecided.push(undecided_non_failed(model, &solver.space().resolve(y)).len());
-                chain.push(y);
-                obs.gauge("layering.run_length", (chain.len() - 1) as u64);
-            }
-            None => {
-                let layer = solver.successor_ids(x);
-                let report = quotient_valence_report_ids(solver, &layer);
-                let depth = model.depth(&solver.space().resolve(x));
-                obs.counter("layering.stuck", 1);
-                obs.event(
-                    "layering.stuck",
-                    &format!(
-                        "no_bivalent_successor depth={depth} layer_orbits={} components={}",
-                        report.states, report.components
-                    ),
-                );
-                return InternedRun {
-                    chain,
-                    stuck: Some(Stuck::NoBivalentSuccessor {
-                        depth,
-                        layer_report: report,
-                    }),
-                    undecided_per_state: undecided,
-                };
-            }
-        }
-    }
-    InternedRun {
-        chain,
-        stuck: None,
-        undecided_per_state: undecided,
-    }
-}
-
-/// Materializes a quotient-built [`InternedRun`] into a state-typed outcome
-/// whose chain is a *genuine execution* of the model, reconstructed from
-/// the per-edge witnessing permutations (see
-/// [`QuotientSpace::dequotient_path`](crate::space::QuotientSpace::dequotient_path)).
+/// Materializes an [`InternedRun`] into a state-typed outcome whose chain
+/// is a *genuine execution* of the model. Over a
+/// [`QuotientSolver`](crate::QuotientSolver) the chain is reconstructed
+/// from the per-edge witnessing permutations (see
+/// [`Arena::dequotient_path`](crate::space::Arena::dequotient_path)); over
+/// a [`ValenceSolver`] it is the run's own states.
 ///
 /// # Panics
 ///
-/// Panics if the run's chain ids are not connected by cached quotient edges
-/// (they always are for runs built by [`build_bivalent_run_quotient`] on
-/// the same solver).
-pub fn dequotient_run<M: Symmetric>(
-    solver: &QuotientSolver<'_, M>,
+/// Panics if the run's chain ids are not connected by cached edges (they
+/// always are for runs built on the same solver).
+pub fn dequotient_run<M: LayeredModel, K: Keying<M>>(
+    solver: &Solver<'_, M, K>,
     run: &InternedRun,
 ) -> BivalentRunOutcome<M::State> {
     BivalentRunOutcome {
@@ -610,7 +440,7 @@ pub fn dequotient_run<M: Symmetric>(
             let states = solver
                 .space()
                 .dequotient_path(solver.model(), &run.chain)
-                .expect("quotient run chains follow cached edges");
+                .expect("run chains follow cached edges");
             Some(ExecutionTrace::new(states))
         },
         stuck: run.stuck.clone(),

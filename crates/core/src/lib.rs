@@ -91,15 +91,17 @@ pub use space::pack::{
     pack_decision, unpack_decision, FieldPacker, StatePacker, WordReader, WordWriter, DECISION_BITS,
 };
 pub use space::snapshot::{
-    load_quotient, load_space, save_quotient, save_space, ArenaMeta, SnapshotError, SnapshotReader,
-    SnapshotState, SNAPSHOT_VERSION,
+    load_quotient, load_space, save_arena, save_quotient, save_space, ArenaMeta, SnapshotError,
+    SnapshotReader, SnapshotState, SNAPSHOT_VERSION,
 };
-pub use space::{DiffReport, QuotientSpace, StateId, StateSpace, SHARD_COUNT};
+pub use space::{
+    Arena, DiffReport, Keying, Orbits, Plain, QuotientSpace, StateId, StateSpace, SHARD_COUNT,
+};
 pub use stats::{census, census_with, LevelCensus};
 pub use sym::{canonicalize_by_min, canonicalize_packed, orbit_size, PidPerm, Symmetric};
 pub use telemetry::{
     Fanout, Heartbeat, Histogram, JsonlObserver, MemoryBreakdown, MemoryFootprint, MetricsRegistry,
     MetricsSnapshot, NoopObserver, Observer, Span, TraceObserver,
 };
-pub use valence::{undecided_non_failed, QuotientSolver, Valence, ValenceSolver, Valences};
-pub use witness::{ImpossibilityWitness, InternedWitness, WitnessError};
+pub use valence::{undecided_non_failed, QuotientSolver, Solver, Valence, ValenceSolver, Valences};
+pub use witness::{ImpossibilityWitness, WitnessError};

@@ -6,19 +6,30 @@
 //! consensus checker) explores the same graded state graph. Keying those
 //! explorations on full cloned model states makes each hash, clone and
 //! equality test cost `O(|state|)` — the direct cause of the n≤3 enumeration
-//! ceiling this module removes. A [`StateSpace`] interns each distinct state
+//! ceiling this module removes. An [`Arena`] interns each distinct key
 //! exactly once and hands out a dense `u32` [`StateId`]; the engines then
 //! memoize in flat `Vec`s indexed by id and walk successor lists that are
 //! computed once and packed into a single flat edge array (compressed sparse
 //! row layout).
 //!
+//! # One arena, two keyings
+//!
+//! The full state space and its symmetry quotient are the same layered
+//! graph with states keyed two ways, so there is one arena parameterised
+//! by a [`Keying`] policy: [`Plain`] keys every state by itself
+//! ([`StateSpace`]), [`Orbits`] keys a [`Symmetric`] state by its canonical
+//! orbit representative ([`QuotientSpace`]). The policy carries every
+//! difference between the two: the key and its per-edge witness, the
+//! per-state orbit size, whether a successor row collapses equal keys, the
+//! interning telemetry, and the snapshot trailer.
+//!
 //! # Packed storage
 //!
 //! When the model provides a [`StatePacker`]
-//! ([`LayeredModel::state_packer`]), the arena stores each state as a single
+//! ([`LayeredModel::state_packer`]), the arena stores each key as a single
 //! `u128` word instead of the boxed model struct: hashing, equality and
 //! lookup all operate on the word, and states are only unpacked at the
-//! [`resolve`](StateSpace::resolve) boundary. States the codec cannot
+//! [`resolve`](Arena::resolve) boundary. States the codec cannot
 //! represent *spill* into a side vector (tagged via [`pack::SPILL_TAG`]), so
 //! packing is always a pure representation change — ids, layers and every
 //! derived report are identical to the boxed arena's.
@@ -27,39 +38,39 @@
 //!
 //! The intern index is split into [`SHARD_COUNT`] shards keyed by state
 //! hash, each behind its own mutex. During bulk expansion worker threads
-//! probe and *stage* new states concurrently: a previously unseen state is
-//! appended to its shard's pending list and identified by a provisional id.
-//! No dense id is assigned concurrently — after the workers join, the
+//! key, probe and *stage* new states concurrently: a previously unseen key
+//! is appended to its shard's pending list and identified by a provisional
+//! id. No dense id is assigned concurrently — after the workers join, the
 //! calling thread walks the frontier's successor lists **in frontier order**
 //! and renumbers every provisional id in first-touch order ([`ProvMap`]),
 //! which is exactly the order the sequential path would have interned them
-//! in. The staged states are then published into the dense store and the
+//! in. The staged keys are then published into the dense store and the
 //! shard buckets rewritten. Parallelism changes how fast successor lists are
 //! produced, never which states exist, their ids, or the contents of any
 //! layer, so sequential and parallel expansion are bit-identical.
 //!
 //! # Id layout and determinism
 //!
-//! Ids are assigned in *interning order*: the first distinct state presented
-//! to [`StateSpace::intern`] gets id 0, the next distinct one id 1, and so
-//! on. All exploration routines here present states in a canonical order
-//! (roots in the order given, then successor lists in model order, level by
-//! level), so for a fixed model and entry point the id assignment — and
-//! everything derived from it — is deterministic.
+//! Ids are assigned in *interning order*: the first distinct key presented
+//! to the arena gets id 0, the next distinct one id 1, and so on. All
+//! exploration routines here present states in a canonical order (roots in
+//! the order given, then successor lists in model order, level by level),
+//! so for a fixed model and entry point the id assignment — and everything
+//! derived from it — is deterministic.
 //!
 //! # Persistence
 //!
-//! Both arenas serialize to versioned, integrity-hashed snapshots (see
+//! Arenas serialize to versioned, integrity-hashed snapshots (see
 //! [`snapshot`]): the state arena (packed words or boxed states), intern
 //! index, CSR successor cache and per-state successor fingerprints
 //! round-trip byte-identically, so a scan can be resumed — deepened,
 //! re-budgeted, or differentially re-verified after a protocol change via
-//! [`StateSpace::refresh_differential`] /
-//! [`QuotientSpace::refresh_differential`] — instead of recomputed.
+//! [`Arena::refresh_differential`] — instead of recomputed.
 
 pub mod pack;
 pub mod snapshot;
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, TryLockError};
@@ -67,6 +78,7 @@ use std::sync::{Mutex, MutexGuard, TryLockError};
 use fxhash::{FxHashMap, FxHasher};
 
 use self::pack::{word_hash, StatePacker, SPILL_TAG};
+use self::snapshot::{SnapshotError, SnapshotReader};
 use crate::sym::{PidPerm, Symmetric};
 use crate::telemetry::{
     clock, trace, Heartbeat, MemoryBreakdown, MemoryFootprint, Observer, Span, NOOP,
@@ -102,7 +114,7 @@ fn fx_hash<S: Hash>(s: &S) -> u64 {
     h.finish()
 }
 
-/// Dense identifier of an interned state within one [`StateSpace`].
+/// Dense identifier of an interned key within one [`Arena`].
 ///
 /// Ids are only meaningful relative to the space that produced them; they
 /// are assigned contiguously from 0 in interning order.
@@ -371,14 +383,14 @@ impl<S: Clone + Eq + Hash> Store<S> {
 /// of states staged during the current bulk expansion. Bucket entries are
 /// dense ids, or `PENDING_BIT | pending index` while staged; dense entries
 /// are kept in ascending id order (== interning order).
-struct Shard<S> {
+struct Shard<S, W> {
     buckets: FxHashMap<u64, Vec<u32>>,
-    /// Staged states: `(hash, key, orbit size)` — orbit is 0 in the plain
-    /// arena and carries the precomputed orbit size in the quotient.
-    pending: Vec<(u64, PendKey<S>, u64)>,
+    /// Staged states: `(hash, key, weight)` — the weight (the orbit size
+    /// under [`Orbits`]) is computed off-arena by the worker that keyed it.
+    pending: Vec<(u64, PendKey<S>, W)>,
 }
 
-impl<S> Default for Shard<S> {
+impl<S, W> Default for Shard<S, W> {
     fn default() -> Self {
         Shard {
             buckets: FxHashMap::default(),
@@ -411,10 +423,10 @@ impl InternStats {
 /// Locks a shard, counting contention: a failed `try_lock` bumps
 /// `contention`, each spin retry bumps `retries`, and after a bounded spin
 /// the caller parks on the blocking lock.
-fn lock_counting<'a, S>(
-    m: &'a Mutex<Shard<S>>,
+fn lock_counting<'a, S, W>(
+    m: &'a Mutex<Shard<S, W>>,
     stats: &mut InternStats,
-) -> MutexGuard<'a, Shard<S>> {
+) -> MutexGuard<'a, Shard<S, W>> {
     match m.try_lock() {
         Ok(g) => return g,
         Err(TryLockError::WouldBlock) => stats.contention += 1,
@@ -434,12 +446,12 @@ fn lock_counting<'a, S>(
     }
 }
 
-/// The sharded concurrent intern index shared by both arenas.
-struct ShardedIndex<S> {
-    shards: Vec<Mutex<Shard<S>>>,
+/// The sharded concurrent intern index of an [`Arena`].
+struct ShardedIndex<S, W> {
+    shards: Vec<Mutex<Shard<S, W>>>,
 }
 
-impl<S: Clone + Eq + Hash> ShardedIndex<S> {
+impl<S: Clone + Eq + Hash, W: Copy> ShardedIndex<S, W> {
     fn new() -> Self {
         ShardedIndex {
             shards: (0..SHARD_COUNT)
@@ -449,7 +461,7 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
     }
 
     /// Exclusive access to the shard owning `h` (single-threaded paths).
-    fn shard_mut(&mut self, h: u64) -> &mut Shard<S> {
+    fn shard_mut(&mut self, h: u64) -> &mut Shard<S, W> {
         match self.shards[shard_of(h)].get_mut() {
             Ok(g) => g,
             Err(_) => panic!("intern shard poisoned: a worker panicked"),
@@ -457,7 +469,7 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
     }
 
     /// Locked access to the shard owning `h` (shared-borrow paths).
-    fn shard(&self, h: u64) -> MutexGuard<'_, Shard<S>> {
+    fn shard(&self, h: u64) -> MutexGuard<'_, Shard<S, W>> {
         match self.shards[shard_of(h)].lock() {
             Ok(g) => g,
             Err(_) => panic!("intern shard poisoned: a worker panicked"),
@@ -472,7 +484,7 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
         store: &Store<S>,
         key: &ProbeKey,
         s: &S,
-        orbit: u64,
+        weight: W,
         stats: &mut InternStats,
     ) -> u64 {
         let shard_no = shard_of(key.hash);
@@ -502,7 +514,7 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
             Some(w) => PendKey::Word(w),
             None => PendKey::State(s.clone()),
         };
-        pending.push((key.hash, pend, orbit));
+        pending.push((key.hash, pend, weight));
         bucket.push(PENDING_BIT | idx);
         stats.misses += 1;
         PROV_PENDING | ((shard_no as u64) << 32) | u64::from(idx)
@@ -521,10 +533,9 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
 
     /// Publishes every staged state into the dense store under the ids
     /// `map` assigned, rewriting the affected buckets (and restoring their
-    /// ascending-id order). Returns the staged orbit sizes in dense id
-    /// order.
-    fn publish(&mut self, store: &mut Store<S>, map: &ProvMap) -> Vec<u64> {
-        let mut staged: Vec<(u32, PendKey<S>, u64)> = Vec::new();
+    /// ascending-id order). Returns the staged weights in dense id order.
+    fn publish(&mut self, store: &mut Store<S>, map: &ProvMap) -> Vec<W> {
+        let mut staged: Vec<(u32, PendKey<S>, W)> = Vec::new();
         for (shard_no, m) in self.shards.iter_mut().enumerate() {
             let shard = match m.get_mut() {
                 Ok(g) => g,
@@ -550,18 +561,18 @@ impl<S: Clone + Eq + Hash> ShardedIndex<S> {
                 }
                 bucket.sort_unstable();
             }
-            for (idx, (_, key, orbit)) in shard.pending.drain(..).enumerate() {
-                staged.push((map.assigned[shard_no][idx], key, orbit));
+            for (idx, (_, key, weight)) in shard.pending.drain(..).enumerate() {
+                staged.push((map.assigned[shard_no][idx], key, weight));
             }
         }
         staged.sort_unstable_by_key(|(id, _, _)| *id);
-        let mut orbits = Vec::with_capacity(staged.len());
-        for (id, key, orbit) in staged {
+        let mut weights = Vec::with_capacity(staged.len());
+        for (id, key, weight) in staged {
             debug_assert_eq!(id as usize, store.len(), "dense ids are contiguous");
             store.push_pend(key);
-            orbits.push(orbit);
+            weights.push(weight);
         }
-        orbits
+        weights
     }
 
     /// Inserts dense slot `i` of `store` into the index (snapshot
@@ -668,7 +679,7 @@ fn probe_dense<S: Clone + Eq + Hash>(
 
 /// FxHash fingerprint of a raw successor list (length plus every element,
 /// in order). Stored per state so a re-scan after a protocol change can
-/// tell which successor lists moved ([`StateSpace::refresh_differential`])
+/// tell which successor lists moved ([`Arena::refresh_differential`])
 /// without diffing the lists themselves. Fingerprint equality is treated
 /// as list equality — a deliberate 64-bit-collision trade-off, identical
 /// to the one the intern index already makes per bucket.
@@ -687,7 +698,7 @@ fn successor_fingerprint<S: Hash>(succs: &[S]) -> u64 {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DiffReport {
     /// Cached rows whose successor fingerprint was unchanged — their CSR
-    /// slice (and, in the quotient, permutation slice) was copied verbatim.
+    /// and witness slices were copied verbatim.
     pub reused: usize,
     /// Cached rows whose fingerprint moved — re-expanded under the new
     /// model.
@@ -696,22 +707,23 @@ pub struct DiffReport {
     pub new_states: usize,
 }
 
-/// One chunk's output from [`expand_chunk`]: per-state provisional-id rows
-/// (successor provisional ids plus the state's fingerprint, in chunk order)
-/// and the chunk's interning statistics.
-type ChunkOutput = (Vec<(Vec<u64>, u64)>, InternStats);
+/// One chunk's output from [`expand_chunk`]: per frontier state, the
+/// successor provisional ids, their witnesses and the state's raw-successor
+/// fingerprint (in chunk order), plus the chunk's interning statistics.
+type ChunkOutput<W> = (Vec<(Vec<u64>, Vec<W>, u64)>, InternStats);
 
 /// Expands one chunk of the frontier against the shared store and index:
 /// per frontier state, the raw successor list is computed, fingerprinted,
-/// and every successor probed-or-staged. Returns per-state provisional-id
-/// rows (in chunk order) plus the chunk's interning statistics. Pure with
-/// respect to the dense arena — all novelty is staged in the shards.
-fn expand_chunk<M: LayeredModel>(
+/// keyed (for [`Orbits`], canonicalized — the `n!` work that dominates
+/// quotient expansion) and every key probed-or-staged with its weight.
+/// Pure with respect to the dense arena — all novelty is staged in the
+/// shards.
+fn expand_chunk<M: LayeredModel, K: Keying<M>>(
     model: &M,
     store: &Store<M::State>,
-    index: &ShardedIndex<M::State>,
+    index: &ShardedIndex<M::State, K::Weight>,
     part: &[StateId],
-) -> ChunkOutput {
+) -> ChunkOutput<K::Witness> {
     let mut stats = InternStats::default();
     let rows = part
         .iter()
@@ -719,61 +731,333 @@ fn expand_chunk<M: LayeredModel>(
             let x = store.get(id.index());
             let raw = model.successors(&x);
             let fp = successor_fingerprint(&raw);
-            let provs = raw
-                .iter()
-                .map(|y| {
-                    let key = store.key_of(y);
-                    index.probe_or_stage(store, &key, y, 0, &mut stats)
-                })
-                .collect();
-            (provs, fp)
+            let mut provs = Vec::with_capacity(raw.len());
+            let mut wits = Vec::with_capacity(raw.len());
+            for y in &raw {
+                let (rep, wit, weight) = K::key(model, y);
+                let key = store.key_of(&rep);
+                provs.push(index.probe_or_stage(store, &key, &rep, weight, &mut stats));
+                wits.push(wit);
+            }
+            (provs, wits, fp)
         })
         .collect();
     (rows, stats)
 }
 
-/// Quotient twin of [`expand_chunk`]: every raw successor is canonicalized
-/// (the `n!` work that dominates quotient expansion) and its orbit
-/// representative probed-or-staged with its precomputed orbit size. Rows
-/// carry the witnessing permutation alongside each provisional id.
-#[allow(clippy::type_complexity)]
-fn canon_chunk<M: Symmetric>(
-    model: &M,
-    store: &Store<M::State>,
-    index: &ShardedIndex<M::State>,
-    part: &[StateId],
-) -> (Vec<(Vec<(u64, PidPerm)>, u64)>, InternStats) {
-    let mut stats = InternStats::default();
-    let rows = part
-        .iter()
-        .map(|&id| {
-            let x = store.get(id.index());
-            let raw = model.successors(&x);
-            let fp = successor_fingerprint(&raw);
-            let entries = raw
-                .iter()
-                .map(|y| {
-                    let (rep, perm, orbit) = model.canonicalize_with_orbit(y);
-                    let key = store.key_of(&rep);
-                    (
-                        index.probe_or_stage(store, &key, &rep, orbit, &mut stats),
-                        perm,
-                    )
-                })
-                .collect();
-            (entries, fp)
-        })
-        .collect();
-    (rows, stats)
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Plain {}
+    impl Sealed for super::Orbits {}
 }
 
-/// A hash-consing arena over a model's states.
+/// The keying policy of an [`Arena`]: how a model state becomes the entry
+/// it is interned as.
 ///
-/// Interning deduplicates states structurally: `intern` returns the same
-/// [`StateId`] for equal states and stores each distinct state exactly once.
-/// Successor lists are computed lazily (or eagerly, in parallel, via
-/// [`StateSpace::prefetch_successors`]) and cached in CSR form, so each
-/// `model.successors` call happens at most once per state per space.
+/// The full state space and its symmetry quotient are the same layered
+/// graph keyed two ways — [`Plain`] keys every state by itself, [`Orbits`]
+/// keys a [`Symmetric`] state by its canonical orbit representative — so
+/// the arena, the valence solver, the layer scan, the Theorem 4.2 run and
+/// the snapshot codec each have one body, and everything the two keyings
+/// do differently lives behind this trait: the key and its witness, the
+/// per-state weight, whether a successor row collapses equal keys, the
+/// interning telemetry and the snapshot trailer.
+pub trait Keying<M: LayeredModel>: sealed::Sealed + Sized {
+    /// Per-state datum: the orbit size under [`Orbits`], nothing (`()`)
+    /// under [`Plain`].
+    type Weight: Copy + Send + Sync;
+    /// Per-edge datum: the permutation carrying the raw successor onto its
+    /// key under [`Orbits`], nothing (`()`) under [`Plain`].
+    type Witness: Clone + Send + Sync;
+    /// Whether a successor row keeps each key once (first witness wins)
+    /// rather than keeping the raw successor multiplicity.
+    const DEDUP_ROWS: bool;
+    /// The snapshot header's `kind`.
+    const KIND: &'static str;
+    /// What reports and events call one interned entry.
+    const UNIT: &'static str;
+    /// Whether the Theorem 4.2 run's `layering.bivalent_run` span also
+    /// covers the search for a bivalent initial state (otherwise it opens
+    /// once the start is confirmed bivalent).
+    const RUN_SPAN_COVERS_SEARCH: bool;
+
+    /// Panics unless `model` may be keyed this way.
+    fn check_model(model: &M);
+
+    /// The key of `x` (borrowed when it is `x` itself), the witness that
+    /// maps `x` onto it, and its weight.
+    fn key<'s>(model: &M, x: &'s M::State) -> (Cow<'s, M::State>, Self::Witness, Self::Weight);
+
+    /// [`Keying::key`] for a state interned one at a time (roots and
+    /// callers' states), with its telemetry.
+    fn key_traced<'s>(
+        model: &M,
+        x: &'s M::State,
+        obs: &dyn Observer,
+    ) -> (Cow<'s, M::State>, Self::Witness, Self::Weight) {
+        let _ = obs;
+        Self::key(model, x)
+    }
+
+    /// The witness of an empty path (the de-quotienting recurrence's `ρ₀`).
+    fn identity(model: &M) -> Self::Witness;
+
+    /// One de-quotienting step: folds the edge witness `w` into the
+    /// renaming `rho` accumulated so far and maps the key `rep` the edge
+    /// reached into the execution.
+    fn unfold(model: &M, rho: &mut Self::Witness, w: &Self::Witness, rep: M::State) -> M::State;
+
+    /// Telemetry of one direct probe that compared `compared` candidates.
+    fn note_probe(obs: &dyn Observer, hit: bool, compared: u64);
+    /// Telemetry of one directly interned new entry of weight `weight`.
+    fn note_new(obs: &dyn Observer, weight: Self::Weight);
+    /// Telemetry of one bulk expansion: its probe hits and misses, and the
+    /// weights of the entries it published.
+    fn note_bulk(obs: &dyn Observer, hits: u64, misses: u64, weights: &[Self::Weight]);
+    /// Telemetry of the arena's size after it grew.
+    fn note_size(obs: &dyn Observer, arena: &Arena<M, Self>);
+    /// Telemetry of a differential refresh.
+    fn note_refresh(obs: &dyn Observer, report: &DiffReport);
+
+    /// Memory held by the weights and witnesses, added to `b`.
+    fn weigh_extras(arena: &Arena<M, Self>, b: &mut MemoryBreakdown);
+
+    /// Appends the snapshot trailer: the weights, then the witnesses.
+    fn encode_extras(weights: &[Self::Weight], witnesses: &[Self::Witness], out: &mut Vec<u8>);
+
+    /// Decodes and validates the snapshot trailer of an arena with
+    /// `states` entries, `edges` edges and `n` processes.
+    ///
+    /// # Errors
+    ///
+    /// A truncated or invalid trailer.
+    #[allow(clippy::type_complexity)]
+    fn decode_extras(
+        r: &mut SnapshotReader<'_>,
+        states: usize,
+        edges: usize,
+        n: u64,
+    ) -> Result<(Vec<Self::Weight>, Vec<Self::Witness>), SnapshotError>;
+}
+
+/// The full state space: every state is its own key.
+#[derive(Clone, Copy, Debug)]
+pub struct Plain;
+
+/// The symmetry quotient: a [`Symmetric`] state is keyed by the canonical
+/// representative of its orbit under process renaming, so all `n!`
+/// renamings of a state share one [`StateId`]. Each edge `c → c'` stores a
+/// permutation `σ` with `σ · y = c'` for the raw successor `y ∈ S(c)` it
+/// came from, which [`Arena::dequotient_path`] folds back into a genuine
+/// execution.
+///
+/// Soundness needs an equivariant layering (`S(π·x) = π·S(x)`), so arenas
+/// keyed this way panic unless [`Symmetric::symmetric_layering`] holds for
+/// the model's current configuration.
+#[derive(Clone, Copy, Debug)]
+pub struct Orbits;
+
+impl<M: LayeredModel> Keying<M> for Plain {
+    type Weight = ();
+    type Witness = ();
+    const DEDUP_ROWS: bool = false;
+    const KIND: &'static str = "state";
+    const UNIT: &'static str = "states";
+    const RUN_SPAN_COVERS_SEARCH: bool = false;
+
+    fn check_model(_: &M) {}
+
+    fn key<'s>(_: &M, x: &'s M::State) -> (Cow<'s, M::State>, (), ()) {
+        (Cow::Borrowed(x), (), ())
+    }
+
+    fn identity(_: &M) {}
+
+    fn unfold(_: &M, _: &mut (), _: &(), rep: M::State) -> M::State {
+        rep
+    }
+
+    fn note_probe(obs: &dyn Observer, hit: bool, compared: u64) {
+        if hit {
+            obs.counter("space.intern.hits", 1);
+            obs.histogram("space.intern.probe_len", compared);
+        } else {
+            obs.histogram("space.intern.probe_len", compared);
+            obs.counter("space.intern.misses", 1);
+        }
+    }
+
+    fn note_new(_: &dyn Observer, _: ()) {}
+
+    fn note_bulk(obs: &dyn Observer, hits: u64, misses: u64, _: &[()]) {
+        obs.counter("space.intern.hits", hits);
+        obs.counter("space.intern.misses", misses);
+    }
+
+    fn note_size(_: &dyn Observer, _: &Arena<M, Self>) {}
+
+    fn note_refresh(obs: &dyn Observer, report: &DiffReport) {
+        obs.counter("space.resume.rows_reused", report.reused as u64);
+        obs.counter("space.resume.rows_recomputed", report.recomputed as u64);
+    }
+
+    fn weigh_extras(_: &Arena<M, Self>, _: &mut MemoryBreakdown) {}
+
+    fn encode_extras(_: &[()], _: &[()], _: &mut Vec<u8>) {}
+
+    fn decode_extras(
+        _: &mut SnapshotReader<'_>,
+        states: usize,
+        edges: usize,
+        _: u64,
+    ) -> Result<(Vec<()>, Vec<()>), SnapshotError> {
+        Ok((vec![(); states], vec![(); edges]))
+    }
+}
+
+impl<M: Symmetric> Keying<M> for Orbits {
+    type Weight = u64;
+    type Witness = PidPerm;
+    const DEDUP_ROWS: bool = true;
+    const KIND: &'static str = "quotient";
+    const UNIT: &'static str = "orbits";
+    const RUN_SPAN_COVERS_SEARCH: bool = true;
+
+    fn check_model(model: &M) {
+        assert!(
+            model.symmetric_layering(),
+            "QuotientSpace requires an equivariant layering \
+             (use the model's full/symmetric layering variant)"
+        );
+    }
+
+    fn key<'s>(model: &M, x: &'s M::State) -> (Cow<'s, M::State>, PidPerm, u64) {
+        let (rep, perm, orbit) = model.canonicalize_with_orbit(x);
+        (Cow::Owned(rep), perm, orbit)
+    }
+
+    fn key_traced<'s>(
+        model: &M,
+        x: &'s M::State,
+        obs: &dyn Observer,
+    ) -> (Cow<'s, M::State>, PidPerm, u64) {
+        let _span = Span::enter(obs, "space.canonicalize");
+        Self::key(model, x)
+    }
+
+    fn identity(model: &M) -> PidPerm {
+        PidPerm::identity(model.num_processes())
+    }
+
+    /// `ρᵢ = ρᵢ₋₁ ∘ σᵢ⁻¹` and `xᵢ = ρᵢ · cᵢ` (see [`Arena::dequotient_path`]).
+    fn unfold(model: &M, rho: &mut PidPerm, w: &PidPerm, rep: M::State) -> M::State {
+        *rho = rho.compose(&w.inverse());
+        model.permute_state(&rep, rho)
+    }
+
+    fn note_probe(obs: &dyn Observer, hit: bool, _: u64) {
+        if hit {
+            obs.counter("space.canon.hits", 1);
+        }
+    }
+
+    fn note_new(obs: &dyn Observer, orbit: u64) {
+        obs.counter("space.canon.orbit_states", orbit);
+    }
+
+    fn note_bulk(obs: &dyn Observer, hits: u64, _: u64, orbits: &[u64]) {
+        obs.counter("space.canon.hits", hits);
+        obs.counter("space.canon.orbit_states", orbits.iter().sum());
+    }
+
+    fn note_size(obs: &dyn Observer, arena: &Arena<M, Self>) {
+        // Mean orbit size in fixed-point thousandths (a reading of 5920
+        // means each interned representative stands for 5.92 full-space
+        // states on average) — see the units table in `telemetry::names`.
+        if !arena.is_empty() {
+            obs.gauge(
+                "space.quotient.mean_orbit_x1000",
+                arena.covered_states() * 1000 / arena.len() as u64,
+            );
+        }
+    }
+
+    fn note_refresh(obs: &dyn Observer, report: &DiffReport) {
+        obs.counter("space.resume.orbits_reused", report.reused as u64);
+        obs.counter("space.resume.orbits_recomputed", report.recomputed as u64);
+    }
+
+    fn weigh_extras(arena: &Arena<M, Self>, b: &mut MemoryBreakdown) {
+        b.push(
+            "mem.space.orbits_bytes",
+            arena.weights.capacity() as u64 * std::mem::size_of::<u64>() as u64,
+        );
+        let perm_maps: u64 = arena.witnesses.iter().map(|p| p.degree() as u64).sum();
+        b.push(
+            "mem.space.perms_bytes",
+            arena.witnesses.capacity() as u64 * std::mem::size_of::<PidPerm>() as u64 + perm_maps,
+        );
+    }
+
+    fn encode_extras(orbits: &[u64], perms: &[PidPerm], out: &mut Vec<u8>) {
+        for orbit in orbits {
+            out.extend_from_slice(&orbit.to_le_bytes());
+        }
+        for perm in perms {
+            snapshot::encode_perm(perm, out);
+        }
+    }
+
+    fn decode_extras(
+        r: &mut SnapshotReader<'_>,
+        states: usize,
+        edges: usize,
+        n: u64,
+    ) -> Result<(Vec<u64>, Vec<PidPerm>), SnapshotError> {
+        let mut orbits = Vec::with_capacity(states);
+        for _ in 0..states {
+            let orbit = r.u64()?;
+            if orbit == 0 {
+                return Err(SnapshotError::Malformed("orbit size zero"));
+            }
+            orbits.push(orbit);
+        }
+        let mut perms = Vec::with_capacity(edges);
+        for _ in 0..edges {
+            perms.push(snapshot::decode_perm(r, n)?);
+        }
+        Ok((orbits, perms))
+    }
+}
+
+/// A hash-consing arena over a model's states, keyed by the policy `K`.
+///
+/// Interning deduplicates keys structurally: equal keys get the same
+/// [`StateId`] and each distinct key is stored exactly once. Successor
+/// lists are computed lazily (or eagerly, in parallel, via
+/// [`Arena::prefetch_successors`]) and cached in CSR form, so each
+/// `model.successors` call happens at most once per entry per arena.
+///
+/// Use it through [`StateSpace`] (the full space) or [`QuotientSpace`]
+/// (the symmetry quotient).
+pub struct Arena<M: LayeredModel, K: Keying<M>> {
+    /// Keys, packed or boxed, indexed by [`StateId`].
+    store: Store<M::State>,
+    /// Per-entry weight, parallel to `store`.
+    weights: Vec<K::Weight>,
+    index: ShardedIndex<M::State, K::Weight>,
+    succ: Vec<Option<SuccRange>>,
+    edges: Vec<StateId>,
+    /// Per-edge witness, parallel to `edges`.
+    witnesses: Vec<K::Witness>,
+    /// FxHash fingerprint of each entry's *raw* (pre-keying) successor
+    /// list (0 until the list is cached) — the differential-refresh change
+    /// detector.
+    succ_fp: Vec<u64>,
+}
+
+/// The full state space: a hash-consing arena with every state its own
+/// key.
 ///
 /// # Examples
 ///
@@ -789,130 +1073,136 @@ fn canon_chunk<M: Symmetric>(
 /// assert_eq!(space.intern(&x0), id); // double-intern: same id
 /// assert_eq!(space.resolve(id), x0); // round-trip
 /// ```
-pub struct StateSpace<M: LayeredModel> {
-    store: Store<M::State>,
-    index: ShardedIndex<M::State>,
-    succ: Vec<Option<SuccRange>>,
-    edges: Vec<StateId>,
-    /// FxHash fingerprint of each state's *raw* successor list (0 until the
-    /// list is cached) — the differential-refresh change detector.
-    succ_fp: Vec<u64>,
-}
+pub type StateSpace<M> = Arena<M, Plain>;
 
-impl<M: LayeredModel> Default for StateSpace<M> {
-    fn default() -> Self {
-        StateSpace::new()
-    }
-}
+/// The symmetry quotient of a [`Symmetric`] model's state space: one entry
+/// per orbit under process renaming (see [`Orbits`]).
+pub type QuotientSpace<M> = Arena<M, Orbits>;
 
-impl<M: LayeredModel> StateSpace<M> {
-    /// An empty arena with boxed storage. Prefer
-    /// [`StateSpace::for_model`], which picks packed storage when the model
-    /// provides a codec.
-    #[must_use]
-    pub fn new() -> Self {
-        StateSpace {
-            store: Store::boxed(),
+impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
+    fn with_store(store: Store<M::State>) -> Self {
+        Arena {
+            store,
+            weights: Vec::new(),
             index: ShardedIndex::new(),
             succ: Vec::new(),
             edges: Vec::new(),
+            witnesses: Vec::new(),
             succ_fp: Vec::new(),
         }
     }
 
-    /// An empty arena storing states packed when `model` provides a
-    /// [`StatePacker`] ([`LayeredModel::state_packer`]), boxed otherwise.
-    /// Packing is a pure representation change: ids, layers and every
-    /// derived report are identical either way.
+    /// An empty arena for `model`, storing keys packed when the model
+    /// provides a [`StatePacker`] ([`LayeredModel::state_packer`]), boxed
+    /// otherwise. Packing is a pure representation change: ids, layers and
+    /// every derived report are identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `K` cannot key `model` (see [`Orbits`]).
     #[must_use]
     pub fn for_model(model: &M) -> Self {
+        K::check_model(model);
         match model.state_packer() {
-            Some(p) => StateSpace {
-                store: Store::packed(p),
-                index: ShardedIndex::new(),
-                succ: Vec::new(),
-                edges: Vec::new(),
-                succ_fp: Vec::new(),
-            },
-            None => StateSpace::new(),
+            Some(p) => Self::with_store(Store::packed(p)),
+            None => Self::with_store(Store::boxed()),
         }
     }
 
-    /// Number of distinct states interned so far.
+    /// Number of distinct keys interned so far.
     #[must_use]
     pub fn len(&self) -> usize {
         self.store.len()
     }
 
-    /// Whether no state has been interned yet.
+    /// Whether nothing has been interned yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.store.len() == 0
     }
 
-    /// Total successor edges cached so far (with multiplicity).
+    /// Total successor edges cached so far.
     #[must_use]
     pub fn edge_count(&self) -> usize {
         self.edges.len()
     }
 
-    /// Interns `s`, returning its dense id (allocating one on first sight).
-    pub fn intern(&mut self, s: &M::State) -> StateId {
-        self.intern_with(s, &NOOP)
-    }
-
-    /// [`StateSpace::intern`] with telemetry: reports `space.intern.hits` /
-    /// `space.intern.misses` counters, the `space.states` gauge and the
-    /// `space.intern.probe_len` histogram (equality comparisons per probe)
-    /// to `obs`.
-    pub fn intern_with(&mut self, s: &M::State, obs: &dyn Observer) -> StateId {
-        let key = self.store.key_of(s);
+    /// Interns a key of known weight, returning its dense id.
+    fn intern_key(&mut self, rep: &M::State, weight: K::Weight, obs: &dyn Observer) -> StateId {
+        let key = self.store.key_of(rep);
         let shard = self.index.shard_mut(key.hash);
-        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, s) {
+        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, rep) {
             Probe::Hit(id, compared) => {
-                obs.counter("space.intern.hits", 1);
-                obs.histogram("space.intern.probe_len", compared);
+                K::note_probe(obs, true, compared);
                 return id;
             }
-            Probe::Miss(compared) => obs.histogram("space.intern.probe_len", compared),
+            Probe::Miss(compared) => K::note_probe(obs, false, compared),
         }
-        obs.counter("space.intern.misses", 1);
         let id = u32::try_from(self.store.len()).expect("more than u32::MAX states");
-        self.store.push(&key, s);
+        self.store.push(&key, rep);
+        self.weights.push(weight);
         self.succ.push(None);
         self.succ_fp.push(0);
         shard.buckets.entry(key.hash).or_default().push(id);
+        K::note_new(obs, weight);
         obs.gauge("space.states", self.store.len() as u64);
+        K::note_size(obs, self);
         StateId(id)
     }
 
-    /// The id of `s` if it has been interned, without interning it.
-    #[must_use]
-    pub fn get(&self, s: &M::State) -> Option<StateId> {
-        let key = self.store.key_of(s);
+    /// Interns the key of `x`, returning its id and the witness mapping `x`
+    /// onto the stored key.
+    pub(crate) fn intern_state(
+        &mut self,
+        model: &M,
+        x: &M::State,
+        obs: &dyn Observer,
+    ) -> (StateId, K::Witness) {
+        let (rep, wit, weight) = K::key_traced(model, x, obs);
+        (self.intern_key(&rep, weight, obs), wit)
+    }
+
+    /// The id of key `rep`, without interning it.
+    fn lookup(&self, rep: &M::State) -> Option<StateId> {
+        let key = self.store.key_of(rep);
         let shard = self.index.shard(key.hash);
-        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, s) {
+        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, rep) {
             Probe::Hit(id, _) => Some(id),
             Probe::Miss(_) => None,
         }
     }
 
-    /// The state behind `id`, owned: unpacked from the packed word, or
+    /// The key behind `id`, owned: unpacked from the packed word, or
     /// cloned out of the boxed store.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not produced by this space.
+    /// Panics if `id` was not produced by this arena.
     #[must_use]
     pub fn resolve(&self, id: StateId) -> M::State {
         self.store.get(id.index())
     }
 
-    /// The states behind `ids`, owned (used to materialize id paths into
-    /// state-typed witnesses at the API boundary).
+    /// The keys behind `ids`, owned (used to materialize id paths into
+    /// state-typed results at the API boundary).
     #[must_use]
     pub fn materialize(&self, ids: &[StateId]) -> Vec<M::State> {
         ids.iter().map(|&id| self.resolve(id)).collect()
+    }
+
+    /// The cached successor row of `id` with its per-edge witnesses.
+    fn cached_row(&self, id: StateId) -> Option<(&[StateId], &[K::Witness])> {
+        self.succ[id.index()].map(|r| {
+            let range = r.start as usize..(r.start + r.len) as usize;
+            (
+                self.edges
+                    .get(range.clone())
+                    .expect("SuccRange lies within the edge array by construction"),
+                self.witnesses
+                    .get(range)
+                    .expect("witnesses run parallel to the edge array"),
+            )
+        })
     }
 
     /// The cached successor list of `id`, or `None` if it has not been
@@ -927,29 +1217,59 @@ impl<M: LayeredModel> StateSpace<M> {
         })
     }
 
-    /// Packs already-resolved successor ids of `id` into the edge array.
-    /// No-op if `id`'s successors are already cached.
-    fn record_ids(&mut self, id: StateId, succs: &[StateId], fp: u64, obs: &dyn Observer) {
+    /// Packs already-resolved successor ids (and their witnesses) of `id`
+    /// into the edge arrays — deduplicated by key when
+    /// [`Keying::DEDUP_ROWS`]. No-op if `id`'s successors are already
+    /// cached.
+    fn record_row(
+        &mut self,
+        id: StateId,
+        ids: &[StateId],
+        wits: Vec<K::Witness>,
+        fp: u64,
+        obs: &dyn Observer,
+    ) {
         if self.succ[id.index()].is_some() {
             return;
         }
         let start = u32::try_from(self.edges.len()).expect("more than u32::MAX edges");
-        self.edges.extend_from_slice(succs);
-        let len = u32::try_from(succs.len()).expect("layer larger than u32::MAX");
+        if K::DEDUP_ROWS {
+            let mut seen: HashSet<StateId> = HashSet::new();
+            for (&y, wit) in ids.iter().zip(wits) {
+                if seen.insert(y) {
+                    self.edges.push(y);
+                    self.witnesses.push(wit);
+                }
+            }
+        } else {
+            self.edges.extend_from_slice(ids);
+            self.witnesses.extend(wits);
+        }
+        let len =
+            u32::try_from(self.edges.len() - start as usize).expect("layer larger than u32::MAX");
         self.succ[id.index()] = Some(SuccRange { start, len });
         self.succ_fp[id.index()] = fp;
         obs.histogram("space.succ_fanout", len.into());
     }
 
-    /// Interns the given successor states of `id` and packs them into the
-    /// edge array. No-op if `id`'s successors are already cached.
-    fn record_successors(&mut self, id: StateId, succs: &[M::State], obs: &dyn Observer) {
-        if self.succ[id.index()].is_some() {
-            return;
+    /// Keys and interns the raw successors `raw` of `id` one at a time and
+    /// packs them into the edge arrays. `fp` is the fingerprint of `raw`.
+    fn record_successors(
+        &mut self,
+        model: &M,
+        id: StateId,
+        raw: &[M::State],
+        fp: u64,
+        obs: &dyn Observer,
+    ) {
+        let mut ids = Vec::with_capacity(raw.len());
+        let mut wits = Vec::with_capacity(raw.len());
+        for y in raw {
+            let (rep, wit, weight) = K::key(model, y);
+            ids.push(self.intern_key(&rep, weight, obs));
+            wits.push(wit);
         }
-        let fp = successor_fingerprint(succs);
-        let ids: Vec<StateId> = succs.iter().map(|y| self.intern_with(y, obs)).collect();
-        self.record_ids(id, &ids, fp, obs);
+        self.record_row(id, &ids, wits, fp, obs);
     }
 
     /// The fingerprint of `id`'s cached raw successor list, or `None` if
@@ -960,27 +1280,29 @@ impl<M: LayeredModel> StateSpace<M> {
     }
 
     /// Differential re-verification after a model change: recomputes the
-    /// raw successor list of every state whose successors were cached,
-    /// but re-interns (and re-packs) only the lists whose fingerprint moved
-    /// under `model` — unchanged rows have their CSR slice copied verbatim.
+    /// raw successor list of every entry whose successors were cached, but
+    /// re-keys and re-interns only the lists whose fingerprint moved under
+    /// `model` (so only those pay for canonicalization) — unchanged rows
+    /// have their CSR and witness slices copied verbatim.
     ///
     /// The arena afterwards is *exactly* what caching every old row's new
     /// successor list would produce, modulo edge-array packing order (ids,
-    /// states and per-row successor lists are identical; only `SuccRange`
+    /// keys and per-row successor lists are identical; only `SuccRange`
     /// offsets may differ — invisible through [`cached_successors`]).
-    /// States interned during re-expansion that the old arena had not seen
-    /// start uncached, like any freshly interned state.
+    /// Entries interned during re-expansion that the old arena had not
+    /// seen start uncached, like any freshly interned entry.
     ///
     /// Telemetry: runs under a `space.resume.refresh` span and reports the
-    /// `space.resume.rows_reused` / `space.resume.rows_recomputed`
-    /// counters.
+    /// `space.resume.rows_reused` / `space.resume.rows_recomputed` counters
+    /// (`space.resume.orbits_*` under [`Orbits`]).
     ///
-    /// [`cached_successors`]: StateSpace::cached_successors
+    /// [`cached_successors`]: Arena::cached_successors
     pub fn refresh_differential(&mut self, model: &M, obs: &dyn Observer) -> DiffReport {
         let _span = Span::enter(obs, "space.resume.refresh");
         let old_len = self.store.len();
         let old_succ = std::mem::take(&mut self.succ);
         let old_edges = std::mem::take(&mut self.edges);
+        let old_wits = std::mem::take(&mut self.witnesses);
         let old_fp = std::mem::take(&mut self.succ_fp);
         self.succ = vec![None; old_len];
         self.succ_fp = vec![0; old_len];
@@ -988,15 +1310,20 @@ impl<M: LayeredModel> StateSpace<M> {
         for k in 0..old_len {
             let Some(range) = old_succ[k] else { continue };
             let x = self.store.get(k);
-            let succs = model.successors(&x);
-            let fp = successor_fingerprint(&succs);
+            let raw = model.successors(&x);
+            let fp = successor_fingerprint(&raw);
             if fp == old_fp[k] {
                 let start = u32::try_from(self.edges.len()).expect("more than u32::MAX edges");
-                let s = range.start as usize;
+                let old = range.start as usize..(range.start + range.len) as usize;
                 self.edges.extend_from_slice(
                     old_edges
-                        .get(s..s + range.len as usize)
+                        .get(old.clone())
                         .expect("resumed SuccRange lies within the loaded edge array"),
+                );
+                self.witnesses.extend_from_slice(
+                    old_wits
+                        .get(old)
+                        .expect("witnesses run parallel to the loaded edge array"),
                 );
                 self.succ[k] = Some(SuccRange {
                     start,
@@ -1005,23 +1332,23 @@ impl<M: LayeredModel> StateSpace<M> {
                 self.succ_fp[k] = fp;
                 report.reused += 1;
             } else {
-                self.record_successors(StateId(k as u32), &succs, obs);
+                self.record_successors(model, StateId(k as u32), &raw, fp, obs);
                 report.recomputed += 1;
             }
         }
         report.new_states = self.store.len() - old_len;
-        obs.counter("space.resume.rows_reused", report.reused as u64);
-        obs.counter("space.resume.rows_recomputed", report.recomputed as u64);
+        K::note_refresh(obs, &report);
         report
     }
 
-    /// The successor ids of `id` under `model`'s layering, computing and
-    /// caching the list on first use.
+    /// The successor ids of `id` under `model`'s layering, computing,
+    /// keying and caching the list on first use.
     pub fn successor_ids(&mut self, model: &M, id: StateId, obs: &dyn Observer) -> Vec<StateId> {
         if self.succ[id.index()].is_none() {
             let x = self.store.get(id.index());
-            let succs = model.successors(&x);
-            self.record_successors(id, &succs, obs);
+            let raw = model.successors(&x);
+            let fp = successor_fingerprint(&raw);
+            self.record_successors(model, id, &raw, fp, obs);
         }
         self.cached_successors(id)
             .expect("successors just recorded")
@@ -1038,33 +1365,41 @@ impl<M: LayeredModel> StateSpace<M> {
 
     /// Renumbers, publishes and records the results of one bulk expansion:
     /// provisional ids are resolved in frontier order ([`ProvMap`] — the
-    /// canonical renumbering pass), staged states are published into the
-    /// dense store, and every frontier row's CSR slice is packed.
+    /// canonical renumbering pass), staged keys are published into the
+    /// dense store with their weights, and every frontier row's CSR slice
+    /// is packed.
     fn finish_bulk(
         &mut self,
         pending: &[StateId],
-        rows: Vec<(Vec<u64>, u64)>,
+        rows: Vec<(Vec<u64>, Vec<K::Witness>, u64)>,
         stats: InternStats,
         obs: &dyn Observer,
     ) {
         let base = u32::try_from(self.store.len()).expect("more than u32::MAX states");
         let mut map = ProvMap::new(&self.index.pending_lens(), base);
-        let resolved: Vec<(Vec<StateId>, u64)> = rows
+        let resolved: Vec<(Vec<StateId>, Vec<K::Witness>, u64)> = rows
             .into_iter()
-            .map(|(provs, fp)| (provs.into_iter().map(|p| map.resolve(p)).collect(), fp))
+            .map(|(provs, wits, fp)| {
+                (
+                    provs.into_iter().map(|p| map.resolve(p)).collect(),
+                    wits,
+                    fp,
+                )
+            })
             .collect();
-        let orbits = self.index.publish(&mut self.store, &map);
-        for _ in 0..orbits.len() {
+        let weights = self.index.publish(&mut self.store, &map);
+        K::note_bulk(obs, stats.hits, stats.misses, &weights);
+        obs.counter("space.shard.contention", stats.contention);
+        obs.counter("space.intern.cas_retries", stats.retries);
+        for weight in weights {
+            self.weights.push(weight);
             self.succ.push(None);
             self.succ_fp.push(0);
         }
-        obs.counter("space.intern.hits", stats.hits);
-        obs.counter("space.intern.misses", stats.misses);
-        obs.counter("space.shard.contention", stats.contention);
-        obs.counter("space.intern.cas_retries", stats.retries);
         obs.gauge("space.states", self.store.len() as u64);
-        for (&id, (yids, fp)) in pending.iter().zip(&resolved) {
-            self.record_ids(id, yids, *fp, obs);
+        K::note_size(obs, self);
+        for (&id, (yids, wits, fp)) in pending.iter().zip(resolved) {
+            self.record_row(id, &yids, wits, fp, obs);
         }
     }
 
@@ -1076,7 +1411,7 @@ impl<M: LayeredModel> StateSpace<M> {
         if pending.is_empty() {
             return;
         }
-        let (rows, stats) = expand_chunk(model, &self.store, &self.index, &pending);
+        let (rows, stats) = expand_chunk::<M, K>(model, &self.store, &self.index, &pending);
         self.finish_bulk(&pending, rows, stats, obs);
     }
 
@@ -1088,18 +1423,13 @@ impl<M: LayeredModel> StateSpace<M> {
         M::State: Send + Sync,
     {
         let pending = self.pending_of(ids);
-        if pending.is_empty() {
-            return;
+        if pending.len() <= 1 || threads <= 1 {
+            return self.bulk_seq(model, &pending, obs);
         }
-        let threads = threads.max(1).min(pending.len());
-        if threads == 1 {
-            let (rows, stats) = expand_chunk(model, &self.store, &self.index, &pending);
-            self.finish_bulk(&pending, rows, stats, obs);
-            return;
-        }
+        let threads = threads.min(pending.len());
         let (store, index) = (&self.store, &self.index);
         let parent = trace::current_span_id();
-        let chunked: Vec<ChunkOutput> = std::thread::scope(|scope| {
+        let chunked: Vec<ChunkOutput<K::Witness>> = std::thread::scope(|scope| {
             let handles: Vec<_> = balanced_chunks(&pending, threads)
                 .map(|part| {
                     scope.spawn(move || {
@@ -1109,7 +1439,7 @@ impl<M: LayeredModel> StateSpace<M> {
                             parent,
                             &[("chunk_len", part.len() as u64)],
                         );
-                        expand_chunk(model, store, index, part)
+                        expand_chunk::<M, K>(model, store, index, part)
                     })
                 })
                 .collect();
@@ -1127,16 +1457,18 @@ impl<M: LayeredModel> StateSpace<M> {
         self.finish_bulk(&pending, rows, stats, obs);
     }
 
-    /// Eagerly computes and caches the successor lists of `ids`, fanning
-    /// the `model.successors` calls out across up to `threads` scoped
-    /// workers that intern through the sharded index as they expand.
+    /// Eagerly computes, keys and caches the successor lists of `ids`,
+    /// fanning the per-entry work (`model.successors` plus, under
+    /// [`Orbits`], the canonicalization of every raw successor) out across
+    /// up to `threads` scoped workers that intern through the sharded
+    /// index as they expand.
     ///
     /// Determinism: workers probe and stage concurrently, but no dense id
     /// is assigned until the renumbering pass on the calling thread walks
     /// the results in the order of `ids` — the exact order the sequential
     /// path would have used. The resulting interning order — and therefore
     /// every id, layer and report derived from it — is identical to calling
-    /// [`StateSpace::successor_ids`] sequentially over `ids`.
+    /// [`Arena::successor_ids`] sequentially over `ids`.
     pub fn prefetch_successors(
         &mut self,
         model: &M,
@@ -1151,8 +1483,8 @@ impl<M: LayeredModel> StateSpace<M> {
     }
 
     /// Breadth-first expansion of the layered graph from `roots` for
-    /// `horizon` layers, interning every state and caching every successor
-    /// list. Returns the interned levels (`levels[d]` = distinct states at
+    /// `horizon` layers, interning every key and caching every successor
+    /// list. Returns the interned levels (`levels[d]` = distinct keys at
     /// depth `d` relative to the roots, in first-seen order).
     ///
     /// Telemetry: the sweep runs under a `space.build` span and reports
@@ -1170,11 +1502,11 @@ impl<M: LayeredModel> StateSpace<M> {
         })
     }
 
-    /// [`StateSpace::expand_layers`] with the per-level successor
-    /// computation fanned out across up to `threads` scoped workers.
+    /// [`Arena::expand_layers`] with the per-level successor computation
+    /// fanned out across up to `threads` scoped workers.
     ///
     /// Bit-identical to the sequential path (see
-    /// [`StateSpace::prefetch_successors`] for why).
+    /// [`Arena::prefetch_successors`] for why).
     pub fn expand_layers_parallel(
         &mut self,
         model: &M,
@@ -1206,737 +1538,7 @@ impl<M: LayeredModel> StateSpace<M> {
         let mut frontier: Vec<StateId> = Vec::new();
         let mut seen: HashSet<StateId> = HashSet::new();
         for r in roots {
-            let id = self.intern_with(r, obs);
-            if seen.insert(id) {
-                frontier.push(id);
-            } else {
-                obs.counter("engine.dedup_hits", 1);
-            }
-        }
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        levels.push(frontier.clone());
-        let mut heartbeat = Heartbeat::new();
-        for depth in 0..horizon {
-            let _layer_span = Span::enter_with(
-                obs,
-                "space.layer",
-                &[
-                    ("depth", depth as u64 + 1),
-                    ("frontier", frontier.len() as u64),
-                ],
-            );
-            let layer_started = if obs.enabled() {
-                clock::monotonic_ns()
-            } else {
-                0
-            };
-            prefetch(self, &frontier);
-            let mut seen: HashSet<StateId> = HashSet::new();
-            let mut next = Vec::new();
-            for &id in &frontier {
-                obs.counter("engine.states_visited", 1);
-                for y in self.successor_ids(model, id, obs) {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
-            }
-            if obs.enabled() {
-                obs.histogram(
-                    "space.layer_expand_ns",
-                    clock::monotonic_ns().saturating_sub(layer_started),
-                );
-            }
-            obs.gauge("engine.frontier_width", next.len() as u64);
-            heartbeat.tick(obs, depth + 1, next.len(), self.len());
-            levels.push(next.clone());
-            frontier = next;
-        }
-        levels
-    }
-}
-
-/// Shared estimate of the sharded intern index's bytes: each shard map's
-/// own capacity plus every bucket vector's. Shallow (allocator headers and
-/// the drained pending scratch excluded), but deterministic — capacities
-/// depend only on per-shard entry counts, which are a pure function of the
-/// interned set.
-fn index_bytes<S>(index: &ShardedIndex<S>) -> u64 {
-    index
-        .shards
-        .iter()
-        .map(|m| {
-            let g = match m.lock() {
-                Ok(g) => g,
-                Err(_) => panic!("intern shard poisoned: a worker panicked"),
-            };
-            let table = g.buckets.capacity() as u64 * std::mem::size_of::<(u64, Vec<u32>)>() as u64;
-            let buckets: u64 = g
-                .buckets
-                .values()
-                .map(|b| b.capacity() as u64 * std::mem::size_of::<u32>() as u64)
-                .sum();
-            table + buckets
-        })
-        .sum()
-}
-
-/// Intern-table load factor in fixed-point thousandths
-/// (`distinct hashes / table capacity × 1000`, summed across shards).
-fn index_load_x1000<S>(index: &ShardedIndex<S>) -> u64 {
-    let (mut len, mut cap) = (0u64, 0u64);
-    for m in &index.shards {
-        let g = match m.lock() {
-            Ok(g) => g,
-            Err(_) => panic!("intern shard poisoned: a worker panicked"),
-        };
-        len += g.buckets.len() as u64;
-        cap += g.buckets.capacity() as u64;
-    }
-    len * 1000 / cap.max(1)
-}
-
-impl<M: LayeredModel> MemoryFootprint for StateSpace<M> {
-    /// Shallow, capacity-based accounting (see
-    /// [`telemetry::mem`](crate::telemetry::mem)): state payloads that own
-    /// further heap (e.g. vectors inside `M::State`) are counted at their
-    /// inline size only, so every figure is a deterministic lower bound.
-    /// Packed stores count 16 bytes per word plus the spill vector.
-    fn memory_footprint(&self) -> MemoryBreakdown {
-        let mut b = MemoryBreakdown::new();
-        b.push("mem.space.states_bytes", self.store.state_bytes());
-        b.push("mem.space.index_bytes", index_bytes(&self.index));
-        b.push(
-            "mem.space.edges_bytes",
-            self.edges.capacity() as u64 * std::mem::size_of::<StateId>() as u64
-                + self.succ.capacity() as u64 * std::mem::size_of::<Option<SuccRange>>() as u64,
-        );
-        b
-    }
-
-    /// Adds the `space.intern.load_x1000` and `space.pack.bytes_saved`
-    /// gauges next to the byte gauges.
-    fn report_memory(&self, obs: &dyn Observer) {
-        self.memory_footprint().report(obs);
-        obs.gauge("space.intern.load_x1000", index_load_x1000(&self.index));
-        obs.gauge("space.pack.bytes_saved", self.store.bytes_saved());
-    }
-}
-
-impl<M: Symmetric> MemoryFootprint for QuotientSpace<M> {
-    /// Shallow, capacity-based accounting like
-    /// [`StateSpace`]'s, plus the quotient-only arrays: orbit sizes and
-    /// the per-edge witnessing permutations (counted at their inline size
-    /// plus their permutation maps).
-    fn memory_footprint(&self) -> MemoryBreakdown {
-        let mut b = MemoryBreakdown::new();
-        b.push("mem.space.states_bytes", self.store.state_bytes());
-        b.push("mem.space.index_bytes", index_bytes(&self.index));
-        b.push(
-            "mem.space.edges_bytes",
-            self.edges.capacity() as u64 * std::mem::size_of::<StateId>() as u64
-                + self.succ.capacity() as u64 * std::mem::size_of::<Option<SuccRange>>() as u64,
-        );
-        b.push(
-            "mem.space.orbits_bytes",
-            self.orbit_sizes.capacity() as u64 * std::mem::size_of::<u64>() as u64,
-        );
-        let perm_maps: u64 = self.edge_perms.iter().map(|p| p.degree() as u64).sum();
-        b.push(
-            "mem.space.perms_bytes",
-            self.edge_perms.capacity() as u64 * std::mem::size_of::<PidPerm>() as u64 + perm_maps,
-        );
-        b
-    }
-
-    /// Adds the `space.intern.load_x1000` and `space.pack.bytes_saved`
-    /// gauges next to the byte gauges.
-    fn report_memory(&self, obs: &dyn Observer) {
-        self.memory_footprint().report(obs);
-        obs.gauge("space.intern.load_x1000", index_load_x1000(&self.index));
-        obs.gauge("space.pack.bytes_saved", self.store.bytes_saved());
-    }
-}
-
-/// Splits `items` into at most `parts` contiguous chunks whose lengths
-/// differ by at most one (the first `len % parts` chunks get the extra
-/// element). Unlike `chunks(len.div_ceil(parts))`, this never produces a
-/// degenerate tail chunk — 9 items over 8 workers yield chunks of
-/// 2,1,1,1,1,1,1,1 instead of four chunks of 2 and one of 1 on 5 workers.
-fn balanced_chunks<T>(items: &[T], parts: usize) -> impl Iterator<Item = &[T]> {
-    let parts = parts.clamp(1, items.len().max(1));
-    let base = items.len() / parts;
-    let extra = items.len() % parts;
-    let mut start = 0;
-    (0..parts).map(move |k| {
-        let len = base + usize::from(k < extra);
-        let part = items
-            .get(start..start + len)
-            .expect("chunk arithmetic partitions the slice exactly");
-        start += len;
-        part
-    })
-}
-
-/// A hash-consing arena over *canonical orbit representatives* of a
-/// [`Symmetric`] model's states.
-///
-/// Interning canonicalizes first: all `n!` process renamings of a state
-/// collapse to one [`StateId`], so the arena holds exactly one state per
-/// orbit and successor lists are computed once per orbit instead of once
-/// per member. Each cached edge `c → c'` additionally stores a permutation
-/// `σ` such that `σ · y = c'` for the raw successor `y ∈ S(c)` it came
-/// from; [`QuotientSpace::dequotient_path`] folds those witnesses back into
-/// a genuine execution of the model (see the de-quotienting recurrence
-/// there), which is how id paths through the quotient turn into runs that
-/// pass [`ExecutionTrace::validate`](crate::ExecutionTrace::validate).
-///
-/// # Soundness requires an equivariant layering
-///
-/// The construction is a quotient of the layered graph only when
-/// `S(π·x) = π·S(x)`; [`QuotientSpace::new`] therefore panics unless
-/// [`Symmetric::symmetric_layering`] holds for the model's current
-/// configuration (each model crate's *full* layering variant).
-///
-/// # Id layout and determinism
-///
-/// Identical to [`StateSpace`]: ids are assigned in interning order of the
-/// canonical representatives, successor lists are CSR-packed, and the
-/// parallel expansion path is bit-identical to the sequential one (workers
-/// compute *and canonicalize* successors for disjoint frontier chunks —
-/// both pure — staging novel orbits in the sharded index, and the dense
-/// renumbering happens on the calling thread in frontier order).
-pub struct QuotientSpace<M: Symmetric> {
-    /// Canonical representatives, packed or boxed, indexed by [`StateId`].
-    store: Store<M::State>,
-    /// Orbit size of each representative (distinct renamings of it).
-    orbit_sizes: Vec<u64>,
-    index: ShardedIndex<M::State>,
-    succ: Vec<Option<SuccRange>>,
-    edges: Vec<StateId>,
-    /// Per-edge witnessing permutation, parallel to `edges`: for the edge
-    /// at position `e` from `c` to `c'`, `edge_perms[e] · y = c'` where
-    /// `y ∈ S(c)` is the raw successor the edge was computed from.
-    edge_perms: Vec<PidPerm>,
-    /// FxHash fingerprint of each orbit's *raw* (pre-canonicalization)
-    /// successor list (0 until cached) — the differential-refresh change
-    /// detector.
-    succ_fp: Vec<u64>,
-}
-
-/// A raw successor, canonicalized: the orbit representative, the witnessing
-/// permutation, and the orbit size (precomputed off-arena so parallel
-/// workers can do the `n!`-enumeration work).
-type CanonSucc<M> = (<M as LayeredModel>::State, PidPerm, u64);
-
-impl<M: Symmetric> QuotientSpace<M> {
-    /// An empty quotient arena for `model`, storing representatives packed
-    /// when the model provides a [`StatePacker`], boxed otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's current layering is not equivariant
-    /// ([`Symmetric::symmetric_layering`] is `false`) — quotienting a
-    /// prefix-based layering would silently prune reachable orbits.
-    #[must_use]
-    pub fn new(model: &M) -> Self {
-        let store = match model.state_packer() {
-            Some(p) => Store::packed(p),
-            None => Store::boxed(),
-        };
-        Self::with_store(model, store)
-    }
-
-    /// An empty quotient arena with boxed storage even when the model
-    /// packs (the packed-vs-boxed cross-check path).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`QuotientSpace::new`] on a non-equivariant layering.
-    #[must_use]
-    pub fn new_boxed(model: &M) -> Self {
-        Self::with_store(model, Store::boxed())
-    }
-
-    fn with_store(model: &M, store: Store<M::State>) -> Self {
-        assert!(
-            model.symmetric_layering(),
-            "QuotientSpace requires an equivariant layering \
-             (use the model's full/symmetric layering variant)"
-        );
-        QuotientSpace {
-            store,
-            orbit_sizes: Vec::new(),
-            index: ShardedIndex::new(),
-            succ: Vec::new(),
-            edges: Vec::new(),
-            edge_perms: Vec::new(),
-            succ_fp: Vec::new(),
-        }
-    }
-
-    /// Number of orbits interned so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether no orbit has been interned yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.store.len() == 0
-    }
-
-    /// Total successor edges cached so far (with multiplicity).
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Total full-space states covered by the interned orbits (the sum of
-    /// their orbit sizes) — the denominator-free form of the compression
-    /// the quotient achieves.
-    #[must_use]
-    pub fn covered_states(&self) -> u64 {
-        self.orbit_sizes.iter().sum()
-    }
-
-    /// Interns a state that is *already* a canonical representative with a
-    /// known orbit size. Internal: callers go through `intern_with`.
-    fn intern_canonical(&mut self, rep: &M::State, orbit: u64, obs: &dyn Observer) -> StateId {
-        let key = self.store.key_of(rep);
-        let shard = self.index.shard_mut(key.hash);
-        if let Probe::Hit(id, _) = probe_dense(&self.store, shard.buckets.get(&key.hash), &key, rep)
-        {
-            obs.counter("space.canon.hits", 1);
-            return id;
-        }
-        let id = u32::try_from(self.store.len()).expect("more than u32::MAX orbits");
-        self.store.push(&key, rep);
-        self.orbit_sizes.push(orbit);
-        self.succ.push(None);
-        self.succ_fp.push(0);
-        shard.buckets.entry(key.hash).or_default().push(id);
-        obs.counter("space.canon.orbit_states", orbit);
-        obs.gauge("space.states", self.store.len() as u64);
-        // Mean orbit size in fixed-point thousandths (a reading of 5920
-        // means each interned representative stands for 5.92 full-space
-        // states on average) — see the units table in `telemetry::names`.
-        obs.gauge(
-            "space.quotient.mean_orbit_x1000",
-            self.covered_states() * 1000 / self.store.len() as u64,
-        );
-        StateId(id)
-    }
-
-    /// Interns the orbit of `x`, returning the representative's id and a
-    /// permutation `π` with `π · x == representative`.
-    pub fn intern(&mut self, model: &M, x: &M::State) -> (StateId, PidPerm) {
-        self.intern_with(model, x, &NOOP)
-    }
-
-    /// [`QuotientSpace::intern`] with telemetry: canonicalization runs
-    /// under a `space.canonicalize` span and reports `space.canon.hits` /
-    /// `space.canon.orbit_states` counters plus the `space.states` and
-    /// `space.quotient.mean_orbit_x1000` gauges.
-    pub fn intern_with(
-        &mut self,
-        model: &M,
-        x: &M::State,
-        obs: &dyn Observer,
-    ) -> (StateId, PidPerm) {
-        let (rep, perm, orbit) = {
-            let _span = Span::enter(obs, "space.canonicalize");
-            model.canonicalize_with_orbit(x)
-        };
-        let id = self.intern_canonical(&rep, orbit, obs);
-        (id, perm)
-    }
-
-    /// The representative's id for `x`'s orbit if it has been interned,
-    /// without interning it.
-    #[must_use]
-    pub fn get(&self, model: &M, x: &M::State) -> Option<StateId> {
-        let (rep, _) = model.canonicalize(x);
-        let key = self.store.key_of(&rep);
-        let shard = self.index.shard(key.hash);
-        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, &rep) {
-            Probe::Hit(id, _) => Some(id),
-            Probe::Miss(_) => None,
-        }
-    }
-
-    /// The canonical representative behind `id`, owned: unpacked from the
-    /// packed word, or cloned out of the boxed store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this space.
-    #[must_use]
-    pub fn resolve(&self, id: StateId) -> M::State {
-        self.store.get(id.index())
-    }
-
-    /// The orbit size of the representative behind `id`.
-    #[must_use]
-    pub fn orbit_size_of(&self, id: StateId) -> u64 {
-        self.orbit_sizes[id.index()]
-    }
-
-    /// The representatives behind `ids`, owned.
-    #[must_use]
-    pub fn materialize(&self, ids: &[StateId]) -> Vec<M::State> {
-        ids.iter().map(|&id| self.resolve(id)).collect()
-    }
-
-    /// The cached successor list of `id` (orbit representatives), or `None`
-    /// if it has not been computed yet.
-    #[must_use]
-    pub fn cached_successors(&self, id: StateId) -> Option<&[StateId]> {
-        self.succ[id.index()].map(|r| {
-            let start = r.start as usize;
-            self.edges
-                .get(start..start + r.len as usize)
-                .expect("SuccRange lies within the edge array by construction")
-        })
-    }
-
-    /// The cached successor list of `id` together with the per-edge
-    /// witnessing permutations.
-    #[must_use]
-    pub fn cached_successors_with_perms(&self, id: StateId) -> Option<(&[StateId], &[PidPerm])> {
-        self.succ[id.index()].map(|r| {
-            let (start, end) = (r.start as usize, r.start as usize + r.len as usize);
-            (&self.edges[start..end], &self.edge_perms[start..end])
-        })
-    }
-
-    /// Canonicalizes the raw successors of the representative behind `id`
-    /// (pure). Also returns the fingerprint of the *raw* successor list —
-    /// computed before canonicalization so a protocol change is detected
-    /// even when the canonical images happen to coincide.
-    fn canon_successors_of(&self, model: &M, id: StateId) -> (Vec<CanonSucc<M>>, u64) {
-        let x = self.store.get(id.index());
-        let raw = model.successors(&x);
-        let fp = successor_fingerprint(&raw);
-        let canon = raw
-            .iter()
-            .map(|y| model.canonicalize_with_orbit(y))
-            .collect();
-        (canon, fp)
-    }
-
-    /// Packs already-resolved successor entries of `id` into the edge
-    /// arrays, deduplicating by representative id (first witness wins).
-    /// No-op if `id`'s successors are already cached.
-    fn record_canon_ids(
-        &mut self,
-        id: StateId,
-        entries: &[(StateId, PidPerm)],
-        fp: u64,
-        obs: &dyn Observer,
-    ) {
-        if self.succ[id.index()].is_some() {
-            return;
-        }
-        let start = u32::try_from(self.edges.len()).expect("more than u32::MAX edges");
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for (yid, perm) in entries {
-            if seen.insert(*yid) {
-                self.edges.push(*yid);
-                self.edge_perms.push(perm.clone());
-            }
-        }
-        let len = u32::try_from(seen.len()).expect("layer larger than u32::MAX");
-        self.succ[id.index()] = Some(SuccRange { start, len });
-        self.succ_fp[id.index()] = fp;
-        obs.histogram("space.succ_fanout", len.into());
-    }
-
-    /// Interns pre-canonicalized successors of `id` into the edge arrays,
-    /// deduplicating by representative id (first witness wins). No-op if
-    /// `id`'s successors are already cached. `fp` is the raw-successor-list
-    /// fingerprint from [`QuotientSpace::canon_successors_of`].
-    fn record_successors(
-        &mut self,
-        id: StateId,
-        succs: &[CanonSucc<M>],
-        fp: u64,
-        obs: &dyn Observer,
-    ) {
-        if self.succ[id.index()].is_some() {
-            return;
-        }
-        let entries: Vec<(StateId, PidPerm)> = succs
-            .iter()
-            .map(|(rep, perm, orbit)| (self.intern_canonical(rep, *orbit, obs), perm.clone()))
-            .collect();
-        self.record_canon_ids(id, &entries, fp, obs);
-    }
-
-    /// The successor orbit ids of `id` under `model`'s layering, computing,
-    /// canonicalizing and caching the list on first use. Multiple raw
-    /// successors in the same orbit collapse to one edge.
-    pub fn successor_ids(&mut self, model: &M, id: StateId, obs: &dyn Observer) -> Vec<StateId> {
-        if self.succ[id.index()].is_none() {
-            let (succs, fp) = self.canon_successors_of(model, id);
-            self.record_successors(id, &succs, fp, obs);
-        }
-        self.cached_successors(id)
-            .expect("successors just recorded")
-            .to_vec()
-    }
-
-    /// The fingerprint of `id`'s cached raw successor list, or `None` if
-    /// the list has not been computed yet.
-    #[must_use]
-    pub fn successor_fingerprint_of(&self, id: StateId) -> Option<u64> {
-        self.succ[id.index()].map(|_| self.succ_fp[id.index()])
-    }
-
-    /// Differential re-verification after a protocol change — the quotient
-    /// twin of [`StateSpace::refresh_differential`]: every cached orbit's
-    /// raw successor list is recomputed under `model`, but only orbits
-    /// whose fingerprint moved pay for canonicalization (the `n!` work that
-    /// dominates quotient expansion); unchanged orbits have their CSR and
-    /// permutation slices copied verbatim.
-    ///
-    /// Telemetry: a `space.resume.refresh` span plus the
-    /// `space.resume.orbits_reused` / `space.resume.orbits_recomputed`
-    /// counters.
-    pub fn refresh_differential(&mut self, model: &M, obs: &dyn Observer) -> DiffReport {
-        let _span = Span::enter(obs, "space.resume.refresh");
-        let old_len = self.store.len();
-        let old_succ = std::mem::take(&mut self.succ);
-        let old_edges = std::mem::take(&mut self.edges);
-        let old_perms = std::mem::take(&mut self.edge_perms);
-        let old_fp = std::mem::take(&mut self.succ_fp);
-        self.succ = vec![None; old_len];
-        self.succ_fp = vec![0; old_len];
-        let mut report = DiffReport::default();
-        for k in 0..old_len {
-            let Some(range) = old_succ[k] else { continue };
-            let x = self.store.get(k);
-            let raw = model.successors(&x);
-            let fp = successor_fingerprint(&raw);
-            if fp == old_fp[k] {
-                let start = u32::try_from(self.edges.len()).expect("more than u32::MAX edges");
-                let (s, e) = (range.start as usize, (range.start + range.len) as usize);
-                self.edges.extend_from_slice(&old_edges[s..e]);
-                self.edge_perms.extend_from_slice(&old_perms[s..e]);
-                self.succ[k] = Some(SuccRange {
-                    start,
-                    len: range.len,
-                });
-                self.succ_fp[k] = fp;
-                report.reused += 1;
-            } else {
-                let canon: Vec<CanonSucc<M>> = raw
-                    .iter()
-                    .map(|y| model.canonicalize_with_orbit(y))
-                    .collect();
-                self.record_successors(StateId(k as u32), &canon, fp, obs);
-                report.recomputed += 1;
-            }
-        }
-        report.new_states = self.store.len() - old_len;
-        obs.counter("space.resume.orbits_reused", report.reused as u64);
-        obs.counter("space.resume.orbits_recomputed", report.recomputed as u64);
-        report
-    }
-
-    /// The subset of `ids` whose successor lists are not cached yet.
-    fn pending_of(&self, ids: &[StateId]) -> Vec<StateId> {
-        ids.iter()
-            .copied()
-            .filter(|id| self.succ[id.index()].is_none())
-            .collect()
-    }
-
-    /// Renumbers, publishes and records the results of one bulk quotient
-    /// expansion (see [`StateSpace::finish_bulk`]); staged orbit sizes are
-    /// published alongside the representatives.
-    #[allow(clippy::type_complexity)]
-    fn finish_bulk(
-        &mut self,
-        pending: &[StateId],
-        rows: Vec<(Vec<(u64, PidPerm)>, u64)>,
-        stats: InternStats,
-        obs: &dyn Observer,
-    ) {
-        let base = u32::try_from(self.store.len()).expect("more than u32::MAX orbits");
-        let mut map = ProvMap::new(&self.index.pending_lens(), base);
-        let resolved: Vec<(Vec<(StateId, PidPerm)>, u64)> = rows
-            .into_iter()
-            .map(|(entries, fp)| {
-                (
-                    entries
-                        .into_iter()
-                        .map(|(p, perm)| (map.resolve(p), perm))
-                        .collect(),
-                    fp,
-                )
-            })
-            .collect();
-        let orbits = self.index.publish(&mut self.store, &map);
-        obs.counter("space.canon.hits", stats.hits);
-        obs.counter("space.canon.orbit_states", orbits.iter().sum());
-        obs.counter("space.shard.contention", stats.contention);
-        obs.counter("space.intern.cas_retries", stats.retries);
-        for orbit in orbits {
-            self.orbit_sizes.push(orbit);
-            self.succ.push(None);
-            self.succ_fp.push(0);
-        }
-        obs.gauge("space.states", self.store.len() as u64);
-        if self.store.len() > 0 {
-            obs.gauge(
-                "space.quotient.mean_orbit_x1000",
-                self.covered_states() * 1000 / self.store.len() as u64,
-            );
-        }
-        for (&id, (entries, fp)) in pending.iter().zip(&resolved) {
-            self.record_canon_ids(id, entries, *fp, obs);
-        }
-    }
-
-    /// Sequential bulk expansion of `ids` (no `Sync` bounds): the exact
-    /// same probe-stage-renumber-publish path the parallel variant uses,
-    /// run inline.
-    fn bulk_seq(&mut self, model: &M, ids: &[StateId], obs: &dyn Observer) {
-        let pending = self.pending_of(ids);
-        if pending.is_empty() {
-            return;
-        }
-        let (rows, stats) = canon_chunk(model, &self.store, &self.index, &pending);
-        self.finish_bulk(&pending, rows, stats, obs);
-    }
-
-    /// Parallel bulk expansion of `ids` across up to `threads` scoped
-    /// workers canonicalizing and probing the sharded index concurrently.
-    fn bulk_par(&mut self, model: &M, ids: &[StateId], threads: usize, obs: &dyn Observer)
-    where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        let pending = self.pending_of(ids);
-        if pending.is_empty() {
-            return;
-        }
-        let threads = threads.max(1).min(pending.len());
-        if threads == 1 {
-            let (rows, stats) = canon_chunk(model, &self.store, &self.index, &pending);
-            self.finish_bulk(&pending, rows, stats, obs);
-            return;
-        }
-        let (store, index) = (&self.store, &self.index);
-        let parent = trace::current_span_id();
-        type ChunkOut = (Vec<(Vec<(u64, PidPerm)>, u64)>, InternStats);
-        let chunked: Vec<ChunkOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = balanced_chunks(&pending, threads)
-                .map(|part| {
-                    scope.spawn(move || {
-                        let _span = Span::enter_under(
-                            obs,
-                            "space.prefetch_chunk",
-                            parent,
-                            &[("chunk_len", part.len() as u64)],
-                        );
-                        canon_chunk(model, store, index, part)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("canonicalization worker panicked"))
-                .collect()
-        });
-        let mut rows = Vec::with_capacity(pending.len());
-        let mut stats = InternStats::default();
-        for (r, s) in chunked {
-            rows.extend(r);
-            stats.merge(&s);
-        }
-        self.finish_bulk(&pending, rows, stats, obs);
-    }
-
-    /// Eagerly computes, canonicalizes and caches the successor lists of
-    /// `ids`, fanning the per-orbit work (`model.successors` plus the
-    /// canonicalization of every raw successor — the expensive part of
-    /// quotient expansion) across up to `threads` scoped workers that
-    /// intern through the sharded index as they expand. Deterministic for
-    /// the same reason as [`StateSpace::prefetch_successors`]: dense ids
-    /// are only assigned by the frontier-order renumbering pass on the
-    /// calling thread.
-    pub fn prefetch_successors(
-        &mut self,
-        model: &M,
-        ids: &[StateId],
-        threads: usize,
-        obs: &dyn Observer,
-    ) where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        self.bulk_par(model, ids, threads, obs);
-    }
-
-    /// Breadth-first expansion of the *quotient* graph from `roots` for
-    /// `horizon` layers: each root is canonicalized and interned, and each
-    /// level holds the distinct orbit representatives at that depth.
-    ///
-    /// Telemetry mirrors [`StateSpace::expand_layers`] (`space.build` span,
-    /// `engine.*` counters) plus the quotient counters from
-    /// [`QuotientSpace::intern_with`].
-    pub fn expand_layers(
-        &mut self,
-        model: &M,
-        roots: &[M::State],
-        horizon: usize,
-        obs: &dyn Observer,
-    ) -> Vec<Vec<StateId>> {
-        self.expand_with(model, roots, horizon, obs, |space, frontier| {
-            space.bulk_seq(model, frontier, obs);
-        })
-    }
-
-    /// [`QuotientSpace::expand_layers`] with per-level successor
-    /// computation and canonicalization fanned out across up to `threads`
-    /// scoped workers. Bit-identical to the sequential path.
-    pub fn expand_layers_parallel(
-        &mut self,
-        model: &M,
-        roots: &[M::State],
-        horizon: usize,
-        threads: usize,
-        obs: &dyn Observer,
-    ) -> Vec<Vec<StateId>>
-    where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        self.expand_with(model, roots, horizon, obs, |space, frontier| {
-            space.bulk_par(model, frontier, threads, obs);
-        })
-    }
-
-    fn expand_with(
-        &mut self,
-        model: &M,
-        roots: &[M::State],
-        horizon: usize,
-        obs: &dyn Observer,
-        mut prefetch: impl FnMut(&mut Self, &[StateId]),
-    ) -> Vec<Vec<StateId>> {
-        let _span = Span::enter(obs, "space.build");
-        obs.gauge("space.shard.count", SHARD_COUNT as u64);
-        let mut levels: Vec<Vec<StateId>> = Vec::with_capacity(horizon + 1);
-        let mut frontier: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for r in roots {
-            let (id, _) = self.intern_with(model, r, obs);
+            let (id, _) = self.intern_state(model, r, obs);
             if seen.insert(id) {
                 frontier.push(id);
             } else {
@@ -1989,9 +1591,9 @@ impl<M: Symmetric> QuotientSpace<M> {
 
     /// De-quotients an id path into a genuine execution of the model.
     ///
-    /// Given representatives `c₀ → c₁ → ⋯ → c_k` along cached quotient
-    /// edges with witnesses `σᵢ` (`σᵢ · yᵢ = cᵢ` for a raw successor
-    /// `yᵢ ∈ S(cᵢ₋₁)`), the recurrence
+    /// Given keys `c₀ → c₁ → ⋯ → c_k` along cached edges with witnesses
+    /// `σᵢ` (`σᵢ · yᵢ = cᵢ` for a raw successor `yᵢ ∈ S(cᵢ₋₁)`), the
+    /// recurrence
     ///
     /// ```text
     ///     ρ₀ = id,   ρᵢ = ρᵢ₋₁ ∘ σᵢ⁻¹,   xᵢ = ρᵢ · cᵢ
@@ -2002,23 +1604,228 @@ impl<M: Symmetric> QuotientSpace<M> {
     /// `ρᵢ₋₁ · S(cᵢ₋₁) = S(ρᵢ₋₁ · cᵢ₋₁) = S(xᵢ₋₁)`. Since canonical
     /// representatives of initial-state orbits are themselves initial
     /// states (the initial set is closed under renaming), the returned
-    /// sequence is a genuine `S`-execution whenever `c₀` is initial.
+    /// sequence is a genuine `S`-execution whenever `c₀` is initial. Under
+    /// [`Plain`] every witness is the identity and the execution is the
+    /// path's own states.
     ///
-    /// Returns `None` if some consecutive pair is not a cached quotient
-    /// edge (successors never computed, or not actually adjacent).
+    /// Returns `None` if the path is empty or some consecutive pair is not
+    /// a cached edge (successors never computed, or not actually
+    /// adjacent).
     #[must_use]
     pub fn dequotient_path(&self, model: &M, path: &[StateId]) -> Option<Vec<M::State>> {
         let first = path.first()?;
         let mut out = vec![self.resolve(*first)];
-        let mut rho = PidPerm::identity(model.num_processes());
+        let mut rho = K::identity(model);
         for pair in path.windows(2) {
-            let (succs, perms) = self.cached_successors_with_perms(pair[0])?;
+            let (succs, wits) = self.cached_row(pair[0])?;
             let pos = succs.iter().position(|&s| s == pair[1])?;
-            rho = rho.compose(&perms[pos].inverse());
-            out.push(model.permute_state(&self.resolve(pair[1]), &rho));
+            out.push(K::unfold(
+                model,
+                &mut rho,
+                &wits[pos],
+                self.resolve(pair[1]),
+            ));
         }
         Some(out)
     }
+}
+
+impl<M: LayeredModel> Arena<M, Plain> {
+    /// An empty arena with boxed storage. Prefer
+    /// [`Arena::for_model`], which picks packed storage when the model
+    /// provides a codec.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::with_store(Store::boxed())
+    }
+
+    /// Interns `s`, returning its dense id (allocating one on first sight).
+    pub fn intern(&mut self, s: &M::State) -> StateId {
+        self.intern_with(s, &NOOP)
+    }
+
+    /// [`Arena::intern`] with telemetry: reports `space.intern.hits` /
+    /// `space.intern.misses` counters, the `space.states` gauge and the
+    /// `space.intern.probe_len` histogram (equality comparisons per probe)
+    /// to `obs`.
+    pub fn intern_with(&mut self, s: &M::State, obs: &dyn Observer) -> StateId {
+        self.intern_key(s, (), obs)
+    }
+
+    /// The id of `s` if it has been interned, without interning it.
+    #[must_use]
+    pub fn get(&self, s: &M::State) -> Option<StateId> {
+        self.lookup(s)
+    }
+}
+
+impl<M: LayeredModel> Default for Arena<M, Plain> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<M: Symmetric> Arena<M, Orbits> {
+    /// An empty quotient arena for `model` (packed when the model provides
+    /// a [`StatePacker`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's current layering is not equivariant
+    /// ([`Symmetric::symmetric_layering`] is `false`) — quotienting a
+    /// prefix-based layering would silently prune reachable orbits.
+    #[must_use]
+    pub fn new(model: &M) -> Self {
+        Self::for_model(model)
+    }
+
+    /// An empty quotient arena with boxed storage even when the model
+    /// packs (the packed-vs-boxed cross-check path).
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Arena::new`] on a non-equivariant layering.
+    #[must_use]
+    pub fn new_boxed(model: &M) -> Self {
+        Orbits::check_model(model);
+        Self::with_store(Store::boxed())
+    }
+
+    /// Interns the orbit of `x`, returning the representative's id and a
+    /// permutation `π` with `π · x == representative`.
+    pub fn intern(&mut self, model: &M, x: &M::State) -> (StateId, PidPerm) {
+        self.intern_with(model, x, &NOOP)
+    }
+
+    /// [`Arena::intern`] with telemetry: canonicalization runs under a
+    /// `space.canonicalize` span and reports `space.canon.hits` /
+    /// `space.canon.orbit_states` counters plus the `space.states` and
+    /// `space.quotient.mean_orbit_x1000` gauges.
+    pub fn intern_with(
+        &mut self,
+        model: &M,
+        x: &M::State,
+        obs: &dyn Observer,
+    ) -> (StateId, PidPerm) {
+        self.intern_state(model, x, obs)
+    }
+
+    /// The representative's id for `x`'s orbit if it has been interned,
+    /// without interning it.
+    #[must_use]
+    pub fn get(&self, model: &M, x: &M::State) -> Option<StateId> {
+        self.lookup(&model.canonicalize(x).0)
+    }
+
+    /// Total full-space states covered by the interned orbits (the sum of
+    /// their orbit sizes) — the denominator-free form of the compression
+    /// the quotient achieves.
+    #[must_use]
+    pub fn covered_states(&self) -> u64 {
+        self.weights.iter().sum()
+    }
+
+    /// The orbit size of the representative behind `id`.
+    #[must_use]
+    pub fn orbit_size_of(&self, id: StateId) -> u64 {
+        self.weights[id.index()]
+    }
+
+    /// The cached successor list of `id` together with the per-edge
+    /// witnessing permutations.
+    #[must_use]
+    pub fn cached_successors_with_perms(&self, id: StateId) -> Option<(&[StateId], &[PidPerm])> {
+        self.cached_row(id)
+    }
+}
+
+/// Shared estimate of the sharded intern index's bytes: each shard map's
+/// own capacity plus every bucket vector's. Shallow (allocator headers and
+/// the drained pending scratch excluded), but deterministic — capacities
+/// depend only on per-shard entry counts, which are a pure function of the
+/// interned set.
+fn index_bytes<S, W>(index: &ShardedIndex<S, W>) -> u64 {
+    index
+        .shards
+        .iter()
+        .map(|m| {
+            let g = match m.lock() {
+                Ok(g) => g,
+                Err(_) => panic!("intern shard poisoned: a worker panicked"),
+            };
+            let table = g.buckets.capacity() as u64 * std::mem::size_of::<(u64, Vec<u32>)>() as u64;
+            let buckets: u64 = g
+                .buckets
+                .values()
+                .map(|b| b.capacity() as u64 * std::mem::size_of::<u32>() as u64)
+                .sum();
+            table + buckets
+        })
+        .sum()
+}
+
+/// Intern-table load factor in fixed-point thousandths
+/// (`distinct hashes / table capacity × 1000`, summed across shards).
+fn index_load_x1000<S, W>(index: &ShardedIndex<S, W>) -> u64 {
+    let (mut len, mut cap) = (0u64, 0u64);
+    for m in &index.shards {
+        let g = match m.lock() {
+            Ok(g) => g,
+            Err(_) => panic!("intern shard poisoned: a worker panicked"),
+        };
+        len += g.buckets.len() as u64;
+        cap += g.buckets.capacity() as u64;
+    }
+    len * 1000 / cap.max(1)
+}
+
+impl<M: LayeredModel, K: Keying<M>> MemoryFootprint for Arena<M, K> {
+    /// Shallow, capacity-based accounting (see
+    /// [`telemetry::mem`](crate::telemetry::mem)): state payloads that own
+    /// further heap (e.g. vectors inside `M::State`) are counted at their
+    /// inline size only, so every figure is a deterministic lower bound.
+    /// Packed stores count 16 bytes per word plus the spill vector;
+    /// [`Orbits`] adds its orbit sizes and per-edge permutations.
+    fn memory_footprint(&self) -> MemoryBreakdown {
+        let mut b = MemoryBreakdown::new();
+        b.push("mem.space.states_bytes", self.store.state_bytes());
+        b.push("mem.space.index_bytes", index_bytes(&self.index));
+        b.push(
+            "mem.space.edges_bytes",
+            self.edges.capacity() as u64 * std::mem::size_of::<StateId>() as u64
+                + self.succ.capacity() as u64 * std::mem::size_of::<Option<SuccRange>>() as u64,
+        );
+        K::weigh_extras(self, &mut b);
+        b
+    }
+
+    /// Adds the `space.intern.load_x1000` and `space.pack.bytes_saved`
+    /// gauges next to the byte gauges.
+    fn report_memory(&self, obs: &dyn Observer) {
+        self.memory_footprint().report(obs);
+        obs.gauge("space.intern.load_x1000", index_load_x1000(&self.index));
+        obs.gauge("space.pack.bytes_saved", self.store.bytes_saved());
+    }
+}
+
+/// Splits `items` into at most `parts` contiguous chunks whose lengths
+/// differ by at most one (the first `len % parts` chunks get the extra
+/// element). Unlike `chunks(len.div_ceil(parts))`, this never produces a
+/// degenerate tail chunk — 9 items over 8 workers yield chunks of
+/// 2,1,1,1,1,1,1,1 instead of four chunks of 2 and one of 1 on 5 workers.
+fn balanced_chunks<T>(items: &[T], parts: usize) -> impl Iterator<Item = &[T]> {
+    let parts = parts.clamp(1, items.len().max(1));
+    let base = items.len() / parts;
+    let extra = items.len() % parts;
+    let mut start = 0;
+    (0..parts).map(move |k| {
+        let len = base + usize::from(k < extra);
+        let part = items
+            .get(start..start + len)
+            .expect("chunk arithmetic partitions the slice exactly");
+        start += len;
+        part
+    })
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! Persistent arenas: versioned, integrity-hashed snapshots of
-//! [`StateSpace`] and [`QuotientSpace`].
+//! Persistent arenas: versioned, integrity-hashed snapshots of an
+//! [`Arena`] under either keying ([`StateSpace`] and [`QuotientSpace`]
+//! share one codec and one validation path).
 //!
 //! # Wire format
 //!
@@ -31,8 +32,9 @@
 //!    the `u32` edge count and the edge ids as `u32`.
 //! 4. **Fingerprints** — the `u64` raw-successor-list fingerprint of every
 //!    state (0 for uncached rows).
-//! 5. **Quotient only** — each state's `u64` orbit size, then one
-//!    witnessing permutation per edge (`u8` degree + degree image bytes).
+//! 5. **Keying trailer** — empty for a `state` arena; for a `quotient`
+//!    arena, each state's `u64` orbit size, then one witnessing
+//!    permutation per edge (`u8` degree + degree image bytes).
 //!
 //! # Integrity
 //!
@@ -57,7 +59,9 @@ use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use super::pack::{StatePacker, SPILL_TAG};
-use super::{QuotientSpace, ShardedIndex, Slot, StateId, StateSpace, Store, SuccRange};
+use super::{
+    Arena, Keying, QuotientSpace, ShardedIndex, Slot, StateId, StateSpace, Store, SuccRange,
+};
 use crate::hash::{is_hash, sha256_hex};
 use crate::sym::{PidPerm, Symmetric};
 use crate::telemetry::json::Json;
@@ -364,7 +368,7 @@ impl<A: SnapshotState, B: SnapshotState> SnapshotState for (A, B) {
 }
 
 /// Encodes a witnessing permutation: `u8` degree then the image bytes.
-fn encode_perm(perm: &PidPerm, out: &mut Vec<u8>) {
+pub(super) fn encode_perm(perm: &PidPerm, out: &mut Vec<u8>) {
     let n = perm.degree();
     out.push(n as u8);
     for i in 0..n {
@@ -374,7 +378,7 @@ fn encode_perm(perm: &PidPerm, out: &mut Vec<u8>) {
 
 /// Decodes a witnessing permutation, validating it maps `0..n` bijectively
 /// (so the [`PidPerm::from_map`] assertion can never fire on wire input).
-fn decode_perm(r: &mut SnapshotReader<'_>, n: u64) -> Result<PidPerm, SnapshotError> {
+pub(super) fn decode_perm(r: &mut SnapshotReader<'_>, n: u64) -> Result<PidPerm, SnapshotError> {
     let degree = r.u8()? as u64;
     if degree != n {
         return Err(SnapshotError::Malformed("permutation degree is not n"));
@@ -715,7 +719,9 @@ where
 /// and bucketed in id order, exactly the interning order — rejecting
 /// duplicate states (two ids for one state would break the hash-consing
 /// invariant).
-fn rebuild_index<S: Clone + Eq + Hash>(store: &Store<S>) -> Result<ShardedIndex<S>, SnapshotError> {
+fn rebuild_index<S: Clone + Eq + Hash, W: Copy>(
+    store: &Store<S>,
+) -> Result<ShardedIndex<S, W>, SnapshotError> {
     let mut index = ShardedIndex::new();
     for i in 0..store.len() {
         if !index.insert_slot(store, i) {
@@ -773,16 +779,19 @@ fn measured_load<T>(
     Ok(out)
 }
 
-/// Serializes a [`StateSpace`] under the given provenance. Returns the
-/// snapshot bytes and their integrity hash (the header's `sha256`).
-pub fn save_space<M>(
-    space: &StateSpace<M>,
+/// Serializes an arena under the given provenance: the state sections,
+/// then the keying's trailer (for [`QuotientSpace`], the orbit sizes and
+/// per-edge de-quotienting permutations). Returns the snapshot bytes and
+/// their integrity hash (the header's `sha256`).
+pub fn save_arena<M, K>(
+    space: &Arena<M, K>,
     meta: &ArenaMeta,
     obs: &dyn Observer,
 ) -> (Vec<u8>, String)
 where
     M: LayeredModel,
     M::State: SnapshotState,
+    K: Keying<M>,
 {
     measured_save(obs, || {
         let mut body = Vec::new();
@@ -792,8 +801,9 @@ where
         for fp in &space.succ_fp {
             fp.encode(&mut body);
         }
+        K::encode_extras(&space.weights, &space.witnesses, &mut body);
         let fields = header_fields(
-            "state",
+            K::KIND,
             meta,
             space.store.is_packed(),
             space.store.len() as u64,
@@ -804,23 +814,32 @@ where
     })
 }
 
-/// Deserializes a [`StateSpace`] snapshot for `model`, verifying the
-/// integrity hash and every structural invariant before the arena is
-/// handed back. The store mode follows the blob's `packed` flag, so the
-/// model is only consulted for its [`StatePacker`] when the blob needs
-/// one. Returns the arena, its recorded provenance, and the integrity
-/// hash.
-pub fn load_space<M>(
+/// [`save_arena`] of a [`StateSpace`] (the same function).
+pub use save_arena as save_space;
+/// [`save_arena`] of a [`QuotientSpace`] (the same function).
+pub use save_arena as save_quotient;
+
+/// The one loader behind [`load_space`] and [`load_quotient`].
+///
+/// # Panics
+///
+/// Panics if `K` cannot key `model`.
+fn load_arena<M, K>(
     model: &M,
     bytes: &[u8],
     obs: &dyn Observer,
-) -> Result<(StateSpace<M>, ArenaMeta, String), SnapshotError>
+) -> Result<(Arena<M, K>, ArenaMeta, String), SnapshotError>
 where
     M: LayeredModel,
     M::State: SnapshotState,
+    K: Keying<M>,
 {
+    K::check_model(model);
     measured_load(obs, || {
-        let h = open(bytes, "state")?;
+        let h = open(bytes, K::KIND)?;
+        if h.meta.n != model.num_processes() as u64 {
+            return Err(SnapshotError::Malformed("snapshot n does not match model"));
+        }
         let count = usize::try_from(h.states).map_err(|_| SnapshotError::Malformed("states"))?;
         let mut r = SnapshotReader::new(h.body);
         let store = decode_store(&mut r, count, h.packed, model.state_packer())?;
@@ -831,63 +850,55 @@ where
         for _ in 0..count {
             succ_fp.push(r.u64()?);
         }
+        let (weights, witnesses) = K::decode_extras(&mut r, count, edges.len(), h.meta.n)?;
         if r.remaining() != 0 {
             return Err(SnapshotError::Malformed("trailing bytes"));
         }
-        let space = StateSpace {
+        let space = Arena {
             store,
+            weights,
             index,
             succ,
             edges,
+            witnesses,
             succ_fp,
         };
         Ok((space, h.meta, h.digest))
     })
 }
 
-/// Serializes a [`QuotientSpace`] under the given provenance — the state
-/// sections plus orbit sizes and the per-edge de-quotienting permutations.
-pub fn save_quotient<M>(
-    space: &QuotientSpace<M>,
-    meta: &ArenaMeta,
+/// Deserializes a [`StateSpace`] snapshot for `model`, verifying the
+/// integrity hash and every structural invariant before the arena is
+/// handed back: the header's `kind` must be `state` and its `n` must match
+/// `model` (decoding against a differently-sized model would read every
+/// packed word as nonsense). The store mode follows the blob's `packed`
+/// flag, so the model is only consulted for its [`StatePacker`] when the
+/// blob needs one. Returns the arena, its recorded provenance, and the
+/// integrity hash.
+///
+/// # Errors
+///
+/// A [`SnapshotError`] naming the first defect found.
+pub fn load_space<M>(
+    model: &M,
+    bytes: &[u8],
     obs: &dyn Observer,
-) -> (Vec<u8>, String)
+) -> Result<(StateSpace<M>, ArenaMeta, String), SnapshotError>
 where
-    M: Symmetric,
+    M: LayeredModel,
     M::State: SnapshotState,
 {
-    measured_save(obs, || {
-        let mut body = Vec::new();
-        encode_store(&space.store, &mut body);
-        encode_index(&space.index.bucket_snapshot(), &mut body);
-        encode_csr(&space.succ, &space.edges, &mut body);
-        for fp in &space.succ_fp {
-            fp.encode(&mut body);
-        }
-        for orbit in &space.orbit_sizes {
-            orbit.encode(&mut body);
-        }
-        for perm in &space.edge_perms {
-            encode_perm(perm, &mut body);
-        }
-        let fields = header_fields(
-            "quotient",
-            meta,
-            space.store.is_packed(),
-            space.store.len() as u64,
-            space.edges.len() as u64,
-            body.len() as u64,
-        );
-        seal(fields, body)
-    })
+    load_arena(model, bytes, obs)
 }
 
-/// Deserializes a [`QuotientSpace`] snapshot for `model`.
+/// Deserializes a [`QuotientSpace`] snapshot for `model`: the same checks
+/// as [`load_space`] with `kind` `quotient`, plus the trailer — every
+/// orbit size non-zero, every de-quotienting permutation of degree `n` and
+/// a genuine permutation.
 ///
-/// Beyond the [`load_space`] checks, the de-quotienting permutations must
-/// all have degree `n` and actually be permutations, and the recorded `n`
-/// must match `model` (resuming against a differently-sized model would
-/// make every witness permutation nonsense).
+/// # Errors
+///
+/// A [`SnapshotError`] naming the first defect found.
 ///
 /// # Panics
 ///
@@ -902,52 +913,7 @@ where
     M: Symmetric,
     M::State: SnapshotState,
 {
-    assert!(
-        model.symmetric_layering(),
-        "QuotientSpace requires an equivariant layering \
-         (use the model's full/symmetric layering variant)"
-    );
-    measured_load(obs, || {
-        let h = open(bytes, "quotient")?;
-        if h.meta.n != model.num_processes() as u64 {
-            return Err(SnapshotError::Malformed("snapshot n does not match model"));
-        }
-        let count = usize::try_from(h.states).map_err(|_| SnapshotError::Malformed("states"))?;
-        let mut r = SnapshotReader::new(h.body);
-        let store = decode_store(&mut r, count, h.packed, model.state_packer())?;
-        let index = rebuild_index(&store)?;
-        check_index(&mut r, &index.bucket_snapshot())?;
-        let (succ, edges) = decode_csr(&mut r, count, h.edges)?;
-        let mut succ_fp = Vec::with_capacity(count);
-        for _ in 0..count {
-            succ_fp.push(r.u64()?);
-        }
-        let mut orbit_sizes = Vec::with_capacity(count);
-        for _ in 0..count {
-            let orbit = r.u64()?;
-            if orbit == 0 {
-                return Err(SnapshotError::Malformed("orbit size zero"));
-            }
-            orbit_sizes.push(orbit);
-        }
-        let mut edge_perms = Vec::with_capacity(edges.len());
-        for _ in 0..edges.len() {
-            edge_perms.push(decode_perm(&mut r, h.meta.n)?);
-        }
-        if r.remaining() != 0 {
-            return Err(SnapshotError::Malformed("trailing bytes"));
-        }
-        let space = QuotientSpace {
-            store,
-            orbit_sizes,
-            index,
-            succ,
-            edges,
-            edge_perms,
-            succ_fp,
-        };
-        Ok((space, h.meta, h.digest))
-    })
+    load_arena(model, bytes, obs)
 }
 
 #[cfg(test)]

@@ -20,7 +20,9 @@
 //! *Decision*-violation witnesses and are surfaced by the
 //! [checker](crate::checker).
 
-use crate::space::{QuotientSpace, StateId, StateSpace};
+use std::collections::HashSet;
+
+use crate::space::{Arena, Keying, Orbits, Plain, StateId};
 use crate::sym::{PidPerm, Symmetric};
 use crate::telemetry::{MemoryBreakdown, MemoryFootprint, Observer, NOOP};
 use crate::{LayeredModel, Pid, Value};
@@ -98,7 +100,30 @@ impl Valence {
     }
 }
 
-/// Memoizing valence solver over the graded successor graph of a model.
+/// Memoizing valence solver over the graded successor graph of a model,
+/// keyed by the policy `K` (see [`Keying`]).
+///
+/// Valence is invariant under process renaming — a permutation relocates
+/// processes, never decision values, and transports `failed_at` along with
+/// `decision` — so under [`Orbits`](crate::space::Orbits) the flags of an
+/// orbit representative are the flags of every member, and one memo entry
+/// per orbit replaces up to `n!` entries of the full-space solver.
+///
+/// Use it through [`ValenceSolver`] or [`QuotientSolver`].
+pub struct Solver<'a, M: LayeredModel, K: Keying<M>> {
+    model: &'a M,
+    horizon: usize,
+    /// Hash-consing arena shared by every engine built on this solver:
+    /// valence memoization, successor caching and the layer scans all key on
+    /// the dense [`StateId`]s it hands out.
+    space: Arena<M, K>,
+    /// Valence memo, indexed by [`StateId`] (grown lazily as the space
+    /// grows; `None` = not classified yet).
+    memo: Vec<Option<Valences>>,
+    obs: &'a dyn Observer,
+}
+
+/// Memoizing valence solver over the full state space.
 ///
 /// # Examples
 ///
@@ -111,41 +136,34 @@ impl Valence {
 /// let x0 = m.initial_states().remove(0);
 /// assert_eq!(solver.valence(&x0), Valence::Bivalent);
 /// ```
-pub struct ValenceSolver<'a, M: LayeredModel> {
-    model: &'a M,
-    horizon: usize,
-    /// Hash-consing arena shared by every engine built on this solver:
-    /// valence memoization, successor caching and the layer scans all key on
-    /// the dense [`StateId`]s it hands out.
-    space: StateSpace<M>,
-    /// Valence memo, indexed by [`StateId`] (grown lazily as the space
-    /// grows; `None` = not classified yet).
-    memo: Vec<Option<Valences>>,
-    obs: &'a dyn Observer,
-}
+pub type ValenceSolver<'a, M> = Solver<'a, M, Plain>;
 
-impl<'a, M: LayeredModel> ValenceSolver<'a, M> {
+/// Memoizing valence solver over the *quotient* successor graph of a
+/// [`Symmetric`](crate::Symmetric) model, with the memo indexed by
+/// canonical orbit id.
+pub type QuotientSolver<'a, M> = Solver<'a, M, Orbits>;
+
+impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
     /// Creates a solver that explores to total depth `horizon` from the
     /// initial states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `K` cannot key `model` (a [`QuotientSolver`] needs an
+    /// equivariant layering).
     #[must_use]
     pub fn new(model: &'a M, horizon: usize) -> Self {
-        ValenceSolver::with_observer(model, horizon, &NOOP)
+        Self::with_observer(model, horizon, &NOOP)
     }
 
-    /// Like [`ValenceSolver::new`], with telemetry: valence queries, memo
-    /// hits, decided-run probes and states classified are reported to `obs`,
+    /// Like [`Solver::new`], with telemetry: valence queries, memo hits,
+    /// decided-run probes and states classified are reported to `obs`,
     /// and engines built on this solver (the [layering](crate::layering)
     /// engine, [valence connectivity](crate::connectivity)) report through
     /// it as well.
     #[must_use]
     pub fn with_observer(model: &'a M, horizon: usize, obs: &'a dyn Observer) -> Self {
-        ValenceSolver {
-            model,
-            horizon,
-            space: StateSpace::for_model(model),
-            memo: Vec::new(),
-            obs,
-        }
+        Self::with_space(model, horizon, Arena::for_model(model), obs)
     }
 
     /// Creates a solver over an arena restored from a
@@ -157,14 +175,21 @@ impl<'a, M: LayeredModel> ValenceSolver<'a, M> {
     /// entries depend on the horizon, which a resumed scan may have changed.
     /// Interning-order ids are a property of the arena, so id-dependent
     /// artifacts (runs, witnesses) remain valid across save/load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `K` cannot key `model`, exactly as [`Solver::new`] would:
+    /// a restored arena is only meaningful under the layering it was built
+    /// with.
     #[must_use]
     pub fn with_space(
         model: &'a M,
         horizon: usize,
-        space: StateSpace<M>,
+        space: Arena<M, K>,
         obs: &'a dyn Observer,
     ) -> Self {
-        ValenceSolver {
+        K::check_model(model);
+        Solver {
             model,
             horizon,
             space,
@@ -173,23 +198,23 @@ impl<'a, M: LayeredModel> ValenceSolver<'a, M> {
         }
     }
 
-    /// The solver's hash-consing arena. Ids returned by
-    /// [`ValenceSolver::intern`] and the id-typed engine entry points are
-    /// relative to this space.
+    /// The solver's hash-consing arena. Ids returned by the solver's
+    /// `intern` and the id-typed engine entry points are relative to this
+    /// space.
     #[must_use]
-    pub fn space(&self) -> &StateSpace<M> {
+    pub fn space(&self) -> &Arena<M, K> {
         &self.space
     }
 
     /// Mutable access to the arena (used by the layering engine to expand
     /// layers — possibly in parallel — before classifying them).
-    pub fn space_mut(&mut self) -> &mut StateSpace<M> {
+    pub fn space_mut(&mut self) -> &mut Arena<M, K> {
         &mut self.space
     }
 
-    /// Interns `x` into the solver's space.
-    pub fn intern(&mut self, x: &M::State) -> StateId {
-        self.space.intern_with(x, self.obs)
+    /// Interns the key of `x`, returning its id.
+    pub(crate) fn intern_id(&mut self, x: &M::State) -> StateId {
+        self.space.intern_state(self.model, x, self.obs).0
     }
 
     /// The successor ids of `id`, computed (and cached) via the arena.
@@ -210,249 +235,14 @@ impl<'a, M: LayeredModel> ValenceSolver<'a, M> {
         self.horizon
     }
 
-    /// The decisions visible *locally* at `x` by processes non-failed at `x`.
-    ///
-    /// Non-binary decision values are ignored by the binary-valence solver
-    /// (Section 7's generalized valence handles them).
-    pub fn local_valences(&self, x: &M::State) -> Valences {
-        local_valence_flags(self.model, x, self.obs)
+    /// The underlying model.
+    #[must_use]
+    pub fn model(&self) -> &'a M {
+        self.model
     }
 
-    /// The valence flags of the interned state `id` (memoized in a flat
+    /// The valence flags of the interned entry `id` (memoized in a flat
     /// vector indexed by id — no state hashing or cloning on the hot path).
-    pub fn valences_id(&mut self, id: StateId) -> Valences {
-        self.obs.counter("valence.queries", 1);
-        if let Some(Some(v)) = self.memo.get(id.index()) {
-            self.obs.counter("valence.memo_hits", 1);
-            return *v;
-        }
-        let (mut flags, depth) = {
-            let x = self.space.resolve(id);
-            (self.local_valences(&x), self.model.depth(&x))
-        };
-        if depth < self.horizon && !(flags.zero && flags.one) {
-            for y in self.successor_ids(id) {
-                flags = flags.union(self.valences_id(y));
-                if flags.zero && flags.one {
-                    break;
-                }
-            }
-        }
-        if self.memo.len() < self.space.len() {
-            self.memo.resize(self.space.len(), None);
-        }
-        self.memo[id.index()] = Some(flags);
-        self.obs.counter("valence.states_classified", 1);
-        flags
-    }
-
-    /// The valence classification of the interned state `id`.
-    pub fn valence_id(&mut self, id: StateId) -> Valence {
-        self.valences_id(id).classify()
-    }
-
-    /// Whether the interned state `id` is bivalent.
-    pub fn is_bivalent_id(&mut self, id: StateId) -> bool {
-        self.valence_id(id).is_bivalent()
-    }
-
-    /// The valence flags of `x` (memoized). Thin wrapper: interns `x` and
-    /// delegates to [`ValenceSolver::valences_id`].
-    pub fn valences(&mut self, x: &M::State) -> Valences {
-        let id = self.intern(x);
-        self.valences_id(id)
-    }
-
-    /// The valence classification of `x`.
-    pub fn valence(&mut self, x: &M::State) -> Valence {
-        self.valences(x).classify()
-    }
-
-    /// Whether `x` is bivalent.
-    pub fn is_bivalent(&mut self, x: &M::State) -> bool {
-        self.valence(x).is_bivalent()
-    }
-
-    /// Whether `x` and `y` have a *shared valence* (`x ∼_v y`,
-    /// Definition 3.1): some `w ∈ {0,1}` such that both are `w`-valent.
-    pub fn shared_valence(&mut self, x: &M::State, y: &M::State) -> bool {
-        let a = self.valences(x);
-        let b = self.valences(y);
-        (a.zero && b.zero) || (a.one && b.one)
-    }
-
-    /// Number of memoized states (useful to report exploration effort).
-    #[must_use]
-    pub fn memo_len(&self) -> usize {
-        self.memo.iter().filter(|v| v.is_some()).count()
-    }
-
-    /// The underlying model.
-    #[must_use]
-    pub fn model(&self) -> &'a M {
-        self.model
-    }
-
-    /// Scans the initial states for a bivalent one, in order.
-    ///
-    /// By Lemma 3.6 a system for consensus that satisfies *decision* and
-    /// *validity* and displays an arbitrary crash failure with respect to
-    /// `Con₀` must have one; returning `None` therefore certifies that the
-    /// protocol violates decision or validity already at the horizon.
-    pub fn bivalent_initial_state(&mut self) -> Option<M::State> {
-        let id = self.bivalent_initial_id()?;
-        Some(self.space.resolve(id).clone())
-    }
-
-    /// Id-typed twin of [`ValenceSolver::bivalent_initial_state`]: interns
-    /// the initial states in order and returns the first bivalent one.
-    pub fn bivalent_initial_id(&mut self) -> Option<StateId> {
-        let ids: Vec<StateId> = self
-            .model
-            .initial_states()
-            .iter()
-            .map(|x0| self.intern(x0))
-            .collect();
-        ids.into_iter().find(|&id| self.is_bivalent_id(id))
-    }
-}
-
-/// Shared locally-visible-decision sweep behind both solvers.
-fn local_valence_flags<M: LayeredModel>(model: &M, x: &M::State, obs: &dyn Observer) -> Valences {
-    obs.counter("valence.decided_probes", 1);
-    let mut flags = Valences::NONE;
-    for i in Pid::all(model.num_processes()) {
-        if model.failed_at(x, i) {
-            continue;
-        }
-        match model.decision(x, i) {
-            Some(Value::ZERO) => flags.zero = true,
-            Some(Value::ONE) => flags.one = true,
-            _ => {}
-        }
-    }
-    flags
-}
-
-/// Memoizing valence solver over the *quotient* successor graph of a
-/// [`Symmetric`] model: the twin of [`ValenceSolver`] with the memo indexed
-/// by canonical orbit id.
-///
-/// Valence is invariant under process renaming — a permutation relocates
-/// processes, never decision values, and transports `failed_at` along with
-/// `decision` — so the valence flags of an orbit representative are the
-/// valence flags of every member: no permutation of the [`Valences`] flags
-/// is needed when reading answers back for a non-canonical state (the
-/// witnessing permutation matters for reconstructing *runs*, not flags).
-/// One memo entry per orbit replaces up to `n!` entries in the full-space
-/// solver.
-pub struct QuotientSolver<'a, M: Symmetric> {
-    model: &'a M,
-    horizon: usize,
-    space: QuotientSpace<M>,
-    /// Valence memo, indexed by canonical orbit [`StateId`].
-    memo: Vec<Option<Valences>>,
-    obs: &'a dyn Observer,
-}
-
-impl<'a, M: Symmetric> QuotientSolver<'a, M> {
-    /// Creates a quotient solver exploring to total depth `horizon`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's current layering is not equivariant (see
-    /// [`QuotientSpace::new`]).
-    #[must_use]
-    pub fn new(model: &'a M, horizon: usize) -> Self {
-        QuotientSolver::with_observer(model, horizon, &NOOP)
-    }
-
-    /// Like [`QuotientSolver::new`], with telemetry.
-    #[must_use]
-    pub fn with_observer(model: &'a M, horizon: usize, obs: &'a dyn Observer) -> Self {
-        QuotientSolver {
-            model,
-            horizon,
-            space: QuotientSpace::new(model),
-            memo: Vec::new(),
-            obs,
-        }
-    }
-
-    /// Creates a quotient solver over an arena restored from a
-    /// [snapshot](crate::space::snapshot) (or otherwise pre-built) — the
-    /// quotient twin of [`ValenceSolver::with_space`]. The valence memo
-    /// starts empty for the same reason.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's current layering is not equivariant, exactly
-    /// as [`QuotientSolver::new`] would: a restored arena is only
-    /// meaningful under the layering it was built with.
-    #[must_use]
-    pub fn with_space(
-        model: &'a M,
-        horizon: usize,
-        space: QuotientSpace<M>,
-        obs: &'a dyn Observer,
-    ) -> Self {
-        assert!(
-            model.symmetric_layering(),
-            "QuotientSolver requires an equivariant layering \
-             (use the model's full/symmetric layering variant)"
-        );
-        QuotientSolver {
-            model,
-            horizon,
-            space,
-            memo: Vec::new(),
-            obs,
-        }
-    }
-
-    /// The solver's quotient arena.
-    #[must_use]
-    pub fn space(&self) -> &QuotientSpace<M> {
-        &self.space
-    }
-
-    /// Mutable access to the quotient arena (used by the layering engine to
-    /// pre-expand layers, possibly in parallel).
-    pub fn space_mut(&mut self) -> &mut QuotientSpace<M> {
-        &mut self.space
-    }
-
-    /// Interns `x`'s orbit, returning the representative's id and the
-    /// witnessing permutation (`π · x` = representative).
-    pub fn intern(&mut self, x: &M::State) -> (StateId, PidPerm) {
-        self.space.intern_with(self.model, x, self.obs)
-    }
-
-    /// The successor orbit ids of `id`, computed (and cached) via the arena.
-    pub fn successor_ids(&mut self, id: StateId) -> Vec<StateId> {
-        let (model, obs) = (self.model, self.obs);
-        self.space.successor_ids(model, id, obs)
-    }
-
-    /// The observer engines built on this solver report to.
-    #[must_use]
-    pub fn observer(&self) -> &'a dyn Observer {
-        self.obs
-    }
-
-    /// The analysis horizon.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// The underlying model.
-    #[must_use]
-    pub fn model(&self) -> &'a M {
-        self.model
-    }
-
-    /// The valence flags of the orbit behind `id` (memoized per orbit).
     pub fn valences_id(&mut self, id: StateId) -> Valences {
         self.obs.counter("valence.queries", 1);
         if let Some(Some(v)) = self.memo.get(id.index()) {
@@ -482,43 +272,113 @@ impl<'a, M: Symmetric> QuotientSolver<'a, M> {
         flags
     }
 
-    /// The valence classification of the orbit behind `id`.
+    /// The valence classification of the interned entry `id`.
     pub fn valence_id(&mut self, id: StateId) -> Valence {
         self.valences_id(id).classify()
     }
 
-    /// Whether the orbit behind `id` is bivalent.
+    /// Whether the interned entry `id` is bivalent.
     pub fn is_bivalent_id(&mut self, id: StateId) -> bool {
         self.valence_id(id).is_bivalent()
     }
 
-    /// The valence flags of `x` (canonicalized, then memoized by orbit).
+    /// The valence flags of `x` (keyed, then memoized). Thin wrapper:
+    /// interns `x` and delegates to [`Solver::valences_id`].
     pub fn valences(&mut self, x: &M::State) -> Valences {
-        let (id, _) = self.intern(x);
+        let id = self.intern_id(x);
         self.valences_id(id)
     }
 
-    /// Number of memoized orbits.
+    /// Number of memoized entries (useful to report exploration effort).
     #[must_use]
     pub fn memo_len(&self) -> usize {
         self.memo.iter().filter(|v| v.is_some()).count()
     }
 
-    /// Interns the initial states (orbit-collapsed, in order) and returns
-    /// the first bivalent representative. Since the consensus initial set
-    /// `Con₀` is closed under renaming, representatives of initial orbits
-    /// are themselves genuine initial states.
+    /// Interns the initial states (in order, each key once) and returns
+    /// the first bivalent one. Since the consensus initial set `Con₀` is
+    /// closed under renaming, representatives of initial orbits are
+    /// themselves genuine initial states.
     pub fn bivalent_initial_id(&mut self) -> Option<StateId> {
         let mut ids: Vec<StateId> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for x0 in self.model.initial_states() {
-            let (id, _) = self.intern(&x0);
+            let id = self.intern_id(&x0);
             if seen.insert(id) {
                 ids.push(id);
             }
         }
         ids.into_iter().find(|&id| self.is_bivalent_id(id))
     }
+}
+
+impl<M: LayeredModel> Solver<'_, M, Plain> {
+    /// Interns `x` into the solver's space.
+    pub fn intern(&mut self, x: &M::State) -> StateId {
+        self.space.intern_with(x, self.obs)
+    }
+
+    /// The decisions visible *locally* at `x` by processes non-failed at `x`.
+    ///
+    /// Non-binary decision values are ignored by the binary-valence solver
+    /// (Section 7's generalized valence handles them).
+    pub fn local_valences(&self, x: &M::State) -> Valences {
+        local_valence_flags(self.model, x, self.obs)
+    }
+
+    /// The valence classification of `x`.
+    pub fn valence(&mut self, x: &M::State) -> Valence {
+        self.valences(x).classify()
+    }
+
+    /// Whether `x` is bivalent.
+    pub fn is_bivalent(&mut self, x: &M::State) -> bool {
+        self.valence(x).is_bivalent()
+    }
+
+    /// Whether `x` and `y` have a *shared valence* (`x ∼_v y`,
+    /// Definition 3.1): some `w ∈ {0,1}` such that both are `w`-valent.
+    pub fn shared_valence(&mut self, x: &M::State, y: &M::State) -> bool {
+        let a = self.valences(x);
+        let b = self.valences(y);
+        (a.zero && b.zero) || (a.one && b.one)
+    }
+
+    /// Scans the initial states for a bivalent one, in order.
+    ///
+    /// By Lemma 3.6 a system for consensus that satisfies *decision* and
+    /// *validity* and displays an arbitrary crash failure with respect to
+    /// `Con₀` must have one; returning `None` therefore certifies that the
+    /// protocol violates decision or validity already at the horizon.
+    pub fn bivalent_initial_state(&mut self) -> Option<M::State> {
+        let id = self.bivalent_initial_id()?;
+        Some(self.space.resolve(id))
+    }
+}
+
+impl<M: Symmetric> Solver<'_, M, Orbits> {
+    /// Interns `x`'s orbit, returning the representative's id and the
+    /// witnessing permutation (`π · x` = representative).
+    pub fn intern(&mut self, x: &M::State) -> (StateId, PidPerm) {
+        self.space.intern_with(self.model, x, self.obs)
+    }
+}
+
+/// The locally-visible-decision sweep behind [`Solver::valences_id`].
+fn local_valence_flags<M: LayeredModel>(model: &M, x: &M::State, obs: &dyn Observer) -> Valences {
+    obs.counter("valence.decided_probes", 1);
+    let mut flags = Valences::NONE;
+    for i in Pid::all(model.num_processes()) {
+        if model.failed_at(x, i) {
+            continue;
+        }
+        match model.decision(x, i) {
+            Some(Value::ZERO) => flags.zero = true,
+            Some(Value::ONE) => flags.one = true,
+            _ => {}
+        }
+    }
+    flags
 }
 
 /// Bytes held by a valence memo vector (shallow: the flat `Vec` only).
@@ -528,7 +388,7 @@ fn memo_bytes(memo: &[Option<Valences>]) -> u64 {
     memo.len() as u64 * std::mem::size_of::<Option<Valences>>() as u64
 }
 
-impl<M: LayeredModel> MemoryFootprint for ValenceSolver<'_, M> {
+impl<M: LayeredModel, K: Keying<M>> MemoryFootprint for Solver<'_, M, K> {
     /// The underlying arena's components plus the `mem.valence.memo_bytes`
     /// of the flat valence memo.
     fn memory_footprint(&self) -> MemoryBreakdown {
@@ -540,21 +400,6 @@ impl<M: LayeredModel> MemoryFootprint for ValenceSolver<'_, M> {
     fn report_memory(&self, obs: &dyn Observer) {
         // Delegate to the arena so the intern-table load-factor gauge rides
         // along, then add the memo.
-        self.space.report_memory(obs);
-        obs.gauge("mem.valence.memo_bytes", memo_bytes(&self.memo));
-    }
-}
-
-impl<M: Symmetric> MemoryFootprint for QuotientSolver<'_, M> {
-    /// The quotient arena's components plus the `mem.valence.memo_bytes`
-    /// of the flat valence memo.
-    fn memory_footprint(&self) -> MemoryBreakdown {
-        let mut b = self.space.memory_footprint();
-        b.push("mem.valence.memo_bytes", memo_bytes(&self.memo));
-        b
-    }
-
-    fn report_memory(&self, obs: &dyn Observer) {
         self.space.report_memory(obs);
         obs.gauge("mem.valence.memo_bytes", memo_bytes(&self.memo));
     }

@@ -9,10 +9,11 @@
 //! model, without trusting the engine that produced it.
 
 use crate::connectivity::valence_report;
+use crate::layering::build_bivalent_run_interned;
 use crate::model::{ExecutionTrace, TraceError};
-use crate::space::{StateId, StateSpace};
+use crate::space::{Keying, Orbits, Plain};
 use crate::sym::Symmetric;
-use crate::valence::{undecided_non_failed, QuotientSolver};
+use crate::valence::{undecided_non_failed, Solver};
 use crate::{LayeredModel, ValenceSolver};
 
 /// A packaged impossibility argument for one model + protocol instance.
@@ -74,9 +75,7 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     where
         M: LayeredModel<State = S>,
     {
-        let mut solver = ValenceSolver::new(model, horizon);
-        let interned = InternedWitness::build_with(&mut solver, steps)?;
-        Some(interned.materialize(solver.space()))
+        Self::build_keyed::<M, Plain>(model, horizon, steps)
     }
 
     /// Like [`build`](Self::build), but runs the Theorem 4.2 engine over
@@ -88,9 +87,7 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     /// The returned witness is indistinguishable from a full-space one: it
     /// passes the same [`verify`](Self::verify) (which replays layer
     /// transitions, bivalence, and undecided counts against the model from
-    /// scratch, with no knowledge of the quotient). The undecided counts
-    /// are recomputed on the de-quotiented states rather than copied from
-    /// the representatives.
+    /// scratch, with no knowledge of the quotient).
     ///
     /// # Panics
     ///
@@ -101,15 +98,26 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     where
         M: Symmetric<State = S>,
     {
-        let mut solver = QuotientSolver::new(model, horizon);
-        let run = crate::layering::build_bivalent_run_quotient(&mut solver, steps);
+        Self::build_keyed::<M, Orbits>(model, horizon, steps)
+    }
+
+    /// The Theorem 4.2 run over the arena keyed by `K`, materialized into
+    /// an execution of `model`. The undecided counts are recomputed on the
+    /// materialized states rather than copied from the keys.
+    fn build_keyed<M, K>(model: &M, horizon: usize, steps: usize) -> Option<Self>
+    where
+        M: LayeredModel<State = S>,
+        K: Keying<M>,
+    {
+        let mut solver = Solver::<M, K>::new(model, horizon);
+        let run = build_bivalent_run_interned(&mut solver, steps);
         if !run.reached_target() {
             return None;
         }
         let states = solver
             .space()
             .dequotient_path(model, &run.chain)
-            .expect("quotient run chains follow cached edges");
+            .expect("run chains follow cached edges");
         let undecided = states
             .iter()
             .map(|x| undecided_non_failed(model, x).len())
@@ -175,66 +183,6 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.chain.steps() == 0
-    }
-}
-
-/// The id-typed form of an impossibility witness: the chain is a path of
-/// [`StateId`]s into the solver's arena, so engines can pass witnesses
-/// around without cloning states. Full states are cloned out only at the
-/// verification/serialization boundary via
-/// [`materialize`](InternedWitness::materialize).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InternedWitness {
-    /// The ever-bivalent chain as arena ids.
-    pub chain: Vec<StateId>,
-    /// The analysis horizon used for valence.
-    pub horizon: usize,
-    /// Undecided non-failed processes at each chain state.
-    pub undecided: Vec<usize>,
-}
-
-impl InternedWitness {
-    /// Runs the Theorem 4.2 engine on `solver` for `steps` layers and
-    /// packages the resulting id chain, or `None` if the run got stuck.
-    pub fn build_with<M: LayeredModel>(
-        solver: &mut ValenceSolver<'_, M>,
-        steps: usize,
-    ) -> Option<Self> {
-        let outcome = crate::layering::build_bivalent_run_interned(solver, steps);
-        if !outcome.reached_target() {
-            return None;
-        }
-        Some(InternedWitness {
-            chain: outcome.chain,
-            horizon: solver.horizon(),
-            undecided: outcome.undecided_per_state,
-        })
-    }
-
-    /// Clones the chain's states out of `space` into the state-typed,
-    /// self-contained witness that [`ImpossibilityWitness::verify`] checks.
-    #[must_use]
-    pub fn materialize<M: LayeredModel>(
-        &self,
-        space: &StateSpace<M>,
-    ) -> ImpossibilityWitness<M::State> {
-        ImpossibilityWitness {
-            chain: ExecutionTrace::new(space.materialize(&self.chain)),
-            horizon: self.horizon,
-            undecided: self.undecided.clone(),
-        }
-    }
-
-    /// Length of the witnessed bivalent run, in layers.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.chain.len().saturating_sub(1)
-    }
-
-    /// Whether the witness is a single state.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.chain.len() <= 1
     }
 }
 

@@ -7,7 +7,7 @@ use layered_core::{
     load_quotient, load_space, save_quotient, save_space, scan_layer_valence_connectivity,
     scan_layer_valence_connectivity_parallel, scan_layer_valence_connectivity_quotient,
     scan_layer_valence_connectivity_quotient_parallel, ArenaMeta, LayeredModel, NoopObserver,
-    QuotientSolver, QuotientSpace, StateSpace, ValenceSolver,
+    QuotientSolver, QuotientSpace, SnapshotError, StateSpace, ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -68,6 +68,37 @@ fn quotient_arena_roundtrips_at_n3() {
     }
     let (again, _) = save_quotient(&loaded, &meta(3, 3, 2, "full"), &NOOP);
     assert_eq!(again, bytes, "re-save is not byte-identical");
+}
+
+/// A snapshot of an n = 3 arena fails closed against an n = 4 model, for
+/// both kinds and both storages: its packed words would otherwise decode
+/// into corrupt states (a fourth process with nothing known).
+#[test]
+fn snapshot_of_another_process_count_is_rejected() {
+    let m3 = MobileModel::new(3, FloodMin::new(3)).with_layering(MobileLayering::Full);
+    let m4 = MobileModel::new(4, FloodMin::new(3)).with_layering(MobileLayering::Full);
+    let roots = m3.initial_states();
+    let mismatch = SnapshotError::Malformed("snapshot n does not match model");
+    for mut space in [StateSpace::for_model(&m3), StateSpace::new()] {
+        space.expand_layers(&m3, &roots, 2, &NOOP);
+        let (bytes, _) = save_space(&space, &meta(3, 3, 2, "full"), &NOOP);
+        assert!(
+            load_space(&m3, &bytes, &NOOP).is_ok(),
+            "pristine blob loads"
+        );
+        match load_space(&m4, &bytes, &NOOP) {
+            Ok(_) => panic!("n = 3 state snapshot loaded against an n = 4 model"),
+            Err(e) => assert_eq!(e, mismatch),
+        }
+    }
+    for mut space in [QuotientSpace::new(&m3), QuotientSpace::new_boxed(&m3)] {
+        space.expand_layers(&m3, &roots, 2, &NOOP);
+        let (bytes, _) = save_quotient(&space, &meta(3, 3, 2, "full"), &NOOP);
+        match load_quotient(&m4, &bytes, &NOOP) {
+            Ok(_) => panic!("n = 3 quotient snapshot loaded against an n = 4 model"),
+            Err(e) => assert_eq!(e, mismatch),
+        }
+    }
 }
 
 /// The interned acceptance case at n = 4: scan at depth 1, snapshot,
