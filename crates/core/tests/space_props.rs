@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use layered_core::testkit::{reachable_space, CounterModel};
-use layered_core::{LayeredModel, NoopObserver, StateSpace};
+use layered_core::{LayeredModel, NoopObserver, QuotientSpace, StateId, StateSpace};
 
 /// Every distinct state reachable in 3 layers of a 3-way branching model —
 /// the pool random interning orders draw from.
@@ -17,6 +17,12 @@ fn pool() -> Vec<<CounterModel as LayeredModel>::State> {
         .flatten()
         .map(|id| space.resolve(id))
         .collect()
+}
+
+/// Every id in `levels`, which after an expansion is every interned id:
+/// roots and the successors of all but the last level.
+fn ids(levels: &[Vec<StateId>]) -> std::collections::BTreeSet<StateId> {
+    levels.iter().flatten().copied().collect()
 }
 
 fn arb_picks() -> impl Strategy<Value = Vec<usize>> {
@@ -54,21 +60,49 @@ proptest! {
     }
 
     /// Parallel expansion is bit-identical to sequential for arbitrary
-    /// branching factors, horizons, and thread counts.
+    /// branching factors, horizons, thread counts and arena kinds (boxed,
+    /// packed, symmetry quotient): the same levels, ids, states, successor
+    /// rows and — over the quotient — edge permutations and orbit sizes.
     #[test]
     fn parallel_expansion_matches_sequential(
         branch in 1u8..4,
         horizon in 0usize..4,
         threads in 1usize..9,
+        arena in 0usize..3,
     ) {
         let m = CounterModel::new(3, branch);
         let roots = m.initial_states();
-        let mut seq: StateSpace<CounterModel> = StateSpace::new();
-        let a = seq.expand_layers(&m, &roots, horizon, &NoopObserver);
-        let mut par: StateSpace<CounterModel> = StateSpace::new();
-        let b = par.expand_layers_parallel(&m, &roots, horizon, threads, &NoopObserver);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(seq.len(), par.len());
-        prop_assert_eq!(seq.edge_count(), par.edge_count());
+        if arena == 2 {
+            let mut seq: QuotientSpace<CounterModel> = QuotientSpace::new(&m);
+            let a = seq.expand_layers(&m, &roots, horizon, &NoopObserver);
+            let mut par: QuotientSpace<CounterModel> = QuotientSpace::new(&m);
+            let b = par.expand_layers_parallel(&m, &roots, horizon, threads, &NoopObserver);
+            prop_assert_eq!(&a, &b);
+            prop_assert_eq!(seq.len(), par.len());
+            prop_assert_eq!(seq.edge_count(), par.edge_count());
+            prop_assert_eq!(ids(&a).len(), seq.len());
+            for id in ids(&a) {
+                prop_assert_eq!(seq.resolve(id), par.resolve(id));
+                prop_assert_eq!(
+                    seq.cached_successors_with_perms(id),
+                    par.cached_successors_with_perms(id)
+                );
+                prop_assert_eq!(seq.orbit_size_of(id), par.orbit_size_of(id));
+            }
+        } else {
+            let fresh = || if arena == 0 { StateSpace::new() } else { StateSpace::for_model(&m) };
+            let mut seq: StateSpace<CounterModel> = fresh();
+            let a = seq.expand_layers(&m, &roots, horizon, &NoopObserver);
+            let mut par: StateSpace<CounterModel> = fresh();
+            let b = par.expand_layers_parallel(&m, &roots, horizon, threads, &NoopObserver);
+            prop_assert_eq!(&a, &b);
+            prop_assert_eq!(seq.len(), par.len());
+            prop_assert_eq!(seq.edge_count(), par.edge_count());
+            prop_assert_eq!(ids(&a).len(), seq.len());
+            for id in ids(&a) {
+                prop_assert_eq!(seq.resolve(id), par.resolve(id));
+                prop_assert_eq!(seq.cached_successors(id), par.cached_successors(id));
+            }
+        }
     }
 }
