@@ -66,6 +66,7 @@ use layered_bench::{
     ScanConfig, Scope, SimBatchConfig,
 };
 use layered_cert::{registry, CertStore, Certificate};
+use layered_core::sym::MAX_ENUMERATED_N;
 use layered_core::telemetry::profile::{profile, profile_table};
 use layered_core::telemetry::{set_heartbeat_period_ns, Observer, TraceObserver, NOOP};
 
@@ -186,6 +187,11 @@ fn parse_args() -> Result<Options, String> {
         }
         if scan_cfg.threads == 0 {
             return Err("--threads must be positive".to_string());
+        }
+        if scan_cfg.quotient && scan_cfg.n > MAX_ENUMERATED_N {
+            return Err(format!(
+                "--quotient supports --n up to {MAX_ENUMERATED_N} (canonicalization enumerates all n! renamings)"
+            ));
         }
         opts.scan = Some(scan_cfg);
     }

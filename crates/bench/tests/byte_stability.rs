@@ -12,12 +12,6 @@
 //! * the `*.wall_ns` gauges (e.g. `scan.sym.quotient.wall_ns`),
 //! * the `*_ns` timing histograms (e.g. `space.layer_expand_ns`).
 //!
-//! Two scheduling-dependent contention counters are additionally
-//! *removed* (not zeroed) before thread-count comparisons:
-//! `space.shard.contention` and `space.intern.cas_retries` count lock
-//! collisions in the sharded intern table, which depend on thread timing
-//! by design.
-//!
 //! Everything else — counters, gauge levels, work histograms, events,
 //! verdicts — must not move when the thread count changes, or parallel
 //! scans are leaking scheduling order into results.
@@ -25,9 +19,8 @@
 //! A second contract rides along since the packed encodings landed:
 //! packed and boxed arenas produce byte-identical records modulo the
 //! *representation-dependent* telemetry (`mem.*` footprints, `space.pack.*`,
-//! and the hash-distribution metrics under `space.intern.*` /
-//! `space.shard.*`). Ids, layers, verdicts and every work counter are
-//! storage-independent.
+//! and the hash-distribution metrics under `space.intern.*`). Ids, layers,
+//! verdicts and every work counter are storage-independent.
 
 use layered_bench::{interned_scan, quotient_scan, ScanConfig};
 use layered_core::telemetry::json::Json;
@@ -54,7 +47,7 @@ fn strip_timing(json: &mut Json) {
 }
 
 /// Removes object members whose key satisfies `drop`, recursively — for
-/// metrics whose *presence* is scheduling- or representation-dependent.
+/// metrics whose *presence* is representation-dependent.
 fn strip_keys(json: &mut Json, drop: &dyn Fn(&str) -> bool) {
     match json {
         Json::Object(members) => {
@@ -72,33 +65,27 @@ fn strip_keys(json: &mut Json, drop: &dyn Fn(&str) -> bool) {
     }
 }
 
-/// The comparison form for thread-count stability: timing zeroed and the
-/// scheduling-dependent contention counters removed.
+/// The comparison form for thread-count stability: timing zeroed.
 fn record_modulo_timing(record: Json) -> String {
     let mut record = record;
     strip_timing(&mut record);
-    strip_keys(&mut record, &|key| {
-        key == "space.shard.contention" || key == "space.intern.cas_retries"
-    });
     record.to_string()
 }
 
 /// The comparison form for packed-vs-boxed stability: timing zeroed and
 /// the representation-dependent metrics removed — memory footprints,
 /// packing stats, and the hash-distribution metrics of the intern table
-/// (packed words hash differently than boxed states, so probe lengths,
-/// load factors and shard spread legitimately move; hits and misses are
-/// work counters and must not).
+/// (packed words hash differently than boxed states, so probe lengths
+/// and load factors legitimately move; hits and misses are work counters
+/// and must not).
 fn record_modulo_representation(record: Json) -> String {
     let mut record = record;
     strip_timing(&mut record);
     strip_keys(&mut record, &|key| {
         key.starts_with("mem.")
             || key.starts_with("space.pack.")
-            || key.starts_with("space.shard.")
             || key == "space.intern.probe_len"
             || key == "space.intern.load_x1000"
-            || key == "space.intern.cas_retries"
     });
     record.to_string()
 }

@@ -94,9 +94,7 @@ pub use space::snapshot::{
     load_quotient, load_space, save_arena, save_quotient, save_space, ArenaMeta, SnapshotError,
     SnapshotReader, SnapshotState, SNAPSHOT_VERSION,
 };
-pub use space::{
-    Arena, DiffReport, Keying, Orbits, Plain, QuotientSpace, StateId, StateSpace, SHARD_COUNT,
-};
+pub use space::{Arena, DiffReport, Keying, Orbits, Plain, QuotientSpace, StateId, StateSpace};
 pub use stats::{census, census_with, LevelCensus};
 pub use sym::{canonicalize_by_min, canonicalize_packed, orbit_size, PidPerm, Symmetric};
 pub use telemetry::{

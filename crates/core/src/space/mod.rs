@@ -1,6 +1,6 @@
 //! Hash-consed state spaces: dense [`StateId`]s over a model's reachable
-//! states, with CSR-packed successor adjacency, a sharded concurrent intern
-//! table, packed state storage and deterministic parallel layer expansion.
+//! states, with CSR-packed successor adjacency, a hash-bucketed intern
+//! index, packed state storage and deterministic parallel layer expansion.
 //!
 //! Every exact engine in this crate (valence, connectivity, layering, the
 //! consensus checker) explores the same graded state graph. Keying those
@@ -34,20 +34,20 @@
 //! packing is always a pure representation change — ids, layers and every
 //! derived report are identical to the boxed arena's.
 //!
-//! # Sharded interning
+//! # Parallel keying, serial interning
 //!
-//! The intern index is split into [`SHARD_COUNT`] shards keyed by state
-//! hash, each behind its own mutex. During bulk expansion worker threads
-//! key, probe and *stage* new states concurrently: a previously unseen key
-//! is appended to its shard's pending list and identified by a provisional
-//! id. No dense id is assigned concurrently — after the workers join, the
-//! calling thread walks the frontier's successor lists **in frontier order**
-//! and renumbers every provisional id in first-touch order ([`ProvMap`]),
-//! which is exactly the order the sequential path would have interned them
-//! in. The staged keys are then published into the dense store and the
-//! shard buckets rewritten. Parallelism changes how fast successor lists are
-//! produced, never which states exist, their ids, or the contents of any
-//! layer, so sequential and parallel expansion are bit-identical.
+//! The intern index is one hash map from a key's hash to the ids of the
+//! keys with that hash, and one probe-or-insert routine serves every path
+//! that interns: direct interning, lazily cached successor rows, the
+//! differential refresh and bulk expansion. Parallel bulk expansion splits
+//! the frontier across scoped workers that compute each entry's successors
+//! and key them (for [`Orbits`], the `n!` canonicalization that dominates
+//! quotient expansion); the workers never touch the index. The calling
+//! thread then interns the keyed rows **in frontier order**, exactly as the
+//! sequential path does, so sequential and parallel expansion assign the
+//! same ids by construction. Parallelism changes how fast successor lists
+//! are produced, never which states exist, their ids, or the contents of
+//! any layer.
 //!
 //! # Id layout and determinism
 //!
@@ -71,9 +71,8 @@ pub mod pack;
 pub mod snapshot;
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use fxhash::{FxHashMap, FxHasher};
 
@@ -84,28 +83,6 @@ use crate::telemetry::{
     clock, trace, Heartbeat, MemoryBreakdown, MemoryFootprint, Observer, Span, NOOP,
 };
 use crate::LayeredModel;
-
-/// Number of bits of the state hash that select an intern shard.
-const SHARD_BITS: u32 = 4;
-
-/// Number of independently locked shards in the intern index. A fixed
-/// power of two: the shard of a state is the low [`SHARD_BITS`] bits of its
-/// hash, so shard assignment is a pure function of the state and identical
-/// at every thread count.
-pub const SHARD_COUNT: usize = 1 << SHARD_BITS;
-
-/// Bucket entries with this bit set index a shard's pending (staged) list
-/// instead of the dense store. Caps dense ids at `2^31`.
-const PENDING_BIT: u32 = 1 << 31;
-
-/// Provisional ids with this bit set refer to a staged state
-/// (`shard << 32 | pending index`); without it they are dense ids.
-const PROV_PENDING: u64 = 1 << 63;
-
-/// The shard owning hash `h`.
-fn shard_of(h: u64) -> usize {
-    (h & (SHARD_COUNT as u64 - 1)) as usize
-}
 
 /// FxHash of a full model state (the boxed-store / spill-path hash).
 fn fx_hash<S: Hash>(s: &S) -> u64 {
@@ -136,20 +113,12 @@ struct SuccRange {
     len: u32,
 }
 
-/// How a state probes the intern index: its shard-selecting hash, plus the
-/// packed word when the store is packed and the state fits the codec
-/// (`None` means boxed comparison — the boxed store, or a spilled state).
+/// How a state probes the intern index: its hash, plus the packed word
+/// when the store is packed and the state fits the codec (`None` means
+/// boxed comparison — the boxed store, or a spilled state).
 struct ProbeKey {
     hash: u64,
     word: Option<u128>,
-}
-
-/// A staged (not yet dense) state held in a shard's pending list.
-enum PendKey<S> {
-    /// Packed representation (packed store, codec fits).
-    Word(u128),
-    /// Boxed representation (boxed store, or a spilled state).
-    State(S),
 }
 
 /// The arena's state storage: boxed model structs, or packed `u128` words
@@ -296,22 +265,6 @@ impl<S: Clone + Eq + Hash> Store<S> {
         }
     }
 
-    /// Publishes a staged state as the next dense slot.
-    fn push_pend(&mut self, key: PendKey<S>) {
-        match (self, key) {
-            (Store::Boxed(v), PendKey::State(s)) => v.push(s),
-            (Store::Packed { words, .. }, PendKey::Word(w)) => words.push(w),
-            (Store::Packed { words, spill, .. }, PendKey::State(s)) => {
-                let idx = spill.len() as u128;
-                spill.push(s);
-                words.push(SPILL_TAG | idx);
-            }
-            (Store::Boxed(_), PendKey::Word(_)) => {
-                unreachable!("boxed stores never stage packed words")
-            }
-        }
-    }
-
     /// Appends a decoded packed word (snapshot loading; packed stores only).
     fn push_word(&mut self, w: u128) {
         match self {
@@ -379,303 +332,9 @@ impl<S: Clone + Eq + Hash> Store<S> {
     }
 }
 
-/// One intern shard: hash-bucketed candidate entries plus the pending list
-/// of states staged during the current bulk expansion. Bucket entries are
-/// dense ids, or `PENDING_BIT | pending index` while staged; dense entries
-/// are kept in ascending id order (== interning order).
-struct Shard<S, W> {
-    buckets: FxHashMap<u64, Vec<u32>>,
-    /// Staged states: `(hash, key, weight)` — the weight (the orbit size
-    /// under [`Orbits`]) is computed off-arena by the worker that keyed it.
-    pending: Vec<(u64, PendKey<S>, W)>,
-}
-
-impl<S, W> Default for Shard<S, W> {
-    fn default() -> Self {
-        Shard {
-            buckets: FxHashMap::default(),
-            pending: Vec::new(),
-        }
-    }
-}
-
-/// Aggregated interning statistics from one bulk expansion. `hits` and
-/// `misses` are thread-count-invariant (each raw successor is probed
-/// exactly once; misses count distinct new states); `contention` and
-/// `retries` measure lock pressure and are inherently nondeterministic.
-#[derive(Clone, Copy, Default, Debug)]
-struct InternStats {
-    hits: u64,
-    misses: u64,
-    contention: u64,
-    retries: u64,
-}
-
-impl InternStats {
-    fn merge(&mut self, o: &InternStats) {
-        self.hits += o.hits;
-        self.misses += o.misses;
-        self.contention += o.contention;
-        self.retries += o.retries;
-    }
-}
-
-/// Locks a shard, counting contention: a failed `try_lock` bumps
-/// `contention`, each spin retry bumps `retries`, and after a bounded spin
-/// the caller parks on the blocking lock.
-fn lock_counting<'a, S, W>(
-    m: &'a Mutex<Shard<S, W>>,
-    stats: &mut InternStats,
-) -> MutexGuard<'a, Shard<S, W>> {
-    match m.try_lock() {
-        Ok(g) => return g,
-        Err(TryLockError::WouldBlock) => stats.contention += 1,
-        Err(TryLockError::Poisoned(_)) => panic!("intern shard poisoned: a worker panicked"),
-    }
-    for _ in 0..64 {
-        std::hint::spin_loop();
-        match m.try_lock() {
-            Ok(g) => return g,
-            Err(TryLockError::WouldBlock) => stats.retries += 1,
-            Err(TryLockError::Poisoned(_)) => panic!("intern shard poisoned: a worker panicked"),
-        }
-    }
-    match m.lock() {
-        Ok(g) => g,
-        Err(_) => panic!("intern shard poisoned: a worker panicked"),
-    }
-}
-
-/// The sharded concurrent intern index of an [`Arena`].
-struct ShardedIndex<S, W> {
-    shards: Vec<Mutex<Shard<S, W>>>,
-}
-
-impl<S: Clone + Eq + Hash, W: Copy> ShardedIndex<S, W> {
-    fn new() -> Self {
-        ShardedIndex {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-        }
-    }
-
-    /// Exclusive access to the shard owning `h` (single-threaded paths).
-    fn shard_mut(&mut self, h: u64) -> &mut Shard<S, W> {
-        match self.shards[shard_of(h)].get_mut() {
-            Ok(g) => g,
-            Err(_) => panic!("intern shard poisoned: a worker panicked"),
-        }
-    }
-
-    /// Locked access to the shard owning `h` (shared-borrow paths).
-    fn shard(&self, h: u64) -> MutexGuard<'_, Shard<S, W>> {
-        match self.shards[shard_of(h)].lock() {
-            Ok(g) => g,
-            Err(_) => panic!("intern shard poisoned: a worker panicked"),
-        }
-    }
-
-    /// Concurrent probe: returns the provisional id of `s` — its dense id
-    /// if already interned, the id of an earlier staging if another probe
-    /// already staged it this bulk round, or a fresh staging otherwise.
-    fn probe_or_stage(
-        &self,
-        store: &Store<S>,
-        key: &ProbeKey,
-        s: &S,
-        weight: W,
-        stats: &mut InternStats,
-    ) -> u64 {
-        let shard_no = shard_of(key.hash);
-        let mut guard = lock_counting(&self.shards[shard_no], stats);
-        let Shard { buckets, pending } = &mut *guard;
-        let bucket = buckets.entry(key.hash).or_default();
-        for &entry in bucket.iter() {
-            if entry & PENDING_BIT != 0 {
-                let idx = (entry & !PENDING_BIT) as usize;
-                let hit = match (&pending[idx].1, &key.word) {
-                    (PendKey::Word(w), Some(k)) => w == k,
-                    (PendKey::State(t), None) => t == s,
-                    _ => false,
-                };
-                if hit {
-                    stats.hits += 1;
-                    return PROV_PENDING | ((shard_no as u64) << 32) | idx as u64;
-                }
-            } else if store.slot_matches(entry as usize, key, s) {
-                stats.hits += 1;
-                return u64::from(entry);
-            }
-        }
-        let idx = u32::try_from(pending.len()).expect("more than u32::MAX staged states");
-        assert!(idx < PENDING_BIT, "shard pending list overflow");
-        let pend = match key.word {
-            Some(w) => PendKey::Word(w),
-            None => PendKey::State(s.clone()),
-        };
-        pending.push((key.hash, pend, weight));
-        bucket.push(PENDING_BIT | idx);
-        stats.misses += 1;
-        PROV_PENDING | ((shard_no as u64) << 32) | u64::from(idx)
-    }
-
-    /// Per-shard pending-list lengths (sized for [`ProvMap::new`]).
-    fn pending_lens(&mut self) -> Vec<usize> {
-        self.shards
-            .iter_mut()
-            .map(|m| match m.get_mut() {
-                Ok(g) => g.pending.len(),
-                Err(_) => panic!("intern shard poisoned: a worker panicked"),
-            })
-            .collect()
-    }
-
-    /// Publishes every staged state into the dense store under the ids
-    /// `map` assigned, rewriting the affected buckets (and restoring their
-    /// ascending-id order). Returns the staged weights in dense id order.
-    fn publish(&mut self, store: &mut Store<S>, map: &ProvMap) -> Vec<W> {
-        let mut staged: Vec<(u32, PendKey<S>, W)> = Vec::new();
-        for (shard_no, m) in self.shards.iter_mut().enumerate() {
-            let shard = match m.get_mut() {
-                Ok(g) => g,
-                Err(_) => panic!("intern shard poisoned: a worker panicked"),
-            };
-            if shard.pending.is_empty() {
-                continue;
-            }
-            let mut hashes: Vec<u64> = shard.pending.iter().map(|p| p.0).collect();
-            hashes.sort_unstable();
-            hashes.dedup();
-            for h in hashes {
-                let bucket = shard
-                    .buckets
-                    .get_mut(&h)
-                    .expect("staged entry always has a bucket");
-                for e in bucket.iter_mut() {
-                    if *e & PENDING_BIT != 0 {
-                        let id = map.assigned[shard_no][(*e & !PENDING_BIT) as usize];
-                        debug_assert_ne!(id, u32::MAX, "staged state never renumbered");
-                        *e = id;
-                    }
-                }
-                bucket.sort_unstable();
-            }
-            for (idx, (_, key, weight)) in shard.pending.drain(..).enumerate() {
-                staged.push((map.assigned[shard_no][idx], key, weight));
-            }
-        }
-        staged.sort_unstable_by_key(|(id, _, _)| *id);
-        let mut weights = Vec::with_capacity(staged.len());
-        for (id, key, weight) in staged {
-            debug_assert_eq!(id as usize, store.len(), "dense ids are contiguous");
-            store.push_pend(key);
-            weights.push(weight);
-        }
-        weights
-    }
-
-    /// Inserts dense slot `i` of `store` into the index (snapshot
-    /// rebuilding; slots must arrive in id order). Returns `false` if an
-    /// equal state is already indexed.
-    fn insert_slot(&mut self, store: &Store<S>, i: usize) -> bool {
-        let h = store.hash_of_slot(i);
-        let shard = self.shard_mut(h);
-        let bucket = shard.buckets.entry(h).or_default();
-        if bucket.iter().any(|&e| store.slots_equal(e as usize, i)) {
-            return false;
-        }
-        bucket.push(u32::try_from(i).expect("more than u32::MAX states"));
-        true
-    }
-
-    /// All buckets merged across shards, sorted by hash (snapshot
-    /// encoding). Bucket hashes are disjoint across shards by construction.
-    fn bucket_snapshot(&self) -> BTreeMap<u64, Vec<StateId>> {
-        let mut out = BTreeMap::new();
-        for m in &self.shards {
-            let g = match m.lock() {
-                Ok(g) => g,
-                Err(_) => panic!("intern shard poisoned: a worker panicked"),
-            };
-            for (h, bucket) in &g.buckets {
-                debug_assert!(
-                    bucket.iter().all(|e| e & PENDING_BIT == 0),
-                    "staging drained before snapshot"
-                );
-                out.insert(*h, bucket.iter().map(|&e| StateId(e)).collect());
-            }
-        }
-        out
-    }
-}
-
-/// The canonical renumbering pass: maps provisional ids to dense ids in
-/// first-touch order. The caller resolves every successor list in frontier
-/// order, so the first touch of each staged state happens in exactly the
-/// order the sequential path would have interned it — dense ids are
-/// therefore identical at every thread count.
-struct ProvMap {
-    /// Per shard, per pending index: the assigned dense id (`u32::MAX`
-    /// until first touch).
-    assigned: Vec<Vec<u32>>,
-    next: u32,
-}
-
-impl ProvMap {
-    fn new(pending_lens: &[usize], base: u32) -> Self {
-        ProvMap {
-            assigned: pending_lens.iter().map(|&l| vec![u32::MAX; l]).collect(),
-            next: base,
-        }
-    }
-
-    fn resolve(&mut self, prov: u64) -> StateId {
-        if prov & PROV_PENDING == 0 {
-            return StateId(prov as u32);
-        }
-        let shard = ((prov & !PROV_PENDING) >> 32) as usize;
-        let idx = (prov & 0xFFFF_FFFF) as usize;
-        let slot = &mut self.assigned[shard][idx];
-        if *slot == u32::MAX {
-            *slot = self.next;
-            self.next = self.next.checked_add(1).expect("more than u32::MAX states");
-        }
-        StateId(*slot)
-    }
-}
-
-/// Outcome of probing one dense bucket for a state: found (with the number
-/// of equality comparisons it took) or absent (with the number of
-/// candidates that were ruled out).
-enum Probe {
-    /// The state is interned as `.0`; `.1` candidates were compared.
-    Hit(StateId, u64),
-    /// The state is absent; `.0` candidates were compared and ruled out.
-    Miss(u64),
-}
-
-/// Probes a dense bucket for a state equal to `s`. Only valid outside bulk
-/// expansion (staged entries are always drained before direct interning).
-fn probe_dense<S: Clone + Eq + Hash>(
-    store: &Store<S>,
-    bucket: Option<&Vec<u32>>,
-    key: &ProbeKey,
-    s: &S,
-) -> Probe {
-    match bucket {
-        Some(b) => {
-            for (probed, &e) in b.iter().enumerate() {
-                debug_assert_eq!(e & PENDING_BIT, 0, "staging drained before direct probe");
-                if store.slot_matches(e as usize, key, s) {
-                    return Probe::Hit(StateId(e), probed as u64 + 1);
-                }
-            }
-            Probe::Miss(b.len() as u64)
-        }
-        None => Probe::Miss(0),
-    }
-}
+/// The intern index of an [`Arena`]: each key hash maps to the ids of the
+/// keys with that hash, in ascending id (interning) order.
+type Index = FxHashMap<u64, Vec<u32>>;
 
 /// FxHash fingerprint of a raw successor list (length plus every element,
 /// in order). Stored per state so a re-scan after a protocol change can
@@ -707,42 +366,40 @@ pub struct DiffReport {
     pub new_states: usize,
 }
 
-/// One chunk's output from [`expand_chunk`]: per frontier state, the
-/// successor provisional ids, their witnesses and the state's raw-successor
-/// fingerprint (in chunk order), plus the chunk's interning statistics.
-type ChunkOutput<W> = (Vec<(Vec<u64>, Vec<W>, u64)>, InternStats);
+/// One frontier entry expanded off-arena: the fingerprint of its raw
+/// successor list and each successor's key, witness and weight, in model
+/// order.
+type KeyedRow<M, K> = (
+    u64,
+    Vec<(
+        <M as LayeredModel>::State,
+        <K as Keying<M>>::Witness,
+        <K as Keying<M>>::Weight,
+    )>,
+);
 
-/// Expands one chunk of the frontier against the shared store and index:
-/// per frontier state, the raw successor list is computed, fingerprinted,
-/// keyed (for [`Orbits`], canonicalized — the `n!` work that dominates
-/// quotient expansion) and every key probed-or-staged with its weight.
-/// Pure with respect to the dense arena — all novelty is staged in the
-/// shards.
-fn expand_chunk<M: LayeredModel, K: Keying<M>>(
+/// Expands and keys frontier entry `id` without touching the intern index:
+/// the raw successor list is computed, fingerprinted and every successor
+/// keyed (for [`Orbits`], canonicalized). Keys that are the successor itself
+/// are moved, not cloned.
+fn key_row<M: LayeredModel, K: Keying<M>>(
     model: &M,
     store: &Store<M::State>,
-    index: &ShardedIndex<M::State, K::Weight>,
-    part: &[StateId],
-) -> ChunkOutput<K::Witness> {
-    let mut stats = InternStats::default();
-    let rows = part
-        .iter()
-        .map(|&id| {
-            let x = store.get(id.index());
-            let raw = model.successors(&x);
-            let fp = successor_fingerprint(&raw);
-            let mut provs = Vec::with_capacity(raw.len());
-            let mut wits = Vec::with_capacity(raw.len());
-            for y in &raw {
-                let (rep, wit, weight) = K::key(model, y);
-                let key = store.key_of(&rep);
-                provs.push(index.probe_or_stage(store, &key, &rep, weight, &mut stats));
-                wits.push(wit);
+    id: StateId,
+) -> KeyedRow<M, K> {
+    let raw = model.successors(&store.get(id.index()));
+    let fp = successor_fingerprint(&raw);
+    let keyed = raw
+        .into_iter()
+        .map(|y| {
+            let (rep, wit, weight) = K::key(model, &y);
+            match rep {
+                Cow::Owned(rep) => (rep, wit, weight),
+                Cow::Borrowed(_) => (y, wit, weight),
             }
-            (provs, wits, fp)
         })
         .collect();
-    (rows, stats)
+    (fp, keyed)
 }
 
 mod sealed {
@@ -812,7 +469,7 @@ pub trait Keying<M: LayeredModel>: sealed::Sealed + Sized {
     /// Telemetry of one directly interned new entry of weight `weight`.
     fn note_new(obs: &dyn Observer, weight: Self::Weight);
     /// Telemetry of one bulk expansion: its probe hits and misses, and the
-    /// weights of the entries it published.
+    /// weights of the entries it interned.
     fn note_bulk(obs: &dyn Observer, hits: u64, misses: u64, weights: &[Self::Weight]);
     /// Telemetry of the arena's size after it grew.
     fn note_size(obs: &dyn Observer, arena: &Arena<M, Self>);
@@ -1045,7 +702,7 @@ pub struct Arena<M: LayeredModel, K: Keying<M>> {
     store: Store<M::State>,
     /// Per-entry weight, parallel to `store`.
     weights: Vec<K::Weight>,
-    index: ShardedIndex<M::State, K::Weight>,
+    index: Index,
     succ: Vec<Option<SuccRange>>,
     edges: Vec<StateId>,
     /// Per-edge witness, parallel to `edges`.
@@ -1084,7 +741,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         Arena {
             store,
             weights: Vec::new(),
-            index: ShardedIndex::new(),
+            index: Index::default(),
             succ: Vec::new(),
             edges: Vec::new(),
             witnesses: Vec::new(),
@@ -1127,27 +784,49 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         self.edges.len()
     }
 
-    /// Interns a key of known weight, returning its dense id.
-    fn intern_key(&mut self, rep: &M::State, weight: K::Weight, obs: &dyn Observer) -> StateId {
+    /// Probes the index for key `rep` (whose probe key is `key`): its id if
+    /// interned, and the number of candidates compared.
+    fn probe(&self, key: &ProbeKey, rep: &M::State) -> (Option<StateId>, u64) {
+        let bucket = self.index.get(&key.hash).map_or(&[][..], Vec::as_slice);
+        match bucket
+            .iter()
+            .position(|&e| self.store.slot_matches(e as usize, key, rep))
+        {
+            Some(k) => (Some(StateId(bucket[k])), k as u64 + 1),
+            None => (None, bucket.len() as u64),
+        }
+    }
+
+    /// The one probe-or-insert routine behind every interning path: the id
+    /// of key `rep`, appending it with `weight` as the next dense id if it
+    /// is new, whether it was already interned, and the number of
+    /// candidates compared. Telemetry-free; callers report.
+    fn probe_or_insert(&mut self, rep: &M::State, weight: K::Weight) -> (StateId, bool, u64) {
         let key = self.store.key_of(rep);
-        let shard = self.index.shard_mut(key.hash);
-        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, rep) {
-            Probe::Hit(id, compared) => {
-                K::note_probe(obs, true, compared);
-                return id;
-            }
-            Probe::Miss(compared) => K::note_probe(obs, false, compared),
+        let (found, compared) = self.probe(&key, rep);
+        if let Some(id) = found {
+            return (id, true, compared);
         }
         let id = u32::try_from(self.store.len()).expect("more than u32::MAX states");
         self.store.push(&key, rep);
         self.weights.push(weight);
         self.succ.push(None);
         self.succ_fp.push(0);
-        shard.buckets.entry(key.hash).or_default().push(id);
-        K::note_new(obs, weight);
-        obs.gauge("space.states", self.store.len() as u64);
-        K::note_size(obs, self);
-        StateId(id)
+        self.index.entry(key.hash).or_default().push(id);
+        (StateId(id), false, compared)
+    }
+
+    /// Interns a key of known weight, returning its dense id, with the
+    /// per-probe telemetry of direct interning.
+    fn intern_key(&mut self, rep: &M::State, weight: K::Weight, obs: &dyn Observer) -> StateId {
+        let (id, hit, compared) = self.probe_or_insert(rep, weight);
+        K::note_probe(obs, hit, compared);
+        if !hit {
+            K::note_new(obs, weight);
+            obs.gauge("space.states", self.store.len() as u64);
+            K::note_size(obs, self);
+        }
+        id
     }
 
     /// Interns the key of `x`, returning its id and the witness mapping `x`
@@ -1164,12 +843,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
 
     /// The id of key `rep`, without interning it.
     fn lookup(&self, rep: &M::State) -> Option<StateId> {
-        let key = self.store.key_of(rep);
-        let shard = self.index.shard(key.hash);
-        match probe_dense(&self.store, shard.buckets.get(&key.hash), &key, rep) {
-            Probe::Hit(id, _) => Some(id),
-            Probe::Miss(_) => None,
-        }
+        self.probe(&self.store.key_of(rep), rep).0
     }
 
     /// The key behind `id`, owned: unpacked from the packed word, or
@@ -1363,60 +1037,50 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
             .collect()
     }
 
-    /// Renumbers, publishes and records the results of one bulk expansion:
-    /// provisional ids are resolved in frontier order ([`ProvMap`] — the
-    /// canonical renumbering pass), staged keys are published into the
-    /// dense store with their weights, and every frontier row's CSR slice
-    /// is packed.
-    fn finish_bulk(
-        &mut self,
-        pending: &[StateId],
-        rows: Vec<(Vec<u64>, Vec<K::Witness>, u64)>,
-        stats: InternStats,
-        obs: &dyn Observer,
-    ) {
-        let base = u32::try_from(self.store.len()).expect("more than u32::MAX states");
-        let mut map = ProvMap::new(&self.index.pending_lens(), base);
-        let resolved: Vec<(Vec<StateId>, Vec<K::Witness>, u64)> = rows
-            .into_iter()
-            .map(|(provs, wits, fp)| {
-                (
-                    provs.into_iter().map(|p| map.resolve(p)).collect(),
-                    wits,
-                    fp,
-                )
-            })
-            .collect();
-        let weights = self.index.publish(&mut self.store, &map);
-        K::note_bulk(obs, stats.hits, stats.misses, &weights);
-        obs.counter("space.shard.contention", stats.contention);
-        obs.counter("space.intern.cas_retries", stats.retries);
-        for weight in weights {
-            self.weights.push(weight);
-            self.succ.push(None);
-            self.succ_fp.push(0);
+    /// Interns the keyed successors of frontier entry `id` in order and
+    /// records its row, returning how many were already interned.
+    fn intern_row(&mut self, id: StateId, (fp, keyed): KeyedRow<M, K>, obs: &dyn Observer) -> u64 {
+        let mut hits = 0;
+        let mut ids = Vec::with_capacity(keyed.len());
+        let mut wits = Vec::with_capacity(keyed.len());
+        for (rep, wit, weight) in keyed {
+            let (yid, hit, _) = self.probe_or_insert(&rep, weight);
+            hits += u64::from(hit);
+            ids.push(yid);
+            wits.push(wit);
         }
-        obs.gauge("space.states", self.store.len() as u64);
-        K::note_size(obs, self);
-        for (&id, (yids, wits, fp)) in pending.iter().zip(resolved) {
-            self.record_row(id, &yids, wits, fp, obs);
-        }
+        self.record_row(id, &ids, wits, fp, obs);
+        hits
     }
 
-    /// Sequential bulk expansion of `ids` (no `Sync` bounds): the exact
-    /// same probe-stage-renumber-publish path the parallel variant uses,
-    /// run inline.
+    /// The telemetry of one bulk expansion that started at arena length
+    /// `base` and hit `hits` times: one batch of interning counters, one
+    /// size gauge.
+    fn note_bulk(&self, base: usize, hits: u64, obs: &dyn Observer) {
+        let misses = (self.store.len() - base) as u64;
+        K::note_bulk(obs, hits, misses, &self.weights[base..]);
+        obs.gauge("space.states", self.store.len() as u64);
+        K::note_size(obs, self);
+    }
+
+    /// Sequential bulk expansion of `ids` (no `Sync` bounds): each entry
+    /// in order is expanded, keyed, interned and recorded.
     fn bulk_seq(&mut self, model: &M, ids: &[StateId], obs: &dyn Observer) {
         let pending = self.pending_of(ids);
         if pending.is_empty() {
             return;
         }
-        let (rows, stats) = expand_chunk::<M, K>(model, &self.store, &self.index, &pending);
-        self.finish_bulk(&pending, rows, stats, obs);
+        let (base, mut hits) = (self.store.len(), 0);
+        for &id in &pending {
+            let row = key_row::<M, K>(model, &self.store, id);
+            hits += self.intern_row(id, row, obs);
+        }
+        self.note_bulk(base, hits, obs);
     }
 
-    /// Parallel bulk expansion of `ids` across up to `threads` scoped
-    /// workers probing the sharded index concurrently.
+    /// Parallel bulk expansion of `ids`: up to `threads` scoped workers
+    /// expand and key contiguous chunks, then the calling thread interns
+    /// the rows in the order of `ids`.
     fn bulk_par(&mut self, model: &M, ids: &[StateId], threads: usize, obs: &dyn Observer)
     where
         M: Sync,
@@ -1427,9 +1091,9 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
             return self.bulk_seq(model, &pending, obs);
         }
         let threads = threads.min(pending.len());
-        let (store, index) = (&self.store, &self.index);
+        let store = &self.store;
         let parent = trace::current_span_id();
-        let chunked: Vec<ChunkOutput<K::Witness>> = std::thread::scope(|scope| {
+        let rows: Vec<KeyedRow<M, K>> = std::thread::scope(|scope| {
             let handles: Vec<_> = balanced_chunks(&pending, threads)
                 .map(|part| {
                     scope.spawn(move || {
@@ -1439,36 +1103,34 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
                             parent,
                             &[("chunk_len", part.len() as u64)],
                         );
-                        expand_chunk::<M, K>(model, store, index, part)
+                        part.iter()
+                            .map(|&id| key_row::<M, K>(model, store, id))
+                            .collect::<Vec<_>>()
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("successor worker panicked"))
+                .flat_map(|h| h.join().expect("successor worker panicked"))
                 .collect()
         });
-        let mut rows = Vec::with_capacity(pending.len());
-        let mut stats = InternStats::default();
-        for (r, s) in chunked {
-            rows.extend(r);
-            stats.merge(&s);
+        let (base, mut hits) = (self.store.len(), 0);
+        for (&id, row) in pending.iter().zip(rows) {
+            hits += self.intern_row(id, row, obs);
         }
-        self.finish_bulk(&pending, rows, stats, obs);
+        self.note_bulk(base, hits, obs);
     }
 
     /// Eagerly computes, keys and caches the successor lists of `ids`,
     /// fanning the per-entry work (`model.successors` plus, under
     /// [`Orbits`], the canonicalization of every raw successor) out across
-    /// up to `threads` scoped workers that intern through the sharded
-    /// index as they expand.
+    /// up to `threads` scoped workers.
     ///
-    /// Determinism: workers probe and stage concurrently, but no dense id
-    /// is assigned until the renumbering pass on the calling thread walks
-    /// the results in the order of `ids` — the exact order the sequential
-    /// path would have used. The resulting interning order — and therefore
-    /// every id, layer and report derived from it — is identical to calling
-    /// [`Arena::successor_ids`] sequentially over `ids`.
+    /// Determinism: workers only expand and key; the calling thread interns
+    /// their rows in the order of `ids`. The resulting interning order —
+    /// and therefore every id, layer and report derived from it — is
+    /// identical to calling [`Arena::successor_ids`] sequentially over
+    /// `ids`.
     pub fn prefetch_successors(
         &mut self,
         model: &M,
@@ -1533,7 +1195,6 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         mut prefetch: impl FnMut(&mut Self, &[StateId]),
     ) -> Vec<Vec<StateId>> {
         let _span = Span::enter(obs, "space.build");
-        obs.gauge("space.shard.count", SHARD_COUNT as u64);
         let mut levels: Vec<Vec<StateId>> = Vec::with_capacity(horizon + 1);
         let mut frontier: Vec<StateId> = Vec::new();
         let mut seen: HashSet<StateId> = HashSet::new();
@@ -1739,44 +1400,16 @@ impl<M: Symmetric> Arena<M, Orbits> {
     }
 }
 
-/// Shared estimate of the sharded intern index's bytes: each shard map's
-/// own capacity plus every bucket vector's. Shallow (allocator headers and
-/// the drained pending scratch excluded), but deterministic — capacities
-/// depend only on per-shard entry counts, which are a pure function of the
-/// interned set.
-fn index_bytes<S, W>(index: &ShardedIndex<S, W>) -> u64 {
-    index
-        .shards
-        .iter()
-        .map(|m| {
-            let g = match m.lock() {
-                Ok(g) => g,
-                Err(_) => panic!("intern shard poisoned: a worker panicked"),
-            };
-            let table = g.buckets.capacity() as u64 * std::mem::size_of::<(u64, Vec<u32>)>() as u64;
-            let buckets: u64 = g
-                .buckets
-                .values()
-                .map(|b| b.capacity() as u64 * std::mem::size_of::<u32>() as u64)
-                .sum();
-            table + buckets
-        })
-        .sum()
-}
-
-/// Intern-table load factor in fixed-point thousandths
-/// (`distinct hashes / table capacity × 1000`, summed across shards).
-fn index_load_x1000<S, W>(index: &ShardedIndex<S, W>) -> u64 {
-    let (mut len, mut cap) = (0u64, 0u64);
-    for m in &index.shards {
-        let g = match m.lock() {
-            Ok(g) => g,
-            Err(_) => panic!("intern shard poisoned: a worker panicked"),
-        };
-        len += g.buckets.len() as u64;
-        cap += g.buckets.capacity() as u64;
-    }
-    len * 1000 / cap.max(1)
+/// Shallow estimate of the intern index's bytes: the map's own capacity
+/// plus every bucket vector's. Deterministic — capacities depend only on
+/// the interned set.
+fn index_bytes(index: &Index) -> u64 {
+    let table = index.capacity() as u64 * std::mem::size_of::<(u64, Vec<u32>)>() as u64;
+    let buckets: u64 = index
+        .values()
+        .map(|b| b.capacity() as u64 * std::mem::size_of::<u32>() as u64)
+        .sum();
+    table + buckets
 }
 
 impl<M: LayeredModel, K: Keying<M>> MemoryFootprint for Arena<M, K> {
@@ -1803,7 +1436,10 @@ impl<M: LayeredModel, K: Keying<M>> MemoryFootprint for Arena<M, K> {
     /// gauges next to the byte gauges.
     fn report_memory(&self, obs: &dyn Observer) {
         self.memory_footprint().report(obs);
-        obs.gauge("space.intern.load_x1000", index_load_x1000(&self.index));
+        obs.gauge(
+            "space.intern.load_x1000",
+            self.index.len() as u64 * 1000 / self.index.capacity().max(1) as u64,
+        );
         obs.gauge("space.pack.bytes_saved", self.store.bytes_saved());
     }
 }

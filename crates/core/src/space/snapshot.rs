@@ -59,9 +59,7 @@ use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use super::pack::{StatePacker, SPILL_TAG};
-use super::{
-    Arena, Keying, QuotientSpace, ShardedIndex, Slot, StateId, StateSpace, Store, SuccRange,
-};
+use super::{Arena, Index, Keying, QuotientSpace, Slot, StateId, StateSpace, Store, SuccRange};
 use crate::hash::{is_hash, sha256_hex};
 use crate::sym::{PidPerm, Symmetric};
 use crate::telemetry::json::Json;
@@ -719,16 +717,25 @@ where
 /// and bucketed in id order, exactly the interning order — rejecting
 /// duplicate states (two ids for one state would break the hash-consing
 /// invariant).
-fn rebuild_index<S: Clone + Eq + Hash, W: Copy>(
-    store: &Store<S>,
-) -> Result<ShardedIndex<S, W>, SnapshotError> {
-    let mut index = ShardedIndex::new();
+fn rebuild_index<S: Clone + Eq + Hash>(store: &Store<S>) -> Result<Index, SnapshotError> {
+    let mut index = Index::default();
     for i in 0..store.len() {
-        if !index.insert_slot(store, i) {
+        let bucket = index.entry(store.hash_of_slot(i)).or_default();
+        if bucket.iter().any(|&e| store.slots_equal(e as usize, i)) {
             return Err(SnapshotError::Malformed("duplicate interned state"));
         }
+        bucket.push(u32::try_from(i).expect("more than u32::MAX states"));
     }
     Ok(index)
+}
+
+/// The intern index's buckets sorted by hash (the snapshot's index
+/// section).
+fn bucket_snapshot(index: &Index) -> IndexBuckets {
+    index
+        .iter()
+        .map(|(&h, ids)| (h, ids.iter().map(|&e| StateId(e)).collect()))
+        .collect::<BTreeMap<_, _>>()
 }
 
 /// Reports snapshot-save telemetry: the `space.snapshot.save` span wraps
@@ -796,7 +803,7 @@ where
     measured_save(obs, || {
         let mut body = Vec::new();
         encode_store(&space.store, &mut body);
-        encode_index(&space.index.bucket_snapshot(), &mut body);
+        encode_index(&bucket_snapshot(&space.index), &mut body);
         encode_csr(&space.succ, &space.edges, &mut body);
         for fp in &space.succ_fp {
             fp.encode(&mut body);
@@ -844,7 +851,7 @@ where
         let mut r = SnapshotReader::new(h.body);
         let store = decode_store(&mut r, count, h.packed, model.state_packer())?;
         let index = rebuild_index(&store)?;
-        check_index(&mut r, &index.bucket_snapshot())?;
+        check_index(&mut r, &bucket_snapshot(&index))?;
         let (succ, edges) = decode_csr(&mut r, count, h.edges)?;
         let mut succ_fp = Vec::with_capacity(count);
         for _ in 0..count {

@@ -43,6 +43,11 @@ use std::collections::HashSet;
 use crate::space::pack::StatePacker;
 use crate::{LayeredModel, Pid};
 
+/// The largest `n` whose `n!` permutations [`PidPerm::all`] enumerates
+/// (`8! = 40320`). Brute-force canonicalization enumerates them all, so
+/// symmetry quotients are limited to this many processes.
+pub const MAX_ENUMERATED_N: usize = 8;
+
 /// A permutation `π` of the process identifiers `0..n`, stored in map form:
 /// `perm.apply(Pid::new(i)) == Pid::new(map[i])`.
 ///
@@ -157,10 +162,14 @@ impl PidPerm {
 
     /// All `n!` permutations of `0..n`, in lexicographic order of their map
     /// form (so the identity comes first). Intended for the small `n` of
-    /// exhaustive scans; panics if `n > 8` to catch accidental blowups.
+    /// exhaustive scans; panics if `n > MAX_ENUMERATED_N` to catch
+    /// accidental blowups.
     #[must_use]
     pub fn all(n: usize) -> Vec<PidPerm> {
-        assert!(n <= 8, "refusing to enumerate {n}! permutations");
+        assert!(
+            n <= MAX_ENUMERATED_N,
+            "refusing to enumerate {n}! permutations"
+        );
         let mut out = Vec::new();
         let mut current: Vec<u8> = (0..n as u8).collect();
         let mut used = vec![false; n];

@@ -1,7 +1,7 @@
 //! Arena memory accounting: byte footprints of the big analysis structures.
 //!
-//! The interning arenas are where scan memory goes; before sharding them
-//! (ROADMAP item 1) we need to *see* them. [`MemoryFootprint`] is
+//! The interning arenas are where scan memory goes, so we need to *see*
+//! them. [`MemoryFootprint`] is
 //! implemented by [`StateSpace`](crate::StateSpace),
 //! [`QuotientSpace`](crate::QuotientSpace), [`Graph`](crate::graph::Graph)
 //! and the valence solvers' memo tables; each reports a

@@ -21,9 +21,6 @@
 //!   byte-stability comparisons.
 //! * `*_bytes` — shallow, capacity-based byte counts (see
 //!   [`mem`](super::mem)); deterministic lower bounds.
-//! * `space.shard.contention` / `space.intern.cas_retries` — lock-
-//!   contention tallies from the sharded intern table; nondeterministic
-//!   under concurrency, stripped by the byte-stability comparisons.
 //! * `*_x1000` — dimensionless ratios in fixed-point thousandths: a
 //!   reading of `5920` means `5.920`. Used so ratios stay integers on the
 //!   canonical surface (floats are banned from records by lint L006).
@@ -44,7 +41,6 @@
 //! | `space.intern.load_x1000` | intern-table load factor, ×1000 |
 //! | `space.pack.bytes_saved` | bytes the packed encoding saves over boxed storage |
 //! | `space.quotient.mean_orbit_x1000` | mean full states per orbit, ×1000 |
-//! | `space.shard.count` | intern shards in the concurrent table |
 //! | `space.snapshot.bytes_written` | exact snapshot blob size in bytes (not a `mem.` capacity gauge) |
 //! | `space.snapshot.load_ns` | nanoseconds (timing; stripped) |
 //! | `space.snapshot.save_ns` | nanoseconds (timing; stripped) |
@@ -126,7 +122,6 @@ pub const NAMES: &[&str] = &[
     "space.canon.hits",
     "space.canon.orbit_states",
     "space.canonicalize",
-    "space.intern.cas_retries",
     "space.intern.hits",
     "space.intern.load_x1000",
     "space.intern.misses",
@@ -142,8 +137,6 @@ pub const NAMES: &[&str] = &[
     "space.resume.refresh",
     "space.resume.rows_recomputed",
     "space.resume.rows_reused",
-    "space.shard.contention",
-    "space.shard.count",
     "space.snapshot.bytes_written",
     "space.snapshot.load",
     "space.snapshot.load_ns",

@@ -124,7 +124,7 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         id: "L008",
         severity: Severity::Deny,
-        summary: "shard-guard held across another acquisition or a re-entrant call",
+        summary: "lock guard held across another acquisition or a re-entrant call",
     },
     RuleMeta {
         id: "L009",
@@ -198,11 +198,11 @@ pub fn explain(id: &str) -> Option<&'static str> {
              iteration source."
         }
         "L008" => {
-            "L008 — shard-lock discipline (call-graph rule).\n\
-             The 16-way striped intern index is deadlock-free only if a shard guard\n\
-             is never held while acquiring another shard guard, and never held\n\
-             across a call that may re-enter the index. The rule finds let-bound\n\
-             guard acquisitions (lock_counting, or .lock()/.try_lock() in space\n\
+            "L008 — lock discipline (call-graph rule).\n\
+             Code that takes locks is deadlock-free only if a lock guard is never\n\
+             held while acquiring another guard, and never held across a call\n\
+             that may acquire one again. The rule finds let-bound guard\n\
+             acquisitions (lock_counting, or .lock()/.try_lock() in space\n\
              modules) and flags, within the guard's scope, both direct second\n\
              acquisitions and calls to functions whose transitive effect summary\n\
              includes acquires-guard. Fix: drop the guard first, or hoist the\n\

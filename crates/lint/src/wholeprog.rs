@@ -8,9 +8,9 @@
 //!   point, flagged *at the source* with the entry→source call chain in
 //!   the message (so one suppression covers one source, not one per
 //!   entry).
-//! * **L008** — shard-lock discipline: a let-bound shard guard held
-//!   across another acquisition or across a call whose transitive
-//!   summary says it may acquire (re-enter the intern index).
+//! * **L008** — lock discipline: a let-bound lock guard held across
+//!   another acquisition or across a call whose transitive summary says
+//!   it may acquire again.
 //! * **L009** — panic freedom: a computed-range slice reachable from an
 //!   entry point, with the call chain.
 //! * **L010** — cross-crate conformance: `SimModel`/`Symmetric`
@@ -254,7 +254,7 @@ fn rule_l008(ws: &Workspace, g: &CallGraph, out: &mut Vec<Finding>) {
                         file: rel.clone(),
                         line: l,
                         message: format!(
-                            "shard-guard acquisition while `{held}` (acquired on line {}) is still held — nested locking deadlocks the striped interner",
+                            "lock-guard acquisition while `{held}` (acquired on line {}) is still held — nested locking can deadlock",
                             stmt_range.0
                         ),
                     });

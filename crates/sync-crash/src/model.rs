@@ -27,6 +27,7 @@
 
 use std::collections::HashSet;
 
+use layered_core::sym::MAX_ENUMERATED_N;
 use layered_core::{
     canonicalize_by_min, canonicalize_packed, orbit_size, pack_decision, unpack_decision,
     LayeredModel, Pid, PidPerm, StatePacker, Symmetric, Value, DECISION_BITS,
@@ -91,7 +92,7 @@ impl<P: SyncProtocol> CrashModel<P> {
         assert!(n >= 3, "the Section 6 analysis assumes n >= 3");
         assert!((1..=n - 2).contains(&t), "requires 1 <= t <= n - 2");
         let packer = build_packer(n, &protocol);
-        let perms = if packer.is_some() && n <= 8 {
+        let perms = if packer.is_some() && n <= MAX_ENUMERATED_N {
             PidPerm::all(n)
         } else {
             Vec::new()

@@ -16,6 +16,7 @@
 
 use std::collections::HashSet;
 
+use layered_core::sym::MAX_ENUMERATED_N;
 use layered_core::{
     canonicalize_by_min, canonicalize_packed, orbit_size, pack_decision, unpack_decision,
     LayeredModel, Pid, PidPerm, StatePacker, Symmetric, Value, DECISION_BITS,
@@ -73,7 +74,7 @@ impl<P: SyncProtocol> MobileModel<P> {
     pub fn new(n: usize, protocol: P) -> Self {
         assert!(n >= 2, "the paper assumes n >= 2");
         let packer = build_packer(n, &protocol);
-        let perms = if packer.is_some() && n <= 8 {
+        let perms = if packer.is_some() && n <= MAX_ENUMERATED_N {
             PidPerm::all(n)
         } else {
             Vec::new()
