@@ -332,6 +332,11 @@ impl<S: Clone + Eq + Hash> Store<S> {
     }
 }
 
+/// Frontier entries each parallel worker keys per batch. The calling
+/// thread interns a batch before the next is keyed, so the keyed
+/// successors held in memory are bounded by the batch, not the frontier.
+const ROWS_PER_WORKER: usize = 16;
+
 /// The intern index of an [`Arena`]: each key hash maps to the ids of the
 /// keys with that hash, in ascending id (interning) order.
 type Index = FxHashMap<u64, Vec<u32>>;
@@ -1056,7 +1061,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     /// The telemetry of one bulk expansion that started at arena length
     /// `base` and hit `hits` times: one batch of interning counters, one
     /// size gauge.
-    fn note_bulk(&self, base: usize, hits: u64, obs: &dyn Observer) {
+    fn report_bulk(&self, base: usize, hits: u64, obs: &dyn Observer) {
         let misses = (self.store.len() - base) as u64;
         K::note_bulk(obs, hits, misses, &self.weights[base..]);
         obs.gauge("space.states", self.store.len() as u64);
@@ -1075,50 +1080,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
             let row = key_row::<M, K>(model, &self.store, id);
             hits += self.intern_row(id, row, obs);
         }
-        self.note_bulk(base, hits, obs);
-    }
-
-    /// Parallel bulk expansion of `ids`: up to `threads` scoped workers
-    /// expand and key contiguous chunks, then the calling thread interns
-    /// the rows in the order of `ids`.
-    fn bulk_par(&mut self, model: &M, ids: &[StateId], threads: usize, obs: &dyn Observer)
-    where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        let pending = self.pending_of(ids);
-        if pending.len() <= 1 || threads <= 1 {
-            return self.bulk_seq(model, &pending, obs);
-        }
-        let threads = threads.min(pending.len());
-        let store = &self.store;
-        let parent = trace::current_span_id();
-        let rows: Vec<KeyedRow<M, K>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = balanced_chunks(&pending, threads)
-                .map(|part| {
-                    scope.spawn(move || {
-                        let _span = Span::enter_under(
-                            obs,
-                            "space.prefetch_chunk",
-                            parent,
-                            &[("chunk_len", part.len() as u64)],
-                        );
-                        part.iter()
-                            .map(|&id| key_row::<M, K>(model, store, id))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("successor worker panicked"))
-                .collect()
-        });
-        let (base, mut hits) = (self.store.len(), 0);
-        for (&id, row) in pending.iter().zip(rows) {
-            hits += self.intern_row(id, row, obs);
-        }
-        self.note_bulk(base, hits, obs);
+        self.report_bulk(base, hits, obs);
     }
 
     /// Eagerly computes, keys and caches the successor lists of `ids`,
@@ -1126,8 +1088,9 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     /// [`Orbits`], the canonicalization of every raw successor) out across
     /// up to `threads` scoped workers.
     ///
-    /// Determinism: workers only expand and key; the calling thread interns
-    /// their rows in the order of `ids`. The resulting interning order —
+    /// Determinism: workers only expand and key, a bounded batch of entries
+    /// at a time; the calling thread interns their rows in the order of
+    /// `ids`. The resulting interning order —
     /// and therefore every id, layer and report derived from it — is
     /// identical to calling [`Arena::successor_ids`] sequentially over
     /// `ids`.
@@ -1141,7 +1104,40 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         M: Sync,
         M::State: Send + Sync,
     {
-        self.bulk_par(model, ids, threads, obs);
+        let pending = self.pending_of(ids);
+        if pending.len() <= 1 || threads <= 1 {
+            return self.bulk_seq(model, &pending, obs);
+        }
+        let (base, mut hits) = (self.store.len(), 0);
+        for batch in pending.chunks(threads.saturating_mul(ROWS_PER_WORKER)) {
+            let store = &self.store;
+            let parent = trace::current_span_id();
+            let rows: Vec<KeyedRow<M, K>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = balanced_chunks(batch, threads)
+                    .map(|part| {
+                        scope.spawn(move || {
+                            let _span = Span::enter_under(
+                                obs,
+                                "space.prefetch_chunk",
+                                parent,
+                                &[("chunk_len", part.len() as u64)],
+                            );
+                            part.iter()
+                                .map(|&id| key_row::<M, K>(model, store, id))
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("successor worker panicked"))
+                    .collect()
+            });
+            for (&id, row) in batch.iter().zip(rows) {
+                hits += self.intern_row(id, row, obs);
+            }
+        }
+        self.report_bulk(base, hits, obs);
     }
 
     /// Breadth-first expansion of the layered graph from `roots` for
@@ -1182,7 +1178,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         M::State: Send + Sync,
     {
         self.expand_with(model, roots, horizon, obs, |space, frontier| {
-            space.bulk_par(model, frontier, threads, obs);
+            space.prefetch_successors(model, frontier, threads, obs);
         })
     }
 

@@ -60,17 +60,20 @@ proptest! {
     }
 
     /// Parallel expansion is bit-identical to sequential for arbitrary
-    /// branching factors, horizons, thread counts and arena kinds (boxed,
-    /// packed, symmetry quotient): the same levels, ids, states, successor
-    /// rows and — over the quotient — edge permutations and orbit sizes.
+    /// process counts, branching factors, horizons, thread counts and arena
+    /// kinds (boxed, packed, symmetry quotient): the same levels, ids,
+    /// states, successor rows and — over the quotient — edge permutations
+    /// and orbit sizes. At `n = 5` a level holds up to 96 states, more than
+    /// one parallel batch.
     #[test]
     fn parallel_expansion_matches_sequential(
+        n in 3usize..6,
         branch in 1u8..4,
         horizon in 0usize..4,
         threads in 1usize..9,
         arena in 0usize..3,
     ) {
-        let m = CounterModel::new(3, branch);
+        let m = CounterModel::new(n, branch);
         let roots = m.initial_states();
         if arena == 2 {
             let mut seq: QuotientSpace<CounterModel> = QuotientSpace::new(&m);
