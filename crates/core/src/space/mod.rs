@@ -39,15 +39,15 @@
 //! The intern index is one hash map from a key's hash to the ids of the
 //! keys with that hash, and one probe-or-insert routine serves every path
 //! that interns: direct interning, lazily cached successor rows, the
-//! differential refresh and bulk expansion. Parallel bulk expansion splits
-//! the frontier across scoped workers that compute each entry's successors
-//! and key them (for [`Orbits`], the `n!` canonicalization that dominates
-//! quotient expansion); the workers never touch the index. The calling
-//! thread then interns the keyed rows **in frontier order**, exactly as the
-//! sequential path does, so sequential and parallel expansion assign the
-//! same ids by construction. Parallelism changes how fast successor lists
-//! are produced, never which states exist, their ids, or the contents of
-//! any layer.
+//! differential refresh and bulk expansion. Parallel bulk expansion hands
+//! the frontier, one bounded batch at a time, to scoped workers that
+//! compute each entry's successors and key them (for [`Orbits`], the `n!`
+//! canonicalization that dominates quotient expansion); the workers never
+//! touch the index. The calling thread then interns the keyed rows **in
+//! frontier order**, exactly as the sequential path does, so sequential
+//! and parallel expansion assign the same ids by construction. Parallelism
+//! changes how fast successor lists are produced, never which states exist,
+//! their ids, or the contents of any layer.
 //!
 //! # Id layout and determinism
 //!

@@ -735,7 +735,7 @@ fn bucket_snapshot(index: &Index) -> IndexBuckets {
     index
         .iter()
         .map(|(&h, ids)| (h, ids.iter().map(|&e| StateId(e)).collect()))
-        .collect::<BTreeMap<_, _>>()
+        .collect()
 }
 
 /// Reports snapshot-save telemetry: the `space.snapshot.save` span wraps
