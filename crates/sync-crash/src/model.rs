@@ -25,7 +25,7 @@
 //!   reached by `k` failures in `k` rounds plus one failure-free round is
 //!   univalent.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use layered_core::sym::MAX_ENUMERATED_N;
 use layered_core::{
@@ -169,70 +169,32 @@ impl<P: SyncProtocol> CrashModel<P> {
         x: &CrashState<P::LocalState>,
         new_failure: Option<(Pid, &[Pid])>,
     ) -> CrashState<P::LocalState> {
-        let n = self.n;
         let mut failed = x.failed.clone();
-        let mut blocked: HashSet<(usize, usize)> = HashSet::new(); // (from, to)
+        let mut lost_from = vec![None; self.n];
         if let Some((j, lost_to)) = new_failure {
             assert!(!x.failed.contains(&j), "process already failed");
             assert!(x.failed.len() < self.t, "failure budget exhausted");
-            for to in lost_to {
-                if *to != j {
-                    blocked.insert((j.index(), to.index()));
+            for to in lost_to.iter().filter(|&&to| to != j) {
+                if let Some(from) = lost_from.get_mut(to.index()) {
+                    *from = Some(j.index());
                 }
             }
-            if !blocked.is_empty() {
+            if lost_to.iter().any(|&to| to != j) {
                 failed.insert(j);
             }
         }
-
-        let mut next_locals = Vec::with_capacity(n);
-        let mut next_decided = x.decided.clone();
-        #[allow(clippy::needless_range_loop)] // `to` doubles as message index
-        for to in 0..n {
-            let received: Vec<Option<P::Msg>> = (0..n)
-                .map(|from| {
-                    let silenced = from != to
-                        && (x.failed.contains(&Pid::new(from)) || blocked.contains(&(from, to)));
-                    (!silenced).then(|| self.protocol.message(&x.locals[from], Pid::new(to)))
-                })
-                .collect();
-            let ls = self
-                .protocol
-                .transition(x.locals[to].clone(), Pid::new(to), &received);
-            if next_decided[to].is_none() {
-                next_decided[to] = self.protocol.decide(&ls);
-            }
-            next_locals.push(ls);
-        }
-        CrashState {
-            round: x.round + 1,
-            inputs: x.inputs.clone(),
-            locals: next_locals,
-            decided: next_decided,
-            failed,
-        }
+        let mut round = Round::new(&self.protocol, x);
+        let outcomes: Vec<_> = (0..self.n)
+            .map(|to| round.outcome(to, lost_from[to]))
+            .collect();
+        round.successor(failed, outcomes)
     }
 
     /// The layer `S^t(x)`, deduplicated.
     #[must_use]
     pub fn layer(&self, x: &CrashState<P::LocalState>) -> Vec<CrashState<P::LocalState>> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        // The failure-free successor x(1,[0]) always exists.
-        let clean = self.apply(x, None);
-        seen.insert(clean.clone());
-        out.push(clean);
-        if x.failed.len() < self.t {
-            for j in Pid::all(self.n).filter(|j| !x.failed.contains(j)) {
-                for k in 1..=self.n {
-                    let y = self.apply(x, Some((j, k)));
-                    if seen.insert(y.clone()) {
-                        out.push(y);
-                    }
-                }
-            }
-        }
-        out
+        // Action k blocks the prefix [k].
+        self.layer_by(x, 1..=self.n, |k, to| to < k)
     }
 
     /// The full-environment layer of `x`: `{ x(j, G) }` over all arbitrary
@@ -240,25 +202,135 @@ impl<P: SyncProtocol> CrashModel<P> {
     /// [`CrashLayering::Full`] exposes as [`LayeredModel::successors`]).
     #[must_use]
     pub fn full_layer(&self, x: &CrashState<P::LocalState>) -> Vec<CrashState<P::LocalState>> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        let clean = self.apply_subset(x, None);
-        seen.insert(clean.clone());
-        out.push(clean);
-        if x.failed.len() < self.t {
-            for j in Pid::all(self.n).filter(|j| !x.failed.contains(j)) {
-                for mask in 1..(1usize << self.n) {
-                    let lost: Vec<Pid> = Pid::all(self.n)
-                        .filter(|p| (mask >> p.index()) & 1 == 1)
-                        .collect();
-                    let y = self.apply_subset(x, Some((j, &lost)));
-                    if seen.insert(y.clone()) {
-                        out.push(y);
+        // Action `mask` blocks the destinations whose bits it sets.
+        self.layer_by(x, 1..(1usize << self.n), |mask, to| (mask >> to) & 1 == 1)
+    }
+
+    /// The layer of `x` whose failure actions are, for each live `j`, the
+    /// destination sets `{ to : blocks(a, to) }` for `a` in `actions`:
+    /// the failure-free successor first, then live `j` ascending, then
+    /// `actions` in order, each distinct successor once.
+    ///
+    /// The round is simulated once. Every successor selects, per receiver,
+    /// either its outcome when every message arrives or its outcome when
+    /// `j`'s message is lost. Two actions of the same `j` yield the same
+    /// state exactly when they select the same outcome at every receiver,
+    /// and actions of different `j` never do (their failure records
+    /// differ), so deduplicating on the selection is state equality.
+    fn layer_by(
+        &self,
+        x: &CrashState<P::LocalState>,
+        actions: impl Iterator<Item = usize> + Clone,
+        blocks: impl Fn(usize, usize) -> bool,
+    ) -> Vec<CrashState<P::LocalState>> {
+        let n = self.n;
+        let mut round = Round::new(&self.protocol, x);
+        let clean: Vec<_> = (0..n).map(|to| round.outcome(to, None)).collect();
+        let mut out = vec![round.successor(x.failed.clone(), clean.clone())];
+        if x.failed.len() >= self.t {
+            return out;
+        }
+        for j in Pid::all(n).filter(|j| !x.failed.contains(j)) {
+            // Each receiver's outcome without j's message, where it differs
+            // from the clean one (a process always hears itself).
+            let lost: Vec<_> = (0..n)
+                .map(|to| {
+                    if to == j.index() {
+                        return None;
                     }
+                    let o = round.outcome(to, Some(j.index()));
+                    (o != clean[to]).then_some(o)
+                })
+                .collect();
+            let mut failed = x.failed.clone();
+            failed.insert(j);
+            let mut seen = HashSet::new();
+            for a in actions.clone() {
+                // x(j, G ⊆ {j}) loses no message: it is the clean round.
+                if !(0..n).any(|to| to != j.index() && blocks(a, to)) {
+                    continue;
                 }
+                let select: Vec<bool> = (0..n)
+                    .map(|to| lost[to].is_some() && blocks(a, to))
+                    .collect();
+                if !seen.insert(select.clone()) {
+                    continue;
+                }
+                let outcomes = (0..n)
+                    .map(|to| match &lost[to] {
+                        Some(o) if select[to] => o.clone(),
+                        _ => clean[to].clone(),
+                    })
+                    .collect();
+                out.push(round.successor(failed.clone(), outcomes));
             }
         }
         out
+    }
+}
+
+/// One receiver's result of a round: its next local state and its latched
+/// decision.
+type Outcome<L> = (L, Option<Value>);
+
+/// One synchronous round from `x`, simulated once: the `n × n` messages are
+/// built a single time (already-failed senders silent), and each receiver's
+/// outcome is computed on demand with every message arriving or with one
+/// sender's message lost. Every action of the round assembles its successor
+/// from these outcomes.
+struct Round<'a, P: SyncProtocol> {
+    protocol: &'a P,
+    x: &'a CrashState<P::LocalState>,
+    /// `inbox[to][from]`: the message `to` receives from `from` when
+    /// nothing new is blocked.
+    inbox: Vec<Vec<Option<P::Msg>>>,
+}
+
+impl<'a, P: SyncProtocol> Round<'a, P> {
+    fn new(protocol: &'a P, x: &'a CrashState<P::LocalState>) -> Self {
+        let n = x.locals.len();
+        let inbox = (0..n)
+            .map(|to| {
+                (0..n)
+                    .map(|from| {
+                        let silenced = from != to && x.failed.contains(&Pid::new(from));
+                        (!silenced).then(|| protocol.message(&x.locals[from], Pid::new(to)))
+                    })
+                    .collect()
+            })
+            .collect();
+        Round { protocol, x, inbox }
+    }
+
+    /// Receiver `to`'s outcome when the message from `lost` (if any) does
+    /// not arrive.
+    fn outcome(&mut self, to: usize, lost: Option<usize>) -> Outcome<P::LocalState> {
+        let held = lost.map(|from| (from, self.inbox[to][from].take()));
+        let ls = self
+            .protocol
+            .transition(self.x.locals[to].clone(), Pid::new(to), &self.inbox[to]);
+        if let Some((from, msg)) = held {
+            self.inbox[to][from] = msg;
+        }
+        let decided = self.x.decided[to].or_else(|| self.protocol.decide(&ls));
+        (ls, decided)
+    }
+
+    /// The successor with failure record `failed` and one outcome per
+    /// receiver.
+    fn successor(
+        &self,
+        failed: BTreeSet<Pid>,
+        outcomes: Vec<Outcome<P::LocalState>>,
+    ) -> CrashState<P::LocalState> {
+        let (locals, decided) = outcomes.into_iter().unzip();
+        CrashState {
+            round: self.x.round + 1,
+            inputs: self.x.inputs.clone(),
+            locals,
+            decided,
+            failed,
+        }
     }
 }
 
@@ -383,7 +455,7 @@ impl<P: SyncProtocol> LayeredModel for CrashModel<P> {
             inputs: inputs.to_vec(),
             locals,
             decided,
-            failed: std::collections::BTreeSet::new(),
+            failed: BTreeSet::new(),
         }
     }
 
