@@ -158,7 +158,7 @@ pub fn check_consensus_with<M: LayeredModel>(
     {
         let mut seen: HashSet<StateId> = HashSet::new();
         for x in model.initial_states() {
-            let id = space.intern_with(&x, obs);
+            let id = space.intern_owned(x, obs);
             if seen.insert(id) {
                 frontier.push(id);
             }
@@ -172,7 +172,8 @@ pub fn check_consensus_with<M: LayeredModel>(
             report.states_explored += 1;
             obs.counter("engine.states_visited", 1);
             {
-                let x = space.resolve(id);
+                // Borrowed from the arena: only a violation clones it.
+                let x = space.state(id);
                 for v in state_violations(model, &x) {
                     if report.violations.len() < max_violations {
                         obs.counter("checker.violations", 1);
@@ -188,7 +189,7 @@ pub fn check_consensus_with<M: LayeredModel>(
                     if !undecided.is_empty() && report.violations.len() < max_violations {
                         obs.counter("checker.violations", 1);
                         report.violations.push(Violation::Decision {
-                            state: x,
+                            state: x.into_owned(),
                             undecided,
                         });
                     }

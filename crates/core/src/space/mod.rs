@@ -198,10 +198,11 @@ impl<S: Clone + Eq + Hash> Store<S> {
         }
     }
 
-    /// The state behind slot `i`, owned (unpacked or cloned).
-    fn get(&self, i: usize) -> S {
+    /// The state behind slot `i`: borrowed from a boxed or spilled slot,
+    /// unpacked from a packed word.
+    fn state(&self, i: usize) -> Cow<'_, S> {
         match self {
-            Store::Boxed(v) => v[i].clone(),
+            Store::Boxed(v) => Cow::Borrowed(&v[i]),
             Store::Packed {
                 packer,
                 words,
@@ -209,9 +210,9 @@ impl<S: Clone + Eq + Hash> Store<S> {
             } => {
                 let w = words[i];
                 if w & SPILL_TAG == 0 {
-                    packer.unpack(w)
+                    Cow::Owned(packer.unpack(w))
                 } else {
-                    spill[(w ^ SPILL_TAG) as usize].clone()
+                    Cow::Borrowed(&spill[(w ^ SPILL_TAG) as usize])
                 }
             }
         }
@@ -250,15 +251,16 @@ impl<S: Clone + Eq + Hash> Store<S> {
     }
 
     /// Appends `s` (with its already-computed probe key) as the next dense
-    /// slot.
-    fn push(&mut self, key: &ProbeKey, s: &S) {
+    /// slot. A boxed or spilled slot takes an owned `s` by move; only a
+    /// borrowed one is cloned.
+    fn push(&mut self, key: &ProbeKey, s: Cow<'_, S>) {
         match self {
-            Store::Boxed(v) => v.push(s.clone()),
+            Store::Boxed(v) => v.push(s.into_owned()),
             Store::Packed { words, spill, .. } => match key.word {
                 Some(w) => words.push(w),
                 None => {
                     let idx = spill.len() as u128;
-                    spill.push(s.clone());
+                    spill.push(s.into_owned());
                     words.push(SPILL_TAG | idx);
                 }
             },
@@ -384,18 +386,26 @@ type KeyedRow<M, K> = (
 );
 
 /// Expands and keys frontier entry `id` without touching the intern index:
-/// the raw successor list is computed, fingerprinted and every successor
-/// keyed (for [`Orbits`], canonicalized). Keys that are the successor itself
-/// are moved, not cloned.
+/// the raw successor list is computed from the stored state (borrowed when
+/// boxed or spilled), fingerprinted and every successor keyed (for
+/// [`Orbits`], canonicalized).
 fn key_row<M: LayeredModel, K: Keying<M>>(
     model: &M,
     store: &Store<M::State>,
     id: StateId,
 ) -> KeyedRow<M, K> {
-    let raw = model.successors(&store.get(id.index()));
+    let raw = model.successors(&store.state(id.index()));
     let fp = successor_fingerprint(&raw);
-    let keyed = raw
-        .into_iter()
+    (fp, key_all::<M, K>(model, raw))
+}
+
+/// Keys every raw successor in order. Keys that are the successor itself
+/// are moved, not cloned.
+fn key_all<M: LayeredModel, K: Keying<M>>(
+    model: &M,
+    raw: Vec<M::State>,
+) -> Vec<(M::State, K::Witness, K::Weight)> {
+    raw.into_iter()
         .map(|y| {
             let (rep, wit, weight) = K::key(model, &y);
             match rep {
@@ -403,8 +413,7 @@ fn key_row<M: LayeredModel, K: Keying<M>>(
                 Cow::Borrowed(_) => (y, wit, weight),
             }
         })
-        .collect();
-    (fp, keyed)
+        .collect()
 }
 
 mod sealed {
@@ -805,10 +814,15 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     /// The one probe-or-insert routine behind every interning path: the id
     /// of key `rep`, appending it with `weight` as the next dense id if it
     /// is new, whether it was already interned, and the number of
-    /// candidates compared. Telemetry-free; callers report.
-    fn probe_or_insert(&mut self, rep: &M::State, weight: K::Weight) -> (StateId, bool, u64) {
-        let key = self.store.key_of(rep);
-        let (found, compared) = self.probe(&key, rep);
+    /// candidates compared. An owned `rep` is stored by move. Telemetry-free;
+    /// callers report.
+    fn probe_or_insert(
+        &mut self,
+        rep: Cow<'_, M::State>,
+        weight: K::Weight,
+    ) -> (StateId, bool, u64) {
+        let key = self.store.key_of(&rep);
+        let (found, compared) = self.probe(&key, &rep);
         if let Some(id) = found {
             return (id, true, compared);
         }
@@ -823,7 +837,12 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
 
     /// Interns a key of known weight, returning its dense id, with the
     /// per-probe telemetry of direct interning.
-    fn intern_key(&mut self, rep: &M::State, weight: K::Weight, obs: &dyn Observer) -> StateId {
+    fn intern_key(
+        &mut self,
+        rep: Cow<'_, M::State>,
+        weight: K::Weight,
+        obs: &dyn Observer,
+    ) -> StateId {
         let (id, hit, compared) = self.probe_or_insert(rep, weight);
         K::note_probe(obs, hit, compared);
         if !hit {
@@ -843,7 +862,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         obs: &dyn Observer,
     ) -> (StateId, K::Witness) {
         let (rep, wit, weight) = K::key_traced(model, x, obs);
-        (self.intern_key(&rep, weight, obs), wit)
+        (self.intern_key(rep, weight, obs), wit)
     }
 
     /// The id of key `rep`, without interning it.
@@ -859,7 +878,13 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     /// Panics if `id` was not produced by this arena.
     #[must_use]
     pub fn resolve(&self, id: StateId) -> M::State {
-        self.store.get(id.index())
+        self.state(id).into_owned()
+    }
+
+    /// The key behind `id`, borrowed where the store holds it as a model
+    /// state (boxed or spilled) and unpacked otherwise.
+    pub(crate) fn state(&self, id: StateId) -> Cow<'_, M::State> {
+        self.store.state(id.index())
     }
 
     /// The keys behind `ids`, owned (used to materialize id paths into
@@ -931,21 +956,21 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         obs.histogram("space.succ_fanout", len.into());
     }
 
-    /// Keys and interns the raw successors `raw` of `id` one at a time and
-    /// packs them into the edge arrays. `fp` is the fingerprint of `raw`.
+    /// Keys and interns the raw successors `raw` of `id` one at a time,
+    /// moving each key into the arena, and packs them into the edge arrays.
+    /// `fp` is the fingerprint of `raw`.
     fn record_successors(
         &mut self,
         model: &M,
         id: StateId,
-        raw: &[M::State],
+        raw: Vec<M::State>,
         fp: u64,
         obs: &dyn Observer,
     ) {
         let mut ids = Vec::with_capacity(raw.len());
         let mut wits = Vec::with_capacity(raw.len());
-        for y in raw {
-            let (rep, wit, weight) = K::key(model, y);
-            ids.push(self.intern_key(&rep, weight, obs));
+        for (rep, wit, weight) in key_all::<M, K>(model, raw) {
+            ids.push(self.intern_key(Cow::Owned(rep), weight, obs));
             wits.push(wit);
         }
         self.record_row(id, &ids, wits, fp, obs);
@@ -988,8 +1013,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         let mut report = DiffReport::default();
         for k in 0..old_len {
             let Some(range) = old_succ[k] else { continue };
-            let x = self.store.get(k);
-            let raw = model.successors(&x);
+            let raw = model.successors(&self.store.state(k));
             let fp = successor_fingerprint(&raw);
             if fp == old_fp[k] {
                 let start = u32::try_from(self.edges.len()).expect("more than u32::MAX edges");
@@ -1011,7 +1035,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
                 self.succ_fp[k] = fp;
                 report.reused += 1;
             } else {
-                self.record_successors(model, StateId(k as u32), &raw, fp, obs);
+                self.record_successors(model, StateId(k as u32), raw, fp, obs);
                 report.recomputed += 1;
             }
         }
@@ -1024,10 +1048,9 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     /// keying and caching the list on first use.
     pub fn successor_ids(&mut self, model: &M, id: StateId, obs: &dyn Observer) -> Vec<StateId> {
         if self.succ[id.index()].is_none() {
-            let x = self.store.get(id.index());
-            let raw = model.successors(&x);
+            let raw = model.successors(&self.store.state(id.index()));
             let fp = successor_fingerprint(&raw);
-            self.record_successors(model, id, &raw, fp, obs);
+            self.record_successors(model, id, raw, fp, obs);
         }
         self.cached_successors(id)
             .expect("successors just recorded")
@@ -1049,7 +1072,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         let mut ids = Vec::with_capacity(keyed.len());
         let mut wits = Vec::with_capacity(keyed.len());
         for (rep, wit, weight) in keyed {
-            let (yid, hit, _) = self.probe_or_insert(&rep, weight);
+            let (yid, hit, _) = self.probe_or_insert(Cow::Owned(rep), weight);
             hits += u64::from(hit);
             ids.push(yid);
             wits.push(wit);
@@ -1306,7 +1329,13 @@ impl<M: LayeredModel> Arena<M, Plain> {
     /// `space.intern.probe_len` histogram (equality comparisons per probe)
     /// to `obs`.
     pub fn intern_with(&mut self, s: &M::State, obs: &dyn Observer) -> StateId {
-        self.intern_key(s, (), obs)
+        self.intern_key(Cow::Borrowed(s), (), obs)
+    }
+
+    /// [`Arena::intern_with`] for a state the caller owns: a new state is
+    /// stored by move instead of cloned.
+    pub(crate) fn intern_owned(&mut self, s: M::State, obs: &dyn Observer) -> StateId {
+        self.intern_key(Cow::Owned(s), (), obs)
     }
 
     /// The id of `s` if it has been interned, without interning it.
