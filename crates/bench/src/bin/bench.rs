@@ -6,9 +6,10 @@
 //!               [--counter-ratio-x100 <k>]
 //! ```
 //!
-//! Compares a fresh run of the scan experiments (E-scan at n = 4, E-sym at
-//! n = 4, 5 and 6 — the instances the committed records cover) against the
-//! best committed `BENCH_*.json` baseline per experiment, with the noise
+//! Compares a fresh run of the gated experiments (E-scan at n = 4, E-sym at
+//! n = 4, 5 and 6, E-resume at n = 4 and the full-scope E-6.3 consensus
+//! checks — the instances the committed records cover) against the best
+//! committed `BENCH_*.json` baseline per experiment, with the noise
 //! tolerances documented in [`layered_bench::regress`]. Exits 1 on a
 //! regression, 2 on usage or I/O errors.
 //!
@@ -25,9 +26,11 @@
 //!   lint must stay cheap enough to run on every push.
 
 use layered_bench::regress::{
-    collect_baselines, compare, verdict_table, BenchRecord, Tolerance, Verdict,
+    collect_baselines, compare, sort_commit_order, verdict_table, BenchRecord, Tolerance, Verdict,
 };
-use layered_bench::{interned_scan, quotient_scan, resume_roundtrip, ScanConfig};
+use layered_bench::{
+    interned_scan, lower_bound, quotient_scan, resume_roundtrip, ScanConfig, Scope,
+};
 
 struct Options {
     baselines: Vec<String>,
@@ -124,7 +127,7 @@ fn lint_gate(budget_ms: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Every `BENCH_*.json` in the current directory, sorted for determinism.
+/// Every `BENCH_*.json` in the current directory, in commit order.
 fn discover_baselines() -> Result<Vec<String>, String> {
     let mut found = Vec::new();
     let entries = std::fs::read_dir(".").map_err(|e| format!("reading .: {e}"))?;
@@ -135,7 +138,7 @@ fn discover_baselines() -> Result<Vec<String>, String> {
             found.push(name);
         }
     }
-    found.sort();
+    sort_commit_order(&mut found);
     Ok(found)
 }
 
@@ -144,8 +147,8 @@ fn load_records(path: &str) -> Result<Vec<BenchRecord>, String> {
     BenchRecord::parse_lines(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Runs the scan experiments the committed baselines cover and returns
-/// their JSON record lines.
+/// Runs the experiments the committed baselines cover and returns their
+/// JSON record lines.
 fn fresh_run() -> Vec<String> {
     let scan = ScanConfig::default();
     let sym4 = ScanConfig {
@@ -168,6 +171,7 @@ fn fresh_run() -> Vec<String> {
         quotient_scan(&sym5),
         quotient_scan(&sym6),
         resume_roundtrip(&ScanConfig::default()),
+        lower_bound(Scope::Full),
     ]
     .iter()
     .map(|e| e.json_record().to_string())
@@ -210,7 +214,9 @@ fn main() {
             }
         },
         None => {
-            println!("Running fresh scan experiments (E-scan n=4, E-sym n=4/5/6, E-resume n=4)...");
+            println!(
+                "Running fresh experiments (E-scan n=4, E-sym n=4/5/6, E-resume n=4, E-6.3 full)..."
+            );
             fresh_run()
         }
     };

@@ -163,6 +163,19 @@ pub struct Baselines {
     pub latest: BTreeMap<String, BenchRecord>,
 }
 
+/// Sorts `BENCH_*.json` file names into commit order: by the PR number of
+/// `BENCH_PR<k>.json`, numerically (so `BENCH_PR15.json` follows
+/// `BENCH_PR9.json`), then by name.
+pub fn sort_commit_order(names: &mut [String]) {
+    fn pr_number(name: &str) -> Option<u64> {
+        name.strip_prefix("BENCH_PR")?
+            .strip_suffix(".json")?
+            .parse()
+            .ok()
+    }
+    names.sort_by(|a, b| (pr_number(a), a).cmp(&(pr_number(b), b)));
+}
+
 /// Folds committed records (in commit order: oldest file first) into the
 /// per-key baselines. Records whose own verdict was not `ok` are skipped —
 /// a broken run is no baseline.
@@ -269,6 +282,18 @@ pub fn verdict_table(verdicts: &[Verdict]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_files_sort_by_pr_number() {
+        let mut names: Vec<String> = ["BENCH_PR9.json", "BENCH_PR15.json", "BENCH_PR3.json"]
+            .map(String::from)
+            .to_vec();
+        sort_commit_order(&mut names);
+        assert_eq!(
+            names,
+            ["BENCH_PR3.json", "BENCH_PR9.json", "BENCH_PR15.json"]
+        );
+    }
 
     fn record(key: &str, wall_ns: u64, states: u64) -> BenchRecord {
         BenchRecord {

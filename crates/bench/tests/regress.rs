@@ -3,7 +3,9 @@
 //! synthetically slowed copy of it must fail (the negative test that
 //! proves the gate can actually fire).
 
-use layered_bench::regress::{collect_baselines, compare, BenchRecord, Tolerance};
+use layered_bench::regress::{
+    collect_baselines, compare, sort_commit_order, BenchRecord, Tolerance,
+};
 
 /// All committed baseline records, oldest PR first (the order the `bench`
 /// binary's directory discovery produces).
@@ -14,7 +16,7 @@ fn committed_records() -> Vec<BenchRecord> {
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
         .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
         .collect();
-    names.sort();
+    sort_commit_order(&mut names);
     assert!(
         names.contains(&"BENCH_PR6.json".to_string()),
         "BENCH_PR6.json must be committed"
