@@ -396,7 +396,7 @@ fn key_row<M: LayeredModel, K: Keying<M>>(
 ) -> KeyedRow<M, K> {
     let raw = model.successors(&store.state(id.index()));
     let fp = successor_fingerprint(&raw);
-    (fp, key_all::<M, K>(model, raw))
+    (fp, key_all::<M, K>(model, raw).collect())
 }
 
 /// Keys every raw successor in order. Keys that are the successor itself
@@ -404,16 +404,14 @@ fn key_row<M: LayeredModel, K: Keying<M>>(
 fn key_all<M: LayeredModel, K: Keying<M>>(
     model: &M,
     raw: Vec<M::State>,
-) -> Vec<(M::State, K::Witness, K::Weight)> {
-    raw.into_iter()
-        .map(|y| {
-            let (rep, wit, weight) = K::key(model, &y);
-            match rep {
-                Cow::Owned(rep) => (rep, wit, weight),
-                Cow::Borrowed(_) => (y, wit, weight),
-            }
-        })
-        .collect()
+) -> impl Iterator<Item = (M::State, K::Witness, K::Weight)> + '_ {
+    raw.into_iter().map(|y| {
+        let (rep, wit, weight) = K::key(model, &y);
+        match rep {
+            Cow::Owned(rep) => (rep, wit, weight),
+            Cow::Borrowed(_) => (y, wit, weight),
+        }
+    })
 }
 
 mod sealed {

@@ -226,10 +226,10 @@ impl<P: SyncProtocol> CrashModel<P> {
         let n = self.n;
         let mut round = Round::new(&self.protocol, x);
         let clean: Vec<_> = (0..n).map(|to| round.outcome(to, None)).collect();
-        let mut out = vec![round.successor(x.failed.clone(), clean.clone())];
         if x.failed.len() >= self.t {
-            return out;
+            return vec![round.successor(x.failed.clone(), clean)];
         }
+        let mut out = vec![round.successor(x.failed.clone(), clean.clone())];
         for j in Pid::all(n).filter(|j| !x.failed.contains(j)) {
             // Each receiver's outcome without j's message, where it differs
             // from the clean one (a process always hears itself).
