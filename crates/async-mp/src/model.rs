@@ -62,13 +62,14 @@ pub enum MpAction {
 ///
 /// ```
 /// use layered_core::check_consensus;
+/// use layered_core::telemetry::NOOP;
 /// use layered_protocols::MpFloodMin;
 /// use layered_async_mp::MpModel;
 ///
 /// let m = MpModel::new(3, MpFloodMin::new(2));
 /// // FLP via the permutation layering: the checker exhibits a violation
 /// // for this candidate at its own deadline.
-/// assert!(!check_consensus(&m, 2, 1).passed());
+/// assert!(!check_consensus(&m, 2, 1, &NOOP).passed());
 /// ```
 #[derive(Clone, Debug)]
 pub struct MpModel<P: MpProtocol> {
@@ -638,7 +639,7 @@ mod tests {
         let x = m.initial_state(&[Value::ZERO, Value::ONE, Value::ONE]);
         let mut solver = ValenceSolver::new(&m, 2);
         let layer = m.layer(&x);
-        let rep = valence_report(&m, &mut solver, &layer);
+        let rep = valence_report(&mut solver, &layer);
         assert!(rep.connected, "S^per(x) must be valence connected");
     }
 

@@ -48,11 +48,12 @@ pub enum MpSyncAction {
 ///
 /// ```
 /// use layered_core::check_consensus;
+/// use layered_core::telemetry::NOOP;
 /// use layered_protocols::MpFloodMin;
 /// use layered_async_mp::MpSyncModel;
 ///
 /// let m = MpSyncModel::new(3, MpFloodMin::new(2));
-/// assert!(!check_consensus(&m, 2, 1).passed());
+/// assert!(!check_consensus(&m, 2, 1, &NOOP).passed());
 /// ```
 #[derive(Clone, Debug)]
 pub struct MpSyncModel<P: MpProtocol> {
@@ -280,6 +281,7 @@ impl<P: MpProtocol> LayeredModel for MpSyncModel<P> {
 
 #[cfg(test)]
 mod tests {
+    use layered_core::telemetry::NOOP;
     use layered_core::{
         build_bivalent_run, check_consensus, check_fault_independence, check_graded,
         valence_report, ValenceSolver,
@@ -371,7 +373,7 @@ mod tests {
         let m = model(3, 2);
         let mut solver = ValenceSolver::new(&m, 2);
         let x0 = solver.bivalent_initial_state().expect("bivalent init");
-        let rep = valence_report(&m, &mut solver, &m.layer(&x0));
+        let rep = valence_report(&mut solver, &m.layer(&x0));
         assert!(rep.connected);
         assert!(build_bivalent_run(&mut solver, 1).reached_target());
     }
@@ -380,7 +382,7 @@ mod tests {
     fn consensus_is_refuted() {
         for r in 1..=2u16 {
             let m = model(3, r);
-            assert!(!check_consensus(&m, usize::from(r), 1).passed());
+            assert!(!check_consensus(&m, usize::from(r), 1, &NOOP).passed());
         }
     }
 }

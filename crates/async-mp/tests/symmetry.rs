@@ -7,9 +7,8 @@ use std::collections::HashSet;
 
 use layered_async_mp::{MpAction, MpModel};
 use layered_core::{
-    scan_layer_valence_connectivity, scan_layer_valence_connectivity_quotient,
-    ImpossibilityWitness, LayeredModel, Pid, PidPerm, QuotientSolver, Symmetric, ValenceSolver,
-    Value,
+    scan_layer_valence_connectivity, ImpossibilityWitness, LayeredModel, Pid, PidPerm,
+    QuotientSolver, Symmetric, ValenceSolver, Value,
 };
 use layered_protocols::MpFloodMin;
 
@@ -64,12 +63,16 @@ fn permutation_relocates_mailboxes_and_relabels_senders() {
 fn valence_flags_are_orbit_invariant() {
     let m = model(3, 1);
     let mut solver = ValenceSolver::new(&m, 1);
+    let mut flags_of = |x| {
+        let id = solver.intern(&x);
+        solver.valences_id(id)
+    };
     for x in m.initial_states() {
-        let flags = solver.valences(&x);
+        let flags = flags_of(x.clone());
         let (rep, _) = m.canonicalize(&x);
-        assert_eq!(flags, solver.valences(&rep));
+        assert_eq!(flags, flags_of(rep));
         for pi in PidPerm::all(3) {
-            assert_eq!(flags, solver.valences(&m.permute_state(&x, &pi)));
+            assert_eq!(flags, flags_of(m.permute_state(&x, &pi)));
         }
     }
 }
@@ -80,7 +83,7 @@ fn quotient_and_full_scans_agree_at_n2() {
     let mut full_solver = ValenceSolver::new(&m, 2);
     let full = scan_layer_valence_connectivity(&mut full_solver, 1, true);
     let mut quot_solver = QuotientSolver::new(&m, 2);
-    let quot = scan_layer_valence_connectivity_quotient(&mut quot_solver, 1, true);
+    let quot = scan_layer_valence_connectivity(&mut quot_solver, 1, true);
     assert_eq!(full.violation.is_none(), quot.violation.is_none());
     assert!(quot.states_seen <= full.states_seen);
 }

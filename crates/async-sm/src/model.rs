@@ -79,13 +79,14 @@ pub enum SmLayering {
 ///
 /// ```
 /// use layered_core::check_consensus;
+/// use layered_core::telemetry::NOOP;
 /// use layered_protocols::SmFloodMin;
 /// use layered_async_sm::SmModel;
 ///
 /// let m = SmModel::new(3, SmFloodMin::new(2));
 /// // Corollary 5.4: consensus is unsolvable; the checker exhibits a
 /// // violation for this candidate at its own deadline.
-/// assert!(!check_consensus(&m, 2, 1).passed());
+/// assert!(!check_consensus(&m, 2, 1, &NOOP).passed());
 /// ```
 #[derive(Clone, Debug)]
 pub struct SmModel<P: SmProtocol> {
@@ -560,6 +561,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use layered_core::telemetry::NOOP;
     use layered_core::{
         check_crash_display, check_fault_independence, check_graded, similarity_report,
         valence_report, ValenceSolver,
@@ -686,7 +688,7 @@ mod tests {
                 }
             }
         }
-        let rep = similarity_report(&m, &y);
+        let rep = similarity_report(&m, &y, &NOOP);
         assert!(rep.connected, "Y must be similarity connected");
     }
 
@@ -697,7 +699,7 @@ mod tests {
         let x = m.initial_state(&[Value::ZERO, Value::ONE, Value::ONE]);
         let mut solver = ValenceSolver::new(&m, 2);
         let layer = m.layer(&x);
-        let rep = valence_report(&m, &mut solver, &layer);
+        let rep = valence_report(&mut solver, &layer);
         assert!(rep.connected, "S^rw(x) must be valence connected");
     }
 

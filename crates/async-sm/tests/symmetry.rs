@@ -7,8 +7,8 @@ use std::collections::HashSet;
 
 use layered_async_sm::{SmLayering, SmModel};
 use layered_core::{
-    scan_layer_valence_connectivity, scan_layer_valence_connectivity_quotient,
-    ImpossibilityWitness, LayeredModel, PidPerm, QuotientSolver, Symmetric, ValenceSolver,
+    build_bivalent_run, scan_layer_valence_connectivity, ImpossibilityWitness, LayeredModel,
+    PidPerm, QuotientSolver, Symmetric, ValenceSolver,
 };
 use layered_protocols::SmFloodMin;
 
@@ -56,12 +56,16 @@ fn split_layer_contains_the_synchronic_layer() {
 fn valence_flags_are_orbit_invariant() {
     let m = sym_model(3, 1);
     let mut solver = ValenceSolver::new(&m, 1);
+    let mut flags_of = |x| {
+        let id = solver.intern(&x);
+        solver.valences_id(id)
+    };
     for x in m.initial_states() {
-        let flags = solver.valences(&x);
+        let flags = flags_of(x.clone());
         let (rep, _) = m.canonicalize(&x);
-        assert_eq!(flags, solver.valences(&rep));
+        assert_eq!(flags, flags_of(rep));
         for pi in PidPerm::all(3) {
-            assert_eq!(flags, solver.valences(&m.permute_state(&x, &pi)));
+            assert_eq!(flags, flags_of(m.permute_state(&x, &pi)));
         }
     }
 }
@@ -72,7 +76,7 @@ fn quotient_and_full_scans_agree_at_n2() {
     let mut full_solver = ValenceSolver::new(&m, 2);
     let full = scan_layer_valence_connectivity(&mut full_solver, 1, true);
     let mut quot_solver = QuotientSolver::new(&m, 2);
-    let quot = scan_layer_valence_connectivity_quotient(&mut quot_solver, 1, true);
+    let quot = scan_layer_valence_connectivity(&mut quot_solver, 1, true);
     assert_eq!(full.violation.is_none(), quot.violation.is_none());
     assert!(quot.states_seen <= full.states_seen);
 }
@@ -86,4 +90,23 @@ fn dequotiented_witness_verifies() {
     let w = ImpossibilityWitness::build_quotient(&m, 2, 1)
         .expect("a bivalent run exists in the asynchronous model");
     assert!(w.verify(&m).is_ok(), "de-quotiented witness must re-verify");
+}
+
+#[test]
+fn generic_run_over_the_quotient_is_a_genuine_execution() {
+    // The Theorem 4.2 run over a fresh quotient solver comes back
+    // de-quotiented: a genuine execution, the chain the quotient witness
+    // packages, and the same verdict as the full-space run.
+    let m = sym_model(2, 2);
+    let quot = build_bivalent_run(&mut QuotientSolver::new(&m, 2), 1);
+    let full = build_bivalent_run(&mut ValenceSolver::new(&m, 2), 1);
+    let chain = quot
+        .chain
+        .as_ref()
+        .expect("a bivalent initial orbit exists");
+    assert_eq!(chain.validate(&m), Ok(()));
+    let witness = ImpossibilityWitness::build_quotient(&m, 2, 1).expect("witness builds");
+    assert_eq!(*chain, witness.chain);
+    assert_eq!(quot.stuck, full.stuck);
+    assert_eq!(quot.reached_target(), full.reached_target());
 }

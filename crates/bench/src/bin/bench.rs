@@ -31,6 +31,7 @@ use layered_bench::regress::{
 use layered_bench::{
     interned_scan, lower_bound, quotient_scan, resume_roundtrip, ScanConfig, Scope,
 };
+use layered_core::telemetry::NOOP;
 
 struct Options {
     baselines: Vec<String>,
@@ -166,10 +167,10 @@ fn fresh_run() -> Vec<String> {
         ..ScanConfig::default()
     };
     [
-        interned_scan(&scan),
-        quotient_scan(&sym4),
-        quotient_scan(&sym5),
-        quotient_scan(&sym6),
+        interned_scan(&scan, &NOOP).0,
+        quotient_scan(&sym4, &NOOP).0,
+        quotient_scan(&sym5, &NOOP).0,
+        quotient_scan(&sym6, &NOOP).0,
         resume_roundtrip(&ScanConfig::default()),
         lower_bound(Scope::Full),
     ]

@@ -62,8 +62,8 @@
 use std::io::Write;
 
 use layered_bench::{
-    all_experiments, interned_scan_certified, known_adversary, quotient_scan_certified, sim_batch,
-    ScanConfig, Scope, SimBatchConfig,
+    all_experiments, interned_scan, known_adversary, quotient_scan, sim_batch, ScanConfig, Scope,
+    SimBatchConfig,
 };
 use layered_cert::{registry, CertStore, Certificate};
 use layered_core::sym::MAX_ENUMERATED_N;
@@ -150,7 +150,11 @@ fn parse_args() -> Result<Options, String> {
                 opts.trace_path = Some(args.next().ok_or("--trace requires a path argument")?);
             }
             "--profile" => opts.profile = true,
-            "--heartbeat-ms" => set_heartbeat_period_ns(numeric("--heartbeat-ms")? * 1_000_000),
+            "--heartbeat-ms" => set_heartbeat_period_ns(
+                numeric("--heartbeat-ms")?
+                    .checked_mul(1_000_000)
+                    .ok_or("--heartbeat-ms is too large (the period overflows u64 nanoseconds)")?,
+            ),
             "--metrics" => opts.metrics = true,
             other => return Err(format!("unrecognized argument `{other}`")),
         }
@@ -290,9 +294,9 @@ fn run_scan(cfg: &ScanConfig, opts: &Options) {
     let tracer = TraceObserver::new();
     let extra: &dyn Observer = if tracing { &tracer } else { &NOOP };
     let (exp, certificate) = if cfg.quotient {
-        quotient_scan_certified(cfg, extra)
+        quotient_scan(cfg, extra)
     } else {
-        interned_scan_certified(cfg, extra)
+        interned_scan(cfg, extra)
     };
     println!("[{}] {}", exp.id, exp.claim);
     println!("{}", exp.table);

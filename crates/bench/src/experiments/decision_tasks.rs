@@ -379,7 +379,7 @@ pub fn lemma_7_4(scope: Scope) -> Experiment {
 /// outcome open, and of how little asynchrony the synchronic submodel needs
 /// (the Section 5.1 discussion).
 pub fn bivalence_profile(scope: Scope) -> Experiment {
-    use layered_core::{explore_with, ValenceSolver};
+    use layered_core::{explore, ValenceSolver};
     crate::measured(
         "E-profile",
         "Bivalence persists below the horizon in every model (Thm 4.2 view)",
@@ -411,7 +411,7 @@ pub fn bivalence_profile(scope: Scope) -> Experiment {
                 ($model:expr, $name:expr, $guarantee:expr) => {{
                     let m = $model;
                     let mut solver = ValenceSolver::with_observer(&m, horizon, obs);
-                    let exp = explore_with(&m, &m.initial_states(), depth, obs);
+                    let exp = explore(&m, &m.initial_states(), depth, obs);
                     for (d, level) in exp.levels.iter().enumerate() {
                         let mut biv = 0usize;
                         let mut uni = 0usize;

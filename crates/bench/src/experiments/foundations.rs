@@ -7,7 +7,7 @@ use layered_core::report::{yes_no, Table};
 use layered_core::telemetry::Observer;
 use layered_core::{
     build_bivalent_run, check_lemma_3_1, check_lemma_3_2, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, similarity_report_with, valence_report, LayeredModel,
+    scan_layer_valence_connectivity_parallel, similarity_report, valence_report, LayeredModel,
     Valence, ValenceSolver,
 };
 use layered_protocols::{FloodMin, MpFloodMin, SmFloodMin};
@@ -24,9 +24,9 @@ fn lemma_3_6_row<M: LayeredModel>(
     obs: &dyn Observer,
 ) -> bool {
     let inits = model.initial_states();
-    let sim = similarity_report_with(model, &inits, obs);
+    let sim = similarity_report(model, &inits, obs);
     let mut solver = ValenceSolver::with_observer(model, horizon, obs);
-    let val = valence_report(model, &mut solver, &inits);
+    let val = valence_report(&mut solver, &inits);
     let bivalent = inits
         .iter()
         .filter(|x| solver.valence(x) == Valence::Bivalent)
@@ -287,7 +287,7 @@ pub fn theorem_4_2(scope: Scope) -> Experiment {
 /// quantitative payoff of working in a layered submodel instead of the full
 /// model (footnote 1 and the Section 5.1 discussion).
 pub fn census(scope: Scope) -> Experiment {
-    use layered_core::stats::census_with;
+    use layered_core::stats::census;
     crate::measured(
         "E-census",
         "Induced-submodel census (layerings keep the state space small)",
@@ -313,7 +313,7 @@ pub fn census(scope: Scope) -> Experiment {
             macro_rules! census_rows {
                 ($model:expr, $name:expr, $n:expr) => {{
                     let m = $model;
-                    let rows = census_with(&m, depth, obs);
+                    let rows = census(&m, depth, obs);
                     for r in &rows {
                         table.row_owned(vec![
                             $name.to_string(),

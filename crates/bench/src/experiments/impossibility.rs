@@ -6,8 +6,8 @@ use layered_async_mp::{permutations, MpModel};
 use layered_async_sm::{layer_action_is_legal_schedule, SmModel};
 use layered_core::report::{yes_no, Table};
 use layered_core::{
-    build_bivalent_run, check_consensus_with, check_crash_display, check_fault_independence,
-    check_graded, similarity_report_with, valence_report, LayeredModel, Pid, ValenceSolver, Value,
+    build_bivalent_run, check_consensus, check_crash_display, check_fault_independence,
+    check_graded, similarity_report, valence_report, LayeredModel, Pid, ValenceSolver, Value,
 };
 use layered_iis::IisModel;
 use layered_protocols::{FloodMin, FullInfoMin, MpCollectMin, MpFloodMin, SmFloodMin};
@@ -61,14 +61,14 @@ pub fn mobile(scope: Scope) -> Experiment {
                     let mut next = Vec::new();
                     for x in &frontier {
                         let layer = m.s1_layer(x);
-                        sim_ok &= similarity_report_with(&m, &layer, obs).connected;
+                        sim_ok &= similarity_report(&m, &layer, obs).connected;
                         next.extend(layer);
                     }
                     frontier = next;
                     frontier.dedup();
                 }
                 ok &= sim_ok;
-                let report = check_consensus_with(&m, usize::from(r), 1, obs);
+                let report = check_consensus(&m, usize::from(r), 1, obs);
                 let verdict = report.violations.first().map_or("PASSED (!)", |v| v.kind());
                 ok &= !report.passed();
                 table.row_owned(vec![
@@ -81,7 +81,7 @@ pub fn mobile(scope: Scope) -> Experiment {
             }
             if matches!(scope, Scope::Full) {
                 let m = MobileModel::new(3, FullInfoMin::new(2));
-                let report = check_consensus_with(&m, 2, 1, obs);
+                let report = check_consensus(&m, 2, 1, obs);
                 ok &= !report.passed();
                 table.row_owned(vec![
                     "FullInfoMin(2)".into(),
@@ -154,7 +154,7 @@ pub fn shared_memory(scope: Scope) -> Experiment {
             for x in m.initial_states() {
                 if solver.valence(&x) == layered_core::Valence::Bivalent {
                     let layer = m.layer(&x);
-                    val_ok &= valence_report(&m, &mut solver, &layer).connected;
+                    val_ok &= valence_report(&mut solver, &layer).connected;
                     layers += 1;
                 }
             }
@@ -172,7 +172,7 @@ pub fn shared_memory(scope: Scope) -> Experiment {
             };
             for &r in deadlines {
                 let m = SmModel::new(3, SmFloodMin::new(r));
-                let report = check_consensus_with(&m, usize::from(r), 1, obs);
+                let report = check_consensus(&m, usize::from(r), 1, obs);
                 ok &= !report.passed();
                 table.row_owned(vec![
                     format!("consensus verdict for SmFloodMin({r})"),
@@ -246,7 +246,7 @@ pub fn message_passing(scope: Scope) -> Experiment {
             for x in m.initial_states() {
                 if solver.valence(&x) == layered_core::Valence::Bivalent {
                     let layer = m.layer(&x);
-                    val_ok &= valence_report(&m, &mut solver, &layer).connected;
+                    val_ok &= valence_report(&mut solver, &layer).connected;
                     layers += 1;
                 }
             }
@@ -261,7 +261,7 @@ pub fn message_passing(scope: Scope) -> Experiment {
             // violates decision (it waits for the silent process forever).
             let r = 2u16;
             let m = MpModel::new(3, MpFloodMin::new(r));
-            let report = check_consensus_with(&m, usize::from(r), 1, obs);
+            let report = check_consensus(&m, usize::from(r), 1, obs);
             ok &= !report.passed();
             table.row_owned(vec![
                 format!("consensus verdict for MpFloodMin({r})"),
@@ -291,7 +291,7 @@ pub fn message_passing(scope: Scope) -> Experiment {
                 bridges.to_string(),
                 yes_no(bridge_ok).into(),
             ]);
-            let report = check_consensus_with(&ms, 2, 1, obs);
+            let report = check_consensus(&ms, 2, 1, obs);
             ok &= !report.passed();
             table.row_owned(vec![
                 "consensus verdict for MpFloodMin(2) under synchronic MP".into(),
@@ -304,7 +304,7 @@ pub fn message_passing(scope: Scope) -> Experiment {
             ]);
 
             let m = MpModel::new(3, MpCollectMin::new(3)).with_obligation(2);
-            let report = check_consensus_with(&m, 2, 1, obs);
+            let report = check_consensus(&m, 2, 1, obs);
             ok &= !report.passed();
             table.row_owned(vec![
                 "consensus verdict for MpCollectMin(quorum=n)".into(),
@@ -318,7 +318,7 @@ pub fn message_passing(scope: Scope) -> Experiment {
 
             if matches!(scope, Scope::Full) {
                 let m = MpModel::new(3, MpCollectMin::new(2)).with_obligation(2);
-                let report = check_consensus_with(&m, 2, 1, obs);
+                let report = check_consensus(&m, 2, 1, obs);
                 ok &= !report.passed();
                 table.row_owned(vec![
                     "consensus verdict for MpCollectMin(quorum=n−1)".into(),
@@ -379,7 +379,7 @@ pub fn iis(scope: Scope) -> Experiment {
             for x in m.initial_states() {
                 if solver.is_bivalent(&x) {
                     let layer = m.layer(&x);
-                    val_ok &= valence_report(&m, &mut solver, &layer).connected;
+                    val_ok &= valence_report(&mut solver, &layer).connected;
                     layers += 1;
                 }
             }
@@ -407,7 +407,7 @@ pub fn iis(scope: Scope) -> Experiment {
             };
             for &r in deadlines {
                 let m = IisModel::new(n, SmFloodMin::new(r));
-                let report = check_consensus_with(&m, usize::from(r), 1, obs);
+                let report = check_consensus(&m, usize::from(r), 1, obs);
                 ok &= !report.passed();
                 table.row_owned(vec![
                     format!("consensus verdict for SmFloodMin({r})"),

@@ -29,9 +29,8 @@
 use layered_core::report::Table;
 use layered_core::telemetry::clock;
 use layered_core::{
-    load_quotient, load_space, save_quotient, save_space, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, scan_layer_valence_connectivity_quotient,
-    scan_layer_valence_connectivity_quotient_parallel, ArenaMeta, QuotientSolver, ValenceSolver,
+    load_quotient, load_space, save_arena, scan_layer_valence_connectivity,
+    scan_layer_valence_connectivity_parallel, ArenaMeta, QuotientSolver, ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -81,17 +80,16 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             // 1. Cold quotient scan; snapshot the arena.
             let t0 = clock::monotonic_ns();
             let mut cold = QuotientSolver::with_observer(&m, horizon, obs);
-            let cold_scan = scan_layer_valence_connectivity_quotient(&mut cold, depth0, true);
+            let cold_scan = scan_layer_valence_connectivity(&mut cold, depth0, true);
             let cold_ns = clock::monotonic_ns().saturating_sub(t0).max(1);
-            let (qbytes, _) =
-                save_quotient(cold.space(), &meta(&cfg, horizon, depth0, "full"), obs);
+            let (qbytes, _) = save_arena(cold.space(), &meta(&cfg, horizon, depth0, "full"), obs);
 
             // 2. Warm reload at the same depth: identical verdict, ≥5×
             // faster (every successor row comes from the snapshot).
             let t0 = clock::monotonic_ns();
             let warm_scan = load_quotient(&m, &qbytes, obs).ok().map(|(space, _, _)| {
                 let mut warm = QuotientSolver::with_space(&m, horizon, space, obs);
-                scan_layer_valence_connectivity_quotient(&mut warm, depth0, true)
+                scan_layer_valence_connectivity(&mut warm, depth0, true)
             });
             let warm_ns = clock::monotonic_ns().saturating_sub(t0).max(1);
             let warm_identical = warm_scan.as_ref() == Some(&cold_scan);
@@ -111,21 +109,17 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             // 3. Resume-and-extend, sequential and parallel, vs. cold
             // scans at the deeper depth.
             let mut cs = QuotientSolver::with_observer(&m, horizon, obs);
-            let cold_deep_seq = scan_layer_valence_connectivity_quotient(&mut cs, deeper, true);
+            let cold_deep_seq = scan_layer_valence_connectivity(&mut cs, deeper, true);
             let mut cp = QuotientSolver::with_observer(&m, horizon, obs);
-            let cold_deep_par = scan_layer_valence_connectivity_quotient_parallel(
-                &mut cp,
-                deeper,
-                true,
-                cfg.threads,
-            );
+            let cold_deep_par =
+                scan_layer_valence_connectivity_parallel(&mut cp, deeper, true, cfg.threads);
             let resumed_seq = load_quotient(&m, &qbytes, obs).ok().map(|(space, _, _)| {
                 let mut s = QuotientSolver::with_space(&m, horizon, space, obs);
-                scan_layer_valence_connectivity_quotient(&mut s, deeper, true)
+                scan_layer_valence_connectivity(&mut s, deeper, true)
             });
             let resumed_par = load_quotient(&m, &qbytes, obs).ok().map(|(space, _, _)| {
                 let mut s = QuotientSolver::with_space(&m, horizon, space, obs);
-                scan_layer_valence_connectivity_quotient_parallel(&mut s, deeper, true, cfg.threads)
+                scan_layer_valence_connectivity_parallel(&mut s, deeper, true, cfg.threads)
             });
             let extend_identical = cold_deep_seq == cold_deep_par
                 && resumed_seq.as_ref() == Some(&cold_deep_seq)
@@ -142,7 +136,7 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             let mi = MobileModel::new(cfg.n, FloodMin::new(horizon as u16));
             let mut icold = ValenceSolver::with_observer(&mi, horizon, obs);
             let icold_scan = scan_layer_valence_connectivity(&mut icold, depth0, true);
-            let (ibytes, _) = save_space(icold.space(), &meta(&cfg, horizon, depth0, "s1"), obs);
+            let (ibytes, _) = save_arena(icold.space(), &meta(&cfg, horizon, depth0, "s1"), obs);
             let mut ideep = ValenceSolver::with_observer(&mi, horizon, obs);
             let icold_deep_seq = scan_layer_valence_connectivity(&mut ideep, deeper, true);
             let mut ideep_par = ValenceSolver::with_observer(&mi, horizon, obs);
@@ -180,16 +174,13 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             let m2 = MobileModel::new(cfg.n, FloodMin::new(h2 as u16))
                 .with_layering(MobileLayering::Full);
             let mut cold2 = QuotientSolver::with_observer(&m2, h2, obs);
-            let cold2_scan = scan_layer_valence_connectivity_quotient(&mut cold2, depth0, true);
+            let cold2_scan = scan_layer_valence_connectivity(&mut cold2, depth0, true);
             let refreshed = load_quotient(&m2, &qbytes, obs)
                 .ok()
                 .map(|(mut space, _, _)| {
                     let diff = space.refresh_differential(&m2, obs);
                     let mut s = QuotientSolver::with_space(&m2, h2, space, obs);
-                    (
-                        scan_layer_valence_connectivity_quotient(&mut s, depth0, true),
-                        diff,
-                    )
+                    (scan_layer_valence_connectivity(&mut s, depth0, true), diff)
                 });
             let (diff_identical, diff_partial, diff_label) = match &refreshed {
                 Some((scan, diff)) => (

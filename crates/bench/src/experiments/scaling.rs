@@ -14,13 +14,11 @@ use std::path::Path;
 use layered_cert::{CertKind, CertMeta, Certificate};
 use layered_core::report::Table;
 use layered_core::telemetry::json::Json;
-use layered_core::telemetry::{clock, Observer, NOOP};
+use layered_core::telemetry::{clock, Observer};
 use layered_core::{
-    load_quotient, load_space, save_quotient, save_space, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, scan_layer_valence_connectivity_quotient,
-    scan_layer_valence_connectivity_quotient_parallel, witness_to_json, ArenaMeta,
-    ImpossibilityWitness, LayeredModel, MemoryFootprint, QuotientSolver, QuotientSpace, StateSpace,
-    ValenceSolver,
+    load_quotient, load_space, save_arena, scan_layer_valence_connectivity,
+    scan_layer_valence_connectivity_parallel, witness_to_json, ArenaMeta, ImpossibilityWitness,
+    LayeredModel, MemoryFootprint, QuotientSolver, QuotientSpace, StateSpace, ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -192,27 +190,14 @@ impl Default for ScanConfig {
 
 /// Runs the Lemma 5.1 layer scan sequentially and in parallel on the mobile
 /// model and cross-checks the results (see the module docs).
+///
+/// `trace` is teed alongside the metrics registry — pass a `TraceObserver`
+/// to capture the span tree for `--trace` / `--profile`, or `&NOOP`. The
+/// scan verdict and its witness come back packaged as a storable
+/// certificate (`None` when the witness could not be built — in which case
+/// the experiment is not `ok` either).
 #[must_use]
-pub fn interned_scan(cfg: &ScanConfig) -> Experiment {
-    interned_scan_with(cfg, &NOOP)
-}
-
-/// [`interned_scan`] with an extra observer teed alongside the metrics
-/// registry — pass a `TraceObserver` here to capture the span tree for
-/// `--trace` / `--profile`.
-#[must_use]
-pub fn interned_scan_with(cfg: &ScanConfig, trace: &dyn Observer) -> Experiment {
-    interned_scan_certified(cfg, trace).0
-}
-
-/// [`interned_scan_with`], additionally packaging the scan verdict and its
-/// witness as a storable certificate (`None` when the witness could not be
-/// built — in which case the experiment is not `ok` either).
-#[must_use]
-pub fn interned_scan_certified(
-    cfg: &ScanConfig,
-    trace: &dyn Observer,
-) -> (Experiment, Option<Certificate>) {
+pub fn interned_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Option<Certificate>) {
     let cfg = cfg.clone();
     let slot: RefCell<Option<Certificate>> = RefCell::new(None);
     let slot_ref = &slot;
@@ -292,7 +277,7 @@ pub fn interned_scan_certified(
             if resume_err.is_none() {
                 if let Some(dir) = &cfg.snapshot_dir {
                     let meta = scan_meta(&cfg, horizon, "s1");
-                    let (bytes, hash) = save_space(solver.space(), &meta, obs);
+                    let (bytes, hash) = save_arena(solver.space(), &meta, obs);
                     match write_snapshot(dir, STATE_SNAPSHOT_FILE, &bytes) {
                         Ok(()) => snapshot_hash = Some(hash),
                         Err(e) => resume_err = Some(e),
@@ -386,28 +371,12 @@ pub fn interned_scan_certified(
 /// whole point of the reduction is that the full space is out of reach
 /// there. In every case the de-quotiented witness must re-verify against
 /// the full model.
+///
+/// `trace` and the returned certificate are as for [`interned_scan`]; the
+/// certificate's layering key is `full` — the equivariant layering the
+/// quotient runs under.
 #[must_use]
-pub fn quotient_scan(cfg: &ScanConfig) -> Experiment {
-    quotient_scan_with(cfg, &NOOP)
-}
-
-/// [`quotient_scan`] with an extra observer teed alongside the metrics
-/// registry — pass a `TraceObserver` here to capture the span tree for
-/// `--trace` / `--profile`.
-#[must_use]
-pub fn quotient_scan_with(cfg: &ScanConfig, trace: &dyn Observer) -> Experiment {
-    quotient_scan_certified(cfg, trace).0
-}
-
-/// [`quotient_scan_with`], additionally packaging the quotient scan
-/// verdict and its de-quotiented witness as a storable certificate (the
-/// layering key is `full` — the equivariant layering the quotient runs
-/// under).
-#[must_use]
-pub fn quotient_scan_certified(
-    cfg: &ScanConfig,
-    trace: &dyn Observer,
-) -> (Experiment, Option<Certificate>) {
+pub fn quotient_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Option<Certificate>) {
     let cfg = cfg.clone();
     let slot: RefCell<Option<Certificate>> = RefCell::new(None);
     let slot_ref = &slot;
@@ -481,7 +450,7 @@ pub fn quotient_scan_certified(
                 None if cfg.packed => QuotientSolver::with_observer(&m, horizon, obs),
                 None => QuotientSolver::with_space(&m, horizon, QuotientSpace::new_boxed(&m), obs),
             };
-            let quot = scan_layer_valence_connectivity_quotient(&mut solver, cfg.depth, true);
+            let quot = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
             let quot_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
             let orbits = solver.space().len();
             let covered = solver.space().covered_states();
@@ -491,7 +460,7 @@ pub fn quotient_scan_certified(
             if resume_err.is_none() {
                 if let Some(dir) = &cfg.snapshot_dir {
                     let meta = scan_meta(&cfg, horizon, "full");
-                    let (bytes, hash) = save_quotient(solver.space(), &meta, obs);
+                    let (bytes, hash) = save_arena(solver.space(), &meta, obs);
                     match write_snapshot(dir, QUOTIENT_SNAPSHOT_FILE, &bytes) {
                         Ok(()) => snapshot_hash = Some(hash),
                         Err(e) => resume_err = Some(e),
@@ -505,7 +474,7 @@ pub fn quotient_scan_certified(
                 None if cfg.packed => QuotientSolver::with_observer(&m, horizon, obs),
                 None => QuotientSolver::with_space(&m, horizon, QuotientSpace::new_boxed(&m), obs),
             };
-            let par = scan_layer_valence_connectivity_quotient_parallel(
+            let par = scan_layer_valence_connectivity_parallel(
                 &mut par_solver,
                 cfg.depth,
                 true,

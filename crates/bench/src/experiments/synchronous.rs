@@ -3,7 +3,7 @@
 
 use layered_core::report::{yes_no, Table};
 use layered_core::telemetry::Observer;
-use layered_core::{check_consensus_with, Valence, ValenceSolver};
+use layered_core::{check_consensus, Valence, ValenceSolver};
 use layered_protocols::FloodMin;
 use layered_sync_crash::{
     check_display_below_budget, check_lemma_6_4, lemma_6_1_chain, lemma_6_2_witness, CrashModel,
@@ -30,7 +30,7 @@ pub fn lower_bound(scope: Scope) -> Experiment {
             for &(n, t) in cases {
                 // The too-fast candidate: t rounds.
                 let m = CrashModel::new(n, t, FloodMin::new(t as u16));
-                let report = check_consensus_with(&m, t, 1, obs);
+                let report = check_consensus(&m, t, 1, obs);
                 let expected = !report.passed();
                 ok &= expected;
                 table.row_owned(vec![
@@ -49,7 +49,7 @@ pub fn lower_bound(scope: Scope) -> Experiment {
                 // three independently structured witnesses that the bound is
                 // tight.
                 let m = CrashModel::new(n, t, FloodMin::new((t + 1) as u16));
-                let report = check_consensus_with(&m, t + 1, 1, obs);
+                let report = check_consensus(&m, t + 1, 1, obs);
                 let expected = report.passed();
                 ok &= expected;
                 table.row_owned(vec![
@@ -66,7 +66,7 @@ pub fn lower_bound(scope: Scope) -> Experiment {
                 ]);
 
                 let m = CrashModel::new(n, t, layered_protocols::Eig::new((t + 1) as u16));
-                let report = check_consensus_with(&m, t + 1, 1, obs);
+                let report = check_consensus(&m, t + 1, 1, obs);
                 let expected = report.passed();
                 ok &= expected;
                 table.row_owned(vec![
@@ -84,7 +84,7 @@ pub fn lower_bound(scope: Scope) -> Experiment {
 
                 let m =
                     CrashModel::new(n, t, layered_protocols::EarlyFloodMin::new((t + 1) as u16));
-                let report = check_consensus_with(&m, t + 1, 1, obs);
+                let report = check_consensus(&m, t + 1, 1, obs);
                 let expected = report.passed();
                 ok &= expected;
                 table.row_owned(vec![

@@ -24,6 +24,7 @@
 
 use layered_bench::{interned_scan, quotient_scan, ScanConfig};
 use layered_core::telemetry::json::Json;
+use layered_core::telemetry::NOOP;
 
 /// Zeroes the documented timing fields, leaving all other structure.
 fn strip_timing(json: &mut Json) {
@@ -100,9 +101,9 @@ fn scan_record_with(threads: usize, quotient: bool, packed: bool) -> Json {
         ..ScanConfig::default()
     };
     let exp = if quotient {
-        quotient_scan(&cfg)
+        quotient_scan(&cfg, &NOOP).0
     } else {
-        interned_scan(&cfg)
+        interned_scan(&cfg, &NOOP).0
     };
     assert!(
         exp.ok,

@@ -11,16 +11,14 @@
 //! * `golden/*.json` — `interned_scan` (n = 3) and `quotient_scan`
 //!   (n = 3, 4) records at depth 1 and one thread, with every `_ns` timing
 //!   field nulled (the same stripping `byte_stability.rs` applies).
-//! * `golden/snapshot_sha256.txt` — the SHA-256 of the `save_space` and
-//!   `save_quotient` blobs of the mobile-failure model running FloodMin at
+//! * `golden/snapshot_sha256.txt` — the SHA-256 of the `save_arena` and
+//!   `save_arena` blobs of the mobile-failure model running FloodMin at
 //!   n = 3, horizon 3, for packed and boxed arenas.
 
 use layered_bench::{interned_scan, quotient_scan, ScanConfig};
 use layered_core::hash::sha256_hex;
 use layered_core::telemetry::json::Json;
-use layered_core::{
-    save_quotient, save_space, ArenaMeta, LayeredModel, NoopObserver, QuotientSpace, StateSpace,
-};
+use layered_core::{save_arena, ArenaMeta, LayeredModel, NoopObserver, QuotientSpace, StateSpace};
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
 
@@ -62,9 +60,9 @@ fn scan_record(n: usize, quotient: bool) -> String {
         ..ScanConfig::default()
     };
     let exp = if quotient {
-        quotient_scan(&cfg)
+        quotient_scan(&cfg, &NOOP).0
     } else {
-        interned_scan(&cfg)
+        interned_scan(&cfg, &NOOP).0
     };
     assert!(exp.ok, "scan experiment n={n} quotient={quotient} failed");
     let mut record = exp.json_record();
@@ -117,7 +115,7 @@ fn snapshot_digests() -> String {
         ("space-boxed", StateSpace::new()),
     ] {
         space.expand_layers(&m, &m.initial_states(), 3, &NOOP);
-        let (bytes, _) = save_space(&space, &meta("s1"), &NOOP);
+        let (bytes, _) = save_arena(&space, &meta("s1"), &NOOP);
         lines.push(format!("{name} {}", sha256_hex(&bytes)));
     }
     for (name, mut space) in [
@@ -125,7 +123,7 @@ fn snapshot_digests() -> String {
         ("quotient-boxed", QuotientSpace::new_boxed(&full)),
     ] {
         space.expand_layers(&full, &full.initial_states(), 3, &NOOP);
-        let (bytes, _) = save_quotient(&space, &meta("full"), &NOOP);
+        let (bytes, _) = save_arena(&space, &meta("full"), &NOOP);
         lines.push(format!("{name} {}", sha256_hex(&bytes)));
     }
     lines.join("\n")

@@ -5,7 +5,8 @@
 use layered_bench::{all_experiments, Scope};
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::MetricsRegistry;
-use layered_core::{census, census_with, check_consensus, check_consensus_with};
+use layered_core::telemetry::NOOP;
+use layered_core::{census, check_consensus};
 use layered_protocols::FloodMin;
 use layered_sync_crash::CrashModel;
 
@@ -70,16 +71,16 @@ fn engine_experiments_record_real_work() {
 fn telemetry_does_not_perturb_engine_results() {
     let m = CrashModel::new(3, 1, FloodMin::new(2));
 
-    let plain = check_consensus(&m, 2, 5);
+    let plain = check_consensus(&m, 2, 5, &NOOP);
     let reg = MetricsRegistry::new();
-    let observed = check_consensus_with(&m, 2, 5, &reg);
+    let observed = check_consensus(&m, 2, 5, &reg);
     assert_eq!(plain.states_explored, observed.states_explored);
     assert_eq!(plain.violations, observed.violations);
     assert!(reg.snapshot().counter("engine.states_visited") > 0);
 
-    let plain = census(&m, 2);
+    let plain = census(&m, 2, &NOOP);
     let reg = MetricsRegistry::new();
-    let observed = census_with(&m, 2, &reg);
+    let observed = census(&m, 2, &reg);
     assert_eq!(plain, observed);
     assert!(reg.snapshot().counter("engine.states_visited") > 0);
 }

@@ -131,17 +131,9 @@ pub fn state_violations<M: LayeredModel>(model: &M, x: &M::State) -> Vec<Violati
 /// *Decision* is checked at horizon states via
 /// [`LayeredModel::obligated`]; *Agreement* and *Validity* at every state.
 /// Exploration stops early once `max_violations` have been collected.
+/// States visited, frontier dedup hits, frontier widths and violations
+/// found are reported to `obs`.
 pub fn check_consensus<M: LayeredModel>(
-    model: &M,
-    horizon: usize,
-    max_violations: usize,
-) -> ConsensusReport<M::State> {
-    check_consensus_with(model, horizon, max_violations, &NOOP)
-}
-
-/// [`check_consensus`] with telemetry: states visited, frontier dedup hits,
-/// frontier widths and violations found are reported to `obs`.
-pub fn check_consensus_with<M: LayeredModel>(
     model: &M,
     horizon: usize,
     max_violations: usize,
@@ -432,7 +424,7 @@ mod tests {
     fn diamond_fails_decision_at_short_horizon() {
         let m = flp_diamond();
         // At horizon 1 nothing has decided: both processes undecided.
-        let report = check_consensus(&m, 1, 10);
+        let report = check_consensus(&m, 1, 10, &NOOP);
         assert!(!report.passed());
         assert!(report.of_kind("decision").next().is_some());
         assert!(report.of_kind("agreement").next().is_none());
@@ -443,7 +435,7 @@ mod tests {
         // At horizon 2 every leaf has p1 decided; p2 is obligated but
         // undecided in this toy — so decision still fails for p2.
         let m = flp_diamond();
-        let report = check_consensus(&m, 2, 10);
+        let report = check_consensus(&m, 2, 10, &NOOP);
         let decision_violations: Vec<_> = report.of_kind("decision").collect();
         assert!(!decision_violations.is_empty());
     }
@@ -494,7 +486,7 @@ mod tests {
     #[test]
     fn violation_cap_respected() {
         let m = flp_diamond();
-        let report = check_consensus(&m, 1, 1);
+        let report = check_consensus(&m, 1, 1, &NOOP);
         assert_eq!(report.violations.len(), 1);
     }
 
@@ -519,7 +511,7 @@ mod tests {
         // Combine the checker and the tracer: find a violation, then
         // reconstruct the full run that exhibits it.
         let m = flp_diamond();
-        let report = check_consensus(&m, 2, 10);
+        let report = check_consensus(&m, 2, 10, &NOOP);
         let v = report
             .violations
             .first()

@@ -15,7 +15,7 @@
 use std::fmt::Debug;
 
 use crate::graph::Graph;
-use crate::space::{Keying, StateId, StateSpace};
+use crate::space::{Keying, StateId};
 use crate::telemetry::{Observer, NOOP};
 use crate::valence::{Solver, Valences};
 use crate::{LayeredModel, Pid, ValenceSolver, Value};
@@ -59,15 +59,10 @@ pub fn similar<M: LayeredModel>(model: &M, x: &M::State, y: &M::State) -> bool {
     similarity_witness(model, x, y).is_some()
 }
 
-/// The graph `(X, ∼_s)` over the given set of states.
-pub fn similarity_graph<M: LayeredModel>(model: &M, states: &[M::State]) -> Graph {
-    similarity_graph_with(model, states, &NOOP)
-}
-
-/// [`similarity_graph`] with telemetry: reports pairs tested
+/// The graph `(X, ∼_s)` over the given set of states. Reports pairs tested
 /// (`connectivity.pairs_tested`) and similarity edges found
 /// (`connectivity.similarity_edges`) to `obs`.
-pub fn similarity_graph_with<M: LayeredModel>(
+pub fn similarity_graph<M: LayeredModel>(
     model: &M,
     states: &[M::State],
     obs: &dyn Observer,
@@ -82,23 +77,11 @@ pub fn similarity_graph_with<M: LayeredModel>(
     })
 }
 
-/// The graph `(X, ∼_v)` over the given set of states, computing valences
-/// with `solver` (and reporting `connectivity.pairs_tested` /
-/// `connectivity.valence_edges` to the solver's observer). Thin wrapper:
-/// interns the states and delegates to [`valence_graph_ids`].
-pub fn valence_graph<M: LayeredModel>(
-    model: &M,
-    solver: &mut ValenceSolver<'_, M>,
-    states: &[M::State],
-) -> Graph {
-    let _ = model;
-    let ids: Vec<StateId> = states.iter().map(|x| solver.intern(x)).collect();
-    valence_graph_ids(solver, &ids)
-}
-
-/// Id-typed twin of [`valence_graph`]: builds `(X, ∼_v)` over interned
-/// states, assembling the adjacency directly in CSR form (no per-vertex
-/// `Vec` growth or membership scans).
+/// The graph `(X, ∼_v)` over interned states, computing valence flags with
+/// `solver` (and reporting `connectivity.pairs_tested` /
+/// `connectivity.valence_edges` to the solver's observer). The adjacency
+/// is assembled directly in CSR form (no per-vertex `Vec` growth or
+/// membership scans).
 ///
 /// Over a [`QuotientSolver`](crate::QuotientSolver) the vertices are orbit
 /// representatives. Because a shared-valence edge depends only on the two
@@ -137,9 +120,6 @@ pub fn valence_graph_ids<M: LayeredModel, K: Keying<M>>(
     Graph::from_csr(n, &offsets, &edges)
 }
 
-/// The quotient name of [`valence_graph_ids`] (the same function).
-pub use valence_graph_ids as quotient_valence_graph_ids;
-
 /// Summary of a connectivity analysis of a state set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConnectivityReport {
@@ -159,41 +139,35 @@ impl ConnectivityReport {
             states: g.len(),
             connected: g.is_connected(),
             components: g.component_count(),
-            diameter: g.diameter_with(obs),
+            diameter: g.diameter(obs),
         }
     }
 }
 
-/// Connectivity of `(X, ∼_s)`.
-pub fn similarity_report<M: LayeredModel>(model: &M, states: &[M::State]) -> ConnectivityReport {
-    similarity_report_with(model, states, &NOOP)
-}
-
-/// [`similarity_report`] with telemetry (edge tests and BFS metrics go to
-/// `obs`).
-pub fn similarity_report_with<M: LayeredModel>(
+/// Connectivity of `(X, ∼_s)`; edge tests and BFS metrics go to `obs`.
+pub fn similarity_report<M: LayeredModel>(
     model: &M,
     states: &[M::State],
     obs: &dyn Observer,
 ) -> ConnectivityReport {
-    ConnectivityReport::from_graph(&similarity_graph_with(model, states, obs), obs)
+    ConnectivityReport::from_graph(&similarity_graph(model, states, obs), obs)
 }
 
-/// Connectivity of `(X, ∼_v)`. Telemetry goes to the solver's observer.
+/// Connectivity of `(X, ∼_v)` over the given states, interned into
+/// `solver`'s arena. Telemetry goes to the solver's observer.
 pub fn valence_report<M: LayeredModel>(
-    model: &M,
     solver: &mut ValenceSolver<'_, M>,
     states: &[M::State],
 ) -> ConnectivityReport {
-    let obs = solver.observer();
-    ConnectivityReport::from_graph(&valence_graph(model, solver, states), obs)
+    let ids: Vec<StateId> = states.iter().map(|x| solver.intern(x)).collect();
+    valence_report_ids(solver, &ids)
 }
 
-/// Id-typed twin of [`valence_report`]: connectivity of `(X, ∼_v)` over
-/// interned states. Over a [`QuotientSolver`](crate::QuotientSolver) the
-/// `connected` verdict matches the full layer's (see
-/// [`valence_graph_ids`]); `states`, `components` and `diameter` describe
-/// the collapsed graph.
+/// Connectivity of `(X, ∼_v)` over interned states. Over a
+/// [`QuotientSolver`](crate::QuotientSolver) the `connected` verdict
+/// matches the full layer's (see [`valence_graph_ids`]); `states`,
+/// `components` and `diameter` describe the collapsed graph. Kept public
+/// beside [`valence_report`] because `perfbench/src/scan.rs` imports it.
 pub fn valence_report_ids<M: LayeredModel, K: Keying<M>>(
     solver: &mut Solver<'_, M, K>,
     ids: &[StateId],
@@ -202,44 +176,14 @@ pub fn valence_report_ids<M: LayeredModel, K: Keying<M>>(
     ConnectivityReport::from_graph(&g, solver.observer())
 }
 
-/// The quotient name of [`valence_report_ids`] (the same function).
+/// The quotient name of [`valence_report_ids`] (the same function), kept
+/// public because `perfbench/src/scan.rs` imports it.
 pub use valence_report_ids as quotient_valence_report_ids;
-
-/// Id-typed twin of [`similarity_graph`]: the graph `(X, ∼_s)` over interned
-/// states resolved out of `space`.
-pub fn similarity_graph_ids<M: LayeredModel>(
-    model: &M,
-    space: &StateSpace<M>,
-    ids: &[StateId],
-    obs: &dyn Observer,
-) -> Graph {
-    // Materialize the layer once: the predicate runs O(L²) times and
-    // unpacking inside it would redo the decode per pair.
-    let states = space.materialize(ids);
-    Graph::from_predicate(ids.len(), |a, b| {
-        obs.counter("connectivity.pairs_tested", 1);
-        let edge = similar(model, &states[a], &states[b]);
-        if edge {
-            obs.counter("connectivity.similarity_edges", 1);
-        }
-        edge
-    })
-}
-
-/// Id-typed twin of [`similarity_report`].
-pub fn similarity_report_ids<M: LayeredModel>(
-    model: &M,
-    space: &StateSpace<M>,
-    ids: &[StateId],
-    obs: &dyn Observer,
-) -> ConnectivityReport {
-    ConnectivityReport::from_graph(&similarity_graph_ids(model, space, ids, obs), obs)
-}
 
 /// The *s-diameter* of a state set: the diameter of `(X, ∼_s)`
 /// (Section 7), or `None` if the set is not similarity connected.
 pub fn s_diameter<M: LayeredModel>(model: &M, states: &[M::State]) -> Option<usize> {
-    similarity_graph(model, states).diameter()
+    similarity_graph(model, states, &NOOP).diameter(&NOOP)
 }
 
 /// An explicit similarity-connectivity certificate: a path
@@ -323,26 +267,16 @@ impl<S: Clone + Eq + Debug> SimilarityChain<S> {
 
 /// Extracts a similarity chain between `states[from]` and `states[to]`
 /// through the set `states`, or `None` if they are in different components
-/// of `(X, ∼_s)`.
+/// of `(X, ∼_s)`. Reports edge tests and, on success, the extracted chain
+/// length (`connectivity.chain_length` gauge) to `obs`.
 pub fn similarity_chain_between<M: LayeredModel>(
-    model: &M,
-    states: &[M::State],
-    from: usize,
-    to: usize,
-) -> Option<SimilarityChain<M::State>> {
-    similarity_chain_between_with(model, states, from, to, &NOOP)
-}
-
-/// [`similarity_chain_between`] with telemetry: reports edge tests and, on
-/// success, the extracted chain length (`connectivity.chain_length` gauge).
-pub fn similarity_chain_between_with<M: LayeredModel>(
     model: &M,
     states: &[M::State],
     from: usize,
     to: usize,
     obs: &dyn Observer,
 ) -> Option<SimilarityChain<M::State>> {
-    let g = similarity_graph_with(model, states, obs);
+    let g = similarity_graph(model, states, obs);
     let path = g.shortest_path(from, to)?;
     obs.gauge("connectivity.chain_length", (path.len() - 1) as u64);
     let chain_states: Vec<M::State> = path.iter().map(|&i| states[i].clone()).collect();
@@ -422,11 +356,11 @@ mod tests {
     fn similarity_graph_and_report() {
         let m = flp_diamond();
         let states = vec![1u32, 2u32];
-        let rep = similarity_report(&m, &states);
+        let rep = similarity_report(&m, &states, &NOOP);
         assert!(rep.connected);
         assert_eq!(rep.components, 1);
         assert_eq!(rep.diameter, Some(1));
-        let disc = similarity_report(&m, &[3u32, 4u32]);
+        let disc = similarity_report(&m, &[3u32, 4u32], &NOOP);
         assert!(!disc.connected);
         assert_eq!(disc.components, 2);
     }
@@ -438,11 +372,11 @@ mod tests {
         let layer = m.successors(&0);
         // states 1 and 2 are univalent with different values and not
         // bivalent: the valence graph over {1,2} is disconnected...
-        let rep = valence_report(&m, &mut solver, &layer);
+        let rep = valence_report(&mut solver, &layer);
         assert!(!rep.connected);
         // ...but adding the bivalent root connects everything.
         let with_root = vec![0u32, 1, 2];
-        let rep2 = valence_report(&m, &mut solver, &with_root);
+        let rep2 = valence_report(&mut solver, &with_root);
         assert!(rep2.connected);
     }
 
@@ -450,7 +384,7 @@ mod tests {
     fn chain_extraction_and_verification() {
         let m = flp_diamond();
         let states = vec![1u32, 2u32];
-        let chain = similarity_chain_between(&m, &states, 0, 1).expect("connected");
+        let chain = similarity_chain_between(&m, &states, 0, 1, &NOOP).expect("connected");
         assert_eq!(chain.len(), 1);
         assert!(chain.verify(&m).is_ok());
     }

@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use crate::telemetry::{MemoryBreakdown, MemoryFootprint, Observer, NOOP};
+use crate::telemetry::{MemoryBreakdown, MemoryFootprint, Observer};
 
 /// Disjoint-set forest with union by rank and path halving.
 ///
@@ -228,17 +228,11 @@ impl Graph {
         buckets
     }
 
-    /// BFS distances from `src`; `None` for unreachable vertices.
+    /// BFS distances from `src`; `None` for unreachable vertices. Reports
+    /// vertices visited (`graph.bfs_visits`) and the widest BFS queue
+    /// (`graph.bfs_frontier`) to `obs`.
     #[must_use]
-    pub fn distances(&self, src: usize) -> Vec<Option<usize>> {
-        self.distances_with(src, &NOOP)
-    }
-
-    /// [`Graph::distances`] with telemetry: reports vertices visited
-    /// (`graph.bfs_visits`) and the widest BFS queue (`graph.bfs_frontier`)
-    /// to `obs`.
-    #[must_use]
-    pub fn distances_with(&self, src: usize, obs: &dyn Observer) -> Vec<Option<usize>> {
+    pub fn distances(&self, src: usize, obs: &dyn Observer) -> Vec<Option<usize>> {
         let mut dist = vec![None; self.len()];
         dist[src] = Some(0);
         let mut q = VecDeque::from([src]);
@@ -290,22 +284,16 @@ impl Graph {
     }
 
     /// The diameter (longest shortest path) of the graph, or `None` if the
-    /// graph is disconnected or empty.
+    /// graph is disconnected or empty, reporting through the observed BFS
+    /// of [`Graph::distances`].
     #[must_use]
-    pub fn diameter(&self) -> Option<usize> {
-        self.diameter_with(&NOOP)
-    }
-
-    /// [`Graph::diameter`] with telemetry, reporting through the observed
-    /// BFS of [`Graph::distances_with`].
-    #[must_use]
-    pub fn diameter_with(&self, obs: &dyn Observer) -> Option<usize> {
+    pub fn diameter(&self, obs: &dyn Observer) -> Option<usize> {
         if self.is_empty() {
             return None;
         }
         let mut best = 0;
         for v in 0..self.len() {
-            for d in self.distances_with(v, obs) {
+            for d in self.distances(v, obs) {
                 match d {
                     Some(d) => best = best.max(d),
                     None => return None,
@@ -335,6 +323,7 @@ impl MemoryFootprint for Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::NOOP;
 
     fn path_graph(n: usize) -> Graph {
         let mut g = Graph::new(n);
@@ -430,23 +419,23 @@ mod tests {
         let g = path_graph(5);
         assert_eq!(g.shortest_path(0, 4), Some(vec![0, 1, 2, 3, 4]));
         assert_eq!(g.shortest_path(2, 2), Some(vec![2]));
-        assert_eq!(g.distances(0)[4], Some(4));
+        assert_eq!(g.distances(0, &NOOP)[4], Some(4));
         let mut g2 = Graph::new(3);
         g2.add_edge(0, 1);
         assert_eq!(g2.shortest_path(0, 2), None);
-        assert_eq!(g2.distances(0)[2], None);
+        assert_eq!(g2.distances(0, &NOOP)[2], None);
     }
 
     #[test]
     fn diameter_of_path_and_cycle() {
-        assert_eq!(path_graph(5).diameter(), Some(4));
+        assert_eq!(path_graph(5).diameter(&NOOP), Some(4));
         let mut cycle = path_graph(6);
         cycle.add_edge(5, 0);
-        assert_eq!(cycle.diameter(), Some(3));
+        assert_eq!(cycle.diameter(&NOOP), Some(3));
         let mut disc = Graph::new(2);
-        assert_eq!(disc.diameter(), None);
+        assert_eq!(disc.diameter(&NOOP), None);
         disc.add_edge(0, 1);
-        assert_eq!(disc.diameter(), Some(1));
+        assert_eq!(disc.diameter(&NOOP), Some(1));
     }
 
     #[test]
@@ -474,6 +463,6 @@ mod tests {
     fn empty_graph_is_vacuously_connected() {
         let g = Graph::new(0);
         assert!(g.is_connected());
-        assert_eq!(g.diameter(), None);
+        assert_eq!(g.diameter(&NOOP), None);
     }
 }

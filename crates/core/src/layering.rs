@@ -5,7 +5,7 @@
 //! bivalent initial state (supplied by Lemma 3.6) into an ever-bivalent run,
 //! contradicting *Decision* — the unified impossibility argument.
 //!
-//! This module mechanizes both steps: [`bivalent_successor`] is Lemma 4.1
+//! This module mechanizes both steps: [`bivalent_successor_id`] is Lemma 4.1
 //! for one layer, [`build_bivalent_run`] is the Theorem 4.2 loop, and
 //! [`scan_layer_valence_connectivity`] verifies the theorem's premise (iii)
 //! — valence connectivity of every layer — over the reachable graph.
@@ -29,24 +29,12 @@ use crate::telemetry::Span;
 use crate::valence::{undecided_non_failed, Solver, Valence};
 use crate::{LayeredModel, ValenceSolver};
 
-/// Lemma 4.1, executed: a bivalent state in `S(x)`, if any.
+/// Lemma 4.1, executed: the first bivalent entry in `S(x)`, if any.
 ///
-/// Picks the first bivalent successor in the model's successor order, which
-/// keeps runs deterministic and reproducible. Thin wrapper over
-/// [`bivalent_successor_id`].
-pub fn bivalent_successor<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
-    x: &M::State,
-) -> Option<M::State> {
-    let id = solver.intern(x);
-    let y = bivalent_successor_id(solver, id)?;
-    Some(solver.space().resolve(y).clone())
-}
-
-/// Id-typed twin of [`bivalent_successor`]: walks the interned successor
-/// list of `x` (cached in the solver's arena) without cloning states — under
-/// [`Orbits`](crate::space::Orbits), the first bivalent orbit in the
-/// collapsed layer of `x`'s representative, in edge order.
+/// Walks the interned successor list of `x` (cached in the solver's arena)
+/// in edge order without cloning states, which keeps runs deterministic and
+/// reproducible. Under [`Orbits`](crate::space::Orbits) it is the first
+/// bivalent orbit in the collapsed layer of `x`'s representative.
 pub fn bivalent_successor_id<M: LayeredModel, K: Keying<M>>(
     solver: &mut Solver<'_, M, K>,
     x: StateId,
@@ -57,9 +45,6 @@ pub fn bivalent_successor_id<M: LayeredModel, K: Keying<M>>(
         solver.is_bivalent_id(y)
     })
 }
-
-/// The quotient name of [`bivalent_successor_id`] (the same function).
-pub use bivalent_successor_id as bivalent_successor_quotient_id;
 
 /// Why a bivalent run stopped before reaching its target length.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,77 +87,38 @@ impl<S> BivalentRunOutcome<S> {
     }
 }
 
-/// Id-typed result of the Theorem 4.2 construction: the chain is a path of
-/// [`StateId`]s into the solver's arena, materialized into full states only
-/// at the API boundary (see [`dequotient_run`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InternedRun {
-    /// The constructed chain of bivalent state ids (empty when no bivalent
-    /// initial state exists).
-    pub chain: Vec<StateId>,
-    /// Why construction stopped early, if it did.
-    pub stuck: Option<Stuck>,
-    /// Non-failed undecided process counts along the chain (Lemma 3.1).
-    pub undecided_per_state: Vec<usize>,
-}
-
-impl InternedRun {
-    /// Whether a chain of the requested length was built.
-    #[must_use]
-    pub fn reached_target(&self) -> bool {
-        self.stuck.is_none() && !self.chain.is_empty()
-    }
-}
-
 /// The Theorem 4.2 loop: find a bivalent initial state and extend it through
 /// `steps` layers, keeping every state bivalent.
 ///
 /// The solver's horizon bounds the lookahead used for valence; callers
 /// normally set it to the protocol's claimed decision deadline and request
 /// `steps <= horizon`.
-pub fn build_bivalent_run<M: LayeredModel>(
-    solver: &mut ValenceSolver<'_, M>,
-    steps: usize,
-) -> BivalentRunOutcome<M::State> {
-    let run = build_bivalent_run_interned(solver, steps);
-    dequotient_run(solver, &run)
-}
-
-/// Id-typed twin of [`build_bivalent_run`]: the whole Theorem 4.2 loop runs
-/// on dense ids; only the returned [`InternedRun`] needs materializing
-/// ([`dequotient_run`]).
 ///
-/// Over a [`QuotientSolver`](crate::QuotientSolver) the loop finds a
-/// bivalent initial orbit and extends it through collapsed layers. The
-/// recorded undecided counts are taken on the representatives, which is
-/// sound: the number of undecided non-failed processes is invariant under
-/// renaming (`decision` and `failed_at` transport along the permutation),
-/// so every member of the orbit has the same count.
-pub fn build_bivalent_run_interned<M: LayeredModel, K: Keying<M>>(
+/// The loop runs on dense ids, and the chain is materialized into a
+/// *genuine execution* of the model only on return. Over a
+/// [`QuotientSolver`](crate::QuotientSolver) it finds a bivalent initial
+/// orbit, extends it through collapsed layers, and de-quotients the chain
+/// from the per-edge witnessing permutations (see
+/// [`Arena::dequotient_path`](crate::space::Arena::dequotient_path)). The
+/// undecided counts are taken on the representatives, which is sound: the
+/// number of undecided non-failed processes is invariant under renaming
+/// (`decision` and `failed_at` transport along the permutation).
+pub fn build_bivalent_run<M: LayeredModel, K: Keying<M>>(
     solver: &mut Solver<'_, M, K>,
     steps: usize,
-) -> InternedRun {
-    let obs = solver.observer();
-    let whole_run_span =
-        K::RUN_SPAN_COVERS_SEARCH.then(|| Span::enter(obs, "layering.bivalent_run"));
+) -> BivalentRunOutcome<M::State> {
     let Some(x0) = solver.bivalent_initial_id() else {
+        let obs = solver.observer();
         obs.counter("layering.stuck", 1);
         obs.event("layering.stuck", "no_bivalent_initial_state");
-        return InternedRun {
-            chain: Vec::new(),
+        return BivalentRunOutcome {
+            chain: None,
             stuck: Some(Stuck::NoBivalentInitialState),
             undecided_per_state: Vec::new(),
         };
     };
-    match whole_run_span {
-        Some(_span) => extend_chain(solver, x0, steps),
-        None => extend_bivalent_run_interned(solver, x0, steps),
-    }
+    run_from(solver, x0, steps)
 }
-
-/// The quotient name of [`build_bivalent_run_interned`] (the same
-/// function); de-quotient its run with [`dequotient_run`].
-pub use build_bivalent_run_interned as build_bivalent_run_quotient;
 
 /// The Theorem 4.2 loop from a given bivalent starting state.
 ///
@@ -185,35 +131,42 @@ pub fn extend_bivalent_run<M: LayeredModel>(
     steps: usize,
 ) -> BivalentRunOutcome<M::State> {
     let id = solver.intern(&start);
-    let run = extend_bivalent_run_interned(solver, id, steps);
-    dequotient_run(solver, &run)
+    run_from(solver, id, steps)
 }
 
-/// Id-typed twin of [`extend_bivalent_run`].
-///
-/// # Panics
-///
-/// Panics if `start` is not bivalent under the solver's horizon.
-pub fn extend_bivalent_run_interned<M: LayeredModel, K: Keying<M>>(
+/// The Theorem 4.2 chain from the bivalent `start` (Lemma 4.1 applied
+/// layer by layer), materialized once the loop is done.
+fn run_from<M: LayeredModel, K: Keying<M>>(
     solver: &mut Solver<'_, M, K>,
     start: StateId,
     steps: usize,
-) -> InternedRun {
+) -> BivalentRunOutcome<M::State> {
     assert!(
         solver.is_bivalent_id(start),
         "extend_bivalent_run requires a bivalent starting state"
     );
-    let _span = Span::enter(solver.observer(), "layering.bivalent_run");
-    extend_chain(solver, start, steps)
+    let (chain, stuck, undecided_per_state) = {
+        let _span = Span::enter(solver.observer(), "layering.bivalent_run");
+        extend_chain(solver, start, steps)
+    };
+    let states = solver
+        .space()
+        .dequotient_path(solver.model(), &chain)
+        .expect("run chains follow cached edges");
+    BivalentRunOutcome {
+        chain: Some(ExecutionTrace::new(states)),
+        stuck,
+        undecided_per_state,
+    }
 }
 
-/// The Theorem 4.2 chain from the bivalent `start` (Lemma 4.1 applied
-/// layer by layer).
+/// The id chain from `start`, why it stopped early (if it did), and the
+/// undecided count of each chain entry.
 fn extend_chain<M: LayeredModel, K: Keying<M>>(
     solver: &mut Solver<'_, M, K>,
     start: StateId,
     steps: usize,
-) -> InternedRun {
+) -> (Vec<StateId>, Option<Stuck>, Vec<usize>) {
     let model = solver.model();
     let obs = solver.observer();
     let mut chain = vec![start];
@@ -241,22 +194,15 @@ fn extend_chain<M: LayeredModel, K: Keying<M>>(
                         report.components
                     ),
                 );
-                return InternedRun {
-                    chain,
-                    stuck: Some(Stuck::NoBivalentSuccessor {
-                        depth,
-                        layer_report: report,
-                    }),
-                    undecided_per_state: undecided,
+                let stuck = Stuck::NoBivalentSuccessor {
+                    depth,
+                    layer_report: report,
                 };
+                return (chain, Some(stuck), undecided);
             }
         }
     }
-    InternedRun {
-        chain,
-        stuck: None,
-        undecided_per_state: undecided,
-    }
+    (chain, None, undecided)
 }
 
 /// Result of sweeping layer valence connectivity over the reachable graph —
@@ -377,7 +323,7 @@ pub fn scan_layer_valence_connectivity<M: LayeredModel, K: Keying<M>>(
 }
 
 /// The quotient name of [`scan_layer_valence_connectivity`] (the same
-/// function).
+/// function), kept public because `perfbench/src/scan.rs` imports it.
 pub use scan_layer_valence_connectivity as scan_layer_valence_connectivity_quotient;
 
 /// [`scan_layer_valence_connectivity`] with the successor computation (and,
@@ -412,40 +358,6 @@ where
         .space_mut()
         .expand_layers_parallel(model, &roots, expand_to, threads, obs);
     scan_layer_valence_connectivity(solver, depth_limit, only_bivalent)
-}
-
-/// The quotient name of [`scan_layer_valence_connectivity_parallel`] (the
-/// same function).
-pub use scan_layer_valence_connectivity_parallel as scan_layer_valence_connectivity_quotient_parallel;
-
-/// Materializes an [`InternedRun`] into a state-typed outcome whose chain
-/// is a *genuine execution* of the model. Over a
-/// [`QuotientSolver`](crate::QuotientSolver) the chain is reconstructed
-/// from the per-edge witnessing permutations (see
-/// [`Arena::dequotient_path`](crate::space::Arena::dequotient_path)); over
-/// a [`ValenceSolver`] it is the run's own states.
-///
-/// # Panics
-///
-/// Panics if the run's chain ids are not connected by cached edges (they
-/// always are for runs built on the same solver).
-pub fn dequotient_run<M: LayeredModel, K: Keying<M>>(
-    solver: &Solver<'_, M, K>,
-    run: &InternedRun,
-) -> BivalentRunOutcome<M::State> {
-    BivalentRunOutcome {
-        chain: if run.chain.is_empty() {
-            None
-        } else {
-            let states = solver
-                .space()
-                .dequotient_path(solver.model(), &run.chain)
-                .expect("run chains follow cached edges");
-            Some(ExecutionTrace::new(states))
-        },
-        stuck: run.stuck.clone(),
-        undecided_per_state: run.undecided_per_state.clone(),
-    }
 }
 
 /// Lemma 3.1, checked exhaustively: every bivalent state reachable within
@@ -579,8 +491,9 @@ mod tests {
     fn bivalent_successor_finds_spine() {
         let m = bivalent_spine(3);
         let mut solver = ValenceSolver::new(&m, 4);
-        let y = bivalent_successor(&mut solver, &0).expect("spine continues");
-        assert_eq!(y, 1);
+        let x = solver.intern(&0);
+        let y = bivalent_successor_id(&mut solver, x).expect("spine continues");
+        assert_eq!(solver.space().resolve(y), 1);
     }
 
     #[test]

@@ -63,39 +63,32 @@ pub use artifact::{
     ArtifactError,
 };
 pub use checker::{
-    check_consensus, check_consensus_with, check_crash_display, check_fault_independence,
-    check_graded, trace_to, ConsensusReport, Violation,
+    check_consensus, check_crash_display, check_fault_independence, check_graded, trace_to,
+    ConsensusReport, Violation,
 };
 pub use connectivity::{
-    input_interpolation, quotient_valence_graph_ids, quotient_valence_report_ids, s_diameter,
-    similar, similarity_chain_between, similarity_chain_between_with, similarity_graph,
-    similarity_graph_ids, similarity_graph_with, similarity_report, similarity_report_ids,
-    similarity_report_with, similarity_witness, valence_graph, valence_graph_ids, valence_report,
-    valence_report_ids, ConnectivityReport, SimilarityChain, SimilarityWitness,
+    input_interpolation, quotient_valence_report_ids, s_diameter, similar,
+    similarity_chain_between, similarity_graph, similarity_report, similarity_witness,
+    valence_graph_ids, valence_report, valence_report_ids, ConnectivityReport, SimilarityChain,
+    SimilarityWitness,
 };
 pub use layering::{
-    bivalent_successor, bivalent_successor_id, bivalent_successor_quotient_id, build_bivalent_run,
-    build_bivalent_run_interned, build_bivalent_run_quotient, check_lemma_3_1, check_lemma_3_2,
-    dequotient_run, extend_bivalent_run, extend_bivalent_run_interned,
-    scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel,
-    scan_layer_valence_connectivity_quotient, scan_layer_valence_connectivity_quotient_parallel,
-    BivalentRunOutcome, InternedRun, LayerScan, Stuck,
+    bivalent_successor_id, build_bivalent_run, check_lemma_3_1, check_lemma_3_2,
+    extend_bivalent_run, scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel,
+    scan_layer_valence_connectivity_quotient, BivalentRunOutcome, LayerScan, Stuck,
 };
-pub use model::{
-    explore, explore_with, states_at_depth, states_at_depth_with, ExecutionTrace, Exploration,
-    LayeredModel, TraceError,
-};
+pub use model::{explore, states_at_depth, ExecutionTrace, Exploration, LayeredModel, TraceError};
 pub use pid::{binary_input_vectors, Pid, Value};
 pub use sim::{MoveRecord, SimModel};
 pub use space::pack::{
     pack_decision, unpack_decision, FieldPacker, StatePacker, WordReader, WordWriter, DECISION_BITS,
 };
 pub use space::snapshot::{
-    load_quotient, load_space, save_arena, save_quotient, save_space, ArenaMeta, SnapshotError,
-    SnapshotReader, SnapshotState, SNAPSHOT_VERSION,
+    load_quotient, load_space, save_arena, ArenaMeta, SnapshotError, SnapshotReader, SnapshotState,
+    SNAPSHOT_VERSION,
 };
 pub use space::{Arena, DiffReport, Keying, Orbits, Plain, QuotientSpace, StateId, StateSpace};
-pub use stats::{census, census_with, LevelCensus};
+pub use stats::{census, LevelCensus};
 pub use sym::{canonicalize_by_min, canonicalize_packed, orbit_size, PidPerm, Symmetric};
 pub use telemetry::{
     Fanout, Heartbeat, Histogram, JsonlObserver, MemoryBreakdown, MemoryFootprint, MetricsRegistry,

@@ -28,7 +28,7 @@ use std::hash::Hash;
 
 use crate::space::pack::StatePacker;
 use crate::space::StateSpace;
-use crate::telemetry::{Observer, Span, NOOP};
+use crate::telemetry::{Observer, Span};
 use crate::{Pid, Value};
 
 /// A finite-instance model of distributed computation equipped with a
@@ -144,26 +144,22 @@ pub trait LayeredModel {
 /// The set of all states reachable from `from` in exactly `k` layers.
 ///
 /// Duplicate states produced by different action sequences are merged.
+/// Reports states visited, dedup hits and frontier width to `obs` (see
+/// [`crate::telemetry`] for the naming scheme).
 ///
 /// # Examples
 ///
 /// Counting layer sizes in a toy model:
 ///
 /// ```
+/// use layered_core::telemetry::NOOP;
 /// use layered_core::{states_at_depth, LayeredModel};
 /// # use layered_core::testkit::CounterModel;
 /// let m = CounterModel::new(2, 4);
 /// let x0 = m.initial_states().remove(0);
-/// assert_eq!(states_at_depth(&m, &x0, 0).len(), 1);
+/// assert_eq!(states_at_depth(&m, &x0, 0, &NOOP).len(), 1);
 /// ```
-pub fn states_at_depth<M: LayeredModel>(model: &M, from: &M::State, k: usize) -> Vec<M::State> {
-    states_at_depth_with(model, from, k, &NOOP)
-}
-
-/// [`states_at_depth`] with telemetry: reports states visited, dedup hits
-/// and frontier width to `obs` (see [`crate::telemetry`] for the naming
-/// scheme).
-pub fn states_at_depth_with<M: LayeredModel>(
+pub fn states_at_depth<M: LayeredModel>(
     model: &M,
     from: &M::State,
     k: usize,
@@ -198,19 +194,10 @@ impl<S> Exploration<S> {
 /// `horizon` layers.
 ///
 /// States are deduplicated *within* each level; thanks to the grading
-/// contract a state can never appear at two different levels.
+/// contract a state can never appear at two different levels. Reports
+/// per-level frontier widths, states visited, edges traversed and dedup
+/// hits to `obs`, timing the whole sweep under the `explore.sweep` span.
 pub fn explore<M: LayeredModel>(
-    model: &M,
-    roots: &[M::State],
-    horizon: usize,
-) -> Exploration<M::State> {
-    explore_with(model, roots, horizon, &NOOP)
-}
-
-/// [`explore`] with telemetry: reports per-level frontier widths, states
-/// visited, edges traversed and dedup hits to `obs`, timing the whole sweep
-/// under the `explore.sweep` span.
-pub fn explore_with<M: LayeredModel>(
     model: &M,
     roots: &[M::State],
     horizon: usize,
@@ -360,6 +347,7 @@ impl<S: Clone + Eq + Debug> ExecutionTrace<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::NOOP;
     use crate::testkit::CounterModel;
 
     #[test]
@@ -367,7 +355,7 @@ mod tests {
         let m = CounterModel::new(2, 5);
         let roots = m.initial_states();
         assert_eq!(roots.len(), 4);
-        let exp = explore(&m, &roots, 3);
+        let exp = explore(&m, &roots, 3, &NOOP);
         assert_eq!(exp.levels.len(), 4);
         // CounterModel has `branch` successors that merge into `branch`
         // distinct states per level per root.
@@ -381,8 +369,8 @@ mod tests {
         let m = CounterModel::new(2, 5);
         let x0 = m.initial_states().remove(0);
         for k in 0..3 {
-            let a = states_at_depth(&m, &x0, k);
-            let b = explore(&m, std::slice::from_ref(&x0), k);
+            let a = states_at_depth(&m, &x0, k, &NOOP);
+            let b = explore(&m, std::slice::from_ref(&x0), k, &NOOP);
             let mut a2 = a.clone();
             let mut b2 = b.levels[k].clone();
             a2.sort_by(|l, r| format!("{l:?}").cmp(&format!("{r:?}")));

@@ -445,10 +445,6 @@ pub trait Keying<M: LayeredModel>: sealed::Sealed + Sized {
     const KIND: &'static str;
     /// What reports and events call one interned entry.
     const UNIT: &'static str;
-    /// Whether the Theorem 4.2 run's `layering.bivalent_run` span also
-    /// covers the search for a bivalent initial state (otherwise it opens
-    /// once the start is confirmed bivalent).
-    const RUN_SPAN_COVERS_SEARCH: bool;
 
     /// Panics unless `model` may be keyed this way.
     fn check_model(model: &M);
@@ -532,7 +528,6 @@ impl<M: LayeredModel> Keying<M> for Plain {
     const DEDUP_ROWS: bool = false;
     const KIND: &'static str = "state";
     const UNIT: &'static str = "states";
-    const RUN_SPAN_COVERS_SEARCH: bool = false;
 
     fn check_model(_: &M) {}
 
@@ -590,7 +585,6 @@ impl<M: Symmetric> Keying<M> for Orbits {
     const DEDUP_ROWS: bool = true;
     const KIND: &'static str = "quotient";
     const UNIT: &'static str = "orbits";
-    const RUN_SPAN_COVERS_SEARCH: bool = true;
 
     fn check_model(model: &M) {
         assert!(
@@ -1534,7 +1528,7 @@ mod tests {
         let roots = m.initial_states();
         let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
         let levels = space.expand_layers(&m, &roots, 3, &NOOP);
-        let reference = crate::explore(&m, &roots, 3);
+        let reference = crate::explore(&m, &roots, 3, &NOOP);
         assert_eq!(levels.len(), reference.levels.len());
         for (ids, states) in levels.iter().zip(&reference.levels) {
             assert_eq!(&space.materialize(ids), states);

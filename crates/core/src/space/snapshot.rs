@@ -821,11 +821,6 @@ where
     })
 }
 
-/// [`save_arena`] of a [`StateSpace`] (the same function).
-pub use save_arena as save_space;
-/// [`save_arena`] of a [`QuotientSpace`] (the same function).
-pub use save_arena as save_quotient;
-
 /// The one loader behind [`load_space`] and [`load_quotient`].
 ///
 /// # Panics
@@ -951,7 +946,7 @@ mod tests {
     #[test]
     fn state_space_round_trips() {
         let (m, space) = built_space();
-        let (bytes, digest) = save_space(&space, &meta(), &NOOP);
+        let (bytes, digest) = save_arena(&space, &meta(), &NOOP);
         let (loaded, got_meta, got_digest) = load_space(&m, &bytes, &NOOP).expect("loads");
         assert_eq!(got_meta, meta());
         assert_eq!(got_digest, digest);
@@ -967,7 +962,7 @@ mod tests {
             );
         }
         // Byte-identical re-save.
-        let (again, _) = save_space(&loaded, &meta(), &NOOP);
+        let (again, _) = save_arena(&loaded, &meta(), &NOOP);
         assert_eq!(again, bytes);
     }
 
@@ -975,7 +970,7 @@ mod tests {
     fn snapshot_telemetry_moves() {
         let (m, space) = built_space();
         let reg = MetricsRegistry::new();
-        let (bytes, _) = save_space(&space, &meta(), &reg);
+        let (bytes, _) = save_arena(&space, &meta(), &reg);
         load_space(&m, &bytes, &reg).expect("loads");
         let snap = reg.snapshot();
         assert_eq!(
@@ -988,7 +983,7 @@ mod tests {
     #[test]
     fn wrong_kind_is_rejected() {
         let (_, space) = built_space();
-        let (bytes, _) = save_space(&space, &meta(), &NOOP);
+        let (bytes, _) = save_arena(&space, &meta(), &NOOP);
         let m = CounterModel::new(3, 4);
         let err = match load_quotient::<CounterModel>(&m, &bytes, &NOOP) {
             Ok(_) => panic!("state snapshot loaded as quotient"),
@@ -1020,7 +1015,7 @@ mod tests {
     fn packed_blob_round_trips_and_declares_packing() {
         let (m, space) = built_space();
         assert!(space.store.is_packed(), "CounterModel provides a packer");
-        let (bytes, _) = save_space(&space, &meta(), &NOOP);
+        let (bytes, _) = save_arena(&space, &meta(), &NOOP);
         let nl = bytes.iter().position(|&b| b == b'\n').expect("header line");
         let header = std::str::from_utf8(&bytes[..nl]).expect("UTF-8 header");
         assert!(header.contains("\"packed\":1"), "{header}");
@@ -1034,14 +1029,14 @@ mod tests {
         let roots = m.initial_states();
         let mut space: StateSpace<CounterModel> = StateSpace::new();
         space.expand_layers(&m, &roots, 3, &NOOP);
-        let (bytes, _) = save_space(&space, &meta(), &NOOP);
+        let (bytes, _) = save_arena(&space, &meta(), &NOOP);
         let nl = bytes.iter().position(|&b| b == b'\n').expect("header line");
         let header = std::str::from_utf8(&bytes[..nl]).expect("UTF-8 header");
         assert!(header.contains("\"packed\":0"), "{header}");
         let (loaded, _, _) = load_space(&m, &bytes, &NOOP).expect("loads");
         assert!(!loaded.store.is_packed(), "loader follows the blob's flag");
         // Byte-identical re-save through the boxed path.
-        let (again, _) = save_space(&loaded, &meta(), &NOOP);
+        let (again, _) = save_arena(&loaded, &meta(), &NOOP);
         assert_eq!(again, bytes);
     }
 

@@ -8,7 +8,7 @@
 
 use std::collections::HashSet;
 
-use crate::telemetry::{Observer, Span, NOOP};
+use crate::telemetry::{Observer, Span};
 use crate::{LayeredModel, Pid};
 
 /// Census of one depth level.
@@ -51,18 +51,10 @@ impl LevelCensus {
     }
 }
 
-/// Census of a model's induced state space, level by level.
-pub fn census<M: LayeredModel>(model: &M, depth: usize) -> Vec<LevelCensus> {
-    census_with(model, depth, &NOOP)
-}
-
-/// [`census`] with telemetry: states visited, dedup hits, frontier widths
-/// and decided-state counts are reported to `obs`.
-pub fn census_with<M: LayeredModel>(
-    model: &M,
-    depth: usize,
-    obs: &dyn Observer,
-) -> Vec<LevelCensus> {
+/// Census of a model's induced state space, level by level. States
+/// visited, dedup hits, frontier widths and decided-state counts are
+/// reported to `obs`.
+pub fn census<M: LayeredModel>(model: &M, depth: usize, obs: &dyn Observer) -> Vec<LevelCensus> {
     let _span = Span::enter(obs, "stats.census");
     let n = model.num_processes();
     let mut out = Vec::with_capacity(depth + 1);
@@ -115,12 +107,13 @@ pub fn census_with<M: LayeredModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::NOOP;
     use crate::testkit::{flp_diamond, CounterModel};
 
     #[test]
     fn counter_census_counts() {
         let m = CounterModel::new(2, 3);
-        let rows = census(&m, 2);
+        let rows = census(&m, 2, &NOOP);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].depth, 0);
         assert_eq!(rows[0].states, 4); // 2^2 inputs
@@ -136,7 +129,7 @@ mod tests {
     #[test]
     fn diamond_census_sees_decisions() {
         let m = flp_diamond();
-        let rows = census(&m, 2);
+        let rows = census(&m, 2, &NOOP);
         assert_eq!(rows[0].states, 1);
         assert_eq!(rows[1].states, 2);
         assert_eq!(rows[2].states, 2);
@@ -147,7 +140,7 @@ mod tests {
     #[test]
     fn avg_and_dedup_factors() {
         let m = CounterModel::new(2, 3);
-        let rows = census(&m, 1);
+        let rows = census(&m, 1, &NOOP);
         assert!((rows[0].avg_layer() - 3.0).abs() < 1e-9);
         assert!((rows[0].dedup_factor(rows[1].states) - 1.0).abs() < 1e-9);
     }
@@ -155,8 +148,8 @@ mod tests {
     #[test]
     fn census_invariants_hold_on_known_models() {
         for rows in [
-            census(&flp_diamond(), 2),
-            census(&CounterModel::new(3, 2), 3),
+            census(&flp_diamond(), 2, &NOOP),
+            census(&CounterModel::new(3, 2), 3, &NOOP),
         ] {
             for (i, r) in rows.iter().enumerate() {
                 // Decided states are a subset of the level's states.
@@ -184,11 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn census_with_records_engine_telemetry() {
+    fn census_records_engine_telemetry() {
         use crate::telemetry::MetricsRegistry;
         let m = CounterModel::new(2, 3);
         let reg = MetricsRegistry::new();
-        let rows = census_with(&m, 2, &reg);
+        let rows = census(&m, 2, &reg);
         let snap = reg.snapshot();
         let visited: usize = rows.iter().map(|r| r.states).sum();
         assert_eq!(snap.counter("engine.states_visited"), visited as u64);

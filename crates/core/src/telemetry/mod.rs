@@ -5,9 +5,10 @@
 //! ([`crate::connectivity`]), the layering engine ([`crate::layering`]) and
 //! the consensus checker ([`crate::checker`]) — are instrumented with
 //! counter, gauge, histogram, span, event and progress hooks behind the
-//! [`Observer`] trait. Observability is strictly opt-in: every engine
-//! defaults to the [`NoopObserver`], whose callbacks are empty and inlined
-//! away, so uninstrumented runs behave (and print) exactly as before.
+//! [`Observer`] trait. Every engine entry point takes the observer as an
+//! argument, and observability is strictly opt-in: callers that want none
+//! pass [`NOOP`], whose callbacks are empty and inlined away, so
+//! uninstrumented runs behave (and print) exactly as before.
 //!
 //! Sinks provided here:
 //!

@@ -135,8 +135,8 @@ struct TraceRing {
 
 /// Bounded in-memory trace sink: completed spans and instant events.
 ///
-/// Implements [`Observer`], so it can be handed to any engine's `_with`
-/// twin — alone, or alongside a [`MetricsRegistry`](super::MetricsRegistry)
+/// Implements [`Observer`], so it can be handed to any engine entry point
+/// that takes one — alone, or alongside a [`MetricsRegistry`](super::MetricsRegistry)
 /// through a [`Fanout`](super::Fanout).
 ///
 /// # Examples

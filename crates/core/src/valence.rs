@@ -282,13 +282,6 @@ impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
         self.valence_id(id).is_bivalent()
     }
 
-    /// The valence flags of `x` (keyed, then memoized). Thin wrapper:
-    /// interns `x` and delegates to [`Solver::valences_id`].
-    pub fn valences(&mut self, x: &M::State) -> Valences {
-        let id = self.intern_id(x);
-        self.valences_id(id)
-    }
-
     /// Number of memoized entries (useful to report exploration effort).
     #[must_use]
     pub fn memo_len(&self) -> usize {
@@ -318,30 +311,15 @@ impl<M: LayeredModel> Solver<'_, M, Plain> {
         self.space.intern_with(x, self.obs)
     }
 
-    /// The decisions visible *locally* at `x` by processes non-failed at `x`.
-    ///
-    /// Non-binary decision values are ignored by the binary-valence solver
-    /// (Section 7's generalized valence handles them).
-    pub fn local_valences(&self, x: &M::State) -> Valences {
-        local_valence_flags(self.model, x, self.obs)
-    }
-
     /// The valence classification of `x`.
     pub fn valence(&mut self, x: &M::State) -> Valence {
-        self.valences(x).classify()
+        let id = self.intern(x);
+        self.valence_id(id)
     }
 
     /// Whether `x` is bivalent.
     pub fn is_bivalent(&mut self, x: &M::State) -> bool {
         self.valence(x).is_bivalent()
-    }
-
-    /// Whether `x` and `y` have a *shared valence* (`x ∼_v y`,
-    /// Definition 3.1): some `w ∈ {0,1}` such that both are `w`-valent.
-    pub fn shared_valence(&mut self, x: &M::State, y: &M::State) -> bool {
-        let a = self.valences(x);
-        let b = self.valences(y);
-        (a.zero && b.zero) || (a.one && b.one)
     }
 
     /// Scans the initial states for a bivalent one, in order.
@@ -364,7 +342,10 @@ impl<M: Symmetric> Solver<'_, M, Orbits> {
     }
 }
 
-/// The locally-visible-decision sweep behind [`Solver::valences_id`].
+/// The decisions visible *locally* at `x` by processes non-failed at `x`:
+/// the sweep behind [`Solver::valences_id`]. Non-binary decision values are
+/// ignored by the binary-valence solver (Section 7's generalized valence
+/// handles them).
 fn local_valence_flags<M: LayeredModel>(model: &M, x: &M::State, obs: &dyn Observer) -> Valences {
     obs.counter("valence.decided_probes", 1);
     let mut flags = Valences::NONE;
@@ -465,21 +446,6 @@ mod tests {
             .build();
         let mut s = ValenceSolver::new(&m, 0);
         assert_eq!(s.valence(&0), Valence::NoValence);
-    }
-
-    #[test]
-    fn shared_valence_matches_definition() {
-        let m = flp_diamond();
-        let mut s = ValenceSolver::new(&m, 2);
-        let x0 = m.initial_states().remove(0);
-        let succ = m.successors(&x0);
-        // The root is bivalent, so it shares a valence with every successor
-        // that has any valence.
-        for y in &succ {
-            if s.valence(y) != Valence::NoValence {
-                assert!(s.shared_valence(&x0, y));
-            }
-        }
     }
 
     #[test]

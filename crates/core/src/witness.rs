@@ -9,7 +9,7 @@
 //! model, without trusting the engine that produced it.
 
 use crate::connectivity::valence_report;
-use crate::layering::build_bivalent_run_interned;
+use crate::layering::build_bivalent_run;
 use crate::model::{ExecutionTrace, TraceError};
 use crate::space::{Keying, Orbits, Plain};
 use crate::sym::Symmetric;
@@ -70,7 +70,8 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     /// Returns `None` if no bivalent initial state exists or the chain
     /// cannot be extended to the requested length (in which case the
     /// [checker](crate::check_consensus) will localize the protocol's
-    /// violation instead).
+    /// violation instead). Kept beside [`build_quotient`](Self::build_quotient)
+    /// because `perfbench/src/scan.rs` calls both.
     pub fn build<M>(model: &M, horizon: usize, steps: usize) -> Option<Self>
     where
         M: LayeredModel<State = S>,
@@ -93,7 +94,8 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     ///
     /// Panics if the model's active layering is not equivariant
     /// (`symmetric_layering()` is `false`) — quotienting a non-equivariant
-    /// layering would be unsound.
+    /// layering would be unsound. Kept public because `perfbench/src/scan.rs`
+    /// calls it.
     pub fn build_quotient<M>(model: &M, horizon: usize, steps: usize) -> Option<Self>
     where
         M: Symmetric<State = S>,
@@ -102,30 +104,21 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     }
 
     /// The Theorem 4.2 run over the arena keyed by `K`, materialized into
-    /// an execution of `model`. The undecided counts are recomputed on the
-    /// materialized states rather than copied from the keys.
+    /// an execution of `model` by [`build_bivalent_run`].
     fn build_keyed<M, K>(model: &M, horizon: usize, steps: usize) -> Option<Self>
     where
         M: LayeredModel<State = S>,
         K: Keying<M>,
     {
         let mut solver = Solver::<M, K>::new(model, horizon);
-        let run = build_bivalent_run_interned(&mut solver, steps);
+        let run = build_bivalent_run(&mut solver, steps);
         if !run.reached_target() {
             return None;
         }
-        let states = solver
-            .space()
-            .dequotient_path(model, &run.chain)
-            .expect("run chains follow cached edges");
-        let undecided = states
-            .iter()
-            .map(|x| undecided_non_failed(model, x).len())
-            .collect();
         Some(ImpossibilityWitness {
-            chain: ExecutionTrace::new(states),
+            chain: run.chain?,
             horizon,
-            undecided,
+            undecided: run.undecided_per_state,
         })
     }
 
@@ -165,7 +158,7 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
             // The premise used at each extension step.
             if index + 1 < self.chain.states().len() {
                 let layer = model.successors(x);
-                if !valence_report(model, &mut solver, &layer).connected {
+                if !valence_report(&mut solver, &layer).connected {
                     return Err(WitnessError::LayerDisconnected { index });
                 }
             }

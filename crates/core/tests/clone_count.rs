@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use layered_core::{check_consensus_with, LayeredModel, NoopObserver, Pid, StateSpace, Value};
+use layered_core::{check_consensus, LayeredModel, NoopObserver, Pid, StateSpace, Value};
 
 /// Clones of [`Tally`] made so far.
 static CLONES: AtomicUsize = AtomicUsize::new(0);
@@ -136,7 +136,7 @@ fn consensus_check_clones_only_violation_states() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = TallyModel { n: 3, branch: 3 };
     let before = clones();
-    let report = check_consensus_with(&m, 2, usize::MAX, &NoopObserver);
+    let report = check_consensus(&m, 2, usize::MAX, &NoopObserver);
     let cloned = clones() - before;
     assert!(report.of_kind("agreement").next().is_some());
     assert!(report.of_kind("decision").next().is_some());

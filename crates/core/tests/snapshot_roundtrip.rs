@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use layered_core::telemetry::NOOP;
 use layered_core::testkit::CounterModel;
 use layered_core::{
-    load_quotient, load_space, save_quotient, save_space, ArenaMeta, LayeredModel, QuotientSpace,
-    SnapshotError, StateId, StateSpace,
+    load_quotient, load_space, save_arena, ArenaMeta, LayeredModel, QuotientSpace, SnapshotError,
+    StateId, StateSpace,
 };
 
 /// Provenance stamped on every test snapshot.
@@ -64,7 +64,7 @@ proptest! {
     ) {
         let (model, space, levels) = built_state_space(n, branch, depth);
         let m = meta(n as u64, depth as u64);
-        let (bytes, digest) = save_space(&space, &m, &NOOP);
+        let (bytes, digest) = save_arena(&space, &m, &NOOP);
         let (loaded, got_meta, got_digest) =
             load_space(&model, &bytes, &NOOP).expect("pristine blob loads");
         prop_assert_eq!(got_meta, m.clone());
@@ -80,7 +80,7 @@ proptest! {
                 space.successor_fingerprint_of(id)
             );
         }
-        let (again, again_digest) = save_space(&loaded, &m, &NOOP);
+        let (again, again_digest) = save_arena(&loaded, &m, &NOOP);
         prop_assert_eq!(again, bytes, "re-save is not byte-identical");
         prop_assert_eq!(again_digest, got_digest);
     }
@@ -95,7 +95,7 @@ proptest! {
     ) {
         let (model, space, levels) = built_quotient_space(n, branch, depth);
         let m = meta(n as u64, depth as u64);
-        let (bytes, digest) = save_quotient(&space, &m, &NOOP);
+        let (bytes, digest) = save_arena(&space, &m, &NOOP);
         let (loaded, got_meta, got_digest) =
             load_quotient(&model, &bytes, &NOOP).expect("pristine blob loads");
         prop_assert_eq!(got_meta, m.clone());
@@ -115,7 +115,7 @@ proptest! {
                 space.successor_fingerprint_of(id)
             );
         }
-        let (again, again_digest) = save_quotient(&loaded, &m, &NOOP);
+        let (again, again_digest) = save_arena(&loaded, &m, &NOOP);
         prop_assert_eq!(again, bytes, "re-save is not byte-identical");
         prop_assert_eq!(again_digest, got_digest);
     }
@@ -126,7 +126,7 @@ proptest! {
 #[test]
 fn corrupted_bytes_are_rejected() {
     let (model, space, _) = built_state_space(3, 3, 3);
-    let (pristine, _) = save_space(&space, &meta(3, 3), &NOOP);
+    let (pristine, _) = save_arena(&space, &meta(3, 3), &NOOP);
     // Flip one bit at a spread of positions (every 7th byte keeps the test
     // fast while still covering header, index, CSR, and fingerprint
     // regions).
@@ -147,7 +147,7 @@ fn corrupted_bytes_are_rejected() {
 #[test]
 fn corrupted_quotient_bytes_are_rejected() {
     let (model, space, _) = built_quotient_space(3, 3, 2);
-    let (pristine, _) = save_quotient(&space, &meta(3, 2), &NOOP);
+    let (pristine, _) = save_arena(&space, &meta(3, 2), &NOOP);
     for pos in (0..pristine.len()).step_by(7) {
         let mut tampered = pristine.clone();
         tampered[pos] ^= 0x01;
@@ -164,7 +164,7 @@ fn corrupted_quotient_bytes_are_rejected() {
 #[test]
 fn truncated_and_padded_blobs_are_rejected() {
     let (model, space, _) = built_state_space(3, 2, 2);
-    let (pristine, _) = save_space(&space, &meta(3, 2), &NOOP);
+    let (pristine, _) = save_arena(&space, &meta(3, 2), &NOOP);
     for len in [
         0,
         1,
@@ -191,7 +191,7 @@ fn truncated_and_padded_blobs_are_rejected() {
 #[test]
 fn version_mismatch_is_rejected_before_hashing() {
     let (model, space, _) = built_state_space(3, 2, 2);
-    let (pristine, _) = save_space(&space, &meta(3, 2), &NOOP);
+    let (pristine, _) = save_arena(&space, &meta(3, 2), &NOOP);
     let needle = b"\"version\":2";
     let pos = pristine
         .windows(needle.len())
@@ -211,7 +211,7 @@ fn version_mismatch_is_rejected_before_hashing() {
 #[test]
 fn wrong_kind_is_rejected_both_ways() {
     let (model, qspace, _) = built_quotient_space(3, 2, 2);
-    let (qbytes, _) = save_quotient(&qspace, &meta(3, 2), &NOOP);
+    let (qbytes, _) = save_arena(&qspace, &meta(3, 2), &NOOP);
     match load_space(&model, &qbytes, &NOOP) {
         Err(SnapshotError::WrongKind { expected, found }) => {
             assert_eq!(expected, "state");
@@ -222,7 +222,7 @@ fn wrong_kind_is_rejected_both_ways() {
     }
 
     let (_, space, _) = built_state_space(3, 2, 2);
-    let (bytes, _) = save_space(&space, &meta(3, 2), &NOOP);
+    let (bytes, _) = save_arena(&space, &meta(3, 2), &NOOP);
     match load_quotient(&model, &bytes, &NOOP) {
         Err(SnapshotError::WrongKind { expected, found }) => {
             assert_eq!(expected, "quotient");
@@ -239,11 +239,11 @@ fn empty_space_roundtrips() {
     let model = CounterModel::new(3, 2);
     let space: StateSpace<CounterModel> = StateSpace::new();
     let m = meta(3, 0);
-    let (bytes, _) = save_space(&space, &m, &NOOP);
+    let (bytes, _) = save_arena(&space, &m, &NOOP);
     let (loaded, got_meta, _) = load_space(&model, &bytes, &NOOP).expect("empty blob loads");
     assert_eq!(got_meta, m);
     assert_eq!(loaded.len(), 0);
     assert_eq!(loaded.edge_count(), 0);
-    let (again, _) = save_space(&loaded, &m, &NOOP);
+    let (again, _) = save_arena(&loaded, &m, &NOOP);
     assert_eq!(again, bytes);
 }

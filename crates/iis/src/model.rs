@@ -62,13 +62,14 @@ impl<L> IisState<L> {
 ///
 /// ```
 /// use layered_core::check_consensus;
+/// use layered_core::telemetry::NOOP;
 /// use layered_protocols::SmFloodMin;
 /// use layered_iis::IisModel;
 ///
 /// let m = IisModel::new(3, SmFloodMin::new(2));
 /// // Consensus is unsolvable here too: the same checker refutes the
 /// // candidate.
-/// assert!(!check_consensus(&m, 2, 1).passed());
+/// assert!(!check_consensus(&m, 2, 1, &NOOP).passed());
 /// ```
 #[derive(Clone, Debug)]
 pub struct IisModel<P: SmProtocol> {
@@ -280,6 +281,7 @@ impl<P: SmProtocol> LayeredModel for IisModel<P> {
 
 #[cfg(test)]
 mod tests {
+    use layered_core::telemetry::NOOP;
     use layered_core::{
         build_bivalent_run, check_consensus, check_fault_independence, check_graded,
         valence_report, ValenceSolver,
@@ -352,7 +354,7 @@ mod tests {
         let mut solver = ValenceSolver::new(&m, 2);
         let x0 = solver.bivalent_initial_state().expect("bivalent init");
         let layer = m.layer(&x0);
-        let rep = valence_report(&m, &mut solver, &layer);
+        let rep = valence_report(&mut solver, &layer);
         assert!(rep.connected, "IIS layer must be valence connected");
         let run = build_bivalent_run(&mut solver, 1);
         assert!(run.reached_target());
@@ -363,7 +365,7 @@ mod tests {
         for phases in 1..=2u16 {
             let m = model(3, phases);
             assert!(
-                !check_consensus(&m, usize::from(phases), 1).passed(),
+                !check_consensus(&m, usize::from(phases), 1, &NOOP).passed(),
                 "SmFloodMin({phases}) unexpectedly solves consensus in IIS"
             );
         }

@@ -21,15 +21,16 @@
 //!
 //! ```
 //! use layered_core::check_consensus;
+//! use layered_core::telemetry::NOOP;
 //! use layered_protocols::FloodMin;
 //! use layered_sync_crash::CrashModel;
 //!
 //! // n = 3, t = 1: two rounds suffice...
 //! let m = CrashModel::new(3, 1, FloodMin::new(2));
-//! assert!(check_consensus(&m, 2, 1).passed());
+//! assert!(check_consensus(&m, 2, 1, &NOOP).passed());
 //! // ...and one round cannot (Corollary 6.3).
 //! let m = CrashModel::new(3, 1, FloodMin::new(1));
-//! assert!(!check_consensus(&m, 1, 1).passed());
+//! assert!(!check_consensus(&m, 1, 1, &NOOP).passed());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -61,14 +61,15 @@ pub enum CrashLayering {
 ///
 /// ```
 /// use layered_core::check_consensus;
+/// use layered_core::telemetry::NOOP;
 /// use layered_protocols::FloodMin;
 /// use layered_sync_crash::CrashModel;
 ///
 /// let good = CrashModel::new(3, 1, FloodMin::new(2));
-/// assert!(check_consensus(&good, 2, 1).passed());
+/// assert!(check_consensus(&good, 2, 1, &NOOP).passed());
 ///
 /// let bad = CrashModel::new(3, 1, FloodMin::new(1));
-/// assert!(!check_consensus(&bad, 1, 1).passed());
+/// assert!(!check_consensus(&bad, 1, 1, &NOOP).passed());
 /// ```
 #[derive(Clone, Debug)]
 pub struct CrashModel<P: SyncProtocol> {
@@ -563,6 +564,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use layered_core::telemetry::NOOP;
     use layered_core::{check_fault_independence, check_graded, similarity_report, LayeredModel};
     use layered_protocols::FloodMin;
 
@@ -656,7 +658,7 @@ mod tests {
         // all chain states carry the same failure record {p4}.
         let j = Pid::new(3);
         let states: Vec<_> = (1..=4).map(|k| m.apply(&x, Some((j, k)))).collect();
-        let rep = similarity_report(&m, &states);
+        let rep = similarity_report(&m, &states, &NOOP);
         assert!(
             rep.connected,
             "the prefix chain must be similarity connected"
@@ -684,7 +686,7 @@ mod tests {
         // Tightness of Corollary 6.3 at (n, t) = (3, 1): exhaustive over all
         // S^t-runs of 2 rounds.
         let m = model(3, 1, 2);
-        let report = layered_core::check_consensus(&m, 2, 5);
+        let report = layered_core::check_consensus(&m, 2, 5, &NOOP);
         assert!(report.passed(), "violations: {:?}", report.violations);
     }
 
@@ -693,7 +695,7 @@ mod tests {
         // The lower bound itself: a t-round protocol must violate a
         // requirement (here: agreement).
         let m = model(3, 1, 1);
-        let report = layered_core::check_consensus(&m, 1, 5);
+        let report = layered_core::check_consensus(&m, 1, 5, &NOOP);
         assert!(!report.passed());
         assert!(report.of_kind("agreement").next().is_some());
     }

@@ -2,7 +2,7 @@
 //! (with its failure record) survives the arena codec, and re-saving the
 //! reloaded arena is byte-identical.
 
-use layered_core::{load_space, save_space, ArenaMeta, LayeredModel, NoopObserver, StateSpace};
+use layered_core::{load_space, save_arena, ArenaMeta, LayeredModel, NoopObserver, StateSpace};
 use layered_protocols::FloodMin;
 use layered_sync_crash::{CrashModel, MODEL_KEY};
 
@@ -25,7 +25,7 @@ fn interned_arena_roundtrips_at_n3() {
     let roots = m.initial_states();
     let mut space: StateSpace<CrashModel<FloodMin>> = StateSpace::new();
     let levels = space.expand_layers(&m, &roots, 2, &NOOP);
-    let (bytes, digest) = save_space(&space, &meta(), &NOOP);
+    let (bytes, digest) = save_arena(&space, &meta(), &NOOP);
     let (loaded, got_meta, got_digest) =
         load_space(&m, &bytes, &NOOP).expect("pristine blob loads");
     assert_eq!(got_meta, meta());
@@ -40,7 +40,7 @@ fn interned_arena_roundtrips_at_n3() {
             space.successor_fingerprint_of(id)
         );
     }
-    let (again, _) = save_space(&loaded, &meta(), &NOOP);
+    let (again, _) = save_arena(&loaded, &meta(), &NOOP);
     assert_eq!(again, bytes, "re-save is not byte-identical");
 }
 
@@ -50,7 +50,7 @@ fn tampered_blobs_are_rejected() {
     let roots = m.initial_states();
     let mut space: StateSpace<CrashModel<FloodMin>> = StateSpace::new();
     space.expand_layers(&m, &roots, 1, &NOOP);
-    let (pristine, _) = save_space(&space, &meta(), &NOOP);
+    let (pristine, _) = save_arena(&space, &meta(), &NOOP);
     for pos in (0..pristine.len()).step_by(13) {
         let mut tampered = pristine.clone();
         tampered[pos] ^= 0x01;

@@ -6,9 +6,8 @@
 use std::collections::HashSet;
 
 use layered_core::{
-    scan_layer_valence_connectivity, scan_layer_valence_connectivity_quotient,
-    ImpossibilityWitness, LayeredModel, Pid, PidPerm, QuotientSolver, Symmetric, ValenceSolver,
-    Value,
+    scan_layer_valence_connectivity, ImpossibilityWitness, LayeredModel, Pid, PidPerm,
+    QuotientSolver, Symmetric, ValenceSolver, Value,
 };
 use layered_protocols::FloodMin;
 use layered_sync_crash::{CrashLayering, CrashModel};
@@ -58,12 +57,16 @@ fn permutation_relabels_the_failure_record() {
 fn valence_flags_are_orbit_invariant() {
     let m = sym_model(3, 1, 1);
     let mut solver = ValenceSolver::new(&m, 1);
+    let mut flags_of = |x| {
+        let id = solver.intern(&x);
+        solver.valences_id(id)
+    };
     for x in m.initial_states() {
-        let flags = solver.valences(&x);
+        let flags = flags_of(x.clone());
         let (rep, _) = m.canonicalize(&x);
-        assert_eq!(flags, solver.valences(&rep));
+        assert_eq!(flags, flags_of(rep));
         for pi in PidPerm::all(3) {
-            assert_eq!(flags, solver.valences(&m.permute_state(&x, &pi)));
+            assert_eq!(flags, flags_of(m.permute_state(&x, &pi)));
         }
     }
 }
@@ -74,7 +77,7 @@ fn quotient_and_full_scans_agree_at_n3() {
     let mut full_solver = ValenceSolver::new(&m, 2);
     let full = scan_layer_valence_connectivity(&mut full_solver, 1, true);
     let mut quot_solver = QuotientSolver::new(&m, 2);
-    let quot = scan_layer_valence_connectivity_quotient(&mut quot_solver, 1, true);
+    let quot = scan_layer_valence_connectivity(&mut quot_solver, 1, true);
     assert_eq!(full.violation.is_none(), quot.violation.is_none());
     assert!(quot.states_seen <= full.states_seen);
 }

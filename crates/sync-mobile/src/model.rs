@@ -45,6 +45,7 @@ pub enum MobileLayering {
 /// # Examples
 ///
 /// ```
+/// use layered_core::telemetry::NOOP;
 /// use layered_core::{check_consensus, LayeredModel};
 /// use layered_protocols::FloodMin;
 /// use layered_sync_mobile::MobileModel;
@@ -52,7 +53,7 @@ pub enum MobileLayering {
 /// let m = MobileModel::new(3, FloodMin::new(2));
 /// // Corollary 5.2: no protocol solves consensus here — the checker finds
 /// // a violation for FloodMin with deadline 2.
-/// let report = check_consensus(&m, 2, 1);
+/// let report = check_consensus(&m, 2, 1, &NOOP);
 /// assert!(!report.passed());
 /// ```
 #[derive(Clone, Debug)]
@@ -403,6 +404,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use layered_core::telemetry::NOOP;
     use layered_core::{
         check_crash_display, check_fault_independence, check_graded, similarity_report,
         similarity_witness,
@@ -468,11 +470,11 @@ mod tests {
         let m = model(3, 2);
         for x0 in m.initial_states() {
             let layer = m.s1_layer(&x0);
-            let rep = similarity_report(&m, &layer);
+            let rep = similarity_report(&m, &layer, &NOOP);
             assert!(rep.connected, "S₁(x) must be similarity connected");
             // And one level deeper.
             for x1 in layer.iter().take(3) {
-                let rep1 = similarity_report(&m, &m.s1_layer(x1));
+                let rep1 = similarity_report(&m, &m.s1_layer(x1), &NOOP);
                 assert!(rep1.connected);
             }
         }

@@ -4,9 +4,8 @@
 //! and the parallel expansion path, for both arena kinds.
 
 use layered_core::{
-    load_quotient, load_space, save_quotient, save_space, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, scan_layer_valence_connectivity_quotient,
-    scan_layer_valence_connectivity_quotient_parallel, ArenaMeta, LayeredModel, NoopObserver,
+    load_quotient, load_space, save_arena, scan_layer_valence_connectivity,
+    scan_layer_valence_connectivity_parallel, ArenaMeta, LayeredModel, NoopObserver,
     QuotientSolver, QuotientSpace, SnapshotError, StateSpace, ValenceSolver,
 };
 use layered_protocols::FloodMin;
@@ -33,7 +32,7 @@ fn interned_arena_roundtrips_at_n3() {
     let roots = m.initial_states();
     let mut space: StateSpace<MobileModel<FloodMin>> = StateSpace::new();
     let levels = space.expand_layers(&m, &roots, 2, &NOOP);
-    let (bytes, _) = save_space(&space, &meta(3, 3, 2, "s1"), &NOOP);
+    let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "s1"), &NOOP);
     let (loaded, _, _) = load_space(&m, &bytes, &NOOP).expect("pristine blob loads");
     assert_eq!(loaded.len(), space.len());
     assert_eq!(loaded.edge_count(), space.edge_count());
@@ -41,7 +40,7 @@ fn interned_arena_roundtrips_at_n3() {
         assert_eq!(loaded.resolve(id), space.resolve(id));
         assert_eq!(loaded.cached_successors(id), space.cached_successors(id));
     }
-    let (again, _) = save_space(&loaded, &meta(3, 3, 2, "s1"), &NOOP);
+    let (again, _) = save_arena(&loaded, &meta(3, 3, 2, "s1"), &NOOP);
     assert_eq!(again, bytes, "re-save is not byte-identical");
 }
 
@@ -53,7 +52,7 @@ fn quotient_arena_roundtrips_at_n3() {
     let roots = m.initial_states();
     let mut space = QuotientSpace::new(&m);
     let levels = space.expand_layers(&m, &roots, 2, &NOOP);
-    let (bytes, _) = save_quotient(&space, &meta(3, 3, 2, "full"), &NOOP);
+    let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "full"), &NOOP);
     let (loaded, _, _) = load_quotient(&m, &bytes, &NOOP).expect("pristine blob loads");
     assert_eq!(loaded.len(), space.len());
     assert_eq!(loaded.edge_count(), space.edge_count());
@@ -66,7 +65,7 @@ fn quotient_arena_roundtrips_at_n3() {
             space.cached_successors_with_perms(id)
         );
     }
-    let (again, _) = save_quotient(&loaded, &meta(3, 3, 2, "full"), &NOOP);
+    let (again, _) = save_arena(&loaded, &meta(3, 3, 2, "full"), &NOOP);
     assert_eq!(again, bytes, "re-save is not byte-identical");
 }
 
@@ -81,7 +80,7 @@ fn snapshot_of_another_process_count_is_rejected() {
     let mismatch = SnapshotError::Malformed("snapshot n does not match model");
     for mut space in [StateSpace::for_model(&m3), StateSpace::new()] {
         space.expand_layers(&m3, &roots, 2, &NOOP);
-        let (bytes, _) = save_space(&space, &meta(3, 3, 2, "full"), &NOOP);
+        let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "full"), &NOOP);
         assert!(
             load_space(&m3, &bytes, &NOOP).is_ok(),
             "pristine blob loads"
@@ -93,7 +92,7 @@ fn snapshot_of_another_process_count_is_rejected() {
     }
     for mut space in [QuotientSpace::new(&m3), QuotientSpace::new_boxed(&m3)] {
         space.expand_layers(&m3, &roots, 2, &NOOP);
-        let (bytes, _) = save_quotient(&space, &meta(3, 3, 2, "full"), &NOOP);
+        let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "full"), &NOOP);
         match load_quotient(&m4, &bytes, &NOOP) {
             Ok(_) => panic!("n = 3 quotient snapshot loaded against an n = 4 model"),
             Err(e) => assert_eq!(e, mismatch),
@@ -110,7 +109,7 @@ fn resumed_interned_scan_is_bit_identical_at_n4() {
     let m = MobileModel::new(4, FloodMin::new(horizon as u16));
     let mut cold = ValenceSolver::with_observer(&m, horizon, &NOOP);
     scan_layer_valence_connectivity(&mut cold, 1, true);
-    let (bytes, _) = save_space(cold.space(), &meta(4, horizon, 1, "s1"), &NOOP);
+    let (bytes, _) = save_arena(cold.space(), &meta(4, horizon, 1, "s1"), &NOOP);
 
     let mut deep_seq = ValenceSolver::with_observer(&m, horizon, &NOOP);
     let cold_seq = scan_layer_valence_connectivity(&mut deep_seq, 2, true);
@@ -137,22 +136,22 @@ fn resumed_quotient_scan_is_bit_identical_at_n4() {
     let horizon = 3;
     let m = MobileModel::new(4, FloodMin::new(horizon as u16)).with_layering(MobileLayering::Full);
     let mut cold = QuotientSolver::with_observer(&m, horizon, &NOOP);
-    scan_layer_valence_connectivity_quotient(&mut cold, 1, true);
-    let (bytes, _) = save_quotient(cold.space(), &meta(4, horizon, 1, "full"), &NOOP);
+    scan_layer_valence_connectivity(&mut cold, 1, true);
+    let (bytes, _) = save_arena(cold.space(), &meta(4, horizon, 1, "full"), &NOOP);
 
     let mut deep_seq = QuotientSolver::with_observer(&m, horizon, &NOOP);
-    let cold_seq = scan_layer_valence_connectivity_quotient(&mut deep_seq, 2, true);
+    let cold_seq = scan_layer_valence_connectivity(&mut deep_seq, 2, true);
     let mut deep_par = QuotientSolver::with_observer(&m, horizon, &NOOP);
-    let cold_par = scan_layer_valence_connectivity_quotient_parallel(&mut deep_par, 2, true, 4);
+    let cold_par = scan_layer_valence_connectivity_parallel(&mut deep_par, 2, true, 4);
     assert_eq!(cold_seq, cold_par, "seq/par cold scans disagree");
 
     for threads in [0, 4] {
         let (space, _, _) = load_quotient(&m, &bytes, &NOOP).expect("snapshot reloads");
         let mut resumed = QuotientSolver::with_space(&m, horizon, space, &NOOP);
         let scan = if threads == 0 {
-            scan_layer_valence_connectivity_quotient(&mut resumed, 2, true)
+            scan_layer_valence_connectivity(&mut resumed, 2, true)
         } else {
-            scan_layer_valence_connectivity_quotient_parallel(&mut resumed, 2, true, threads)
+            scan_layer_valence_connectivity_parallel(&mut resumed, 2, true, threads)
         };
         assert_eq!(scan, cold_seq, "resumed scan (threads={threads}) diverged");
     }
@@ -165,18 +164,18 @@ fn resumed_quotient_scan_is_bit_identical_at_n4() {
 fn differential_refresh_matches_cold_scan_after_deadline_move() {
     let m1 = MobileModel::new(3, FloodMin::new(2)).with_layering(MobileLayering::Full);
     let mut cold = QuotientSolver::with_observer(&m1, 2, &NOOP);
-    scan_layer_valence_connectivity_quotient(&mut cold, 1, true);
-    let (bytes, _) = save_quotient(cold.space(), &meta(3, 2, 1, "full"), &NOOP);
+    scan_layer_valence_connectivity(&mut cold, 1, true);
+    let (bytes, _) = save_arena(cold.space(), &meta(3, 2, 1, "full"), &NOOP);
 
     let m2 = MobileModel::new(3, FloodMin::new(3)).with_layering(MobileLayering::Full);
     let mut cold2 = QuotientSolver::with_observer(&m2, 3, &NOOP);
-    let want = scan_layer_valence_connectivity_quotient(&mut cold2, 1, true);
+    let want = scan_layer_valence_connectivity(&mut cold2, 1, true);
 
     let (mut space, _, _) = load_quotient(&m2, &bytes, &NOOP).expect("snapshot reloads");
     let diff = space.refresh_differential(&m2, &NOOP);
     assert!(diff.reused > 0, "no rows reused: {diff:?}");
     assert!(diff.recomputed > 0, "no rows recomputed: {diff:?}");
     let mut resumed = QuotientSolver::with_space(&m2, 3, space, &NOOP);
-    let got = scan_layer_valence_connectivity_quotient(&mut resumed, 1, true);
+    let got = scan_layer_valence_connectivity(&mut resumed, 1, true);
     assert_eq!(got, want, "refreshed scan diverged from cold scan");
 }

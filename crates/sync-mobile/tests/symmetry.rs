@@ -6,9 +6,8 @@
 use std::collections::HashSet;
 
 use layered_core::{
-    scan_layer_valence_connectivity, scan_layer_valence_connectivity_quotient,
-    scan_layer_valence_connectivity_quotient_parallel, ImpossibilityWitness, LayeredModel, PidPerm,
-    QuotientSolver, Symmetric, ValenceSolver,
+    build_bivalent_run, scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel,
+    ImpossibilityWitness, LayeredModel, PidPerm, QuotientSolver, Symmetric, ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel};
@@ -61,12 +60,16 @@ fn prefix_layering_is_not_equivariant() {
 fn valence_flags_are_orbit_invariant() {
     let m = sym_model(3, 2);
     let mut solver = ValenceSolver::new(&m, 2);
+    let mut flags_of = |x| {
+        let id = solver.intern(&x);
+        solver.valences_id(id)
+    };
     for x in m.initial_states() {
-        let flags = solver.valences(&x);
+        let flags = flags_of(x.clone());
         let (rep, _) = m.canonicalize(&x);
-        assert_eq!(flags, solver.valences(&rep));
+        assert_eq!(flags, flags_of(rep));
         for pi in PidPerm::all(3) {
-            assert_eq!(flags, solver.valences(&m.permute_state(&x, &pi)));
+            assert_eq!(flags, flags_of(m.permute_state(&x, &pi)));
         }
     }
 }
@@ -77,7 +80,7 @@ fn quotient_and_full_scans_agree_at_n3() {
     let mut full_solver = ValenceSolver::new(&m, 2);
     let full = scan_layer_valence_connectivity(&mut full_solver, 1, true);
     let mut quot_solver = QuotientSolver::new(&m, 2);
-    let quot = scan_layer_valence_connectivity_quotient(&mut quot_solver, 1, true);
+    let quot = scan_layer_valence_connectivity(&mut quot_solver, 1, true);
     assert_eq!(full.violation.is_none(), quot.violation.is_none());
     assert!(quot.states_seen <= full.states_seen);
 }
@@ -86,9 +89,9 @@ fn quotient_and_full_scans_agree_at_n3() {
 fn quotient_scan_parallel_matches_sequential() {
     let m = sym_model(3, 2);
     let mut seq = QuotientSolver::new(&m, 2);
-    let a = scan_layer_valence_connectivity_quotient(&mut seq, 1, true);
+    let a = scan_layer_valence_connectivity(&mut seq, 1, true);
     let mut par = QuotientSolver::new(&m, 2);
-    let b = scan_layer_valence_connectivity_quotient_parallel(&mut par, 1, true, 4);
+    let b = scan_layer_valence_connectivity_parallel(&mut par, 1, true, 4);
     assert_eq!(a.layers_checked, b.layers_checked);
     assert_eq!(a.states_seen, b.states_seen);
     assert_eq!(a.violation.is_none(), b.violation.is_none());
@@ -104,6 +107,27 @@ fn dequotiented_witness_verifies() {
 }
 
 #[test]
+fn generic_run_over_the_quotient_is_a_genuine_execution() {
+    // The Theorem 4.2 run over a fresh quotient solver comes back
+    // de-quotiented: a genuine execution, the chain the quotient witness
+    // packages, and the same verdict as the full-space run.
+    for n in [3, 4] {
+        let m = sym_model(n, 2);
+        let quot = build_bivalent_run(&mut QuotientSolver::new(&m, 2), 1);
+        let full = build_bivalent_run(&mut ValenceSolver::new(&m, 2), 1);
+        let chain = quot
+            .chain
+            .as_ref()
+            .expect("a bivalent initial orbit exists");
+        assert_eq!(chain.validate(&m), Ok(()), "n = {n}");
+        let witness = ImpossibilityWitness::build_quotient(&m, 2, 1).expect("witness builds");
+        assert_eq!(*chain, witness.chain, "n = {n}");
+        assert_eq!(quot.stuck, full.stuck, "n = {n}");
+        assert_eq!(quot.reached_target(), full.reached_target(), "n = {n}");
+    }
+}
+
+#[test]
 fn quotient_scan_reduces_states_3x_at_n4() {
     // The PR's acceptance bound: at n = 4 the quotient scan visits at least
     // 3× fewer states than the full scan, with the same lemma verdict.
@@ -111,7 +135,7 @@ fn quotient_scan_reduces_states_3x_at_n4() {
     let mut full_solver = ValenceSolver::new(&m, 2);
     let full = scan_layer_valence_connectivity(&mut full_solver, 1, true);
     let mut quot_solver = QuotientSolver::new(&m, 2);
-    let quot = scan_layer_valence_connectivity_quotient(&mut quot_solver, 1, true);
+    let quot = scan_layer_valence_connectivity(&mut quot_solver, 1, true);
     assert_eq!(full.violation.is_none(), quot.violation.is_none());
     assert!(
         full.states_seen >= 3 * quot.states_seen,

@@ -9,6 +9,7 @@
 //! chain certificate across it (Lemma 5.1(iii)), and runs the impossibility
 //! pipeline of Corollary 5.2.
 
+use layered_consensus::core::telemetry::NOOP;
 use layered_consensus::core::{
     check_consensus, similarity_chain_between, similarity_report, LayeredModel, Value,
 };
@@ -33,12 +34,12 @@ fn main() {
 
     // Lemma 5.1(iii): the layer is similarity connected; extract an
     // explicit chain certificate between its extremes and re-verify it.
-    let rep = similarity_report(&model, &layer);
+    let rep = similarity_report(&model, &layer, &NOOP);
     println!(
         "\nsimilarity connectivity: connected = {}, diameter = {:?}",
         rep.connected, rep.diameter
     );
-    let chain = similarity_chain_between(&model, &layer, 0, layer.len() - 1)
+    let chain = similarity_chain_between(&model, &layer, 0, layer.len() - 1, &NOOP)
         .expect("Lemma 5.1(iii): the layer is similarity connected");
     println!(
         "certificate: chain of {} edge(s) from state 0 to state {}",
@@ -59,7 +60,7 @@ fn main() {
     println!("\n== Corollary 5.2: refuting candidate protocols ==");
     for deadline in 1..=3u16 {
         let m = MobileModel::new(n, FloodMin::new(deadline));
-        let report = check_consensus(&m, usize::from(deadline), 1);
+        let report = check_consensus(&m, usize::from(deadline), 1, &NOOP);
         println!(
             "FloodMin({deadline}): {} ({} states)",
             report

@@ -11,6 +11,7 @@
 //! run showing why *no* deadline could have worked.
 
 use layered_consensus::async_mp::MpModel;
+use layered_consensus::core::telemetry::NOOP;
 use layered_consensus::core::{
     build_bivalent_run, check_consensus, undecided_non_failed, ValenceSolver, Violation,
 };
@@ -28,7 +29,7 @@ fn main() {
 
     // 1. The checker sweeps every S^per-execution up to the deadline and
     //    finds a concrete violation of Decision, Agreement or Validity.
-    let report = check_consensus(&model, usize::from(deadline), 3);
+    let report = check_consensus(&model, usize::from(deadline), 3, &NOOP);
     println!(
         "checker: explored {} states, found {} violation(s)",
         report.states_explored,

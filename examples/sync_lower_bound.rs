@@ -11,6 +11,7 @@
 //! chain plus the Lemma 6.2 undecided successor are constructed — the two
 //! halves of the lower-bound argument.
 
+use layered_consensus::core::telemetry::NOOP;
 use layered_consensus::core::{check_consensus, ValenceSolver};
 use layered_consensus::protocols::FloodMin;
 use layered_consensus::sync_crash::{lemma_6_1_chain, lemma_6_2_witness, CrashModel};
@@ -22,7 +23,7 @@ fn main() {
 
         // A t-round candidate must fail.
         let fast = CrashModel::new(n, t, FloodMin::new(t as u16));
-        let report = check_consensus(&fast, t, 1);
+        let report = check_consensus(&fast, t, 1, &NOOP);
         match report.violations.first() {
             Some(v) => println!(
                 "FloodMin({t}): REFUTED over {} states ({} violation found)",
@@ -34,7 +35,7 @@ fn main() {
 
         // The t+1-round protocol passes, exhaustively.
         let tight = CrashModel::new(n, t, FloodMin::new((t + 1) as u16));
-        let report = check_consensus(&tight, t + 1, 1);
+        let report = check_consensus(&tight, t + 1, 1, &NOOP);
         println!(
             "FloodMin({}): {} over {} states (the bound is tight)",
             t + 1,

@@ -34,6 +34,7 @@
 //! and extract the FLP witness:
 //!
 //! ```
+//! use layered_consensus::core::telemetry::NOOP;
 //! use layered_consensus::core::{build_bivalent_run, check_consensus, ValenceSolver};
 //! use layered_consensus::async_mp::MpModel;
 //! use layered_consensus::protocols::MpFloodMin;
@@ -42,7 +43,7 @@
 //! let model = MpModel::new(3, MpFloodMin::new(2));
 //!
 //! // The checker finds a concrete Agreement/Validity/Decision violation...
-//! let report = check_consensus(&model, 2, 1);
+//! let report = check_consensus(&model, 2, 1, &NOOP);
 //! assert!(!report.passed());
 //!
 //! // ...and the layering engine exhibits the bivalent run behind it.
@@ -68,6 +69,7 @@ pub use layered_topology as topology;
 pub mod prelude {
     pub use layered_async_mp::MpModel;
     pub use layered_async_sm::SmModel;
+    pub use layered_core::telemetry::NOOP;
     pub use layered_core::{
         build_bivalent_run, check_consensus, similarity_report, valence_report, LayeredModel, Pid,
         Valence, ValenceSolver, Value,

@@ -3,6 +3,7 @@
 
 use layered_consensus::async_mp::MpModel;
 use layered_consensus::async_sm::SmModel;
+use layered_consensus::core::telemetry::NOOP;
 use layered_consensus::core::{
     build_bivalent_run, check_consensus, check_fault_independence, check_graded, similarity_report,
     LayeredModel, Valence, ValenceSolver, Value,
@@ -18,16 +19,16 @@ use layered_consensus::sync_mobile::MobileModel;
 #[test]
 fn flooding_consensus_is_refuted_in_every_1_resilient_model() {
     let r = 2;
-    assert!(!check_consensus(&MobileModel::new(3, FloodMin::new(r as u16)), r, 1).passed());
-    assert!(!check_consensus(&SmModel::new(3, SmFloodMin::new(r as u16)), r, 1).passed());
-    assert!(!check_consensus(&MpModel::new(3, MpFloodMin::new(r as u16)), r, 1).passed());
+    assert!(!check_consensus(&MobileModel::new(3, FloodMin::new(r as u16)), r, 1, &NOOP).passed());
+    assert!(!check_consensus(&SmModel::new(3, SmFloodMin::new(r as u16)), r, 1, &NOOP).passed());
+    assert!(!check_consensus(&MpModel::new(3, MpFloodMin::new(r as u16)), r, 1, &NOOP).passed());
 }
 
 /// ...while the t-resilient synchronous model admits a solution at t + 1
 /// rounds — the asymmetry the layered analysis explains.
 #[test]
 fn synchronous_model_admits_consensus_at_t_plus_one() {
-    assert!(check_consensus(&CrashModel::new(3, 1, FloodMin::new(2)), 2, 1).passed());
+    assert!(check_consensus(&CrashModel::new(3, 1, FloodMin::new(2)), 2, 1, &NOOP).passed());
 }
 
 /// Structural contracts hold in every model.
@@ -54,7 +55,7 @@ fn structural_contracts_hold_in_every_model() {
 #[test]
 fn con0_similarity_connected_everywhere() {
     fn check<M: LayeredModel>(m: &M) {
-        let rep = similarity_report(m, &m.initial_states());
+        let rep = similarity_report(m, &m.initial_states(), &NOOP);
         assert!(rep.connected);
         assert_eq!(rep.diameter, Some(m.num_processes()));
     }
@@ -70,17 +71,17 @@ fn con0_similarity_connected_everywhere() {
 #[test]
 fn relay_race_is_agreement_safe_everywhere() {
     let mobile = MobileModel::new(3, SyncRelayRace);
-    let report = check_consensus(&mobile, 3, 50);
+    let report = check_consensus(&mobile, 3, 50, &NOOP);
     assert!(report.of_kind("agreement").next().is_none());
     assert!(report.of_kind("validity").next().is_none());
 
     let sm = SmModel::new(3, SmRelayRace);
-    let report = check_consensus(&sm, 3, 50);
+    let report = check_consensus(&sm, 3, 50, &NOOP);
     assert!(report.of_kind("agreement").next().is_none());
     assert!(report.of_kind("validity").next().is_none());
 
     let mp = MpModel::new(3, MpRelayRace);
-    let report = check_consensus(&mp, 2, 50);
+    let report = check_consensus(&mp, 2, 50, &NOOP);
     assert!(report.of_kind("agreement").next().is_none());
     assert!(report.of_kind("validity").next().is_none());
 }
@@ -144,7 +145,7 @@ fn longer_deadlines_do_not_help_in_mobile_model() {
     for r in 1..=3usize {
         let m = MobileModel::new(3, FloodMin::new(r as u16));
         assert!(
-            !check_consensus(&m, r, 1).passed(),
+            !check_consensus(&m, r, 1, &NOOP).passed(),
             "FloodMin({r}) unexpectedly passed in M^mf"
         );
     }
@@ -180,8 +181,8 @@ fn synchronic_mp_agrees_with_permutation_mp() {
         let perm = MpModel::new(3, MpFloodMin::new(r as u16));
         let sync = MpSyncModel::new(3, MpFloodMin::new(r as u16));
         assert_eq!(
-            check_consensus(&perm, r, 1).passed(),
-            check_consensus(&sync, r, 1).passed()
+            check_consensus(&perm, r, 1, &NOOP).passed(),
+            check_consensus(&sync, r, 1, &NOOP).passed()
         );
     }
 }
@@ -192,6 +193,6 @@ fn iis_agrees_with_the_other_models() {
     use layered_consensus::iis::IisModel;
     for r in 1..=2usize {
         let m = IisModel::new(3, SmFloodMin::new(r as u16));
-        assert!(!check_consensus(&m, r, 1).passed());
+        assert!(!check_consensus(&m, r, 1, &NOOP).passed());
     }
 }

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use layered_consensus::core::graph::{Graph, UnionFind};
+use layered_consensus::core::telemetry::NOOP;
 use layered_consensus::core::{binary_input_vectors, input_interpolation, Pid, Value};
 use layered_consensus::topology::{Complex, Simplex};
 
@@ -39,7 +40,7 @@ proptest! {
         for (a, b) in edges {
             g.add_edge(a, b);
         }
-        let dist = g.distances(src);
+        let dist = g.distances(src, &NOOP);
         match g.shortest_path(src, dst) {
             Some(path) => {
                 prop_assert_eq!(path[0], src);
