@@ -49,6 +49,7 @@
 
 mod model;
 mod perm;
+mod phase;
 mod sim;
 mod state;
 mod synchronic;

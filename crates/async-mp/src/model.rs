@@ -26,7 +26,7 @@
 //! * the footnote that `x[p₁…pₙ] ≁_s x[p₁…p_{n−1}]` — their differences
 //!   spill into other processes' mailboxes.
 
-use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use layered_core::{
     canonicalize_by_min, pack_decision, unpack_decision, LayeredModel, Pid, PidPerm, StatePacker,
@@ -35,6 +35,7 @@ use layered_core::{
 use layered_protocols::{Anonymous, MpProtocol};
 
 use crate::perm::{drop_last_arrangements, permutations};
+use crate::phase::{self, Distinct, PidSet};
 use crate::state::MpState;
 
 /// An environment action of the permutation layering.
@@ -77,6 +78,10 @@ pub struct MpModel<P: MpProtocol> {
     protocol: P,
     obligation: Option<u16>,
     packer: Option<StatePacker<MpState<P::LocalState, P::Msg>>>,
+    /// The layer's schedules, built on the first [`MpModel::layer`] call:
+    /// enumerating `(n + 1)·n!` actions is hopeless at the sizes the
+    /// simulator runs.
+    trie: OnceLock<ScheduleTrie>,
 }
 
 impl<P: MpProtocol> MpModel<P> {
@@ -94,6 +99,7 @@ impl<P: MpProtocol> MpModel<P> {
             protocol,
             obligation: None,
             packer,
+            trie: OnceLock::new(),
         }
     }
 
@@ -131,42 +137,20 @@ impl<P: MpProtocol> MpModel<P> {
         out
     }
 
-    /// One local phase of `p`: send from the pre-phase state, deliver into
-    /// mailboxes, then drain and absorb the own mailbox.
-    fn run_phase(&self, state: &mut MpState<P::LocalState, P::Msg>, p: Pid) {
-        self.send_step(state, p);
-        self.receive_step(state, p);
-    }
-
-    fn send_step(&self, state: &mut MpState<P::LocalState, P::Msg>, p: Pid) {
-        let sends = self.protocol.send(&state.locals[p.index()], p, self.n);
-        let mut dests = HashSet::new();
-        for (to, msg) in sends {
-            assert_ne!(to, p, "protocols do not send to themselves");
-            assert!(
-                dests.insert(to),
-                "at most one message per destination per phase"
-            );
-            let mailbox = &mut state.mailboxes[to.index()];
-            mailbox.push((p, msg));
-            // Canonical mailbox order: channels are FIFO per sender but
-            // unordered across senders, so mailboxes are kept sender-sorted
-            // (stable, preserving per-sender FIFO). This keeps states of
-            // schedules that differ only in cross-sender arrival order equal.
-            mailbox.sort_by_key(|&(from, _)| from);
+    /// Runs one step of a schedule.
+    fn run_step(&self, state: &mut MpState<P::LocalState, P::Msg>, step: Step) {
+        match step {
+            Step::Phase(p) => {
+                phase::send(&self.protocol, self.n, state, p);
+                phase::receive(&self.protocol, state, p);
+            }
+            Step::Pair(p, q) => {
+                phase::send(&self.protocol, self.n, state, p);
+                phase::send(&self.protocol, self.n, state, q);
+                phase::receive(&self.protocol, state, p);
+                phase::receive(&self.protocol, state, q);
+            }
         }
-    }
-
-    fn receive_step(&self, state: &mut MpState<P::LocalState, P::Msg>, p: Pid) {
-        let delivered = std::mem::take(&mut state.mailboxes[p.index()]);
-        let ls = self
-            .protocol
-            .absorb(state.locals[p.index()].clone(), p, &delivered);
-        if state.decided[p.index()].is_none() {
-            state.decided[p.index()] = self.protocol.decide(&ls);
-        }
-        state.locals[p.index()] = ls;
-        state.phases_done[p.index()] += 1;
     }
 
     /// Applies an environment action (one layer).
@@ -182,53 +166,44 @@ impl<P: MpProtocol> MpModel<P> {
         action: &MpAction,
     ) -> MpState<P::LocalState, P::Msg> {
         let mut state = x.clone();
-        match action {
-            MpAction::Sequential(order) => {
-                assert!(
-                    order.len() == self.n || order.len() + 1 == self.n,
-                    "sequential actions list n or n-1 processes"
-                );
-                assert_distinct(order);
-                for &p in order {
-                    self.run_phase(&mut state, p);
-                }
-            }
-            MpAction::Concurrent { order, at } => {
-                assert_eq!(order.len(), self.n, "concurrent actions are full");
-                assert_distinct(order);
-                assert!(at + 1 < self.n, "pair position out of range");
-                for (pos, &p) in order.iter().enumerate() {
-                    if pos == *at {
-                        // Both send before either receives.
-                        let q = order[*at + 1];
-                        self.send_step(&mut state, p);
-                        self.send_step(&mut state, q);
-                        self.receive_step(&mut state, p);
-                        self.receive_step(&mut state, q);
-                    } else if pos == *at + 1 {
-                        // handled together with `at`
-                    } else {
-                        self.run_phase(&mut state, p);
-                    }
-                }
-            }
-        }
         state.round = x.round + 1;
+        for step in steps(self.n, action) {
+            self.run_step(&mut state, step);
+        }
         state
     }
 
-    /// The layer `S^per(x)`, deduplicated.
+    /// The layer `S^per(x)`, deduplicated, in the order of first occurrence
+    /// along [`MpModel::actions`].
+    ///
+    /// Each node of the schedule trie is evaluated once, from its parent's
+    /// state: a shared schedule prefix is simulated once for every action
+    /// that starts with it.
     #[must_use]
     pub fn layer(&self, x: &MpState<P::LocalState, P::Msg>) -> Vec<MpState<P::LocalState, P::Msg>> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for action in self.actions() {
-            let y = self.apply(x, &action);
-            if seen.insert(y.clone()) {
-                out.push(y);
-            }
+        let trie = self
+            .trie
+            .get_or_init(|| ScheduleTrie::new(self.n, &self.actions()));
+        let mut states: Vec<Option<MpState<P::LocalState, P::Msg>>> =
+            Vec::with_capacity(trie.nodes.len());
+        for node in &trie.nodes {
+            let mut state = match node.parent {
+                None => {
+                    let mut state = x.clone();
+                    state.round = x.round + 1;
+                    state
+                }
+                Some(parent) if node.takes_parent => states[parent].take().expect(EVALUATED),
+                Some(parent) => states[parent].clone().expect(EVALUATED),
+            };
+            self.run_step(&mut state, node.step);
+            states.push(Some(state));
         }
-        out
+        let mut out = Distinct::with_capacity(trie.leaves.len());
+        for &leaf in &trie.leaves {
+            out.push(states[leaf].take().expect("leaves are distinct nodes"));
+        }
+        out.into_vec()
     }
 
     /// Checks the two similarity bridges around an adjacent pair at
@@ -290,10 +265,120 @@ impl<P: MpProtocol> MpModel<P> {
     }
 }
 
-fn assert_distinct(order: &[Pid]) {
-    let mut seen = HashSet::new();
+const EVALUATED: &str = "a parent is evaluated before its children";
+
+/// One step of a schedule.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Step {
+    /// `p` takes a local phase: it sends, then receives.
+    Phase(Pid),
+    /// A concurrent pair, `p < q`: both send, then both receive. The pair
+    /// is keyed unordered because its two orders give one state (see
+    /// [`phase::send`]).
+    Pair(Pid, Pid),
+}
+
+/// The steps of `action` in schedule order.
+///
+/// # Panics
+///
+/// Panics if the action is malformed (see [`MpModel::apply`]).
+fn steps(n: usize, action: &MpAction) -> Vec<Step> {
+    let (order, pair_at) = match action {
+        MpAction::Sequential(order) => {
+            assert!(
+                order.len() == n || order.len() + 1 == n,
+                "sequential actions list n or n-1 processes"
+            );
+            (order, None)
+        }
+        MpAction::Concurrent { order, at } => {
+            assert_eq!(order.len(), n, "concurrent actions are full");
+            assert!(at + 1 < n, "pair position out of range");
+            (order, Some(*at))
+        }
+    };
+    let mut seen = PidSet::default();
     for &p in order {
         assert!(seen.insert(p), "processes in an action must be distinct");
+    }
+    let mut steps = Vec::with_capacity(order.len());
+    for (pos, &p) in order.iter().enumerate() {
+        match pair_at {
+            Some(at) if pos == at => {
+                let q = order[at + 1];
+                steps.push(Step::Pair(p.min(q), p.max(q)));
+            }
+            Some(at) if pos == at + 1 => {} // the pair's second member
+            _ => steps.push(Step::Phase(p)),
+        }
+    }
+    steps
+}
+
+/// Every action's schedule as a path of [`Step`]s from the layer's source
+/// state, with shared prefixes stored once. A drop-last schedule ends at an
+/// interior node of the full ones it prefixes, and the two orders of a
+/// concurrent pair end at one node.
+#[derive(Clone, Debug)]
+struct ScheduleTrie {
+    /// Every node after the root, each after its parent.
+    nodes: Vec<TrieNode>,
+    /// The distinct end nodes of the actions, in the order of their first
+    /// action.
+    leaves: Vec<usize>,
+}
+
+#[derive(Clone, Debug)]
+struct TrieNode {
+    /// The parent node, or `None` for a child of the root.
+    parent: Option<usize>,
+    step: Step,
+    /// Whether this node may move its parent's state out instead of
+    /// cloning it: it is the parent's last child and the parent is no leaf.
+    takes_parent: bool,
+}
+
+impl ScheduleTrie {
+    fn new(n: usize, actions: &[MpAction]) -> Self {
+        let mut nodes: Vec<TrieNode> = Vec::new();
+        // `children[0]` lists the root's children, `children[id + 1]` those
+        // of node `id`.
+        let mut children: Vec<Vec<usize>> = vec![Vec::new()];
+        let mut is_leaf = Vec::new();
+        let mut leaves = Vec::new();
+        for action in actions {
+            let mut at: Option<usize> = None;
+            for step in steps(n, action) {
+                let slot = at.map_or(0, |id| id + 1);
+                let existing = children[slot]
+                    .iter()
+                    .copied()
+                    .find(|&c| nodes[c].step == step);
+                at = Some(existing.unwrap_or_else(|| {
+                    let id = nodes.len();
+                    nodes.push(TrieNode {
+                        parent: at,
+                        step,
+                        takes_parent: false,
+                    });
+                    children.push(Vec::new());
+                    children[slot].push(id);
+                    is_leaf.push(false);
+                    id
+                }));
+            }
+            let leaf = at.expect("actions are non-empty");
+            if !std::mem::replace(&mut is_leaf[leaf], true) {
+                leaves.push(leaf);
+            }
+        }
+        for (id, node) in nodes.iter_mut().enumerate() {
+            node.takes_parent = node
+                .parent
+                .is_some_and(|p| !is_leaf[p] && children[p + 1].last() == Some(&id));
+        }
+        ScheduleTrie { nodes, leaves }
     }
 }
 
@@ -385,21 +470,7 @@ impl<P: MpProtocol> LayeredModel for MpModel<P> {
     }
 
     fn initial_state(&self, inputs: &[Value]) -> Self::State {
-        assert_eq!(inputs.len(), self.n, "one input per process");
-        let locals: Vec<P::LocalState> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| self.protocol.init(self.n, Pid::new(i), v))
-            .collect();
-        let decided = locals.iter().map(|ls| self.protocol.decide(ls)).collect();
-        MpState {
-            round: 0,
-            inputs: inputs.to_vec(),
-            locals,
-            decided,
-            phases_done: vec![0; self.n],
-            mailboxes: vec![Vec::new(); self.n],
-        }
+        phase::initial_state(&self.protocol, self.n, inputs)
     }
 
     fn successors(&self, x: &Self::State) -> Vec<Self::State> {
@@ -424,17 +495,7 @@ impl<P: MpProtocol> LayeredModel for MpModel<P> {
     }
 
     fn agree_modulo(&self, x: &Self::State, y: &Self::State, j: Pid) -> bool {
-        // Mailboxes are receiver-attributed: mailbox[i] is part of i's
-        // extended local state (see `MpState` docs).
-        x.round == y.round
-            && (0..self.n).all(|i| {
-                i == j.index()
-                    || (x.locals[i] == y.locals[i]
-                        && x.decided[i] == y.decided[i]
-                        && x.inputs[i] == y.inputs[i]
-                        && x.phases_done[i] == y.phases_done[i]
-                        && x.mailboxes[i] == y.mailboxes[i])
-            })
+        phase::agree_modulo(x, y, j)
     }
 
     fn crash_step(&self, x: &Self::State, j: Pid) -> Self::State {
@@ -447,12 +508,7 @@ impl<P: MpProtocol> LayeredModel for MpModel<P> {
     }
 
     fn obligated(&self, x: &Self::State) -> Vec<Pid> {
-        match self.obligation {
-            Some(r) => Pid::all(self.n)
-                .filter(|i| x.phases_done[i.index()] >= r)
-                .collect(),
-            None => x.always_proper().collect(),
-        }
+        phase::obligated(x, self.obligation)
     }
 }
 
@@ -503,6 +559,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use layered_core::sim::SimModel;
     use layered_core::{
         check_crash_display, check_fault_independence, check_graded, valence_report, LayeredModel,
         ValenceSolver,
@@ -652,6 +709,21 @@ mod tests {
         let drop_p1 = MpAction::Sequential(vec![Pid::new(1), Pid::new(2)]);
         let y = m.apply(&m.apply(&x, &drop_p1), &drop_p1);
         assert!(y.decided.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn large_n_construction_and_simulation_stay_cheap() {
+        // The simulator runs `S^per` at n = 16, where a layer has 17·16!
+        // actions: constructing the model and taking a step must not
+        // enumerate them.
+        let start = std::time::Instant::now();
+        let m = model(16, 2);
+        let inputs: Vec<Value> = (0..16).map(|i| Value::new(i % 2)).collect();
+        let x = m.initial_state(&inputs);
+        let y = m.apply_move(&x, &m.sample_move(&x, &mut |bound| bound / 2));
+        assert_eq!(y.round, 1);
+        assert!(m.trie.get().is_none(), "the schedule trie is built lazily");
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]

@@ -19,11 +19,10 @@
 //! verbatim ([`MpSyncModel::bridge_agrees`]), and with it valence
 //! connectivity of every layer and the FLP-style impossibility.
 
-use std::collections::HashSet;
-
 use layered_core::{LayeredModel, Pid, Value};
 use layered_protocols::MpProtocol;
 
+use crate::phase::{self, Distinct};
 use crate::state::MpState;
 
 /// An environment action of the message-passing synchronic layering.
@@ -105,30 +104,6 @@ impl<P: MpProtocol> MpSyncModel<P> {
         out
     }
 
-    fn send_step(&self, state: &mut MpState<P::LocalState, P::Msg>, p: Pid) {
-        let sends = self.protocol.send(&state.locals[p.index()], p, self.n);
-        let mut dests = HashSet::new();
-        for (to, msg) in sends {
-            assert_ne!(to, p, "protocols do not send to themselves");
-            assert!(dests.insert(to), "at most one message per destination");
-            let mailbox = &mut state.mailboxes[to.index()];
-            mailbox.push((p, msg));
-            mailbox.sort_by_key(|&(from, _)| from);
-        }
-    }
-
-    fn receive_step(&self, state: &mut MpState<P::LocalState, P::Msg>, p: Pid) {
-        let delivered = std::mem::take(&mut state.mailboxes[p.index()]);
-        let ls = self
-            .protocol
-            .absorb(state.locals[p.index()].clone(), p, &delivered);
-        if state.decided[p.index()].is_none() {
-            state.decided[p.index()] = self.protocol.decide(&ls);
-        }
-        state.locals[p.index()] = ls;
-        state.phases_done[p.index()] += 1;
-    }
-
     /// Applies one `Send₁ Recv₁ Send₂ Recv₂` virtual round.
     #[must_use]
     pub fn apply(
@@ -148,27 +123,27 @@ impl<P: MpProtocol> MpSyncModel<P> {
         // Send₁: proper processes send from their pre-round states.
         for i in 0..n {
             if i != j.index() {
-                self.send_step(&mut state, Pid::new(i));
+                phase::send(&self.protocol, n, &mut state, Pid::new(i));
             }
         }
         // Recv₁: early proper receivers drain (missing j's message).
         for i in 0..n {
             if i != j.index() && i < early_bound {
-                self.receive_step(&mut state, Pid::new(i));
+                phase::receive(&self.protocol, &mut state, Pid::new(i));
             }
         }
         // Send₂: j sends.
         if j_participates {
-            self.send_step(&mut state, j);
+            phase::send(&self.protocol, n, &mut state, j);
         }
         // Recv₂: the rest drain.
         for i in 0..n {
             if i != j.index() && i >= early_bound {
-                self.receive_step(&mut state, Pid::new(i));
+                phase::receive(&self.protocol, &mut state, Pid::new(i));
             }
         }
         if j_participates {
-            self.receive_step(&mut state, j);
+            phase::receive(&self.protocol, &mut state, j);
         }
         state.round = x.round + 1;
         state
@@ -177,15 +152,12 @@ impl<P: MpProtocol> MpSyncModel<P> {
     /// The layer `S(x)`, deduplicated.
     #[must_use]
     pub fn layer(&self, x: &MpState<P::LocalState, P::Msg>) -> Vec<MpState<P::LocalState, P::Msg>> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for action in self.actions() {
-            let y = self.apply(x, action);
-            if seen.insert(y.clone()) {
-                out.push(y);
-            }
+        let actions = self.actions();
+        let mut out = Distinct::with_capacity(actions.len());
+        for action in actions {
+            out.push(self.apply(x, action));
         }
-        out
+        out.into_vec()
     }
 
     /// The Lemma 5.3 bridge, transferred to message passing:
@@ -216,21 +188,7 @@ impl<P: MpProtocol> LayeredModel for MpSyncModel<P> {
     }
 
     fn initial_state(&self, inputs: &[Value]) -> Self::State {
-        assert_eq!(inputs.len(), self.n, "one input per process");
-        let locals: Vec<P::LocalState> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| self.protocol.init(self.n, Pid::new(i), v))
-            .collect();
-        let decided = locals.iter().map(|ls| self.protocol.decide(ls)).collect();
-        MpState {
-            round: 0,
-            inputs: inputs.to_vec(),
-            locals,
-            decided,
-            phases_done: vec![0; self.n],
-            mailboxes: vec![Vec::new(); self.n],
-        }
+        phase::initial_state(&self.protocol, self.n, inputs)
     }
 
     fn successors(&self, x: &Self::State) -> Vec<Self::State> {
@@ -254,15 +212,7 @@ impl<P: MpProtocol> LayeredModel for MpSyncModel<P> {
     }
 
     fn agree_modulo(&self, x: &Self::State, y: &Self::State, j: Pid) -> bool {
-        x.round == y.round
-            && (0..self.n).all(|i| {
-                i == j.index()
-                    || (x.locals[i] == y.locals[i]
-                        && x.decided[i] == y.decided[i]
-                        && x.inputs[i] == y.inputs[i]
-                        && x.phases_done[i] == y.phases_done[i]
-                        && x.mailboxes[i] == y.mailboxes[i])
-            })
+        phase::agree_modulo(x, y, j)
     }
 
     fn crash_step(&self, x: &Self::State, j: Pid) -> Self::State {
@@ -270,12 +220,7 @@ impl<P: MpProtocol> LayeredModel for MpSyncModel<P> {
     }
 
     fn obligated(&self, x: &Self::State) -> Vec<Pid> {
-        match self.obligation {
-            Some(r) => Pid::all(self.n)
-                .filter(|i| x.phases_done[i.index()] >= r)
-                .collect(),
-            None => x.always_proper().collect(),
-        }
+        phase::obligated(x, self.obligation)
     }
 }
 

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! Compares a fresh run of the gated experiments (E-scan at n = 4, E-sym at
-//! n = 4, 5 and 6, E-resume at n = 4 and the full-scope E-6.3 consensus
-//! checks — the instances the committed records cover) against the best
+//! n = 4, 5 and 6, E-resume at n = 4, the full-scope E-6.3 consensus checks
+//! and the full-scope E-4.2 layer scans, the one key on the message-passing
+//! `S^per` path — the instances the committed records cover) against the best
 //! committed `BENCH_*.json` baseline per experiment, with the noise
 //! tolerances documented in [`layered_bench::regress`]. Exits 1 on a
 //! regression, 2 on usage or I/O errors.
@@ -29,7 +30,7 @@ use layered_bench::regress::{
     collect_baselines, compare, sort_commit_order, verdict_table, BenchRecord, Tolerance, Verdict,
 };
 use layered_bench::{
-    interned_scan, lower_bound, quotient_scan, resume_roundtrip, ScanConfig, Scope,
+    interned_scan, lower_bound, quotient_scan, resume_roundtrip, theorem_4_2, ScanConfig, Scope,
 };
 use layered_core::telemetry::NOOP;
 
@@ -173,6 +174,7 @@ fn fresh_run() -> Vec<String> {
         quotient_scan(&sym6, &NOOP).0,
         resume_roundtrip(&ScanConfig::default()),
         lower_bound(Scope::Full),
+        theorem_4_2(Scope::Full),
     ]
     .iter()
     .map(|e| e.json_record().to_string())
@@ -216,7 +218,7 @@ fn main() {
         },
         None => {
             println!(
-                "Running fresh experiments (E-scan n=4, E-sym n=4/5/6, E-resume n=4, E-6.3 full)..."
+                "Running fresh experiments (E-scan n=4, E-sym n=4/5/6, E-resume n=4, E-6.3 full, E-4.2 full)..."
             );
             fresh_run()
         }

@@ -84,8 +84,11 @@ use crate::telemetry::{
 };
 use crate::LayeredModel;
 
-/// FxHash of a full model state (the boxed-store / spill-path hash).
-fn fx_hash<S: Hash>(s: &S) -> u64 {
+/// FxHash of a full model state (the boxed-store / spill-path hash). Fast
+/// and the same in every run, but not collision-resistant: callers compare
+/// states on a hash match.
+#[must_use]
+pub fn fx_hash<S: Hash>(s: &S) -> u64 {
     let mut h = FxHasher::default();
     s.hash(&mut h);
     h.finish()
