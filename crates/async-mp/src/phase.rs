@@ -152,3 +152,29 @@ impl<S: Hash + Eq> Distinct<S> {
         self.states
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::hash::{Hash, Hasher};
+
+    use super::Distinct;
+
+    /// A value whose hash ignores it, so every pair of values collides.
+    #[derive(PartialEq, Eq, Debug)]
+    struct Blind(u8);
+
+    impl Hash for Blind {
+        fn hash<H: Hasher>(&self, _state: &mut H) {}
+    }
+
+    #[test]
+    fn distinct_compares_states_that_share_a_hash() {
+        // Layer states hash apart in every differential sweep, so the
+        // equality check behind a hash match is pinned here.
+        let mut layer = Distinct::with_capacity(5);
+        for v in [3, 1, 3, 2, 1] {
+            layer.push(Blind(v));
+        }
+        assert_eq!(layer.into_vec(), [Blind(3), Blind(1), Blind(2)]);
+    }
+}

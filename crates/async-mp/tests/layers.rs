@@ -7,17 +7,12 @@
 //! exactly the reference's layer, as an ordered vector, and `apply` /
 //! `crash_step` must return the reference's state for every action, on every
 //! state reachable within a few layers.
-//!
-//! Besides the real protocols, every sweep runs a [`Blind`] wrapper whose
-//! local states and messages all hash alike. Its layers are full of hash
-//! collisions between unequal states, so a dedup that trusts a hash without
-//! comparing states merges distinct successors and fails here.
 
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 use layered_async_mp::{MpAction, MpModel, MpState, MpSyncAction, MpSyncModel};
-use layered_core::{LayeredModel, Pid, Value};
+use layered_core::{LayeredModel, Pid};
 use layered_protocols::{MpCollectMin, MpFloodMin, MpProtocol};
 
 type State<P> = MpState<<P as MpProtocol>::LocalState, <P as MpProtocol>::Msg>;
@@ -136,50 +131,6 @@ fn naive_sync_apply<P: MpProtocol>(
     state
 }
 
-/// A value whose hash ignores it: every `Blind<T>` hashes alike, which is
-/// consistent with equality but collides on every pair of unequal values.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct Blind<T>(T);
-
-impl<T> Hash for Blind<T> {
-    fn hash<H: Hasher>(&self, _state: &mut H) {}
-}
-
-/// Runs the wrapped protocol with blind-hashed local states and messages.
-#[derive(Clone, Debug)]
-struct BlindHash<P>(P);
-
-impl<P: MpProtocol> MpProtocol for BlindHash<P> {
-    type LocalState = Blind<P::LocalState>;
-    type Msg = Blind<P::Msg>;
-
-    fn init(&self, n: usize, me: Pid, input: Value) -> Self::LocalState {
-        Blind(self.0.init(n, me, input))
-    }
-
-    fn send(&self, ls: &Self::LocalState, me: Pid, n: usize) -> Vec<(Pid, Self::Msg)> {
-        let sends = self.0.send(&ls.0, me, n);
-        sends.into_iter().map(|(to, m)| (to, Blind(m))).collect()
-    }
-
-    fn absorb(
-        &self,
-        ls: Self::LocalState,
-        me: Pid,
-        delivered: &[(Pid, Self::Msg)],
-    ) -> Self::LocalState {
-        let delivered: Vec<(Pid, P::Msg)> = delivered
-            .iter()
-            .map(|(from, m)| (*from, m.0.clone()))
-            .collect();
-        Blind(self.0.absorb(ls.0, me, &delivered))
-    }
-
-    fn decide(&self, ls: &Self::LocalState) -> Option<Value> {
-        self.0.decide(&ls.0)
-    }
-}
-
 /// Layers whose states also get every action replayed through `apply` and
 /// `crash_step`. The deeper layers check `successors` only, which keeps the
 /// sweep within a few seconds at `opt-level = 1`.
@@ -271,22 +222,11 @@ fn permutation_layers_match_the_reference() {
 }
 
 #[test]
-fn permutation_layers_match_the_reference_under_hash_collisions() {
-    for n in 2..=4 {
-        let layers = layers_for(n);
-        let m = MpModel::new(n, BlindHash(MpFloodMin::new(3)));
-        assert!(sweep_per(&m, layers) > 0);
-    }
-}
-
-#[test]
 fn synchronic_layers_match_the_reference() {
     for n in 2..=4 {
         let layers = layers_for(n);
         assert!(sweep_sync(&MpSyncModel::new(n, MpFloodMin::new(3)), layers) > 0);
         let collect = MpSyncModel::new(n, MpCollectMin::new(n - 1)).with_obligation(2);
         assert!(sweep_sync(&collect, layers) > 0);
-        let blind = MpSyncModel::new(n, BlindHash(MpFloodMin::new(3)));
-        assert!(sweep_sync(&blind, layers) > 0);
     }
 }
