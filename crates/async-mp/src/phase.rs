@@ -13,7 +13,7 @@ use layered_protocols::MpProtocol;
 use crate::state::MpState;
 
 /// The global state of a message-passing model running `P`.
-pub(crate) type State<P> = MpState<<P as MpProtocol>::LocalState, <P as MpProtocol>::Msg>;
+type State<P> = MpState<<P as MpProtocol>::LocalState, <P as MpProtocol>::Msg>;
 
 /// A set of processes, one bit per [`Pid`] (indices fit in a byte).
 #[derive(Default)]
