@@ -7,9 +7,12 @@
 //! ```
 //!
 //! Compares a fresh run of the gated experiments (E-scan at n = 4, E-sym at
-//! n = 4, 5 and 6, E-resume at n = 4, the full-scope E-6.3 consensus checks
-//! and the full-scope E-4.2 layer scans, the one key on the message-passing
-//! `S^per` path — the instances the committed records cover) against the best
+//! n = 4, 5 and 6, E-resume at n = 4, the full-scope E-6.3 consensus checks,
+//! the full-scope E-4.2 layer scans, the one key on the message-passing
+//! `S^per` path, and the full-scope Section 7 keys E-7.3, which runs the
+//! checker sweep on task predicates, and E-7.1, which runs the solver with
+//! a covering as its valence probe — the instances the committed records
+//! cover) against the best
 //! committed `BENCH_*.json` baseline per experiment, with the noise
 //! tolerances documented in [`layered_bench::regress`]. Exits 1 on a
 //! regression, 2 on usage or I/O errors.
@@ -30,7 +33,8 @@ use layered_bench::regress::{
     collect_baselines, compare, sort_commit_order, verdict_table, BenchRecord, Tolerance, Verdict,
 };
 use layered_bench::{
-    interned_scan, lower_bound, quotient_scan, resume_roundtrip, theorem_4_2, ScanConfig, Scope,
+    interned_scan, lemma_7_1, lower_bound, quotient_scan, resume_roundtrip, task_solvability,
+    theorem_4_2, ScanConfig, Scope,
 };
 use layered_core::telemetry::NOOP;
 
@@ -175,6 +179,8 @@ fn fresh_run() -> Vec<String> {
         resume_roundtrip(&ScanConfig::default()),
         lower_bound(Scope::Full),
         theorem_4_2(Scope::Full),
+        task_solvability(Scope::Full),
+        lemma_7_1(Scope::Full),
     ]
     .iter()
     .map(|e| e.json_record().to_string())
@@ -218,7 +224,7 @@ fn main() {
         },
         None => {
             println!(
-                "Running fresh experiments (E-scan n=4, E-sym n=4/5/6, E-resume n=4, E-6.3 full, E-4.2 full)..."
+                "Running fresh experiments (E-scan n=4, E-sym n=4/5/6, E-resume n=4, E-6.3 full, E-4.2 full, E-7.3 full, E-7.1 full)..."
             );
             fresh_run()
         }

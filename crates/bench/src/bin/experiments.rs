@@ -12,6 +12,9 @@
 //!             [--profile] [--heartbeat-ms <k>] [--store <dir>]
 //! ```
 //!
+//! Arguments of one mode are rejected in the others (exit 2 with the
+//! usage text) rather than ignored.
+//!
 //! * `quick` — small CI-friendly instances (default: the full sizes).
 //! * `--json <path>` — additionally write one JSON record per experiment
 //!   (or, under `--sim`, per simulated run) to `<path>`, one object per
@@ -70,6 +73,26 @@ use layered_core::sym::MAX_ENUMERATED_N;
 use layered_core::telemetry::profile::{profile, profile_table};
 use layered_core::telemetry::{set_heartbeat_period_ns, Observer, TraceObserver, NOOP};
 
+/// Arguments that apply in some modes only, with those modes: the default
+/// experiment suite, `--sim` or `--scan`. Any other mode rejects them.
+const MODE_SCOPED: &[(&str, &[&str])] = &[
+    ("quick", &["suite"]),
+    ("full", &["suite"]),
+    ("--seed", &["--sim"]),
+    ("--runs", &["--sim"]),
+    ("--adversary", &["--sim"]),
+    ("--quotient", &["--scan"]),
+    ("--boxed", &["--scan"]),
+    ("--depth", &["--scan"]),
+    ("--threads", &["--scan"]),
+    ("--snapshot", &["--scan"]),
+    ("--resume", &["--scan"]),
+    ("--trace", &["--scan"]),
+    ("--profile", &["--scan"]),
+    ("--n", &["--sim", "--scan"]),
+    ("--horizon", &["--sim", "--scan"]),
+];
+
 struct Options {
     scope: Scope,
     json_path: Option<String>,
@@ -96,8 +119,10 @@ fn parse_args() -> Result<Options, String> {
     let mut sim_requested = false;
     let mut scan_cfg = ScanConfig::default();
     let mut scan_requested = false;
+    let mut scoped: Vec<(&str, &[&str])> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        scoped.extend(MODE_SCOPED.iter().find(|(flag, _)| *flag == arg));
         let mut numeric = |flag: &str| -> Result<u64, String> {
             args.next()
                 .ok_or(format!("{flag} requires a value"))?
@@ -162,6 +187,24 @@ fn parse_args() -> Result<Options, String> {
     if sim_requested && scan_requested {
         return Err("--sim and --scan are mutually exclusive".to_string());
     }
+    let mode = match (sim_requested, scan_requested) {
+        (true, _) => "--sim",
+        (_, true) => "--scan",
+        _ => "suite",
+    };
+    if let Some((flag, modes)) = scoped.into_iter().find(|(_, modes)| !modes.contains(&mode)) {
+        let modes: Vec<&str> = modes
+            .iter()
+            .map(|&m| {
+                if m == "suite" {
+                    "the experiment suite"
+                } else {
+                    m
+                }
+            })
+            .collect();
+        return Err(format!("{flag} only applies to {}", modes.join(" and ")));
+    }
     if sim_requested {
         if sim_cfg.n < 3 {
             return Err(
@@ -173,17 +216,8 @@ fn parse_args() -> Result<Options, String> {
         }
         opts.sim = Some(sim_cfg);
     }
-    if (scan_cfg.quotient || !scan_cfg.packed) && !scan_requested {
-        return Err("--quotient and --boxed only apply to --scan".to_string());
-    }
-    if (scan_cfg.snapshot_dir.is_some() || scan_cfg.resume_dir.is_some()) && !scan_requested {
-        return Err("--snapshot and --resume only apply to --scan".to_string());
-    }
     if scan_requested && scan_cfg.horizon == Some(0) {
         return Err("--horizon must be positive".to_string());
-    }
-    if (opts.trace_path.is_some() || opts.profile) && !scan_requested {
-        return Err("--trace and --profile only apply to --scan".to_string());
     }
     if scan_requested {
         if scan_cfg.n < 2 {

@@ -4,13 +4,11 @@
 
 use layered_async_mp::MpModel;
 use layered_core::report::{yes_no, Table};
-use layered_core::{LayeredModel, Value};
+use layered_core::{build_bivalent_run, explore, LayeredModel, ValenceSolver};
 use layered_protocols::{MpCollectMin, MpFloodMin, MpIdentity};
 use layered_sync_crash::CrashModel;
 use layered_sync_mobile::MobileModel;
-use layered_topology::{
-    check_task, covering_bivalent_run, diameter_sweep, tasks, Covering, CoveringSolver,
-};
+use layered_topology::{check_task, decided_simplex, diameter_sweep, tasks, Covering};
 
 use crate::{Experiment, Scope};
 
@@ -42,8 +40,7 @@ pub fn task_solvability(scope: Scope) -> Experiment {
                 let task = tasks::consensus(n);
                 let conn = task.is_k_thick_connected(1);
                 let m = MpModel::new(n, MpFloodMin::new(2));
-                let report = check_task(&m, &task, 2, 1);
-                obs.counter("engine.states_visited", report.states_explored as u64);
+                let report = check_task(&m, &task, 2, 1, obs);
                 let consistent = !conn && !report.passed();
                 ok &= consistent;
                 table.row_owned(vec![
@@ -67,8 +64,7 @@ pub fn task_solvability(scope: Scope) -> Experiment {
                 let task = tasks::k_set_agreement(n, 2);
                 let conn = task.is_k_thick_connected(1);
                 let m = MpModel::new(n, MpCollectMin::new(n - 1)).with_obligation(2);
-                let report = check_task(&m, &task, 2, 1);
-                obs.counter("engine.states_visited", report.states_explored as u64);
+                let report = check_task(&m, &task, 2, 1, obs);
                 let consistent = conn && report.passed();
                 ok &= consistent;
                 table.row_owned(vec![
@@ -90,8 +86,7 @@ pub fn task_solvability(scope: Scope) -> Experiment {
                 let task = tasks::identity(n);
                 let conn = task.is_k_thick_connected(1);
                 let m = MpModel::new(n, MpIdentity).with_obligation(1);
-                let report = check_task(&m, &task, 1, 1);
-                obs.counter("engine.states_visited", report.states_explored as u64);
+                let report = check_task(&m, &task, 1, 1, obs);
                 let consistent = conn && report.passed();
                 ok &= consistent;
                 table.row_owned(vec![
@@ -113,8 +108,7 @@ pub fn task_solvability(scope: Scope) -> Experiment {
                 let task = tasks::pseudo_consensus(n);
                 let conn = task.is_k_thick_connected(1);
                 let m = MpModel::new(n, MpIdentity).with_obligation(1);
-                let report = check_task(&m, &task, 1, 1);
-                obs.counter("engine.states_visited", report.states_explored as u64);
+                let report = check_task(&m, &task, 1, 1, obs);
                 let consistent = conn && report.passed();
                 ok &= consistent;
                 table.row_owned(vec![
@@ -151,8 +145,8 @@ pub fn task_solvability(scope: Scope) -> Experiment {
     )
 }
 
-/// Lemma 7.1: the generalized (covering-based) bivalent-run construction
-/// agrees with the binary engine on the consensus covering.
+/// Lemma 7.1: the Theorem 4.2 loop over core's solver with the consensus
+/// covering as its valence probe builds covering-bivalent runs.
 pub fn lemma_7_1(scope: Scope) -> Experiment {
     crate::measured(
         "E-7.1",
@@ -171,14 +165,11 @@ pub fn lemma_7_1(scope: Scope) -> Experiment {
 
             let m = MpModel::new(3, MpFloodMin::new(horizon as u16));
             let cov = Covering::consensus(3);
-            let mut solver = CoveringSolver::new(&m, &cov, horizon);
-            let roots = m.initial_states();
-            let out = covering_bivalent_run(&mut solver, &roots, steps);
-            ok &= out.reached_target();
-            obs.counter(
-                "layering.extensions",
-                out.chain.as_ref().map_or(0, |c| c.steps()) as u64,
+            let out = build_bivalent_run(
+                &mut ValenceSolver::with_probe(&m, horizon, &cov, obs),
+                steps,
             );
+            ok &= out.reached_target();
             table.row_owned(vec![
                 "MP (S^per)".into(),
                 "O_v = all-v outputs".into(),
@@ -187,14 +178,11 @@ pub fn lemma_7_1(scope: Scope) -> Experiment {
             ]);
 
             let m = MobileModel::new(3, layered_protocols::FloodMin::new(horizon as u16));
-            let mut solver = CoveringSolver::new(&m, &cov, horizon);
-            let roots = m.initial_states();
-            let out = covering_bivalent_run(&mut solver, &roots, steps);
-            ok &= out.reached_target();
-            obs.counter(
-                "layering.extensions",
-                out.chain.as_ref().map_or(0, |c| c.steps()) as u64,
+            let out = build_bivalent_run(
+                &mut ValenceSolver::with_probe(&m, horizon, &cov, obs),
+                steps,
             );
+            ok &= out.reached_target();
             table.row_owned(vec![
                 "M^mf (S₁)".into(),
                 "O_v = all-v outputs".into(),
@@ -233,9 +221,8 @@ pub fn diameter(scope: Scope) -> Experiment {
             };
 
             let m = CrashModel::new(3, 1, layered_protocols::FloodMin::new((depth + 1) as u16));
-            for row in diameter_sweep(&m, depth) {
+            for row in diameter_sweep(&m, depth, obs) {
                 ok &= row.within_bound();
-                obs.counter("engine.states_visited", row.states as u64);
                 table.row_owned(vec![
                     "sync t=1 (S^t)".into(),
                     row.depth.to_string(),
@@ -248,9 +235,8 @@ pub fn diameter(scope: Scope) -> Experiment {
             }
 
             let m = MobileModel::new(3, layered_protocols::FloodMin::new((depth + 1) as u16));
-            for row in diameter_sweep(&m, depth) {
+            for row in diameter_sweep(&m, depth, obs) {
                 ok &= row.within_bound();
-                obs.counter("engine.states_visited", row.states as u64);
                 table.row_owned(vec![
                     "M^mf (S₁)".into(),
                     row.depth.to_string(),
@@ -282,30 +268,12 @@ pub fn covering_sanity(_scope: Scope) -> Experiment {
             let mut ok = true;
             let m = CrashModel::new(3, 1, layered_protocols::FloodMin::new(2));
             let cov = Covering::consensus(3);
-            let mut outputs = Vec::new();
-            let mut frontier = m.initial_states();
-            for _ in 0..2 {
-                obs.gauge("engine.frontier_width", frontier.len() as u64);
-                let mut next = Vec::new();
-                for x in &frontier {
-                    obs.counter("engine.states_visited", 1);
-                    next.extend(m.successors(x));
-                }
-                let mut seen = std::collections::HashSet::new();
-                frontier = next
-                    .into_iter()
-                    .filter(|s| {
-                        let fresh = seen.insert(s.clone());
-                        if !fresh {
-                            obs.counter("engine.dedup_hits", 1);
-                        }
-                        fresh
-                    })
-                    .collect();
-            }
-            for x in &frontier {
-                outputs.push(layered_topology::decided_simplex(&m, x));
-            }
+            let exp = explore(&m, &m.initial_states(), 2, obs);
+            let outputs: Vec<_> = exp
+                .frontier()
+                .iter()
+                .map(|x| decided_simplex(&m, x))
+                .collect();
             let covered = cov.is_covering_of(&outputs);
             ok &= covered;
             table.row_owned(vec![
@@ -314,7 +282,6 @@ pub fn covering_sanity(_scope: Scope) -> Experiment {
                 outputs.len().to_string(),
                 yes_no(covered).into(),
             ]);
-            let _ = Value::ZERO;
             (table, ok)
         },
     )
@@ -341,19 +308,14 @@ pub fn lemma_7_4(scope: Scope) -> Experiment {
             for &(n, t) in cases {
                 let m = CrashModel::new(n, t, layered_protocols::FloodMin::new((t + 1) as u16));
                 let cov = Covering::consensus(n);
-                let mut solver = CoveringSolver::new(&m, &cov, t + 1);
-                let roots = m.initial_states();
+                let mut solver = ValenceSolver::with_probe(&m, t + 1, &cov, obs);
                 // The lemma promises bivalence through round t - 1 at least; with
                 // the (t+1)-deadline protocol the chain of length t - 1 must exist
                 // (round t states become univalent once the budget pins the run).
                 let steps = t.saturating_sub(1);
-                let out = covering_bivalent_run(&mut solver, &roots, steps);
+                let out = build_bivalent_run(&mut solver, steps);
                 let reached = out.reached_target();
                 ok &= reached;
-                obs.counter(
-                    "layering.extensions",
-                    out.chain.as_ref().map_or(0, |c| c.steps()) as u64,
-                );
                 let failures_ok = out.chain.as_ref().is_some_and(|c| {
                     c.states()
                         .iter()
@@ -379,7 +341,6 @@ pub fn lemma_7_4(scope: Scope) -> Experiment {
 /// outcome open, and of how little asynchrony the synchronic submodel needs
 /// (the Section 5.1 discussion).
 pub fn bivalence_profile(scope: Scope) -> Experiment {
-    use layered_core::{explore, ValenceSolver};
     crate::measured(
         "E-profile",
         "Bivalence persists below the horizon in every model (Thm 4.2 view)",

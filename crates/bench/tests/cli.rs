@@ -36,3 +36,77 @@ fn heartbeat_period_overflowing_u64_nanoseconds_exits_2() {
     assert!(stderr.contains("usage: experiments"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+/// Runs `experiments` with `args` and asserts a clean exit 2 whose stderr
+/// carries `error: {message}` and the usage text.
+fn assert_rejected(args: &[&str], message: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("experiments binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+    assert!(
+        stderr.contains(&format!("error: {message}")),
+        "{args:?}: stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("usage: experiments"),
+        "{args:?}: stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
+}
+
+#[test]
+fn scan_arguments_outside_scan_mode_exit_2() {
+    assert_rejected(&["quick", "--depth", "3"], "--depth only applies to --scan");
+    assert_rejected(
+        &["quick", "--threads", "9"],
+        "--threads only applies to --scan",
+    );
+    assert_rejected(
+        &["--sim", "--runs", "1", "--depth", "1"],
+        "--depth only applies to --scan",
+    );
+}
+
+#[test]
+fn sim_arguments_outside_sim_mode_exit_2() {
+    assert_rejected(
+        &["quick", "--seed", "5", "--runs", "2"],
+        "--seed only applies to --sim",
+    );
+    assert_rejected(&["quick", "--runs", "2"], "--runs only applies to --sim");
+    assert_rejected(
+        &["quick", "--adversary", "roamer"],
+        "--adversary only applies to --sim",
+    );
+    assert_rejected(
+        &["--scan", "--seed", "3", "--n", "3", "--depth", "0"],
+        "--seed only applies to --sim",
+    );
+}
+
+#[test]
+fn instance_size_arguments_in_suite_mode_exit_2() {
+    assert_rejected(
+        &["quick", "--n", "3"],
+        "--n only applies to --sim and --scan",
+    );
+    assert_rejected(
+        &["--horizon", "2"],
+        "--horizon only applies to --sim and --scan",
+    );
+}
+
+#[test]
+fn suite_scopes_with_scan_or_sim_exit_2() {
+    assert_rejected(
+        &["--scan", "quick", "--n", "3", "--depth", "0"],
+        "quick only applies to the experiment suite",
+    );
+    assert_rejected(
+        &["--sim", "full", "--runs", "1"],
+        "full only applies to the experiment suite",
+    );
+}

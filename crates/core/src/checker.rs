@@ -139,17 +139,73 @@ pub fn check_consensus<M: LayeredModel>(
     max_violations: usize,
     obs: &dyn Observer,
 ) -> ConsensusReport<M::State> {
-    let _span = Span::enter(obs, "checker.sweep");
-    let mut report = ConsensusReport {
-        states_explored: 0,
+    let (states_explored, violations) = sweep(
+        model,
+        model.initial_states(),
         horizon,
-        violations: Vec::new(),
-    };
+        max_violations,
+        obs,
+        |x, at_horizon| {
+            let mut found = state_violations(model, x);
+            if at_horizon {
+                let undecided = undecided_obligated(model, x);
+                if !undecided.is_empty() {
+                    found.push(Violation::Decision {
+                        state: x.clone(),
+                        undecided,
+                    });
+                }
+            }
+            found
+        },
+    );
+    ConsensusReport {
+        states_explored,
+        horizon,
+        violations,
+    }
+}
+
+/// The obligated processes of `x` that have not decided: a *Decision*
+/// violation when `x` is at the horizon.
+pub fn undecided_obligated<M: LayeredModel>(model: &M, x: &M::State) -> Vec<Pid> {
+    model
+        .obligated(x)
+        .into_iter()
+        .filter(|&i| model.decision(x, i).is_none())
+        .collect()
+}
+
+/// The exhaustive sweep behind [`check_consensus`] and the Section 7 task
+/// checker: visits every distinct state within `horizon` layers of
+/// `roots`, level by level in first-seen order, and collects the
+/// violations `check(x, at_horizon)` finds at each, up to
+/// `max_violations`. Returns the number of states visited and the
+/// violations.
+///
+/// `check` sees each state once, borrowed from the arena; `at_horizon`
+/// marks the last level. The sweep stops right after the state that
+/// fills the cap. States are interned (roots deduplicated), so each
+/// successor row is computed once; the sweep runs under the
+/// `checker.sweep` span and reports `engine.states_visited`,
+/// `engine.dedup_hits`, `checker.violations` and the
+/// `engine.frontier_width` gauge.
+pub fn sweep<M: LayeredModel, V>(
+    model: &M,
+    roots: impl IntoIterator<Item = M::State>,
+    horizon: usize,
+    max_violations: usize,
+    obs: &dyn Observer,
+    mut check: impl FnMut(&M::State, bool) -> Vec<V>,
+) -> (usize, Vec<V>) {
+    let _span = Span::enter(obs, "checker.sweep");
+    let mut visited = 0;
+    let mut violations = Vec::new();
     let mut space: StateSpace<M> = StateSpace::new();
     let mut frontier: Vec<StateId> = Vec::new();
     {
         let mut seen: HashSet<StateId> = HashSet::new();
-        for x in model.initial_states() {
+        for x in roots {
             let id = space.intern_owned(x, obs);
             if seen.insert(id) {
                 frontier.push(id);
@@ -161,30 +217,12 @@ pub fn check_consensus<M: LayeredModel>(
         let mut next: Vec<StateId> = Vec::new();
         let mut seen: HashSet<StateId> = HashSet::new();
         for &id in &frontier {
-            report.states_explored += 1;
+            visited += 1;
             obs.counter("engine.states_visited", 1);
-            {
-                // Borrowed from the arena: only a violation clones it.
-                let x = space.state(id);
-                for v in state_violations(model, &x) {
-                    if report.violations.len() < max_violations {
-                        obs.counter("checker.violations", 1);
-                        report.violations.push(v);
-                    }
-                }
-                if depth == horizon {
-                    let undecided: Vec<Pid> = model
-                        .obligated(&x)
-                        .into_iter()
-                        .filter(|&i| model.decision(&x, i).is_none())
-                        .collect();
-                    if !undecided.is_empty() && report.violations.len() < max_violations {
-                        obs.counter("checker.violations", 1);
-                        report.violations.push(Violation::Decision {
-                            state: x.into_owned(),
-                            undecided,
-                        });
-                    }
+            for v in check(&space.state(id), depth == horizon) {
+                if violations.len() < max_violations {
+                    obs.counter("checker.violations", 1);
+                    violations.push(v);
                 }
             }
             if depth < horizon {
@@ -196,8 +234,8 @@ pub fn check_consensus<M: LayeredModel>(
                     }
                 }
             }
-            if report.violations.len() >= max_violations {
-                return report;
+            if violations.len() >= max_violations {
+                return (visited, violations);
             }
         }
         frontier = next;
@@ -205,7 +243,7 @@ pub fn check_consensus<M: LayeredModel>(
             break;
         }
     }
-    report
+    (visited, violations)
 }
 
 /// Reconstructs an execution from an initial state to `target`, if `target`

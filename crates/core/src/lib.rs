@@ -63,8 +63,8 @@ pub use artifact::{
     ArtifactError,
 };
 pub use checker::{
-    check_consensus, check_crash_display, check_fault_independence, check_graded, trace_to,
-    ConsensusReport, Violation,
+    check_consensus, check_crash_display, check_fault_independence, check_graded, sweep, trace_to,
+    undecided_obligated, ConsensusReport, Violation,
 };
 pub use connectivity::{
     input_interpolation, quotient_valence_report_ids, s_diameter, similar,
@@ -94,5 +94,8 @@ pub use telemetry::{
     Fanout, Heartbeat, Histogram, JsonlObserver, MemoryBreakdown, MemoryFootprint, MetricsRegistry,
     MetricsSnapshot, NoopObserver, Observer, Span, TraceObserver,
 };
-pub use valence::{undecided_non_failed, QuotientSolver, Solver, Valence, ValenceSolver, Valences};
+pub use valence::{
+    undecided_non_failed, DecidedValues, QuotientSolver, Solver, Valence, ValenceProbe,
+    ValenceSolver, Valences, DECIDED,
+};
 pub use witness::{ImpossibilityWitness, WitnessError};

@@ -19,6 +19,15 @@
 //! refutes it). Executions that reach the horizon undecided are themselves
 //! *Decision*-violation witnesses and are surfaced by the
 //! [checker](crate::checker).
+//!
+//! # One engine, many valence notions
+//!
+//! What a single state contributes to its own valence is a
+//! [`ValenceProbe`]; the solver folds the probes of everything reachable
+//! within the horizon. The default probe, [`DECIDED`], is the binary notion
+//! above. Section 7's generalized valence w.r.t. a covering is another
+//! probe (`layered_topology::Covering`), run by the same solver, memo and
+//! [Theorem 4.2 loop](crate::build_bivalent_run).
 
 use std::collections::HashSet;
 
@@ -79,6 +88,43 @@ impl Valences {
     }
 }
 
+/// What one state contributes to its own valence: the solver unions the
+/// probes of every state reachable within the horizon.
+///
+/// `at_horizon` tells a state at the horizon depth (one whose extensions
+/// the solver does not look at) from one below it. A probe used with a
+/// [`QuotientSolver`] must be invariant under process renaming.
+pub trait ValenceProbe<M: LayeredModel>: Sync {
+    /// The valences `x` witnesses itself.
+    fn probe(&self, model: &M, x: &M::State, at_horizon: bool) -> Valences;
+}
+
+/// The binary probe of Section 3 (see [`DECIDED`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DecidedValues;
+
+/// The default probe: at every depth, the binary values decided by the
+/// processes non-failed at the state. Non-binary decision values are
+/// ignored (Section 7's coverings classify them).
+pub static DECIDED: DecidedValues = DecidedValues;
+
+impl<M: LayeredModel> ValenceProbe<M> for DecidedValues {
+    fn probe(&self, model: &M, x: &M::State, _at_horizon: bool) -> Valences {
+        let mut flags = Valences::NONE;
+        for i in Pid::all(model.num_processes()) {
+            if model.failed_at(x, i) {
+                continue;
+            }
+            match model.decision(x, i) {
+                Some(Value::ZERO) => flags.zero = true,
+                Some(Value::ONE) => flags.one = true,
+                _ => {}
+            }
+        }
+        flags
+    }
+}
+
 /// The valence classification of a state.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Valence {
@@ -120,6 +166,8 @@ pub struct Solver<'a, M: LayeredModel, K: Keying<M>> {
     /// Valence memo, indexed by [`StateId`] (grown lazily as the space
     /// grows; `None` = not classified yet).
     memo: Vec<Option<Valences>>,
+    /// What each state contributes to its own valence.
+    probe: &'a dyn ValenceProbe<M>,
     obs: &'a dyn Observer,
 }
 
@@ -194,6 +242,7 @@ impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
             horizon,
             space,
             memo: Vec::new(),
+            probe: &DECIDED,
             obs,
         }
     }
@@ -249,14 +298,16 @@ impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
             self.obs.counter("valence.memo_hits", 1);
             return *v;
         }
-        let (mut flags, depth) = {
+        let (mut flags, below_horizon) = {
             let x = self.space.resolve(id);
+            let below_horizon = self.model.depth(&x) < self.horizon;
+            self.obs.counter("valence.decided_probes", 1);
             (
-                local_valence_flags(self.model, &x, self.obs),
-                self.model.depth(&x),
+                self.probe.probe(self.model, &x, !below_horizon),
+                below_horizon,
             )
         };
-        if depth < self.horizon && !(flags.zero && flags.one) {
+        if below_horizon && !(flags.zero && flags.one) {
             for y in self.successor_ids(id) {
                 flags = flags.union(self.valences_id(y));
                 if flags.zero && flags.one {
@@ -305,7 +356,23 @@ impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
     }
 }
 
-impl<M: LayeredModel> Solver<'_, M, Plain> {
+impl<'a, M: LayeredModel> Solver<'a, M, Plain> {
+    /// A solver over the full state space whose valence notion is `probe`
+    /// instead of [`DECIDED`], reporting to `obs` like
+    /// [`Solver::with_observer`].
+    #[must_use]
+    pub fn with_probe(
+        model: &'a M,
+        horizon: usize,
+        probe: &'a dyn ValenceProbe<M>,
+        obs: &'a dyn Observer,
+    ) -> Self {
+        Solver {
+            probe,
+            ..Self::with_observer(model, horizon, obs)
+        }
+    }
+
     /// Interns `x` into the solver's space.
     pub fn intern(&mut self, x: &M::State) -> StateId {
         self.space.intern_with(x, self.obs)
@@ -340,26 +407,6 @@ impl<M: Symmetric> Solver<'_, M, Orbits> {
     pub fn intern(&mut self, x: &M::State) -> (StateId, PidPerm) {
         self.space.intern_with(self.model, x, self.obs)
     }
-}
-
-/// The decisions visible *locally* at `x` by processes non-failed at `x`:
-/// the sweep behind [`Solver::valences_id`]. Non-binary decision values are
-/// ignored by the binary-valence solver (Section 7's generalized valence
-/// handles them).
-fn local_valence_flags<M: LayeredModel>(model: &M, x: &M::State, obs: &dyn Observer) -> Valences {
-    obs.counter("valence.decided_probes", 1);
-    let mut flags = Valences::NONE;
-    for i in Pid::all(model.num_processes()) {
-        if model.failed_at(x, i) {
-            continue;
-        }
-        match model.decision(x, i) {
-            Some(Value::ZERO) => flags.zero = true,
-            Some(Value::ONE) => flags.one = true,
-            _ => {}
-        }
-    }
-    flags
 }
 
 /// Bytes held by a valence memo vector (shallow: the flat `Vec` only).

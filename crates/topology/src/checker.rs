@@ -5,15 +5,16 @@
 //! *Decision* (every nonfaulty process eventually decides) and *Validity*
 //! (the decisions of a run with input simplex `s` form a simplex in
 //! `Δ(s)`). [`check_task`] sweeps all `S`-executions to a horizon and
-//! reports violations of either, with state witnesses. Together with the
+//! reports violations of either, with state witnesses. It is a task
+//! predicate on core's [`sweep`], the arena sweep behind
+//! [`check_consensus`](layered_core::check_consensus). Together with the
 //! k-thick-connectivity verdicts on the task's output structure, this
 //! reproduces the Corollary 7.3 classification experimentally: tasks whose
 //! spans are 1-thick-connected have passing protocols, and tasks whose
 //! spans are not (consensus) fail for every candidate.
 
-use std::collections::HashSet;
-
-use layered_core::{LayeredModel, Pid};
+use layered_core::telemetry::Observer;
+use layered_core::{sweep, undecided_obligated, LayeredModel, Pid};
 
 use crate::covering::decided_simplex;
 use crate::simplex::Simplex;
@@ -69,74 +70,66 @@ impl<S> TaskReport<S> {
 }
 
 /// Exhaustively checks a protocol (embodied in `model`) against a decision
-/// problem over all `S`-executions of up to `horizon` layers.
+/// problem over all `S`-executions of up to `horizon` layers, from the
+/// initial states of the task's input vectors.
+///
+/// *Validity* is checked at every state, *Decision* at horizon states.
+/// Exploration stops once `max_violations` have been collected. The sweep
+/// reports to `obs` exactly as [`check_consensus`](layered_core::check_consensus)
+/// does.
 pub fn check_task<M: LayeredModel>(
     model: &M,
     task: &DecisionTask,
     horizon: usize,
     max_violations: usize,
+    obs: &dyn Observer,
 ) -> TaskReport<M::State> {
     assert_eq!(
         model.num_processes(),
         task.num_processes(),
         "model and task must agree on n"
     );
-    let mut report = TaskReport {
-        states_explored: 0,
-        horizon,
-        violations: Vec::new(),
-    };
-    let mut frontier: Vec<M::State> = task
+    let roots = task
         .inputs()
         .iter()
-        .map(|inputs| model.initial_state(inputs))
-        .collect();
-    for depth in 0..=horizon {
-        let mut next = Vec::new();
-        for x in &frontier {
-            report.states_explored += 1;
+        .map(|inputs| model.initial_state(inputs));
+    let (states_explored, violations) = sweep(
+        model,
+        roots,
+        horizon,
+        max_violations,
+        obs,
+        |x, at_horizon| {
+            let mut found = Vec::new();
             let decisions = decided_simplex(model, x);
-            if !task.decision_allowed(&model.inputs_of(x), &decisions)
-                && report.violations.len() < max_violations
-            {
-                report.violations.push(TaskViolation::Validity {
+            if !task.decision_allowed(&model.inputs_of(x), &decisions) {
+                found.push(TaskViolation::Validity {
                     state: x.clone(),
                     decisions,
                 });
             }
-            if depth == horizon {
-                let undecided: Vec<Pid> = model
-                    .obligated(x)
-                    .into_iter()
-                    .filter(|&i| model.decision(x, i).is_none())
-                    .collect();
-                if !undecided.is_empty() && report.violations.len() < max_violations {
-                    report.violations.push(TaskViolation::Decision {
+            if at_horizon {
+                let undecided = undecided_obligated(model, x);
+                if !undecided.is_empty() {
+                    found.push(TaskViolation::Decision {
                         state: x.clone(),
                         undecided,
                     });
                 }
-            } else {
-                next.extend(model.successors(x));
             }
-            if report.violations.len() >= max_violations {
-                return report;
-            }
-        }
-        let mut seen = HashSet::new();
-        frontier = next
-            .into_iter()
-            .filter(|s| seen.insert(s.clone()))
-            .collect();
-        if frontier.is_empty() {
-            break;
-        }
+            found
+        },
+    );
+    TaskReport {
+        states_explored,
+        horizon,
+        violations,
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
+    use layered_core::telemetry::NOOP;
     use layered_core::testkit::ScriptedModelBuilder;
     use layered_core::Value;
 
@@ -158,7 +151,7 @@ mod tests {
             .depth(3, 0)
             .build();
         let task = tasks::consensus(2);
-        let report = check_task(&m, &task, 0, 10);
+        let report = check_task(&m, &task, 0, 10, &NOOP);
         assert!(!report.passed());
         assert!(report.violations.iter().any(|v| v.kind() == "validity"));
     }
@@ -175,10 +168,10 @@ mod tests {
         }
         let m = b.build();
         let task = tasks::identity(2);
-        let report = check_task(&m, &task, 0, 10);
+        let report = check_task(&m, &task, 0, 10, &NOOP);
         assert!(report.passed(), "{:?}", report.violations);
         // The same decisions violate the constant-0 task on non-zero inputs.
-        let report = check_task(&m, &tasks::constant(2, Value::ZERO), 0, 10);
+        let report = check_task(&m, &tasks::constant(2, Value::ZERO), 0, 10, &NOOP);
         assert!(!report.passed());
     }
 
@@ -189,7 +182,7 @@ mod tests {
             b = b.initial(inputs, id as u32).depth(id as u32, 0);
         }
         let m = b.build();
-        let report = check_task(&m, &tasks::consensus(2), 0, 10);
+        let report = check_task(&m, &tasks::consensus(2), 0, 10, &NOOP);
         assert!(!report.passed());
         assert!(report.violations.iter().all(|v| v.kind() == "decision"));
     }
@@ -200,6 +193,6 @@ mod tests {
         let m = ScriptedModelBuilder::new(2, 1)
             .initial(&[Value::ZERO, Value::ZERO], 0)
             .build();
-        let _ = check_task(&m, &tasks::consensus(3), 0, 1);
+        let _ = check_task(&m, &tasks::consensus(3), 0, 1, &NOOP);
     }
 }

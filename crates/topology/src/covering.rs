@@ -9,14 +9,13 @@
 //! bivalent w.r.t. the covering — which is how the paper characterizes
 //! solvable decision problems.
 //!
-//! [`CoveringSolver`] is the generalized-valence analogue of
-//! [`ValenceSolver`](layered_core::ValenceSolver), and
-//! [`covering_bivalent_run`] the analogue of
-//! [`build_bivalent_run`](layered_core::build_bivalent_run).
+//! A [`Covering`] is a [`ValenceProbe`]: core's solver, given one through
+//! [`Solver::with_probe`](layered_core::Solver::with_probe), computes
+//! generalized valence with the same arena, memo and telemetry as binary
+//! valence, and [`build_bivalent_run`](layered_core::build_bivalent_run)
+//! over that solver is the Lemma 7.1 construction.
 
-use std::collections::HashMap;
-
-use layered_core::{ExecutionTrace, LayeredModel, Pid};
+use layered_core::{LayeredModel, Pid, ValenceProbe, Valences, Value};
 
 use crate::complex::Complex;
 use crate::simplex::Simplex;
@@ -50,8 +49,8 @@ impl Covering {
     #[must_use]
     pub fn consensus(n: usize) -> Self {
         Covering::new(
-            Complex::from_facets([Simplex::full(&vec![layered_core::Value::ZERO; n])]),
-            Complex::from_facets([Simplex::full(&vec![layered_core::Value::ONE; n])]),
+            Complex::from_facets([Simplex::full(&vec![Value::ZERO; n])]),
+            Complex::from_facets([Simplex::full(&vec![Value::ONE; n])]),
         )
     }
 
@@ -67,10 +66,11 @@ impl Covering {
         &self.o1
     }
 
-    /// Membership of a decision simplex in each part.
+    /// Membership of a decision simplex in each part: `zero` for `O₀`,
+    /// `one` for `O₁`.
     #[must_use]
-    pub fn classify(&self, s: &Simplex) -> CoveringValences {
-        CoveringValences {
+    pub fn classify(&self, s: &Simplex) -> Valences {
+        Valences {
             zero: self.o0.contains(s),
             one: self.o1.contains(s),
         }
@@ -88,27 +88,26 @@ impl Covering {
     }
 }
 
-/// Generalized valence flags w.r.t. a covering.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CoveringValences {
-    /// Some extension's nonfaulty decisions lie in `O₀`.
-    pub zero: bool,
-    /// Some extension's nonfaulty decisions lie in `O₁`.
-    pub one: bool,
-}
-
-impl CoveringValences {
-    /// Bivalent w.r.t. the covering.
-    #[must_use]
-    pub fn is_bivalent(self) -> bool {
-        self.zero && self.one
-    }
-
-    fn union(self, other: CoveringValences) -> CoveringValences {
-        CoveringValences {
-            zero: self.zero || other.zero,
-            one: self.one || other.one,
+/// Generalized valence: a state at the horizon is classified by every
+/// decision simplex its runs can present (see
+/// [`nonfaulty_decision_simplexes`]); a state below it contributes nothing
+/// itself and takes the union over its layer. As with binary valence this
+/// under-approximates the infinite-run notion and coincides with it when
+/// the protocol decides within the horizon.
+impl<M: LayeredModel> ValenceProbe<M> for Covering {
+    fn probe(&self, model: &M, x: &M::State, at_horizon: bool) -> Valences {
+        if !at_horizon {
+            return Valences::NONE;
         }
+        // Empty simplexes contribute nothing: under the Decision
+        // requirement a run's nonfaulty processes decide, so the run's
+        // output simplex is never empty — counting the empty face would
+        // make every state vacuously bivalent.
+        nonfaulty_decision_simplexes(model, x)
+            .iter()
+            .filter(|s| !s.is_empty())
+            .map(|s| self.classify(s))
+            .fold(Valences::NONE, Valences::union)
     }
 }
 
@@ -151,139 +150,11 @@ pub fn nonfaulty_decision_simplexes<M: LayeredModel>(model: &M, x: &M::State) ->
     out
 }
 
-/// Memoizing generalized-valence solver w.r.t. a covering.
-///
-/// Terminal (horizon-depth) states are classified by membership of their
-/// nonfaulty-decision simplex in `O₀` / `O₁`; interior states take the
-/// union over their layer. As with binary valence this under-approximates
-/// the infinite-run notion and coincides with it when the protocol decides
-/// within the horizon.
-pub struct CoveringSolver<'a, M: LayeredModel> {
-    model: &'a M,
-    covering: &'a Covering,
-    horizon: usize,
-    memo: HashMap<M::State, CoveringValences>,
-}
-
-impl<'a, M: LayeredModel> CoveringSolver<'a, M> {
-    /// A solver exploring to total depth `horizon`.
-    #[must_use]
-    pub fn new(model: &'a M, covering: &'a Covering, horizon: usize) -> Self {
-        CoveringSolver {
-            model,
-            covering,
-            horizon,
-            memo: HashMap::new(),
-        }
-    }
-
-    /// The underlying model.
-    #[must_use]
-    pub fn model(&self) -> &'a M {
-        self.model
-    }
-
-    /// Generalized valence flags of `x` (memoized).
-    pub fn valences(&mut self, x: &M::State) -> CoveringValences {
-        if let Some(&v) = self.memo.get(x) {
-            return v;
-        }
-        let flags = if self.model.depth(x) >= self.horizon {
-            // A terminal state is classified by every decision simplex its
-            // runs can present: faulty processes' decisions are excluded,
-            // and any non-failed set within the failure budget can still
-            // turn out faulty (see `nonfaulty_decision_simplexes`). Empty
-            // simplexes contribute nothing: under the Decision requirement
-            // a run's nonfaulty processes decide, so the run's output
-            // simplex is never empty — counting the empty face would make
-            // every state vacuously bivalent.
-            nonfaulty_decision_simplexes(self.model, x)
-                .iter()
-                .filter(|s| !s.is_empty())
-                .map(|s| self.covering.classify(s))
-                .fold(CoveringValences::default(), CoveringValences::union)
-        } else {
-            let mut acc = CoveringValences::default();
-            for y in self.model.successors(x) {
-                acc = acc.union(self.valences(&y));
-                if acc.is_bivalent() {
-                    break;
-                }
-            }
-            acc
-        };
-        self.memo.insert(x.clone(), flags);
-        flags
-    }
-
-    /// Whether `x` is bivalent w.r.t. the covering.
-    pub fn is_bivalent(&mut self, x: &M::State) -> bool {
-        self.valences(x).is_bivalent()
-    }
-}
-
-/// Outcome of the Lemma 7.1 construction.
-#[derive(Clone, Debug)]
-pub struct CoveringRunOutcome<S> {
-    /// The constructed chain of covering-bivalent states, if a bivalent
-    /// initial state exists.
-    pub chain: Option<ExecutionTrace<S>>,
-    /// Depth at which the construction stalled, if it did not reach the
-    /// requested length.
-    pub stalled_at: Option<usize>,
-}
-
-impl<S> CoveringRunOutcome<S> {
-    /// Whether a chain of the requested length was built.
-    #[must_use]
-    pub fn reached_target(&self) -> bool {
-        self.chain.is_some() && self.stalled_at.is_none()
-    }
-}
-
-/// Lemma 7.1, executed: from the initial states in `roots`, find a state
-/// bivalent w.r.t. the covering and extend it through `steps` layers
-/// keeping every state bivalent.
-pub fn covering_bivalent_run<M: LayeredModel>(
-    solver: &mut CoveringSolver<'_, M>,
-    roots: &[M::State],
-    steps: usize,
-) -> CoveringRunOutcome<M::State> {
-    let Some(x0) = roots.iter().find(|x| solver.is_bivalent(x)).cloned() else {
-        return CoveringRunOutcome {
-            chain: None,
-            stalled_at: None,
-        };
-    };
-    let mut chain = ExecutionTrace::new(vec![x0]);
-    for _ in 0..steps {
-        let x = chain.last().clone();
-        let next = solver
-            .model()
-            .successors(&x)
-            .into_iter()
-            .find(|y| solver.is_bivalent(y));
-        match next {
-            Some(y) => chain.push(y),
-            None => {
-                let depth = solver.model().depth(&x);
-                return CoveringRunOutcome {
-                    chain: Some(chain),
-                    stalled_at: Some(depth),
-                };
-            }
-        }
-    }
-    CoveringRunOutcome {
-        chain: Some(chain),
-        stalled_at: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use layered_core::telemetry::NOOP;
     use layered_core::testkit::flp_diamond;
-    use layered_core::{Valence, ValenceSolver, Value};
+    use layered_core::{build_bivalent_run, Stuck, Valence, ValenceSolver};
 
     use super::*;
 
@@ -291,13 +162,14 @@ mod tests {
     fn consensus_covering_matches_binary_valence() {
         let m = flp_diamond();
         let cov = Covering::consensus(2);
-        let mut gsolver = CoveringSolver::new(&m, &cov, 2);
+        let mut gsolver = ValenceSolver::with_probe(&m, 2, &cov, &NOOP);
         let mut bsolver = ValenceSolver::new(&m, 2);
         for x in [0u32, 1, 2, 3, 4] {
-            let g = gsolver.valences(&x);
+            let id = gsolver.intern(&x);
+            let g = gsolver.valences_id(id);
             let b = bsolver.valence(&x);
             match b {
-                Valence::Bivalent => assert!(g.is_bivalent()),
+                Valence::Bivalent => assert!(g.classify().is_bivalent()),
                 Valence::Univalent(Value::ZERO) => assert!(g.zero && !g.one),
                 Valence::Univalent(Value::ONE) => assert!(g.one && !g.zero),
                 _ => {}
@@ -308,11 +180,11 @@ mod tests {
     #[test]
     fn classify_uses_face_membership() {
         let cov = Covering::consensus(2);
-        let partial = Simplex::from_pairs([(layered_core::Pid::new(0), Value::ZERO)]);
+        let partial = Simplex::from_pairs([(Pid::new(0), Value::ZERO)]);
         let flags = cov.classify(&partial);
         assert!(flags.zero && !flags.one);
         // The empty simplex is a face of everything: bivalent.
-        assert!(cov.classify(&Simplex::new()).is_bivalent());
+        assert!(cov.classify(&Simplex::new()).classify().is_bivalent());
     }
 
     #[test]
@@ -330,14 +202,17 @@ mod tests {
     fn lemma_7_1_builds_chain_on_diamond() {
         let m = flp_diamond();
         let cov = Covering::consensus(2);
-        let mut solver = CoveringSolver::new(&m, &cov, 2);
-        let out = covering_bivalent_run(&mut solver, std::slice::from_ref(&0u32), 0);
+        let mut solver = ValenceSolver::with_probe(&m, 2, &cov, &NOOP);
+        let out = build_bivalent_run(&mut solver, 0);
         assert!(out.reached_target());
         // Asking for more steps than bivalence survives stalls gracefully.
-        let mut solver = CoveringSolver::new(&m, &cov, 2);
-        let out = covering_bivalent_run(&mut solver, std::slice::from_ref(&0u32), 2);
+        let mut solver = ValenceSolver::with_probe(&m, 2, &cov, &NOOP);
+        let out = build_bivalent_run(&mut solver, 2);
         assert!(!out.reached_target());
-        assert_eq!(out.stalled_at, Some(0));
+        assert!(matches!(
+            out.stuck,
+            Some(Stuck::NoBivalentSuccessor { depth: 0, .. })
+        ));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! tabulates them against the recurrence, so the bound can be *checked*
 //! rather than assumed.
 
-use layered_core::{s_diameter, LayeredModel};
+use layered_core::telemetry::Observer;
+use layered_core::{explore, s_diameter, LayeredModel};
 
 /// The Lemma 7.6 bound on the s-diameter of `S(X)`.
 #[must_use]
@@ -52,40 +53,32 @@ impl DiameterRow {
 
 /// Measures s-diameters of the depth-`m` state sets for `m = 0..=depth`
 /// and tabulates them against the Lemma 7.6 recurrence.
-pub fn diameter_sweep<M: LayeredModel>(model: &M, depth: usize) -> Vec<DiameterRow> {
-    let mut rows = Vec::with_capacity(depth + 1);
-    let mut level = model.initial_states();
-    let mut prev_measured = None;
-    for m in 0..=depth {
-        let measured = s_diameter(model, &level);
+///
+/// The levels come from [`explore`], which reports its sweep to `obs`.
+pub fn diameter_sweep<M: LayeredModel>(
+    model: &M,
+    depth: usize,
+    obs: &dyn Observer,
+) -> Vec<DiameterRow> {
+    let levels = explore(model, &model.initial_states(), depth, obs).levels;
+    let mut rows: Vec<DiameterRow> = Vec::with_capacity(depth + 1);
+    for (m, level) in levels.iter().enumerate() {
+        let measured = s_diameter(model, level);
         // d_Y^m: the worst layer diameter over this level (used for the
-        // next row's bound).
-        let mut layer_diameter = Some(0usize);
-        let mut next = Vec::new();
-        if m < depth {
-            let mut seen = std::collections::HashSet::new();
-            for x in &level {
-                let layer = model.successors(x);
-                match (s_diameter(model, &layer), layer_diameter) {
-                    (Some(d), Some(cur)) => layer_diameter = Some(cur.max(d)),
-                    _ => layer_diameter = None,
-                }
-                for y in layer {
-                    if seen.insert(y.clone()) {
-                        next.push(y);
-                    }
-                }
-            }
+        // next row's bound); undefined on the last level.
+        let layer_diameter = if m < depth {
+            level.iter().try_fold(0usize, |worst, x| {
+                s_diameter(model, &model.successors(x)).map(|d| worst.max(d))
+            })
         } else {
-            layer_diameter = None;
-        }
-        let bound = match (
-            m,
-            prev_measured,
-            rows.last().and_then(|r: &DiameterRow| r.layer_diameter),
-        ) {
-            (0, _, _) => None,
-            (_, Some(dx), Some(dy)) => Some(lemma_7_6_bound(dx, dy)),
+            None
+        };
+        let bound = match rows.last() {
+            Some(DiameterRow {
+                measured: Some(dx),
+                layer_diameter: Some(dy),
+                ..
+            }) => Some(lemma_7_6_bound(*dx, *dy)),
             _ => None,
         };
         rows.push(DiameterRow {
@@ -95,16 +88,13 @@ pub fn diameter_sweep<M: LayeredModel>(model: &M, depth: usize) -> Vec<DiameterR
             layer_diameter,
             bound,
         });
-        prev_measured = measured;
-        level = next;
     }
-    // `layer_diameter` on row m was computed as we advanced; shift so each
-    // row reports the layer diameter *of its own level* (already the case).
     rows
 }
 
 #[cfg(test)]
 mod tests {
+    use layered_core::telemetry::NOOP;
     use layered_core::testkit::CounterModel;
 
     use super::*;
@@ -121,7 +111,7 @@ mod tests {
         // CounterModel initial states: all 2^n input vectors; agree-modulo
         // chains make the set similarity connected with diameter >= 1.
         let m = CounterModel::new(3, 2);
-        let rows = diameter_sweep(&m, 2);
+        let rows = diameter_sweep(&m, 2, &NOOP);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].depth, 0);
         assert_eq!(rows[0].states, 8);
@@ -136,7 +126,7 @@ mod tests {
     fn rows_report_layer_diameters() {
         // branch = 1: singleton layers have diameter 0.
         let m = CounterModel::new(2, 1);
-        let rows = diameter_sweep(&m, 1);
+        let rows = diameter_sweep(&m, 1, &NOOP);
         // Non-terminal rows carry a layer diameter, the last row does not.
         assert_eq!(rows[0].layer_diameter, Some(0));
         assert!(rows[1].layer_diameter.is_none());

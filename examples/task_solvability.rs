@@ -11,6 +11,7 @@
 //! solves the task over every explored run or is refuted with a witness.
 
 use layered_consensus::async_mp::MpModel;
+use layered_consensus::core::telemetry::NOOP;
 use layered_consensus::core::Value;
 use layered_consensus::protocols::{MpCollectMin, MpFloodMin, MpIdentity};
 use layered_consensus::topology::{check_task, tasks, DecisionTask};
@@ -48,7 +49,7 @@ fn main() {
     // Consensus: disconnected => unsolvable. Flooding is refuted.
     let task = tasks::consensus(n);
     let m = MpModel::new(n, MpFloodMin::new(2));
-    let report = check_task(&m, &task, 2, 1);
+    let report = check_task(&m, &task, 2, 1, &NOOP);
     println!(
         "consensus        + MpFloodMin(2):     {} ({} states)",
         report.violations.first().map_or("solves?!", |v| v.kind()),
@@ -58,7 +59,7 @@ fn main() {
     // 2-set agreement: connected => solvable. Collect n-1 inputs, decide min.
     let task = tasks::k_set_agreement(n, 2);
     let m = MpModel::new(n, MpCollectMin::new(n - 1)).with_obligation(2);
-    let report = check_task(&m, &task, 2, 1);
+    let report = check_task(&m, &task, 2, 1, &NOOP);
     println!(
         "2-set agreement  + MpCollectMin(n−1): {} ({} states)",
         if report.passed() {
@@ -72,7 +73,7 @@ fn main() {
     // Identity: solvable wait-free by deciding the own input.
     let task = tasks::identity(n);
     let m = MpModel::new(n, MpIdentity).with_obligation(1);
-    let report = check_task(&m, &task, 1, 1);
+    let report = check_task(&m, &task, 1, 1, &NOOP);
     println!(
         "identity         + MpIdentity:        {} ({} states)",
         if report.passed() {

@@ -12,22 +12,28 @@
 //! * [`naive_check_task`]: the exhaustive Decision / Validity sweep of a
 //!   decision task.
 //!
-//! The engine side is what the experiments E-7.1, E-7.3 and E-7.4 run. Both
-//! sides must agree on the flags of every state within the horizon, on the
-//! chains and on the task reports, witness states and their order included.
+//! The engine side is what the experiments E-7.1, E-7.3 and E-7.4 run:
+//! core's `Solver` with the covering as its valence probe,
+//! `build_bivalent_run` over it, and `check_task` on core's checker sweep.
+//! Both sides must agree on the flags of every state within the horizon,
+//! on the chains and on the task reports, witness states and their order
+//! included. The test also pins where binary valence and valence w.r.t.
+//! the consensus covering differ.
 
 use std::collections::{HashMap, HashSet};
 
 use layered_consensus::async_mp::MpModel;
 use layered_consensus::core::telemetry::NOOP;
-use layered_consensus::core::testkit::flp_diamond;
-use layered_consensus::core::{explore, LayeredModel, Pid, Valence, ValenceSolver, Value};
+use layered_consensus::core::testkit::{flp_diamond, ScriptedModel, ScriptedModelBuilder};
+use layered_consensus::core::{
+    build_bivalent_run, explore, LayeredModel, Pid, Valence, ValenceSolver, Value,
+};
 use layered_consensus::protocols::{FloodMin, MpCollectMin, MpFloodMin, MpIdentity};
 use layered_consensus::sync_crash::CrashModel;
 use layered_consensus::sync_mobile::MobileModel;
 use layered_consensus::topology::{
-    check_task, covering_bivalent_run, decided_simplex, nonfaulty_decision_simplexes, tasks,
-    Covering, CoveringSolver, DecisionTask,
+    check_task, decided_simplex, nonfaulty_decision_simplexes, tasks, Covering, DecisionTask,
+    TaskViolation,
 };
 
 /// Covering valence flags: `(0-valent, 1-valent)` w.r.t. `O₀` / `O₁`.
@@ -180,11 +186,12 @@ fn engine_flags<M: LayeredModel>(
     horizon: usize,
     states: &[M::State],
 ) -> Vec<Flags> {
-    let mut solver = CoveringSolver::new(model, covering, horizon);
+    let mut solver = ValenceSolver::with_probe(model, horizon, covering, &NOOP);
     states
         .iter()
         .map(|x| {
-            let v = solver.valences(x);
+            let id = solver.intern(x);
+            let v = solver.valences_id(id);
             (v.zero, v.one)
         })
         .collect()
@@ -196,8 +203,8 @@ fn engine_run<M: LayeredModel>(
     horizon: usize,
     steps: usize,
 ) -> (Vec<M::State>, bool) {
-    let mut solver = CoveringSolver::new(model, covering, horizon);
-    let out = covering_bivalent_run(&mut solver, &model.initial_states(), steps);
+    let mut solver = ValenceSolver::with_probe(model, horizon, covering, &NOOP);
+    let out = build_bivalent_run(&mut solver, steps);
     let reached = out.reached_target();
     let chain = out.chain.map_or_else(Vec::new, |c| c.states().to_vec());
     (chain, reached)
@@ -209,15 +216,16 @@ fn engine_check_task<M: LayeredModel>(
     horizon: usize,
     max_violations: usize,
 ) -> TaskOutcome<M::State> {
-    let report = check_task(model, task, horizon, max_violations);
+    let report = check_task(model, task, horizon, max_violations, &NOOP);
     let violations = report
         .violations
         .into_iter()
         .map(|v| {
             let kind = v.kind();
             let state = match v {
-                layered_consensus::topology::TaskViolation::Validity { state, .. }
-                | layered_consensus::topology::TaskViolation::Decision { state, .. } => state,
+                TaskViolation::Validity { state, .. } | TaskViolation::Decision { state, .. } => {
+                    state
+                }
             };
             (kind, state)
         })
@@ -266,7 +274,7 @@ fn binary_flags(v: Valence) -> Flags {
 }
 
 /// The number of states whose binary valence differs from their valence
-/// w.r.t. the consensus covering.
+/// w.r.t. the consensus covering; asserts that each is a horizon state.
 fn binary_disagreements<M: LayeredModel>(
     model: &M,
     horizon: usize,
@@ -274,11 +282,35 @@ fn binary_disagreements<M: LayeredModel>(
     covering_flags: &[Flags],
 ) -> usize {
     let mut binary = ValenceSolver::new(model, horizon);
-    states
+    let differing: Vec<&M::State> = states
         .iter()
         .zip(covering_flags)
         .filter(|(x, &f)| binary_flags(binary.valence(x)) != f)
-        .count()
+        .map(|(x, _)| x)
+        .collect();
+    for x in &differing {
+        assert_eq!(model.depth(x), horizon, "{x:?}");
+    }
+    differing.len()
+}
+
+/// A chain `0 → 1 → 2` in which p0 decides 0 at depth 1 and is failed at
+/// the horizon state 2, where p1 has decided 1. Covering valence reads the
+/// horizon only, so every state is 1-univalent; a probe that also read
+/// state 1 would find p0's decision and call it bivalent.
+fn decided_then_failed() -> ScriptedModel {
+    ScriptedModelBuilder::new(2, 1)
+        .initial(&[Value::ZERO, Value::ONE], 0)
+        .edge(0, 1)
+        .edge(1, 2)
+        .depth(0, 0)
+        .depth(1, 1)
+        .depth(2, 2)
+        .decision(1, 0, Value::ZERO)
+        .decision(2, 0, Value::ZERO)
+        .decision(2, 1, Value::ONE)
+        .failed(2, 0)
+        .build()
 }
 
 // ---- (a) covering flags -------------------------------------------------
@@ -302,15 +334,21 @@ fn covering_flags_match_the_reference_on_every_state() {
 
     let m = CrashModel::new(3, 1, FloodMin::new(2));
     let (states, flags) = assert_flags_agree("crash(3,1)", &m, 2);
+    assert_eq!(states.len(), 84);
     assert_eq!(binary_disagreements(&m, 2, &states, &flags), 0);
 
     let m = CrashModel::new(4, 2, FloodMin::new(3));
     let (states, flags) = assert_flags_agree("crash(4,2)", &m, 3);
+    assert_eq!(states.len(), 552);
     assert_eq!(binary_disagreements(&m, 3, &states, &flags), 0);
 
     let m = flp_diamond();
     let (states, flags) = assert_flags_agree("diamond", &m, 2);
     assert_eq!(binary_disagreements(&m, 2, &states, &flags), 0);
+
+    let m = decided_then_failed();
+    let (_, flags) = assert_flags_agree("decided-then-failed", &m, 2);
+    assert_eq!(flags, vec![(false, true); 3]);
 }
 
 // ---- (b) Lemma 7.1 chains -----------------------------------------------
@@ -322,6 +360,18 @@ fn assert_runs_agree<M: LayeredModel>(name: &str, model: &M, horizon: usize, ste
     assert_eq!(
         got, expected,
         "[{name}] Lemma 7.1 chains differ at horizon {horizon}, {steps} steps"
+    );
+    // Where the two valence notions differ (the mobile instance), they do
+    // so on no state these runs pass through: the binary run is the same.
+    let binary = build_bivalent_run(&mut ValenceSolver::new(model, horizon), steps);
+    let binary_chain = binary
+        .chain
+        .as_ref()
+        .map_or_else(Vec::new, |c| c.states().to_vec());
+    assert_eq!(
+        (binary_chain, binary.reached_target()),
+        got,
+        "[{name}] binary and covering runs differ at horizon {horizon}, {steps} steps"
     );
 }
 
