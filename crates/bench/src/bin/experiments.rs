@@ -73,11 +73,14 @@ use layered_core::sym::MAX_ENUMERATED_N;
 use layered_core::telemetry::profile::{profile, profile_table};
 use layered_core::telemetry::{set_heartbeat_period_ns, Observer, TraceObserver, NOOP};
 
-/// Arguments that apply in some modes only, with those modes: the default
-/// experiment suite, `--sim` or `--scan`. Any other mode rejects them.
+/// The default mode, as error messages name it.
+const SUITE: &str = "the experiment suite";
+
+/// Arguments that apply in some modes only, with those modes: [`SUITE`],
+/// `--sim` or `--scan`. Any other mode rejects them.
 const MODE_SCOPED: &[(&str, &[&str])] = &[
-    ("quick", &["suite"]),
-    ("full", &["suite"]),
+    ("quick", &[SUITE]),
+    ("full", &[SUITE]),
     ("--seed", &["--sim"]),
     ("--runs", &["--sim"]),
     ("--adversary", &["--sim"]),
@@ -190,19 +193,9 @@ fn parse_args() -> Result<Options, String> {
     let mode = match (sim_requested, scan_requested) {
         (true, _) => "--sim",
         (_, true) => "--scan",
-        _ => "suite",
+        _ => SUITE,
     };
     if let Some((flag, modes)) = scoped.into_iter().find(|(_, modes)| !modes.contains(&mode)) {
-        let modes: Vec<&str> = modes
-            .iter()
-            .map(|&m| {
-                if m == "suite" {
-                    "the experiment suite"
-                } else {
-                    m
-                }
-            })
-            .collect();
         return Err(format!("{flag} only applies to {}", modes.join(" and ")));
     }
     if sim_requested {

@@ -92,8 +92,10 @@ impl Valences {
 /// probes of every state reachable within the horizon.
 ///
 /// `at_horizon` tells a state at the horizon depth (one whose extensions
-/// the solver does not look at) from one below it. A probe used with a
-/// [`QuotientSolver`] must be invariant under process renaming.
+/// the solver does not look at) from one below it. Only full-space solvers
+/// take a probe other than [`DECIDED`] ([`Solver::with_probe`]): a
+/// quotient would need it invariant under process renaming, which a
+/// covering need not be.
 pub trait ValenceProbe<M: LayeredModel>: Sync {
     /// The valences `x` witnesses itself.
     fn probe(&self, model: &M, x: &M::State, at_horizon: bool) -> Valences;
