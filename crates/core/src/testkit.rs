@@ -208,6 +208,89 @@ impl Symmetric for CounterModel {
     }
 }
 
+/// A model with its codec hidden: every [`LayeredModel`] and [`Symmetric`]
+/// method forwards to the wrapped model except
+/// [`state_packer`](LayeredModel::state_packer), which returns `None`, so an
+/// arena built for it stores every state boxed. Canonicalization still
+/// forwards, so quotient representatives are unchanged. The boxed side of
+/// packed ≡ boxed tests.
+#[derive(Clone, Debug)]
+pub struct Unpacked<M>(pub M);
+
+impl<M: LayeredModel> LayeredModel for Unpacked<M> {
+    type State = M::State;
+
+    fn num_processes(&self) -> usize {
+        self.0.num_processes()
+    }
+
+    fn max_failures(&self) -> usize {
+        self.0.max_failures()
+    }
+
+    fn initial_state(&self, inputs: &[Value]) -> M::State {
+        self.0.initial_state(inputs)
+    }
+
+    fn initial_states(&self) -> Vec<M::State> {
+        self.0.initial_states()
+    }
+
+    fn successors(&self, x: &M::State) -> Vec<M::State> {
+        self.0.successors(x)
+    }
+
+    fn depth(&self, x: &M::State) -> usize {
+        self.0.depth(x)
+    }
+
+    fn inputs_of(&self, x: &M::State) -> Vec<Value> {
+        self.0.inputs_of(x)
+    }
+
+    fn decision(&self, x: &M::State, i: Pid) -> Option<Value> {
+        self.0.decision(x, i)
+    }
+
+    fn failed_at(&self, x: &M::State, i: Pid) -> bool {
+        self.0.failed_at(x, i)
+    }
+
+    fn agree_modulo(&self, x: &M::State, y: &M::State, j: Pid) -> bool {
+        self.0.agree_modulo(x, y, j)
+    }
+
+    fn crash_step(&self, x: &M::State, j: Pid) -> M::State {
+        self.0.crash_step(x, j)
+    }
+
+    fn obligated(&self, x: &M::State) -> Vec<Pid> {
+        self.0.obligated(x)
+    }
+
+    fn non_failed(&self, x: &M::State) -> Vec<Pid> {
+        self.0.non_failed(x)
+    }
+}
+
+impl<M: Symmetric> Symmetric for Unpacked<M> {
+    fn permute_state(&self, x: &M::State, perm: &PidPerm) -> M::State {
+        self.0.permute_state(x, perm)
+    }
+
+    fn symmetric_layering(&self) -> bool {
+        self.0.symmetric_layering()
+    }
+
+    fn canonicalize(&self, x: &M::State) -> (M::State, PidPerm) {
+        self.0.canonicalize(x)
+    }
+
+    fn canonicalize_with_orbit(&self, x: &M::State) -> (M::State, PidPerm, u64) {
+        self.0.canonicalize_with_orbit(x)
+    }
+}
+
 /// A model given by explicit tables over `u32` state identifiers.
 #[derive(Clone, Debug, Default)]
 pub struct ScriptedModel {
