@@ -6,10 +6,10 @@
 //! experiments [quick] [--json <path>] [--metrics] [--store <dir>]
 //! experiments --sim [--seed <u64>] [--runs <k>] [--n <k>] [--horizon <k>]
 //!             [--adversary <name>] [--json <path>] [--metrics] [--store <dir>]
-//! experiments --scan [--quotient] [--boxed] [--n <k>] [--depth <k>]
-//!             [--threads <k>] [--horizon <k>] [--snapshot <dir>]
-//!             [--resume <dir>] [--json <path>] [--metrics] [--trace <path>]
-//!             [--profile] [--heartbeat-ms <k>] [--store <dir>]
+//! experiments --scan [--quotient] [--n <k>] [--depth <k>] [--threads <k>]
+//!             [--horizon <k>] [--snapshot <dir>] [--resume <dir>]
+//!             [--json <path>] [--metrics] [--trace <path>] [--profile]
+//!             [--heartbeat-ms <k>] [--store <dir>]
 //! ```
 //!
 //! Arguments of one mode are rejected in the others (exit 2 with the
@@ -32,9 +32,6 @@
 //!   5.1 instance over canonical orbits, cross-checked against the full
 //!   space when n ≤ 5 and quotient-only beyond (the reduction plus packed
 //!   arenas are what make n = 6 reachable).
-//! * `--boxed` — (scan mode) force boxed state storage even when the model
-//!   provides a packed codec — the cross-check path that demonstrates
-//!   packing is a pure representation change.
 //! * `--snapshot <dir>` — (scan mode) after the scan, write the explored
 //!   arena into `<dir>` as a versioned, SHA-256-sealed snapshot
 //!   (`arena-state.bin`, or `arena-quotient.bin` under `--quotient`).
@@ -47,7 +44,9 @@
 //! * `--horizon <k>` — (scan mode) fix the valence horizon / FloodMin
 //!   deadline independently of `--depth` (default `depth + 1`); this is
 //!   what keeps the *model* unchanged when a resumed scan deepens the
-//!   scan depth. (In `--sim` mode: layers per simulated run.)
+//!   scan depth. The scan's horizon must lie in `1..=65535` (FloodMin
+//!   counts its rounds in a `u16`). (In `--sim` mode: layers per simulated
+//!   run.)
 //! * `--trace <path>` — (scan mode) record the hierarchical span tree and
 //!   write it as Chrome trace-event JSON, loadable in `chrome://tracing`
 //!   or [Perfetto](https://ui.perfetto.dev).
@@ -85,7 +84,6 @@ const MODE_SCOPED: &[(&str, &[&str])] = &[
     ("--runs", &["--sim"]),
     ("--adversary", &["--sim"]),
     ("--quotient", &["--scan"]),
-    ("--boxed", &["--scan"]),
     ("--depth", &["--scan"]),
     ("--threads", &["--scan"]),
     ("--snapshot", &["--scan"]),
@@ -138,7 +136,6 @@ fn parse_args() -> Result<Options, String> {
             "--sim" => sim_requested = true,
             "--scan" => scan_requested = true,
             "--quotient" => scan_cfg.quotient = true,
-            "--boxed" => scan_cfg.packed = false,
             "--seed" => sim_cfg.seed = numeric("--seed")?,
             "--runs" => sim_cfg.runs = numeric("--runs")? as usize,
             "--n" => {
@@ -209,10 +206,14 @@ fn parse_args() -> Result<Options, String> {
         }
         opts.sim = Some(sim_cfg);
     }
-    if scan_requested && scan_cfg.horizon == Some(0) {
-        return Err("--horizon must be positive".to_string());
-    }
     if scan_requested {
+        let horizon = scan_cfg.horizon.or(scan_cfg.depth.checked_add(1));
+        if !horizon.is_some_and(|h| (1..=usize::from(u16::MAX)).contains(&h)) {
+            return Err(format!(
+                "the scan horizon (--horizon, default --depth + 1) must lie in 1..={}",
+                u16::MAX
+            ));
+        }
         if scan_cfg.n < 2 {
             return Err("--n must be at least 2 for the layer scan".to_string());
         }
@@ -387,7 +388,7 @@ fn main() {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!(
-                "usage: experiments [quick|full] [--json <path>] [--metrics] [--store <dir>]\n       experiments --sim [--seed <u64>] [--runs <k>] [--n <k>] [--horizon <k>] [--adversary <name>] [--json <path>] [--store <dir>]\n       experiments --scan [--quotient] [--boxed] [--n <k>] [--depth <k>] [--threads <k>] [--horizon <k>] [--snapshot <dir>] [--resume <dir>] [--json <path>] [--trace <path>] [--profile] [--heartbeat-ms <k>] [--store <dir>]"
+                "usage: experiments [quick|full] [--json <path>] [--metrics] [--store <dir>]\n       experiments --sim [--seed <u64>] [--runs <k>] [--n <k>] [--horizon <k>] [--adversary <name>] [--json <path>] [--store <dir>]\n       experiments --scan [--quotient] [--n <k>] [--depth <k>] [--threads <k>] [--horizon <k>] [--snapshot <dir>] [--resume <dir>] [--json <path>] [--trace <path>] [--profile] [--heartbeat-ms <k>] [--store <dir>]"
             );
             std::process::exit(2);
         }

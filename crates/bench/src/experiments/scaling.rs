@@ -18,7 +18,7 @@ use layered_core::telemetry::{clock, Observer};
 use layered_core::{
     load_quotient, load_space, save_arena, scan_layer_valence_connectivity,
     scan_layer_valence_connectivity_parallel, witness_to_json, ArenaMeta, ImpossibilityWitness,
-    LayeredModel, MemoryFootprint, QuotientSolver, QuotientSpace, StateSpace, ValenceSolver,
+    LayeredModel, MemoryFootprint, QuotientSolver, ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -159,10 +159,6 @@ pub struct ScanConfig {
     /// Directory to load an arena snapshot from before the scan (the
     /// `--resume` flag).
     pub resume_dir: Option<String>,
-    /// Store states packed (bitfield words) when the model provides a
-    /// codec. `false` (the `--boxed` flag) forces boxed storage — the
-    /// cross-check path that demonstrates packing is representation-only.
-    pub packed: bool,
 }
 
 impl ScanConfig {
@@ -183,7 +179,6 @@ impl Default for ScanConfig {
             horizon: None,
             snapshot_dir: None,
             resume_dir: None,
-            packed: true,
         }
     }
 }
@@ -266,8 +261,7 @@ pub fn interned_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Opt
             let start = clock::monotonic_ns();
             let mut solver = match seq_space {
                 Some(space) => ValenceSolver::with_space(&m, horizon, space, obs),
-                None if cfg.packed => ValenceSolver::with_observer(&m, horizon, obs),
-                None => ValenceSolver::with_space(&m, horizon, StateSpace::new(), obs),
+                None => ValenceSolver::with_observer(&m, horizon, obs),
             };
             let seq = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
             let seq_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
@@ -288,8 +282,7 @@ pub fn interned_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Opt
             let start = clock::monotonic_ns();
             let mut solver = match par_space {
                 Some(space) => ValenceSolver::with_space(&m, horizon, space, obs),
-                None if cfg.packed => ValenceSolver::with_observer(&m, horizon, obs),
-                None => ValenceSolver::with_space(&m, horizon, StateSpace::new(), obs),
+                None => ValenceSolver::with_observer(&m, horizon, obs),
             };
             let par =
                 scan_layer_valence_connectivity_parallel(&mut solver, cfg.depth, true, cfg.threads);
@@ -447,8 +440,7 @@ pub fn quotient_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Opt
             let start = clock::monotonic_ns();
             let mut solver = match seq_space {
                 Some(space) => QuotientSolver::with_space(&m, horizon, space, obs),
-                None if cfg.packed => QuotientSolver::with_observer(&m, horizon, obs),
-                None => QuotientSolver::with_space(&m, horizon, QuotientSpace::new_boxed(&m), obs),
+                None => QuotientSolver::with_observer(&m, horizon, obs),
             };
             let quot = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
             let quot_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
@@ -471,8 +463,7 @@ pub fn quotient_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Opt
             let start = clock::monotonic_ns();
             let mut par_solver = match par_space {
                 Some(space) => QuotientSolver::with_space(&m, horizon, space, obs),
-                None if cfg.packed => QuotientSolver::with_observer(&m, horizon, obs),
-                None => QuotientSolver::with_space(&m, horizon, QuotientSpace::new_boxed(&m), obs),
+                None => QuotientSolver::with_observer(&m, horizon, obs),
             };
             let par = scan_layer_valence_connectivity_parallel(
                 &mut par_solver,
@@ -488,11 +479,7 @@ pub fn quotient_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Opt
             // (n = 5 became reachable when the arenas went packed).
             let full = (cfg.n <= 5).then(|| {
                 let start = clock::monotonic_ns();
-                let mut solver = if cfg.packed {
-                    ValenceSolver::with_observer(&m, horizon, obs)
-                } else {
-                    ValenceSolver::with_space(&m, horizon, StateSpace::new(), obs)
-                };
+                let mut solver = ValenceSolver::with_observer(&m, horizon, obs);
                 let scan = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
                 (
                     scan,

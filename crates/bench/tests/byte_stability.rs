@@ -20,11 +20,23 @@
 //! packed and boxed arenas produce byte-identical records modulo the
 //! *representation-dependent* telemetry (`mem.*` footprints, `space.pack.*`,
 //! and the hash-distribution metrics under `space.intern.*`). Ids, layers,
-//! verdicts and every work counter are storage-independent.
+//! verdicts and every work counter are storage-independent. The scan
+//! experiments always store states the way their model says, so that
+//! contract is checked one layer down: the same scans, witness and
+//! metrics on the mobile model and on its codec-less twin
+//! (`testkit::Unpacked`, whose arenas store every state boxed).
 
 use layered_bench::{interned_scan, quotient_scan, ScanConfig};
 use layered_core::telemetry::json::Json;
-use layered_core::telemetry::NOOP;
+use layered_core::telemetry::{MetricsRegistry, NOOP};
+use layered_core::testkit::Unpacked;
+use layered_core::{
+    scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel, witness_to_json,
+    ImpossibilityWitness, LayerScan, LayeredModel, MemoryFootprint, QuotientSolver, Symmetric,
+    ValenceSolver,
+};
+use layered_protocols::FloodMin;
+use layered_sync_mobile::{MobileLayering, MobileModel};
 
 /// Zeroes the documented timing fields, leaving all other structure.
 fn strip_timing(json: &mut Json) {
@@ -91,13 +103,12 @@ fn record_modulo_representation(record: Json) -> String {
     record.to_string()
 }
 
-fn scan_record_with(threads: usize, quotient: bool, packed: bool) -> Json {
+fn scan_record(threads: usize, quotient: bool) -> Json {
     let cfg = ScanConfig {
         n: 3,
         depth: 1,
         threads,
         quotient,
-        packed,
         ..ScanConfig::default()
     };
     let exp = if quotient {
@@ -110,10 +121,6 @@ fn scan_record_with(threads: usize, quotient: bool, packed: bool) -> Json {
         "scan experiment must pass for the comparison to mean anything"
     );
     exp.json_record()
-}
-
-fn scan_record(threads: usize, quotient: bool) -> Json {
-    scan_record_with(threads, quotient, true)
 }
 
 #[test]
@@ -142,10 +149,72 @@ fn quotient_scan_records_are_identical_across_thread_counts() {
     }
 }
 
+/// The scan experiments' horizon and depth at `--depth 1`.
+const HORIZON: usize = 2;
+const DEPTH: usize = 1;
+
+/// One record of layer scans, the witness they support and the metrics
+/// registry everything reported to.
+fn storage_record<M: LayeredModel>(
+    m: &M,
+    scans: &[LayerScan<M::State>],
+    witness: Option<ImpossibilityWitness<M::State>>,
+    reg: &MetricsRegistry,
+) -> Json {
+    let witness = witness.expect("the scan instance has a witness");
+    assert!(witness.verify(m).is_ok(), "the witness re-verifies");
+    let scans = scans.iter().map(|s| Json::String(format!("{s:?}")));
+    Json::Object(vec![
+        ("scans".into(), Json::Array(scans.collect())),
+        (
+            "witness".into(),
+            witness_to_json(m, &witness).expect("encodes"),
+        ),
+        ("metrics".into(), reg.snapshot().to_json()),
+    ])
+}
+
+/// What `interned_scan` runs, one layer down: the sequential and 4-thread
+/// Lemma 5.1 scans and the Theorem 4.2 witness.
+fn interned_storage_record<M>(m: &M) -> Json
+where
+    M: LayeredModel + Sync,
+    M::State: Send + Sync,
+{
+    let reg = MetricsRegistry::new();
+    let mut seq = ValenceSolver::with_observer(m, HORIZON, &reg);
+    let a = scan_layer_valence_connectivity(&mut seq, DEPTH, true);
+    let mut par = ValenceSolver::with_observer(m, HORIZON, &reg);
+    let b = scan_layer_valence_connectivity_parallel(&mut par, DEPTH, true, 4);
+    par.report_memory(&reg);
+    let witness = ImpossibilityWitness::build(m, HORIZON, DEPTH);
+    storage_record(m, &[a, b], witness, &reg)
+}
+
+/// What `quotient_scan` runs, one layer down: the sequential and 4-thread
+/// quotient scans, the full-space baseline and the de-quotiented witness.
+fn quotient_storage_record<M>(m: &M) -> Json
+where
+    M: Symmetric + Sync,
+    M::State: Send + Sync,
+{
+    let reg = MetricsRegistry::new();
+    let mut seq = QuotientSolver::with_observer(m, HORIZON, &reg);
+    let a = scan_layer_valence_connectivity(&mut seq, DEPTH, true);
+    let mut par = QuotientSolver::with_observer(m, HORIZON, &reg);
+    let b = scan_layer_valence_connectivity_parallel(&mut par, DEPTH, true, 4);
+    par.report_memory(&reg);
+    let mut full = ValenceSolver::with_observer(m, HORIZON, &reg);
+    let c = scan_layer_valence_connectivity(&mut full, DEPTH, true);
+    let witness = ImpossibilityWitness::build_quotient(m, HORIZON, DEPTH);
+    storage_record(m, &[a, b, c], witness, &reg)
+}
+
 #[test]
 fn packed_and_boxed_interned_scans_are_identical() {
-    let packed = record_modulo_representation(scan_record_with(4, false, true));
-    let boxed = record_modulo_representation(scan_record_with(4, false, false));
+    let m = MobileModel::new(3, FloodMin::new(HORIZON as u16));
+    let packed = record_modulo_representation(interned_storage_record(&m));
+    let boxed = record_modulo_representation(interned_storage_record(&Unpacked(m)));
     assert_eq!(
         packed, boxed,
         "E-scan records diverged between packed and boxed arenas"
@@ -154,8 +223,9 @@ fn packed_and_boxed_interned_scans_are_identical() {
 
 #[test]
 fn packed_and_boxed_quotient_scans_are_identical() {
-    let packed = record_modulo_representation(scan_record_with(4, true, true));
-    let boxed = record_modulo_representation(scan_record_with(4, true, false));
+    let m = MobileModel::new(3, FloodMin::new(HORIZON as u16)).with_layering(MobileLayering::Full);
+    let packed = record_modulo_representation(quotient_storage_record(&m));
+    let boxed = record_modulo_representation(quotient_storage_record(&Unpacked(m)));
     assert_eq!(
         packed, boxed,
         "E-sym records diverged between packed and boxed arenas"

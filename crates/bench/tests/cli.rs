@@ -110,3 +110,12 @@ fn suite_scopes_with_scan_or_sim_exit_2() {
         "full only applies to the experiment suite",
     );
 }
+
+#[test]
+fn scan_horizon_beyond_u16_exits_2() {
+    let message = "the scan horizon (--horizon, default --depth + 1) must lie in 1..=65535";
+    assert_rejected(&["--scan", "--horizon", "65536"], message);
+    assert_rejected(&["--scan", "--n", "2", "--depth", "65535"], message);
+    assert_rejected(&["--scan", "--horizon", "0"], message);
+    assert_rejected(&["--scan", "--depth", &u64::MAX.to_string()], message);
+}

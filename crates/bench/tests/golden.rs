@@ -13,12 +13,16 @@
 //!   field nulled (the same stripping `byte_stability.rs` applies).
 //! * `golden/snapshot_sha256.txt` — the SHA-256 of the `save_arena` and
 //!   `save_arena` blobs of the mobile-failure model running FloodMin at
-//!   n = 3, horizon 3, for packed and boxed arenas.
+//!   n = 3, horizon 3, for packed and boxed arenas (the boxed ones built
+//!   for the model with its codec hidden, `testkit::Unpacked`).
 
 use layered_bench::{interned_scan, quotient_scan, ScanConfig};
 use layered_core::hash::sha256_hex;
 use layered_core::telemetry::json::Json;
-use layered_core::{save_arena, ArenaMeta, LayeredModel, NoopObserver, QuotientSpace, StateSpace};
+use layered_core::testkit::Unpacked;
+use layered_core::{
+    save_arena, Arena, ArenaMeta, Keying, LayeredModel, NoopObserver, Orbits, Plain, SnapshotState,
+};
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
 
@@ -105,28 +109,37 @@ fn meta(layering: &str) -> ArenaMeta {
     }
 }
 
+/// The SHA-256 of the snapshot of `model`'s arena under keying `K`,
+/// expanded three layers from the initial states.
+fn blob_digest<M, K>(model: &M, layering: &str) -> String
+where
+    M: LayeredModel,
+    M::State: SnapshotState,
+    K: Keying<M>,
+{
+    let mut space = Arena::<M, K>::for_model(model);
+    space.expand_layers(model, &model.initial_states(), 3, &NOOP);
+    sha256_hex(&save_arena(&space, &meta(layering), &NOOP).0)
+}
+
 /// `name sha256` lines for the four snapshot blobs.
 fn snapshot_digests() -> String {
     let m = MobileModel::new(3, FloodMin::new(3));
     let full = MobileModel::new(3, FloodMin::new(3)).with_layering(MobileLayering::Full);
-    let mut lines = Vec::new();
-    for (name, mut space) in [
-        ("space-packed", StateSpace::for_model(&m)),
-        ("space-boxed", StateSpace::new()),
-    ] {
-        space.expand_layers(&m, &m.initial_states(), 3, &NOOP);
-        let (bytes, _) = save_arena(&space, &meta("s1"), &NOOP);
-        lines.push(format!("{name} {}", sha256_hex(&bytes)));
-    }
-    for (name, mut space) in [
-        ("quotient-packed", QuotientSpace::new(&full)),
-        ("quotient-boxed", QuotientSpace::new_boxed(&full)),
-    ] {
-        space.expand_layers(&full, &full.initial_states(), 3, &NOOP);
-        let (bytes, _) = save_arena(&space, &meta("full"), &NOOP);
-        lines.push(format!("{name} {}", sha256_hex(&bytes)));
-    }
-    lines.join("\n")
+    [
+        ("space-packed", blob_digest::<_, Plain>(&m, "s1")),
+        (
+            "space-boxed",
+            blob_digest::<_, Plain>(&Unpacked(m.clone()), "s1"),
+        ),
+        ("quotient-packed", blob_digest::<_, Orbits>(&full, "full")),
+        (
+            "quotient-boxed",
+            blob_digest::<_, Orbits>(&Unpacked(full.clone()), "full"),
+        ),
+    ]
+    .map(|(name, digest)| format!("{name} {digest}"))
+    .join("\n")
 }
 
 #[test]

@@ -201,7 +201,7 @@ pub fn sweep<M: LayeredModel, V>(
     let _span = Span::enter(obs, "checker.sweep");
     let mut visited = 0;
     let mut violations = Vec::new();
-    let mut space: StateSpace<M> = StateSpace::new();
+    let mut space = StateSpace::for_model(model);
     let mut frontier: Vec<StateId> = Vec::new();
     {
         let mut seen: HashSet<StateId> = HashSet::new();
@@ -258,7 +258,7 @@ pub fn trace_to<M: LayeredModel>(
     max_depth: usize,
 ) -> Option<crate::ExecutionTrace<M::State>> {
     use std::collections::HashMap;
-    let mut space: StateSpace<M> = StateSpace::new();
+    let mut space = StateSpace::for_model(model);
     let mut parent: HashMap<StateId, Option<StateId>> = HashMap::new();
     let mut frontier: Vec<StateId> = Vec::new();
     for x in model.initial_states() {

@@ -130,8 +130,8 @@ pub trait LayeredModel {
     /// A packed `u128` codec for this model's states, if the instance fits
     /// one (see [`crate::space::pack`] for the codec contract). Arenas built
     /// with [`StateSpace::for_model`](crate::space::StateSpace::for_model)
-    /// use it as their storage and hash key; `None` (the default) keeps the
-    /// boxed representation.
+    /// use it as their storage and hash key; with `None` (the default) they
+    /// spill every state, storing it as the model struct.
     ///
     /// Implementations typically construct the packer once per model
     /// instance and hand out clones (it is a bundle of `Arc`s), returning

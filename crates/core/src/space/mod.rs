@@ -32,7 +32,8 @@
 //! [`resolve`](Arena::resolve) boundary. States the codec cannot
 //! represent *spill* into a side vector (tagged via [`pack::SPILL_TAG`]), so
 //! packing is always a pure representation change — ids, layers and every
-//! derived report are identical to the boxed arena's.
+//! derived report are identical to the boxed arena's. A model without a
+//! codec spills every state.
 //!
 //! # Parallel keying, serial interning
 //!
@@ -84,7 +85,7 @@ use crate::telemetry::{
 };
 use crate::LayeredModel;
 
-/// FxHash of a full model state (the boxed-store / spill-path hash). Fast
+/// FxHash of a full model state (the spill-path hash). Fast
 /// and the same in every run, but not collision-resistant: callers compare
 /// states on a hash match.
 #[must_use]
@@ -117,28 +118,24 @@ struct SuccRange {
 }
 
 /// How a state probes the intern index: its hash, plus the packed word
-/// when the store is packed and the state fits the codec (`None` means
-/// boxed comparison — the boxed store, or a spilled state).
+/// when the state fits the store's codec (`None` means the state spills
+/// and compares as a model state).
 struct ProbeKey {
     hash: u64,
     word: Option<u128>,
 }
 
-/// The arena's state storage: boxed model structs, or packed `u128` words
-/// with a spill vector for states the codec cannot represent. Word slots
-/// with [`SPILL_TAG`] set index the spill vector.
-enum Store<S> {
-    /// One boxed state per id.
-    Boxed(Vec<S>),
-    /// One word per id; spilled states live in `spill`.
-    Packed {
-        /// The model's codec.
-        packer: StatePacker<S>,
-        /// Per-id packed word, or `SPILL_TAG | spill index`.
-        words: Vec<u128>,
-        /// States the codec could not represent.
-        spill: Vec<S>,
-    },
+/// The arena's state storage: one `u128` word per id, either a state
+/// packed by the model's codec or [`SPILL_TAG`] plus an index into the
+/// spill vector of states the codec cannot represent. A store without a
+/// codec spills every state.
+struct Store<S> {
+    /// The model's codec, if it has one.
+    packer: Option<StatePacker<S>>,
+    /// Per-id packed word, or `SPILL_TAG | spill index`.
+    words: Vec<u128>,
+    /// States the codec could not represent.
+    spill: Vec<S>,
 }
 
 /// A read-only view of one store slot (used by snapshot encoding and index
@@ -146,17 +143,13 @@ enum Store<S> {
 enum Slot<'a, S> {
     /// A packed word (never has [`SPILL_TAG`] set).
     Word(u128),
-    /// A boxed or spilled state.
+    /// A spilled state.
     State(&'a S),
 }
 
 impl<S: Clone + Eq + Hash> Store<S> {
-    fn boxed() -> Self {
-        Store::Boxed(Vec::new())
-    }
-
-    fn packed(packer: StatePacker<S>) -> Self {
-        Store::Packed {
+    fn new(packer: Option<StatePacker<S>>) -> Self {
+        Store {
             packer,
             words: Vec::new(),
             spill: Vec::new(),
@@ -164,60 +157,49 @@ impl<S: Clone + Eq + Hash> Store<S> {
     }
 
     fn is_packed(&self) -> bool {
-        matches!(self, Store::Packed { .. })
+        self.packer.is_some()
     }
 
     fn len(&self) -> usize {
-        match self {
-            Store::Boxed(v) => v.len(),
-            Store::Packed { words, .. } => words.len(),
-        }
+        self.words.len()
     }
 
-    fn spill_len(&self) -> usize {
-        match self {
-            Store::Boxed(_) => 0,
-            Store::Packed { spill, .. } => spill.len(),
-        }
+    /// The spilled state behind word `w`, or `None` for a packed word.
+    fn spilled(&self, w: u128) -> Option<&S> {
+        (w & SPILL_TAG != 0).then(|| &self.spill[(w ^ SPILL_TAG) as usize])
     }
 
     /// The probe key of `s` under this store's representation.
     fn key_of(&self, s: &S) -> ProbeKey {
-        match self {
-            Store::Boxed(_) => ProbeKey {
+        match self.packer.as_ref().and_then(|p| p.pack(s)) {
+            Some(w) => ProbeKey {
+                hash: word_hash(w),
+                word: Some(w),
+            },
+            None => ProbeKey {
                 hash: fx_hash(s),
                 word: None,
-            },
-            Store::Packed { packer, .. } => match packer.pack(s) {
-                Some(w) => ProbeKey {
-                    hash: word_hash(w),
-                    word: Some(w),
-                },
-                None => ProbeKey {
-                    hash: fx_hash(s),
-                    word: None,
-                },
             },
         }
     }
 
-    /// The state behind slot `i`: borrowed from a boxed or spilled slot,
-    /// unpacked from a packed word.
+    /// A read-only view of slot `i`.
+    fn slot(&self, i: usize) -> Slot<'_, S> {
+        let w = self.words[i];
+        self.spilled(w).map_or(Slot::Word(w), Slot::State)
+    }
+
+    /// The state behind slot `i`: borrowed from a spilled slot, unpacked
+    /// from a packed word.
     fn state(&self, i: usize) -> Cow<'_, S> {
-        match self {
-            Store::Boxed(v) => Cow::Borrowed(&v[i]),
-            Store::Packed {
-                packer,
-                words,
-                spill,
-            } => {
-                let w = words[i];
-                if w & SPILL_TAG == 0 {
-                    Cow::Owned(packer.unpack(w))
-                } else {
-                    Cow::Borrowed(&spill[(w ^ SPILL_TAG) as usize])
-                }
-            }
+        match self.slot(i) {
+            Slot::State(s) => Cow::Borrowed(s),
+            Slot::Word(w) => Cow::Owned(
+                self.packer
+                    .as_ref()
+                    .expect("only a codec writes packed words")
+                    .unpack(w),
+            ),
         }
     }
 
@@ -225,89 +207,39 @@ impl<S: Clone + Eq + Hash> Store<S> {
     /// Packed slots compare by word; packability is equality-invariant
     /// (codec contract), so a packed slot can never equal a spilled probe.
     fn slot_matches(&self, i: usize, key: &ProbeKey, s: &S) -> bool {
-        match self {
-            Store::Boxed(v) => v[i] == *s,
-            Store::Packed { words, spill, .. } => {
-                let w = words[i];
-                if w & SPILL_TAG == 0 {
-                    key.word == Some(w)
-                } else {
-                    key.word.is_none() && spill[(w ^ SPILL_TAG) as usize] == *s
-                }
-            }
+        match self.slot(i) {
+            Slot::Word(w) => key.word == Some(w),
+            Slot::State(t) => key.word.is_none() && t == s,
         }
     }
 
     /// Whether slots `i` and `j` hold equal states (index rebuilding).
     fn slots_equal(&self, i: usize, j: usize) -> bool {
-        match self {
-            Store::Boxed(v) => v[i] == v[j],
-            Store::Packed { words, spill, .. } => {
-                let (a, b) = (words[i], words[j]);
-                if a & SPILL_TAG == 0 || b & SPILL_TAG == 0 {
-                    a == b
-                } else {
-                    spill[(a ^ SPILL_TAG) as usize] == spill[(b ^ SPILL_TAG) as usize]
-                }
-            }
+        match (self.slot(i), self.slot(j)) {
+            (Slot::State(a), Slot::State(b)) => a == b,
+            _ => self.words[i] == self.words[j],
         }
     }
 
     /// Appends `s` (with its already-computed probe key) as the next dense
-    /// slot. A boxed or spilled slot takes an owned `s` by move; only a
-    /// borrowed one is cloned.
+    /// slot. A spilled slot takes an owned `s` by move; only a borrowed one
+    /// is cloned.
     fn push(&mut self, key: &ProbeKey, s: Cow<'_, S>) {
-        match self {
-            Store::Boxed(v) => v.push(s.into_owned()),
-            Store::Packed { words, spill, .. } => match key.word {
-                Some(w) => words.push(w),
-                None => {
-                    let idx = spill.len() as u128;
-                    spill.push(s.into_owned());
-                    words.push(SPILL_TAG | idx);
-                }
-            },
+        match key.word {
+            Some(w) => self.words.push(w),
+            None => self.push_spilled(s.into_owned()),
         }
     }
 
-    /// Appends a decoded packed word (snapshot loading; packed stores only).
-    fn push_word(&mut self, w: u128) {
-        match self {
-            Store::Packed { words, .. } => words.push(w),
-            Store::Boxed(_) => unreachable!("boxed stores hold no words"),
-        }
-    }
-
-    /// Appends a decoded boxed/spilled state (snapshot loading).
+    /// Appends `s` as a spilled slot.
     fn push_spilled(&mut self, s: S) {
-        match self {
-            Store::Boxed(v) => v.push(s),
-            Store::Packed { words, spill, .. } => {
-                let idx = spill.len() as u128;
-                spill.push(s);
-                words.push(SPILL_TAG | idx);
-            }
-        }
+        self.words.push(SPILL_TAG | self.spill.len() as u128);
+        self.spill.push(s);
     }
 
-    /// Whether `s` fits this store's codec (always false for boxed stores).
+    /// Whether `s` fits this store's codec (always false without one).
     fn packs(&self, s: &S) -> bool {
-        matches!(self, Store::Packed { packer, .. } if packer.pack(s).is_some())
-    }
-
-    /// A read-only view of slot `i`.
-    fn slot(&self, i: usize) -> Slot<'_, S> {
-        match self {
-            Store::Boxed(v) => Slot::State(&v[i]),
-            Store::Packed { words, spill, .. } => {
-                let w = words[i];
-                if w & SPILL_TAG == 0 {
-                    Slot::Word(w)
-                } else {
-                    Slot::State(&spill[(w ^ SPILL_TAG) as usize])
-                }
-            }
-        }
+        self.packer.as_ref().is_some_and(|p| p.pack(s).is_some())
     }
 
     /// The intern hash of slot `i` (identical to `key_of(get(i)).hash`).
@@ -320,20 +252,15 @@ impl<S: Clone + Eq + Hash> Store<S> {
 
     /// Shallow capacity-based byte accounting of the state payloads.
     fn state_bytes(&self) -> u64 {
-        match self {
-            Store::Boxed(v) => v.capacity() as u64 * std::mem::size_of::<S>() as u64,
-            Store::Packed { words, spill, .. } => {
-                words.capacity() as u64 * 16
-                    + spill.capacity() as u64 * std::mem::size_of::<S>() as u64
-            }
-        }
+        self.words.capacity() as u64 * 16
+            + self.spill.capacity() as u64 * std::mem::size_of::<S>() as u64
     }
 
-    /// Bytes the packed representation saves over boxing every state
-    /// (0 for boxed stores; spilled states save nothing).
+    /// Bytes the packed words save over storing every state as a model
+    /// struct (spilled states save nothing).
     fn bytes_saved(&self) -> u64 {
         let per_state = std::mem::size_of::<S>().saturating_sub(16) as u64;
-        per_state * (self.len() - self.spill_len()) as u64
+        per_state * (self.words.len() - self.spill.len()) as u64
     }
 }
 
@@ -390,7 +317,7 @@ type KeyedRow<M, K> = (
 
 /// Expands and keys frontier entry `id` without touching the intern index:
 /// the raw successor list is computed from the stored state (borrowed when
-/// boxed or spilled), fingerprinted and every successor keyed (for
+/// spilled), fingerprinted and every successor keyed (for
 /// [`Orbits`], canonicalized).
 fn key_row<M: LayeredModel, K: Keying<M>>(
     model: &M,
@@ -707,7 +634,7 @@ impl<M: Symmetric> Keying<M> for Orbits {
 /// Use it through [`StateSpace`] (the full space) or [`QuotientSpace`]
 /// (the symmetry quotient).
 pub struct Arena<M: LayeredModel, K: Keying<M>> {
-    /// Keys, packed or boxed, indexed by [`StateId`].
+    /// Keys, packed or spilled, indexed by [`StateId`].
     store: Store<M::State>,
     /// Per-entry weight, parallel to `store`.
     weights: Vec<K::Weight>,
@@ -746,32 +673,29 @@ pub type StateSpace<M> = Arena<M, Plain>;
 pub type QuotientSpace<M> = Arena<M, Orbits>;
 
 impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
-    fn with_store(store: Store<M::State>) -> Self {
+    /// An empty arena for `model`, storing keys packed when the model
+    /// provides a [`StatePacker`] ([`LayeredModel::state_packer`]) and
+    /// spilling every key otherwise. Packing is a pure representation
+    /// change: ids, layers and every derived report are identical either
+    /// way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `K` cannot key `model` (see [`Orbits`]): under
+    /// [`Orbits`], if the model's current layering is not equivariant
+    /// ([`Symmetric::symmetric_layering`] is `false`) — quotienting a
+    /// prefix-based layering would silently prune reachable orbits.
+    #[must_use]
+    pub fn for_model(model: &M) -> Self {
+        K::check_model(model);
         Arena {
-            store,
+            store: Store::new(model.state_packer()),
             weights: Vec::new(),
             index: Index::default(),
             succ: Vec::new(),
             edges: Vec::new(),
             witnesses: Vec::new(),
             succ_fp: Vec::new(),
-        }
-    }
-
-    /// An empty arena for `model`, storing keys packed when the model
-    /// provides a [`StatePacker`] ([`LayeredModel::state_packer`]), boxed
-    /// otherwise. Packing is a pure representation change: ids, layers and
-    /// every derived report are identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `K` cannot key `model` (see [`Orbits`]).
-    #[must_use]
-    pub fn for_model(model: &M) -> Self {
-        K::check_model(model);
-        match model.state_packer() {
-            Some(p) => Self::with_store(Store::packed(p)),
-            None => Self::with_store(Store::boxed()),
         }
     }
 
@@ -866,7 +790,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     }
 
     /// The key behind `id`, owned: unpacked from the packed word, or
-    /// cloned out of the boxed store.
+    /// cloned out of the spill vector.
     ///
     /// # Panics
     ///
@@ -877,7 +801,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     }
 
     /// The key behind `id`, borrowed where the store holds it as a model
-    /// state (boxed or spilled) and unpacked otherwise.
+    /// state (spilled) and unpacked otherwise.
     pub(crate) fn state(&self, id: StateId) -> Cow<'_, M::State> {
         self.store.state(id.index())
     }
@@ -1306,14 +1230,6 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
 }
 
 impl<M: LayeredModel> Arena<M, Plain> {
-    /// An empty arena with boxed storage. Prefer
-    /// [`Arena::for_model`], which picks packed storage when the model
-    /// provides a codec.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_store(Store::boxed())
-    }
-
     /// Interns `s`, returning its dense id (allocating one on first sight).
     pub fn intern(&mut self, s: &M::State) -> StateId {
         self.intern_with(s, &NOOP)
@@ -1340,38 +1256,7 @@ impl<M: LayeredModel> Arena<M, Plain> {
     }
 }
 
-impl<M: LayeredModel> Default for Arena<M, Plain> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<M: Symmetric> Arena<M, Orbits> {
-    /// An empty quotient arena for `model` (packed when the model provides
-    /// a [`StatePacker`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's current layering is not equivariant
-    /// ([`Symmetric::symmetric_layering`] is `false`) — quotienting a
-    /// prefix-based layering would silently prune reachable orbits.
-    #[must_use]
-    pub fn new(model: &M) -> Self {
-        Self::for_model(model)
-    }
-
-    /// An empty quotient arena with boxed storage even when the model
-    /// packs (the packed-vs-boxed cross-check path).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`Arena::new`] on a non-equivariant layering.
-    #[must_use]
-    pub fn new_boxed(model: &M) -> Self {
-        Orbits::check_model(model);
-        Self::with_store(Store::boxed())
-    }
-
     /// Interns the orbit of `x`, returning the representative's id and a
     /// permutation `π` with `π · x == representative`.
     pub fn intern(&mut self, model: &M, x: &M::State) -> (StateId, PidPerm) {
@@ -1488,7 +1373,7 @@ fn balanced_chunks<T>(items: &[T], parts: usize) -> impl Iterator<Item = &[T]> {
 mod tests {
     use super::*;
     use crate::telemetry::MetricsRegistry;
-    use crate::testkit::CounterModel;
+    use crate::testkit::{CounterModel, Unpacked};
 
     #[test]
     fn intern_round_trips_and_deduplicates() {
@@ -1560,16 +1445,17 @@ mod tests {
     #[test]
     fn packed_and_boxed_arenas_agree() {
         // Packing is a pure representation change: the packed arena (what
-        // `for_model` picks for CounterModel) and a boxed arena assign
-        // identical ids, levels and successor lists.
+        // `for_model` picks for CounterModel) and the arena of the same
+        // model without its codec assign identical ids, levels and
+        // successor lists.
         let m = CounterModel::new(3, 4);
         let roots = m.initial_states();
         let mut packed: StateSpace<CounterModel> = StateSpace::for_model(&m);
-        let mut boxed: StateSpace<CounterModel> = StateSpace::new();
+        let mut boxed = StateSpace::for_model(&Unpacked(m.clone()));
         assert!(packed.store.is_packed());
         assert!(!boxed.store.is_packed());
         let a = packed.expand_layers(&m, &roots, 3, &NOOP);
-        let b = boxed.expand_layers(&m, &roots, 3, &NOOP);
+        let b = boxed.expand_layers(&Unpacked(m.clone()), &roots, 3, &NOOP);
         assert_eq!(a, b);
         assert_eq!(packed.len(), boxed.len());
         for k in 0..packed.len() {
@@ -1578,6 +1464,7 @@ mod tests {
             assert_eq!(packed.cached_successors(id), boxed.cached_successors(id));
         }
         assert!(packed.store.bytes_saved() > 0, "counter states shrink");
+        assert_eq!(boxed.store.bytes_saved(), 0, "spilled states save nothing");
     }
 
     #[test]
@@ -1590,7 +1477,7 @@ mod tests {
         let narrow = m.initial_state(&[crate::Value::ONE, crate::Value::ZERO]);
         let wid = space.intern(&wide);
         let nid = space.intern(&narrow);
-        assert_eq!(space.store.spill_len(), 1, "only the wide state spills");
+        assert_eq!(space.store.spill.len(), 1, "only the wide state spills");
         assert_eq!(space.resolve(wid), wide);
         assert_eq!(space.resolve(nid), narrow);
         assert_eq!(space.intern(&wide), wid, "spilled states dedup too");
@@ -1628,7 +1515,7 @@ mod tests {
     #[test]
     fn quotient_interning_collapses_orbits() {
         let m = CounterModel::new(3, 2);
-        let mut q: QuotientSpace<CounterModel> = QuotientSpace::new(&m);
+        let mut q: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
         // All single-one input vectors are one orbit.
         let mut ids = Vec::new();
         for inputs in crate::binary_input_vectors(3) {
@@ -1652,19 +1539,20 @@ mod tests {
     fn quotient_expansion_parity_and_dequotient() {
         let m = CounterModel::new(3, 3);
         let roots = m.initial_states();
-        let mut q: QuotientSpace<CounterModel> = QuotientSpace::new(&m);
+        let mut q: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
         let levels = q.expand_layers(&m, &roots, 2, &NOOP);
         // 2^3 = 8 input vectors collapse to 4 orbits (0..=3 ones).
         assert_eq!(levels[0].len(), 4);
         // Parallel expansion is bit-identical; so is the boxed arena.
         for threads in [2, 3, 8] {
-            let mut par: QuotientSpace<CounterModel> = QuotientSpace::new(&m);
+            let mut par: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
             let par_levels = par.expand_layers_parallel(&m, &roots, 2, threads, &NOOP);
             assert_eq!(levels, par_levels, "threads={threads}");
             assert_eq!(q.len(), par.len());
         }
-        let mut boxed: QuotientSpace<CounterModel> = QuotientSpace::new_boxed(&m);
-        let boxed_levels = boxed.expand_layers(&m, &roots, 2, &NOOP);
+        let unpacked = Unpacked(m.clone());
+        let mut boxed = QuotientSpace::for_model(&unpacked);
+        let boxed_levels = boxed.expand_layers(&unpacked, &roots, 2, &NOOP);
         assert_eq!(levels, boxed_levels);
         for k in 0..q.len() {
             let id = StateId(k as u32);
@@ -1688,7 +1576,7 @@ mod tests {
     fn quotient_telemetry_reports_canon_counters() {
         let m = CounterModel::new(3, 2);
         let reg = MetricsRegistry::new();
-        let mut q: QuotientSpace<CounterModel> = QuotientSpace::new(&m);
+        let mut q: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
         let x = m.initial_state(&[crate::Value::ONE, crate::Value::ZERO, crate::Value::ZERO]);
         let y = m.initial_state(&[crate::Value::ZERO, crate::Value::ZERO, crate::Value::ONE]);
         q.intern_with(&m, &x, &reg);

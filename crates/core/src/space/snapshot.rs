@@ -22,7 +22,8 @@
 //!    state is a `u8` tag: `0` followed by the 16-byte little-endian packed
 //!    word, or `1` followed by the [`SnapshotState`] encoding of a state
 //!    that spilled the codec. The loader follows the *blob's* flag, so a
-//!    boxed snapshot loads into a boxed arena even under a packing model.
+//!    boxed snapshot loads into an arena that spills every state even
+//!    under a packing model.
 //! 2. **Intern index** — `u32` bucket count, then each `(u64 hash,
 //!    u32 len, len × u32 id)` bucket sorted by hash. The index is fully
 //!    derivable from section 1; storing it lets the loader cross-check the
@@ -640,8 +641,8 @@ fn decode_csr(
     Ok((succ, edges))
 }
 
-/// Encodes the states section in id order: plain codecs for a boxed
-/// arena, tagged word-or-spill slots for a packed one.
+/// Encodes the states section in id order: plain codecs for a store
+/// without a codec, tagged word-or-spill slots for a packed one.
 fn encode_store<S: SnapshotState + Clone + Eq + Hash>(store: &Store<S>, out: &mut Vec<u8>) {
     let packed = store.is_packed();
     for i in 0..store.len() {
@@ -661,11 +662,12 @@ fn encode_store<S: SnapshotState + Clone + Eq + Hash>(store: &Store<S>, out: &mu
 }
 
 /// Decodes the states section, following the *blob's* `packed` flag: a
-/// boxed blob loads into a boxed store even when the model packs, so old
-/// boxed snapshots of a now-packing model stay loadable (and re-save
-/// byte-identically). Slots are validated against the codec: a tagged
-/// word must not carry the spill tag, and a spilled state must genuinely
-/// not fit the codec — otherwise re-saving would not reproduce the blob.
+/// boxed blob loads into a store without a codec, spilling every state,
+/// even when the model packs, so old boxed snapshots of a now-packing
+/// model stay loadable (and re-save byte-identically). Slots are validated
+/// against the codec: a tagged word must not carry the spill tag, and a
+/// spilled state must genuinely not fit the codec — otherwise re-saving
+/// would not reproduce the blob.
 fn decode_store<S>(
     r: &mut SnapshotReader<'_>,
     count: usize,
@@ -675,19 +677,17 @@ fn decode_store<S>(
 where
     S: SnapshotState + Clone + Eq + Hash,
 {
-    if !packed {
-        let mut store = Store::boxed();
-        for _ in 0..count {
-            store.push_spilled(S::decode(r)?);
-        }
-        return Ok(store);
-    }
-    let packer = packer.ok_or(SnapshotError::Malformed(
-        "packed snapshot but the model has no state packer",
-    ))?;
-    let mut store = Store::packed(packer);
+    let packer = if packed {
+        Some(packer.ok_or(SnapshotError::Malformed(
+            "packed snapshot but the model has no state packer",
+        ))?)
+    } else {
+        None
+    };
+    let mut store = Store::new(packer);
     for _ in 0..count {
-        match r.u8()? {
+        // A boxed blob's slots carry no tag: every one is a state.
+        match if packed { r.u8()? } else { 1 } {
             0 => {
                 let b = r.take(16)?;
                 let mut bytes = [0u8; 16];
@@ -698,7 +698,7 @@ where
                         "packed word has the spill tag set",
                     ));
                 }
-                store.push_word(w);
+                store.words.push(w);
             }
             1 => {
                 let s = S::decode(r)?;
@@ -922,7 +922,7 @@ where
 mod tests {
     use super::*;
     use crate::telemetry::{MetricsRegistry, NOOP};
-    use crate::testkit::CounterModel;
+    use crate::testkit::{CounterModel, Unpacked};
 
     fn meta() -> ArenaMeta {
         ArenaMeta {
@@ -1027,8 +1027,9 @@ mod tests {
     fn boxed_blob_loads_boxed_even_under_a_packing_model() {
         let m = CounterModel::new(3, 4);
         let roots = m.initial_states();
-        let mut space: StateSpace<CounterModel> = StateSpace::new();
-        space.expand_layers(&m, &roots, 3, &NOOP);
+        let boxed = Unpacked(m.clone());
+        let mut space = StateSpace::for_model(&boxed);
+        space.expand_layers(&boxed, &roots, 3, &NOOP);
         let (bytes, _) = save_arena(&space, &meta(), &NOOP);
         let nl = bytes.iter().position(|&b| b == b'\n').expect("header line");
         let header = std::str::from_utf8(&bytes[..nl]).expect("UTF-8 header");

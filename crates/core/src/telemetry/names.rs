@@ -39,7 +39,7 @@
 //! | `scan.resume.speedup_x1000` | cold wall / warm wall, ×1000 |
 //! | `scan.sym.*.wall_ns` | nanoseconds (timing; stripped) |
 //! | `space.intern.load_x1000` | intern-table load factor, ×1000 |
-//! | `space.pack.bytes_saved` | bytes the packed encoding saves over boxed storage |
+//! | `space.pack.bytes_saved` | bytes the packed words save over model structs; 0 when every state spills |
 //! | `space.quotient.mean_orbit_x1000` | mean full states per orbit, ×1000 |
 //! | `space.snapshot.bytes_written` | exact snapshot blob size in bytes (not a `mem.` capacity gauge) |
 //! | `space.snapshot.load_ns` | nanoseconds (timing; stripped) |

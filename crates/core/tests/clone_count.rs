@@ -111,7 +111,7 @@ fn clones() -> usize {
 fn boxed_expansion_clones_no_interned_successor() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let m = TallyModel { n: 3, branch: 3 };
-    let mut space: StateSpace<TallyModel> = StateSpace::new();
+    let mut space: StateSpace<TallyModel> = StateSpace::for_model(&m);
     let mut frontier: Vec<_> = m.initial_states().iter().map(|x| space.intern(x)).collect();
     let before = clones();
     let mut edges = 0;

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use layered_core::testkit::{CounterModel, CounterState};
+use layered_core::testkit::{CounterModel, CounterState, Unpacked};
 use layered_core::{orbit_size, ExecutionTrace};
 use layered_core::{LayeredModel, PidPerm, QuotientSpace, StateSpace, Symmetric, Value};
 
@@ -56,10 +56,11 @@ proptest! {
         let m = CounterModel::new(n, branch);
         let roots = m.initial_states();
 
-        let mut full = StateSpace::new();
-        let full_levels = full.expand_layers(&m, &roots, 2, &layered_core::NoopObserver);
+        let unpacked = Unpacked(m.clone());
+        let mut full = StateSpace::for_model(&unpacked);
+        let full_levels = full.expand_layers(&unpacked, &roots, 2, &layered_core::NoopObserver);
 
-        let mut quot = QuotientSpace::new(&m);
+        let mut quot = QuotientSpace::for_model(&m);
         let quot_levels = quot.expand_layers(&m, &roots, 2, &layered_core::NoopObserver);
 
         prop_assert_eq!(full_levels.len(), quot_levels.len());
@@ -80,7 +81,7 @@ proptest! {
     #[test]
     fn dequotiented_paths_validate(n in 2usize..4, steps in 1usize..3) {
         let m = CounterModel::new(n, 2);
-        let mut quot = QuotientSpace::new(&m);
+        let mut quot = QuotientSpace::for_model(&m);
         let roots = m.initial_states();
         let levels = quot.expand_layers(&m, &roots, steps, &layered_core::NoopObserver);
 

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use layered_core::telemetry::NOOP;
-use layered_core::testkit::CounterModel;
+use layered_core::testkit::{CounterModel, Unpacked};
 use layered_core::{
     load_quotient, load_space, save_arena, ArenaMeta, LayeredModel, QuotientSpace, SnapshotError,
     StateId, StateSpace,
@@ -46,7 +46,7 @@ fn built_quotient_space(
 ) -> (CounterModel, QuotientSpace<CounterModel>, Vec<Vec<StateId>>) {
     let m = CounterModel::new(n, branch);
     let roots = m.initial_states();
-    let mut space = QuotientSpace::new(&m);
+    let mut space = QuotientSpace::for_model(&m);
     let levels = space.expand_layers(&m, &roots, depth, &NOOP);
     (m, space, levels)
 }
@@ -237,7 +237,7 @@ fn wrong_kind_is_rejected_both_ways() {
 #[test]
 fn empty_space_roundtrips() {
     let model = CounterModel::new(3, 2);
-    let space: StateSpace<CounterModel> = StateSpace::new();
+    let space = StateSpace::for_model(&Unpacked(model.clone()));
     let m = meta(3, 0);
     let (bytes, _) = save_arena(&space, &m, &NOOP);
     let (loaded, got_meta, _) = load_space(&model, &bytes, &NOOP).expect("empty blob loads");

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use layered_core::testkit::{reachable_space, CounterModel};
+use layered_core::testkit::{reachable_space, CounterModel, Unpacked};
 use layered_core::{LayeredModel, NoopObserver, QuotientSpace, StateId, StateSpace};
 
 /// Every distinct state reachable in 3 layers of a 3-way branching model —
@@ -36,7 +36,7 @@ proptest! {
     #[test]
     fn intern_round_trips_under_random_orders(picks in arb_picks()) {
         let states = pool();
-        let mut space: StateSpace<CounterModel> = StateSpace::new();
+        let mut space = StateSpace::for_model(&Unpacked(CounterModel::new(3, 3)));
         let mut first_id = std::collections::HashMap::new();
         for &k in &picks {
             let s = &states[k];
@@ -76,9 +76,9 @@ proptest! {
         let m = CounterModel::new(n, branch);
         let roots = m.initial_states();
         if arena == 2 {
-            let mut seq: QuotientSpace<CounterModel> = QuotientSpace::new(&m);
+            let mut seq: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
             let a = seq.expand_layers(&m, &roots, horizon, &NoopObserver);
-            let mut par: QuotientSpace<CounterModel> = QuotientSpace::new(&m);
+            let mut par: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
             let b = par.expand_layers_parallel(&m, &roots, horizon, threads, &NoopObserver);
             prop_assert_eq!(&a, &b);
             prop_assert_eq!(seq.len(), par.len());
@@ -92,20 +92,31 @@ proptest! {
                 );
                 prop_assert_eq!(seq.orbit_size_of(id), par.orbit_size_of(id));
             }
+        } else if arena == 0 {
+            plain_parallel_matches_sequential(&Unpacked(m), &roots, horizon, threads);
         } else {
-            let fresh = || if arena == 0 { StateSpace::new() } else { StateSpace::for_model(&m) };
-            let mut seq: StateSpace<CounterModel> = fresh();
-            let a = seq.expand_layers(&m, &roots, horizon, &NoopObserver);
-            let mut par: StateSpace<CounterModel> = fresh();
-            let b = par.expand_layers_parallel(&m, &roots, horizon, threads, &NoopObserver);
-            prop_assert_eq!(&a, &b);
-            prop_assert_eq!(seq.len(), par.len());
-            prop_assert_eq!(seq.edge_count(), par.edge_count());
-            prop_assert_eq!(ids(&a).len(), seq.len());
-            for id in ids(&a) {
-                prop_assert_eq!(seq.resolve(id), par.resolve(id));
-                prop_assert_eq!(seq.cached_successors(id), par.cached_successors(id));
-            }
+            plain_parallel_matches_sequential(&m, &roots, horizon, threads);
         }
+    }
+}
+
+/// The full-space half of `parallel_expansion_matches_sequential`, for
+/// the packed model or its boxed twin.
+fn plain_parallel_matches_sequential<M>(m: &M, roots: &[M::State], horizon: usize, threads: usize)
+where
+    M: LayeredModel + Sync,
+    M::State: Send + Sync,
+{
+    let mut seq = StateSpace::for_model(m);
+    let a = seq.expand_layers(m, roots, horizon, &NoopObserver);
+    let mut par = StateSpace::for_model(m);
+    let b = par.expand_layers_parallel(m, roots, horizon, threads, &NoopObserver);
+    assert_eq!(&a, &b);
+    assert_eq!(seq.len(), par.len());
+    assert_eq!(seq.edge_count(), par.edge_count());
+    assert_eq!(ids(&a).len(), seq.len());
+    for id in ids(&a) {
+        assert_eq!(seq.resolve(id), par.resolve(id));
+        assert_eq!(seq.cached_successors(id), par.cached_successors(id));
     }
 }

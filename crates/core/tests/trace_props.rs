@@ -6,16 +6,16 @@ use proptest::prelude::*;
 
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::{Observer, Span, SpanRecord, TraceObserver};
-use layered_core::testkit::CounterModel;
+use layered_core::testkit::{CounterModel, Unpacked};
 use layered_core::{LayeredModel, StateSpace, Value};
 
 /// Expands a branchy model in parallel under a trace observer and returns
 /// the recorded spans.
 fn traced_parallel_expansion() -> Vec<SpanRecord> {
-    let model = CounterModel::new(2, 8);
+    let model = Unpacked(CounterModel::new(2, 8));
     let roots = [model.initial_state(&[Value::ZERO, Value::ZERO])];
     let tracer = TraceObserver::new();
-    let mut space: StateSpace<CounterModel> = StateSpace::new();
+    let mut space = StateSpace::for_model(&model);
     space.expand_layers_parallel(&model, &roots, 3, 4, &tracer);
     tracer.spans()
 }

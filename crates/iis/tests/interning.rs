@@ -13,10 +13,10 @@ use layered_protocols::SmFloodMin;
 fn parallel_expansion_is_bit_identical_at_n3() {
     let m = IisModel::new(3, SmFloodMin::new(2));
     let roots = m.initial_states();
-    let mut seq: StateSpace<IisModel<SmFloodMin>> = StateSpace::new();
+    let mut seq = StateSpace::for_model(&m);
     let seq_levels = seq.expand_layers(&m, &roots, 2, &NoopObserver);
     for threads in [2, 8] {
-        let mut par: StateSpace<IisModel<SmFloodMin>> = StateSpace::new();
+        let mut par = StateSpace::for_model(&m);
         let par_levels = par.expand_layers_parallel(&m, &roots, 2, threads, &NoopObserver);
         assert_eq!(seq_levels, par_levels, "threads={threads}");
         assert_eq!(seq.len(), par.len());

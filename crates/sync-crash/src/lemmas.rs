@@ -114,7 +114,7 @@ pub fn check_display_below_budget<P: SyncProtocol>(
     let n = model.num_processes();
     let t = model.resilience();
     let obs = NoopObserver;
-    let mut space: StateSpace<CrashModel<P>> = StateSpace::new();
+    let mut space = StateSpace::for_model(model);
     let mut seen = std::collections::HashSet::new();
     let mut frontier: Vec<StateId> = model
         .initial_states()

@@ -2,6 +2,7 @@
 //! (with its failure record) survives the arena codec, and re-saving the
 //! reloaded arena is byte-identical.
 
+use layered_core::testkit::Unpacked;
 use layered_core::{load_space, save_arena, ArenaMeta, LayeredModel, NoopObserver, StateSpace};
 use layered_protocols::FloodMin;
 use layered_sync_crash::{CrashModel, MODEL_KEY};
@@ -23,8 +24,9 @@ fn meta() -> ArenaMeta {
 fn interned_arena_roundtrips_at_n3() {
     let m = CrashModel::new(3, 1, FloodMin::new(2));
     let roots = m.initial_states();
-    let mut space: StateSpace<CrashModel<FloodMin>> = StateSpace::new();
-    let levels = space.expand_layers(&m, &roots, 2, &NOOP);
+    let boxed = Unpacked(m.clone());
+    let mut space = StateSpace::for_model(&boxed);
+    let levels = space.expand_layers(&boxed, &roots, 2, &NOOP);
     let (bytes, digest) = save_arena(&space, &meta(), &NOOP);
     let (loaded, got_meta, got_digest) =
         load_space(&m, &bytes, &NOOP).expect("pristine blob loads");
@@ -48,8 +50,9 @@ fn interned_arena_roundtrips_at_n3() {
 fn tampered_blobs_are_rejected() {
     let m = CrashModel::new(3, 1, FloodMin::new(2));
     let roots = m.initial_states();
-    let mut space: StateSpace<CrashModel<FloodMin>> = StateSpace::new();
-    space.expand_layers(&m, &roots, 1, &NOOP);
+    let boxed = Unpacked(m.clone());
+    let mut space = StateSpace::for_model(&boxed);
+    space.expand_layers(&boxed, &roots, 1, &NOOP);
     let (pristine, _) = save_arena(&space, &meta(), &NOOP);
     for pos in (0..pristine.len()).step_by(13) {
         let mut tampered = pristine.clone();

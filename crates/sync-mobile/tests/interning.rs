@@ -3,6 +3,7 @@
 //! across both paths, and witnesses built through the interned engines must
 //! re-verify from scratch.
 
+use layered_core::testkit::Unpacked;
 use layered_core::{
     scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel,
     ImpossibilityWitness, LayeredModel, NoopObserver, StateSpace, ValenceSolver,
@@ -12,12 +13,13 @@ use layered_sync_mobile::MobileModel;
 
 #[test]
 fn parallel_expansion_is_bit_identical_at_n3() {
-    let m = MobileModel::new(3, FloodMin::new(2));
+    // Boxed storage; the scan test below runs the packed arena.
+    let m = Unpacked(MobileModel::new(3, FloodMin::new(2)));
     let roots = m.initial_states();
-    let mut seq: StateSpace<MobileModel<FloodMin>> = StateSpace::new();
+    let mut seq = StateSpace::for_model(&m);
     let seq_levels = seq.expand_layers(&m, &roots, 2, &NoopObserver);
     for threads in [2, 8] {
-        let mut par: StateSpace<MobileModel<FloodMin>> = StateSpace::new();
+        let mut par = StateSpace::for_model(&m);
         let par_levels = par.expand_layers_parallel(&m, &roots, 2, threads, &NoopObserver);
         assert_eq!(seq_levels, par_levels, "threads={threads}");
         assert_eq!(seq.len(), par.len());

@@ -3,6 +3,7 @@
 //! bit-identical to a cold scan at the deeper depth — on the sequential
 //! and the parallel expansion path, for both arena kinds.
 
+use layered_core::testkit::Unpacked;
 use layered_core::{
     load_quotient, load_space, save_arena, scan_layer_valence_connectivity,
     scan_layer_valence_connectivity_parallel, ArenaMeta, LayeredModel, NoopObserver,
@@ -30,8 +31,9 @@ fn meta(n: usize, horizon: usize, depth: usize, layering: &str) -> ArenaMeta {
 fn interned_arena_roundtrips_at_n3() {
     let m = MobileModel::new(3, FloodMin::new(3));
     let roots = m.initial_states();
-    let mut space: StateSpace<MobileModel<FloodMin>> = StateSpace::new();
-    let levels = space.expand_layers(&m, &roots, 2, &NOOP);
+    let boxed = Unpacked(m.clone());
+    let mut space = StateSpace::for_model(&boxed);
+    let levels = space.expand_layers(&boxed, &roots, 2, &NOOP);
     let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "s1"), &NOOP);
     let (loaded, _, _) = load_space(&m, &bytes, &NOOP).expect("pristine blob loads");
     assert_eq!(loaded.len(), space.len());
@@ -50,7 +52,7 @@ fn interned_arena_roundtrips_at_n3() {
 fn quotient_arena_roundtrips_at_n3() {
     let m = MobileModel::new(3, FloodMin::new(3)).with_layering(MobileLayering::Full);
     let roots = m.initial_states();
-    let mut space = QuotientSpace::new(&m);
+    let mut space = QuotientSpace::for_model(&m);
     let levels = space.expand_layers(&m, &roots, 2, &NOOP);
     let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "full"), &NOOP);
     let (loaded, _, _) = load_quotient(&m, &bytes, &NOOP).expect("pristine blob loads");
@@ -76,11 +78,18 @@ fn quotient_arena_roundtrips_at_n3() {
 fn snapshot_of_another_process_count_is_rejected() {
     let m3 = MobileModel::new(3, FloodMin::new(3)).with_layering(MobileLayering::Full);
     let m4 = MobileModel::new(4, FloodMin::new(3)).with_layering(MobileLayering::Full);
+    let boxed = Unpacked(m3.clone());
     let roots = m3.initial_states();
     let mismatch = SnapshotError::Malformed("snapshot n does not match model");
-    for mut space in [StateSpace::for_model(&m3), StateSpace::new()] {
-        space.expand_layers(&m3, &roots, 2, &NOOP);
-        let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "full"), &NOOP);
+    let mut packed = StateSpace::for_model(&m3);
+    packed.expand_layers(&m3, &roots, 2, &NOOP);
+    let mut unpacked = StateSpace::for_model(&boxed);
+    unpacked.expand_layers(&boxed, &roots, 2, &NOOP);
+    let blob_meta = meta(3, 3, 2, "full");
+    for (bytes, _) in [
+        save_arena(&packed, &blob_meta, &NOOP),
+        save_arena(&unpacked, &blob_meta, &NOOP),
+    ] {
         assert!(
             load_space(&m3, &bytes, &NOOP).is_ok(),
             "pristine blob loads"
@@ -90,9 +99,14 @@ fn snapshot_of_another_process_count_is_rejected() {
             Err(e) => assert_eq!(e, mismatch),
         }
     }
-    for mut space in [QuotientSpace::new(&m3), QuotientSpace::new_boxed(&m3)] {
-        space.expand_layers(&m3, &roots, 2, &NOOP);
-        let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "full"), &NOOP);
+    let mut packed = QuotientSpace::for_model(&m3);
+    packed.expand_layers(&m3, &roots, 2, &NOOP);
+    let mut unpacked = QuotientSpace::for_model(&boxed);
+    unpacked.expand_layers(&boxed, &roots, 2, &NOOP);
+    for (bytes, _) in [
+        save_arena(&packed, &blob_meta, &NOOP),
+        save_arena(&unpacked, &blob_meta, &NOOP),
+    ] {
         match load_quotient(&m4, &bytes, &NOOP) {
             Ok(_) => panic!("n = 3 quotient snapshot loaded against an n = 4 model"),
             Err(e) => assert_eq!(e, mismatch),
