@@ -40,6 +40,11 @@ impl EigState {
             .collect()
     }
 
+    /// Every label present in the tree with its report, in label order.
+    pub fn reports(&self) -> impl Iterator<Item = (Vec<Pid>, Option<Value>)> + '_ {
+        self.tree.iter().map(|(label, v)| (label.clone(), *v))
+    }
+
     /// The minimum value present anywhere in the tree.
     #[must_use]
     pub fn min_value(&self) -> Value {
