@@ -118,8 +118,11 @@ fn visit(n: usize, depth: usize, f: &mut impl FnMut(&[Pid], usize)) {
     go(n, depth, &mut Vec::with_capacity(depth), 0, f);
 }
 
-/// One process's EIG tree: a flat array of slots for an `n`-process system,
-/// laid out as the [module docs](self) describe. Cloning shares the array.
+/// One process's EIG tree for an `n`-process system: a flat array with one
+/// slot per label, stored level by level and, within a level, in
+/// lexicographic label order. Level `L` holds `n!/(n − L)!` slots, so a
+/// tree through level `L` holds `Σ_{k≤L} n!/(n − k)!`. Each slot is absent,
+/// silenced or reported. Cloning shares the array.
 ///
 /// Its `Debug` form maps every present label to its report.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -136,13 +139,12 @@ impl EigTree {
             .expect("the array ends at a level boundary")
     }
 
-    /// The report at `label`: `None` if the label is absent, `Some(None)`
-    /// if it is silenced, `Some(Some(v))` if it holds `v`.
-    #[must_use]
-    pub fn report(&self, label: &[Pid]) -> Option<Option<Value>> {
+    /// The slot at `label`, decoded; `None` also for a label that is not
+    /// a string of distinct pids below `n`.
+    fn report(&self, label: &[Pid]) -> Option<Option<Value>> {
         let mut rank = 0;
         for (k, &j) in label.iter().enumerate() {
-            let prefix = label.get(..k)?;
+            let prefix = &label[..k];
             if j.index() >= self.n || prefix.contains(&j) {
                 return None;
             }
@@ -154,7 +156,7 @@ impl EigTree {
     }
 
     /// Every present label with its report, in label order.
-    pub fn reports(&self) -> impl Iterator<Item = (Vec<Pid>, Option<Value>)> {
+    fn reports(&self) -> impl Iterator<Item = (Vec<Pid>, Option<Value>)> {
         let mut out = Vec::new();
         visit(self.n, self.depth(), &mut |label, rank| {
             if let Some(v) = self.slots[level_start(self.n, label.len()) + rank].report() {
@@ -183,7 +185,8 @@ pub struct EigState {
 }
 
 impl EigState {
-    /// The report at `label` (see [`EigTree::report`]).
+    /// The report at `label`: `None` if the label is absent, `Some(None)`
+    /// if it is silenced, `Some(Some(v))` if it holds `v`.
     #[must_use]
     pub fn report(&self, label: &[Pid]) -> Option<Option<Value>> {
         self.tree.report(label)
