@@ -231,7 +231,7 @@ mod tests {
         n: usize,
     ) -> (
         SmModel<SmFloodMin>,
-        SmState<layered_protocols::FloodState, std::collections::BTreeSet<Value>>,
+        SmState<layered_protocols::FloodState, layered_protocols::ValueSet>,
     ) {
         let m = SmModel::new(n, SmFloodMin::new(2));
         let x = m.initial_state(

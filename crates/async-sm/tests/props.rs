@@ -126,7 +126,7 @@ proptest! {
                 prop_assert!(w[1].phases_done[i] <= (d + 1) as u16);
                 prop_assert!(w[1].phases_done[i] >= w[0].phases_done[i]);
                 match (&w[0].regs[i], &w[1].regs[i]) {
-                    (Some(old), Some(new)) => prop_assert!(old.is_subset(new)),
+                    (Some(old), Some(new)) => prop_assert!(old.is_subset(*new)),
                     (Some(_), None) => prop_assert!(false, "register erased"),
                     _ => {}
                 }

@@ -43,7 +43,7 @@ proptest! {
             for b in Pid::all(3) {
                 if block_of(a) <= block_of(b) {
                     prop_assert!(
-                        y.locals[a.index()].known.is_subset(&y.locals[b.index()].known),
+                        y.locals[a.index()].known.is_subset(y.locals[b.index()].known),
                         "earlier blocks see subsets: {:?} vs {:?}",
                         y.locals[a.index()].known,
                         y.locals[b.index()].known
@@ -82,7 +82,7 @@ proptest! {
                 if let Some(v) = w[0].decided[i] {
                     prop_assert_eq!(w[1].decided[i], Some(v));
                 }
-                prop_assert!(w[0].locals[i].known.is_subset(&w[1].locals[i].known));
+                prop_assert!(w[0].locals[i].known.is_subset(w[1].locals[i].known));
             }
         }
     }

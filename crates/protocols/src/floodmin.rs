@@ -13,16 +13,245 @@
 //! Variants for all three model families are provided: [`FloodMin`]
 //! (synchronous rounds), [`SmFloodMin`] (shared-memory phases), and
 //! [`MpFloodMin`] (message-passing phases).
+//!
+//! Every variant floods a [`ValueSet`]: the set of values it has heard of,
+//! held as one `u64` membership mask over values `0..64`. A union is one
+//! `|`, and states, messages and registers are `Copy`. The type's `Ord`,
+//! `Hash`, `Debug` and [`SnapshotState`] encoding reproduce those of
+//! `BTreeSet<Value>` exactly, so hashes, canonical representatives, arena
+//! ids, snapshot bytes and printed states are the same as for a tree-based
+//! set. Inserting a value of 64 or more panics, and decoding one is
+//! [`SnapshotError::Malformed`]; every protocol in this workspace uses
+//! values below 4.
 
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{BitOr, BitOrAssign};
 
 use layered_core::{FieldPacker, Pid, SnapshotError, SnapshotReader, SnapshotState, Value};
 
 use crate::traits::{Anonymous, MpProtocol, SmProtocol, SyncProtocol};
 
+/// A set of values drawn from `0..64`, held as one membership bitmask.
+///
+/// A drop-in for `BTreeSet<Value>` in the FloodMin family: iteration is
+/// ascending, and `Ord` (lexicographic over the ascending elements), `Hash`
+/// (the length as a `usize`, then each element), `Debug` (`{Value(0), …}`)
+/// and the snapshot encoding (a `u32` length, then the elements) all match
+/// the tree-based set's.
+///
+/// # Examples
+///
+/// ```
+/// use layered_core::Value;
+/// use layered_protocols::ValueSet;
+///
+/// let mut s = ValueSet::singleton(Value::ONE);
+/// s |= ValueSet::singleton(Value::ZERO);
+/// assert_eq!(s.len(), 2);
+/// assert_eq!(s.first(), Some(Value::ZERO));
+/// assert_eq!(format!("{s:?}"), "{Value(0), Value(1)}");
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct ValueSet(u64);
+
+/// Members of a [`ValueSet`] lie in `0..SET_BITS`.
+const SET_BITS: u32 = u64::BITS;
+
+impl ValueSet {
+    /// The set `{v}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is 64 or more.
+    #[must_use]
+    pub fn singleton(v: Value) -> Self {
+        ValueSet(bit(v))
+    }
+
+    /// The set whose members are the set bits of `mask`.
+    #[must_use]
+    pub const fn from_bits(mask: u64) -> Self {
+        ValueSet(mask)
+    }
+
+    /// The membership mask: bit `v` is set iff `Value::new(v)` is a member.
+    #[must_use]
+    pub const fn bits(self) -> u64 {
+        self.0
+    }
+
+    /// Adds `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is 64 or more.
+    pub fn insert(&mut self, v: Value) {
+        self.0 |= bit(v);
+    }
+
+    /// Whether `v` is a member.
+    #[must_use]
+    pub fn contains(self, v: Value) -> bool {
+        v.get() < SET_BITS && self.0 & (1 << v.get()) != 0
+    }
+
+    /// Whether every member of `self` is a member of `other`.
+    #[must_use]
+    pub fn is_subset(self, other: ValueSet) -> bool {
+        self.0 & !other.0 == 0
+    }
+
+    /// The number of members.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// Whether the set has no members.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The smallest member, if any.
+    #[must_use]
+    pub fn first(self) -> Option<Value> {
+        (self.0 != 0).then(|| Value::new(self.0.trailing_zeros()))
+    }
+
+    /// The members in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = Value> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            let v = ValueSet(rest).first()?;
+            rest &= rest - 1;
+            Some(v)
+        })
+    }
+}
+
+/// The mask bit of `v`.
+///
+/// # Panics
+///
+/// Panics if `v` is 64 or more.
+fn bit(v: Value) -> u64 {
+    assert!(
+        v.get() < SET_BITS,
+        "ValueSet holds values in 0..64, not {}",
+        v.get()
+    );
+    1 << v.get()
+}
+
+impl FromIterator<Value> for ValueSet {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        iter.into_iter()
+            .fold(ValueSet::default(), |s, v| s | ValueSet::singleton(v))
+    }
+}
+
+impl BitOr for ValueSet {
+    type Output = ValueSet;
+
+    fn bitor(self, rhs: ValueSet) -> ValueSet {
+        ValueSet(self.0 | rhs.0)
+    }
+}
+
+impl BitOrAssign for ValueSet {
+    fn bitor_assign(&mut self, rhs: ValueSet) {
+        self.0 |= rhs.0;
+    }
+}
+
+/// `BTreeSet`'s order: lexicographic over the ascending elements, so a
+/// proper prefix sorts first. Below the lowest bit `k` where the masks
+/// differ the two sets agree; the set holding `k` is smaller unless the
+/// other has nothing at or above `k`, in which case the other is a prefix
+/// of it.
+impl Ord for ValueSet {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let diff = self.0 ^ other.0;
+        if diff == 0 {
+            return Ordering::Equal;
+        }
+        let k = diff.trailing_zeros();
+        let (holder, rest) = if self.0 & (1 << k) != 0 {
+            (Ordering::Less, other.0 >> k)
+        } else {
+            (Ordering::Greater, self.0 >> k)
+        };
+        if rest == 0 {
+            holder.reverse()
+        } else {
+            holder
+        }
+    }
+}
+
+impl PartialOrd for ValueSet {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// `BTreeSet`'s hash: the length as a `usize`, then each element.
+impl Hash for ValueSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        for v in self.iter() {
+            v.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for ValueSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// `BTreeSet`'s encoding: a `u32` length, then the elements in ascending
+/// order. Decoding keeps its strictly-sorted rule and rejects values the
+/// mask cannot hold.
+impl SnapshotState for ValueSet {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).encode(out);
+        for v in self.iter() {
+            v.encode(out);
+        }
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let len = r.u32()?;
+        let mut out = ValueSet::default();
+        let mut prev: Option<Value> = None;
+        for _ in 0..len {
+            let v = Value::decode(r)?;
+            if prev.is_some_and(|p| p >= v) {
+                return Err(SnapshotError::Malformed("set elements not strictly sorted"));
+            }
+            if v.get() >= SET_BITS {
+                return Err(SnapshotError::Malformed("value-set element outside 0..64"));
+            }
+            out.0 |= 1 << v.get();
+            prev = Some(v);
+        }
+        Ok(out)
+    }
+}
+
 /// Width of the value-set bitmask in the packed codecs below: sets over
 /// values `0..4` pack, wider values spill.
 const MASK_BITS: u32 = 4;
+
+/// The set's mask if every member is below [`MASK_BITS`].
+fn small_mask(s: ValueSet) -> Option<u64> {
+    (s.bits() < 1 << MASK_BITS).then_some(s.bits())
+}
 
 /// The 8-bit [`FloodState`] codec every FloodMin variant reports from its
 /// `local_packer` hook: a 4-bit membership mask over values `0..4` in the
@@ -34,37 +263,23 @@ fn flood_local_packer() -> FieldPacker<FloodState> {
             if ls.completed >= 1 << MASK_BITS {
                 return None;
             }
-            Some(pack_value_set(&ls.known)? | (u64::from(ls.completed) << MASK_BITS))
+            Some(small_mask(ls.known)? | (u64::from(ls.completed) << MASK_BITS))
         },
         |w| FloodState {
-            known: unpack_value_set(w & ((1 << MASK_BITS) - 1)),
+            known: ValueSet::from_bits(w & ((1 << MASK_BITS) - 1)),
             completed: ((w >> MASK_BITS) & ((1 << MASK_BITS) - 1)) as u16,
         },
     )
 }
 
 /// The 4-bit value-set codec the shared-memory and message-passing variants
-/// report for registers and messages (both are `BTreeSet<Value>`).
-fn flood_set_packer() -> FieldPacker<BTreeSet<Value>> {
-    FieldPacker::new(MASK_BITS, pack_value_set, unpack_value_set)
-}
-
-fn pack_value_set(s: &BTreeSet<Value>) -> Option<u64> {
-    let mut mask = 0u64;
-    for v in s {
-        if v.get() >= MASK_BITS {
-            return None;
-        }
-        mask |= 1 << v.get();
-    }
-    Some(mask)
-}
-
-fn unpack_value_set(mask: u64) -> BTreeSet<Value> {
-    (0..MASK_BITS)
-        .filter(|b| mask & (1 << b) != 0)
-        .map(Value::new)
-        .collect()
+/// report for registers and messages.
+fn flood_set_packer() -> FieldPacker<ValueSet> {
+    FieldPacker::new(
+        MASK_BITS,
+        |s: &ValueSet| small_mask(*s),
+        ValueSet::from_bits,
+    )
 }
 
 /// Local state of every FloodMin variant: the set of known input values and
@@ -73,10 +288,10 @@ fn unpack_value_set(mask: u64) -> BTreeSet<Value> {
 /// Derives `Ord` (sets compare lexicographically, then the phase counter)
 /// so model states built over it can be canonicalized by the symmetry
 /// engine's minimum-over-orbit rule.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FloodState {
     /// Input values heard of so far (always contains the own input).
-    pub known: BTreeSet<Value>,
+    pub known: ValueSet,
     /// Completed rounds (synchronous) or local phases (asynchronous).
     pub completed: u16,
 }
@@ -84,17 +299,13 @@ pub struct FloodState {
 impl FloodState {
     fn new(input: Value) -> Self {
         FloodState {
-            known: BTreeSet::from([input]),
+            known: ValueSet::singleton(input),
             completed: 0,
         }
     }
 
     fn min_known(&self) -> Value {
-        *self
-            .known
-            .iter()
-            .next()
-            .expect("known always contains own input")
+        self.known.first().expect("known always contains own input")
     }
 }
 
@@ -106,7 +317,7 @@ impl SnapshotState for FloodState {
 
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(FloodState {
-            known: BTreeSet::decode(r)?,
+            known: ValueSet::decode(r)?,
             completed: u16::decode(r)?,
         })
     }
@@ -155,24 +366,24 @@ impl FloodMin {
 
 impl SyncProtocol for FloodMin {
     type LocalState = FloodState;
-    type Msg = BTreeSet<Value>;
+    type Msg = ValueSet;
 
     fn init(&self, _n: usize, _me: Pid, input: Value) -> FloodState {
         FloodState::new(input)
     }
 
-    fn message(&self, ls: &FloodState, _to: Pid) -> BTreeSet<Value> {
-        ls.known.clone()
+    fn message(&self, ls: &FloodState, _to: Pid) -> ValueSet {
+        ls.known
     }
 
     fn transition(
         &self,
         mut ls: FloodState,
         _me: Pid,
-        received: &[Option<BTreeSet<Value>>],
+        received: &[Option<ValueSet>],
     ) -> FloodState {
         for msg in received.iter().flatten() {
-            ls.known.extend(msg.iter().copied());
+            ls.known |= *msg;
         }
         ls.completed += 1;
         ls
@@ -205,24 +416,24 @@ pub struct HastyMin;
 
 impl SyncProtocol for HastyMin {
     type LocalState = FloodState;
-    type Msg = BTreeSet<Value>;
+    type Msg = ValueSet;
 
     fn init(&self, _n: usize, _me: Pid, input: Value) -> FloodState {
         FloodState::new(input)
     }
 
-    fn message(&self, ls: &FloodState, _to: Pid) -> BTreeSet<Value> {
-        ls.known.clone()
+    fn message(&self, ls: &FloodState, _to: Pid) -> ValueSet {
+        ls.known
     }
 
     fn transition(
         &self,
         mut ls: FloodState,
         _me: Pid,
-        received: &[Option<BTreeSet<Value>>],
+        received: &[Option<ValueSet>],
     ) -> FloodState {
         for msg in received.iter().flatten() {
-            ls.known.extend(msg.iter().copied());
+            ls.known |= *msg;
         }
         ls.completed += 1;
         ls
@@ -271,19 +482,19 @@ impl SmFloodMin {
 
 impl SmProtocol for SmFloodMin {
     type LocalState = FloodState;
-    type Reg = BTreeSet<Value>;
+    type Reg = ValueSet;
 
     fn init(&self, _n: usize, _me: Pid, input: Value) -> FloodState {
         FloodState::new(input)
     }
 
-    fn write_value(&self, ls: &FloodState) -> Option<BTreeSet<Value>> {
-        Some(ls.known.clone())
+    fn write_value(&self, ls: &FloodState) -> Option<ValueSet> {
+        Some(ls.known)
     }
 
-    fn absorb(&self, mut ls: FloodState, _me: Pid, regs: &[Option<BTreeSet<Value>>]) -> FloodState {
+    fn absorb(&self, mut ls: FloodState, _me: Pid, regs: &[Option<ValueSet>]) -> FloodState {
         for reg in regs.iter().flatten() {
-            ls.known.extend(reg.iter().copied());
+            ls.known |= *reg;
         }
         ls.completed += 1;
         ls
@@ -301,7 +512,7 @@ impl SmProtocol for SmFloodMin {
         Some(flood_local_packer())
     }
 
-    fn reg_packer(&self) -> Option<FieldPacker<BTreeSet<Value>>> {
+    fn reg_packer(&self) -> Option<FieldPacker<ValueSet>> {
         Some(flood_set_packer())
     }
 }
@@ -340,27 +551,22 @@ impl MpFloodMin {
 
 impl MpProtocol for MpFloodMin {
     type LocalState = FloodState;
-    type Msg = BTreeSet<Value>;
+    type Msg = ValueSet;
 
     fn init(&self, _n: usize, _me: Pid, input: Value) -> FloodState {
         FloodState::new(input)
     }
 
-    fn send(&self, ls: &FloodState, me: Pid, n: usize) -> Vec<(Pid, BTreeSet<Value>)> {
+    fn send(&self, ls: &FloodState, me: Pid, n: usize) -> Vec<(Pid, ValueSet)> {
         Pid::all(n)
             .filter(|&p| p != me)
-            .map(|p| (p, ls.known.clone()))
+            .map(|p| (p, ls.known))
             .collect()
     }
 
-    fn absorb(
-        &self,
-        mut ls: FloodState,
-        _me: Pid,
-        delivered: &[(Pid, BTreeSet<Value>)],
-    ) -> FloodState {
+    fn absorb(&self, mut ls: FloodState, _me: Pid, delivered: &[(Pid, ValueSet)]) -> FloodState {
         for (_, msg) in delivered {
-            ls.known.extend(msg.iter().copied());
+            ls.known |= *msg;
         }
         ls.completed += 1;
         ls
@@ -378,7 +584,7 @@ impl MpProtocol for MpFloodMin {
         Some(flood_local_packer())
     }
 
-    fn msg_packer(&self) -> Option<FieldPacker<BTreeSet<Value>>> {
+    fn msg_packer(&self) -> Option<FieldPacker<ValueSet>> {
         Some(flood_set_packer())
     }
 }
@@ -414,7 +620,7 @@ mod tests {
     fn floodmin_unions_received_sets() {
         let p = FloodMin::new(1);
         let ls = p.init(2, Pid::new(0), Value::ONE);
-        let msg = BTreeSet::from([Value::ZERO]);
+        let msg = ValueSet::singleton(Value::ZERO);
         let ls = p.transition(ls, Pid::new(0), &[None, Some(msg)]);
         assert_eq!(p.decide(&ls), Some(Value::ZERO));
     }
@@ -439,7 +645,7 @@ mod tests {
         for mask in 1u64..16 {
             for completed in 0u16..16 {
                 let s = FloodState {
-                    known: unpack_value_set(mask),
+                    known: ValueSet::from_bits(mask),
                     completed,
                 };
                 let w = p.pack(&s).expect("in-range state packs");
@@ -447,12 +653,12 @@ mod tests {
             }
         }
         let wide_value = FloodState {
-            known: BTreeSet::from([Value::new(4)]),
+            known: ValueSet::singleton(Value::new(4)),
             completed: 0,
         };
         assert_eq!(p.pack(&wide_value), None, "values above 3 spill");
         let deep = FloodState {
-            known: BTreeSet::from([Value::ZERO]),
+            known: ValueSet::singleton(Value::ZERO),
             completed: 16,
         };
         assert_eq!(p.pack(&deep), None, "phase counters above 15 spill");
@@ -463,9 +669,83 @@ mod tests {
         let p = SmFloodMin::new(1)
             .reg_packer()
             .expect("SmFloodMin packs regs");
-        let set = BTreeSet::from([Value::ZERO, Value::new(2)]);
+        let set: ValueSet = [Value::ZERO, Value::new(2)].into_iter().collect();
         let w = p.pack(&set).expect("small set packs");
         assert_eq!(p.unpack(w), set);
-        assert_eq!(p.pack(&BTreeSet::from([Value::new(9)])), None);
+        assert_eq!(p.pack(&ValueSet::singleton(Value::new(9))), None);
+    }
+
+    /// `FloodState`'s snapshot encoding, built by hand: a `u32` set length,
+    /// the `u32` elements, then the `u16` phase counter.
+    fn flood_state_blob(elements: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        (elements.len() as u32).encode(&mut out);
+        for e in elements {
+            e.encode(&mut out);
+        }
+        0u16.encode(&mut out);
+        out
+    }
+
+    fn decode_flood_state(bytes: &[u8]) -> Result<FloodState, SnapshotError> {
+        FloodState::decode(&mut SnapshotReader::new(bytes))
+    }
+
+    #[test]
+    fn flood_state_snapshot_round_trips() {
+        let s = FloodState {
+            known: [Value::ZERO, Value::new(5), Value::new(63)]
+                .into_iter()
+                .collect(),
+            completed: 7,
+        };
+        let mut bytes = Vec::new();
+        s.encode(&mut bytes);
+        assert_eq!(decode_flood_state(&bytes), Ok(s));
+    }
+
+    #[test]
+    fn flood_state_snapshot_rejects_values_the_mask_cannot_hold() {
+        assert_eq!(
+            decode_flood_state(&flood_state_blob(&[0, 63])).map(|s| s.known.len()),
+            Ok(2)
+        );
+        for elements in [&[64][..], &[1, 64], &[0, u32::MAX]] {
+            assert_eq!(
+                decode_flood_state(&flood_state_blob(elements)),
+                Err(SnapshotError::Malformed("value-set element outside 0..64")),
+                "{elements:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn flood_state_snapshot_rejects_unsorted_sets() {
+        for elements in [&[1, 0][..], &[2, 2], &[0, 3, 1]] {
+            assert_eq!(
+                decode_flood_state(&flood_state_blob(elements)),
+                Err(SnapshotError::Malformed("set elements not strictly sorted")),
+                "{elements:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn flood_state_snapshot_rejects_truncated_sets() {
+        let mut bytes = flood_state_blob(&[0, 1]);
+        bytes.truncate(6);
+        assert_eq!(decode_flood_state(&bytes), Err(SnapshotError::Truncated));
+    }
+
+    #[test]
+    #[should_panic(expected = "ValueSet holds values in 0..64, not 64")]
+    fn floodmin_rejects_inputs_the_mask_cannot_hold() {
+        let _ = FloodMin::new(1).init(2, Pid::new(0), Value::new(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "ValueSet holds values in 0..64, not 100")]
+    fn value_set_insert_rejects_wide_values() {
+        ValueSet::default().insert(Value::new(100));
     }
 }

@@ -18,6 +18,9 @@
 //!   agreement 1-resiliently (Section 7) while violating consensus.
 //! * [`HastyMin`] — decides immediately; a checker-calibration protocol.
 //!
+//! The FloodMin family floods a [`ValueSet`], a one-word set of values in
+//! `0..64` that orders, hashes, prints and encodes like `BTreeSet<Value>`.
+//!
 //! # Example
 //!
 //! ```
@@ -27,7 +30,7 @@
 //! let p = FloodMin::new(2);
 //! let ls = p.init(3, Pid::new(0), Value::ZERO);
 //! let msg = p.message(&ls, Pid::new(1));
-//! assert!(msg.contains(&Value::ZERO));
+//! assert!(msg.contains(Value::ZERO));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,7 +48,7 @@ mod trivial;
 pub use collect::{CollectState, MpCollectMin};
 pub use early::{EarlyFloodMin, EarlyState};
 pub use eig::{Eig, EigState, EigTree};
-pub use floodmin::{FloodMin, FloodState, HastyMin, MpFloodMin, SmFloodMin};
+pub use floodmin::{FloodMin, FloodState, HastyMin, MpFloodMin, SmFloodMin, ValueSet};
 pub use fullinfo::{FullInfoMin, View};
 pub use relay::{MpRelayRace, RelayMsg, RelayState, SmRelayRace, SyncRelayRace};
 pub use traits::{Anonymous, MpProtocol, SmProtocol, SyncProtocol};

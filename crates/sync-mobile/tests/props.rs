@@ -47,9 +47,9 @@ proptest! {
                     prop_assert_eq!(w[1].decided[i], Some(v));
                 }
                 // FloodMin knowledge is monotone.
-                prop_assert!(w[0].locals[i].known.is_subset(&w[1].locals[i].known));
+                prop_assert!(w[0].locals[i].known.is_subset(w[1].locals[i].known));
                 // Validity of knowledge: everything known is someone's input.
-                prop_assert!(w[1].locals[i].known.iter().all(|v| inputs.contains(v)));
+                prop_assert!(w[1].locals[i].known.iter().all(|v| inputs.contains(&v)));
             }
         }
     }

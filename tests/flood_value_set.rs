@@ -16,6 +16,10 @@
 //! representatives (the model's own rule and the minimum over the orbit)
 //! must agree. The consensus checker must visit the same number of states,
 //! reach the same verdict and print the same violations for both.
+//!
+//! A property test then checks the set type on its own over random subsets
+//! of `0..64`: order, FxHash, `Debug`, snapshot bytes and the packed codecs
+//! must all equal those of the same `BTreeSet<Value>`.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
@@ -26,9 +30,13 @@ use layered_consensus::async_sm::{SmLayering, SmModel, SmState};
 use layered_consensus::core::space::fx_hash;
 use layered_consensus::core::telemetry::NOOP;
 use layered_consensus::core::{canonicalize_by_min, check_consensus, Symmetric, Value};
-use layered_consensus::protocols::{FloodMin, FloodState, MpFloodMin, SmFloodMin, SyncProtocol};
+use layered_consensus::core::{SnapshotReader, SnapshotState};
+use layered_consensus::protocols::{
+    FloodMin, FloodState, MpFloodMin, MpProtocol, SmFloodMin, SmProtocol, SyncProtocol, ValueSet,
+};
 use layered_consensus::sync_crash::{CrashLayering, CrashModel, CrashState};
 use layered_consensus::sync_mobile::{MobileLayering, MobileModel, MobileState};
+use proptest::prelude::*;
 
 /// The `BTreeSet`-based FloodMin family.
 mod reference {
@@ -263,14 +271,9 @@ mod reference {
     impl Anonymous for MpFloodMin {}
 }
 
-/// The library's value-set type.
-type Set = <FloodMin as SyncProtocol>::Msg;
-
 /// `s` as a `BTreeSet`.
-fn ref_set(s: &Set) -> BTreeSet<Value> {
-    let mut out = BTreeSet::new();
-    out.extend(s.iter());
-    out
+fn ref_set(s: &ValueSet) -> BTreeSet<Value> {
+    s.iter().collect()
 }
 
 fn ref_local(ls: &FloodState) -> reference::FloodState {
@@ -303,7 +306,7 @@ fn ref_crash(x: &CrashState<FloodState>) -> CrashState<reference::FloodState> {
     }
 }
 
-fn ref_sm(x: &SmState<FloodState, Set>) -> SmState<reference::FloodState, BTreeSet<Value>> {
+fn ref_sm(x: &SmState<FloodState, ValueSet>) -> SmState<reference::FloodState, BTreeSet<Value>> {
     SmState {
         phase: x.phase,
         inputs: x.inputs.clone(),
@@ -314,7 +317,7 @@ fn ref_sm(x: &SmState<FloodState, Set>) -> SmState<reference::FloodState, BTreeS
     }
 }
 
-fn ref_mp(x: &MpState<FloodState, Set>) -> MpState<reference::FloodState, BTreeSet<Value>> {
+fn ref_mp(x: &MpState<FloodState, ValueSet>) -> MpState<reference::FloodState, BTreeSet<Value>> {
     MpState {
         round: x.round,
         inputs: x.inputs.clone(),
@@ -533,6 +536,129 @@ fn message_passing_matches_btreeset_reference() {
     for (n, depth) in [(2, 3), (3, 2)] {
         for phases in 1..=2 {
             message_passing(n, phases, depth);
+        }
+    }
+}
+
+/// The members of `mask` as a `BTreeSet`, built without [`ValueSet`].
+fn tree_of(mask: u64) -> BTreeSet<Value> {
+    (0..64)
+        .filter(|b| mask >> b & 1 == 1)
+        .map(Value::new)
+        .collect()
+}
+
+/// A random subset of `0..64`, drawn in one of several shapes: dense,
+/// sparse, very sparse, within the packable `0..4`, around both ends of
+/// the range, and empty or a singleton.
+fn arb_mask() -> impl Strategy<Value = u64> {
+    (0u8..6, proptest::collection::vec(0u32..=u32::MAX, 4)).prop_map(|(shape, w)| {
+        let word = |lo: u32, hi: u32| u64::from(lo) | u64::from(hi) << 32;
+        match shape {
+            0 => word(w[0], w[1]),
+            1 => word(w[0], w[1]) & word(w[2], w[3]),
+            2 => word(w[0] & w[2] & w[3], w[1] & w[2] & w[3]),
+            3 => u64::from(w[0] & 0xf),
+            4 => u64::from(w[0] & 0xf) << 60 | u64::from(w[1] & 0x3),
+            _ => u64::from(w[0] % 2) << (w[1] % 64),
+        }
+    })
+}
+
+fn encoded<T: SnapshotState>(x: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    x.encode(&mut out);
+    out
+}
+
+/// Order, hash, `Debug`, encoding and packing of one set.
+fn assert_set_parity(mask: u64) {
+    let tree = tree_of(mask);
+    let set: ValueSet = tree.iter().copied().collect();
+    assert_eq!(set.bits(), mask);
+    assert_eq!(set, ValueSet::from_bits(mask));
+    assert_eq!(ref_set(&set), tree, "iteration of {mask:#x}");
+    assert_eq!(set.len(), tree.len());
+    assert_eq!(set.first(), tree.first().copied());
+    assert_eq!(fx_hash(&set), fx_hash(&tree), "fx_hash of {tree:?}");
+    assert_eq!(format!("{set:?}"), format!("{tree:?}"));
+    let bytes = encoded(&tree);
+    assert_eq!(encoded(&set), bytes, "encoding of {tree:?}");
+    let decoded = ValueSet::decode(&mut SnapshotReader::new(&bytes));
+    assert_eq!(decoded, Ok(set), "decoding of {tree:?}");
+
+    let regs = SmFloodMin::new(1).reg_packer().expect("registers pack");
+    let ref_regs = reference::SmFloodMin { phases: 1 }
+        .reg_packer()
+        .expect("registers pack");
+    let msgs = MpFloodMin::new(1).msg_packer().expect("messages pack");
+    assert_eq!(
+        regs.pack(&set),
+        ref_regs.pack(&tree),
+        "register word of {tree:?}"
+    );
+    assert_eq!(
+        msgs.pack(&set),
+        ref_regs.pack(&tree),
+        "message word of {tree:?}"
+    );
+    if let Some(w) = regs.pack(&set) {
+        assert_eq!(regs.unpack(w), set);
+        assert_eq!(msgs.unpack(w), set);
+    }
+
+    let local = FloodMin::new(1).local_packer().expect("local states pack");
+    let ref_local_packer = reference::FloodMin { rounds: 1 }
+        .local_packer()
+        .expect("local states pack");
+    for completed in [0, 3, 15, 16] {
+        let ls = FloodState {
+            known: set,
+            completed,
+        };
+        let rs = ref_local(&ls);
+        assert_eq!(fx_hash(&ls), fx_hash(&rs));
+        assert_eq!(encoded(&ls), encoded(&rs));
+        let w = local.pack(&ls);
+        assert_eq!(w, ref_local_packer.pack(&rs), "local word of {rs:?}");
+        if let Some(w) = w {
+            assert_eq!(local.unpack(w), ls);
+        }
+    }
+}
+
+proptest! {
+    /// `ValueSet` agrees with `BTreeSet<Value>` on every observable: order
+    /// between any two sets, and hash, `Debug`, snapshot bytes and packed
+    /// words of each.
+    #[test]
+    fn value_set_matches_btreeset(masks in proptest::collection::vec(arb_mask(), 8)) {
+        for &a in &masks {
+            assert_set_parity(a);
+            for &b in &masks {
+                let (x, y) = (ValueSet::from_bits(a), ValueSet::from_bits(b));
+                prop_assert_eq!(x.cmp(&y), tree_of(a).cmp(&tree_of(b)), "{:?} vs {:?}", x, y);
+                prop_assert_eq!(x | y, ValueSet::from_bits(a | b));
+                prop_assert_eq!(x.is_subset(y), tree_of(a).is_subset(&tree_of(b)));
+            }
+        }
+    }
+}
+
+/// The order, exhaustively over pairs of subsets of `0..6` shifted to
+/// both ends of the range (so elements 58..64 are covered too).
+#[test]
+fn value_set_order_matches_btreeset_exhaustively() {
+    for shift in [0, 58] {
+        let masks: Vec<u64> = (0..64u64).map(|m| m << shift).collect();
+        for &a in &masks {
+            for &b in &masks {
+                assert_eq!(
+                    ValueSet::from_bits(a).cmp(&ValueSet::from_bits(b)),
+                    tree_of(a).cmp(&tree_of(b)),
+                    "{a:#x} vs {b:#x}"
+                );
+            }
         }
     }
 }
