@@ -171,11 +171,17 @@ fn fresh_run() -> Vec<String> {
         quotient: true,
         ..ScanConfig::default()
     };
+    let sym7 = ScanConfig {
+        n: 7,
+        quotient: true,
+        ..ScanConfig::default()
+    };
     [
         interned_scan(&scan, &NOOP).0,
         quotient_scan(&sym4, &NOOP).0,
         quotient_scan(&sym5, &NOOP).0,
         quotient_scan(&sym6, &NOOP).0,
+        quotient_scan(&sym7, &NOOP).0,
         resume_roundtrip(&ScanConfig::default()),
         lower_bound(Scope::Full),
         theorem_4_2(Scope::Full),
@@ -224,7 +230,7 @@ fn main() {
         },
         None => {
             println!(
-                "Running fresh experiments (E-scan n=4, E-sym n=4/5/6, E-resume n=4, E-6.3 full, E-4.2 full, E-7.3 full, E-7.1 full)..."
+                "Running fresh experiments (E-scan n=4, E-sym n=4/5/6/7, E-resume n=4, E-6.3 full, E-4.2 full, E-7.3 full, E-7.1 full)..."
             );
             fresh_run()
         }
