@@ -69,7 +69,7 @@ mod reference {
         FieldPacker::new(MASK_BITS, pack_value_set, unpack_value_set)
     }
 
-    pub fn pack_value_set(s: &BTreeSet<Value>) -> Option<u64> {
+    fn pack_value_set(s: &BTreeSet<Value>) -> Option<u64> {
         let mut mask = 0u64;
         for v in s {
             if v.get() >= MASK_BITS {
