@@ -4,7 +4,9 @@
 
 use layered_async_sm::{SmModel, MODEL_KEY};
 use layered_core::testkit::Unpacked;
-use layered_core::{load_space, save_arena, ArenaMeta, LayeredModel, NoopObserver, StateSpace};
+use layered_core::{
+    load_arena, save_arena, ArenaMeta, LayeredModel, NoopObserver, Plain, StateSpace,
+};
 use layered_protocols::SmFloodMin;
 
 const NOOP: NoopObserver = NoopObserver;
@@ -29,7 +31,7 @@ fn interned_arena_roundtrips_at_n3() {
     let levels = space.expand_layers(&boxed, &roots, 2, &NOOP);
     let (bytes, digest) = save_arena(&space, &meta(), &NOOP);
     let (loaded, got_meta, got_digest) =
-        load_space(&m, &bytes, &NOOP).expect("pristine blob loads");
+        load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("pristine blob loads");
     assert_eq!(got_meta, meta());
     assert_eq!(got_digest, digest);
     assert_eq!(loaded.len(), space.len());
@@ -58,7 +60,7 @@ fn tampered_blobs_are_rejected() {
         let mut tampered = pristine.clone();
         tampered[pos] ^= 0x01;
         assert!(
-            load_space(&m, &tampered, &NOOP).is_err(),
+            load_arena::<_, Plain>(&m, &tampered, &NOOP).is_err(),
             "tampering at byte {pos} not caught"
         );
     }

@@ -33,8 +33,8 @@ use layered_bench::regress::{
     collect_baselines, compare, sort_commit_order, verdict_table, BenchRecord, Tolerance, Verdict,
 };
 use layered_bench::{
-    interned_scan, lemma_7_1, lower_bound, quotient_scan, resume_roundtrip, task_solvability,
-    theorem_4_2, ScanConfig, Scope,
+    layer_scan, lemma_7_1, lower_bound, resume_roundtrip, task_solvability, theorem_4_2,
+    ScanConfig, Scope,
 };
 use layered_core::telemetry::NOOP;
 
@@ -177,11 +177,11 @@ fn fresh_run() -> Vec<String> {
         ..ScanConfig::default()
     };
     [
-        interned_scan(&scan, &NOOP).0,
-        quotient_scan(&sym4, &NOOP).0,
-        quotient_scan(&sym5, &NOOP).0,
-        quotient_scan(&sym6, &NOOP).0,
-        quotient_scan(&sym7, &NOOP).0,
+        layer_scan(&scan, &NOOP).0,
+        layer_scan(&sym4, &NOOP).0,
+        layer_scan(&sym5, &NOOP).0,
+        layer_scan(&sym6, &NOOP).0,
+        layer_scan(&sym7, &NOOP).0,
         resume_roundtrip(&ScanConfig::default()),
         lower_bound(Scope::Full),
         theorem_4_2(Scope::Full),

@@ -64,8 +64,7 @@
 use std::io::Write;
 
 use layered_bench::{
-    all_experiments, interned_scan, known_adversary, quotient_scan, sim_batch, ScanConfig, Scope,
-    SimBatchConfig,
+    all_experiments, known_adversary, layer_scan, sim_batch, ScanConfig, Scope, SimBatchConfig,
 };
 use layered_cert::{registry, CertStore, Certificate};
 use layered_core::sym::MAX_ENUMERATED_N;
@@ -321,11 +320,7 @@ fn run_scan(cfg: &ScanConfig, opts: &Options) {
     let tracing = opts.trace_path.is_some() || opts.profile;
     let tracer = TraceObserver::new();
     let extra: &dyn Observer = if tracing { &tracer } else { &NOOP };
-    let (exp, certificate) = if cfg.quotient {
-        quotient_scan(cfg, extra)
-    } else {
-        interned_scan(cfg, extra)
-    };
+    let (exp, certificate) = layer_scan(cfg, extra);
     println!("[{}] {}", exp.id, exp.claim);
     println!("{}", exp.table);
     if opts.metrics {

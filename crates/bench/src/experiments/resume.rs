@@ -29,8 +29,9 @@
 use layered_core::report::Table;
 use layered_core::telemetry::clock;
 use layered_core::{
-    load_quotient, load_space, save_arena, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, ArenaMeta, QuotientSolver, ValenceSolver,
+    load_arena, save_arena, scan_layer_valence_connectivity,
+    scan_layer_valence_connectivity_parallel, ArenaMeta, Orbits, Plain, QuotientSolver,
+    ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -87,10 +88,12 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             // 2. Warm reload at the same depth: identical verdict, ≥5×
             // faster (every successor row comes from the snapshot).
             let t0 = clock::monotonic_ns();
-            let warm_scan = load_quotient(&m, &qbytes, obs).ok().map(|(space, _, _)| {
-                let mut warm = QuotientSolver::with_space(&m, horizon, space, obs);
-                scan_layer_valence_connectivity(&mut warm, depth0, true)
-            });
+            let warm_scan = load_arena::<_, Orbits>(&m, &qbytes, obs)
+                .ok()
+                .map(|(space, _, _)| {
+                    let mut warm = QuotientSolver::with_space(&m, horizon, space, obs);
+                    scan_layer_valence_connectivity(&mut warm, depth0, true)
+                });
             let warm_ns = clock::monotonic_ns().saturating_sub(t0).max(1);
             let warm_identical = warm_scan.as_ref() == Some(&cold_scan);
             let speedup_x1000 = cold_ns.saturating_mul(1000) / warm_ns;
@@ -113,14 +116,20 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             let mut cp = QuotientSolver::with_observer(&m, horizon, obs);
             let cold_deep_par =
                 scan_layer_valence_connectivity_parallel(&mut cp, deeper, true, cfg.threads);
-            let resumed_seq = load_quotient(&m, &qbytes, obs).ok().map(|(space, _, _)| {
-                let mut s = QuotientSolver::with_space(&m, horizon, space, obs);
-                scan_layer_valence_connectivity(&mut s, deeper, true)
-            });
-            let resumed_par = load_quotient(&m, &qbytes, obs).ok().map(|(space, _, _)| {
-                let mut s = QuotientSolver::with_space(&m, horizon, space, obs);
-                scan_layer_valence_connectivity_parallel(&mut s, deeper, true, cfg.threads)
-            });
+            let resumed_seq =
+                load_arena::<_, Orbits>(&m, &qbytes, obs)
+                    .ok()
+                    .map(|(space, _, _)| {
+                        let mut s = QuotientSolver::with_space(&m, horizon, space, obs);
+                        scan_layer_valence_connectivity(&mut s, deeper, true)
+                    });
+            let resumed_par =
+                load_arena::<_, Orbits>(&m, &qbytes, obs)
+                    .ok()
+                    .map(|(space, _, _)| {
+                        let mut s = QuotientSolver::with_space(&m, horizon, space, obs);
+                        scan_layer_valence_connectivity_parallel(&mut s, deeper, true, cfg.threads)
+                    });
             let extend_identical = cold_deep_seq == cold_deep_par
                 && resumed_seq.as_ref() == Some(&cold_deep_seq)
                 && resumed_par.as_ref() == Some(&cold_deep_par);
@@ -142,18 +151,25 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             let mut ideep_par = ValenceSolver::with_observer(&mi, horizon, obs);
             let icold_deep_par =
                 scan_layer_valence_connectivity_parallel(&mut ideep_par, deeper, true, cfg.threads);
-            let iwarm = load_space(&mi, &ibytes, obs).ok().map(|(space, _, _)| {
-                let mut s = ValenceSolver::with_space(&mi, horizon, space, obs);
-                scan_layer_valence_connectivity(&mut s, depth0, true)
-            });
-            let iresumed = load_space(&mi, &ibytes, obs).ok().map(|(space, _, _)| {
-                let mut s = ValenceSolver::with_space(&mi, horizon, space, obs);
-                scan_layer_valence_connectivity(&mut s, deeper, true)
-            });
-            let iresumed_par = load_space(&mi, &ibytes, obs).ok().map(|(space, _, _)| {
-                let mut s = ValenceSolver::with_space(&mi, horizon, space, obs);
-                scan_layer_valence_connectivity_parallel(&mut s, deeper, true, cfg.threads)
-            });
+            let iwarm = load_arena::<_, Plain>(&mi, &ibytes, obs)
+                .ok()
+                .map(|(space, _, _)| {
+                    let mut s = ValenceSolver::with_space(&mi, horizon, space, obs);
+                    scan_layer_valence_connectivity(&mut s, depth0, true)
+                });
+            let iresumed = load_arena::<_, Plain>(&mi, &ibytes, obs)
+                .ok()
+                .map(|(space, _, _)| {
+                    let mut s = ValenceSolver::with_space(&mi, horizon, space, obs);
+                    scan_layer_valence_connectivity(&mut s, deeper, true)
+                });
+            let iresumed_par =
+                load_arena::<_, Plain>(&mi, &ibytes, obs)
+                    .ok()
+                    .map(|(space, _, _)| {
+                        let mut s = ValenceSolver::with_space(&mi, horizon, space, obs);
+                        scan_layer_valence_connectivity_parallel(&mut s, deeper, true, cfg.threads)
+                    });
             let interned_identical = iwarm.as_ref() == Some(&icold_scan)
                 && icold_deep_seq == icold_deep_par
                 && iresumed.as_ref() == Some(&icold_deep_seq)
@@ -175,13 +191,14 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
                 .with_layering(MobileLayering::Full);
             let mut cold2 = QuotientSolver::with_observer(&m2, h2, obs);
             let cold2_scan = scan_layer_valence_connectivity(&mut cold2, depth0, true);
-            let refreshed = load_quotient(&m2, &qbytes, obs)
-                .ok()
-                .map(|(mut space, _, _)| {
-                    let diff = space.refresh_differential(&m2, obs);
-                    let mut s = QuotientSolver::with_space(&m2, h2, space, obs);
-                    (scan_layer_valence_connectivity(&mut s, depth0, true), diff)
-                });
+            let refreshed =
+                load_arena::<_, Orbits>(&m2, &qbytes, obs)
+                    .ok()
+                    .map(|(mut space, _, _)| {
+                        let diff = space.refresh_differential(&m2, obs);
+                        let mut s = QuotientSolver::with_space(&m2, h2, space, obs);
+                        (scan_layer_valence_connectivity(&mut s, depth0, true), diff)
+                    });
             let (diff_identical, diff_partial, diff_label) = match &refreshed {
                 Some((scan, diff)) => (
                     *scan == cold2_scan,

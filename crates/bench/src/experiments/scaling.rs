@@ -1,14 +1,13 @@
-//! Scaling experiment for the interned state spaces: a Lemma 5.1 instance
-//! (layer valence connectivity in the mobile-failure model) at n = 4,
-//! run through both the sequential and the parallel expansion path.
+//! Scaling experiments for the interned state spaces: a Lemma 5.1 instance
+//! (layer valence connectivity in the mobile-failure model) run through
+//! both the sequential and the parallel expansion path, over the plain
+//! arena (E-scan) or over canonical orbits (E-sym).
 //!
-//! This is the acceptance experiment for the dense-id refactor: the two
-//! paths must produce identical [`LayerScan`] reports, and the witness the
-//! interned Theorem 4.2 engine extracts must still re-verify from scratch.
-//! n = 4 was out of enumeration reach for the state-keyed engines; the
-//! `--scan` mode of the `experiments` binary runs this instance in CI.
+//! The two paths must produce identical [`LayerScan`] reports, and the
+//! Theorem 4.2 witness, built on the sequential scan's own solver, must
+//! re-verify from scratch. The `--scan` mode of the `experiments` binary
+//! runs these instances in CI.
 
-use std::cell::RefCell;
 use std::path::Path;
 
 use layered_cert::{CertKind, CertMeta, Certificate};
@@ -16,9 +15,10 @@ use layered_core::report::Table;
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::{clock, Observer};
 use layered_core::{
-    load_quotient, load_space, save_arena, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, witness_to_json, ArenaMeta, ImpossibilityWitness,
-    LayeredModel, MemoryFootprint, QuotientSolver, ValenceSolver,
+    load_arena, save_arena, scan_layer_valence_connectivity,
+    scan_layer_valence_connectivity_parallel, witness_to_json, Arena, ArenaMeta,
+    ImpossibilityWitness, Keying, LayerScan, LayeredModel, MemoryFootprint, Orbits, Plain, Solver,
+    ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -183,406 +183,355 @@ impl Default for ScanConfig {
     }
 }
 
-/// Runs the Lemma 5.1 layer scan sequentially and in parallel on the mobile
-/// model and cross-checks the results (see the module docs).
+/// Runs the Lemma 5.1 layer scan on the mobile model sequentially and in
+/// parallel, cross-checks the two, and builds the Theorem 4.2 witness on
+/// the sequential scan's solver (see the module docs).
 ///
-/// `trace` is teed alongside the metrics registry — pass a `TraceObserver`
-/// to capture the span tree for `--trace` / `--profile`, or `&NOOP`. The
-/// scan verdict and its witness come back packaged as a storable
-/// certificate (`None` when the witness could not be built — in which case
-/// the experiment is not `ok` either).
-#[must_use]
-pub fn interned_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Option<Certificate>) {
-    let cfg = cfg.clone();
-    let slot: RefCell<Option<Certificate>> = RefCell::new(None);
-    let slot_ref = &slot;
-    let exp = crate::measured_with(
-        "E-scan",
-        "Lemma 5.1 layer scan on interned state spaces (sequential ≡ parallel)",
-        trace,
-        move |obs| {
-            let mut table = Table::new(
-                "Interned layer scan — sequential vs. parallel expansion",
-                &[
-                    "model",
-                    "n",
-                    "path",
-                    "layers checked",
-                    "states seen",
-                    "all val-conn",
-                    "wall ms",
-                ],
-            );
-            let horizon = cfg.effective_horizon();
-            let m = MobileModel::new(cfg.n, FloodMin::new(horizon as u16));
-
-            // Resume: restore the arena twice (the sequential and parallel
-            // paths must stay independent to mean anything as a
-            // cross-check), refreshing differentially if the deadline
-            // moved since the snapshot was taken.
-            let mut resume_err: Option<String> = None;
-            let mut resume_note: Option<String> = None;
-            let mut snapshot_hash: Option<String> = None;
-            let mut spaces = None;
-            if let Some(dir) = &cfg.resume_dir {
-                let loaded = read_snapshot(dir, STATE_SNAPSHOT_FILE).and_then(|bytes| {
-                    let (a, meta, hash) = load_space(&m, &bytes, obs).map_err(|e| e.to_string())?;
-                    let (b, _, _) = load_space(&m, &bytes, obs).map_err(|e| e.to_string())?;
-                    check_resume_compat(&meta, cfg.n, "s1")?;
-                    Ok((a, b, meta, hash))
-                });
-                match loaded {
-                    Ok((mut a, mut b, meta, hash)) => {
-                        if meta.horizon == horizon as u64 {
-                            resume_note = Some(format!(
-                                "resumed: {} states, {} edges reused",
-                                a.len(),
-                                a.edge_count()
-                            ));
-                        } else {
-                            let diff = a.refresh_differential(&m, obs);
-                            b.refresh_differential(&m, obs);
-                            resume_note = Some(format!(
-                                "deadline {} -> {horizon}: {} rows reused, {} recomputed",
-                                meta.horizon, diff.reused, diff.recomputed
-                            ));
-                        }
-                        snapshot_hash = Some(hash);
-                        spaces = Some((a, b));
-                    }
-                    Err(e) => resume_err = Some(e),
-                }
-            }
-            let (seq_space, par_space) = match spaces {
-                Some((a, b)) => (Some(a), Some(b)),
-                None => (None, None),
-            };
-
-            let start = clock::monotonic_ns();
-            let mut solver = match seq_space {
-                Some(space) => ValenceSolver::with_space(&m, horizon, space, obs),
-                None => ValenceSolver::with_observer(&m, horizon, obs),
-            };
-            let seq = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
-            let seq_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
-
-            // Snapshot the (possibly extended) sequential arena before the
-            // certificate is built, so the verdict can carry its hash.
-            if resume_err.is_none() {
-                if let Some(dir) = &cfg.snapshot_dir {
-                    let meta = scan_meta(&cfg, horizon, "s1");
-                    let (bytes, hash) = save_arena(solver.space(), &meta, obs);
-                    match write_snapshot(dir, STATE_SNAPSHOT_FILE, &bytes) {
-                        Ok(()) => snapshot_hash = Some(hash),
-                        Err(e) => resume_err = Some(e),
-                    }
-                }
-            }
-
-            let start = clock::monotonic_ns();
-            let mut solver = match par_space {
-                Some(space) => ValenceSolver::with_space(&m, horizon, space, obs),
-                None => ValenceSolver::with_observer(&m, horizon, obs),
-            };
-            let par =
-                scan_layer_valence_connectivity_parallel(&mut solver, cfg.depth, true, cfg.threads);
-            let par_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
-            solver.report_memory(obs);
-
-            let identical = seq == par;
-            let witness = ImpossibilityWitness::build(&m, horizon, cfg.depth);
-            let verified = witness.as_ref().is_some_and(|w| w.verify(&m).is_ok());
-            if let Some(w) = &witness {
-                *slot_ref.borrow_mut() = scan_certificate(
-                    &m,
-                    "s1",
-                    cfg.depth,
-                    horizon,
-                    (seq.layers_checked, seq.states_seen, seq.all_connected()),
-                    w,
-                    snapshot_hash.as_deref(),
-                );
-            }
-
-            for (path, scan, ms) in [("sequential", &seq, seq_ms), ("parallel", &par, par_ms)] {
-                table.row_owned(vec![
-                    "M^mf (S₁)".to_string(),
-                    cfg.n.to_string(),
-                    path.to_string(),
-                    scan.layers_checked.to_string(),
-                    scan.states_seen.to_string(),
-                    if scan.all_connected() { "yes" } else { "no" }.to_string(),
-                    format!("{ms:.1}"),
-                ]);
-            }
-            table.row_owned(vec![
-                "M^mf (S₁)".to_string(),
-                cfg.n.to_string(),
-                "cross-check".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                if identical { "identical" } else { "DIVERGED" }.to_string(),
-                if verified {
-                    "witness ok"
-                } else {
-                    "witness BAD"
-                }
-                .to_string(),
-            ]);
-            for (label, msg) in [("resume", &resume_note), ("snapshot ERROR", &resume_err)] {
-                if let Some(msg) = msg {
-                    table.row_owned(vec![
-                        "M^mf (S₁)".to_string(),
-                        cfg.n.to_string(),
-                        label.to_string(),
-                        "-".to_string(),
-                        "-".to_string(),
-                        msg.clone(),
-                        "-".to_string(),
-                    ]);
-                }
-            }
-
-            (
-                table,
-                identical && seq.all_connected() && verified && resume_err.is_none(),
-            )
-        },
-    );
-    (exp, slot.into_inner())
-}
-
-/// Runs the symmetry-reduced Lemma 5.1 layer scan over canonical orbits
-/// (the `--scan --quotient` mode).
-///
-/// The mobile model is switched to its equivariant `Full` layering and the
-/// scan walks the quotient under process renaming. At n ≤ 5 the full-space
-/// scan is run alongside as a baseline (packed encodings pushed the full
-/// engine past its old n = 4 wall) and the two must reach the same lemma
+/// `cfg.quotient` picks the arena: the plain interned scan (E-scan) under
+/// the `S₁` layering, or the symmetry-reduced scan over canonical orbits
+/// (E-sym) under the equivariant `Full` layering. At n ≤ 5 E-sym also runs
+/// the full-space scan as a baseline (packed encodings pushed the full
+/// engine past its old n = 4 wall), and the two must reach the same lemma
 /// verdict — with the quotient visiting at least 3× fewer states at
 /// n ≥ 4 (the acceptance bound). At n ≥ 6 only the quotient runs: the
 /// whole point of the reduction is that the full space is out of reach
 /// there. In every case the de-quotiented witness must re-verify against
 /// the full model.
 ///
-/// `trace` and the returned certificate are as for [`interned_scan`]; the
-/// certificate's layering key is `full` — the equivariant layering the
-/// quotient runs under.
+/// `trace` is teed alongside the metrics registry — pass a `TraceObserver`
+/// to capture the span tree for `--trace` / `--profile`, or `&NOOP`. The
+/// scan verdict and its witness come back packaged as a storable
+/// certificate whose layering key is the scan's (`s1` or `full`); it is
+/// `None` when the witness could not be built, in which case the
+/// experiment is not `ok` either.
 #[must_use]
-pub fn quotient_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Option<Certificate>) {
-    let cfg = cfg.clone();
-    let slot: RefCell<Option<Certificate>> = RefCell::new(None);
-    let slot_ref = &slot;
-    let exp = crate::measured_with(
-        "E-sym",
-        "Lemma 5.1 layer scan over canonical orbits (quotient ≡ full verdicts)",
-        trace,
-        move |obs| {
-            let mut table = Table::new(
-                "Symmetry-reduced layer scan — canonical orbits vs. the full space",
-                &[
-                    "model",
-                    "n",
-                    "space",
-                    "layers checked",
-                    "states seen",
-                    "all val-conn",
-                    "wall ms",
-                ],
-            );
-            let horizon = cfg.effective_horizon();
-            let m = MobileModel::new(cfg.n, FloodMin::new(horizon as u16))
-                .with_layering(MobileLayering::Full);
-            let model_label = "M^mf (Full)";
+pub fn layer_scan(cfg: &ScanConfig, trace: &dyn Observer) -> (Experiment, Option<Certificate>) {
+    if cfg.quotient {
+        scan::<Orbits>(cfg, trace)
+    } else {
+        scan::<Plain>(cfg, trace)
+    }
+}
 
-            // Resume: restore the quotient arena for the sequential and
-            // parallel paths independently (see the interned twin).
-            let mut resume_err: Option<String> = None;
-            let mut resume_note: Option<String> = None;
-            let mut snapshot_hash: Option<String> = None;
-            let mut spaces = None;
-            if let Some(dir) = &cfg.resume_dir {
-                let loaded = read_snapshot(dir, QUOTIENT_SNAPSHOT_FILE).and_then(|bytes| {
-                    let (a, meta, hash) =
-                        load_quotient(&m, &bytes, obs).map_err(|e| e.to_string())?;
-                    let (b, _, _) = load_quotient(&m, &bytes, obs).map_err(|e| e.to_string())?;
-                    check_resume_compat(&meta, cfg.n, "full")?;
-                    Ok((a, b, meta, hash))
-                });
-                match loaded {
-                    Ok((mut a, mut b, meta, hash)) => {
-                        if meta.horizon == horizon as u64 {
-                            resume_note = Some(format!(
-                                "resumed: {} orbits, {} edges reused",
-                                a.len(),
-                                a.edge_count()
-                            ));
-                        } else {
-                            let diff = a.refresh_differential(&m, obs);
-                            b.refresh_differential(&m, obs);
-                            resume_note = Some(format!(
-                                "deadline {} -> {horizon}: {} orbits reused, {} recomputed",
-                                meta.horizon, diff.reused, diff.recomputed
-                            ));
-                        }
-                        snapshot_hash = Some(hash);
-                        spaces = Some((a, b));
-                    }
-                    Err(e) => resume_err = Some(e),
-                }
-            }
-            let (seq_space, par_space) = match spaces {
-                Some((a, b)) => (Some(a), Some(b)),
-                None => (None, None),
-            };
+type Mobile = MobileModel<FloodMin>;
+type Scan = LayerScan<<Mobile as LayeredModel>::State>;
 
-            // Quotient scan, sequential and parallel expansion paths.
+/// What tells the plain layer scan (E-scan) from the orbit one (E-sym).
+/// The resume, snapshot, sequential ≡ parallel, witness and certificate
+/// steps are [`scan`]'s and the same for both.
+trait ScanKeying: Keying<Mobile> {
+    /// Experiment id.
+    const ID: &'static str;
+    /// The paper claim the experiment reproduces.
+    const CLAIM: &'static str;
+    /// Table title.
+    const TITLE: &'static str;
+    /// Header of the table column naming each row.
+    const COLUMN: &'static str;
+    /// The layering the scan runs under.
+    const LAYERING: MobileLayering;
+    /// The layering's key in snapshot and certificate headers.
+    const LAYERING_KEY: &'static str;
+    /// The model column of every row.
+    const MODEL_LABEL: &'static str;
+    /// Snapshot file inside a `--snapshot`/`--resume` directory.
+    const SNAPSHOT_FILE: &'static str;
+    /// Row labels of the sequential and the parallel scan.
+    const PATHS: [&'static str; 2];
+    /// What the resume row calls a refreshed successor row.
+    const ROWS: &'static str;
+
+    /// The keying's own checks, run once both scans are done and before
+    /// the witness is built on `solver`, the sequential scan's solver
+    /// (they report to its observer).
+    fn cross_check(
+        cfg: &ScanConfig,
+        solver: &Solver<'_, Mobile, Self>,
+        seq: (&Scan, f64),
+        par: &Scan,
+    ) -> CrossCheck;
+}
+
+/// A keying's contribution to the scan table and verdict.
+struct CrossCheck {
+    /// A scan row shown above the sequential and parallel ones.
+    baseline: Option<(&'static str, Scan, f64)>,
+    /// The cross-check row's cells before its witness cell.
+    cells: [String; 3],
+    /// Whether the keying's own checks pass.
+    ok: bool,
+}
+
+impl ScanKeying for Plain {
+    const ID: &'static str = "E-scan";
+    const CLAIM: &'static str =
+        "Lemma 5.1 layer scan on interned state spaces (sequential ≡ parallel)";
+    const TITLE: &'static str = "Interned layer scan — sequential vs. parallel expansion";
+    const COLUMN: &'static str = "path";
+    const LAYERING: MobileLayering = MobileLayering::S1;
+    const LAYERING_KEY: &'static str = "s1";
+    const MODEL_LABEL: &'static str = "M^mf (S₁)";
+    const SNAPSHOT_FILE: &'static str = STATE_SNAPSHOT_FILE;
+    const PATHS: [&'static str; 2] = ["sequential", "parallel"];
+    const ROWS: &'static str = "rows";
+
+    fn cross_check(
+        _: &ScanConfig,
+        _: &Solver<'_, Mobile, Self>,
+        (seq, _): (&Scan, f64),
+        par: &Scan,
+    ) -> CrossCheck {
+        let identical = if seq == par { "identical" } else { "DIVERGED" };
+        CrossCheck {
+            baseline: None,
+            cells: ["-".to_string(), "-".to_string(), identical.to_string()],
+            ok: true,
+        }
+    }
+}
+
+impl ScanKeying for Orbits {
+    const ID: &'static str = "E-sym";
+    const CLAIM: &'static str =
+        "Lemma 5.1 layer scan over canonical orbits (quotient ≡ full verdicts)";
+    const TITLE: &'static str = "Symmetry-reduced layer scan — canonical orbits vs. the full space";
+    const COLUMN: &'static str = "space";
+    const LAYERING: MobileLayering = MobileLayering::Full;
+    const LAYERING_KEY: &'static str = "full";
+    const MODEL_LABEL: &'static str = "M^mf (Full)";
+    const SNAPSHOT_FILE: &'static str = QUOTIENT_SNAPSHOT_FILE;
+    const PATHS: [&'static str; 2] = ["quotient (seq)", "quotient (par)"];
+    const ROWS: &'static str = "orbits";
+
+    /// The full-space baseline at n ≤ 5, the `scan.sym.*` gauges, and the
+    /// verdict-parity and reduction checks against the baseline.
+    fn cross_check(
+        cfg: &ScanConfig,
+        solver: &Solver<'_, Mobile, Self>,
+        (quot, quot_ms): (&Scan, f64),
+        _: &Scan,
+    ) -> CrossCheck {
+        let obs = solver.observer();
+        // Full-space baseline, only at sizes the full engine can reach
+        // (n = 5 became reachable when the arenas went packed).
+        let full = (cfg.n <= 5).then(|| {
             let start = clock::monotonic_ns();
-            let mut solver = match seq_space {
-                Some(space) => QuotientSolver::with_space(&m, horizon, space, obs),
-                None => QuotientSolver::with_observer(&m, horizon, obs),
-            };
-            let quot = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
-            let quot_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
-            let orbits = solver.space().len();
-            let covered = solver.space().covered_states();
+            let mut full = ValenceSolver::with_observer(solver.model(), solver.horizon(), obs);
+            let scan = scan_layer_valence_connectivity(&mut full, cfg.depth, true);
+            (scan, ms_since(start))
+        });
 
-            // Snapshot the (possibly extended) sequential quotient arena
-            // before the certificate is built.
-            if resume_err.is_none() {
-                if let Some(dir) = &cfg.snapshot_dir {
-                    let meta = scan_meta(&cfg, horizon, "full");
-                    let (bytes, hash) = save_arena(solver.space(), &meta, obs);
-                    match write_snapshot(dir, QUOTIENT_SNAPSHOT_FILE, &bytes) {
-                        Ok(()) => snapshot_hash = Some(hash),
-                        Err(e) => resume_err = Some(e),
-                    }
-                }
+        // Headline numbers as gauges so the JSON record carries the
+        // full-vs-quotient comparison as stable machine-readable fields.
+        obs.gauge("scan.sym.n", cfg.n as u64);
+        obs.gauge("scan.sym.quotient.states_seen", quot.states_seen as u64);
+        obs.gauge("scan.sym.quotient.wall_ns", (quot_ms * 1e6) as u64);
+        if let Some((scan, ms)) = &full {
+            obs.gauge("scan.sym.full.states_seen", scan.states_seen as u64);
+            obs.gauge("scan.sym.full.wall_ns", (*ms * 1e6) as u64);
+        }
+
+        let parity = full
+            .as_ref()
+            .is_none_or(|(scan, _)| scan.violation.is_none() == quot.violation.is_none());
+        // Acceptance bound on the reduction: ≥ 3× fewer states at
+        // n = 4, ≥ 10× at n = 5 (the orbit factor grows with n!, so
+        // the bar rises with the sizes packed arenas made reachable).
+        let factor = if cfg.n >= 5 { 10 } else { 3 };
+        let reduced = cfg.n < 4
+            || full
+                .as_ref()
+                .is_none_or(|(scan, _)| scan.states_seen >= factor * quot.states_seen);
+        let verdict = match (&full, parity, reduced) {
+            (None, _, _) => "quotient only".to_string(),
+            (Some(_), true, true) => "verdicts agree".to_string(),
+            (Some(_), false, _) => "verdict DIVERGED".to_string(),
+            (Some(_), _, false) => format!("reduction < {factor}x"),
+        };
+        let space = solver.space();
+        CrossCheck {
+            baseline: full.map(|(scan, ms)| ("full", scan, ms)),
+            cells: [
+                format!("{} orbits", space.len()),
+                format!("{} covered", space.covered_states()),
+                verdict,
+            ],
+            ok: parity && reduced,
+        }
+    }
+}
+
+/// Milliseconds since the monotonic timestamp `start`.
+fn ms_since(start: u64) -> f64 {
+    clock::monotonic_ns().saturating_sub(start) as f64 / 1e6
+}
+
+/// A resumed scan's two arenas, its resume-row note and the snapshot's
+/// integrity hash.
+type Resumed<K> = (Arena<Mobile, K>, Arena<Mobile, K>, String, String);
+
+/// Restores the arena snapshot in `dir` twice (the sequential and parallel
+/// paths must stay independent to mean anything as a cross-check),
+/// refreshing both differentially if the deadline moved since the
+/// snapshot was taken.
+fn resume<K: ScanKeying>(
+    dir: &str,
+    m: &Mobile,
+    horizon: usize,
+    obs: &dyn Observer,
+) -> Result<Resumed<K>, String> {
+    let bytes = read_snapshot(dir, K::SNAPSHOT_FILE)?;
+    let (mut a, meta, hash) = load_arena::<_, K>(m, &bytes, obs).map_err(|e| e.to_string())?;
+    let (mut b, _, _) = load_arena::<_, K>(m, &bytes, obs).map_err(|e| e.to_string())?;
+    check_resume_compat(&meta, m.num_processes(), K::LAYERING_KEY)?;
+    let note = if meta.horizon == horizon as u64 {
+        format!(
+            "resumed: {} {}, {} edges reused",
+            a.len(),
+            K::UNIT,
+            a.edge_count()
+        )
+    } else {
+        let diff = a.refresh_differential(m, obs);
+        b.refresh_differential(m, obs);
+        format!(
+            "deadline {} -> {horizon}: {} {} reused, {} recomputed",
+            meta.horizon,
+            diff.reused,
+            K::ROWS,
+            diff.recomputed
+        )
+    };
+    Ok((a, b, note, hash))
+}
+
+/// The layer scan under the keying `K` (see [`layer_scan`]).
+fn scan<K: ScanKeying>(
+    cfg: &ScanConfig,
+    trace: &dyn Observer,
+) -> (Experiment, Option<Certificate>) {
+    let mut certificate = None;
+    let exp = crate::measured_with(K::ID, K::CLAIM, trace, |obs| {
+        let horizon = cfg.effective_horizon();
+        let m = MobileModel::new(cfg.n, FloodMin::new(horizon as u16)).with_layering(K::LAYERING);
+
+        let resumed = cfg
+            .resume_dir
+            .as_deref()
+            .map(|dir| resume::<K>(dir, &m, horizon, obs));
+        let (resumed, mut resume_err) = match resumed.transpose() {
+            Ok(resumed) => (resumed, None),
+            Err(e) => (None, Some(e)),
+        };
+        let (seq_space, par_space, resume_note, mut snapshot_hash) = match resumed {
+            Some((a, b, note, hash)) => (Some(a), Some(b), Some(note), Some(hash)),
+            None => (None, None, None, None),
+        };
+        let solver = |space: Option<Arena<Mobile, K>>| {
+            let space = space.unwrap_or_else(|| Arena::for_model(&m));
+            Solver::with_space(&m, horizon, space, obs)
+        };
+
+        let start = clock::monotonic_ns();
+        let mut seq_solver = solver(seq_space);
+        let seq = scan_layer_valence_connectivity(&mut seq_solver, cfg.depth, true);
+        let seq_ms = ms_since(start);
+
+        // Snapshot the (possibly extended) sequential arena before the
+        // certificate is built, so the verdict can carry its hash.
+        if let (None, Some(dir)) = (&resume_err, &cfg.snapshot_dir) {
+            let meta = scan_meta(cfg, horizon, K::LAYERING_KEY);
+            let (bytes, hash) = save_arena(seq_solver.space(), &meta, obs);
+            match write_snapshot(dir, K::SNAPSHOT_FILE, &bytes) {
+                Ok(()) => snapshot_hash = Some(hash),
+                Err(e) => resume_err = Some(e),
             }
+        }
 
-            let start = clock::monotonic_ns();
-            let mut par_solver = match par_space {
-                Some(space) => QuotientSolver::with_space(&m, horizon, space, obs),
-                None => QuotientSolver::with_observer(&m, horizon, obs),
-            };
-            let par = scan_layer_valence_connectivity_parallel(
-                &mut par_solver,
+        let start = clock::monotonic_ns();
+        let mut par_solver = solver(par_space);
+        let par =
+            scan_layer_valence_connectivity_parallel(&mut par_solver, cfg.depth, true, cfg.threads);
+        let par_ms = ms_since(start);
+        par_solver.report_memory(obs);
+
+        let check = K::cross_check(cfg, &seq_solver, (&seq, seq_ms), &par);
+        let witness = ImpossibilityWitness::from_solver(&mut seq_solver, cfg.depth);
+        let verified = witness.as_ref().is_some_and(|w| w.verify(&m).is_ok());
+        if let Some(w) = &witness {
+            certificate = scan_certificate(
+                &m,
+                K::LAYERING_KEY,
                 cfg.depth,
-                true,
-                cfg.threads,
+                horizon,
+                (seq.layers_checked, seq.states_seen, seq.all_connected()),
+                w,
+                snapshot_hash.as_deref(),
             );
-            let par_ms = clock::monotonic_ns().saturating_sub(start) as f64 / 1e6;
-            par_solver.report_memory(obs);
-            let paths_agree = quot == par;
+        }
 
-            // Full-space baseline, only at sizes the full engine can reach
-            // (n = 5 became reachable when the arenas went packed).
-            let full = (cfg.n <= 5).then(|| {
-                let start = clock::monotonic_ns();
-                let mut solver = ValenceSolver::with_observer(&m, horizon, obs);
-                let scan = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
-                (
-                    scan,
-                    clock::monotonic_ns().saturating_sub(start) as f64 / 1e6,
-                )
-            });
-
-            let witness = ImpossibilityWitness::build_quotient(&m, horizon, cfg.depth);
-            let verified = witness.as_ref().is_some_and(|w| w.verify(&m).is_ok());
-            if let Some(w) = &witness {
-                *slot_ref.borrow_mut() = scan_certificate(
-                    &m,
-                    "full",
-                    cfg.depth,
-                    horizon,
-                    (quot.layers_checked, quot.states_seen, quot.all_connected()),
-                    w,
-                    snapshot_hash.as_deref(),
-                );
-            }
-
-            // Headline numbers as gauges so the JSON record carries the
-            // full-vs-quotient comparison as stable machine-readable fields.
-            obs.gauge("scan.sym.n", cfg.n as u64);
-            obs.gauge("scan.sym.quotient.states_seen", quot.states_seen as u64);
-            obs.gauge("scan.sym.quotient.wall_ns", (quot_ms * 1e6) as u64);
-            if let Some((scan, ms)) = &full {
-                obs.gauge("scan.sym.full.states_seen", scan.states_seen as u64);
-                obs.gauge("scan.sym.full.wall_ns", (*ms * 1e6) as u64);
-            }
-
-            let mut rows: Vec<(&str, &layered_core::LayerScan<_>, f64)> = Vec::new();
-            if let Some((scan, ms)) = &full {
-                rows.push(("full", scan, *ms));
-            }
-            rows.push(("quotient (seq)", &quot, quot_ms));
-            rows.push(("quotient (par)", &par, par_ms));
-            for (space, scan, ms) in rows {
-                table.row_owned(vec![
-                    model_label.to_string(),
-                    cfg.n.to_string(),
-                    space.to_string(),
+        let mut table = Table::new(
+            K::TITLE,
+            &[
+                "model",
+                "n",
+                K::COLUMN,
+                "layers checked",
+                "states seen",
+                "all val-conn",
+                "wall ms",
+            ],
+        );
+        let mut row = |label: &str, cells: [String; 4]| {
+            let mut row = vec![
+                K::MODEL_LABEL.to_string(),
+                cfg.n.to_string(),
+                label.to_string(),
+            ];
+            row.extend(cells);
+            table.row_owned(row);
+        };
+        let scans = [(K::PATHS[0], &seq, seq_ms), (K::PATHS[1], &par, par_ms)];
+        let baseline = check
+            .baseline
+            .as_ref()
+            .map(|(label, scan, ms)| (*label, scan, *ms));
+        for (label, scan, ms) in baseline.into_iter().chain(scans) {
+            row(
+                label,
+                [
                     scan.layers_checked.to_string(),
                     scan.states_seen.to_string(),
                     if scan.all_connected() { "yes" } else { "no" }.to_string(),
                     format!("{ms:.1}"),
-                ]);
-            }
-
-            let parity = full
-                .as_ref()
-                .is_none_or(|(scan, _)| scan.violation.is_none() == quot.violation.is_none());
-            // Acceptance bound on the reduction: ≥ 3× fewer states at
-            // n = 4, ≥ 10× at n = 5 (the orbit factor grows with n!, so
-            // the bar rises with the sizes packed arenas made reachable).
-            let factor = if cfg.n >= 5 { 10 } else { 3 };
-            let reduced = cfg.n < 4
-                || full
-                    .as_ref()
-                    .is_none_or(|(scan, _)| scan.states_seen >= factor * quot.states_seen);
-            table.row_owned(vec![
-                model_label.to_string(),
-                cfg.n.to_string(),
-                "cross-check".to_string(),
-                format!("{orbits} orbits"),
-                format!("{covered} covered"),
-                match (&full, parity, reduced) {
-                    (None, _, _) => "quotient only".to_string(),
-                    (Some(_), true, true) => "verdicts agree".to_string(),
-                    (Some(_), false, _) => "verdict DIVERGED".to_string(),
-                    (Some(_), _, false) => format!("reduction < {factor}x"),
-                },
-                if verified {
-                    "witness ok"
-                } else {
-                    "witness BAD"
-                }
-                .to_string(),
-            ]);
-            for (label, msg) in [("resume", &resume_note), ("snapshot ERROR", &resume_err)] {
-                if let Some(msg) = msg {
-                    table.row_owned(vec![
-                        model_label.to_string(),
-                        cfg.n.to_string(),
-                        label.to_string(),
+                ],
+            );
+        }
+        let [a, b, c] = check.cells;
+        let witness = if verified {
+            "witness ok"
+        } else {
+            "witness BAD"
+        };
+        row("cross-check", [a, b, c, witness.to_string()]);
+        for (label, msg) in [("resume", &resume_note), ("snapshot ERROR", &resume_err)] {
+            if let Some(msg) = msg {
+                row(
+                    label,
+                    [
                         "-".to_string(),
                         "-".to_string(),
                         msg.clone(),
                         "-".to_string(),
-                    ]);
-                }
+                    ],
+                );
             }
+        }
 
-            (
-                table,
-                paths_agree
-                    && parity
-                    && reduced
-                    && verified
-                    && quot.all_connected()
-                    && resume_err.is_none(),
-            )
-        },
-    );
-    (exp, slot.into_inner())
+        (
+            table,
+            seq == par && seq.all_connected() && check.ok && verified && resume_err.is_none(),
+        )
+    });
+    (exp, certificate)
 }

@@ -40,7 +40,7 @@ pub use experiments::foundations::{census, lemma_3_1, lemma_3_6, theorem_4_2};
 pub use experiments::impossibility::{iis, message_passing, mobile, shared_memory};
 pub use experiments::resume::resume_roundtrip;
 pub use experiments::scaling::{
-    interned_scan, quotient_scan, ScanConfig, QUOTIENT_SNAPSHOT_FILE, STATE_SNAPSHOT_FILE,
+    layer_scan, ScanConfig, QUOTIENT_SNAPSHOT_FILE, STATE_SNAPSHOT_FILE,
 };
 pub use experiments::synchronous::{early_stopping, lemma_6_4, lemmas_6_1_6_2, lower_bound};
 pub use simruns::{known_adversary, sim_batch, SimBatch, SimBatchConfig};

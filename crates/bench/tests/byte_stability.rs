@@ -26,7 +26,7 @@
 //! metrics on the mobile model and on its codec-less twin
 //! (`testkit::Unpacked`, whose arenas store every state boxed).
 
-use layered_bench::{interned_scan, quotient_scan, ScanConfig};
+use layered_bench::{layer_scan, ScanConfig};
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::{MetricsRegistry, NOOP};
 use layered_core::testkit::Unpacked;
@@ -111,11 +111,7 @@ fn scan_record(threads: usize, quotient: bool) -> Json {
         quotient,
         ..ScanConfig::default()
     };
-    let exp = if quotient {
-        quotient_scan(&cfg, &NOOP).0
-    } else {
-        interned_scan(&cfg, &NOOP).0
-    };
+    let exp = layer_scan(&cfg, &NOOP).0;
     assert!(
         exp.ok,
         "scan experiment must pass for the comparison to mean anything"
@@ -174,8 +170,9 @@ fn storage_record<M: LayeredModel>(
     ])
 }
 
-/// What `interned_scan` runs, one layer down: the sequential and 4-thread
-/// Lemma 5.1 scans and the Theorem 4.2 witness.
+/// What `layer_scan` runs without `quotient`, one layer down: the
+/// sequential and 4-thread Lemma 5.1 scans and the Theorem 4.2 witness
+/// built on the sequential scan's solver.
 fn interned_storage_record<M>(m: &M) -> Json
 where
     M: LayeredModel + Sync,
@@ -187,12 +184,13 @@ where
     let mut par = ValenceSolver::with_observer(m, HORIZON, &reg);
     let b = scan_layer_valence_connectivity_parallel(&mut par, DEPTH, true, 4);
     par.report_memory(&reg);
-    let witness = ImpossibilityWitness::build(m, HORIZON, DEPTH);
+    let witness = ImpossibilityWitness::from_solver(&mut seq, DEPTH);
     storage_record(m, &[a, b], witness, &reg)
 }
 
-/// What `quotient_scan` runs, one layer down: the sequential and 4-thread
-/// quotient scans, the full-space baseline and the de-quotiented witness.
+/// What `layer_scan` runs with `quotient`, one layer down: the sequential
+/// and 4-thread quotient scans, the full-space baseline and the
+/// de-quotiented witness built on the sequential scan's solver.
 fn quotient_storage_record<M>(m: &M) -> Json
 where
     M: Symmetric + Sync,
@@ -206,7 +204,7 @@ where
     par.report_memory(&reg);
     let mut full = ValenceSolver::with_observer(m, HORIZON, &reg);
     let c = scan_layer_valence_connectivity(&mut full, DEPTH, true);
-    let witness = ImpossibilityWitness::build_quotient(m, HORIZON, DEPTH);
+    let witness = ImpossibilityWitness::from_solver(&mut seq, DEPTH);
     storage_record(m, &[a, b, c], witness, &reg)
 }
 

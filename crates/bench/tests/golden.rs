@@ -8,15 +8,15 @@
 //! regenerated to make a change pass: a diff against them is a behaviour
 //! change.
 //!
-//! * `golden/*.json` — `interned_scan` (n = 3) and `quotient_scan`
-//!   (n = 3, 4) records at depth 1 and one thread, with every `_ns` timing
+//! * `golden/*.json` — `layer_scan` records, plain (n = 3) and over
+//!   orbits (n = 3, 4), at depth 1 and one thread, with every `_ns` timing
 //!   field nulled (the same stripping `byte_stability.rs` applies).
 //! * `golden/snapshot_sha256.txt` — the SHA-256 of the `save_arena` and
 //!   `save_arena` blobs of the mobile-failure model running FloodMin at
 //!   n = 3, horizon 3, for packed and boxed arenas (the boxed ones built
 //!   for the model with its codec hidden, `testkit::Unpacked`).
 
-use layered_bench::{interned_scan, quotient_scan, ScanConfig};
+use layered_bench::{layer_scan, ScanConfig};
 use layered_core::hash::sha256_hex;
 use layered_core::telemetry::json::Json;
 use layered_core::testkit::Unpacked;
@@ -63,11 +63,7 @@ fn scan_record(n: usize, quotient: bool) -> String {
         quotient,
         ..ScanConfig::default()
     };
-    let exp = if quotient {
-        quotient_scan(&cfg, &NOOP).0
-    } else {
-        interned_scan(&cfg, &NOOP).0
-    };
+    let exp = layer_scan(&cfg, &NOOP).0;
     assert!(exp.ok, "scan experiment n={n} quotient={quotient} failed");
     let mut record = exp.json_record();
     strip_timing(&mut record);

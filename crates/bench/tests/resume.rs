@@ -11,7 +11,7 @@ use layered_bench::{resume_roundtrip, ScanConfig};
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::{MetricsRegistry, NOOP};
 use layered_core::{
-    load_quotient, save_arena, scan_layer_valence_connectivity, ArenaMeta, QuotientSolver,
+    load_arena, save_arena, scan_layer_valence_connectivity, ArenaMeta, Orbits, QuotientSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -67,7 +67,7 @@ fn assert_warm_reload_does_no_model_work(n: usize) {
     let (bytes, _) = save_arena(cold.space(), &meta, &NOOP);
 
     let reg = MetricsRegistry::new();
-    let (space, _, _) = load_quotient(&m, &bytes, &reg).expect("the snapshot reloads");
+    let (space, _, _) = load_arena::<_, Orbits>(&m, &bytes, &reg).expect("the snapshot reloads");
     let mut warm = QuotientSolver::with_space(&m, horizon, space, &reg);
     let warm_scan = scan_layer_valence_connectivity(&mut warm, depth, true);
     assert_eq!(warm_scan, cold_scan, "n={n}: warm scan differs from cold");

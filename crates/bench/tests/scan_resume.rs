@@ -4,17 +4,13 @@
 //! reloaded arena differentially, and the cold and warm scan-verdict
 //! certificates are byte-identical.
 
-use layered_bench::{interned_scan, quotient_scan, ScanConfig};
+use layered_bench::{layer_scan, ScanConfig};
 use layered_cert::Certificate;
 use layered_core::telemetry::NOOP;
 
 /// Runs the scan mode under `cfg` and requires it to pass.
 fn run(cfg: &ScanConfig, what: &str) -> (String, Certificate) {
-    let (exp, cert) = if cfg.quotient {
-        quotient_scan(cfg, &NOOP)
-    } else {
-        interned_scan(cfg, &NOOP)
-    };
+    let (exp, cert) = layer_scan(cfg, &NOOP);
     assert!(exp.ok, "{what} run failed:\n{}", exp.table);
     let table = exp.table.to_string();
     let cert = cert.unwrap_or_else(|| panic!("{what} run certifies:\n{table}"));

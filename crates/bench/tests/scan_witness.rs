@@ -5,10 +5,10 @@
 //! arena keyings, and also when the scan's arena was reloaded from a
 //! snapshot or refreshed after a FloodMin deadline move.
 
-use layered_core::telemetry::NOOP;
+use layered_core::telemetry::{MetricsRegistry, NOOP};
 use layered_core::{
-    build_bivalent_run, load_quotient, load_space, save_arena, scan_layer_valence_connectivity,
-    witness_to_json, ArenaMeta, ImpossibilityWitness, Keying, LayeredModel, QuotientSolver, Solver,
+    load_arena, save_arena, scan_layer_valence_connectivity, witness_to_json, ArenaMeta,
+    ImpossibilityWitness, Keying, LayeredModel, Orbits, Plain, QuotientSolver, Solver,
     ValenceSolver,
 };
 use layered_protocols::FloodMin;
@@ -29,22 +29,23 @@ fn full(n: usize, horizon: usize) -> Mobile {
     s1(n, horizon).with_layering(MobileLayering::Full)
 }
 
-/// Runs the sequential Lemma 5.1 scan on `solver`, then builds the
-/// Theorem 4.2 witness on the same solver.
-fn witness_after_scan<M, K>(solver: &mut Solver<'_, M, K>) -> ImpossibilityWitness<M::State>
+/// Runs the sequential Lemma 5.1 scan on `solver`, which reports to
+/// `reg`, then builds the Theorem 4.2 witness on the same solver. The
+/// witness build must leave `reg` exactly as the scan left it.
+fn witness_after_scan<M, K>(
+    solver: &mut Solver<'_, M, K>,
+    reg: &MetricsRegistry,
+) -> ImpossibilityWitness<M::State>
 where
     M: LayeredModel,
     K: Keying<M>,
 {
     let scan = scan_layer_valence_connectivity(solver, DEPTH, true);
     assert!(scan.all_connected(), "the scanned layers are connected");
-    let run = build_bivalent_run(solver, DEPTH);
-    assert!(run.reached_target(), "the chain reaches the scan depth");
-    ImpossibilityWitness {
-        chain: run.chain.expect("a bivalent initial state exists"),
-        horizon: solver.horizon(),
-        undecided: run.undecided_per_state,
-    }
+    let before = reg.snapshot();
+    let witness = ImpossibilityWitness::from_solver(solver, DEPTH);
+    assert_eq!(reg.snapshot(), before, "the witness build reported metrics");
+    witness.expect("the chain reaches the scan depth")
 }
 
 /// Asserts that `got` and the fresh reference are the same witness, down
@@ -77,7 +78,8 @@ fn meta(n: usize, horizon: usize, layering: &str) -> ArenaMeta {
 fn plain_chain_on_the_scan_solver_matches_a_fresh_build() {
     for n in [3, 4] {
         let m = s1(n, HORIZON);
-        let got = witness_after_scan(&mut ValenceSolver::with_observer(&m, HORIZON, &NOOP));
+        let reg = MetricsRegistry::new();
+        let got = witness_after_scan(&mut ValenceSolver::with_observer(&m, HORIZON, &reg), &reg);
         let want = ImpossibilityWitness::build(&m, HORIZON, DEPTH);
         assert_same_witness(&m, &got, want, &format!("plain n={n}"));
     }
@@ -87,7 +89,8 @@ fn plain_chain_on_the_scan_solver_matches_a_fresh_build() {
 fn orbit_chain_on_the_scan_solver_matches_a_fresh_build() {
     for n in 3..=6 {
         let m = full(n, HORIZON);
-        let got = witness_after_scan(&mut QuotientSolver::with_observer(&m, HORIZON, &NOOP));
+        let reg = MetricsRegistry::new();
+        let got = witness_after_scan(&mut QuotientSolver::with_observer(&m, HORIZON, &reg), &reg);
         let want = ImpossibilityWitness::build_quotient(&m, HORIZON, DEPTH);
         assert_same_witness(&m, &got, want, &format!("orbits n={n}"));
     }
@@ -95,13 +98,17 @@ fn orbit_chain_on_the_scan_solver_matches_a_fresh_build() {
 
 #[test]
 fn chain_on_a_reloaded_arena_matches_a_fresh_build() {
+    let reg = MetricsRegistry::new();
     let n = 4;
     let m = s1(n, HORIZON);
     let mut cold = ValenceSolver::with_observer(&m, HORIZON, &NOOP);
     scan_layer_valence_connectivity(&mut cold, DEPTH, true);
     let (bytes, _) = save_arena(cold.space(), &meta(n, HORIZON, "s1"), &NOOP);
-    let (space, _, _) = load_space(&m, &bytes, &NOOP).expect("the snapshot reloads");
-    let got = witness_after_scan(&mut ValenceSolver::with_space(&m, HORIZON, space, &NOOP));
+    let (space, _, _) = load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("the snapshot reloads");
+    let got = witness_after_scan(
+        &mut ValenceSolver::with_space(&m, HORIZON, space, &reg),
+        &reg,
+    );
     let want = ImpossibilityWitness::build(&m, HORIZON, DEPTH);
     assert_same_witness(&m, &got, want, "plain, reloaded");
 
@@ -109,14 +116,18 @@ fn chain_on_a_reloaded_arena_matches_a_fresh_build() {
     let mut cold = QuotientSolver::with_observer(&m, HORIZON, &NOOP);
     scan_layer_valence_connectivity(&mut cold, DEPTH, true);
     let (bytes, _) = save_arena(cold.space(), &meta(n, HORIZON, "full"), &NOOP);
-    let (space, _, _) = load_quotient(&m, &bytes, &NOOP).expect("the snapshot reloads");
-    let got = witness_after_scan(&mut QuotientSolver::with_space(&m, HORIZON, space, &NOOP));
+    let (space, _, _) = load_arena::<_, Orbits>(&m, &bytes, &NOOP).expect("the snapshot reloads");
+    let got = witness_after_scan(
+        &mut QuotientSolver::with_space(&m, HORIZON, space, &reg),
+        &reg,
+    );
     let want = ImpossibilityWitness::build_quotient(&m, HORIZON, DEPTH);
     assert_same_witness(&m, &got, want, "orbits, reloaded");
 }
 
 #[test]
 fn chain_on_a_refreshed_arena_matches_a_fresh_build() {
+    let reg = MetricsRegistry::new();
     // The snapshot is taken at the default horizon; the resumed scan moves
     // the FloodMin deadline one round later, as `--resume --horizon` does.
     let (n, moved) = (3, HORIZON + 1);
@@ -125,10 +136,11 @@ fn chain_on_a_refreshed_arena_matches_a_fresh_build() {
     scan_layer_valence_connectivity(&mut cold, DEPTH, true);
     let (bytes, _) = save_arena(cold.space(), &meta(n, HORIZON, "s1"), &NOOP);
     let m = s1(n, moved);
-    let (mut space, _, _) = load_space(&m, &bytes, &NOOP).expect("the snapshot reloads");
+    let (mut space, _, _) =
+        load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("the snapshot reloads");
     let diff = space.refresh_differential(&m, &NOOP);
     assert!(diff.recomputed > 0, "the deadline move recomputes rows");
-    let got = witness_after_scan(&mut ValenceSolver::with_space(&m, moved, space, &NOOP));
+    let got = witness_after_scan(&mut ValenceSolver::with_space(&m, moved, space, &reg), &reg);
     let want = ImpossibilityWitness::build(&m, moved, DEPTH);
     assert_same_witness(&m, &got, want, "plain, refreshed");
 
@@ -137,10 +149,14 @@ fn chain_on_a_refreshed_arena_matches_a_fresh_build() {
     scan_layer_valence_connectivity(&mut cold, DEPTH, true);
     let (bytes, _) = save_arena(cold.space(), &meta(n, HORIZON, "full"), &NOOP);
     let m = full(n, moved);
-    let (mut space, _, _) = load_quotient(&m, &bytes, &NOOP).expect("the snapshot reloads");
+    let (mut space, _, _) =
+        load_arena::<_, Orbits>(&m, &bytes, &NOOP).expect("the snapshot reloads");
     let diff = space.refresh_differential(&m, &NOOP);
     assert!(diff.recomputed > 0, "the deadline move recomputes orbits");
-    let got = witness_after_scan(&mut QuotientSolver::with_space(&m, moved, space, &NOOP));
+    let got = witness_after_scan(
+        &mut QuotientSolver::with_space(&m, moved, space, &reg),
+        &reg,
+    );
     let want = ImpossibilityWitness::build_quotient(&m, moved, DEPTH);
     assert_same_witness(&m, &got, want, "orbits, refreshed");
 }

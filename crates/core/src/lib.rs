@@ -84,7 +84,7 @@ pub use space::pack::{
     pack_decision, unpack_decision, FieldPacker, StatePacker, WordReader, WordWriter, DECISION_BITS,
 };
 pub use space::snapshot::{
-    load_quotient, load_space, save_arena, ArenaMeta, SnapshotError, SnapshotReader, SnapshotState,
+    load_arena, save_arena, ArenaMeta, SnapshotError, SnapshotReader, SnapshotState,
     SNAPSHOT_VERSION,
 };
 pub use space::{Arena, DiffReport, Keying, Orbits, Plain, QuotientSpace, StateId, StateSpace};

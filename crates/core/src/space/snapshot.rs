@@ -1,6 +1,7 @@
 //! Persistent arenas: versioned, integrity-hashed snapshots of an
-//! [`Arena`] under either keying ([`StateSpace`] and [`QuotientSpace`]
-//! share one codec and one validation path).
+//! [`Arena`] under either keying ([`StateSpace`](super::StateSpace) and
+//! [`QuotientSpace`](super::QuotientSpace) share one codec and one
+//! validation path).
 //!
 //! # Wire format
 //!
@@ -60,9 +61,9 @@ use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use super::pack::{StatePacker, SPILL_TAG};
-use super::{Arena, Index, Keying, QuotientSpace, Slot, StateId, StateSpace, Store, SuccRange};
+use super::{Arena, Index, Keying, Slot, StateId, Store, SuccRange};
 use crate::hash::{is_hash, sha256_hex};
-use crate::sym::{PidPerm, Symmetric};
+use crate::sym::PidPerm;
 use crate::telemetry::json::Json;
 use crate::telemetry::{clock, Observer, Span};
 use crate::{LayeredModel, Pid, Value};
@@ -787,9 +788,9 @@ fn measured_load<T>(
 }
 
 /// Serializes an arena under the given provenance: the state sections,
-/// then the keying's trailer (for [`QuotientSpace`], the orbit sizes and
-/// per-edge de-quotienting permutations). Returns the snapshot bytes and
-/// their integrity hash (the header's `sha256`).
+/// then the keying's trailer (for [`QuotientSpace`](super::QuotientSpace),
+/// the orbit sizes and per-edge de-quotienting permutations). Returns the
+/// snapshot bytes and their integrity hash (the header's `sha256`).
 pub fn save_arena<M, K>(
     space: &Arena<M, K>,
     meta: &ArenaMeta,
@@ -821,12 +822,29 @@ where
     })
 }
 
-/// The one loader behind [`load_space`] and [`load_quotient`].
+/// Deserializes an arena snapshot for `model` under the keying `K`,
+/// verifying the integrity hash and every structural invariant before the
+/// arena is handed back: the header's `kind` must be `K`'s (`state` for
+/// [`StateSpace`](super::StateSpace), `quotient` for
+/// [`QuotientSpace`](super::QuotientSpace)) and its `n` must match
+/// `model` (decoding against a differently-sized model would read every
+/// packed word as nonsense). The store mode follows the blob's `packed`
+/// flag, so the model is only consulted for its [`StatePacker`] when the
+/// blob needs one. A quotient blob's trailer is checked too: every orbit
+/// size non-zero, every de-quotienting permutation of degree `n` and a
+/// genuine permutation. Returns the arena, its recorded provenance, and
+/// the integrity hash.
+///
+/// # Errors
+///
+/// A [`SnapshotError`] naming the first defect found.
 ///
 /// # Panics
 ///
-/// Panics if `K` cannot key `model`.
-fn load_arena<M, K>(
+/// Panics if `K` cannot key `model`, the same contract as
+/// [`Arena::for_model`]: a quotient blob needs `model`'s current layering
+/// to be equivariant.
+pub fn load_arena<M, K>(
     model: &M,
     bytes: &[u8],
     obs: &dyn Observer,
@@ -869,58 +887,10 @@ where
     })
 }
 
-/// Deserializes a [`StateSpace`] snapshot for `model`, verifying the
-/// integrity hash and every structural invariant before the arena is
-/// handed back: the header's `kind` must be `state` and its `n` must match
-/// `model` (decoding against a differently-sized model would read every
-/// packed word as nonsense). The store mode follows the blob's `packed`
-/// flag, so the model is only consulted for its [`StatePacker`] when the
-/// blob needs one. Returns the arena, its recorded provenance, and the
-/// integrity hash.
-///
-/// # Errors
-///
-/// A [`SnapshotError`] naming the first defect found.
-pub fn load_space<M>(
-    model: &M,
-    bytes: &[u8],
-    obs: &dyn Observer,
-) -> Result<(StateSpace<M>, ArenaMeta, String), SnapshotError>
-where
-    M: LayeredModel,
-    M::State: SnapshotState,
-{
-    load_arena(model, bytes, obs)
-}
-
-/// Deserializes a [`QuotientSpace`] snapshot for `model`: the same checks
-/// as [`load_space`] with `kind` `quotient`, plus the trailer — every
-/// orbit size non-zero, every de-quotienting permutation of degree `n` and
-/// a genuine permutation.
-///
-/// # Errors
-///
-/// A [`SnapshotError`] naming the first defect found.
-///
-/// # Panics
-///
-/// Panics if `model`'s current layering is not equivariant — the same
-/// contract as [`QuotientSpace::new`].
-pub fn load_quotient<M>(
-    model: &M,
-    bytes: &[u8],
-    obs: &dyn Observer,
-) -> Result<(QuotientSpace<M>, ArenaMeta, String), SnapshotError>
-where
-    M: Symmetric,
-    M::State: SnapshotState,
-{
-    load_arena(model, bytes, obs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::{Orbits, Plain, StateSpace};
     use crate::telemetry::{MetricsRegistry, NOOP};
     use crate::testkit::{CounterModel, Unpacked};
 
@@ -947,7 +917,8 @@ mod tests {
     fn state_space_round_trips() {
         let (m, space) = built_space();
         let (bytes, digest) = save_arena(&space, &meta(), &NOOP);
-        let (loaded, got_meta, got_digest) = load_space(&m, &bytes, &NOOP).expect("loads");
+        let (loaded, got_meta, got_digest) =
+            load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("loads");
         assert_eq!(got_meta, meta());
         assert_eq!(got_digest, digest);
         assert_eq!(loaded.len(), space.len());
@@ -971,7 +942,7 @@ mod tests {
         let (m, space) = built_space();
         let reg = MetricsRegistry::new();
         let (bytes, _) = save_arena(&space, &meta(), &reg);
-        load_space(&m, &bytes, &reg).expect("loads");
+        load_arena::<_, Plain>(&m, &bytes, &reg).expect("loads");
         let snap = reg.snapshot();
         assert_eq!(
             snap.gauge_max("space.snapshot.bytes_written"),
@@ -985,7 +956,7 @@ mod tests {
         let (_, space) = built_space();
         let (bytes, _) = save_arena(&space, &meta(), &NOOP);
         let m = CounterModel::new(3, 4);
-        let err = match load_quotient::<CounterModel>(&m, &bytes, &NOOP) {
+        let err = match load_arena::<_, Orbits>(&m, &bytes, &NOOP) {
             Ok(_) => panic!("state snapshot loaded as quotient"),
             Err(e) => e,
         };
@@ -1003,7 +974,7 @@ mod tests {
             "\",\"version\":1}\n"
         );
         let m = CounterModel::new(3, 4);
-        let err = match load_space(&m, header.as_bytes(), &NOOP) {
+        let err = match load_arena::<_, Plain>(&m, header.as_bytes(), &NOOP) {
             Ok(_) => panic!("version-1 snapshot loaded"),
             Err(e) => e,
         };
@@ -1019,7 +990,7 @@ mod tests {
         let nl = bytes.iter().position(|&b| b == b'\n').expect("header line");
         let header = std::str::from_utf8(&bytes[..nl]).expect("UTF-8 header");
         assert!(header.contains("\"packed\":1"), "{header}");
-        let (loaded, _, _) = load_space(&m, &bytes, &NOOP).expect("loads");
+        let (loaded, _, _) = load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("loads");
         assert!(loaded.store.is_packed());
     }
 
@@ -1034,7 +1005,7 @@ mod tests {
         let nl = bytes.iter().position(|&b| b == b'\n').expect("header line");
         let header = std::str::from_utf8(&bytes[..nl]).expect("UTF-8 header");
         assert!(header.contains("\"packed\":0"), "{header}");
-        let (loaded, _, _) = load_space(&m, &bytes, &NOOP).expect("loads");
+        let (loaded, _, _) = load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("loads");
         assert!(!loaded.store.is_packed(), "loader follows the blob's flag");
         // Byte-identical re-save through the boxed path.
         let (again, _) = save_arena(&loaded, &meta(), &NOOP);

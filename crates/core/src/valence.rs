@@ -280,6 +280,12 @@ impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
         self.obs
     }
 
+    /// Points the solver's reports at `obs`, returning the observer it
+    /// reported to before.
+    pub(crate) fn replace_observer(&mut self, obs: &'a dyn Observer) -> &'a dyn Observer {
+        std::mem::replace(&mut self.obs, obs)
+    }
+
     /// The analysis horizon.
     #[must_use]
     pub fn horizon(&self) -> usize {

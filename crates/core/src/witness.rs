@@ -11,10 +11,11 @@
 use crate::connectivity::valence_report;
 use crate::layering::build_bivalent_run;
 use crate::model::{ExecutionTrace, TraceError};
-use crate::space::{Keying, Orbits, Plain};
+use crate::space::Keying;
 use crate::sym::Symmetric;
+use crate::telemetry::NOOP;
 use crate::valence::{undecided_non_failed, Solver};
-use crate::{LayeredModel, ValenceSolver};
+use crate::{LayeredModel, QuotientSolver, ValenceSolver};
 
 /// A packaged impossibility argument for one model + protocol instance.
 #[derive(Clone, Debug)]
@@ -65,7 +66,7 @@ pub enum WitnessError {
 
 impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> {
     /// Constructs a witness by running the Theorem 4.2 engine for `steps`
-    /// layers at the given horizon.
+    /// layers at the given horizon, on a fresh solver.
     ///
     /// Returns `None` if no bivalent initial state exists or the chain
     /// cannot be extended to the requested length (in which case the
@@ -76,7 +77,7 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     where
         M: LayeredModel<State = S>,
     {
-        Self::build_keyed::<M, Plain>(model, horizon, steps)
+        Self::from_solver(&mut ValenceSolver::new(model, horizon), steps)
     }
 
     /// Like [`build`](Self::build), but runs the Theorem 4.2 engine over
@@ -100,24 +101,35 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     where
         M: Symmetric<State = S>,
     {
-        Self::build_keyed::<M, Orbits>(model, horizon, steps)
+        Self::from_solver(&mut QuotientSolver::new(model, horizon), steps)
     }
 
-    /// The Theorem 4.2 run over the arena keyed by `K`, materialized into
-    /// an execution of `model` by [`build_bivalent_run`].
-    fn build_keyed<M, K>(model: &M, horizon: usize, steps: usize) -> Option<Self>
+    /// The Theorem 4.2 run for `steps` layers at the solver's horizon,
+    /// materialized into an execution of the solver's model by
+    /// [`build_bivalent_run`].
+    ///
+    /// The run reuses every state the solver has interned and every
+    /// valence it has memoised, so a witness built on the solver of a
+    /// finished layer scan classifies only what the scan did not. The
+    /// witness is the same as [`build`](Self::build) or
+    /// [`build_quotient`](Self::build_quotient) would produce, and, like
+    /// them, the chain search reports nothing: the solver's observer is
+    /// set aside while it runs, so the scan's metrics stay exactly what
+    /// the scan did.
+    pub fn from_solver<M, K>(solver: &mut Solver<'_, M, K>, steps: usize) -> Option<Self>
     where
         M: LayeredModel<State = S>,
         K: Keying<M>,
     {
-        let mut solver = Solver::<M, K>::new(model, horizon);
-        let run = build_bivalent_run(&mut solver, steps);
+        let obs = solver.replace_observer(&NOOP);
+        let run = build_bivalent_run(solver, steps);
+        solver.replace_observer(obs);
         if !run.reached_target() {
             return None;
         }
         Some(ImpossibilityWitness {
             chain: run.chain?,
-            horizon,
+            horizon: solver.horizon(),
             undecided: run.undecided_per_state,
         })
     }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use layered_core::telemetry::NOOP;
 use layered_core::testkit::{CounterModel, Unpacked};
 use layered_core::{
-    load_quotient, load_space, save_arena, ArenaMeta, LayeredModel, QuotientSpace, SnapshotError,
+    load_arena, save_arena, ArenaMeta, LayeredModel, Orbits, Plain, QuotientSpace, SnapshotError,
     StateId, StateSpace,
 };
 
@@ -66,7 +66,7 @@ proptest! {
         let m = meta(n as u64, depth as u64);
         let (bytes, digest) = save_arena(&space, &m, &NOOP);
         let (loaded, got_meta, got_digest) =
-            load_space(&model, &bytes, &NOOP).expect("pristine blob loads");
+            load_arena::<_, Plain>(&model, &bytes, &NOOP).expect("pristine blob loads");
         prop_assert_eq!(got_meta, m.clone());
         prop_assert_eq!(got_digest, digest);
         prop_assert_eq!(loaded.len(), space.len());
@@ -97,7 +97,7 @@ proptest! {
         let m = meta(n as u64, depth as u64);
         let (bytes, digest) = save_arena(&space, &m, &NOOP);
         let (loaded, got_meta, got_digest) =
-            load_quotient(&model, &bytes, &NOOP).expect("pristine blob loads");
+            load_arena::<_, Orbits>(&model, &bytes, &NOOP).expect("pristine blob loads");
         prop_assert_eq!(got_meta, m.clone());
         prop_assert_eq!(got_digest, digest);
         prop_assert_eq!(loaded.len(), space.len());
@@ -134,12 +134,12 @@ fn corrupted_bytes_are_rejected() {
         let mut tampered = pristine.clone();
         tampered[pos] ^= 0x01;
         assert!(
-            load_space(&model, &tampered, &NOOP).is_err(),
+            load_arena::<_, Plain>(&model, &tampered, &NOOP).is_err(),
             "tampering at byte {pos} not caught"
         );
     }
     // The pristine bytes still load.
-    load_space(&model, &pristine, &NOOP).expect("pristine blob loads");
+    load_arena::<_, Plain>(&model, &pristine, &NOOP).expect("pristine blob loads");
 }
 
 /// The quotient loader rejects the same bit flips, including in the
@@ -152,11 +152,11 @@ fn corrupted_quotient_bytes_are_rejected() {
         let mut tampered = pristine.clone();
         tampered[pos] ^= 0x01;
         assert!(
-            load_quotient(&model, &tampered, &NOOP).is_err(),
+            load_arena::<_, Orbits>(&model, &tampered, &NOOP).is_err(),
             "tampering at byte {pos} not caught"
         );
     }
-    load_quotient(&model, &pristine, &NOOP).expect("pristine blob loads");
+    load_arena::<_, Orbits>(&model, &pristine, &NOOP).expect("pristine blob loads");
 }
 
 /// Truncation (a partial write) is caught at every prefix length, and so
@@ -173,14 +173,14 @@ fn truncated_and_padded_blobs_are_rejected() {
         pristine.len() - 1,
     ] {
         assert!(
-            load_space(&model, &pristine[..len], &NOOP).is_err(),
+            load_arena::<_, Plain>(&model, &pristine[..len], &NOOP).is_err(),
             "truncation to {len} bytes not caught"
         );
     }
     let mut padded = pristine.clone();
     padded.push(0);
     assert!(
-        load_space(&model, &padded, &NOOP).is_err(),
+        load_arena::<_, Plain>(&model, &padded, &NOOP).is_err(),
         "trailing byte not caught"
     );
 }
@@ -199,7 +199,7 @@ fn version_mismatch_is_rejected_before_hashing() {
         .expect("canonical header carries the version");
     let mut tampered = pristine;
     tampered[pos + needle.len() - 1] = b'3';
-    match load_space(&model, &tampered, &NOOP) {
+    match load_arena::<_, Plain>(&model, &tampered, &NOOP) {
         Err(SnapshotError::UnsupportedVersion(3)) => {}
         Err(other) => panic!("expected UnsupportedVersion(3), got {other:?}"),
         Ok(_) => panic!("version-tampered blob loaded"),
@@ -212,7 +212,7 @@ fn version_mismatch_is_rejected_before_hashing() {
 fn wrong_kind_is_rejected_both_ways() {
     let (model, qspace, _) = built_quotient_space(3, 2, 2);
     let (qbytes, _) = save_arena(&qspace, &meta(3, 2), &NOOP);
-    match load_space(&model, &qbytes, &NOOP) {
+    match load_arena::<_, Plain>(&model, &qbytes, &NOOP) {
         Err(SnapshotError::WrongKind { expected, found }) => {
             assert_eq!(expected, "state");
             assert_eq!(found, "quotient");
@@ -223,7 +223,7 @@ fn wrong_kind_is_rejected_both_ways() {
 
     let (_, space, _) = built_state_space(3, 2, 2);
     let (bytes, _) = save_arena(&space, &meta(3, 2), &NOOP);
-    match load_quotient(&model, &bytes, &NOOP) {
+    match load_arena::<_, Orbits>(&model, &bytes, &NOOP) {
         Err(SnapshotError::WrongKind { expected, found }) => {
             assert_eq!(expected, "quotient");
             assert_eq!(found, "state");
@@ -240,7 +240,8 @@ fn empty_space_roundtrips() {
     let space = StateSpace::for_model(&Unpacked(model.clone()));
     let m = meta(3, 0);
     let (bytes, _) = save_arena(&space, &m, &NOOP);
-    let (loaded, got_meta, _) = load_space(&model, &bytes, &NOOP).expect("empty blob loads");
+    let (loaded, got_meta, _) =
+        load_arena::<_, Plain>(&model, &bytes, &NOOP).expect("empty blob loads");
     assert_eq!(got_meta, m);
     assert_eq!(loaded.len(), 0);
     assert_eq!(loaded.edge_count(), 0);

@@ -5,8 +5,8 @@
 
 use layered_core::testkit::Unpacked;
 use layered_core::{
-    load_quotient, load_space, save_arena, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, ArenaMeta, LayeredModel, NoopObserver,
+    load_arena, save_arena, scan_layer_valence_connectivity,
+    scan_layer_valence_connectivity_parallel, ArenaMeta, LayeredModel, NoopObserver, Orbits, Plain,
     QuotientSolver, QuotientSpace, SnapshotError, StateSpace, ValenceSolver,
 };
 use layered_protocols::FloodMin;
@@ -35,7 +35,7 @@ fn interned_arena_roundtrips_at_n3() {
     let mut space = StateSpace::for_model(&boxed);
     let levels = space.expand_layers(&boxed, &roots, 2, &NOOP);
     let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "s1"), &NOOP);
-    let (loaded, _, _) = load_space(&m, &bytes, &NOOP).expect("pristine blob loads");
+    let (loaded, _, _) = load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("pristine blob loads");
     assert_eq!(loaded.len(), space.len());
     assert_eq!(loaded.edge_count(), space.edge_count());
     for id in levels.iter().flatten().copied() {
@@ -55,7 +55,7 @@ fn quotient_arena_roundtrips_at_n3() {
     let mut space = QuotientSpace::for_model(&m);
     let levels = space.expand_layers(&m, &roots, 2, &NOOP);
     let (bytes, _) = save_arena(&space, &meta(3, 3, 2, "full"), &NOOP);
-    let (loaded, _, _) = load_quotient(&m, &bytes, &NOOP).expect("pristine blob loads");
+    let (loaded, _, _) = load_arena::<_, Orbits>(&m, &bytes, &NOOP).expect("pristine blob loads");
     assert_eq!(loaded.len(), space.len());
     assert_eq!(loaded.edge_count(), space.edge_count());
     assert_eq!(loaded.covered_states(), space.covered_states());
@@ -91,10 +91,10 @@ fn snapshot_of_another_process_count_is_rejected() {
         save_arena(&unpacked, &blob_meta, &NOOP),
     ] {
         assert!(
-            load_space(&m3, &bytes, &NOOP).is_ok(),
+            load_arena::<_, Plain>(&m3, &bytes, &NOOP).is_ok(),
             "pristine blob loads"
         );
-        match load_space(&m4, &bytes, &NOOP) {
+        match load_arena::<_, Plain>(&m4, &bytes, &NOOP) {
             Ok(_) => panic!("n = 3 state snapshot loaded against an n = 4 model"),
             Err(e) => assert_eq!(e, mismatch),
         }
@@ -107,7 +107,7 @@ fn snapshot_of_another_process_count_is_rejected() {
         save_arena(&packed, &blob_meta, &NOOP),
         save_arena(&unpacked, &blob_meta, &NOOP),
     ] {
-        match load_quotient(&m4, &bytes, &NOOP) {
+        match load_arena::<_, Orbits>(&m4, &bytes, &NOOP) {
             Ok(_) => panic!("n = 3 quotient snapshot loaded against an n = 4 model"),
             Err(e) => assert_eq!(e, mismatch),
         }
@@ -132,7 +132,7 @@ fn resumed_interned_scan_is_bit_identical_at_n4() {
     assert_eq!(cold_seq, cold_par, "seq/par cold scans disagree");
 
     for threads in [0, 4] {
-        let (space, _, _) = load_space(&m, &bytes, &NOOP).expect("snapshot reloads");
+        let (space, _, _) = load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("snapshot reloads");
         let mut resumed = ValenceSolver::with_space(&m, horizon, space, &NOOP);
         let scan = if threads == 0 {
             scan_layer_valence_connectivity(&mut resumed, 2, true)
@@ -160,7 +160,7 @@ fn resumed_quotient_scan_is_bit_identical_at_n4() {
     assert_eq!(cold_seq, cold_par, "seq/par cold scans disagree");
 
     for threads in [0, 4] {
-        let (space, _, _) = load_quotient(&m, &bytes, &NOOP).expect("snapshot reloads");
+        let (space, _, _) = load_arena::<_, Orbits>(&m, &bytes, &NOOP).expect("snapshot reloads");
         let mut resumed = QuotientSolver::with_space(&m, horizon, space, &NOOP);
         let scan = if threads == 0 {
             scan_layer_valence_connectivity(&mut resumed, 2, true)
@@ -185,7 +185,7 @@ fn differential_refresh_matches_cold_scan_after_deadline_move() {
     let mut cold2 = QuotientSolver::with_observer(&m2, 3, &NOOP);
     let want = scan_layer_valence_connectivity(&mut cold2, 1, true);
 
-    let (mut space, _, _) = load_quotient(&m2, &bytes, &NOOP).expect("snapshot reloads");
+    let (mut space, _, _) = load_arena::<_, Orbits>(&m2, &bytes, &NOOP).expect("snapshot reloads");
     let diff = space.refresh_differential(&m2, &NOOP);
     assert!(diff.reused > 0, "no rows reused: {diff:?}");
     assert!(diff.recomputed > 0, "no rows recomputed: {diff:?}");
