@@ -109,13 +109,13 @@ impl<S: Clone + Eq + std::hash::Hash + std::fmt::Debug> ImpossibilityWitness<S> 
     /// [`build_bivalent_run`].
     ///
     /// The run reuses every state the solver has interned and every
-    /// valence it has memoised, so a witness built on the solver of a
-    /// finished layer scan classifies only what the scan did not. The
-    /// witness is the same as [`build`](Self::build) or
-    /// [`build_quotient`](Self::build_quotient) would produce, and, like
-    /// them, the chain search reports nothing: the solver's observer is
-    /// set aside while it runs, so the scan's metrics stay exactly what
-    /// the scan did.
+    /// valence it has memoized, so a witness built on the solver of a
+    /// finished layer scan classifies only what the scan did not. On a
+    /// solver with the default probe the witness is the one
+    /// [`build`](Self::build) or [`build_quotient`](Self::build_quotient)
+    /// would produce at the same horizon. Like them, the chain search
+    /// reports nothing: the solver's observer is set aside while it runs,
+    /// so the solver's metrics show only the work done before the call.
     pub fn from_solver<M, K>(solver: &mut Solver<'_, M, K>, steps: usize) -> Option<Self>
     where
         M: LayeredModel<State = S>,
