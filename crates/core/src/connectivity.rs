@@ -77,49 +77,6 @@ pub fn similarity_graph<M: LayeredModel>(
     })
 }
 
-/// The graph `(X, ∼_v)` over interned states, computing valence flags with
-/// `solver` (and reporting `connectivity.pairs_tested` /
-/// `connectivity.valence_edges` to the solver's observer). The adjacency
-/// is assembled directly in CSR form (no per-vertex `Vec` growth or
-/// membership scans).
-///
-/// Over a [`QuotientSolver`](crate::QuotientSolver) the vertices are orbit
-/// representatives. Because a shared-valence edge depends only on the two
-/// states' valence *flags* — and valence is invariant under process
-/// renaming — collapsing a layer to orbit representatives preserves which
-/// valence classes are present, and therefore preserves the *connected*
-/// verdict of the layer's valence graph (vertex and edge counts
-/// legitimately shrink).
-pub fn valence_graph_ids<M: LayeredModel, K: Keying<M>>(
-    solver: &mut Solver<'_, M, K>,
-    ids: &[StateId],
-) -> Graph {
-    let vals: Vec<Valences> = ids.iter().map(|&id| solver.valences_id(id)).collect();
-    let obs = solver.observer();
-    let n = vals.len();
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut edges = Vec::new();
-    offsets.push(0);
-    for a in 0..n {
-        for b in 0..n {
-            if b == a {
-                continue;
-            }
-            if a < b {
-                obs.counter("connectivity.pairs_tested", 1);
-            }
-            if (vals[a].zero && vals[b].zero) || (vals[a].one && vals[b].one) {
-                edges.push(b);
-                if a < b {
-                    obs.counter("connectivity.valence_edges", 1);
-                }
-            }
-        }
-        offsets.push(edges.len());
-    }
-    Graph::from_csr(n, &offsets, &edges)
-}
-
 /// Summary of a connectivity analysis of a state set.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConnectivityReport {
@@ -163,17 +120,60 @@ pub fn valence_report<M: LayeredModel>(
     valence_report_ids(solver, &ids)
 }
 
-/// Connectivity of `(X, ∼_v)` over interned states. Over a
-/// [`QuotientSolver`](crate::QuotientSolver) the `connected` verdict
-/// matches the full layer's (see [`valence_graph_ids`]); `states`,
-/// `components` and `diameter` describe the collapsed graph. Kept public
-/// beside [`valence_report`] because `perfbench/src/scan.rs` imports it.
+/// Connectivity of `(X, ∼_v)` over interned states, counted from the
+/// valence flags the solver computes for each entry (no graph is built;
+/// see `valence_census`). Telemetry goes to the solver's observer. Over a
+/// [`QuotientSolver`](crate::QuotientSolver) the entries are orbit
+/// representatives: valence is invariant under process renaming, so orbit
+/// collapse preserves which classes are present, and with them the
+/// `connected` verdict of every layer that holds a valent entry, while
+/// `states`, `components` and `diameter` describe the collapsed set. Kept
+/// public beside [`valence_report`] because `perfbench/src/scan.rs`
+/// imports it.
 pub fn valence_report_ids<M: LayeredModel, K: Keying<M>>(
     solver: &mut Solver<'_, M, K>,
     ids: &[StateId],
 ) -> ConnectivityReport {
-    let g = valence_graph_ids(solver, ids);
-    ConnectivityReport::from_graph(&g, solver.observer())
+    let flags: Vec<Valences> = ids.iter().map(|&id| solver.valences_id(id)).collect();
+    valence_census(&flags)
+}
+
+/// The connectivity of `(X, ∼_v)` for entries with the given flags.
+///
+/// `x ∼_v y` depends only on the two entries' flags, so the graph is a
+/// 0-valent clique and a 1-valent clique that share the bivalent entries,
+/// plus one isolated vertex per entry with no valence. Counting the
+/// 0-univalent (U0), 1-univalent (U1) and bivalent (B) entries therefore
+/// decides everything: the valent entries form no component if there are
+/// none, two if U0 and U1 are both non-empty and B is empty, and one
+/// otherwise; any two valent entries are adjacent unless one is in U0 and
+/// the other in U1, where a bivalent entry joins them in two steps.
+/// Entries are counted by position, so a state listed twice counts twice.
+fn valence_census(flags: &[Valences]) -> ConnectivityReport {
+    let count = |zero, one| {
+        flags
+            .iter()
+            .filter(|v| (v.zero, v.one) == (zero, one))
+            .count()
+    };
+    let (u0, u1, b) = (count(true, false), count(false, true), count(true, true));
+    let split = u0 > 0 && u1 > 0;
+    // One valent component if any entry is valent, plus one more when no
+    // bivalent entry bridges U0 and U1.
+    let valent_components = usize::from(u0 + u1 + b > 0) + usize::from(split && b == 0);
+    let components = count(false, false) + valent_components;
+    let connected = components <= 1;
+    let diameter = match flags.len() {
+        0 => None,
+        1 => Some(0),
+        _ => connected.then_some(if split { 2 } else { 1 }),
+    };
+    ConnectivityReport {
+        states: flags.len(),
+        connected,
+        components,
+        diameter,
+    }
 }
 
 /// The quotient name of [`valence_report_ids`] (the same function), kept
@@ -378,6 +378,60 @@ mod tests {
         let with_root = vec![0u32, 1, 2];
         let rep2 = valence_report(&mut solver, &with_root);
         assert!(rep2.connected);
+    }
+
+    /// The report of the explicit graph `(X, ∼_v)` over entries with the
+    /// given flags: the reference the census must match.
+    fn graph_report(flags: &[Valences]) -> ConnectivityReport {
+        let g = Graph::from_predicate(flags.len(), |a, b| {
+            (flags[a].zero && flags[b].zero) || (flags[a].one && flags[b].one)
+        });
+        ConnectivityReport::from_graph(&g, &NOOP)
+    }
+
+    /// Flags from class codes: bit 0 is 0-valent, bit 1 is 1-valent.
+    fn flags_of(classes: &[u8]) -> Vec<Valences> {
+        let flag = |c: u8| Valences {
+            zero: c & 1 != 0,
+            one: c & 2 != 0,
+        };
+        classes.iter().map(|&c| flag(c)).collect()
+    }
+
+    #[test]
+    fn census_matches_the_graph_on_edge_cases() {
+        let cases: [&[u8]; 12] = [
+            &[],
+            &[0],
+            &[1],
+            &[3],
+            &[0, 0],
+            &[0, 0, 0],
+            &[1, 1],
+            &[1, 2],
+            &[1, 2, 3],
+            &[1, 3, 2, 3],
+            &[1, 2, 0],
+            &[3, 0],
+        ];
+        for classes in cases {
+            let flags = flags_of(classes);
+            assert_eq!(valence_census(&flags), graph_report(&flags), "{classes:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// On random flag vectors, and on each vector's first entry, the
+        /// vector listed twice, and the same number of no-valence entries.
+        #[test]
+        fn census_matches_the_graph(classes in proptest::collection::vec(0u8..4, 0..10)) {
+            let flags = flags_of(&classes);
+            let doubled = [flags.as_slice(), flags.as_slice()].concat();
+            let no_valence = vec![Valences::NONE; flags.len()];
+            for set in [&flags[..], &flags[..flags.len().min(1)], &doubled, &no_valence] {
+                proptest::prop_assert_eq!(valence_census(set), graph_report(set), "{:?}", set);
+            }
+        }
     }
 
     #[test]

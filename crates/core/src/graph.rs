@@ -108,36 +108,6 @@ impl Graph {
         g
     }
 
-    /// Builds a graph directly from a compressed-sparse-row neighbor layout:
-    /// the neighbors of vertex `a` are `edges[offsets[a]..offsets[a + 1]]`.
-    ///
-    /// Callers must supply a *symmetric* layout (each undirected edge listed
-    /// from both endpoints, no self-loops); the connectivity engines produce
-    /// exactly that shape, which skips the per-vertex membership scans of
-    /// [`Graph::add_edge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offsets` does not have `n + 1` nondecreasing entries
-    /// ending at `edges.len()`, or if any neighbor is out of range.
-    #[must_use]
-    pub fn from_csr(n: usize, offsets: &[usize], edges: &[usize]) -> Self {
-        assert_eq!(offsets.len(), n + 1, "offsets must have n + 1 entries");
-        assert_eq!(offsets[n], edges.len(), "offsets must end at edges.len()");
-        let mut adj = Vec::with_capacity(n);
-        for a in 0..n {
-            let (start, end) = (offsets[a], offsets[a + 1]);
-            assert!(start <= end, "offsets must be nondecreasing");
-            let ns = edges[start..end].to_vec();
-            assert!(
-                ns.iter().all(|&b| b < n && b != a),
-                "neighbor out of range or self-loop at vertex {a}"
-            );
-            adj.push(ns);
-        }
-        Graph { adj }
-    }
-
     /// Number of vertices.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -362,31 +332,6 @@ mod tests {
         assert_eq!(uf.parent[3], 1);
         assert_eq!(uf.parent[1], 0);
         assert_eq!(uf.find(7), 0);
-    }
-
-    #[test]
-    fn from_csr_matches_add_edge_construction() {
-        // Path 0 - 1 - 2 - 3 in CSR form.
-        let offsets = [0usize, 1, 3, 5, 6];
-        let edges = [1usize, 0, 2, 1, 3, 2];
-        let g = Graph::from_csr(4, &offsets, &edges);
-        assert_eq!(g, path_graph(4));
-        assert_eq!(g.edge_count(), 3);
-        assert!(g.is_connected());
-        // Empty graphs round-trip too.
-        assert_eq!(Graph::from_csr(0, &[0], &[]), Graph::new(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "offsets must have n + 1 entries")]
-    fn from_csr_rejects_bad_offsets() {
-        let _ = Graph::from_csr(2, &[0, 1], &[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "neighbor out of range")]
-    fn from_csr_rejects_out_of_range_neighbors() {
-        let _ = Graph::from_csr(2, &[0, 1, 2], &[5, 0]);
     }
 
     #[test]

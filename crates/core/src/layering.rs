@@ -239,8 +239,9 @@ impl<S> LayerScan<S> {
 /// *orbit-collapsed* layer. Soundness: over an equivariant layering the
 /// quotient BFS visits exactly the orbits of the full BFS's states
 /// (bivalence is orbit-invariant, so the `only_bivalent` filter selects the
-/// same orbits), and a collapsed layer's `connected` verdict equals the
-/// full layer's (see [`valence_report_ids`]). `layers_checked` /
+/// same orbits), and orbit collapse preserves which valence classes a
+/// layer holds, which fixes the `connected` verdict of every layer with a
+/// valent entry (see [`valence_report_ids`]). `layers_checked` /
 /// `states_seen` then count *orbits* and are smaller than the full scan's
 /// — that reduction is the point.
 pub fn scan_layer_valence_connectivity<M: LayeredModel, K: Keying<M>>(

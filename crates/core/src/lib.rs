@@ -69,8 +69,7 @@ pub use checker::{
 pub use connectivity::{
     input_interpolation, quotient_valence_report_ids, s_diameter, similar,
     similarity_chain_between, similarity_graph, similarity_report, similarity_witness,
-    valence_graph_ids, valence_report, valence_report_ids, ConnectivityReport, SimilarityChain,
-    SimilarityWitness,
+    valence_report, valence_report_ids, ConnectivityReport, SimilarityChain, SimilarityWitness,
 };
 pub use layering::{
     bivalent_successor_id, build_bivalent_run, check_lemma_3_1, check_lemma_3_2,

@@ -33,7 +33,7 @@
 //! | gauge | units |
 //! |---|---|
 //! | `engine.frontier_width` | states in the current BFS frontier |
-//! | `graph.bfs_frontier` | vertices in the current BFS frontier |
+//! | `graph.bfs_frontier` | vertices in the current BFS frontier of a similarity graph (valence connectivity runs no BFS) |
 //! | `mem.*_bytes` | bytes (shallow capacity accounting) |
 //! | `scan.resume.*_wall_ns` | nanoseconds (timing; stripped) |
 //! | `scan.resume.speedup_x1000` | cold wall / warm wall, ×1000 |
@@ -77,7 +77,6 @@ pub const NAMES: &[&str] = &[
     "connectivity.chain_length",
     "connectivity.pairs_tested",
     "connectivity.similarity_edges",
-    "connectivity.valence_edges",
     "engine.dedup_hits",
     "engine.frontier_width",
     "engine.states_visited",
