@@ -12,8 +12,9 @@
 //!    reloaded arena matches a cold scan at the deeper depth, on both the
 //!    sequential and the parallel expansion path (the seq ≡ par contract
 //!    survives save/load).
-//! 3. **Interned twin** — the plain (non-quotient) arena round-trips and
-//!    extends the same way.
+//! 3. **Interned twin** — the plain (non-quotient) arena runs the same
+//!    round-trip and extend steps (one `round_trip`, generic over the
+//!    arena keying).
 //! 4. **Differential refresh** — after a *protocol change* (the FloodMin
 //!    deadline moves by one round), reloading the stale snapshot and
 //!    refreshing it re-expands only the arena rows whose raw successor
@@ -27,11 +28,11 @@
 //! something for the experiment to pass.
 
 use layered_core::report::Table;
-use layered_core::telemetry::clock;
+use layered_core::telemetry::{clock, Observer};
 use layered_core::{
     load_arena, save_arena, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, ArenaMeta, Orbits, Plain, QuotientSolver,
-    ValenceSolver,
+    scan_layer_valence_connectivity_parallel, ArenaMeta, Keying, Orbits, Plain, QuotientSolver,
+    Solver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -39,21 +40,81 @@ use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
 use crate::experiments::scaling::ScanConfig;
 use crate::Experiment;
 
-/// Provenance stamped on the in-memory snapshots the experiment writes.
-fn meta(cfg: &ScanConfig, horizon: usize, depth: usize, layering: &str) -> ArenaMeta {
-    ArenaMeta {
+/// Renders a pass/fail cell.
+fn verdict(ok: bool) -> String {
+    if ok { "yes" } else { "NO" }.to_string()
+}
+
+/// What one keying's round trip found (see [`round_trip`]).
+struct RoundTrip {
+    /// The snapshot of the cold scan's arena.
+    bytes: Vec<u8>,
+    /// Wall time of the cold scan at `cfg.depth`, in nanoseconds.
+    cold_ns: u64,
+    /// Wall time of the reload and warm scan at `cfg.depth`.
+    warm_ns: u64,
+    /// Whether the warm scan equals the cold one.
+    warm_identical: bool,
+    /// Whether the resumed scans one layer deeper, sequential and
+    /// parallel, equal cold scans there, which equal each other.
+    extend_identical: bool,
+    /// States the cold scan one layer deeper saw.
+    deep_states_seen: usize,
+}
+
+/// Under the keying `K`: a cold scan at `cfg.depth`, its snapshot, a warm
+/// scan over the reloaded arena, then cold and resumed scans one layer
+/// deeper, each sequential and parallel.
+fn round_trip<K: Keying<MobileModel<FloodMin>>>(
+    cfg: &ScanConfig,
+    m: &MobileModel<FloodMin>,
+    horizon: usize,
+    layering: &str,
+    obs: &dyn Observer,
+) -> RoundTrip {
+    let deeper = cfg.depth + 1;
+    let fresh = || Solver::<_, K>::with_observer(m, horizon, obs);
+
+    let t0 = clock::monotonic_ns();
+    let mut cold = fresh();
+    let cold_scan = scan_layer_valence_connectivity(&mut cold, cfg.depth, true);
+    let cold_ns = clock::monotonic_ns().saturating_sub(t0).max(1);
+    // Provenance stamped on the in-memory snapshot.
+    let meta = ArenaMeta {
         model: MODEL_KEY.to_string(),
         protocol: "floodmin".to_string(),
         n: cfg.n as u64,
         horizon: horizon as u64,
-        depth: depth as u64,
+        depth: cfg.depth as u64,
         layering: layering.to_string(),
-    }
-}
+    };
+    let (bytes, _) = save_arena(cold.space(), &meta, obs);
+    let reload = || {
+        load_arena::<_, K>(m, &bytes, obs)
+            .ok()
+            .map(|(space, _, _)| Solver::with_space(m, horizon, space, obs))
+    };
 
-/// Renders a pass/fail cell.
-fn verdict(ok: bool) -> String {
-    if ok { "yes" } else { "NO" }.to_string()
+    let t0 = clock::monotonic_ns();
+    let warm = reload().map(|mut s| scan_layer_valence_connectivity(&mut s, cfg.depth, true));
+    let warm_ns = clock::monotonic_ns().saturating_sub(t0).max(1);
+
+    let cold_seq = scan_layer_valence_connectivity(&mut fresh(), deeper, true);
+    let cold_par =
+        scan_layer_valence_connectivity_parallel(&mut fresh(), deeper, true, cfg.threads);
+    let seq = reload().map(|mut s| scan_layer_valence_connectivity(&mut s, deeper, true));
+    let par = reload()
+        .map(|mut s| scan_layer_valence_connectivity_parallel(&mut s, deeper, true, cfg.threads));
+    RoundTrip {
+        bytes,
+        cold_ns,
+        warm_ns,
+        warm_identical: warm.as_ref() == Some(&cold_scan),
+        extend_identical: cold_seq == cold_par
+            && seq.as_ref() == Some(&cold_seq)
+            && par.as_ref() == Some(&cold_par),
+        deep_states_seen: cold_seq.states_seen,
+    }
 }
 
 /// Runs the snapshot round-trip acceptance experiment (see the module
@@ -75,109 +136,40 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             let deeper = depth0 + 1;
             // Room to deepen by one layer with the deadline fixed.
             let horizon = depth0 + 2;
-            let m = MobileModel::new(cfg.n, FloodMin::new(horizon as u16))
-                .with_layering(MobileLayering::Full);
+            let mi = MobileModel::new(cfg.n, FloodMin::new(horizon as u16));
+            let m = mi.clone().with_layering(MobileLayering::Full);
 
-            // 1. Cold quotient scan; snapshot the arena.
-            let t0 = clock::monotonic_ns();
-            let mut cold = QuotientSolver::with_observer(&m, horizon, obs);
-            let cold_scan = scan_layer_valence_connectivity(&mut cold, depth0, true);
-            let cold_ns = clock::monotonic_ns().saturating_sub(t0).max(1);
-            let (qbytes, _) = save_arena(cold.space(), &meta(&cfg, horizon, depth0, "full"), obs);
-
-            // 2. Warm reload at the same depth: identical verdict, ≥5×
-            // faster (every successor row comes from the snapshot).
-            let t0 = clock::monotonic_ns();
-            let warm_scan = load_arena::<_, Orbits>(&m, &qbytes, obs)
-                .ok()
-                .map(|(space, _, _)| {
-                    let mut warm = QuotientSolver::with_space(&m, horizon, space, obs);
-                    scan_layer_valence_connectivity(&mut warm, depth0, true)
-                });
-            let warm_ns = clock::monotonic_ns().saturating_sub(t0).max(1);
-            let warm_identical = warm_scan.as_ref() == Some(&cold_scan);
-            let speedup_x1000 = cold_ns.saturating_mul(1000) / warm_ns;
+            // 1-3. The quotient pipeline: cold scan and snapshot, warm
+            // reload at the same depth (identical verdict, >=5x faster:
+            // every successor row comes from the snapshot), and
+            // resume-and-extend, sequential and parallel.
+            let quot = round_trip::<Orbits>(&cfg, &m, horizon, "full", obs);
+            let speedup_x1000 = quot.cold_ns.saturating_mul(1000) / quot.warm_ns;
             obs.gauge("scan.sym.n", cfg.n as u64);
-            obs.gauge("scan.resume.cold_wall_ns", cold_ns);
-            obs.gauge("scan.resume.warm_wall_ns", warm_ns);
+            obs.gauge("scan.resume.cold_wall_ns", quot.cold_ns);
+            obs.gauge("scan.resume.warm_wall_ns", quot.warm_ns);
             obs.gauge("scan.resume.speedup_x1000", speedup_x1000);
-            let fast_enough = speedup_x1000 >= 5_000;
             table.row_owned(vec![
                 "quotient".to_string(),
                 format!("warm reload @ depth {depth0}"),
                 format!("speedup x1000 = {speedup_x1000}"),
-                verdict(warm_identical),
+                verdict(quot.warm_identical),
             ]);
-
-            // 3. Resume-and-extend, sequential and parallel, vs. cold
-            // scans at the deeper depth.
-            let mut cs = QuotientSolver::with_observer(&m, horizon, obs);
-            let cold_deep_seq = scan_layer_valence_connectivity(&mut cs, deeper, true);
-            let mut cp = QuotientSolver::with_observer(&m, horizon, obs);
-            let cold_deep_par =
-                scan_layer_valence_connectivity_parallel(&mut cp, deeper, true, cfg.threads);
-            let resumed_seq =
-                load_arena::<_, Orbits>(&m, &qbytes, obs)
-                    .ok()
-                    .map(|(space, _, _)| {
-                        let mut s = QuotientSolver::with_space(&m, horizon, space, obs);
-                        scan_layer_valence_connectivity(&mut s, deeper, true)
-                    });
-            let resumed_par =
-                load_arena::<_, Orbits>(&m, &qbytes, obs)
-                    .ok()
-                    .map(|(space, _, _)| {
-                        let mut s = QuotientSolver::with_space(&m, horizon, space, obs);
-                        scan_layer_valence_connectivity_parallel(&mut s, deeper, true, cfg.threads)
-                    });
-            let extend_identical = cold_deep_seq == cold_deep_par
-                && resumed_seq.as_ref() == Some(&cold_deep_seq)
-                && resumed_par.as_ref() == Some(&cold_deep_par);
             table.row_owned(vec![
                 "quotient".to_string(),
                 format!("extend to depth {deeper} (seq + par)"),
-                format!("{} states seen", cold_deep_seq.states_seen),
-                verdict(extend_identical),
+                format!("{} states seen", quot.deep_states_seen),
+                verdict(quot.extend_identical),
             ]);
 
             // 4. The interned (non-quotient) pipeline: round-trip and
             // extend through the plain arena.
-            let mi = MobileModel::new(cfg.n, FloodMin::new(horizon as u16));
-            let mut icold = ValenceSolver::with_observer(&mi, horizon, obs);
-            let icold_scan = scan_layer_valence_connectivity(&mut icold, depth0, true);
-            let (ibytes, _) = save_arena(icold.space(), &meta(&cfg, horizon, depth0, "s1"), obs);
-            let mut ideep = ValenceSolver::with_observer(&mi, horizon, obs);
-            let icold_deep_seq = scan_layer_valence_connectivity(&mut ideep, deeper, true);
-            let mut ideep_par = ValenceSolver::with_observer(&mi, horizon, obs);
-            let icold_deep_par =
-                scan_layer_valence_connectivity_parallel(&mut ideep_par, deeper, true, cfg.threads);
-            let iwarm = load_arena::<_, Plain>(&mi, &ibytes, obs)
-                .ok()
-                .map(|(space, _, _)| {
-                    let mut s = ValenceSolver::with_space(&mi, horizon, space, obs);
-                    scan_layer_valence_connectivity(&mut s, depth0, true)
-                });
-            let iresumed = load_arena::<_, Plain>(&mi, &ibytes, obs)
-                .ok()
-                .map(|(space, _, _)| {
-                    let mut s = ValenceSolver::with_space(&mi, horizon, space, obs);
-                    scan_layer_valence_connectivity(&mut s, deeper, true)
-                });
-            let iresumed_par =
-                load_arena::<_, Plain>(&mi, &ibytes, obs)
-                    .ok()
-                    .map(|(space, _, _)| {
-                        let mut s = ValenceSolver::with_space(&mi, horizon, space, obs);
-                        scan_layer_valence_connectivity_parallel(&mut s, deeper, true, cfg.threads)
-                    });
-            let interned_identical = iwarm.as_ref() == Some(&icold_scan)
-                && icold_deep_seq == icold_deep_par
-                && iresumed.as_ref() == Some(&icold_deep_seq)
-                && iresumed_par.as_ref() == Some(&icold_deep_par);
+            let interned = round_trip::<Plain>(&cfg, &mi, horizon, "s1", obs);
+            let interned_identical = interned.warm_identical && interned.extend_identical;
             table.row_owned(vec![
                 "interned".to_string(),
                 format!("reload @ {depth0}, extend to {deeper} (seq + par)"),
-                format!("{} states seen", icold_deep_seq.states_seen),
+                format!("{} states seen", interned.deep_states_seen),
                 verdict(interned_identical),
             ]);
 
@@ -192,7 +184,7 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             let mut cold2 = QuotientSolver::with_observer(&m2, h2, obs);
             let cold2_scan = scan_layer_valence_connectivity(&mut cold2, depth0, true);
             let refreshed =
-                load_arena::<_, Orbits>(&m2, &qbytes, obs)
+                load_arena::<_, Orbits>(&m2, &quot.bytes, obs)
                     .ok()
                     .map(|(mut space, _, _)| {
                         let diff = space.refresh_differential(&m2, obs);
@@ -216,9 +208,9 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
 
             (
                 table,
-                warm_identical
-                    && fast_enough
-                    && extend_identical
+                quot.warm_identical
+                    && speedup_x1000 >= 5_000
+                    && quot.extend_identical
                     && interned_identical
                     && diff_identical
                     && diff_partial,
