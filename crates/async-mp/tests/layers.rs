@@ -13,7 +13,7 @@ use std::hash::Hash;
 
 use layered_async_mp::{MpAction, MpModel, MpState, MpSyncAction, MpSyncModel};
 use layered_core::{LayeredModel, Pid};
-use layered_protocols::{MpCollectMin, MpFloodMin, MpProtocol};
+use layered_protocols::{MpCollectMin, MpFloodMin, MpIdentity, MpProtocol, MpRelayRace};
 
 type State<P> = MpState<<P as MpProtocol>::LocalState, <P as MpProtocol>::Msg>;
 
@@ -218,6 +218,11 @@ fn permutation_layers_match_the_reference() {
         assert!(sweep_per(&MpModel::new(n, MpFloodMin::new(3)), layers) > 0);
         let collect = MpModel::new(n, MpCollectMin::new(n - 1)).with_obligation(2);
         assert!(sweep_per(&collect, layers) > 0);
+        // Sends nothing: every receive absorbs only the carried mailbox.
+        assert!(sweep_per(&MpModel::new(n, MpIdentity), layers) > 0);
+        // Leader-dependent partial sends: a process's messages depend on its
+        // state at the start of the layer, and only some destinations get one.
+        assert!(sweep_per(&MpModel::new(n, MpRelayRace), layers) > 0);
     }
 }
 
