@@ -26,6 +26,7 @@
 //! * the footnote that `x[p₁…pₙ] ≁_s x[p₁…p_{n−1}]` — their differences
 //!   spill into other processes' mailboxes.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use layered_core::{
@@ -81,7 +82,7 @@ pub struct MpModel<P: MpProtocol> {
     /// The layer's schedules, built on the first [`MpModel::layer`] call:
     /// enumerating `(n + 1)·n!` actions is hopeless at the sizes the
     /// simulator runs.
-    trie: OnceLock<ScheduleTrie>,
+    plan: OnceLock<PhasePlan>,
 }
 
 impl<P: MpProtocol> MpModel<P> {
@@ -99,7 +100,7 @@ impl<P: MpProtocol> MpModel<P> {
             protocol,
             obligation: None,
             packer,
-            trie: OnceLock::new(),
+            plan: OnceLock::new(),
         }
     }
 
@@ -137,22 +138,6 @@ impl<P: MpProtocol> MpModel<P> {
         out
     }
 
-    /// Runs one step of a schedule.
-    fn run_step(&self, state: &mut MpState<P::LocalState, P::Msg>, step: Step) {
-        match step {
-            Step::Phase(p) => {
-                phase::send(&self.protocol, self.n, state, p);
-                phase::receive(&self.protocol, state, p);
-            }
-            Step::Pair(p, q) => {
-                phase::send(&self.protocol, self.n, state, p);
-                phase::send(&self.protocol, self.n, state, q);
-                phase::receive(&self.protocol, state, p);
-                phase::receive(&self.protocol, state, q);
-            }
-        }
-    }
-
     /// Applies an environment action (one layer).
     ///
     /// # Panics
@@ -165,45 +150,92 @@ impl<P: MpProtocol> MpModel<P> {
         x: &MpState<P::LocalState, P::Msg>,
         action: &MpAction,
     ) -> MpState<P::LocalState, P::Msg> {
-        let mut state = x.clone();
-        state.round = x.round + 1;
-        for step in steps(self.n, action) {
-            self.run_step(&mut state, step);
-        }
-        state
+        let plan = PhasePlan::new(self.n, std::slice::from_ref(action));
+        let mut successors = self.evaluate(x, &plan);
+        successors.next().expect("one action has one schedule")
     }
 
     /// The layer `S^per(x)`, deduplicated, in the order of first occurrence
     /// along [`MpModel::actions`].
     ///
-    /// Each node of the schedule trie is evaluated once, from its parent's
-    /// state: a shared schedule prefix is simulated once for every action
-    /// that starts with it.
+    /// Each process's sends and each distinct receive phase of the layer
+    /// are computed once, and every action's successor is assembled from
+    /// them (see [`PhasePlan`]).
     #[must_use]
     pub fn layer(&self, x: &MpState<P::LocalState, P::Msg>) -> Vec<MpState<P::LocalState, P::Msg>> {
-        let trie = self
-            .trie
-            .get_or_init(|| ScheduleTrie::new(self.n, &self.actions()));
-        let mut states: Vec<Option<MpState<P::LocalState, P::Msg>>> =
-            Vec::with_capacity(trie.nodes.len());
-        for node in &trie.nodes {
-            let mut state = match node.parent {
-                None => {
-                    let mut state = x.clone();
-                    state.round = x.round + 1;
-                    state
-                }
-                Some(parent) if node.takes_parent => states[parent].take().expect(EVALUATED),
-                Some(parent) => states[parent].clone().expect(EVALUATED),
-            };
-            self.run_step(&mut state, node.step);
-            states.push(Some(state));
-        }
-        let mut out = Distinct::with_capacity(trie.leaves.len());
-        for &leaf in &trie.leaves {
-            out.push(states[leaf].take().expect("leaves are distinct nodes"));
+        let plan = self
+            .plan
+            .get_or_init(|| PhasePlan::new(self.n, &self.actions()));
+        let mut out = Distinct::with_capacity(plan.schedules.len());
+        for y in self.evaluate(x, plan) {
+            out.push(y);
         }
         out.into_vec()
+    }
+
+    /// The successors of `x` under `plan`'s schedules, in plan order: the
+    /// sends of every process that takes a phase, computed from its state
+    /// in `x`, then each receive phase, then one state per schedule.
+    fn evaluate<'a>(
+        &'a self,
+        x: &'a MpState<P::LocalState, P::Msg>,
+        plan: &'a PhasePlan,
+    ) -> impl Iterator<Item = MpState<P::LocalState, P::Msg>> + 'a {
+        let n = self.n;
+        // `fresh[to]`: the layer's message to `to` from each sender,
+        // sender-sorted.
+        let mut fresh: Vec<Vec<(Pid, P::Msg)>> = vec![Vec::new(); n];
+        for p in Pid::all(n).filter(|&p| plan.acting.contains(p)) {
+            for (to, msg) in phase::outbox(&self.protocol, n, &x.locals[p.index()], p) {
+                fresh[to.index()].push((p, msg));
+            }
+        }
+        let received: Vec<_> = plan
+            .receives
+            .iter()
+            .map(|&(p, before)| {
+                let i = p.index();
+                let delivered = merged(&x.mailboxes[i], &fresh[i], |from| before.contains(from));
+                phase::absorb(&self.protocol, x, p, &delivered)
+            })
+            .collect();
+        plan.schedules.iter().map(move |schedule| {
+            let acting = |from: Pid| schedule[from.index()].is_some();
+            let mut y = MpState {
+                round: x.round + 1,
+                inputs: x.inputs.clone(),
+                locals: Vec::with_capacity(n),
+                decided: Vec::with_capacity(n),
+                phases_done: Vec::with_capacity(n),
+                mailboxes: Vec::with_capacity(n),
+            };
+            for (i, &receive) in schedule.iter().enumerate() {
+                match receive {
+                    Some(k) => {
+                        let (ls, decided) = &received[k];
+                        let before = plan.receives[k].1;
+                        y.locals.push(ls.clone());
+                        y.decided.push(*decided);
+                        y.phases_done.push(x.phases_done[i] + 1);
+                        // Drained by the receive; holds what was sent after.
+                        y.mailboxes.push(
+                            fresh[i]
+                                .iter()
+                                .filter(|&&(from, _)| acting(from) && !before.contains(from))
+                                .cloned()
+                                .collect(),
+                        );
+                    }
+                    None => {
+                        y.locals.push(x.locals[i].clone());
+                        y.decided.push(x.decided[i]);
+                        y.phases_done.push(x.phases_done[i]);
+                        y.mailboxes.push(merged(&x.mailboxes[i], &fresh[i], acting));
+                    }
+                }
+            }
+            y
+        })
     }
 
     /// Checks the two similarity bridges around an adjacent pair at
@@ -265,25 +297,30 @@ impl<P: MpProtocol> MpModel<P> {
     }
 }
 
-const EVALUATED: &str = "a parent is evaluated before its children";
-
-/// One step of a schedule.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Step {
-    /// `p` takes a local phase: it sends, then receives.
-    Phase(Pid),
-    /// A concurrent pair, `p < q`: both send, then both receive. The pair
-    /// is keyed unordered because its two orders give one state (see
-    /// [`phase::send`]).
-    Pair(Pid, Pid),
+/// `carried` followed by the messages of `fresh` whose sender is in
+/// `senders`, stably sender-sorted: each sender's carried messages stay
+/// ahead of its fresh one, as if the fresh ones had been sent one by one
+/// (see [`phase::send`]).
+fn merged<M: Clone>(
+    carried: &[(Pid, M)],
+    fresh: &[(Pid, M)],
+    senders: impl Fn(Pid) -> bool,
+) -> Vec<(Pid, M)> {
+    let mut mailbox = carried.to_vec();
+    mailbox.extend(fresh.iter().filter(|&&(from, _)| senders(from)).cloned());
+    if mailbox.len() > carried.len() {
+        mailbox.sort_by_key(|&(from, _)| from);
+    }
+    mailbox
 }
 
-/// The steps of `action` in schedule order.
+/// Per process, the senders whose send precedes its receive under
+/// `action`, or `None` if it takes no phase.
 ///
 /// # Panics
 ///
 /// Panics if the action is malformed (see [`MpModel::apply`]).
-fn steps(n: usize, action: &MpAction) -> Vec<Step> {
+fn receive_sets(n: usize, action: &MpAction) -> Vec<Option<PidSet>> {
     let (order, pair_at) = match action {
         MpAction::Sequential(order) => {
             assert!(
@@ -302,83 +339,69 @@ fn steps(n: usize, action: &MpAction) -> Vec<Step> {
     for &p in order {
         assert!(seen.insert(p), "processes in an action must be distinct");
     }
-    let mut steps = Vec::with_capacity(order.len());
+    let mut sets = vec![None; n];
+    let mut sent = PidSet::default();
     for (pos, &p) in order.iter().enumerate() {
-        match pair_at {
-            Some(at) if pos == at => {
-                let q = order[at + 1];
-                steps.push(Step::Pair(p.min(q), p.max(q)));
-            }
-            Some(at) if pos == at + 1 => {} // the pair's second member
-            _ => steps.push(Step::Phase(p)),
+        let mut hears = sent;
+        if pair_at == Some(pos) {
+            // A concurrent pair: the second member sends before the first
+            // receives (and hears the first, which sent just before it).
+            hears.insert(order[pos + 1]);
         }
+        sets[p.index()] = Some(hears);
+        sent.insert(p);
     }
-    steps
+    sets
 }
 
-/// Every action's schedule as a path of [`Step`]s from the layer's source
-/// state, with shared prefixes stored once. A drop-last schedule ends at an
-/// interior node of the full ones it prefixes, and the two orders of a
-/// concurrent pair end at one node.
+/// A list of actions reduced to what their successors depend on.
+///
+/// Two facts make this reduction exact. Every process sends at most once
+/// per layer, from its state in the layer's source `x`, because its send
+/// precedes its own receive. And mailboxes are sender-sorted, so what a
+/// receiver absorbs depends only on the *set* of senders whose send
+/// precedes its receive. An action's successor is therefore fixed by its
+/// *receive phases*: which processes take a phase, each with that sender
+/// set. Equal schedules give equal states; distinct ones may still collide
+/// (a protocol that sends nothing), which [`Distinct`] catches.
 #[derive(Clone, Debug)]
-struct ScheduleTrie {
-    /// Every node after the root, each after its parent.
-    nodes: Vec<TrieNode>,
-    /// The distinct end nodes of the actions, in the order of their first
-    /// action.
-    leaves: Vec<usize>,
+struct PhasePlan {
+    /// Every process that takes a phase in some schedule: the senders.
+    acting: PidSet,
+    /// The distinct receive phases, each a receiver with the senders whose
+    /// send precedes its receive, in the order of first use.
+    receives: Vec<(Pid, PidSet)>,
+    /// The distinct schedules, in the order of their first action: per
+    /// process, the index of its receive phase in `receives`, or `None` if
+    /// it takes no phase.
+    schedules: Vec<Vec<Option<usize>>>,
 }
 
-#[derive(Clone, Debug)]
-struct TrieNode {
-    /// The parent node, or `None` for a child of the root.
-    parent: Option<usize>,
-    step: Step,
-    /// Whether this node may move its parent's state out instead of
-    /// cloning it: it is the parent's last child and the parent is no leaf.
-    takes_parent: bool,
-}
-
-impl ScheduleTrie {
+impl PhasePlan {
     fn new(n: usize, actions: &[MpAction]) -> Self {
-        let mut nodes: Vec<TrieNode> = Vec::new();
-        // `children[0]` lists the root's children, `children[id + 1]` those
-        // of node `id`.
-        let mut children: Vec<Vec<usize>> = vec![Vec::new()];
-        let mut is_leaf = Vec::new();
-        let mut leaves = Vec::new();
+        let mut plan = PhasePlan {
+            acting: PidSet::default(),
+            receives: Vec::new(),
+            schedules: Vec::new(),
+        };
+        let mut receive_ids = BTreeMap::new();
+        let mut seen = BTreeSet::new();
         for action in actions {
-            let mut at: Option<usize> = None;
-            for step in steps(n, action) {
-                let slot = at.map_or(0, |id| id + 1);
-                let existing = children[slot]
-                    .iter()
-                    .copied()
-                    .find(|&c| nodes[c].step == step);
-                at = Some(existing.unwrap_or_else(|| {
-                    let id = nodes.len();
-                    nodes.push(TrieNode {
-                        parent: at,
-                        step,
-                        takes_parent: false,
-                    });
-                    children.push(Vec::new());
-                    children[slot].push(id);
-                    is_leaf.push(false);
-                    id
+            let mut schedule = Vec::with_capacity(n);
+            for (p, before) in Pid::all(n).zip(receive_sets(n, action)) {
+                schedule.push(before.map(|before| {
+                    plan.acting.insert(p);
+                    *receive_ids.entry((p, before)).or_insert_with(|| {
+                        plan.receives.push((p, before));
+                        plan.receives.len() - 1
+                    })
                 }));
             }
-            let leaf = at.expect("actions are non-empty");
-            if !std::mem::replace(&mut is_leaf[leaf], true) {
-                leaves.push(leaf);
+            if seen.insert(schedule.clone()) {
+                plan.schedules.push(schedule);
             }
         }
-        for (id, node) in nodes.iter_mut().enumerate() {
-            node.takes_parent = node
-                .parent
-                .is_some_and(|p| !is_leaf[p] && children[p + 1].last() == Some(&id));
-        }
-        ScheduleTrie { nodes, leaves }
+        plan
     }
 }
 
@@ -722,7 +745,7 @@ mod tests {
         let x = m.initial_state(&inputs);
         let y = m.apply_move(&x, &m.sample_move(&x, &mut |bound| bound / 2));
         assert_eq!(y.round, 1);
-        assert!(m.trie.get().is_none(), "the schedule trie is built lazily");
+        assert!(m.plan.get().is_none(), "the layer plan is built lazily");
         assert!(start.elapsed() < std::time::Duration::from_secs(1));
     }
 

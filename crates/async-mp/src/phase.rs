@@ -16,22 +16,45 @@ use crate::state::MpState;
 type State<P> = MpState<<P as MpProtocol>::LocalState, <P as MpProtocol>::Msg>;
 
 /// A set of processes, one bit per [`Pid`] (indices fit in a byte).
-#[derive(Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Debug)]
 pub(crate) struct PidSet([u64; 4]);
 
 impl PidSet {
     /// Adds `p`; returns whether it was absent.
     pub(crate) fn insert(&mut self, p: Pid) -> bool {
-        let (word, bit) = (p.index() / 64, 1u64 << (p.index() % 64));
-        let fresh = self.0[word] & bit == 0;
-        self.0[word] |= bit;
+        let fresh = !self.contains(p);
+        self.0[p.index() / 64] |= 1u64 << (p.index() % 64);
         fresh
+    }
+
+    /// Whether `p` is in the set.
+    pub(crate) fn contains(&self, p: Pid) -> bool {
+        self.0[p.index() / 64] >> (p.index() % 64) & 1 == 1
     }
 }
 
-/// The send half of `p`'s local phase: at most one message per destination,
-/// computed from `p`'s current state, each appended to its receiver's
-/// mailbox.
+/// `p`'s messages of one phase, computed from its local state `ls`: at
+/// most one per destination, never to itself.
+pub(crate) fn outbox<P: MpProtocol>(
+    protocol: &P,
+    n: usize,
+    ls: &P::LocalState,
+    p: Pid,
+) -> Vec<(Pid, P::Msg)> {
+    let sends = protocol.send(ls, p, n);
+    let mut dests = PidSet::default();
+    for &(to, _) in &sends {
+        assert_ne!(to, p, "protocols do not send to themselves");
+        assert!(
+            dests.insert(to),
+            "at most one message per destination per phase"
+        );
+    }
+    sends
+}
+
+/// The send half of `p`'s local phase: its [`outbox`] from its current
+/// state, each message appended to its receiver's mailbox.
 ///
 /// Channels are FIFO per sender but unordered across senders, so mailboxes
 /// are kept sender-sorted (stably, preserving per-sender FIFO). States of
@@ -39,29 +62,33 @@ impl PidSet {
 /// equal; in particular the two send orders of a concurrent pair give one
 /// state.
 pub(crate) fn send<P: MpProtocol>(protocol: &P, n: usize, state: &mut State<P>, p: Pid) {
-    let sends = protocol.send(&state.locals[p.index()], p, n);
-    let mut dests = PidSet::default();
-    for (to, msg) in sends {
-        assert_ne!(to, p, "protocols do not send to themselves");
-        assert!(
-            dests.insert(to),
-            "at most one message per destination per phase"
-        );
+    for (to, msg) in outbox(protocol, n, &state.locals[p.index()], p) {
         let mailbox = &mut state.mailboxes[to.index()];
         mailbox.push((p, msg));
         mailbox.sort_by_key(|&(from, _)| from);
     }
 }
 
-/// The receive half of `p`'s local phase: drain and absorb `p`'s mailbox,
-/// latch a decision, count the phase.
+/// `p`'s local state and latched decision after it absorbs `delivered` in
+/// `x`.
+pub(crate) fn absorb<P: MpProtocol>(
+    protocol: &P,
+    x: &State<P>,
+    p: Pid,
+    delivered: &[(Pid, P::Msg)],
+) -> (P::LocalState, Option<Value>) {
+    let ls = protocol.absorb(x.locals[p.index()].clone(), p, delivered);
+    let decided = x.decided[p.index()].or_else(|| protocol.decide(&ls));
+    (ls, decided)
+}
+
+/// The receive half of `p`'s local phase: drain and [`absorb`] `p`'s
+/// mailbox, count the phase.
 pub(crate) fn receive<P: MpProtocol>(protocol: &P, state: &mut State<P>, p: Pid) {
     let delivered = std::mem::take(&mut state.mailboxes[p.index()]);
-    let ls = protocol.absorb(state.locals[p.index()].clone(), p, &delivered);
-    if state.decided[p.index()].is_none() {
-        state.decided[p.index()] = protocol.decide(&ls);
-    }
+    let (ls, decided) = absorb(protocol, state, p, &delivered);
     state.locals[p.index()] = ls;
+    state.decided[p.index()] = decided;
     state.phases_done[p.index()] += 1;
 }
 

@@ -14,15 +14,18 @@
 //! a covering as its valence probe — the instances the committed records
 //! cover) against the best
 //! committed `BENCH_*.json` baseline per experiment, with the noise
-//! tolerances documented in [`layered_bench::regress`]. Exits 1 on a
-//! regression, 2 on usage or I/O errors.
+//! tolerances documented in [`layered_bench::regress`]. The fresh run is
+//! repeated three times: the samples must agree on every work counter and
+//! verdict, and each key is gated on its least wall time
+//! ([`layered_bench::regress::fold_samples`]). Exits 1 on a regression or
+//! a disagreement between samples, 2 on usage or I/O errors.
 //!
 //! * `--baseline <path>` — a committed record file; repeatable. Defaults to
 //!   every `BENCH_*.json` in the current directory.
 //! * `--fresh <path>` — gate the records in `<path>` instead of running the
 //!   experiments (the hook the negative test uses).
-//! * `--out <path>` — write the fresh records to `<path>` (the next
-//!   committed `BENCH_PR<k>.json`).
+//! * `--out <path>` — write the fresh records, each key's least-wall
+//!   sample, to `<path>` (the next committed `BENCH_PR<k>.json`).
 //! * `--lint-budget-ms <k>` — wall budget for the lint gate (default
 //!   10000; 0 disables it). The gate runs the whole-workspace
 //!   static-analysis pass — both tiers, including the call-graph rules —
@@ -30,7 +33,8 @@
 //!   lint must stay cheap enough to run on every push.
 
 use layered_bench::regress::{
-    collect_baselines, compare, sort_commit_order, verdict_table, BenchRecord, Tolerance, Verdict,
+    collect_baselines, compare, fold_samples, sort_commit_order, verdict_table, BenchRecord,
+    Tolerance, Verdict,
 };
 use layered_bench::{
     layer_scan, lemma_7_1, lower_bound, resume_roundtrip, task_solvability, theorem_4_2,
@@ -153,6 +157,10 @@ fn load_records(path: &str) -> Result<Vec<BenchRecord>, String> {
     BenchRecord::parse_lines(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// How many times a fresh run repeats the gated experiments; each key is
+/// gated on its least wall time over the samples.
+const SAMPLES: usize = 3;
+
 /// Runs the experiments the committed baselines cover and returns their
 /// JSON record lines.
 fn fresh_run() -> Vec<String> {
@@ -220,9 +228,14 @@ fn main() {
     }
     let baselines = collect_baselines(&baseline_records);
 
-    let fresh_lines = match &opts.fresh {
+    let samples: Vec<Vec<String>> = match &opts.fresh {
         Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => text.lines().map(str::to_string).collect(),
+            Ok(text) => vec![text
+                .lines()
+                .map(str::trim)
+                .filter(|l| !l.is_empty())
+                .map(str::to_string)
+                .collect()],
             Err(e) => {
                 eprintln!("error: reading {path}: {e}");
                 std::process::exit(2);
@@ -230,18 +243,42 @@ fn main() {
         },
         None => {
             println!(
-                "Running fresh experiments (E-scan n=4, E-sym n=4/5/6/7, E-resume n=4, E-6.3 full, E-4.2 full, E-7.3 full, E-7.1 full)..."
+                "Running fresh experiments {SAMPLES} times (E-scan n=4, E-sym n=4/5/6/7, E-resume n=4, E-6.3 full, E-4.2 full, E-7.3 full, E-7.1 full)..."
             );
-            fresh_run()
+            (0..SAMPLES).map(|_| fresh_run()).collect()
         }
     };
-    let fresh = match BenchRecord::parse_lines(&fresh_lines.join("\n")) {
-        Ok(records) => records,
+    let parsed: Vec<Vec<BenchRecord>> = match samples
+        .iter()
+        .map(|lines| BenchRecord::parse_lines(&lines.join("\n")))
+        .collect()
+    {
+        Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("error: fresh records: {msg}");
             std::process::exit(2);
         }
     };
+    let chosen = match fold_samples(&parsed) {
+        Ok(chosen) => chosen,
+        Err(reasons) => {
+            println!("The fresh samples disagree on deterministic work:");
+            for reason in &reasons {
+                println!("  {reason}");
+            }
+            std::process::exit(1);
+        }
+    };
+    let fresh_lines: Vec<&str> = chosen
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| samples[s][i].as_str())
+        .collect();
+    let fresh: Vec<BenchRecord> = chosen
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| parsed[s][i].clone())
+        .collect();
 
     if let Some(path) = &opts.out {
         if let Err(e) = std::fs::write(path, fresh_lines.join("\n") + "\n") {

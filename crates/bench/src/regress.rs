@@ -17,6 +17,11 @@
 //! record reflecting current semantics, while best-ever wall time remains
 //! the performance bar.
 //!
+//! A fresh run is taken three times and folded by [`fold_samples`]: the
+//! samples must agree on every gated counter and verdict, and each key
+//! keeps its least wall time, so one sample slowed by a busy host does not
+//! fail the gate. The tolerances apply to that minimum unchanged.
+//!
 //! The `bench` binary's `regress` subcommand drives this; the comparison
 //! logic is a library so the negative test (a synthetically slowed record
 //! must fail) can exercise it directly.
@@ -195,6 +200,53 @@ pub fn collect_baselines(records: &[BenchRecord]) -> Baselines {
         baselines.latest.insert(r.key.clone(), r.clone());
     }
     baselines
+}
+
+/// Folds `k` samples of one fresh run into the records the gate compares:
+/// for each record, the index of the sample with the least wall time.
+///
+/// Wall time on a shared host is the true cost plus interference that
+/// only ever adds, so the minimum over samples is the steadiest estimate.
+/// Work counters and verdicts are deterministic per instance, so samples
+/// must agree on them exactly; every disagreement is returned as a reason
+/// instead, as is a sample that does not list the same keys in the same
+/// order as the first.
+pub fn fold_samples(samples: &[Vec<BenchRecord>]) -> Result<Vec<usize>, Vec<String>> {
+    let Some(first) = samples.first() else {
+        return Err(vec!["no samples".to_string()]);
+    };
+    let keys = |records: &[BenchRecord]| -> Vec<String> {
+        records.iter().map(|r| r.key.clone()).collect()
+    };
+    let mut failures = Vec::new();
+    for (s, sample) in samples.iter().enumerate().skip(1) {
+        if keys(sample) != keys(first) {
+            failures.push(format!(
+                "sample {s} ran {:?}, sample 0 ran {:?}",
+                keys(sample),
+                keys(first)
+            ));
+            continue;
+        }
+        for (a, b) in first.iter().zip(sample) {
+            if a.ok != b.ok || a.counters != b.counters {
+                failures.push(format!(
+                    "{}: sample {s} disagrees with sample 0 (ok {} vs {}, counters {:?} vs {:?})",
+                    a.key, b.ok, a.ok, b.counters, a.counters
+                ));
+            }
+        }
+    }
+    if !failures.is_empty() {
+        return Err(failures);
+    }
+    Ok((0..first.len())
+        .map(|i| {
+            (0..samples.len())
+                .min_by_key(|&s| samples[s][i].wall_ns)
+                .expect("at least one sample")
+        })
+        .collect())
 }
 
 /// Gates each fresh record against the baselines with the same key.
@@ -401,6 +453,36 @@ mod tests {
         );
         assert!(verdicts[0].passed(), "{:?}", verdicts[0].failures);
         assert_eq!(verdicts[0].baseline_wall_ns, Some(1_000_000));
+    }
+
+    #[test]
+    fn samples_fold_to_the_least_wall_per_key() {
+        let samples = [
+            vec![record("E-x", 3, 100), record("E-y", 1, 7)],
+            vec![record("E-x", 2, 100), record("E-y", 5, 7)],
+            vec![record("E-x", 4, 100), record("E-y", 1, 7)],
+        ];
+        assert_eq!(fold_samples(&samples), Ok(vec![1, 0]));
+    }
+
+    #[test]
+    fn samples_that_disagree_on_work_fail() {
+        let drifted = [
+            vec![record("E-x", 1, 100)],
+            vec![record("E-x", 1, 100)],
+            vec![record("E-x", 1, 101)],
+        ];
+        let failures = fold_samples(&drifted).expect_err("counters differ");
+        assert!(failures[0].contains("sample 2"), "{failures:?}");
+        let mut broken = record("E-x", 1, 100);
+        broken.ok = false;
+        assert!(fold_samples(&[vec![record("E-x", 1, 100)], vec![broken]]).is_err());
+        let reordered = [
+            vec![record("E-x", 1, 1), record("E-y", 1, 1)],
+            vec![record("E-y", 1, 1), record("E-x", 1, 1)],
+        ];
+        assert!(fold_samples(&reordered).is_err());
+        assert!(fold_samples(&[]).is_err());
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! spans are 1-thick-connected have passing protocols, and tasks whose
 //! spans are not (consensus) fail for every candidate.
 
-use layered_core::telemetry::Observer;
-use layered_core::{sweep, undecided_obligated, LayeredModel, Pid};
+use std::collections::BTreeMap;
 
+use layered_core::telemetry::Observer;
+use layered_core::{sweep, undecided_obligated, LayeredModel, Pid, Value};
+
+use crate::complex::Complex;
 use crate::covering::decided_simplex;
 use crate::simplex::Simplex;
 use crate::task::DecisionTask;
@@ -73,7 +76,8 @@ impl<S> TaskReport<S> {
 /// problem over all `S`-executions of up to `horizon` layers, from the
 /// initial states of the task's input vectors.
 ///
-/// *Validity* is checked at every state, *Decision* at horizon states.
+/// *Validity* is checked at every state, against `Δ(s)` computed once per
+/// distinct input vector `s`; *Decision* at horizon states.
 /// Exploration stops once `max_violations` have been collected. The sweep
 /// reports to `obs` exactly as [`check_consensus`](layered_core::check_consensus)
 /// does.
@@ -93,6 +97,9 @@ pub fn check_task<M: LayeredModel>(
         .inputs()
         .iter()
         .map(|inputs| model.initial_state(inputs));
+    // `Δ(s)` per input vector: a run's inputs never change, so the few
+    // distinct vectors are shared by every state of the sweep.
+    let mut allowed: BTreeMap<Vec<Value>, Complex> = BTreeMap::new();
     let (states_explored, violations) = sweep(
         model,
         roots,
@@ -102,7 +109,10 @@ pub fn check_task<M: LayeredModel>(
         |x, at_horizon| {
             let mut found = Vec::new();
             let decisions = decided_simplex(model, x);
-            if !task.decision_allowed(&model.inputs_of(x), &decisions) {
+            let delta = allowed
+                .entry(model.inputs_of(x))
+                .or_insert_with_key(|inputs| task.allowed(inputs));
+            if !delta.contains(&decisions) {
                 found.push(TaskViolation::Validity {
                     state: x.clone(),
                     decisions,

@@ -18,9 +18,12 @@
 //! Both sides must agree on the flags of every state within the horizon,
 //! on the chains and on the task reports, witness states and their order
 //! included. The test also pins where binary valence and valence w.r.t.
-//! the consensus covering differ.
+//! the consensus covering differ, and that `check_task` computes `Δ(s)`
+//! once per input vector rather than once per state.
 
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::rc::Rc;
 
 use layered_consensus::async_mp::MpModel;
 use layered_consensus::core::telemetry::NOOP;
@@ -433,4 +436,79 @@ fn task_reports_match_the_reference() {
     let m = MpModel::new(n, MpIdentity).with_obligation(1);
     assert_task_reports_agree("identity", &m, &tasks::identity(n), 1);
     assert_task_reports_agree("pseudo-consensus", &m, &tasks::pseudo_consensus(n), 1);
+}
+
+/// Every task of the `tasks::` library at `n` processes.
+fn every_task(n: usize) -> Vec<DecisionTask> {
+    vec![
+        tasks::consensus(n),
+        tasks::k_set_agreement(n, 1),
+        tasks::k_set_agreement(n, 2),
+        tasks::identity(n),
+        tasks::constant(n, Value::ZERO),
+        tasks::constant(n, Value::ONE),
+        tasks::pseudo_consensus(n),
+    ]
+}
+
+#[test]
+fn every_task_on_the_e_7_3_models_matches_the_reference() {
+    // Each library task on each E-7.3 model at that model's horizon, so
+    // that every task meets passing and failing protocols alike.
+    let n = 3;
+    let flood = MpModel::new(n, MpFloodMin::new(2));
+    let collect = MpModel::new(n, MpCollectMin::new(n - 1)).with_obligation(2);
+    let identity = MpModel::new(n, MpIdentity).with_obligation(1);
+    for task in every_task(n) {
+        let name = task.name();
+        assert_task_reports_agree(&format!("{name} / MpFloodMin(2)"), &flood, &task, 2);
+        assert_task_reports_agree(&format!("{name} / MpCollectMin(2)"), &collect, &task, 2);
+        assert_task_reports_agree(&format!("{name} / MpIdentity"), &identity, &task, 1);
+    }
+}
+
+/// `task` with a `Δ` that counts its calls in the returned cell.
+fn counted(task: &DecisionTask) -> (DecisionTask, Rc<Cell<usize>>) {
+    let calls = Rc::new(Cell::new(0));
+    let delta = {
+        let (calls, task) = (Rc::clone(&calls), task.clone());
+        move |inputs: &[Value]| {
+            calls.set(calls.get() + 1);
+            task.allowed(inputs)
+        }
+    };
+    let name = format!("counted {}", task.name());
+    let n = task.num_processes();
+    (
+        DecisionTask::new(n, name, task.inputs().to_vec(), delta),
+        calls,
+    )
+}
+
+fn assert_delta_once_per_input_vector<M: LayeredModel>(
+    model: &M,
+    task: &DecisionTask,
+    horizon: usize,
+) {
+    let (probe, calls) = counted(task);
+    let report = check_task(model, &probe, horizon, usize::MAX, &NOOP);
+    let vectors: BTreeSet<&Vec<Value>> = task.inputs().iter().collect();
+    assert!(report.states_explored > vectors.len());
+    assert!(
+        calls.get() <= vectors.len(),
+        "[{}] Δ ran {} times for {} input vectors over {} states",
+        task.name(),
+        calls.get(),
+        vectors.len(),
+        report.states_explored
+    );
+}
+
+#[test]
+fn check_task_computes_delta_once_per_input_vector() {
+    let n = 3;
+    let flood = MpModel::new(n, MpFloodMin::new(2));
+    assert_delta_once_per_input_vector(&flood, &tasks::consensus(n), 2);
+    let collect = MpModel::new(n, MpCollectMin::new(n - 1)).with_obligation(2);
+    assert_delta_once_per_input_vector(&collect, &tasks::k_set_agreement(n, 2), 2);
 }
