@@ -9,6 +9,7 @@
 //! disk and the index to go on.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use layered_cert::{registry, CertStore, Certificate};
 use layered_core::report::{yes_no, Table};
@@ -16,11 +17,19 @@ use layered_core::telemetry::Observer;
 
 use crate::{Experiment, Scope};
 
-/// Store directory under the system temp dir; pid-scoped so concurrently
-/// running test binaries cannot collide. Wiped before and after the run so
-/// repeated invocations in one process see identical fresh-put behaviour.
+/// Store directory under the system temp dir, fresh per run: pid-scoped so
+/// concurrently running test binaries cannot collide, and numbered per run
+/// so concurrent runs in one process (parallel tests) cannot wipe each
+/// other's store. Wiped before and after the run so repeated invocations
+/// see identical fresh-put behaviour.
 fn store_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("layered-bench-certstore-{}", std::process::id()))
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    // Relaxed: the counter only has to hand out distinct numbers.
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "layered-bench-certstore-{}-{run}",
+        std::process::id()
+    ))
 }
 
 /// One round trip: compute, persist, then (against the reopened store)
@@ -126,4 +135,14 @@ pub fn cert_store(scope: Scope) -> Experiment {
             (table, ok)
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn each_run_gets_its_own_store() {
+        // Parallel tests in one process both run E-cert; a shared
+        // directory let one run wipe the other's store mid-round-trip.
+        assert_ne!(super::store_dir(), super::store_dir());
+    }
 }
