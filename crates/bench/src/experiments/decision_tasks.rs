@@ -372,13 +372,14 @@ pub fn bivalence_profile(scope: Scope) -> Experiment {
                 ($model:expr, $name:expr, $guarantee:expr) => {{
                     let m = $model;
                     let mut solver = ValenceSolver::with_observer(&m, horizon, obs);
-                    let exp = explore(&m, &m.initial_states(), depth, obs);
-                    for (d, level) in exp.levels.iter().enumerate() {
+                    let roots = m.initial_states();
+                    let levels = solver.space_mut().expand_layers(&m, &roots, depth, obs);
+                    for (d, level) in levels.iter().enumerate() {
                         let mut biv = 0usize;
                         let mut uni = 0usize;
                         let mut none = 0usize;
-                        for x in level {
-                            match solver.valence(x) {
+                        for &x in level {
+                            match solver.valence_id(x) {
                                 layered_core::Valence::Bivalent => biv += 1,
                                 layered_core::Valence::Univalent(_) => uni += 1,
                                 layered_core::Valence::NoValence => none += 1,

@@ -7,7 +7,8 @@ use layered_async_sm::{layer_action_is_legal_schedule, SmModel};
 use layered_core::report::{yes_no, Table};
 use layered_core::{
     build_bivalent_run, check_consensus, check_crash_display, check_fault_independence,
-    check_graded, similarity_report, valence_report, LayeredModel, Pid, ValenceSolver, Value,
+    check_graded, similarity_report, valence_report, LayeredModel, Pid, StateSpace, ValenceSolver,
+    Value,
 };
 use layered_iis::IisModel;
 use layered_protocols::{FloodMin, FullInfoMin, MpCollectMin, MpFloodMin, SmFloodMin};
@@ -55,17 +56,12 @@ pub fn mobile(scope: Scope) -> Experiment {
             for &r in deadlines {
                 let m = MobileModel::new(3, FloodMin::new(r));
                 // Similarity connectivity of every layer on the explored region.
+                let depth = usize::from(r.min(2));
+                let (space, levels) = StateSpace::reachable(&m, depth);
                 let mut sim_ok = true;
-                let mut frontier = m.initial_states();
-                for _ in 0..r.min(2) {
-                    let mut next = Vec::new();
-                    for x in &frontier {
-                        let layer = m.s1_layer(x);
-                        sim_ok &= similarity_report(&m, &layer, obs).connected;
-                        next.extend(layer);
-                    }
-                    frontier = next;
-                    frontier.dedup();
+                for &x in levels[..depth].iter().flatten() {
+                    let layer = space.materialize(space.cached_successors(x).expect("expanded"));
+                    sim_ok &= similarity_report(&m, &layer, obs).connected;
                 }
                 ok &= sim_ok;
                 let report = check_consensus(&m, usize::from(r), 1, obs);

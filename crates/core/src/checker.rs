@@ -16,8 +16,9 @@
 //!   satisfy (see [`crate::model`]).
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
-use crate::space::{StateId, StateSpace};
+use crate::space::{walk, NextLevel, StateId, StateSpace};
 use crate::telemetry::{Observer, Span, NOOP};
 use crate::{LayeredModel, Pid, Value};
 
@@ -202,21 +203,11 @@ pub fn sweep<M: LayeredModel, V>(
     let mut visited = 0;
     let mut violations = Vec::new();
     let mut space = StateSpace::for_model(model);
-    let mut frontier: Vec<StateId> = Vec::new();
-    {
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for x in roots {
-            let id = space.intern_owned(x, obs);
-            if seen.insert(id) {
-                frontier.push(id);
-            }
-        }
-    }
-    for depth in 0..=horizon {
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        let mut next: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for &id in &frontier {
+    let mut first = NextLevel::default();
+    first.offer(roots.into_iter().map(|x| space.intern_owned(x, obs)), &NOOP);
+    walk(first, horizon + 1, |depth, level, next| {
+        obs.gauge("engine.frontier_width", level.len() as u64);
+        for &id in level {
             visited += 1;
             obs.counter("engine.states_visited", 1);
             for v in check(&space.state(id), depth == horizon) {
@@ -226,23 +217,14 @@ pub fn sweep<M: LayeredModel, V>(
                 }
             }
             if depth < horizon {
-                for y in space.successor_ids(model, id, obs) {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
+                next.offer(space.successor_ids(model, id, obs), obs);
             }
             if violations.len() >= max_violations {
-                return (visited, violations);
+                return ControlFlow::Break(());
             }
         }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
+        ControlFlow::Continue(())
+    });
     (visited, violations)
 }
 
@@ -252,6 +234,10 @@ pub fn sweep<M: LayeredModel, V>(
 /// Breadth-first with parent tracking; the result is a legal
 /// [`ExecutionTrace`](crate::ExecutionTrace) (verified by construction) that
 /// can be attached to a [`Violation`] as a full run witness.
+///
+/// This is the one breadth-first loop outside [`walk`]: it keeps a parent
+/// per id across levels rather than a per-level dedup set, and it stops
+/// at the level where `target` appears instead of visiting that level.
 pub fn trace_to<M: LayeredModel>(
     model: &M,
     target: &M::State,
@@ -318,18 +304,20 @@ pub fn check_crash_display<M: LayeredModel>(
     depth_limit: usize,
 ) -> Option<(M::State, M::State, Pid)> {
     let n = model.num_processes();
-    let mut frontier = model.initial_states();
-    for depth in 0..=depth_limit {
-        for (ai, x) in frontier.iter().enumerate() {
-            for y in &frontier[ai..] {
+    let (space, levels) = StateSpace::reachable(model, depth_limit + 1);
+    let in_layer =
+        |x: StateId, c: &M::State| space.get(c).is_some_and(|c| row(&space, x).contains(&c));
+    for level in &levels[..=depth_limit] {
+        let states = space.materialize(level);
+        for (ai, x) in states.iter().enumerate() {
+            for (bi, y) in states.iter().enumerate().skip(ai) {
                 for j in Pid::all(n) {
                     if !model.agree_modulo(x, y, j) {
                         continue;
                     }
                     let cx = model.crash_step(x, j);
                     let cy = model.crash_step(y, j);
-                    let members =
-                        model.successors(x).contains(&cx) && model.successors(y).contains(&cy);
+                    let members = in_layer(level[ai], &cx) && in_layer(level[bi], &cy);
                     let agrees = model.agree_modulo(&cx, &cy, j);
                     let preserves = Pid::all(n).all(|i| {
                         i == j
@@ -343,22 +331,6 @@ pub fn check_crash_display<M: LayeredModel>(
                 }
             }
         }
-        if depth == depth_limit {
-            break;
-        }
-        let mut seen = HashSet::new();
-        let mut next = Vec::new();
-        for x in &frontier {
-            for s in model.successors(x) {
-                if seen.insert(s.clone()) {
-                    next.push(s);
-                }
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
     }
     None
 }
@@ -371,36 +343,16 @@ pub fn check_fault_independence<M: LayeredModel>(
     model: &M,
     depth_limit: usize,
 ) -> Option<M::State> {
-    let mut frontier = model.initial_states();
-    for depth in 0..=depth_limit {
-        for x in &frontier {
-            let fx = failed_set(model, x);
-            let ok = model
-                .successors(x)
-                .iter()
-                .any(|y| failed_set(model, y) == fx);
-            if !ok {
-                return Some(x.clone());
-            }
-        }
-        if depth == depth_limit {
-            break;
-        }
-        let mut seen = HashSet::new();
-        let mut next = Vec::new();
-        for x in &frontier {
-            for s in model.successors(x) {
-                if seen.insert(s.clone()) {
-                    next.push(s);
-                }
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    None
+    let (space, levels) = StateSpace::reachable(model, depth_limit + 1);
+    let failed = |id: StateId| failed_set(model, &space.state(id));
+    levels[..=depth_limit]
+        .iter()
+        .flatten()
+        .find(|&&x| {
+            let fx = failed(x);
+            !row(&space, x).iter().any(|&y| failed(y) == fx)
+        })
+        .map(|&x| space.resolve(x))
 }
 
 /// Validates the grading contract up to `depth_limit`: all initial states
@@ -409,48 +361,45 @@ pub fn check_fault_independence<M: LayeredModel>(
 ///
 /// Returns a description of the first contract breach.
 pub fn check_graded<M: LayeredModel>(model: &M, depth_limit: usize) -> Option<String> {
-    let mut frontier = model.initial_states();
-    for x in &frontier {
-        if model.depth(x) != 0 {
-            return Some(format!("initial state at depth {}: {x:?}", model.depth(x)));
+    let (space, levels) = StateSpace::reachable(model, depth_limit);
+    for x in space.materialize(&levels[0]) {
+        if model.depth(&x) != 0 {
+            return Some(format!("initial state at depth {}: {x:?}", model.depth(&x)));
         }
     }
-    for _ in 0..depth_limit {
-        let mut seen = HashSet::new();
-        let mut next = Vec::new();
-        for x in &frontier {
-            let succ = model.successors(x);
-            if succ.is_empty() {
-                return Some(format!("empty layer at {x:?}"));
-            }
-            let mut dedup = HashSet::new();
-            for y in &succ {
-                if !dedup.insert(y.clone()) {
-                    return Some(format!("duplicate successor {y:?} of {x:?}"));
-                }
-                if model.depth(y) != model.depth(x) + 1 {
-                    return Some(format!(
-                        "depth jump {} -> {} at {y:?}",
-                        model.depth(x),
-                        model.depth(y)
-                    ));
-                }
-                let fx: HashSet<_> = failed_set(model, x).into_iter().collect();
-                let fy: HashSet<_> = failed_set(model, y).into_iter().collect();
-                if !fx.is_subset(&fy) {
-                    return Some(format!("failed set shrank along edge {x:?} -> {y:?}"));
-                }
-                if seen.insert(y.clone()) {
-                    next.push(y.clone());
-                }
-            }
+    for &xid in levels[..depth_limit].iter().flatten() {
+        let x = space.resolve(xid);
+        let succ = row(&space, xid);
+        if succ.is_empty() {
+            return Some(format!("empty layer at {x:?}"));
         }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
+        let fx = failed_set(model, &x);
+        let mut dedup = HashSet::new();
+        for &yid in succ {
+            let y = space.resolve(yid);
+            if !dedup.insert(yid) {
+                return Some(format!("duplicate successor {y:?} of {x:?}"));
+            }
+            if model.depth(&y) != model.depth(&x) + 1 {
+                return Some(format!(
+                    "depth jump {} -> {} at {y:?}",
+                    model.depth(&x),
+                    model.depth(&y)
+                ));
+            }
+            if !fx.iter().all(|&i| model.failed_at(&y, i)) {
+                return Some(format!("failed set shrank along edge {x:?} -> {y:?}"));
+            }
         }
     }
     None
+}
+
+/// The successor row of `id` in an arena that expanded it.
+fn row<M: LayeredModel>(space: &StateSpace<M>, id: StateId) -> &[StateId] {
+    space
+        .cached_successors(id)
+        .expect("states above the last level were expanded")
 }
 
 #[cfg(test)]

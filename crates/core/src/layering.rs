@@ -20,12 +20,12 @@
 //! already violates Decision/Agreement/Validity at the horizon, which the
 //! [checker](crate::checker) surfaces separately.
 
-use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 use crate::connectivity::{valence_report_ids, ConnectivityReport};
 use crate::model::ExecutionTrace;
-use crate::space::{Keying, StateId};
-use crate::telemetry::Span;
+use crate::space::{walk, Keying, NextLevel, StateId};
+use crate::telemetry::{Span, NOOP};
 use crate::valence::{undecided_non_failed, Solver, Valence};
 use crate::{LayeredModel, ValenceSolver};
 
@@ -252,21 +252,14 @@ pub fn scan_layer_valence_connectivity<M: LayeredModel, K: Keying<M>>(
     let model = solver.model();
     let obs = solver.observer();
     let _span = Span::enter(obs, "layering.layer_scan");
-    let mut frontier: Vec<StateId> = Vec::new();
-    let mut roots_seen: HashSet<StateId> = HashSet::new();
-    for x in model.initial_states() {
-        let id = solver.intern_id(&x);
-        if roots_seen.insert(id) {
-            frontier.push(id);
-        }
-    }
-    let mut states_seen = frontier.len();
+    let mut first = NextLevel::default();
+    let initial = model.initial_states();
+    first.offer(initial.iter().map(|x| solver.intern_id(x)), &NOOP);
+    let mut states_seen = first.ids().len();
     let mut layers_checked = 0;
-    obs.gauge("engine.frontier_width", frontier.len() as u64);
-    for _ in 0..=depth_limit {
-        let mut next: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for &id in &frontier {
+    obs.gauge("engine.frontier_width", states_seen as u64);
+    let violation = walk(first, depth_limit + 1, |_, level, next| {
+        for &id in level {
             obs.counter("engine.states_visited", 1);
             let _check_span =
                 Span::enter_with(obs, "layering.check_layer", &[("state", id.index() as u64)]);
@@ -293,33 +286,20 @@ pub fn scan_layer_valence_connectivity<M: LayeredModel, K: Keying<M>>(
                         report.components
                     ),
                 );
-                return LayerScan {
-                    layers_checked,
-                    states_seen,
-                    violation: Some((solver.space().resolve(id), report)),
-                };
+                return ControlFlow::Break((solver.space().resolve(id), report));
             }
             if model.depth(&solver.space().resolve(id)) < depth_limit {
-                for y in layer {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
+                next.offer(layer, obs);
             }
         }
-        frontier = next;
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        states_seen += frontier.len();
-        if frontier.is_empty() {
-            break;
-        }
-    }
+        obs.gauge("engine.frontier_width", next.ids().len() as u64);
+        states_seen += next.ids().len();
+        ControlFlow::Continue(())
+    });
     LayerScan {
         layers_checked,
         states_seen,
-        violation: None,
+        violation,
     }
 }
 
@@ -398,7 +378,7 @@ pub fn check_lemma_3_2<M: LayeredModel>(
     })
 }
 
-/// Shared interned BFS behind the Lemma 3.1/3.2 checkers: returns the first
+/// The [`walk`] behind the Lemma 3.1/3.2 checkers: returns the first
 /// bivalent state within `depth_limit` layers whose non-failed undecided
 /// count drops below `min_undecided`, running `precheck` on every visited
 /// state first.
@@ -410,42 +390,26 @@ fn lemma_sweep<M: LayeredModel>(
 ) -> Option<M::State> {
     let model = solver.model();
     let obs = solver.observer();
-    let mut frontier: Vec<StateId> = Vec::new();
-    let mut roots_seen: HashSet<StateId> = HashSet::new();
-    for x in model.initial_states() {
-        let id = solver.intern(&x);
-        if roots_seen.insert(id) {
-            frontier.push(id);
-        }
-    }
-    for _ in 0..=depth_limit {
-        let mut next: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for &id in &frontier {
+    let mut first = NextLevel::default();
+    let initial = model.initial_states();
+    first.offer(initial.iter().map(|x| solver.intern(x)), &NOOP);
+    walk(first, depth_limit + 1, |_, level, next| {
+        for &id in level {
             obs.counter("engine.states_visited", 1);
-            precheck(model, &solver.space().resolve(id));
+            let x = solver.space().resolve(id);
+            precheck(model, &x);
             if solver.valence_id(id) == Valence::Bivalent
-                && undecided_non_failed(model, &solver.space().resolve(id)).len() < min_undecided
+                && undecided_non_failed(model, &x).len() < min_undecided
             {
-                return Some(solver.space().resolve(id));
+                return ControlFlow::Break(x);
             }
-            if model.depth(&solver.space().resolve(id)) < depth_limit {
-                for y in solver.successor_ids(id) {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
+            if model.depth(&x) < depth_limit {
+                next.offer(solver.successor_ids(id), obs);
             }
         }
-        frontier = next;
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    None
+        obs.gauge("engine.frontier_width", next.ids().len() as u64);
+        ControlFlow::Continue(())
+    })
 }
 
 #[cfg(test)]

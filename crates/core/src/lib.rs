@@ -76,7 +76,7 @@ pub use layering::{
     extend_bivalent_run, scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel,
     scan_layer_valence_connectivity_quotient, BivalentRunOutcome, LayerScan, Stuck,
 };
-pub use model::{explore, states_at_depth, ExecutionTrace, Exploration, LayeredModel, TraceError};
+pub use model::{explore, ExecutionTrace, Exploration, LayeredModel, TraceError};
 pub use pid::{binary_input_vectors, Pid, Value};
 pub use sim::{MoveRecord, SimModel};
 pub use space::pack::{
@@ -90,7 +90,7 @@ pub use space::{Arena, DiffReport, Keying, Orbits, Plain, QuotientSpace, StateId
 pub use stats::{census, LevelCensus};
 pub use sym::{canonicalize_by_min, canonicalize_packed, orbit_size, PidPerm, Symmetric};
 pub use telemetry::{
-    Fanout, Heartbeat, Histogram, JsonlObserver, MemoryBreakdown, MemoryFootprint, MetricsRegistry,
+    Fanout, Heartbeat, Histogram, MemoryBreakdown, MemoryFootprint, MetricsRegistry,
     MetricsSnapshot, NoopObserver, Observer, Span, TraceObserver,
 };
 pub use valence::{

@@ -141,35 +141,6 @@ pub trait LayeredModel {
     }
 }
 
-/// The set of all states reachable from `from` in exactly `k` layers.
-///
-/// Duplicate states produced by different action sequences are merged.
-/// Reports states visited, dedup hits and frontier width to `obs` (see
-/// [`crate::telemetry`] for the naming scheme).
-///
-/// # Examples
-///
-/// Counting layer sizes in a toy model:
-///
-/// ```
-/// use layered_core::telemetry::NOOP;
-/// use layered_core::{states_at_depth, LayeredModel};
-/// # use layered_core::testkit::CounterModel;
-/// let m = CounterModel::new(2, 4);
-/// let x0 = m.initial_states().remove(0);
-/// assert_eq!(states_at_depth(&m, &x0, 0, &NOOP).len(), 1);
-/// ```
-pub fn states_at_depth<M: LayeredModel>(
-    model: &M,
-    from: &M::State,
-    k: usize,
-    obs: &dyn Observer,
-) -> Vec<M::State> {
-    let mut space: StateSpace<M> = StateSpace::for_model(model);
-    let levels = space.expand_layers(model, std::slice::from_ref(from), k, obs);
-    space.materialize(levels.last().expect("expand returns k + 1 levels"))
-}
-
 /// Statistics from a reachability sweep (see [`explore`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Exploration<S> {
@@ -362,21 +333,6 @@ mod tests {
         assert_eq!(exp.levels[0].len(), 4);
         assert!(exp.total_states >= 4);
         assert!(exp.total_edges > 0);
-    }
-
-    #[test]
-    fn states_at_depth_matches_explore() {
-        let m = CounterModel::new(2, 5);
-        let x0 = m.initial_states().remove(0);
-        for k in 0..3 {
-            let a = states_at_depth(&m, &x0, k, &NOOP);
-            let b = explore(&m, std::slice::from_ref(&x0), k, &NOOP);
-            let mut a2 = a.clone();
-            let mut b2 = b.levels[k].clone();
-            a2.sort_by(|l, r| format!("{l:?}").cmp(&format!("{r:?}")));
-            b2.sort_by(|l, r| format!("{l:?}").cmp(&format!("{r:?}")));
-            assert_eq!(a2, b2);
-        }
     }
 
     #[test]

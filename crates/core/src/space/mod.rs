@@ -57,7 +57,9 @@
 //! exploration routines here present states in a canonical order (roots in
 //! the order given, then successor lists in model order, level by level),
 //! so for a fixed model and entry point the id assignment — and everything
-//! derived from it — is deterministic.
+//! derived from it — is deterministic. That order is [`walk`]'s: every
+//! reachable-region sweep in the workspace runs on it or reads the levels
+//! of [`Arena::expand_layers`], which does.
 //!
 //! # Persistence
 //!
@@ -74,6 +76,7 @@ pub mod snapshot;
 use std::borrow::Cow;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow;
 
 use fxhash::{FxHashMap, FxHasher};
 
@@ -108,6 +111,64 @@ impl StateId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+}
+
+/// The level being collected by a [`walk`]: ids offered row by row, each
+/// kept at its first occurrence.
+#[derive(Debug, Default)]
+pub struct NextLevel {
+    ids: Vec<StateId>,
+    seen: HashSet<StateId>,
+}
+
+impl NextLevel {
+    /// Appends every id of `row` not yet in the level, in order; each
+    /// repeat counts one `engine.dedup_hits` on `obs`.
+    pub fn offer(&mut self, row: impl IntoIterator<Item = StateId>, obs: &dyn Observer) {
+        for id in row {
+            if self.seen.insert(id) {
+                self.ids.push(id);
+            } else {
+                obs.counter("engine.dedup_hits", 1);
+            }
+        }
+    }
+
+    /// The ids collected so far, in first-seen order.
+    #[must_use]
+    pub fn ids(&self) -> &[StateId] {
+        &self.ids
+    }
+}
+
+/// The level-order walk every reachable-region sweep runs on: the
+/// determinism contract's first-seen order, in one place.
+///
+/// Starting from the level `roots` (filled by the caller, who decides
+/// whether repeated roots count as dedup hits), the walk hands each level
+/// in turn to `visit(depth, level, next)`, which visits its states and
+/// offers to `next`, state by state, the successor rows to walk into. The
+/// walk visits at most `levels` levels and stops at the first empty one,
+/// or when `visit` breaks, returning the break value. Visiting a state
+/// and offering its row before the next state is visited keeps dedup
+/// counts exact for sweeps that stop mid-level.
+pub fn walk<R>(
+    roots: NextLevel,
+    levels: usize,
+    mut visit: impl FnMut(usize, &[StateId], &mut NextLevel) -> ControlFlow<R>,
+) -> Option<R> {
+    let mut next = roots;
+    for depth in 0..levels {
+        next.seen.clear();
+        let level = std::mem::take(&mut next.ids);
+        if level.is_empty() {
+            break;
+        }
+        if let ControlFlow::Break(r) = visit(depth, &level, &mut next) {
+            return Some(r);
+        }
+    }
+    None
 }
 
 /// Range of a state's successor list inside the packed edge array.
@@ -1133,21 +1194,16 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         mut prefetch: impl FnMut(&mut Self, &[StateId]),
     ) -> Vec<Vec<StateId>> {
         let _span = Span::enter(obs, "space.build");
+        let mut first = NextLevel::default();
+        first.offer(
+            roots.iter().map(|r| self.intern_state(model, r, obs).0),
+            obs,
+        );
+        obs.gauge("engine.frontier_width", first.ids().len() as u64);
         let mut levels: Vec<Vec<StateId>> = Vec::with_capacity(horizon + 1);
-        let mut frontier: Vec<StateId> = Vec::new();
-        let mut seen: HashSet<StateId> = HashSet::new();
-        for r in roots {
-            let (id, _) = self.intern_state(model, r, obs);
-            if seen.insert(id) {
-                frontier.push(id);
-            } else {
-                obs.counter("engine.dedup_hits", 1);
-            }
-        }
-        obs.gauge("engine.frontier_width", frontier.len() as u64);
-        levels.push(frontier.clone());
+        levels.push(first.ids().to_vec());
         let mut heartbeat = Heartbeat::new();
-        for depth in 0..horizon {
+        walk(first, horizon, |depth, frontier, next| {
             let _layer_span = Span::enter_with(
                 obs,
                 "space.layer",
@@ -1161,18 +1217,10 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
             } else {
                 0
             };
-            prefetch(self, &frontier);
-            let mut seen: HashSet<StateId> = HashSet::new();
-            let mut next = Vec::new();
-            for &id in &frontier {
+            prefetch(self, frontier);
+            for &id in frontier {
                 obs.counter("engine.states_visited", 1);
-                for y in self.successor_ids(model, id, obs) {
-                    if seen.insert(y) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
+                next.offer(self.successor_ids(model, id, obs), obs);
             }
             if obs.enabled() {
                 obs.histogram(
@@ -1180,11 +1228,13 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
                     clock::monotonic_ns().saturating_sub(layer_started),
                 );
             }
-            obs.gauge("engine.frontier_width", next.len() as u64);
-            heartbeat.tick(obs, depth + 1, next.len(), self.len());
-            levels.push(next.clone());
-            frontier = next;
-        }
+            obs.gauge("engine.frontier_width", next.ids().len() as u64);
+            heartbeat.tick(obs, depth + 1, next.ids().len(), self.len());
+            levels.push(next.ids().to_vec());
+            ControlFlow::<()>::Continue(())
+        });
+        // Levels past an empty one are empty.
+        levels.resize(horizon + 1, Vec::new());
         levels
     }
 
@@ -1230,6 +1280,17 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
 }
 
 impl<M: LayeredModel> Arena<M, Plain> {
+    /// A fresh arena holding the region within `horizon` layers of the
+    /// model's initial states, expanded without telemetry, and its levels
+    /// (see [`Arena::expand_layers`]): the reachable region the
+    /// state-space sweeps read.
+    #[must_use]
+    pub fn reachable(model: &M, horizon: usize) -> (Self, Vec<Vec<StateId>>) {
+        let mut space = Self::for_model(model);
+        let levels = space.expand_layers(model, &model.initial_states(), horizon, &NOOP);
+        (space, levels)
+    }
+
     /// Interns `s`, returning its dense id (allocating one on first sight).
     pub fn intern(&mut self, s: &M::State) -> StateId {
         self.intern_with(s, &NOOP)

@@ -6,8 +6,7 @@
 //! level: distinct states, layer sizes, deduplication factors, and decided
 //! fractions; the experiment harness tabulates them per model.
 
-use std::collections::HashSet;
-
+use crate::space::StateSpace;
 use crate::telemetry::{Observer, Span};
 use crate::{LayeredModel, Pid};
 
@@ -57,49 +56,39 @@ impl LevelCensus {
 pub fn census<M: LayeredModel>(model: &M, depth: usize, obs: &dyn Observer) -> Vec<LevelCensus> {
     let _span = Span::enter(obs, "stats.census");
     let n = model.num_processes();
+    let (space, levels) = StateSpace::reachable(model, depth);
     let mut out = Vec::with_capacity(depth + 1);
-    let mut level = model.initial_states();
-    for d in 0..=depth {
+    for (d, level) in levels.iter().enumerate() {
         obs.gauge("engine.frontier_width", level.len() as u64);
-        let mut edges = 0usize;
-        let mut min_layer = usize::MAX;
-        let mut max_layer = 0usize;
-        let mut next = Vec::new();
-        let mut seen = HashSet::new();
-        let with_decisions = level
+        let with_decisions = space
+            .materialize(level)
             .iter()
             .filter(|x| Pid::all(n).any(|i| model.decision(x, i).is_some()))
             .count();
         obs.counter("engine.states_visited", level.len() as u64);
         obs.counter("census.decided_states", with_decisions as u64);
-        if d < depth {
-            for x in &level {
-                let layer = model.successors(x);
-                edges += layer.len();
-                min_layer = min_layer.min(layer.len());
-                max_layer = max_layer.max(layer.len());
-                for y in layer {
-                    if seen.insert(y.clone()) {
-                        next.push(y);
-                    } else {
-                        obs.counter("engine.dedup_hits", 1);
-                    }
-                }
-            }
+        let layers: Vec<usize> = if d < depth {
+            level
+                .iter()
+                .map(|&x| space.cached_successors(x).expect("expanded level").len())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let edges = layers.iter().sum();
+        // Each edge leaving the level reaches a new state or repeats one.
+        let hits = edges - levels.get(d + 1).map_or(0, Vec::len);
+        if hits > 0 {
+            obs.counter("engine.dedup_hits", hits as u64);
         }
         out.push(LevelCensus {
             depth: d,
             states: level.len(),
             edges,
-            min_layer: if min_layer == usize::MAX {
-                0
-            } else {
-                min_layer
-            },
-            max_layer,
+            min_layer: layers.iter().copied().min().unwrap_or(0),
+            max_layer: layers.iter().copied().max().unwrap_or(0),
             with_decisions,
         });
-        level = next;
     }
     out
 }

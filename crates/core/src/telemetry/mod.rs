@@ -15,8 +15,6 @@
 //! * [`MetricsRegistry`] — an in-memory aggregator; freeze it into a
 //!   [`MetricsSnapshot`] to read totals, distributions, or serialize them
 //!   as JSON,
-//! * [`JsonlObserver`] — streams every event as one JSON object per line to
-//!   any [`std::io::Write`], for offline analysis of hot paths,
 //! * [`TraceObserver`] — a bounded ring of individual spans with
 //!   parent/child structure, exportable as Chrome trace-event JSON
 //!   ([`trace`]) and foldable into a self-profile ([`profile`]),
@@ -41,7 +39,6 @@
 //! end in `_ns` — the suffix the byte-stability contract strips.
 
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -694,129 +691,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Streaming sink: every telemetry event becomes one JSON object per line.
-///
-/// Record shapes:
-///
-/// ```text
-/// {"type":"counter","name":"engine.states_visited","delta":42}
-/// {"type":"gauge","name":"engine.frontier_width","value":96}
-/// {"type":"histogram","name":"space.intern.probe_len","value":3}
-/// {"type":"span_start","name":"checker.check_consensus"}
-/// {"type":"span_end","name":"checker.check_consensus","ns":10250}
-/// {"type":"event","name":"layering.stuck","detail":"no_bivalent_successor depth=2"}
-/// {"type":"progress","name":"scan.progress","detail":"depth=3 frontier=96 ..."}
-/// ```
-///
-/// Write errors are deliberately swallowed: telemetry must never fail an
-/// analysis. The writer is flushed when the observer is dropped (or
-/// earlier, via [`JsonlObserver::into_inner`]), so buffered records
-/// survive every exit path.
-#[derive(Debug)]
-pub struct JsonlObserver<W: Write> {
-    out: Mutex<Option<W>>,
-}
-
-impl<W: Write> JsonlObserver<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        JsonlObserver {
-            out: Mutex::new(Some(out)),
-        }
-    }
-
-    /// Flushes and returns the underlying writer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the writer mutex was poisoned.
-    pub fn into_inner(mut self) -> W {
-        let mut w = self
-            .out
-            .get_mut()
-            .expect("jsonl writer poisoned")
-            .take()
-            .expect("writer present until into_inner");
-        let _ = w.flush();
-        w
-    }
-
-    fn write_line(&self, line: &str) {
-        if let Ok(mut out) = self.out.lock() {
-            if let Some(out) = out.as_mut() {
-                let _ = writeln!(out, "{line}");
-            }
-        }
-    }
-}
-
-impl<W: Write> Drop for JsonlObserver<W> {
-    fn drop(&mut self) {
-        if let Ok(slot) = self.out.get_mut() {
-            if let Some(w) = slot.as_mut() {
-                let _ = w.flush();
-            }
-        }
-    }
-}
-
-impl<W: Write + Send> Observer for JsonlObserver<W> {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.write_line(&format!(
-            "{{\"type\":\"counter\",\"name\":\"{}\",\"delta\":{delta}}}",
-            json::escape(name)
-        ));
-    }
-
-    fn gauge(&self, name: &'static str, value: u64) {
-        self.write_line(&format!(
-            "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{value}}}",
-            json::escape(name)
-        ));
-    }
-
-    fn histogram(&self, name: &'static str, value: u64) {
-        self.write_line(&format!(
-            "{{\"type\":\"histogram\",\"name\":\"{}\",\"value\":{value}}}",
-            json::escape(name)
-        ));
-    }
-
-    fn span_start(&self, name: &'static str) {
-        self.write_line(&format!(
-            "{{\"type\":\"span_start\",\"name\":\"{}\"}}",
-            json::escape(name)
-        ));
-    }
-
-    fn span_end(&self, name: &'static str, nanos: u64) {
-        self.write_line(&format!(
-            "{{\"type\":\"span_end\",\"name\":\"{}\",\"ns\":{nanos}}}",
-            json::escape(name)
-        ));
-    }
-
-    fn event(&self, name: &'static str, detail: &str) {
-        self.write_line(&format!(
-            "{{\"type\":\"event\",\"name\":\"{}\",\"detail\":\"{}\"}}",
-            json::escape(name),
-            json::escape(detail)
-        ));
-    }
-
-    fn progress(&self, name: &'static str, detail: &str) {
-        self.write_line(&format!(
-            "{{\"type\":\"progress\",\"name\":\"{}\",\"detail\":\"{}\"}}",
-            json::escape(name),
-            json::escape(detail)
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -936,29 +810,31 @@ mod tests {
     #[test]
     fn heartbeat_period_zero_fires_every_tick() {
         let reg = MetricsRegistry::new();
-        let jsonl = JsonlObserver::new(Vec::new());
-        let tee = Fanout::new(&[&reg, &jsonl]);
+        let trace = TraceObserver::new();
+        let tee = Fanout::new(&[&reg, &trace]);
         let mut hb = Heartbeat::with_period_ns(0);
         hb.tick(&tee, 1, 10, 100);
         hb.tick(&tee, 2, 20, 200);
-        // The registry stays clean; the stream carries the progress lines.
+        // The registry stays clean; the trace ring carries the progress lines.
         assert_eq!(reg.snapshot().events.len(), 0);
-        let text = String::from_utf8(jsonl.into_inner()).expect("utf8");
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("\"type\":\"progress\""), "in {text}");
-        assert!(text.contains("depth=2 frontier=20 states=200"), "in {text}");
+        let lines = trace.instants();
+        assert_eq!(lines.len(), 2);
+        assert!(lines.iter().all(|l| l.name == "scan.progress"));
+        assert!(
+            lines[1].detail.contains("depth=2 frontier=20 states=200"),
+            "in {lines:?}"
+        );
     }
 
     #[test]
     fn heartbeat_long_period_fires_once() {
-        let jsonl = JsonlObserver::new(Vec::new());
+        let trace = TraceObserver::new();
         let mut hb = Heartbeat::with_period_ns(u64::MAX);
         for i in 0..100 {
-            hb.tick(&jsonl, i, 1, i);
+            hb.tick(&trace, i, 1, i);
         }
-        let text = String::from_utf8(jsonl.into_inner()).expect("utf8");
         // Only the first tick (last_ns == 0) fires within u64::MAX period.
-        assert_eq!(text.lines().count(), 1);
+        assert_eq!(trace.instants().len(), 1);
     }
 
     #[test]
@@ -988,75 +864,5 @@ mod tests {
         assert_eq!(parsed["histograms"]["a.dist"]["p50"].as_u64(), Some(9));
         assert_eq!(parsed["spans"]["a.span"]["total_ns"].as_u64(), Some(30));
         assert_eq!(parsed["events"][0]["detail"].as_str(), Some("de\"tail"));
-    }
-
-    #[test]
-    fn jsonl_observer_emits_one_valid_object_per_line() {
-        let obs = JsonlObserver::new(Vec::new());
-        obs.counter("c", 1);
-        obs.gauge("g", 2);
-        obs.histogram("h", 9);
-        obs.span_start("s");
-        obs.span_end("s", 3);
-        obs.event("e", "detail with \"quotes\" and\nnewline");
-        obs.progress("p", "depth=1");
-        let buf = obs.into_inner();
-        let text = String::from_utf8(buf).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 7);
-        for line in lines {
-            let v = json::Json::parse(line).expect("each line parses");
-            assert!(v["type"].as_str().is_some(), "line {line} has a type");
-        }
-    }
-
-    /// A writer that marks a shared flag when flushed, so tests can see
-    /// whether drop reached the underlying writer.
-    struct FlagWriter {
-        flushed: std::sync::Arc<std::sync::atomic::AtomicBool>,
-        wrote: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    }
-
-    impl Write for FlagWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.wrote.fetch_add(buf.len() as u64, Ordering::Relaxed);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.flushed.store(true, Ordering::Relaxed);
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn jsonl_observer_flushes_on_drop() {
-        let flushed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let wrote = std::sync::Arc::new(AtomicU64::new(0));
-        {
-            let obs = JsonlObserver::new(FlagWriter {
-                flushed: flushed.clone(),
-                wrote: wrote.clone(),
-            });
-            obs.counter("c", 1);
-            assert!(!flushed.load(Ordering::Relaxed));
-        }
-        assert!(
-            flushed.load(Ordering::Relaxed),
-            "drop must flush buffered records"
-        );
-        assert!(wrote.load(Ordering::Relaxed) > 0);
-    }
-
-    #[test]
-    fn jsonl_into_inner_does_not_double_flush() {
-        let flushed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let wrote = std::sync::Arc::new(AtomicU64::new(0));
-        let obs = JsonlObserver::new(FlagWriter {
-            flushed: flushed.clone(),
-            wrote: wrote.clone(),
-        });
-        obs.event("e", "x");
-        let _w = obs.into_inner();
-        assert!(flushed.load(Ordering::Relaxed));
     }
 }

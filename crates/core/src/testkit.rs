@@ -16,26 +16,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::space::pack::StatePacker;
 use crate::space::snapshot::{SnapshotError, SnapshotReader, SnapshotState};
-use crate::space::{StateId, StateSpace};
 use crate::sym::{canonicalize_by_min, PidPerm, Symmetric};
-use crate::telemetry::NOOP;
 use crate::{LayeredModel, Pid, Value};
-
-/// Interns the whole region reachable from the model's initial states
-/// within `horizon` layers into a fresh [`StateSpace`], returning the arena
-/// and its interned levels.
-///
-/// This is the canonical way tests and benches set up an id-typed view of a
-/// model: ids are assigned deterministically in breadth-first order.
-pub fn reachable_space<M: LayeredModel>(
-    model: &M,
-    horizon: usize,
-) -> (StateSpace<M>, Vec<Vec<StateId>>) {
-    let mut space = StateSpace::for_model(model);
-    let roots = model.initial_states();
-    let levels = space.expand_layers(model, &roots, horizon, &NOOP);
-    (space, levels)
-}
 
 /// A trivial graded model: each state has `branch` successors, no decisions,
 /// no failures. Used to exercise exploration utilities.

@@ -29,9 +29,7 @@
 //! probe (`layered_topology::Covering`), run by the same solver, memo and
 //! [Theorem 4.2 loop](crate::build_bivalent_run).
 
-use std::collections::HashSet;
-
-use crate::space::{Arena, Keying, Orbits, Plain, StateId};
+use crate::space::{Arena, Keying, NextLevel, Orbits, Plain, StateId};
 use crate::sym::{PidPerm, Symmetric};
 use crate::telemetry::{MemoryBreakdown, MemoryFootprint, Observer, NOOP};
 use crate::{LayeredModel, Pid, Value};
@@ -352,15 +350,11 @@ impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
     /// closed under renaming, representatives of initial orbits are
     /// themselves genuine initial states.
     pub fn bivalent_initial_id(&mut self) -> Option<StateId> {
-        let mut ids: Vec<StateId> = Vec::new();
-        let mut seen = HashSet::new();
-        for x0 in self.model.initial_states() {
-            let id = self.intern_id(&x0);
-            if seen.insert(id) {
-                ids.push(id);
-            }
-        }
-        ids.into_iter().find(|&id| self.is_bivalent_id(id))
+        let mut roots = NextLevel::default();
+        let initial = self.model.initial_states();
+        roots.offer(initial.iter().map(|x0| self.intern_id(x0)), &NOOP);
+        let ids = roots.ids();
+        ids.iter().copied().find(|&id| self.is_bivalent_id(id))
     }
 }
 

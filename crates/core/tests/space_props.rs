@@ -4,14 +4,14 @@
 
 use proptest::prelude::*;
 
-use layered_core::testkit::{reachable_space, CounterModel, Unpacked};
+use layered_core::testkit::{CounterModel, Unpacked};
 use layered_core::{LayeredModel, NoopObserver, QuotientSpace, StateId, StateSpace};
 
 /// Every distinct state reachable in 3 layers of a 3-way branching model —
 /// the pool random interning orders draw from.
 fn pool() -> Vec<<CounterModel as LayeredModel>::State> {
     let m = CounterModel::new(3, 3);
-    let (space, levels) = reachable_space(&m, 3);
+    let (space, levels) = StateSpace::reachable(&m, 3);
     levels
         .into_iter()
         .flatten()
