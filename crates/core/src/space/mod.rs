@@ -1485,6 +1485,71 @@ mod tests {
     }
 
     #[test]
+    fn walk_keeps_first_seen_order_and_stops_on_break() {
+        // Level d holds ids 10·d.., each state offering its row before the
+        // next state is visited; repeats count as dedup hits.
+        let reg = MetricsRegistry::new();
+        let mut roots = NextLevel::default();
+        roots.offer([StateId(1), StateId(0), StateId(1)], &reg);
+        let mut seen = Vec::new();
+        let out = walk(roots, 5, |depth, level, next| {
+            seen.push(level.to_vec());
+            if depth == 2 {
+                return ControlFlow::Break(level.len());
+            }
+            for &id in level {
+                let base = 10 * (depth as u32 + 1);
+                next.offer([StateId(base + id.0 % 2), StateId(base + 5)], &reg);
+            }
+            ControlFlow::Continue(())
+        });
+        assert_eq!(out, Some(3), "the break value comes back");
+        let ids = |xs: &[u32]| xs.iter().map(|&x| StateId(x)).collect::<Vec<_>>();
+        assert_eq!(
+            seen,
+            vec![ids(&[1, 0]), ids(&[11, 15, 10]), ids(&[21, 25, 20])]
+        );
+        // One repeated root, one repeat offered by level 0, three by level 1.
+        assert_eq!(reg.snapshot().counter("engine.dedup_hits"), 5);
+        // Without a break the walk ends after `levels` levels.
+        let mut roots = NextLevel::default();
+        roots.offer([StateId(0)], &NOOP);
+        let mut depths = Vec::new();
+        let out: Option<()> = walk(roots, 3, |depth, level, next| {
+            depths.push(depth);
+            next.offer(level.iter().map(|id| StateId(id.0 + 1)), &NOOP);
+            ControlFlow::Continue(())
+        });
+        assert_eq!((out, depths), (None, vec![0, 1, 2]));
+    }
+
+    #[test]
+    fn expand_layers_pads_levels_past_an_empty_one() {
+        // The diamond's leaves (depth 2) have no successors, so levels 3
+        // and 4 are empty: the returned levels are padded, and no layer
+        // past the first empty level is expanded.
+        let m = crate::testkit::flp_diamond();
+        let roots = m.initial_states();
+        let reg = MetricsRegistry::new();
+        let mut space: StateSpace<_> = StateSpace::for_model(&m);
+        let levels = space.expand_layers(&m, &roots, 4, &reg);
+        let ids = |xs: &[u32]| xs.iter().map(|&x| StateId(x)).collect::<Vec<_>>();
+        assert_eq!(
+            levels,
+            vec![ids(&[0]), ids(&[1, 2]), ids(&[3, 4]), vec![], vec![]]
+        );
+        let reference = crate::explore(&m, &roots, 4, &NOOP);
+        assert_eq!(levels.len(), reference.levels.len());
+        for (ids, states) in levels.iter().zip(&reference.levels) {
+            assert_eq!(&space.materialize(ids), states);
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.spans["space.layer"].count, 3);
+        assert_eq!(snap.counter("engine.states_visited"), 5);
+        assert_eq!(snap.gauge_last("engine.frontier_width"), 0);
+    }
+
+    #[test]
     fn parallel_expansion_is_bit_identical() {
         let m = CounterModel::new(3, 4);
         let roots = m.initial_states();
