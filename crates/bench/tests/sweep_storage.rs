@@ -13,7 +13,8 @@
 //! `check_graded`, `check_fault_independence`, `check_crash_display`,
 //! `check_lemma_3_1` and `check_lemma_6_4` — are compared the same way
 //! with naive references on every model family at n ≤ 3 and on scripted
-//! models that break each contract.
+//! models that break each contract; topology's `diameter_sweep` is
+//! compared row for row with one on the counter, crash and mobile models.
 
 use std::collections::HashSet;
 
@@ -25,8 +26,8 @@ use layered_core::testkit::{
 };
 use layered_core::{
     census, check_consensus, check_crash_display, check_fault_independence, check_graded,
-    check_lemma_3_1, explore, trace_to, undecided_non_failed, LayeredModel, LevelCensus, Pid,
-    Valence, ValenceSolver, Value,
+    check_lemma_3_1, explore, s_diameter, trace_to, undecided_non_failed, LayeredModel,
+    LevelCensus, Pid, Valence, ValenceSolver, Value,
 };
 use layered_iis::IisModel;
 use layered_protocols::{
@@ -34,7 +35,9 @@ use layered_protocols::{
 };
 use layered_sync_crash::{check_display_below_budget, check_lemma_6_4, CrashLayering, CrashModel};
 use layered_sync_mobile::MobileModel;
-use layered_topology::{check_task, tasks, DecisionTask};
+use layered_topology::{
+    check_task, diameter_sweep, lemma_7_6_bound, tasks, DecisionTask, DiameterRow,
+};
 
 /// The E-6.3 FloodMin instances: `(n, t, rounds, horizon)`, the too-fast
 /// `t`-round candidate and the tight `t + 1`-round protocol.
@@ -338,6 +341,33 @@ fn naive_lemma_6_4<P: SyncProtocol>(
     None
 }
 
+/// The rows `diameter_sweep` reports, computed over plain state vectors:
+/// levels from `naive_levels`, each layer `S(x)` from `successors`.
+fn naive_diameter_sweep<M: LayeredModel>(m: &M, depth: usize) -> Vec<DiameterRow> {
+    let mut rows: Vec<DiameterRow> = Vec::new();
+    for (d, level) in naive_levels(m, depth).iter().enumerate() {
+        let layer_diameter = if d < depth {
+            level
+                .iter()
+                .map(|x| s_diameter(m, &m.successors(x)))
+                .try_fold(0, |worst, dy| dy.map(|dy| worst.max(dy)))
+        } else {
+            None
+        };
+        let bound = rows
+            .last()
+            .and_then(|prev| Some(lemma_7_6_bound(prev.measured?, prev.layer_diameter?)));
+        rows.push(DiameterRow {
+            depth: d,
+            states: level.len(),
+            measured: s_diameter(m, level),
+            layer_diameter,
+            bound,
+        });
+    }
+    rows
+}
+
 /// Runs every generic sweep on `m` and on its reference at the depths the
 /// model crates' own tests use, and requires identical results.
 fn assert_sweeps_match_references<M: LayeredModel>(name: &str, m: &M) {
@@ -391,6 +421,22 @@ fn sweeps_agree_with_naive_references_on_every_model_family() {
         "synchronic message passing",
         &MpSyncModel::new(3, MpFloodMin::new(2)),
     );
+}
+
+#[test]
+fn diameter_sweep_agrees_with_a_naive_reference() {
+    fn check<M: LayeredModel>(name: &str, m: &M) {
+        for depth in 0..=2 {
+            assert_eq!(
+                diameter_sweep(m, depth, &NOOP),
+                naive_diameter_sweep(m, depth),
+                "{name}: depth {depth}"
+            );
+        }
+    }
+    check("counter", &CounterModel::new(3, 2));
+    check("crash", &CrashModel::new(3, 1, FloodMin::new(2)));
+    check("mobile", &MobileModel::new(3, FloodMin::new(2)));
 }
 
 /// A scripted model whose level 1 holds two states, `1` then `2`, that
