@@ -583,9 +583,10 @@ where
 #[cfg(test)]
 mod tests {
     use layered_core::sim::SimModel;
+    use layered_core::telemetry::NOOP;
     use layered_core::{
         check_crash_display, check_fault_independence, check_graded, valence_report, LayeredModel,
-        ValenceSolver,
+        Region, ValenceSolver,
     };
     use layered_protocols::{MpCollectMin, MpFloodMin};
 
@@ -607,9 +608,10 @@ mod tests {
     #[test]
     fn structural_contracts_hold() {
         let m = model(3, 2);
-        assert_eq!(check_graded(&m, 1), None);
-        assert_eq!(check_fault_independence(&m, 1), None);
-        assert_eq!(check_crash_display(&m, 1), None);
+        let region = Region::reachable(&m, 2, &NOOP);
+        assert_eq!(check_graded(&m, &region), None);
+        assert_eq!(check_fault_independence(&m, &region), None);
+        assert_eq!(check_crash_display(&m, &region), None);
     }
 
     #[test]

@@ -564,7 +564,7 @@ mod tests {
     use layered_core::telemetry::NOOP;
     use layered_core::{
         check_crash_display, check_fault_independence, check_graded, similarity_report,
-        valence_report, ValenceSolver,
+        valence_report, Region, ValenceSolver,
     };
     use layered_protocols::SmFloodMin;
 
@@ -585,9 +585,10 @@ mod tests {
     #[test]
     fn structural_contracts_hold() {
         let m = model(3, 2);
-        assert_eq!(check_graded(&m, 2), None);
-        assert_eq!(check_fault_independence(&m, 1), None);
-        assert_eq!(check_crash_display(&m, 1), None);
+        let region = Region::reachable(&m, 2, &NOOP);
+        assert_eq!(check_graded(&m, &region), None);
+        assert_eq!(check_fault_independence(&m, &region), None);
+        assert_eq!(check_crash_display(&m, &region), None);
     }
 
     #[test]

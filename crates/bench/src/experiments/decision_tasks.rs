@@ -4,7 +4,7 @@
 
 use layered_async_mp::MpModel;
 use layered_core::report::{yes_no, Table};
-use layered_core::{build_bivalent_run, explore, LayeredModel, ValenceSolver};
+use layered_core::{build_bivalent_run, LayeredModel, Region, ValenceSolver};
 use layered_protocols::{MpCollectMin, MpFloodMin, MpIdentity};
 use layered_sync_crash::CrashModel;
 use layered_sync_mobile::MobileModel;
@@ -221,7 +221,7 @@ pub fn diameter(scope: Scope) -> Experiment {
             };
 
             let m = CrashModel::new(3, 1, layered_protocols::FloodMin::new((depth + 1) as u16));
-            for row in diameter_sweep(&m, depth, obs) {
+            for row in diameter_sweep(&m, &Region::reachable(&m, depth, obs)) {
                 ok &= row.within_bound();
                 table.row_owned(vec![
                     "sync t=1 (S^t)".into(),
@@ -235,7 +235,7 @@ pub fn diameter(scope: Scope) -> Experiment {
             }
 
             let m = MobileModel::new(3, layered_protocols::FloodMin::new((depth + 1) as u16));
-            for row in diameter_sweep(&m, depth, obs) {
+            for row in diameter_sweep(&m, &Region::reachable(&m, depth, obs)) {
                 ok &= row.within_bound();
                 table.row_owned(vec![
                     "M^mf (S₁)".into(),
@@ -268,9 +268,10 @@ pub fn covering_sanity(_scope: Scope) -> Experiment {
             let mut ok = true;
             let m = CrashModel::new(3, 1, layered_protocols::FloodMin::new(2));
             let cov = Covering::consensus(3);
-            let exp = explore(&m, &m.initial_states(), 2, obs);
-            let outputs: Vec<_> = exp
-                .frontier()
+            let region = Region::reachable(&m, 2, obs);
+            let outputs: Vec<_> = region
+                .space()
+                .materialize(&region.levels()[region.horizon()])
                 .iter()
                 .map(|x| decided_simplex(&m, x))
                 .collect();

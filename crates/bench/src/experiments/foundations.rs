@@ -287,7 +287,7 @@ pub fn theorem_4_2(scope: Scope) -> Experiment {
 /// quantitative payoff of working in a layered submodel instead of the full
 /// model (footnote 1 and the Section 5.1 discussion).
 pub fn census(scope: Scope) -> Experiment {
-    use layered_core::stats::census;
+    use layered_core::{stats::census, telemetry::NOOP, Region};
     crate::measured(
         "E-census",
         "Induced-submodel census (layerings keep the state space small)",
@@ -313,7 +313,7 @@ pub fn census(scope: Scope) -> Experiment {
             macro_rules! census_rows {
                 ($model:expr, $name:expr, $n:expr) => {{
                     let m = $model;
-                    let rows = census(&m, depth, obs);
+                    let rows = census(&m, &Region::reachable(&m, depth, &NOOP), obs);
                     for r in &rows {
                         table.row_owned(vec![
                             $name.to_string(),

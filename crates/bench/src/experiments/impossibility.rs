@@ -5,9 +5,10 @@
 use layered_async_mp::{permutations, MpModel};
 use layered_async_sm::{layer_action_is_legal_schedule, SmModel};
 use layered_core::report::{yes_no, Table};
+use layered_core::telemetry::NOOP;
 use layered_core::{
     build_bivalent_run, check_consensus, check_crash_display, check_fault_independence,
-    check_graded, similarity_report, valence_report, LayeredModel, Pid, StateSpace, ValenceSolver,
+    check_graded, similarity_report, valence_report, LayeredModel, Pid, Region, ValenceSolver,
     Value,
 };
 use layered_iis::IisModel;
@@ -40,27 +41,26 @@ pub fn mobile(scope: Scope) -> Experiment {
             );
             let mut ok = true;
 
-            // Structural facts once (protocol-independent mechanics).
-            let m = MobileModel::new(3, FloodMin::new(2));
-            let x0 = m.initial_state(&[Value::ZERO, Value::ONE, Value::ONE]);
-            let structural = m.s1_is_sublayer_at(&x0)
-                && check_graded(&m, 2).is_none()
-                && check_fault_independence(&m, 1).is_none()
-                && check_crash_display(&m, 1).is_none();
-            ok &= structural;
-
             let deadlines: &[u16] = match scope {
                 Scope::Quick => &[1, 2],
                 Scope::Full => &[1, 2, 3],
             };
+            let mut structural = false;
             for &r in deadlines {
                 let m = MobileModel::new(3, FloodMin::new(r));
+                let region = Region::reachable(&m, usize::from(r.min(2)), &NOOP);
+                if r == 2 {
+                    // Structural facts once (protocol-independent mechanics).
+                    let x0 = m.initial_state(&[Value::ZERO, Value::ONE, Value::ONE]);
+                    structural = m.s1_is_sublayer_at(&x0)
+                        && check_graded(&m, &region).is_none()
+                        && check_fault_independence(&m, &region).is_none()
+                        && check_crash_display(&m, &region).is_none();
+                }
                 // Similarity connectivity of every layer on the explored region.
-                let depth = usize::from(r.min(2));
-                let (space, levels) = StateSpace::reachable(&m, depth);
                 let mut sim_ok = true;
-                for &x in levels[..depth].iter().flatten() {
-                    let layer = space.materialize(space.cached_successors(x).expect("expanded"));
+                for &x in region.levels()[..region.horizon()].iter().flatten() {
+                    let layer = region.space().materialize(region.row(x));
                     sim_ok &= similarity_report(&m, &layer, obs).connected;
                 }
                 ok &= sim_ok;
@@ -75,6 +75,7 @@ pub fn mobile(scope: Scope) -> Experiment {
                     verdict.to_string(),
                 ]);
             }
+            ok &= structural;
             if matches!(scope, Scope::Full) {
                 let m = MobileModel::new(3, FullInfoMin::new(2));
                 let report = check_consensus(&m, 2, 1, obs);

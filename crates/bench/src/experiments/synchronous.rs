@@ -2,8 +2,8 @@
 //! surrounding lemmas in the t-resilient synchronous model.
 
 use layered_core::report::{yes_no, Table};
-use layered_core::telemetry::Observer;
-use layered_core::{check_consensus, Valence, ValenceSolver};
+use layered_core::telemetry::{Observer, NOOP};
+use layered_core::{check_consensus, Region, Valence, ValenceSolver};
 use layered_protocols::FloodMin;
 use layered_sync_crash::{
     check_display_below_budget, check_lemma_6_4, lemma_6_1_chain, lemma_6_2_witness, CrashModel,
@@ -319,7 +319,8 @@ pub fn lemma_6_4(scope: Scope) -> Experiment {
                     "6.4: univalent after clean round".into(),
                     yes_no(holds).to_string(),
                 ]);
-                let holds = check_display_below_budget(&m, 1).is_none();
+                let holds =
+                    check_display_below_budget(&m, &Region::reachable(&m, 1, &NOOP)).is_none();
                 ok &= holds;
                 table.row_owned(vec![
                     n.to_string(),

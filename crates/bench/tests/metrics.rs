@@ -6,7 +6,7 @@ use layered_bench::{all_experiments, Scope};
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::MetricsRegistry;
 use layered_core::telemetry::NOOP;
-use layered_core::{census, check_consensus};
+use layered_core::{census, check_consensus, Region};
 use layered_protocols::FloodMin;
 use layered_sync_crash::CrashModel;
 
@@ -78,9 +78,9 @@ fn telemetry_does_not_perturb_engine_results() {
     assert_eq!(plain.violations, observed.violations);
     assert!(reg.snapshot().counter("engine.states_visited") > 0);
 
-    let plain = census(&m, 2, &NOOP);
+    let plain = census(&m, &Region::reachable(&m, 2, &NOOP), &NOOP);
     let reg = MetricsRegistry::new();
-    let observed = census(&m, 2, &reg);
+    let observed = census(&m, &Region::reachable(&m, 2, &reg), &reg);
     assert_eq!(plain, observed);
     assert!(reg.snapshot().counter("engine.states_visited") > 0);
 }

@@ -9,12 +9,13 @@
 //! pinned on the E-6.3 quick instance, the latter against a naive
 //! breadth-first reference that uses no arena at all.
 //!
-//! The reachable-region sweeps — `explore`'s levels, `census`,
-//! `check_graded`, `check_fault_independence`, `check_crash_display`,
-//! `check_lemma_3_1` and `check_lemma_6_4` — are compared the same way
-//! with naive references on every model family at n ≤ 3 and on scripted
-//! models that break each contract; topology's `diameter_sweep` is
-//! compared row for row with one on the counter, crash and mobile models.
+//! The reachable-region sweeps — a `Region`'s levels, and `census`,
+//! `check_graded`, `check_fault_independence` and `check_crash_display`
+//! run on one region per model and horizon, and `check_lemma_3_1` and
+//! `check_lemma_6_4` — are compared the same way with naive references on
+//! every model family at n ≤ 3 and on scripted models that break each
+//! contract; topology's `diameter_sweep` is compared row for row with one
+//! on the counter, crash and mobile models.
 
 use std::collections::HashSet;
 
@@ -26,8 +27,8 @@ use layered_core::testkit::{
 };
 use layered_core::{
     census, check_consensus, check_crash_display, check_fault_independence, check_graded,
-    check_lemma_3_1, explore, s_diameter, trace_to, undecided_non_failed, LayeredModel,
-    LevelCensus, Pid, Valence, ValenceSolver, Value,
+    check_lemma_3_1, s_diameter, trace_to, undecided_non_failed, LayeredModel, LevelCensus, Pid,
+    Region, Valence, ValenceSolver, Value,
 };
 use layered_iis::IisModel;
 use layered_protocols::{
@@ -172,7 +173,7 @@ fn display_check_agrees_with_a_naive_reference() {
     let m = CrashModel::new(3, 1, FloodMin::new(2));
     for depth_limit in 0..=2 {
         assert_eq!(
-            check_display_below_budget(&m, depth_limit),
+            check_display_below_budget(&m, &Region::reachable(&m, depth_limit, &NOOP)),
             naive_display_below_budget(&m, depth_limit),
             "depth limit {depth_limit}"
         );
@@ -372,31 +373,37 @@ fn naive_diameter_sweep<M: LayeredModel>(m: &M, depth: usize) -> Vec<DiameterRow
 /// model crates' own tests use, and requires identical results.
 fn assert_sweeps_match_references<M: LayeredModel>(name: &str, m: &M) {
     for depth in 0..=2 {
-        let roots = m.initial_states();
-        let levels = explore(m, &roots, depth, &NOOP).levels;
+        let region = Region::reachable(m, depth, &NOOP);
+        let levels: Vec<_> = region
+            .levels()
+            .iter()
+            .map(|level| region.space().materialize(level))
+            .collect();
         assert_eq!(levels, naive_levels(m, depth), "{name}: levels to {depth}");
         assert_eq!(
-            census(m, depth, &NOOP),
+            census(m, &region, &NOOP),
             naive_census(m, depth),
             "{name}: census to {depth}"
         );
         assert_eq!(
-            check_graded(m, depth),
+            check_graded(m, &region),
             naive_graded(m, depth),
             "{name}: graded to {depth}"
         );
-    }
-    for depth in 0..=1 {
-        assert_eq!(
-            check_fault_independence(m, depth),
-            naive_fault_independence(m, depth),
-            "{name}: fault independence to {depth}"
-        );
-        assert_eq!(
-            check_crash_display(m, depth),
-            naive_crash_display(m, depth),
-            "{name}: crash display to {depth}"
-        );
+        // The fault-independence and crash-display checks to `depth - 1`
+        // read the levels below this horizon.
+        if let Some(limit) = depth.checked_sub(1) {
+            assert_eq!(
+                check_fault_independence(m, &region),
+                naive_fault_independence(m, limit),
+                "{name}: fault independence to {limit}"
+            );
+            assert_eq!(
+                check_crash_display(m, &region),
+                naive_crash_display(m, limit),
+                "{name}: crash display to {limit}"
+            );
+        }
     }
     for depth in 0..=2 {
         let mut solver = ValenceSolver::new(m, 2);
@@ -428,7 +435,7 @@ fn diameter_sweep_agrees_with_a_naive_reference() {
     fn check<M: LayeredModel>(name: &str, m: &M) {
         for depth in 0..=2 {
             assert_eq!(
-                diameter_sweep(m, depth, &NOOP),
+                diameter_sweep(m, &Region::reachable(m, depth, &NOOP)),
                 naive_diameter_sweep(m, depth),
                 "{name}: depth {depth}"
             );
@@ -554,17 +561,20 @@ fn sweeps_agree_with_naive_references_on_contract_breaking_models() {
     // Each model breaks what its name says, so the comparisons above
     // compared violations and not only clean passes.
     let breach = |name: &str| &cases.iter().find(|(n, _)| *n == name).expect("case").1;
-    assert!(check_graded(breach("initial depth"), 0).is_some());
+    let region = |name: &str, horizon| Region::reachable(breach(name), horizon, &NOOP);
+    let graded = |name: &str, horizon| check_graded(breach(name), &region(name, horizon));
+    assert!(graded("initial depth", 0).is_some());
     for name in [
         "empty layer",
         "duplicate successor",
         "depth jump",
         "failed set shrinks",
     ] {
-        assert!(check_graded(breach(name), 2).is_some(), "{name}");
+        assert!(graded(name, 2).is_some(), "{name}");
     }
+    let name = "forced failures";
     assert_eq!(
-        check_fault_independence(breach("forced failures"), 1),
+        check_fault_independence(breach(name), &region(name, 2)),
         Some(1)
     );
     for name in [
@@ -572,7 +582,10 @@ fn sweeps_agree_with_naive_references_on_contract_breaking_models() {
         "crash steps disagree",
         "crash step fails a bystander",
     ] {
-        assert!(check_crash_display(breach(name), 1).is_some(), "{name}");
+        assert!(
+            check_crash_display(breach(name), &region(name, 2)).is_some(),
+            "{name}"
+        );
     }
     let mut solver = ValenceSolver::new(breach("decided both ways while bivalent"), 2);
     assert_eq!(check_lemma_3_1(&mut solver, 1), Some(1));

@@ -14,11 +14,15 @@
 //!   failures.
 //! * [`check_graded`] validates the state-graph contract every model must
 //!   satisfy (see [`crate::model`]).
+//!
+//! The three structural checks read one [`Region`] built by the caller,
+//! which several checks of one model instance share; each covers the
+//! levels below the region's horizon, the ones whose rows are cached.
 
 use std::collections::HashSet;
 use std::ops::ControlFlow;
 
-use crate::space::{walk, NextLevel, StateId, StateSpace};
+use crate::space::{walk, NextLevel, Region, StateId, StateSpace};
 use crate::telemetry::{Observer, Span, NOOP};
 use crate::{LayeredModel, Pid, Value};
 
@@ -288,8 +292,9 @@ fn failed_set<M: LayeredModel>(model: &M, x: &M::State) -> Vec<Pid> {
 }
 
 /// Verifies the inductive form of the *arbitrary crash failure* display
-/// property up to `depth_limit`: for every reachable pair `x, y` at equal
-/// depth that agree modulo `j`,
+/// property on the levels of `region` below its horizon (depths
+/// `0..horizon`): for every pair `x, y` on one level that agree modulo
+/// `j`,
 ///
 /// 1. `crash_step(x, j)` and `crash_step(y, j)` again agree modulo `j`, and
 /// 2. every process `i ≠ j` non-failed in both `x` and `y` remains
@@ -301,13 +306,13 @@ fn failed_set<M: LayeredModel>(model: &M, x: &M::State) -> Vec<Pid> {
 #[allow(clippy::type_complexity)]
 pub fn check_crash_display<M: LayeredModel>(
     model: &M,
-    depth_limit: usize,
+    region: &Region<M>,
 ) -> Option<(M::State, M::State, Pid)> {
     let n = model.num_processes();
-    let (space, levels) = StateSpace::reachable(model, depth_limit + 1);
+    let space = region.space();
     let in_layer =
-        |x: StateId, c: &M::State| space.get(c).is_some_and(|c| row(&space, x).contains(&c));
-    for level in &levels[..=depth_limit] {
+        |x: StateId, c: &M::State| space.get(c).is_some_and(|c| region.row(x).contains(&c));
+    for level in &region.levels()[..region.horizon()] {
         let states = space.materialize(level);
         for (ai, x) in states.iter().enumerate() {
             for (bi, y) in states.iter().enumerate().skip(ai) {
@@ -335,41 +340,43 @@ pub fn check_crash_display<M: LayeredModel>(
     None
 }
 
-/// Verifies the inductive form of *fault independence* up to `depth_limit`:
-/// every reachable state has a successor whose failed set is exactly its
-/// own (no new failures). Iterating that successor choice produces the run
-/// `r^x` of the paper's definition. Returns the first violating state.
+/// Verifies the inductive form of *fault independence* on the levels of
+/// `region` below its horizon (depths `0..horizon`): every state has a
+/// successor whose failed set is exactly its own (no new failures).
+/// Iterating that successor choice produces the run `r^x` of the paper's
+/// definition. Returns the first violating state.
 pub fn check_fault_independence<M: LayeredModel>(
     model: &M,
-    depth_limit: usize,
+    region: &Region<M>,
 ) -> Option<M::State> {
-    let (space, levels) = StateSpace::reachable(model, depth_limit + 1);
+    let space = region.space();
     let failed = |id: StateId| failed_set(model, &space.state(id));
-    levels[..=depth_limit]
+    region.levels()[..region.horizon()]
         .iter()
         .flatten()
         .find(|&&x| {
             let fx = failed(x);
-            !row(&space, x).iter().any(|&y| failed(y) == fx)
+            !region.row(x).iter().any(|&y| failed(y) == fx)
         })
         .map(|&x| space.resolve(x))
 }
 
-/// Validates the grading contract up to `depth_limit`: all initial states
-/// have depth 0, every successor is one layer deeper, layers are non-empty
-/// and duplicate-free, and failed sets only grow along edges.
+/// Validates the grading contract on `region`: all initial states have
+/// depth 0, and along every edge out of a level below the horizon (depths
+/// `0..horizon`) the successor is one layer deeper, layers are non-empty
+/// and duplicate-free, and failed sets only grow.
 ///
 /// Returns a description of the first contract breach.
-pub fn check_graded<M: LayeredModel>(model: &M, depth_limit: usize) -> Option<String> {
-    let (space, levels) = StateSpace::reachable(model, depth_limit);
-    for x in space.materialize(&levels[0]) {
+pub fn check_graded<M: LayeredModel>(model: &M, region: &Region<M>) -> Option<String> {
+    let space = region.space();
+    for x in space.materialize(&region.levels()[0]) {
         if model.depth(&x) != 0 {
             return Some(format!("initial state at depth {}: {x:?}", model.depth(&x)));
         }
     }
-    for &xid in levels[..depth_limit].iter().flatten() {
+    for &xid in region.levels()[..region.horizon()].iter().flatten() {
         let x = space.resolve(xid);
-        let succ = row(&space, xid);
+        let succ = region.row(xid);
         if succ.is_empty() {
             return Some(format!("empty layer at {x:?}"));
         }
@@ -393,13 +400,6 @@ pub fn check_graded<M: LayeredModel>(model: &M, depth_limit: usize) -> Option<St
         }
     }
     None
-}
-
-/// The successor row of `id` in an arena that expanded it.
-fn row<M: LayeredModel>(space: &StateSpace<M>, id: StateId) -> &[StateId] {
-    space
-        .cached_successors(id)
-        .expect("states above the last level were expanded")
 }
 
 #[cfg(test)]
@@ -516,9 +516,10 @@ mod tests {
     #[test]
     fn counter_model_satisfies_structural_properties() {
         let m = CounterModel::new(3, 3);
-        assert_eq!(check_graded(&m, 2), None);
-        assert_eq!(check_fault_independence(&m, 2), None);
-        assert_eq!(check_crash_display(&m, 1), None);
+        let region = Region::reachable(&m, 3, &NOOP);
+        assert_eq!(check_graded(&m, &region), None);
+        assert_eq!(check_fault_independence(&m, &region), None);
+        assert_eq!(check_crash_display(&m, &region), None);
     }
 
     #[test]
@@ -529,7 +530,7 @@ mod tests {
             .depth(0, 0)
             .depth(1, 5) // wrong
             .build();
-        let err = check_graded(&m, 1).expect("depth jump");
+        let err = check_graded(&m, &Region::reachable(&m, 1, &NOOP)).expect("depth jump");
         assert!(err.contains("depth jump"), "{err}");
     }
 
@@ -543,6 +544,7 @@ mod tests {
             .depth(1, 1)
             .failed(1, 0)
             .build();
-        assert_eq!(check_fault_independence(&m, 1), Some(0));
+        let region = Region::reachable(&m, 2, &NOOP);
+        assert_eq!(check_fault_independence(&m, &region), Some(0));
     }
 }

@@ -76,7 +76,7 @@ pub use layering::{
     extend_bivalent_run, scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel,
     scan_layer_valence_connectivity_quotient, BivalentRunOutcome, LayerScan, Stuck,
 };
-pub use model::{explore, ExecutionTrace, Exploration, LayeredModel, TraceError};
+pub use model::{ExecutionTrace, LayeredModel, TraceError};
 pub use pid::{binary_input_vectors, Pid, Value};
 pub use sim::{MoveRecord, SimModel};
 pub use space::pack::{
@@ -86,7 +86,9 @@ pub use space::snapshot::{
     load_arena, save_arena, ArenaMeta, SnapshotError, SnapshotReader, SnapshotState,
     SNAPSHOT_VERSION,
 };
-pub use space::{Arena, DiffReport, Keying, Orbits, Plain, QuotientSpace, StateId, StateSpace};
+pub use space::{
+    Arena, DiffReport, Keying, Orbits, Plain, QuotientSpace, Region, StateId, StateSpace,
+};
 pub use stats::{census, LevelCensus};
 pub use sym::{canonicalize_by_min, canonicalize_packed, orbit_size, PidPerm, Symmetric};
 pub use telemetry::{

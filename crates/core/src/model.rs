@@ -27,8 +27,6 @@ use std::fmt::Debug;
 use std::hash::Hash;
 
 use crate::space::pack::StatePacker;
-use crate::space::StateSpace;
-use crate::telemetry::{Observer, Span};
 use crate::{Pid, Value};
 
 /// A finite-instance model of distributed computation equipped with a
@@ -138,53 +136,6 @@ pub trait LayeredModel {
     /// `None` for configurations that exceed the codec's field widths.
     fn state_packer(&self) -> Option<StatePacker<Self::State>> {
         None
-    }
-}
-
-/// Statistics from a reachability sweep (see [`explore`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Exploration<S> {
-    /// Distinct states found, grouped by depth: `levels[d]` holds every
-    /// reachable state at depth `d` relative to the exploration roots.
-    pub levels: Vec<Vec<S>>,
-    /// Total number of distinct states across all levels.
-    pub total_states: usize,
-    /// Total number of successor edges traversed (with multiplicity).
-    pub total_edges: usize,
-}
-
-impl<S> Exploration<S> {
-    /// All states at the deepest explored level.
-    #[must_use]
-    pub fn frontier(&self) -> &[S] {
-        self.levels.last().map_or(&[], Vec::as_slice)
-    }
-}
-
-/// Breadth-first exploration of the layered state graph from `roots`, for
-/// `horizon` layers.
-///
-/// States are deduplicated *within* each level; thanks to the grading
-/// contract a state can never appear at two different levels. Reports
-/// per-level frontier widths, states visited, edges traversed and dedup
-/// hits to `obs`, timing the whole sweep under the `explore.sweep` span.
-pub fn explore<M: LayeredModel>(
-    model: &M,
-    roots: &[M::State],
-    horizon: usize,
-    obs: &dyn Observer,
-) -> Exploration<M::State> {
-    let _span = Span::enter(obs, "explore.sweep");
-    let mut space: StateSpace<M> = StateSpace::for_model(model);
-    let id_levels = space.expand_layers(model, roots, horizon, obs);
-    // Every frontier state's successor list was computed exactly once into
-    // the arena, so the cached edge total is the traversal's edge total.
-    let total_edges = space.edge_count();
-    obs.counter("explore.edges", total_edges as u64);
-    Exploration {
-        total_states: id_levels.iter().map(Vec::len).sum(),
-        levels: id_levels.iter().map(|ids| space.materialize(ids)).collect(),
-        total_edges,
     }
 }
 
@@ -318,22 +269,7 @@ impl<S: Clone + Eq + Debug> ExecutionTrace<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::NOOP;
     use crate::testkit::CounterModel;
-
-    #[test]
-    fn explore_counter_model_levels() {
-        let m = CounterModel::new(2, 5);
-        let roots = m.initial_states();
-        assert_eq!(roots.len(), 4);
-        let exp = explore(&m, &roots, 3, &NOOP);
-        assert_eq!(exp.levels.len(), 4);
-        // CounterModel has `branch` successors that merge into `branch`
-        // distinct states per level per root.
-        assert_eq!(exp.levels[0].len(), 4);
-        assert!(exp.total_states >= 4);
-        assert!(exp.total_edges > 0);
-    }
 
     #[test]
     fn trace_verify_accepts_legal_path() {

@@ -58,8 +58,8 @@
 //! the order given, then successor lists in model order, level by level),
 //! so for a fixed model and entry point the id assignment — and everything
 //! derived from it — is deterministic. That order is [`walk`]'s: every
-//! reachable-region sweep in the workspace runs on it or reads the levels
-//! of [`Arena::expand_layers`], which does.
+//! reachable-region sweep in the workspace runs on it or reads a
+//! [`Region`], whose levels [`Arena::expand_layers`] collects on it.
 //!
 //! # Persistence
 //!
@@ -1279,18 +1279,61 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     }
 }
 
-impl<M: LayeredModel> Arena<M, Plain> {
-    /// A fresh arena holding the region within `horizon` layers of the
-    /// model's initial states, expanded without telemetry, and its levels
-    /// (see [`Arena::expand_layers`]): the reachable region the
-    /// state-space sweeps read.
+/// The region within `horizon` layers of a model's initial states: one
+/// [`StateSpace`] expanded once, and its levels. Every level below the
+/// horizon has its successor rows cached, so the whole-region sweeps —
+/// [`census`](crate::census), the structural checks of
+/// [`checker`](crate::checker) — read one region instead of each
+/// expanding their own.
+pub struct Region<M: LayeredModel> {
+    space: StateSpace<M>,
+    levels: Vec<Vec<StateId>>,
+}
+
+impl<M: LayeredModel> Region<M> {
+    /// Expands the model's initial states for `horizon` layers (see
+    /// [`Arena::expand_layers`], which reports the expansion to `obs`).
     #[must_use]
-    pub fn reachable(model: &M, horizon: usize) -> (Self, Vec<Vec<StateId>>) {
-        let mut space = Self::for_model(model);
-        let levels = space.expand_layers(model, &model.initial_states(), horizon, &NOOP);
-        (space, levels)
+    pub fn reachable(model: &M, horizon: usize, obs: &dyn Observer) -> Self {
+        let mut space = StateSpace::for_model(model);
+        let levels = space.expand_layers(model, &model.initial_states(), horizon, obs);
+        Region { space, levels }
     }
 
+    /// The arena holding the region's states and rows.
+    #[must_use]
+    pub fn space(&self) -> &StateSpace<M> {
+        &self.space
+    }
+
+    /// Levels `0..=horizon`, each in first-seen order; the levels past an
+    /// empty one are empty.
+    #[must_use]
+    pub fn levels(&self) -> &[Vec<StateId>] {
+        &self.levels
+    }
+
+    /// The number of layers expanded: the depth of the last level.
+    #[must_use]
+    pub fn horizon(&self) -> usize {
+        self.levels.len() - 1
+    }
+
+    /// The successor row of `id`, a state on a level below the horizon.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not expanded: it lies only on the last level, or
+    /// outside the region.
+    #[must_use]
+    pub fn row(&self, id: StateId) -> &[StateId] {
+        self.space
+            .cached_successors(id)
+            .expect("states below the horizon are expanded")
+    }
+}
+
+impl<M: LayeredModel> Arena<M, Plain> {
     /// Interns `s`, returning its dense id (allocating one on first sight).
     pub fn intern(&mut self, s: &M::State) -> StateId {
         self.intern_with(s, &NOOP)
@@ -1472,19 +1515,6 @@ mod tests {
     }
 
     #[test]
-    fn expand_layers_matches_model_exploration() {
-        let m = CounterModel::new(3, 4);
-        let roots = m.initial_states();
-        let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
-        let levels = space.expand_layers(&m, &roots, 3, &NOOP);
-        let reference = crate::explore(&m, &roots, 3, &NOOP);
-        assert_eq!(levels.len(), reference.levels.len());
-        for (ids, states) in levels.iter().zip(&reference.levels) {
-            assert_eq!(&space.materialize(ids), states);
-        }
-    }
-
-    #[test]
     fn walk_keeps_first_seen_order_and_stops_on_break() {
         // Level d holds ids 10·d.., each state offering its row before the
         // next state is visited; repeats count as dedup hits.
@@ -1538,15 +1568,31 @@ mod tests {
             levels,
             vec![ids(&[0]), ids(&[1, 2]), ids(&[3, 4]), vec![], vec![]]
         );
-        let reference = crate::explore(&m, &roots, 4, &NOOP);
-        assert_eq!(levels.len(), reference.levels.len());
-        for (ids, states) in levels.iter().zip(&reference.levels) {
-            assert_eq!(&space.materialize(ids), states);
-        }
         let snap = reg.snapshot();
         assert_eq!(snap.spans["space.layer"].count, 3);
         assert_eq!(snap.counter("engine.states_visited"), 5);
         assert_eq!(snap.gauge_last("engine.frontier_width"), 0);
+    }
+
+    #[test]
+    fn region_holds_its_levels_and_rows_below_the_horizon() {
+        // CounterModel(2, 5): four roots, each state five successors that
+        // merge into five distinct states per root and level.
+        let m = CounterModel::new(2, 5);
+        let region = Region::reachable(&m, 3, &NOOP);
+        assert_eq!(region.horizon(), 3);
+        let sizes: Vec<usize> = region.levels().iter().map(Vec::len).collect();
+        assert_eq!(sizes, vec![4, 20, 20, 20]);
+        assert_eq!(region.space().len(), 64);
+        assert_eq!(region.space().edge_count(), (4 + 20 + 20) * 5);
+        // Each state below the horizon has its row; the last level has none.
+        for &x in region.levels()[..3].iter().flatten() {
+            let y = region.space().materialize(region.row(x));
+            assert_eq!(y, m.successors(&region.space().resolve(x)));
+        }
+        for &x in &region.levels()[3] {
+            assert!(region.space().cached_successors(x).is_none());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! level: distinct states, layer sizes, deduplication factors, and decided
 //! fractions; the experiment harness tabulates them per model.
 
-use crate::space::StateSpace;
+use crate::space::Region;
 use crate::telemetry::{Observer, Span};
 use crate::{LayeredModel, Pid};
 
@@ -50,28 +50,31 @@ impl LevelCensus {
     }
 }
 
-/// Census of a model's induced state space, level by level. States
+/// Census of a model's induced state space, level by level: every level
+/// of `region`, with the layers of those below its horizon. States
 /// visited, dedup hits, frontier widths and decided-state counts are
 /// reported to `obs`.
-pub fn census<M: LayeredModel>(model: &M, depth: usize, obs: &dyn Observer) -> Vec<LevelCensus> {
+pub fn census<M: LayeredModel>(
+    model: &M,
+    region: &Region<M>,
+    obs: &dyn Observer,
+) -> Vec<LevelCensus> {
     let _span = Span::enter(obs, "stats.census");
     let n = model.num_processes();
-    let (space, levels) = StateSpace::reachable(model, depth);
-    let mut out = Vec::with_capacity(depth + 1);
+    let levels = region.levels();
+    let mut out = Vec::with_capacity(levels.len());
     for (d, level) in levels.iter().enumerate() {
         obs.gauge("engine.frontier_width", level.len() as u64);
-        let with_decisions = space
+        let with_decisions = region
+            .space()
             .materialize(level)
             .iter()
             .filter(|x| Pid::all(n).any(|i| model.decision(x, i).is_some()))
             .count();
         obs.counter("engine.states_visited", level.len() as u64);
         obs.counter("census.decided_states", with_decisions as u64);
-        let layers: Vec<usize> = if d < depth {
-            level
-                .iter()
-                .map(|&x| space.cached_successors(x).expect("expanded level").len())
-                .collect()
+        let layers: Vec<usize> = if d < region.horizon() {
+            level.iter().map(|&x| region.row(x).len()).collect()
         } else {
             Vec::new()
         };
@@ -99,10 +102,14 @@ mod tests {
     use crate::telemetry::NOOP;
     use crate::testkit::{flp_diamond, CounterModel};
 
+    fn census_to<M: LayeredModel>(m: &M, depth: usize, obs: &dyn Observer) -> Vec<LevelCensus> {
+        census(m, &Region::reachable(m, depth, &NOOP), obs)
+    }
+
     #[test]
     fn counter_census_counts() {
         let m = CounterModel::new(2, 3);
-        let rows = census(&m, 2, &NOOP);
+        let rows = census_to(&m, 2, &NOOP);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].depth, 0);
         assert_eq!(rows[0].states, 4); // 2^2 inputs
@@ -118,7 +125,7 @@ mod tests {
     #[test]
     fn diamond_census_sees_decisions() {
         let m = flp_diamond();
-        let rows = census(&m, 2, &NOOP);
+        let rows = census_to(&m, 2, &NOOP);
         assert_eq!(rows[0].states, 1);
         assert_eq!(rows[1].states, 2);
         assert_eq!(rows[2].states, 2);
@@ -129,7 +136,7 @@ mod tests {
     #[test]
     fn avg_and_dedup_factors() {
         let m = CounterModel::new(2, 3);
-        let rows = census(&m, 1, &NOOP);
+        let rows = census_to(&m, 1, &NOOP);
         assert!((rows[0].avg_layer() - 3.0).abs() < 1e-9);
         assert!((rows[0].dedup_factor(rows[1].states) - 1.0).abs() < 1e-9);
     }
@@ -137,8 +144,8 @@ mod tests {
     #[test]
     fn census_invariants_hold_on_known_models() {
         for rows in [
-            census(&flp_diamond(), 2, &NOOP),
-            census(&CounterModel::new(3, 2), 3, &NOOP),
+            census_to(&flp_diamond(), 2, &NOOP),
+            census_to(&CounterModel::new(3, 2), 3, &NOOP),
         ] {
             for (i, r) in rows.iter().enumerate() {
                 // Decided states are a subset of the level's states.
@@ -170,7 +177,7 @@ mod tests {
         use crate::telemetry::MetricsRegistry;
         let m = CounterModel::new(2, 3);
         let reg = MetricsRegistry::new();
-        let rows = census(&m, 2, &reg);
+        let rows = census_to(&m, 2, &reg);
         let snap = reg.snapshot();
         let visited: usize = rows.iter().map(|r| r.states).sum();
         assert_eq!(snap.counter("engine.states_visited"), visited as u64);

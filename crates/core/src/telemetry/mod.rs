@@ -1,6 +1,6 @@
 //! Dependency-free telemetry for the analysis engines.
 //!
-//! The engines in this crate — reachability ([`explore`](crate::explore)),
+//! The engines in this crate — reachability ([`Region`](crate::Region)),
 //! valence ([`ValenceSolver`](crate::ValenceSolver)), connectivity
 //! ([`crate::connectivity`]), the layering engine ([`crate::layering`]) and
 //! the consensus checker ([`crate::checker`]) — are instrumented with

@@ -81,8 +81,6 @@ pub const NAMES: &[&str] = &[
     "engine.frontier_width",
     "engine.states_visited",
     "experiment.run",
-    "explore.edges",
-    "explore.sweep",
     "graph.bfs_frontier",
     "graph.bfs_visits",
     "layering.bivalent_run",

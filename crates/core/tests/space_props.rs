@@ -5,17 +5,18 @@
 use proptest::prelude::*;
 
 use layered_core::testkit::{CounterModel, Unpacked};
-use layered_core::{LayeredModel, NoopObserver, QuotientSpace, StateId, StateSpace};
+use layered_core::{LayeredModel, NoopObserver, QuotientSpace, Region, StateId, StateSpace};
 
 /// Every distinct state reachable in 3 layers of a 3-way branching model —
 /// the pool random interning orders draw from.
 fn pool() -> Vec<<CounterModel as LayeredModel>::State> {
     let m = CounterModel::new(3, 3);
-    let (space, levels) = StateSpace::reachable(&m, 3);
-    levels
-        .into_iter()
+    let region = Region::reachable(&m, 3, &NoopObserver);
+    region
+        .levels()
+        .iter()
         .flatten()
-        .map(|id| space.resolve(id))
+        .map(|&id| region.space().resolve(id))
         .collect()
 }
 

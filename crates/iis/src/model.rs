@@ -284,7 +284,7 @@ mod tests {
     use layered_core::telemetry::NOOP;
     use layered_core::{
         build_bivalent_run, check_consensus, check_fault_independence, check_graded,
-        valence_report, ValenceSolver,
+        valence_report, Region, ValenceSolver,
     };
     use layered_protocols::SmFloodMin;
 
@@ -303,8 +303,9 @@ mod tests {
     #[test]
     fn structural_contracts_hold() {
         let m = model(3, 2);
-        assert_eq!(check_graded(&m, 1), None);
-        assert_eq!(check_fault_independence(&m, 1), None);
+        let region = Region::reachable(&m, 2, &NOOP);
+        assert_eq!(check_graded(&m, &region), None);
+        assert_eq!(check_fault_independence(&m, &region), None);
     }
 
     #[test]

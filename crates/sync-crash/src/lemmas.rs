@@ -9,7 +9,7 @@ use std::ops::ControlFlow;
 use layered_core::space::{walk, NextLevel};
 use layered_core::telemetry::NOOP;
 use layered_core::{
-    extend_bivalent_run, undecided_non_failed, BivalentRunOutcome, LayeredModel, Pid, StateSpace,
+    extend_bivalent_run, undecided_non_failed, BivalentRunOutcome, LayeredModel, Pid, Region,
     ValenceSolver,
 };
 use layered_protocols::SyncProtocol;
@@ -92,23 +92,24 @@ pub fn check_lemma_6_4<P: SyncProtocol>(
 }
 
 /// The arbitrary-crash display property, checked in its inductive form on
-/// the region where Section 6 claims it: pairs of reachable states that
-/// agree modulo some `j` and have **fewer than `t` failures**. (With the
-/// budget exhausted, the display property genuinely fails — the environment
-/// can no longer crash the distinguishing process — which is exactly why
-/// Lemma 6.1 stops at `t − 1` failures.)
+/// the region where Section 6 claims it: pairs of states on one level of
+/// `region` (depths `0..=horizon`) that agree modulo some `j` and have
+/// **fewer than `t` failures**. (With the budget exhausted, the display
+/// property genuinely fails — the environment can no longer crash the
+/// distinguishing process — which is exactly why Lemma 6.1 stops at
+/// `t − 1` failures.)
 ///
 /// Returns the first violating pair.
 #[allow(clippy::type_complexity)]
 pub fn check_display_below_budget<P: SyncProtocol>(
     model: &CrashModel<P>,
-    depth_limit: usize,
+    region: &Region<CrashModel<P>>,
 ) -> Option<(CrashState<P::LocalState>, CrashState<P::LocalState>, Pid)> {
     let n = model.num_processes();
     let t = model.resilience();
-    let (space, levels) = StateSpace::reachable(model, depth_limit);
-    for level in &levels {
-        let live: Vec<_> = space
+    for level in region.levels() {
+        let live: Vec<_> = region
+            .space()
             .materialize(level)
             .into_iter()
             .filter(|x| x.failure_count() < t)
@@ -182,7 +183,8 @@ mod tests {
     #[test]
     fn display_holds_below_budget() {
         let m = CrashModel::new(4, 2, FloodMin::new(2));
-        assert_eq!(check_display_below_budget(&m, 1), None);
+        let region = Region::reachable(&m, 1, &NOOP);
+        assert_eq!(check_display_below_budget(&m, &region), None);
     }
 
     #[test]

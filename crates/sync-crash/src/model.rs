@@ -565,7 +565,9 @@ where
 #[cfg(test)]
 mod tests {
     use layered_core::telemetry::NOOP;
-    use layered_core::{check_fault_independence, check_graded, similarity_report, LayeredModel};
+    use layered_core::{
+        check_fault_independence, check_graded, similarity_report, LayeredModel, Region,
+    };
     use layered_protocols::FloodMin;
 
     use super::*;
@@ -577,8 +579,9 @@ mod tests {
     #[test]
     fn structural_contracts_hold() {
         let m = model(3, 1, 2);
-        assert_eq!(check_graded(&m, 2), None);
-        assert_eq!(check_fault_independence(&m, 2), None);
+        let region = Region::reachable(&m, 3, &NOOP);
+        assert_eq!(check_graded(&m, &region), None);
+        assert_eq!(check_fault_independence(&m, &region), None);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! tabulates them against the recurrence, so the bound can be *checked*
 //! rather than assumed.
 
-use layered_core::telemetry::Observer;
-use layered_core::{explore, s_diameter, LayeredModel};
+use layered_core::{s_diameter, LayeredModel, Region};
 
 /// The Lemma 7.6 bound on the s-diameter of `S(X)`.
 #[must_use]
@@ -51,24 +50,19 @@ impl DiameterRow {
     }
 }
 
-/// Measures s-diameters of the depth-`m` state sets for `m = 0..=depth`
-/// and tabulates them against the Lemma 7.6 recurrence.
-///
-/// The levels come from [`explore`], which reports its sweep to `obs`.
-pub fn diameter_sweep<M: LayeredModel>(
-    model: &M,
-    depth: usize,
-    obs: &dyn Observer,
-) -> Vec<DiameterRow> {
-    let levels = explore(model, &model.initial_states(), depth, obs).levels;
-    let mut rows: Vec<DiameterRow> = Vec::with_capacity(depth + 1);
-    for (m, level) in levels.iter().enumerate() {
-        let measured = s_diameter(model, level);
+/// Measures s-diameters of the depth-`m` state sets of `region`, for `m`
+/// from 0 to its horizon, and tabulates them against the Lemma 7.6
+/// recurrence. Each layer `S(x)` is read from the region's cached rows.
+pub fn diameter_sweep<M: LayeredModel>(model: &M, region: &Region<M>) -> Vec<DiameterRow> {
+    let space = region.space();
+    let mut rows: Vec<DiameterRow> = Vec::with_capacity(region.levels().len());
+    for (m, level) in region.levels().iter().enumerate() {
+        let measured = s_diameter(model, &space.materialize(level));
         // d_Y^m: the worst layer diameter over this level (used for the
         // next row's bound); undefined on the last level.
-        let layer_diameter = if m < depth {
-            level.iter().try_fold(0usize, |worst, x| {
-                s_diameter(model, &model.successors(x)).map(|d| worst.max(d))
+        let layer_diameter = if m < region.horizon() {
+            level.iter().try_fold(0usize, |worst, &x| {
+                s_diameter(model, &space.materialize(region.row(x))).map(|d| worst.max(d))
             })
         } else {
             None
@@ -111,7 +105,7 @@ mod tests {
         // CounterModel initial states: all 2^n input vectors; agree-modulo
         // chains make the set similarity connected with diameter >= 1.
         let m = CounterModel::new(3, 2);
-        let rows = diameter_sweep(&m, 2, &NOOP);
+        let rows = diameter_sweep(&m, &Region::reachable(&m, 2, &NOOP));
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].depth, 0);
         assert_eq!(rows[0].states, 8);
@@ -126,7 +120,7 @@ mod tests {
     fn rows_report_layer_diameters() {
         // branch = 1: singleton layers have diameter 0.
         let m = CounterModel::new(2, 1);
-        let rows = diameter_sweep(&m, 1, &NOOP);
+        let rows = diameter_sweep(&m, &Region::reachable(&m, 1, &NOOP));
         // Non-terminal rows carry a layer diameter, the last row does not.
         assert_eq!(rows[0].layer_diameter, Some(0));
         assert!(rows[1].layer_diameter.is_none());

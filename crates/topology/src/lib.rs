@@ -15,8 +15,8 @@
 //! [`build_bivalent_run`](layered_core::build_bivalent_run) over that
 //! solver is the Lemma 7.1 construction. [`check_task`] is a task
 //! predicate on core's checker [`sweep`](layered_core::sweep), and
-//! [`diameter_sweep`] takes its levels from
-//! [`explore`](layered_core::explore).
+//! [`diameter_sweep`] reads its levels and layers from a core
+//! [`Region`](layered_core::Region).
 //!
 //! Together these reproduce the paper's characterization story
 //! (Theorem 7.2, Corollary 7.3, Theorem 7.7): consensus's output structure

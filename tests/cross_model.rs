@@ -6,7 +6,7 @@ use layered_consensus::async_sm::SmModel;
 use layered_consensus::core::telemetry::NOOP;
 use layered_consensus::core::{
     build_bivalent_run, check_consensus, check_fault_independence, check_graded, similarity_report,
-    LayeredModel, Valence, ValenceSolver, Value,
+    LayeredModel, Region, Valence, ValenceSolver, Value,
 };
 use layered_consensus::protocols::{
     FloodMin, MpFloodMin, MpRelayRace, SmFloodMin, SmRelayRace, SyncRelayRace,
@@ -31,23 +31,19 @@ fn synchronous_model_admits_consensus_at_t_plus_one() {
     assert!(check_consensus(&CrashModel::new(3, 1, FloodMin::new(2)), 2, 1, &NOOP).passed());
 }
 
-/// Structural contracts hold in every model.
+/// Structural contracts hold in every model, each checked on one region
+/// per model.
 #[test]
 fn structural_contracts_hold_in_every_model() {
-    let mobile = MobileModel::new(3, FloodMin::new(2));
-    let sm = SmModel::new(3, SmFloodMin::new(2));
-    let mp = MpModel::new(3, MpFloodMin::new(2));
-    let crash = CrashModel::new(3, 1, FloodMin::new(2));
-
-    assert_eq!(check_graded(&mobile, 2), None);
-    assert_eq!(check_graded(&sm, 2), None);
-    assert_eq!(check_graded(&mp, 1), None);
-    assert_eq!(check_graded(&crash, 2), None);
-
-    assert_eq!(check_fault_independence(&mobile, 1), None);
-    assert_eq!(check_fault_independence(&sm, 1), None);
-    assert_eq!(check_fault_independence(&mp, 1), None);
-    assert_eq!(check_fault_independence(&crash, 1), None);
+    fn check<M: LayeredModel>(m: &M) {
+        let region = Region::reachable(m, 2, &NOOP);
+        assert_eq!(check_graded(m, &region), None);
+        assert_eq!(check_fault_independence(m, &region), None);
+    }
+    check(&MobileModel::new(3, FloodMin::new(2)));
+    check(&SmModel::new(3, SmFloodMin::new(2)));
+    check(&MpModel::new(3, MpFloodMin::new(2)));
+    check(&CrashModel::new(3, 1, FloodMin::new(2)));
 }
 
 /// Con₀ is similarity connected in every model (Lemma 3.6's first half),

@@ -29,7 +29,7 @@ use layered_consensus::async_mp::MpModel;
 use layered_consensus::core::telemetry::NOOP;
 use layered_consensus::core::testkit::{flp_diamond, ScriptedModel, ScriptedModelBuilder};
 use layered_consensus::core::{
-    build_bivalent_run, explore, LayeredModel, Pid, Valence, ValenceSolver, Value,
+    build_bivalent_run, LayeredModel, Pid, Region, Valence, ValenceSolver, Value,
 };
 use layered_consensus::protocols::{FloodMin, MpCollectMin, MpFloodMin, MpIdentity};
 use layered_consensus::sync_crash::CrashModel;
@@ -240,10 +240,11 @@ fn engine_check_task<M: LayeredModel>(
 
 /// Every state within `horizon` layers of the initial states, level order.
 fn states_within<M: LayeredModel>(model: &M, horizon: usize) -> Vec<M::State> {
-    explore(model, &model.initial_states(), horizon, &NOOP)
-        .levels
-        .into_iter()
-        .flatten()
+    let region = Region::reachable(model, horizon, &NOOP);
+    region
+        .levels()
+        .iter()
+        .flat_map(|level| region.space().materialize(level))
         .collect()
 }
 
