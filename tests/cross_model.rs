@@ -1,18 +1,21 @@
 //! Cross-model integration tests: the same kernel analyses run unchanged
 //! over all four models, and the paper's uniform claims hold in each.
 
+use std::collections::HashSet;
+
 use layered_consensus::async_mp::MpModel;
-use layered_consensus::async_sm::SmModel;
+use layered_consensus::async_sm::{SmLayering, SmModel};
 use layered_consensus::core::telemetry::NOOP;
+use layered_consensus::core::testkit::Unpacked;
 use layered_consensus::core::{
     build_bivalent_run, check_consensus, check_fault_independence, check_graded, similarity_report,
-    LayeredModel, Region, Valence, ValenceSolver, Value,
+    LayeredModel, PidPerm, Region, Symmetric, Valence, ValenceProbe, ValenceSolver, Value, DECIDED,
 };
 use layered_consensus::protocols::{
     FloodMin, MpFloodMin, MpRelayRace, SmFloodMin, SmRelayRace, SyncRelayRace,
 };
-use layered_consensus::sync_crash::CrashModel;
-use layered_consensus::sync_mobile::MobileModel;
+use layered_consensus::sync_crash::{CrashLayering, CrashModel};
+use layered_consensus::sync_mobile::{MobileLayering, MobileModel};
 
 /// The paper's uniform impossibility: the same candidate-protocol family is
 /// refuted by the same engine in all three 1-resilient models.
@@ -191,4 +194,122 @@ fn iis_agrees_with_the_other_models() {
         let m = IisModel::new(3, SmFloodMin::new(r as u16));
         assert!(!check_consensus(&m, r, 1, &NOOP).passed());
     }
+}
+
+/// The canonicalization rule written out from its definition. When the
+/// model's codec permutes and `x` packs, the representative is the orbit
+/// member with the least packed word over all `n!` renamings; otherwise it
+/// is the `Ord`-least member. The witness is the first minimising renaming
+/// in `PidPerm::all` order (`min_by_key` keeps the first of equal keys),
+/// and the orbit size counts the distinct members.
+fn naive_canonical<M>(m: &M, x: &M::State) -> (M::State, PidPerm, u64)
+where
+    M: Symmetric,
+    M::State: Ord,
+{
+    let perms = PidPerm::all(m.num_processes());
+    let orbit: HashSet<M::State> = perms.iter().map(|p| m.permute_state(x, p)).collect();
+    let packer = m.state_packer();
+    let packed = packer
+        .as_ref()
+        .filter(|p| p.permutes())
+        .and_then(|p| p.pack(x).map(|w| (p, w)));
+    let pi = match packed {
+        Some((p, w)) => perms.iter().min_by_key(|pi| p.permute_word(w, pi)),
+        None => perms.iter().min_by_key(|pi| m.permute_state(x, pi)),
+    }
+    .expect("n >= 1");
+    (m.permute_state(x, pi), pi.clone(), orbit.len() as u64)
+}
+
+/// Every state of `m`'s region within `horizon` layers.
+fn region_states<M: LayeredModel>(m: &M, horizon: usize) -> Vec<M::State> {
+    let region = Region::reachable(m, horizon, &NOOP);
+    let space = region.space();
+    region
+        .levels()
+        .iter()
+        .flatten()
+        .map(|&id| space.resolve(id))
+        .collect()
+}
+
+/// `m`'s canonicalization agrees with the naive rule applied to
+/// `reference` on every state of `m`'s region: the representative, the
+/// witness and the orbit size.
+fn assert_follows_canonical_rule<R, M>(reference: &R, m: &M, horizon: usize)
+where
+    R: Symmetric,
+    R::State: Ord,
+    M: Symmetric<State = R::State>,
+{
+    let states = region_states(m, horizon);
+    assert!(states.len() > m.initial_states().len(), "region grew");
+    for x in &states {
+        let (rep, pi, orbit) = naive_canonical(reference, x);
+        assert_eq!(
+            m.canonicalize_with_orbit(x),
+            (rep.clone(), pi.clone(), orbit),
+            "{x:?}"
+        );
+        assert_eq!(m.canonicalize(x), (rep, pi), "{x:?}");
+    }
+}
+
+/// Canonicalization follows one rule in every model family: the packed
+/// minimum where the codec permutes (mobile, crash, shared memory), the
+/// `Ord` minimum where it does not (message passing), and the wrapped
+/// model's rule behind `Unpacked`, which hides the codec.
+#[test]
+fn canonicalization_follows_the_one_rule_in_every_model() {
+    let mobile = MobileModel::new(3, FloodMin::new(2)).with_layering(MobileLayering::Full);
+    assert_follows_canonical_rule(&mobile, &mobile, 2);
+    let crash = CrashModel::new(3, 1, FloodMin::new(2)).with_layering(CrashLayering::Full);
+    assert_follows_canonical_rule(&crash, &crash, 2);
+    let sm = SmModel::new(3, SmFloodMin::new(2)).with_layering(SmLayering::FullSplit);
+    assert_follows_canonical_rule(&sm, &sm, 2);
+    let mp = MpModel::new(3, MpFloodMin::new(2));
+    assert_follows_canonical_rule(&mp, &mp, 2);
+    let mobile4 = MobileModel::new(4, FloodMin::new(2)).with_layering(MobileLayering::Full);
+    assert_follows_canonical_rule(&mobile4, &mobile4, 1);
+    assert_follows_canonical_rule(&mobile, &Unpacked(mobile.clone()), 2);
+}
+
+/// The binary valence probe sees decisions, not names: for every region
+/// state, every renaming and both horizon flags, `DECIDED` reads the same
+/// flags on `π · x` as on `x`. Quotient valence rests on this.
+#[test]
+fn decided_probe_is_invariant_under_renaming() {
+    fn check<M: Symmetric>(m: &M, horizon: usize) {
+        let perms = PidPerm::all(m.num_processes());
+        for x in &region_states(m, horizon) {
+            for at_horizon in [false, true] {
+                let flags = DECIDED.probe(m, x, at_horizon);
+                for pi in &perms {
+                    let y = m.permute_state(x, pi);
+                    assert_eq!(
+                        DECIDED.probe(m, &y, at_horizon),
+                        flags,
+                        "{x:?} under {pi:?}"
+                    );
+                }
+            }
+        }
+    }
+    let mobile = MobileModel::new(3, FloodMin::new(2)).with_layering(MobileLayering::Full);
+    check(&mobile, 2);
+    check(
+        &CrashModel::new(3, 1, FloodMin::new(2)).with_layering(CrashLayering::Full),
+        2,
+    );
+    check(
+        &SmModel::new(3, SmFloodMin::new(2)).with_layering(SmLayering::FullSplit),
+        2,
+    );
+    check(&MpModel::new(3, MpFloodMin::new(2)), 2);
+    check(
+        &MobileModel::new(4, FloodMin::new(2)).with_layering(MobileLayering::Full),
+        1,
+    );
+    check(&Unpacked(mobile), 2);
 }
