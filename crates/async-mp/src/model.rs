@@ -30,8 +30,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use layered_core::{
-    canonicalize_by_min, pack_decision, unpack_decision, LayeredModel, Pid, PidPerm, StatePacker,
-    Symmetric, Value, WordReader, WordWriter, DECISION_BITS,
+    pack_decision, unpack_decision, LayeredModel, Pid, PidPerm, StatePacker, Symmetric, Value,
+    WordReader, WordWriter, DECISION_BITS,
 };
 use layered_protocols::{Anonymous, MpProtocol};
 
@@ -411,10 +411,10 @@ impl PhasePlan {
 /// [`WordWriter`], low bits first: 8 round bits, then per process `2`
 /// input bits, [`DECISION_BITS`] decision bits, 4 phases-done bits, the
 /// local codec, a 3-bit mailbox length (longer mailboxes spill) and per
-/// undelivered message a 3-bit sender pid plus the message codec. No
-/// word-level renaming shuffle is provided — relocating variable-width
-/// sections is not a bit shuffle — so quotient canonicalization keeps the
-/// brute-force rule and packing is storage-only here.
+/// undelivered message a 3-bit sender pid plus the message codec. No pid
+/// groups are declared — relocating variable-width sections is not a bit
+/// shuffle — so quotient canonicalization takes the `Ord` half of the
+/// rule in `layered_core::sym`, and packing is storage-only here.
 fn build_packer<P: MpProtocol>(
     n: usize,
     protocol: &P,
@@ -526,8 +526,8 @@ impl<P: MpProtocol> LayeredModel for MpModel<P> {
         self.apply(x, &MpAction::Sequential(order))
     }
 
-    fn state_packer(&self) -> Option<StatePacker<Self::State>> {
-        self.packer.clone()
+    fn state_packer(&self) -> Option<&StatePacker<Self::State>> {
+        self.packer.as_ref()
     }
 
     fn obligated(&self, x: &Self::State) -> Vec<Pid> {
@@ -573,10 +573,6 @@ where
 
     fn symmetric_layering(&self) -> bool {
         true
-    }
-
-    fn canonicalize(&self, x: &Self::State) -> (Self::State, PidPerm) {
-        canonicalize_by_min(self, x)
     }
 }
 

@@ -21,8 +21,8 @@
 use std::collections::HashSet;
 
 use layered_core::{
-    canonicalize_by_min, canonicalize_packed, orbit_size, pack_decision, unpack_decision,
-    LayeredModel, Pid, PidPerm, StatePacker, Symmetric, Value, DECISION_BITS,
+    pack_decision, unpack_decision, LayeredModel, Pid, PidGroup, PidPerm, StatePacker, Symmetric,
+    Value, DECISION_BITS,
 };
 use layered_protocols::{Anonymous, SmProtocol};
 
@@ -97,7 +97,6 @@ pub struct SmModel<P: SmProtocol> {
     obligation: Option<u16>,
     layering: SmLayering,
     packer: Option<StatePacker<SmState<P::LocalState, P::Reg>>>,
-    perms: Vec<PidPerm>,
 }
 
 impl<P: SmProtocol> SmModel<P> {
@@ -110,18 +109,12 @@ impl<P: SmProtocol> SmModel<P> {
     pub fn new(n: usize, protocol: P) -> Self {
         assert!(n >= 2, "the paper assumes n >= 2");
         let packer = build_packer(n, &protocol);
-        let perms = if packer.is_some() && n <= 8 {
-            PidPerm::all(n)
-        } else {
-            Vec::new()
-        };
         SmModel {
             n,
             protocol,
             obligation: None,
             layering: SmLayering::Synchronic,
             packer,
-            perms,
         }
     }
 
@@ -320,7 +313,8 @@ impl<P: SmProtocol> SmModel<P> {
 /// lanes fit one word. Layout, low bits first: `n` lanes of `2` input
 /// bits, [`DECISION_BITS`] decision bits, the local codec, a register
 /// presence tag plus the register codec (the single-writer `V_i` travels
-/// with process `i`), and 4 phases-done bits; then 8 phase bits on top.
+/// with process `i`), and 4 phases-done bits (the one pid group); then 8
+/// phase bits on top.
 fn build_packer<P: SmProtocol>(
     n: usize,
     protocol: &P,
@@ -390,41 +384,11 @@ fn build_packer<P: SmProtocol>(
             phases_done,
         }
     };
-    let permute = move |w: u128, perm: &PidPerm| {
-        let lane_mask = (1u128 << lane) - 1;
-        let mut out = w >> head << head;
-        for i in 0..n {
-            let bits = (w >> (i as u32 * lane)) & lane_mask;
-            out |= bits << (perm.apply(Pid::new(i)).index() as u32 * lane);
-        }
-        out
+    let lanes = PidGroup {
+        start: 0,
+        width: lane,
     };
-    Some(StatePacker::new(pack, unpack).with_permute(permute))
-}
-
-/// A packed canonicalization result: the canonical representative, the
-/// renaming carrying the input onto it, and the representative's word hash.
-type PackedCanon<P> = (
-    SmState<<P as SmProtocol>::LocalState, <P as SmProtocol>::Reg>,
-    PidPerm,
-    u64,
-);
-
-impl<P> SmModel<P>
-where
-    P: SmProtocol + Anonymous,
-    P::LocalState: Ord,
-    P::Reg: Ord,
-{
-    /// The single-sweep packed canonicalization, when the codec and the
-    /// cached permutation table are available and `x` packs.
-    fn packed_canon(&self, x: &SmState<P::LocalState, P::Reg>) -> Option<PackedCanon<P>> {
-        let packer = self.packer.as_ref()?;
-        if self.perms.is_empty() {
-            return None;
-        }
-        canonicalize_packed(self, packer, &self.perms, x)
-    }
+    Some(StatePacker::new(pack, unpack).with_pid_groups(n, &[lanes]))
 }
 
 impl<P: SmProtocol> LayeredModel for SmModel<P> {
@@ -499,8 +463,8 @@ impl<P: SmProtocol> LayeredModel for SmModel<P> {
         self.apply(x, SmAction::Absent(j))
     }
 
-    fn state_packer(&self) -> Option<StatePacker<Self::State>> {
-        self.packer.clone()
+    fn state_packer(&self) -> Option<&StatePacker<Self::State>> {
+        self.packer.as_ref()
     }
 
     fn obligated(&self, x: &Self::State) -> Vec<Pid> {
@@ -539,23 +503,6 @@ where
 
     fn symmetric_layering(&self) -> bool {
         self.layering == SmLayering::FullSplit
-    }
-
-    // Packed fast path first, brute-force minimum as fallback; packability
-    // is orbit-invariant, so each orbit sees exactly one rep rule.
-    fn canonicalize(&self, x: &Self::State) -> (Self::State, PidPerm) {
-        if let Some((rep, pi, _)) = self.packed_canon(x) {
-            return (rep, pi);
-        }
-        canonicalize_by_min(self, x)
-    }
-
-    fn canonicalize_with_orbit(&self, x: &Self::State) -> (Self::State, PidPerm, u64) {
-        if let Some(out) = self.packed_canon(x) {
-            return out;
-        }
-        let (rep, pi) = canonicalize_by_min(self, x);
-        (rep, pi, orbit_size(self, x) as u64)
     }
 }
 

@@ -80,7 +80,8 @@ pub use model::{ExecutionTrace, LayeredModel, TraceError};
 pub use pid::{binary_input_vectors, Pid, Value};
 pub use sim::{MoveRecord, SimModel};
 pub use space::pack::{
-    pack_decision, unpack_decision, FieldPacker, StatePacker, WordReader, WordWriter, DECISION_BITS,
+    pack_decision, unpack_decision, FieldPacker, PidGroup, StatePacker, WordReader, WordWriter,
+    DECISION_BITS,
 };
 pub use space::snapshot::{
     load_arena, save_arena, ArenaMeta, SnapshotError, SnapshotReader, SnapshotState,

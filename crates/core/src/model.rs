@@ -131,10 +131,11 @@ pub trait LayeredModel {
     /// use it as their storage and hash key; with `None` (the default) they
     /// spill every state, storing it as the model struct.
     ///
-    /// Implementations typically construct the packer once per model
-    /// instance and hand out clones (it is a bundle of `Arc`s), returning
-    /// `None` for configurations that exceed the codec's field widths.
-    fn state_packer(&self) -> Option<StatePacker<Self::State>> {
+    /// Implementations construct the packer once per model instance and
+    /// lend it out, returning `None` for configurations that exceed the
+    /// codec's field widths. Symmetry canonicalization reads it on every
+    /// call, so it must not be rebuilt here.
+    fn state_packer(&self) -> Option<&StatePacker<Self::State>> {
         None
     }
 }

@@ -750,7 +750,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     pub fn for_model(model: &M) -> Self {
         K::check_model(model);
         Arena {
-            store: Store::new(model.state_packer()),
+            store: Store::new(model.state_packer().cloned()),
             weights: Vec::new(),
             index: Index::default(),
             succ: Vec::new(),

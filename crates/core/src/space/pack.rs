@@ -22,13 +22,21 @@
 //! * **permutation invariance** (symmetric models) — `pack(π·x)` is `Some`
 //!   iff `pack(x)` is, so one orbit never straddles the packed/spilled
 //!   boundary;
-//! * **equivariance** (when a [`permute`](StatePacker::permute_word) shuffle
-//!   is provided) — `permute_word(pack(x), π) == pack(permute_state(x, π))`.
+//! * **equivariance** (when a [`PidGroup`] layout is declared) —
+//!   `permute_word(pack(x), π) == pack(permute_state(x, π))`.
 //!
 //! `pack` returning `None` is always legal (the arena falls back to storing
 //! the boxed state — the *spill* path), so codecs cap their field widths at
 //! whatever the scan configurations actually use and spill the rest instead
 //! of panicking.
+//!
+//! # Renaming shuffle
+//!
+//! A codec whose per-process fields sit in fixed-width lanes declares them
+//! as [`PidGroup`]s ([`StatePacker::with_pid_groups`]); the one shuffle
+//! [`StatePacker::permute_word`] then moves pid `i`'s bits in every group
+//! to pid `π(i)`'s slot and leaves every other bit in place. The symmetry
+//! quotient canonicalizes on these words (see [`crate::sym`]).
 //!
 //! Bit 127 ([`SPILL_TAG`]) is reserved by the arenas to tag spilled slots,
 //! so packed words must stay below it; [`StatePacker::pack`] enforces this
@@ -60,8 +68,25 @@ pub fn word_hash(w: u128) -> u64 {
 type PackFn<S> = Arc<dyn Fn(&S) -> Option<u128> + Send + Sync>;
 /// Shared unpack closure of a [`StatePacker`].
 type UnpackFn<S> = Arc<dyn Fn(u128) -> S + Send + Sync>;
-/// Shared word-level renaming shuffle of a [`StatePacker`].
-type PermuteFn = Arc<dyn Fn(u128, &PidPerm) -> u128 + Send + Sync>;
+
+/// One per-pid bit group of a packed word: pid `i` owns the `width` bits
+/// starting at bit `start + i·width`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PidGroup {
+    /// The lowest bit of pid 0's slot.
+    pub start: u32,
+    /// The bits each pid owns.
+    pub width: u32,
+}
+
+/// The declared per-pid groups of an `n`-process codec, with the mask of
+/// the bits no group owns (they stay put under renaming).
+#[derive(Clone, Debug)]
+struct PidLayout {
+    n: usize,
+    groups: Vec<PidGroup>,
+    fixed: u128,
+}
 
 /// A `u128` bitfield codec for one model's state type.
 ///
@@ -71,7 +96,7 @@ type PermuteFn = Arc<dyn Fn(u128, &PidPerm) -> u128 + Send + Sync>;
 pub struct StatePacker<S> {
     pack: PackFn<S>,
     unpack: UnpackFn<S>,
-    permute: Option<PermuteFn>,
+    layout: Option<PidLayout>,
 }
 
 impl<S> Clone for StatePacker<S> {
@@ -79,7 +104,7 @@ impl<S> Clone for StatePacker<S> {
         StatePacker {
             pack: Arc::clone(&self.pack),
             unpack: Arc::clone(&self.unpack),
-            permute: self.permute.as_ref().map(Arc::clone),
+            layout: self.layout.clone(),
         }
     }
 }
@@ -87,7 +112,7 @@ impl<S> Clone for StatePacker<S> {
 impl<S> std::fmt::Debug for StatePacker<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StatePacker")
-            .field("permute", &self.permute.is_some())
+            .field("layout", &self.layout)
             .finish()
     }
 }
@@ -102,20 +127,35 @@ impl<S> StatePacker<S> {
         StatePacker {
             pack: Arc::new(pack),
             unpack: Arc::new(unpack),
-            permute: None,
+            layout: None,
         }
     }
 
-    /// Adds an equivariant word-level renaming shuffle:
-    /// `permute_word(pack(x), π) == pack(permute_state(x, π))`. Unlocks the
-    /// packed canonicalization fast path
-    /// ([`canonicalize_packed`](crate::sym::canonicalize_packed)).
+    /// Declares where the codec keeps each of its `n` processes' fields,
+    /// which unlocks the renaming shuffle [`StatePacker::permute_word`].
+    /// The codec must keep *every* per-process field inside `groups`, so
+    /// that the shuffle is equivariant:
+    /// `permute_word(pack(x), π) == pack(permute_state(x, π))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a group is empty or reaches bit 127 ([`SPILL_TAG`]).
     #[must_use]
-    pub fn with_permute(
-        mut self,
-        permute: impl Fn(u128, &PidPerm) -> u128 + Send + Sync + 'static,
-    ) -> Self {
-        self.permute = Some(Arc::new(permute));
+    pub fn with_pid_groups(mut self, n: usize, groups: &[PidGroup]) -> Self {
+        let mut owned = 0u128;
+        for g in groups {
+            let bits = n as u32 * g.width;
+            assert!(
+                g.width > 0 && g.start + bits < 128,
+                "pid group out of range"
+            );
+            owned |= ((1u128 << bits) - 1) << g.start;
+        }
+        self.layout = Some(PidLayout {
+            n,
+            groups: groups.to_vec(),
+            fixed: !owned,
+        });
         self
     }
 
@@ -133,17 +173,28 @@ impl<S> StatePacker<S> {
         (self.unpack)(w)
     }
 
-    /// Whether the packer carries a renaming shuffle.
+    /// Whether the packer declares its pid groups, so words can be renamed.
     #[must_use]
     pub fn permutes(&self) -> bool {
-        self.permute.is_some()
+        self.layout.is_some()
     }
 
-    /// Applies the renaming shuffle to a packed word, or `None` if the
-    /// packer has none.
+    /// The renaming `π` applied to a packed word: in every [`PidGroup`],
+    /// pid `i`'s bits move to pid `π(i)`'s slot; all other bits stay.
+    /// `None` if the packer declares no groups.
     #[must_use]
     pub fn permute_word(&self, w: u128, perm: &PidPerm) -> Option<u128> {
-        self.permute.as_ref().map(|f| f(w, perm))
+        let layout = self.layout.as_ref()?;
+        debug_assert_eq!(perm.degree(), layout.n, "permutation degree");
+        let mut out = w & layout.fixed;
+        for g in &layout.groups {
+            let mask = (1u128 << g.width) - 1;
+            for (i, &to) in perm.images().iter().enumerate() {
+                let bits = (w >> (g.start + i as u32 * g.width)) & mask;
+                out |= bits << (g.start + u32::from(to) * g.width);
+            }
+        }
+        Some(out)
     }
 }
 
@@ -359,6 +410,30 @@ mod tests {
         assert_eq!(q.pack(&7), Some(7));
         assert_eq!(q.unpack(7), 7);
         assert!(!q.permutes());
+    }
+
+    #[test]
+    fn pid_groups_shuffle_lanes_and_keep_other_bits() {
+        // Three pids: 2-bit lanes at bit 0, a fixed byte at bit 6, one
+        // mask bit per pid at bit 14.
+        let groups = [
+            PidGroup { start: 0, width: 2 },
+            PidGroup {
+                start: 14,
+                width: 1,
+            },
+        ];
+        let p: StatePacker<u128> =
+            StatePacker::new(|v| Some(*v), |w| w).with_pid_groups(3, &groups);
+        let lanes = 0b11_10_01;
+        let byte = 0xA5 << 6;
+        let mask = 0b001 << 14;
+        let w = lanes | byte | mask;
+        // π = (0→1, 1→2, 2→0): lane i lands at lane π(i).
+        let pi = PidPerm::from_map(vec![1, 2, 0]);
+        let moved = p.permute_word(w, &pi).expect("groups declared");
+        assert_eq!(moved, 0b10_01_11 | byte | (0b010 << 14));
+        assert_eq!(p.permute_word(w, &PidPerm::identity(3)), Some(w));
     }
 
     #[test]

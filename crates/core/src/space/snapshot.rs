@@ -862,7 +862,7 @@ where
         }
         let count = usize::try_from(h.states).map_err(|_| SnapshotError::Malformed("states"))?;
         let mut r = SnapshotReader::new(h.body);
-        let store = decode_store(&mut r, count, h.packed, model.state_packer())?;
+        let store = decode_store(&mut r, count, h.packed, model.state_packer().cloned())?;
         let index = rebuild_index(&store)?;
         check_index(&mut r, &bucket_snapshot(&index))?;
         let (succ, edges) = decode_csr(&mut r, count, h.edges)?;

@@ -21,9 +21,36 @@
 //! * [`PidPerm`] — a permutation of `0..n` process identifiers with the
 //!   usual group operations,
 //! * [`Symmetric`] — the trait a model implements to expose its renaming
-//!   action and a canonical-representative choice,
-//! * [`canonicalize_by_min`] — the default representative: the
-//!   lexicographic minimum of the orbit under the state's `Ord`.
+//!   action; canonicalization is provided,
+//! * [`canonicalize_packed`], [`canonicalize_by_min`] and [`orbit_size`] —
+//!   the two halves of the canonicalization rule and the orbit count.
+//!
+//! # The canonicalization rule
+//!
+//! [`Symmetric::canonicalize_with_orbit`] picks one representative per
+//! orbit, by one rule for every model:
+//!
+//! * when the model's codec declares its per-pid bit groups
+//!   ([`StatePacker::with_pid_groups`]) and `x` packs, the representative
+//!   is the orbit member with the **least packed word** over the `n!`
+//!   renamings ([`canonicalize_packed`]);
+//! * otherwise it is the **`Ord`-least** member ([`canonicalize_by_min`]).
+//!
+//! The witness is the first minimising `π` in [`PidPerm::all`] order, and
+//! the orbit size is `n!` over the number of renamings that fix `x`
+//! (orbit–stabilizer). Packability is orbit-invariant (see the
+//! [`pack`](crate::space::pack) contract), so each orbit is canonicalized
+//! by exactly one of the two halves wherever it is met. The `n!`
+//! permutations are enumerated once per `n` and shared by every call.
+//!
+//! **Lane layout.** A packing model keeps each process's fields in
+//! fixed-width lanes and declares them as pid groups. The synchronous
+//! mobile, shared-memory and [`CounterModel`](crate::testkit::CounterModel)
+//! codecs have one group of `lane` bits per pid from bit 0; the crash codec
+//! adds one failure-mask bit per pid above its round byte. Under `π`, pid
+//! `i`'s bits in each group move to pid `π(i)`'s slot and all other bits
+//! stay ([`StatePacker::permute_word`]). A codec that declares no groups —
+//! the message-passing mailboxes — takes the `Ord` half.
 //!
 //! # Equivariance is a property of the layering, not the model
 //!
@@ -38,15 +65,54 @@
 //! over a non-equivariant layering; they would silently prune reachable
 //! orbits otherwise.
 
-use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use crate::space::pack::StatePacker;
 use crate::{LayeredModel, Pid};
 
 /// The largest `n` whose `n!` permutations [`PidPerm::all`] enumerates
-/// (`8! = 40320`). Brute-force canonicalization enumerates them all, so
-/// symmetry quotients are limited to this many processes.
+/// (`8! = 40320`). Canonicalization sweeps them all, so symmetry quotients
+/// are limited to this many processes.
 pub const MAX_ENUMERATED_N: usize = 8;
+
+/// The permutations of `0..n` for each `n ≤ MAX_ENUMERATED_N`, built on
+/// first use.
+static PERM_TABLES: [OnceLock<Vec<PidPerm>>; MAX_ENUMERATED_N + 1] =
+    [const { OnceLock::new() }; MAX_ENUMERATED_N + 1];
+
+/// The shared table of all `n!` permutations of `0..n`, in
+/// [`PidPerm::all`] order.
+fn perm_table(n: usize) -> &'static [PidPerm] {
+    assert!(
+        n <= MAX_ENUMERATED_N,
+        "refusing to enumerate {n}! permutations"
+    );
+    PERM_TABLES[n].get_or_init(|| enumerate_perms(n))
+}
+
+/// All permutations of `0..n` in lexicographic order of their map form.
+fn enumerate_perms(n: usize) -> Vec<PidPerm> {
+    fn rec(n: usize, current: &mut Vec<u8>, used: &mut [bool], out: &mut Vec<PidPerm>) {
+        if current.len() == n {
+            out.push(PidPerm {
+                map: current.clone(),
+            });
+            return;
+        }
+        for j in 0..n {
+            if !used[j] {
+                used[j] = true;
+                current.push(j as u8);
+                rec(n, current, used, out);
+                current.pop();
+                used[j] = false;
+            }
+        }
+    }
+    let mut out = Vec::new();
+    rec(n, &mut Vec::with_capacity(n), &mut vec![false; n], &mut out);
+    out
+}
 
 /// A permutation `π` of the process identifiers `0..n`, stored in map form:
 /// `perm.apply(Pid::new(i)) == Pid::new(map[i])`.
@@ -160,43 +226,18 @@ impl PidPerm {
             .collect()
     }
 
+    /// The images `π(0), …, π(n − 1)`.
+    pub(crate) fn images(&self) -> &[u8] {
+        &self.map
+    }
+
     /// All `n!` permutations of `0..n`, in lexicographic order of their map
     /// form (so the identity comes first). Intended for the small `n` of
     /// exhaustive scans; panics if `n > MAX_ENUMERATED_N` to catch
     /// accidental blowups.
     #[must_use]
     pub fn all(n: usize) -> Vec<PidPerm> {
-        assert!(
-            n <= MAX_ENUMERATED_N,
-            "refusing to enumerate {n}! permutations"
-        );
-        let mut out = Vec::new();
-        let mut current: Vec<u8> = (0..n as u8).collect();
-        let mut used = vec![false; n];
-        fn rec(
-            n: usize,
-            depth: usize,
-            current: &mut Vec<u8>,
-            used: &mut [bool],
-            out: &mut Vec<PidPerm>,
-        ) {
-            if depth == n {
-                out.push(PidPerm {
-                    map: current.clone(),
-                });
-                return;
-            }
-            for j in 0..n {
-                if !used[j] {
-                    used[j] = true;
-                    current[depth] = j as u8;
-                    rec(n, depth + 1, current, used, out);
-                    used[j] = false;
-                }
-            }
-        }
-        rec(n, 0, &mut current, &mut used, &mut out);
-        out
+        perm_table(n).to_vec()
     }
 }
 
@@ -214,11 +255,11 @@ impl PidPerm {
 ///   returns `true`* — `successors(π·x)` equals `successors(x)` mapped
 ///   through `π`, as sets.
 ///
-/// [`canonicalize`](Self::canonicalize) must pick the same representative
-/// for every member of an orbit and return the witnessing permutation `π`
-/// with `permute_state(x, π) == representative`. Models with `Ord` states
-/// implement it as a one-liner over [`canonicalize_by_min`].
-pub trait Symmetric: LayeredModel {
+/// Canonicalization is provided and follows the one rule of the
+/// [module docs](self): the packed minimum when the model's
+/// [`state_packer`](LayeredModel::state_packer) declares its pid groups and
+/// `x` packs, the `Ord` minimum otherwise.
+pub trait Symmetric: LayeredModel<State: Ord> {
     /// The renaming action `π · x` (role of old index `i` moves to `π(i)`).
     fn permute_state(&self, x: &Self::State, perm: &PidPerm) -> Self::State;
 
@@ -226,115 +267,112 @@ pub trait Symmetric: LayeredModel {
     /// (`S(π·x) = π·S(x)`). Quotient constructions require `true`.
     fn symmetric_layering(&self) -> bool;
 
-    /// The canonical representative of `x`'s orbit, plus a permutation `π`
-    /// with `permute_state(x, π) == representative`.
-    fn canonicalize(&self, x: &Self::State) -> (Self::State, PidPerm);
+    /// The canonical representative of `x`'s orbit, a permutation `π` with
+    /// `permute_state(x, π) == representative`, and the number of distinct
+    /// states in the orbit, from one sweep over the `n!` renamings.
+    fn canonicalize_with_orbit(&self, x: &Self::State) -> (Self::State, PidPerm, u64) {
+        self.state_packer()
+            .and_then(|packer| canonicalize_packed(self, packer, x))
+            .unwrap_or_else(|| min_with_orbit(self, x))
+    }
 
-    /// [`canonicalize`](Self::canonicalize) fused with [`orbit_size`]: the
-    /// representative, the witnessing permutation, and the number of
-    /// distinct states in `x`'s orbit.
-    ///
-    /// The default runs the two passes separately; models whose packers
-    /// carry a renaming shuffle override it with
-    /// [`canonicalize_packed`], which answers all three questions in a
-    /// single sweep over `n!` packed words — the hot path of quotient
-    /// interning.
-    fn canonicalize_with_orbit(&self, x: &Self::State) -> (Self::State, PidPerm, u64)
-    where
-        Self: Sized,
-    {
-        let (rep, pi) = self.canonicalize(x);
-        let orbit = orbit_size(self, x) as u64;
-        (rep, pi, orbit)
+    /// [`canonicalize_with_orbit`](Self::canonicalize_with_orbit) without
+    /// the orbit size.
+    fn canonicalize(&self, x: &Self::State) -> (Self::State, PidPerm) {
+        let (rep, pi, _) = self.canonicalize_with_orbit(x);
+        (rep, pi)
     }
 }
 
-/// The default canonical representative: the lexicographically least state
-/// of the orbit under `Ord`, found by brute-force enumeration of all `n!`
-/// renamings (fine for the `n ≤ 5` of exhaustive scans — at most 120
-/// candidate states per call).
-pub fn canonicalize_by_min<M>(model: &M, x: &M::State) -> (M::State, PidPerm)
-where
-    M: Symmetric,
-    M::State: Ord,
-{
-    let mut best: Option<(M::State, PidPerm)> = None;
-    for perm in PidPerm::all(model.num_processes()) {
-        let y = model.permute_state(x, &perm);
+/// The `Ord` half of the rule with the orbit size: one sweep computing the
+/// least orbit member, the first renaming reaching it, and the stabilizer.
+fn min_with_orbit<M: Symmetric + ?Sized>(model: &M, x: &M::State) -> (M::State, PidPerm, u64) {
+    let perms = perm_table(model.num_processes());
+    let mut best: Option<(M::State, &PidPerm)> = None;
+    let mut stabilizer = 0;
+    for perm in perms {
+        let y = model.permute_state(x, perm);
+        stabilizer += usize::from(y == *x);
         match &best {
             Some((b, _)) if *b <= y => {}
             _ => best = Some((y, perm)),
         }
     }
-    best.expect("n >= 1, so the orbit is non-empty")
+    let (rep, perm) = best.expect("n >= 1, so the orbit is non-empty");
+    (rep, perm.clone(), (perms.len() / stabilizer) as u64)
+}
+
+/// The `Ord` half of the canonicalization rule: the lexicographically
+/// least state of the orbit under `Ord`, with the first renaming in
+/// [`PidPerm::all`] order that reaches it.
+pub fn canonicalize_by_min<M: Symmetric + ?Sized>(model: &M, x: &M::State) -> (M::State, PidPerm) {
+    let (rep, pi, _) = min_with_orbit(model, x);
+    (rep, pi)
 }
 
 /// The size of `x`'s orbit under renaming: the number of distinct states
-/// `π · x` over all `n!` permutations (equal to `n!` divided by the order
-/// of `x`'s stabilizer subgroup).
-pub fn orbit_size<M: Symmetric>(model: &M, x: &M::State) -> usize {
-    let mut seen: HashSet<M::State> = HashSet::new();
-    for perm in PidPerm::all(model.num_processes()) {
-        seen.insert(model.permute_state(x, &perm));
-    }
-    seen.len()
+/// `π · x`, computed as `n!` divided by the number of renamings that fix
+/// `x` (the order of its stabilizer subgroup).
+pub fn orbit_size<M: Symmetric + ?Sized>(model: &M, x: &M::State) -> usize {
+    let perms = perm_table(model.num_processes());
+    let stabilizer = perms
+        .iter()
+        .filter(|perm| model.permute_state(x, perm) == *x)
+        .count();
+    perms.len() / stabilizer
 }
 
-/// Packed-word canonicalization: representative, witnessing permutation and
-/// orbit size in **one** sweep over the precomputed permutation list,
+/// The packed half of the canonicalization rule: representative, witness
+/// and orbit size in **one** sweep over the shared permutation table,
 /// touching only `u128` words.
 ///
-/// The representative is the orbit member with the **smallest packed word**
-/// — a different (but equally canonical) choice than
-/// [`canonicalize_by_min`]'s `Ord`-least state. Consistency only requires
-/// that every member of an orbit maps to the same representative, which
-/// holds because the packer's renaming shuffle is equivariant and
-/// packability is permutation-invariant (see the
+/// The representative is the orbit member with the **smallest packed
+/// word**. Every member of an orbit maps to it because the shuffle is
+/// equivariant and packability is permutation-invariant (see the
 /// [`pack`](crate::space::pack) contract): the whole orbit packs, and the
 /// minimum over `{permute_word(pack(x), π)}` is orbit-determined.
 ///
-/// Returns `None` — caller falls back to the unpacked path — when the
-/// packer has no shuffle or `x` does not pack.
-pub fn canonicalize_packed<M: Symmetric>(
+/// Returns `None` — the rule falls back to [`canonicalize_by_min`] — when
+/// the packer declares no pid groups or `x` does not pack.
+pub fn canonicalize_packed<M: Symmetric + ?Sized>(
     model: &M,
     packer: &StatePacker<M::State>,
-    perms: &[PidPerm],
     x: &M::State,
 ) -> Option<(M::State, PidPerm, u64)> {
     if !packer.permutes() {
         return None;
     }
     let w = packer.pack(x)?;
-    debug_assert_eq!(perms.len(), {
-        let n = model.num_processes();
-        (1..=n).product::<usize>()
-    });
+    let perms = perm_table(model.num_processes());
     let mut best_word = u128::MAX;
-    let mut best_perm: Option<&PidPerm> = None;
-    let mut orbit: Vec<u128> = Vec::with_capacity(perms.len());
+    let mut best_perm = &perms[0];
+    let mut stabilizer = 0;
     for perm in perms {
         let y = packer
             .permute_word(w, perm)
             .expect("permutes() checked above");
+        stabilizer += usize::from(y == w);
         if y < best_word {
             best_word = y;
-            best_perm = Some(perm);
+            best_perm = perm;
         }
-        orbit.push(y);
     }
-    orbit.sort_unstable();
-    orbit.dedup();
-    let perm = best_perm.expect("n >= 1, so the orbit is non-empty");
     debug_assert_eq!(
-        packer.pack(&model.permute_state(x, perm)),
+        packer.pack(&model.permute_state(x, best_perm)),
         Some(best_word),
         "packer shuffle must be equivariant with permute_state"
     );
-    Some((packer.unpack(best_word), perm.clone(), orbit.len() as u64))
+    Some((
+        packer.unpack(best_word),
+        best_perm.clone(),
+        (perms.len() / stabilizer) as u64,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::testkit::CounterModel;
     use crate::Value;
@@ -422,7 +460,7 @@ mod tests {
         let packer = m.state_packer().expect("CounterModel packs");
         let perms = PidPerm::all(3);
         let x = m.initial_state(&[Value::ONE, Value::ZERO, Value::ONE]);
-        let (rep, pi, orbit) = canonicalize_packed(&m, &packer, &perms, &x).expect("x packs");
+        let (rep, pi, orbit) = canonicalize_packed(&m, packer, &x).expect("x packs");
         // The witness transports x onto the representative.
         assert_eq!(m.permute_state(&x, &pi), rep);
         // Orbit size matches the brute-force enumeration.
@@ -432,7 +470,7 @@ mod tests {
         for p in &perms {
             let y = m.permute_state(&x, p);
             let (rep_y, pi_y, orbit_y) =
-                canonicalize_packed(&m, &packer, &perms, &y).expect("orbit members pack");
+                canonicalize_packed(&m, packer, &y).expect("orbit members pack");
             assert_eq!(rep_y, rep);
             assert_eq!(m.permute_state(&y, &pi_y), rep);
             assert_eq!(orbit_y, orbit);

@@ -14,9 +14,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::space::pack::StatePacker;
+use crate::space::pack::{PidGroup, StatePacker};
 use crate::space::snapshot::{SnapshotError, SnapshotReader, SnapshotState};
-use crate::sym::{canonicalize_by_min, PidPerm, Symmetric};
+use crate::sym::{PidPerm, Symmetric};
 use crate::{LayeredModel, Pid, Value};
 
 /// A trivial graded model: each state has `branch` successors, no decisions,
@@ -25,6 +25,7 @@ use crate::{LayeredModel, Pid, Value};
 pub struct CounterModel {
     n: usize,
     branch: u8,
+    packer: Option<StatePacker<CounterState>>,
 }
 
 /// The state of a [`CounterModel`].
@@ -43,8 +44,45 @@ impl CounterModel {
     #[must_use]
     pub fn new(n: usize, branch: u8) -> Self {
         assert!(n >= 2 && branch >= 1);
-        CounterModel { n, branch }
+        CounterModel {
+            n,
+            branch,
+            packer: counter_packer(n),
+        }
     }
+}
+
+/// Packs a counter state as `n` two-bit input lanes (values below 4, the
+/// one pid group), then 8 bits of depth and 8 bits of label.
+fn counter_packer(n: usize) -> Option<StatePacker<CounterState>> {
+    if 2 * n + 16 > 127 {
+        return None;
+    }
+    let pack = move |x: &CounterState| {
+        if x.inputs.len() != n {
+            return None;
+        }
+        let mut w = 0u128;
+        for i in 0..n {
+            let v = x.inputs[i].get();
+            if v >= 4 {
+                return None;
+            }
+            w |= u128::from(v) << (2 * i);
+        }
+        w |= u128::from(x.depth) << (2 * n);
+        w |= u128::from(x.label) << (2 * n + 8);
+        Some(w)
+    };
+    let unpack = move |w: u128| CounterState {
+        inputs: (0..n)
+            .map(|i| Value::new(((w >> (2 * i)) & 0b11) as u32))
+            .collect(),
+        depth: ((w >> (2 * n)) & 0xFF) as u8,
+        label: ((w >> (2 * n + 8)) & 0xFF) as u8,
+    };
+    let lanes = PidGroup { start: 0, width: 2 };
+    Some(StatePacker::new(pack, unpack).with_pid_groups(n, &[lanes]))
 }
 
 impl SnapshotState for CounterState {
@@ -127,46 +165,8 @@ impl LayeredModel for CounterModel {
         }
     }
 
-    /// Packs a counter state as `n` two-bit input lanes (values below 4),
-    /// then 8 bits of depth and 8 bits of label. The lane shuffle matches
-    /// [`PidPerm::permute_vec`]: input lane `i` lands at lane `π(i)`.
-    fn state_packer(&self) -> Option<StatePacker<CounterState>> {
-        let n = self.n;
-        if 2 * n + 16 > 127 {
-            return None;
-        }
-        let pack = move |x: &CounterState| {
-            if x.inputs.len() != n {
-                return None;
-            }
-            let mut w = 0u128;
-            for i in 0..n {
-                let v = x.inputs[i].get();
-                if v >= 4 {
-                    return None;
-                }
-                w |= u128::from(v) << (2 * i);
-            }
-            w |= u128::from(x.depth) << (2 * n);
-            w |= u128::from(x.label) << (2 * n + 8);
-            Some(w)
-        };
-        let unpack = move |w: u128| CounterState {
-            inputs: (0..n)
-                .map(|i| Value::new(((w >> (2 * i)) & 0b11) as u32))
-                .collect(),
-            depth: ((w >> (2 * n)) & 0xFF) as u8,
-            label: ((w >> (2 * n + 8)) & 0xFF) as u8,
-        };
-        let permute = move |w: u128, perm: &PidPerm| {
-            let mut out = w >> (2 * n) << (2 * n);
-            for i in 0..n {
-                let lane = (w >> (2 * i)) & 0b11;
-                out |= lane << (2 * perm.apply(Pid::new(i)).index());
-            }
-            out
-        };
-        Some(StatePacker::new(pack, unpack).with_permute(permute))
+    fn state_packer(&self) -> Option<&StatePacker<CounterState>> {
+        self.packer.as_ref()
     }
 }
 
@@ -184,18 +184,14 @@ impl Symmetric for CounterModel {
         // `label` change), so the layering is trivially equivariant.
         true
     }
-
-    fn canonicalize(&self, x: &CounterState) -> (CounterState, PidPerm) {
-        canonicalize_by_min(self, x)
-    }
 }
 
 /// A model with its codec hidden: every [`LayeredModel`] and [`Symmetric`]
 /// method forwards to the wrapped model except
 /// [`state_packer`](LayeredModel::state_packer), which returns `None`, so an
 /// arena built for it stores every state boxed. Canonicalization still
-/// forwards, so quotient representatives are unchanged. The boxed side of
-/// packed ≡ boxed tests.
+/// forwards (the one override of the provided rule), so quotient
+/// representatives are unchanged. The boxed side of packed ≡ boxed tests.
 #[derive(Clone, Debug)]
 pub struct Unpacked<M>(pub M);
 
@@ -262,10 +258,6 @@ impl<M: Symmetric> Symmetric for Unpacked<M> {
 
     fn symmetric_layering(&self) -> bool {
         self.0.symmetric_layering()
-    }
-
-    fn canonicalize(&self, x: &M::State) -> (M::State, PidPerm) {
-        self.0.canonicalize(x)
     }
 
     fn canonicalize_with_orbit(&self, x: &M::State) -> (M::State, PidPerm, u64) {

@@ -27,10 +27,9 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use layered_core::sym::MAX_ENUMERATED_N;
 use layered_core::{
-    canonicalize_by_min, canonicalize_packed, orbit_size, pack_decision, unpack_decision,
-    LayeredModel, Pid, PidPerm, StatePacker, Symmetric, Value, DECISION_BITS,
+    pack_decision, unpack_decision, LayeredModel, Pid, PidGroup, PidPerm, StatePacker, Symmetric,
+    Value, DECISION_BITS,
 };
 use layered_protocols::{Anonymous, SyncProtocol};
 
@@ -78,7 +77,6 @@ pub struct CrashModel<P: SyncProtocol> {
     protocol: P,
     layering: CrashLayering,
     packer: Option<StatePacker<CrashState<P::LocalState>>>,
-    perms: Vec<PidPerm>,
 }
 
 impl<P: SyncProtocol> CrashModel<P> {
@@ -93,18 +91,12 @@ impl<P: SyncProtocol> CrashModel<P> {
         assert!(n >= 3, "the Section 6 analysis assumes n >= 3");
         assert!((1..=n - 2).contains(&t), "requires 1 <= t <= n - 2");
         let packer = build_packer(n, &protocol);
-        let perms = if packer.is_some() && n <= MAX_ENUMERATED_N {
-            PidPerm::all(n)
-        } else {
-            Vec::new()
-        };
         CrashModel {
             n,
             t,
             protocol,
             layering: CrashLayering::Prefix,
             packer,
-            perms,
         }
     }
 
@@ -339,7 +331,8 @@ impl<'a, P: SyncProtocol> Round<'a, P> {
 /// packs its local states and the lanes fit one word. Layout, low bits
 /// first: `n` lanes of `2` input bits, [`DECISION_BITS`] decision bits and
 /// the protocol's local codec; then 8 round bits; then the environment's
-/// failure record as an `n`-bit membership mask.
+/// failure record as an `n`-bit membership mask. The lanes and the mask
+/// bits are the two pid groups.
 fn build_packer<P: SyncProtocol>(
     n: usize,
     protocol: &P,
@@ -398,38 +391,17 @@ fn build_packer<P: SyncProtocol>(
                 .collect(),
         }
     };
-    let permute = move |w: u128, perm: &PidPerm| {
-        let lane_mask = (1u128 << lane) - 1;
-        // Round bits stay put; lanes and failure-mask bits relocate.
-        let mut out = (w >> head & 0xFF) << head;
-        for i in 0..n {
-            let to = perm.apply(Pid::new(i)).index() as u32;
-            let bits = (w >> (i as u32 * lane)) & lane_mask;
-            out |= bits << (to * lane);
-            out |= (w >> (head + 8 + i as u32) & 1) << (head + 8 + to);
-        }
-        out
-    };
-    Some(StatePacker::new(pack, unpack).with_permute(permute))
-}
-
-impl<P> CrashModel<P>
-where
-    P: SyncProtocol + Anonymous,
-    P::LocalState: Ord,
-{
-    /// The single-sweep packed canonicalization, when the codec and the
-    /// cached permutation table are available and `x` packs.
-    fn packed_canon(
-        &self,
-        x: &CrashState<P::LocalState>,
-    ) -> Option<(CrashState<P::LocalState>, PidPerm, u64)> {
-        let packer = self.packer.as_ref()?;
-        if self.perms.is_empty() {
-            return None;
-        }
-        canonicalize_packed(self, packer, &self.perms, x)
-    }
+    let groups = [
+        PidGroup {
+            start: 0,
+            width: lane,
+        },
+        PidGroup {
+            start: head + 8,
+            width: 1,
+        },
+    ];
+    Some(StatePacker::new(pack, unpack).with_pid_groups(n, &groups))
 }
 
 impl<P: SyncProtocol> LayeredModel for CrashModel<P> {
@@ -513,8 +485,8 @@ impl<P: SyncProtocol> LayeredModel for CrashModel<P> {
         self.non_failed(x)
     }
 
-    fn state_packer(&self) -> Option<StatePacker<Self::State>> {
-        self.packer.clone()
+    fn state_packer(&self) -> Option<&StatePacker<Self::State>> {
+        self.packer.as_ref()
     }
 }
 
@@ -542,23 +514,6 @@ where
 
     fn symmetric_layering(&self) -> bool {
         self.layering == CrashLayering::Full
-    }
-
-    // Packed fast path first, brute-force minimum as fallback; packability
-    // is orbit-invariant, so each orbit sees exactly one rep rule.
-    fn canonicalize(&self, x: &Self::State) -> (Self::State, PidPerm) {
-        if let Some((rep, pi, _)) = self.packed_canon(x) {
-            return (rep, pi);
-        }
-        canonicalize_by_min(self, x)
-    }
-
-    fn canonicalize_with_orbit(&self, x: &Self::State) -> (Self::State, PidPerm, u64) {
-        if let Some(out) = self.packed_canon(x) {
-            return out;
-        }
-        let (rep, pi) = canonicalize_by_min(self, x);
-        (rep, pi, orbit_size(self, x) as u64)
     }
 }
 

@@ -16,10 +16,9 @@
 
 use std::collections::HashSet;
 
-use layered_core::sym::MAX_ENUMERATED_N;
 use layered_core::{
-    canonicalize_by_min, canonicalize_packed, orbit_size, pack_decision, unpack_decision,
-    LayeredModel, Pid, PidPerm, StatePacker, Symmetric, Value, DECISION_BITS,
+    pack_decision, unpack_decision, LayeredModel, Pid, PidGroup, PidPerm, StatePacker, Symmetric,
+    Value, DECISION_BITS,
 };
 use layered_protocols::{Anonymous, SyncProtocol};
 
@@ -62,7 +61,6 @@ pub struct MobileModel<P: SyncProtocol> {
     protocol: P,
     layering: MobileLayering,
     packer: Option<StatePacker<MobileState<P::LocalState>>>,
-    perms: Vec<PidPerm>,
 }
 
 impl<P: SyncProtocol> MobileModel<P> {
@@ -75,17 +73,11 @@ impl<P: SyncProtocol> MobileModel<P> {
     pub fn new(n: usize, protocol: P) -> Self {
         assert!(n >= 2, "the paper assumes n >= 2");
         let packer = build_packer(n, &protocol);
-        let perms = if packer.is_some() && n <= MAX_ENUMERATED_N {
-            PidPerm::all(n)
-        } else {
-            Vec::new()
-        };
         MobileModel {
             n,
             protocol,
             layering: MobileLayering::S1,
             packer,
-            perms,
         }
     }
 
@@ -197,7 +189,8 @@ impl<P: SyncProtocol> MobileModel<P> {
 /// Builds the packed codec for an `n`-process mobile model, if the protocol
 /// packs its local states and the lanes fit one word. Layout, low bits
 /// first: `n` lanes of `2` input bits, [`DECISION_BITS`] decision bits and
-/// the protocol's local codec, then 8 round bits on top.
+/// the protocol's local codec (the one pid group), then 8 round bits on
+/// top.
 fn build_packer<P: SyncProtocol>(
     n: usize,
     protocol: &P,
@@ -249,35 +242,11 @@ fn build_packer<P: SyncProtocol>(
             decided,
         }
     };
-    let permute = move |w: u128, perm: &PidPerm| {
-        let lane_mask = (1u128 << lane) - 1;
-        let mut out = w >> head << head;
-        for i in 0..n {
-            let bits = (w >> (i as u32 * lane)) & lane_mask;
-            out |= bits << (perm.apply(Pid::new(i)).index() as u32 * lane);
-        }
-        out
+    let lanes = PidGroup {
+        start: 0,
+        width: lane,
     };
-    Some(StatePacker::new(pack, unpack).with_permute(permute))
-}
-
-impl<P> MobileModel<P>
-where
-    P: SyncProtocol + Anonymous,
-    P::LocalState: Ord,
-{
-    /// The single-sweep packed canonicalization, when the codec and the
-    /// cached permutation table are available and `x` packs.
-    fn packed_canon(
-        &self,
-        x: &MobileState<P::LocalState>,
-    ) -> Option<(MobileState<P::LocalState>, PidPerm, u64)> {
-        let packer = self.packer.as_ref()?;
-        if self.perms.is_empty() {
-            return None;
-        }
-        canonicalize_packed(self, packer, &self.perms, x)
-    }
+    Some(StatePacker::new(pack, unpack).with_pid_groups(n, &[lanes]))
 }
 
 impl<P: SyncProtocol> LayeredModel for MobileModel<P> {
@@ -349,8 +318,8 @@ impl<P: SyncProtocol> LayeredModel for MobileModel<P> {
         self.apply(x, j, &everyone)
     }
 
-    fn state_packer(&self) -> Option<StatePacker<Self::State>> {
-        self.packer.clone()
+    fn state_packer(&self) -> Option<&StatePacker<Self::State>> {
+        self.packer.as_ref()
     }
 }
 
@@ -379,26 +348,6 @@ where
 
     fn symmetric_layering(&self) -> bool {
         self.layering == MobileLayering::Full
-    }
-
-    // Both canonicalization entry points take the packed fast path first
-    // and fall back to the brute-force minimum. Packability is
-    // orbit-invariant, so a given orbit is canonicalized by exactly one of
-    // the two rules wherever it is encountered — the rep is well defined
-    // even though the rules pick different (equally canonical) members.
-    fn canonicalize(&self, x: &Self::State) -> (Self::State, PidPerm) {
-        if let Some((rep, pi, _)) = self.packed_canon(x) {
-            return (rep, pi);
-        }
-        canonicalize_by_min(self, x)
-    }
-
-    fn canonicalize_with_orbit(&self, x: &Self::State) -> (Self::State, PidPerm, u64) {
-        if let Some(out) = self.packed_canon(x) {
-            return out;
-        }
-        let (rep, pi) = canonicalize_by_min(self, x);
-        (rep, pi, orbit_size(self, x) as u64)
     }
 }
 

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use layered_consensus::async_mp::MpModel;
 use layered_consensus::async_sm::{SmLayering, SmModel};
 use layered_consensus::core::telemetry::NOOP;
-use layered_consensus::core::testkit::Unpacked;
+use layered_consensus::core::testkit::{CounterModel, Unpacked};
 use layered_consensus::core::{
     build_bivalent_run, check_consensus, check_fault_independence, check_graded, similarity_report,
     LayeredModel, PidPerm, Region, Symmetric, Valence, ValenceProbe, ValenceSolver, Value, DECIDED,
@@ -209,9 +209,8 @@ where
 {
     let perms = PidPerm::all(m.num_processes());
     let orbit: HashSet<M::State> = perms.iter().map(|p| m.permute_state(x, p)).collect();
-    let packer = m.state_packer();
-    let packed = packer
-        .as_ref()
+    let packed = m
+        .state_packer()
         .filter(|p| p.permutes())
         .and_then(|p| p.pack(x).map(|w| (p, w)));
     let pi = match packed {
@@ -257,9 +256,9 @@ where
 }
 
 /// Canonicalization follows one rule in every model family: the packed
-/// minimum where the codec permutes (mobile, crash, shared memory), the
-/// `Ord` minimum where it does not (message passing), and the wrapped
-/// model's rule behind `Unpacked`, which hides the codec.
+/// minimum where the codec permutes (mobile, crash, shared memory, the
+/// counter model), the `Ord` minimum where it does not (message passing),
+/// and the wrapped model's rule behind `Unpacked`, which hides the codec.
 #[test]
 fn canonicalization_follows_the_one_rule_in_every_model() {
     let mobile = MobileModel::new(3, FloodMin::new(2)).with_layering(MobileLayering::Full);
@@ -273,6 +272,8 @@ fn canonicalization_follows_the_one_rule_in_every_model() {
     let mobile4 = MobileModel::new(4, FloodMin::new(2)).with_layering(MobileLayering::Full);
     assert_follows_canonical_rule(&mobile4, &mobile4, 1);
     assert_follows_canonical_rule(&mobile, &Unpacked(mobile.clone()), 2);
+    let counter = CounterModel::new(3, 2);
+    assert_follows_canonical_rule(&counter, &counter, 2);
 }
 
 /// The binary valence probe sees decisions, not names: for every region
