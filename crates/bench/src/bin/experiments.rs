@@ -74,6 +74,10 @@ use layered_core::telemetry::{set_heartbeat_period_ns, Observer, TraceObserver, 
 /// The default mode, as error messages name it.
 const SUITE: &str = "the experiment suite";
 
+/// The largest `--threads` the scan accepts: each expansion batch starts one
+/// OS thread per worker.
+const MAX_THREADS: usize = 256;
+
 /// Arguments that apply in some modes only, with those modes: [`SUITE`],
 /// `--sim` or `--scan`. Any other mode rejects them.
 const MODE_SCOPED: &[(&str, &[&str])] = &[
@@ -216,8 +220,10 @@ fn parse_args() -> Result<Options, String> {
         if scan_cfg.n < 2 {
             return Err("--n must be at least 2 for the layer scan".to_string());
         }
-        if scan_cfg.threads == 0 {
-            return Err("--threads must be positive".to_string());
+        if !(1..=MAX_THREADS).contains(&scan_cfg.threads) {
+            return Err(format!(
+                "--threads must lie in 1..={MAX_THREADS} (each expansion batch starts one OS thread per worker)"
+            ));
         }
         if scan_cfg.quotient && scan_cfg.n > MAX_ENUMERATED_N {
             return Err(format!(

@@ -112,6 +112,15 @@ fn suite_scopes_with_scan_or_sim_exit_2() {
 }
 
 #[test]
+fn scan_threads_outside_the_bound_exit_2() {
+    // Parsing rejects the count, so no worker thread is ever started.
+    let message = "--threads must lie in 1..=256";
+    assert_rejected(&["--scan", "--threads", "257"], message);
+    assert_rejected(&["--scan", "--threads", "100000"], message);
+    assert_rejected(&["--scan", "--threads", "0"], message);
+}
+
+#[test]
 fn scan_horizon_beyond_u16_exits_2() {
     let message = "the scan horizon (--horizon, default --depth + 1) must lie in 1..=65535";
     assert_rejected(&["--scan", "--horizon", "65536"], message);
