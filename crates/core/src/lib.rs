@@ -91,7 +91,7 @@ pub use space::{
     Arena, DiffReport, Keying, Orbits, Plain, QuotientSpace, Region, StateId, StateSpace,
 };
 pub use stats::{census, LevelCensus};
-pub use sym::{canonicalize_by_min, canonicalize_packed, orbit_size, PidPerm, Symmetric};
+pub use sym::{canonicalize_by_min, orbit_size, PidPerm, Symmetric};
 pub use telemetry::{
     Fanout, Heartbeat, Histogram, MemoryBreakdown, MemoryFootprint, MetricsRegistry,
     MetricsSnapshot, NoopObserver, Observer, Span, TraceObserver,

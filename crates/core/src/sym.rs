@@ -22,8 +22,8 @@
 //!   usual group operations,
 //! * [`Symmetric`] — the trait a model implements to expose its renaming
 //!   action; canonicalization is provided,
-//! * [`canonicalize_packed`], [`canonicalize_by_min`] and [`orbit_size`] —
-//!   the two halves of the canonicalization rule and the orbit count.
+//! * [`canonicalize_by_min`] and [`orbit_size`] — the `Ord` half of the
+//!   canonicalization rule and the orbit count.
 //!
 //! # The canonicalization rule
 //!
@@ -33,7 +33,7 @@
 //! * when the model's codec declares its per-pid bit groups
 //!   ([`StatePacker::with_pid_groups`]) and `x` packs, the representative
 //!   is the orbit member with the **least packed word** over the `n!`
-//!   renamings ([`canonicalize_packed`]);
+//!   renamings;
 //! * otherwise it is the **`Ord`-least** member ([`canonicalize_by_min`]).
 //!
 //! The witness is the first minimising `π` in [`PidPerm::all`] order, and
@@ -314,12 +314,7 @@ pub fn canonicalize_by_min<M: Symmetric + ?Sized>(model: &M, x: &M::State) -> (M
 /// `π · x`, computed as `n!` divided by the number of renamings that fix
 /// `x` (the order of its stabilizer subgroup).
 pub fn orbit_size<M: Symmetric + ?Sized>(model: &M, x: &M::State) -> usize {
-    let perms = perm_table(model.num_processes());
-    let stabilizer = perms
-        .iter()
-        .filter(|perm| model.permute_state(x, perm) == *x)
-        .count();
-    perms.len() / stabilizer
+    min_with_orbit(model, x).2 as usize
 }
 
 /// The packed half of the canonicalization rule: representative, witness
@@ -334,7 +329,7 @@ pub fn orbit_size<M: Symmetric + ?Sized>(model: &M, x: &M::State) -> usize {
 ///
 /// Returns `None` — the rule falls back to [`canonicalize_by_min`] — when
 /// the packer declares no pid groups or `x` does not pack.
-pub fn canonicalize_packed<M: Symmetric + ?Sized>(
+fn canonicalize_packed<M: Symmetric + ?Sized>(
     model: &M,
     packer: &StatePacker<M::State>,
     x: &M::State,
