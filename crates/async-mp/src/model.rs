@@ -160,7 +160,7 @@ impl<P: MpProtocol> MpModel<P> {
     ///
     /// Each process's sends and each distinct receive phase of the layer
     /// are computed once, and every action's successor is assembled from
-    /// them (see [`PhasePlan`]).
+    /// them (see `PhasePlan`).
     #[must_use]
     pub fn layer(&self, x: &MpState<P::LocalState, P::Msg>) -> Vec<MpState<P::LocalState, P::Msg>> {
         let plan = self

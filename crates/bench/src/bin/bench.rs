@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! bench regress [--baseline <path>]... [--fresh <path>] [--out <path>]
-//!               [--wall-ratio-x100 <k>] [--wall-floor-ms <k>]
-//!               [--counter-ratio-x100 <k>]
 //! ```
 //!
 //! Compares a fresh run of the gated experiments (E-scan at n = 4, E-sym at
@@ -26,11 +24,13 @@
 //!   experiments (the hook the negative test uses).
 //! * `--out <path>` — write the fresh records, each key's least-wall
 //!   sample, to `<path>` (the next committed `BENCH_PR<k>.json`).
-//! * `--lint-budget-ms <k>` — wall budget for the lint gate (default
-//!   10000; 0 disables it). The gate runs the whole-workspace
-//!   static-analysis pass — both tiers, including the call-graph rules —
-//!   and fails if it regresses past the budget or finds anything: the
-//!   lint must stay cheap enough to run on every push.
+//!
+//! The tolerances are [`Tolerance::default`]'s and the lint gate's budget
+//! is [`LINT_BUDGET_MS`]; neither has a command-line override, so a bar
+//! moves only by a committed change. The lint gate runs the
+//! whole-workspace static-analysis pass — both tiers, including the
+//! call-graph rules — and fails if it exceeds the budget or finds
+//! anything: the lint must stay cheap enough to run on every push.
 
 use layered_bench::regress::{
     collect_baselines, compare, fold_samples, sort_commit_order, verdict_table, BenchRecord,
@@ -46,9 +46,10 @@ struct Options {
     baselines: Vec<String>,
     fresh: Option<String>,
     out: Option<String>,
-    tol: Tolerance,
-    lint_budget_ms: u64,
 }
+
+/// The lint gate's wall budget.
+const LINT_BUDGET_MS: u64 = 10_000;
 
 fn parse_args() -> Result<Options, String> {
     let mut args = std::env::args().skip(1);
@@ -61,8 +62,6 @@ fn parse_args() -> Result<Options, String> {
         baselines: Vec::new(),
         fresh: None,
         out: None,
-        tol: Tolerance::default(),
-        lint_budget_ms: 10_000,
     };
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} requires a value"));
@@ -70,21 +69,6 @@ fn parse_args() -> Result<Options, String> {
             "--baseline" => opts.baselines.push(value("--baseline")?),
             "--fresh" => opts.fresh = Some(value("--fresh")?),
             "--out" => opts.out = Some(value("--out")?),
-            "--wall-ratio-x100" => {
-                opts.tol.wall_ratio_x100 =
-                    numeric("--wall-ratio-x100", &value("--wall-ratio-x100")?)?;
-            }
-            "--wall-floor-ms" => {
-                opts.tol.wall_floor_ns =
-                    numeric("--wall-floor-ms", &value("--wall-floor-ms")?)? * 1_000_000;
-            }
-            "--counter-ratio-x100" => {
-                opts.tol.counter_ratio_x100 =
-                    numeric("--counter-ratio-x100", &value("--counter-ratio-x100")?)?;
-            }
-            "--lint-budget-ms" => {
-                opts.lint_budget_ms = numeric("--lint-budget-ms", &value("--lint-budget-ms")?)?;
-            }
             other => return Err(format!("unrecognized argument `{other}`")),
         }
     }
@@ -97,21 +81,17 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn numeric(flag: &str, text: &str) -> Result<u64, String> {
-    text.parse::<u64>().map_err(|e| format!("{flag}: {e}"))
-}
-
 /// The lint wall-time gate: the whole-workspace static-analysis pass —
 /// both tiers, including call-graph construction — must stay within the
 /// budget *and* clean. A lint that outgrows its budget stops being run
 /// on every push, which is how determinism bugs sneak back in.
-fn lint_gate(budget_ms: u64) -> Result<(), String> {
+fn lint_gate() -> Result<(), String> {
     let root = layered_lint::default_root();
     let t0 = layered_core::telemetry::clock::monotonic_ns();
     let report = layered_lint::lint_workspace(&root);
     let wall_ms = (layered_core::telemetry::clock::monotonic_ns() - t0) / 1_000_000;
     println!(
-        "Lint gate: {} file(s), {} finding(s), {} suppressed, {wall_ms} ms (budget {budget_ms} ms).",
+        "Lint gate: {} file(s), {} finding(s), {} suppressed, {wall_ms} ms (budget {LINT_BUDGET_MS} ms).",
         report.files_scanned,
         report.findings.len(),
         report.suppressed.len(),
@@ -128,9 +108,9 @@ fn lint_gate(budget_ms: u64) -> Result<(), String> {
             report.findings.len()
         ));
     }
-    if wall_ms > budget_ms {
+    if wall_ms > LINT_BUDGET_MS {
         return Err(format!(
-            "lint pass took {wall_ms} ms > {budget_ms} ms budget — the pass must stay cheap \
+            "lint pass took {wall_ms} ms > {LINT_BUDGET_MS} ms budget — the pass must stay cheap \
              enough for every push"
         ));
     }
@@ -207,7 +187,7 @@ fn main() {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!(
-                "usage: bench regress [--baseline <path>]... [--fresh <path>] [--out <path>] [--wall-ratio-x100 <k>] [--wall-floor-ms <k>] [--counter-ratio-x100 <k>] [--lint-budget-ms <k>]"
+                "usage: bench regress [--baseline <path>]... [--fresh <path>] [--out <path>]"
             );
             std::process::exit(2);
         }
@@ -288,7 +268,7 @@ fn main() {
         println!("Wrote {} fresh record(s) to {path}.", fresh_lines.len());
     }
 
-    let verdicts = compare(&baselines, &fresh, opts.tol);
+    let verdicts = compare(&baselines, &fresh, Tolerance::default());
     println!("{}", verdict_table(&verdicts));
     let failed: Vec<&Verdict> = verdicts.iter().filter(|v| !v.passed()).collect();
     if failed.is_empty() {
@@ -303,10 +283,8 @@ fn main() {
         std::process::exit(1);
     }
 
-    if opts.lint_budget_ms > 0 {
-        if let Err(msg) = lint_gate(opts.lint_budget_ms) {
-            eprintln!("error: lint gate: {msg}");
-            std::process::exit(1);
-        }
+    if let Err(msg) = lint_gate() {
+        eprintln!("error: lint gate: {msg}");
+        std::process::exit(1);
     }
 }

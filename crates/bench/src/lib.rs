@@ -73,7 +73,7 @@ pub struct Experiment {
 impl Experiment {
     /// Wall-clock time spent producing the table, in nanoseconds.
     ///
-    /// Derived from the `experiment.run` span that [`measured`] wraps around
+    /// Derived from the `experiment.run` span that `measured` wraps around
     /// every experiment body, so the JSON record's top-level `wall_ns` and
     /// `metrics.spans["experiment.run"]` can never disagree.
     #[must_use]

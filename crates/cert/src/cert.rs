@@ -199,7 +199,7 @@ impl Certificate {
         Ok(Certificate { meta, kind, body })
     }
 
-    /// Decodes a certificate from raw bytes (parse + [`from_json`]).
+    /// Decodes a certificate from raw bytes (parse + [`from_json`](Self::from_json)).
     ///
     /// This does *not* check a content hash — integrity is the store's job,
     /// which re-hashes file bytes against the address on every read.

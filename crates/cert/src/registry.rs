@@ -180,7 +180,8 @@ fn witness_body<M: LayeredModel>(model: &M, _obs: &dyn Observer) -> Result<Json,
 fn lemma_5_1_body<M: LayeredModel>(model: &M, obs: &dyn Observer) -> Result<Json, RegistryError> {
     let mut solver = ValenceSolver::with_observer(model, 2, obs);
     let scan = scan_layer_valence_connectivity(&mut solver, 1, true);
-    let witness = ImpossibilityWitness::build(model, 2, 1)
+    // The witness reuses every state and valence the scan computed.
+    let witness = ImpossibilityWitness::from_solver(&mut solver, 1)
         .ok_or(RegistryError::Unconstructible("no ever-bivalent chain"))?;
     let witness_json = witness_to_json(model, &witness)
         .map_err(|_| RegistryError::Unconstructible("witness not serializable"))?;

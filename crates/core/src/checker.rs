@@ -13,7 +13,7 @@
 //!   in its inductive form: every state has a successor introducing no new
 //!   failures.
 //! * [`check_graded`] validates the state-graph contract every model must
-//!   satisfy (see [`crate::model`]).
+//!   satisfy (see [`LayeredModel`]).
 //!
 //! The three structural checks read one [`Region`] built by the caller,
 //! which several checks of one model instance share; each covers the

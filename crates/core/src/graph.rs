@@ -142,12 +142,6 @@ impl Graph {
         self.adj.get(a).is_some_and(|v| v.contains(&b))
     }
 
-    /// Neighbors of `a`.
-    #[must_use]
-    pub fn neighbors(&self, a: usize) -> &[usize] {
-        &self.adj[a]
-    }
-
     /// Number of (undirected) edges.
     #[must_use]
     pub fn edge_count(&self) -> usize {

@@ -13,7 +13,7 @@
 //! # Horizon soundness
 //!
 //! Valence is computed within a finite horizon and therefore
-//! *under-approximates* the paper's notion (see [`crate::valence`]): every
+//! *under-approximates* the paper's notion (see [`ValenceSolver`]): every
 //! state reported bivalent is genuinely bivalent, so every chain produced
 //! here is a sound impossibility witness. When the chain cannot be extended,
 //! the outcome records why — typically because the protocol under analysis

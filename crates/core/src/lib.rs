@@ -7,8 +7,8 @@
 //! the classical impossibility results and lower bounds in four models by
 //! exhibiting suitable layerings. This crate implements the abstract side:
 //!
-//! * global states, runs and executions over a model ([`model`]),
-//! * valence of states — 0-valent / 1-valent / bivalent ([`valence`]),
+//! * global states, runs and executions over a model ([`LayeredModel`]),
+//! * valence of states — 0-valent / 1-valent / bivalent ([`Valence`]),
 //! * similarity and valence connectivity with machine-checkable
 //!   certificates ([`connectivity`]),
 //! * the layering engine: Lemma 4.1 and the Theorem 4.2 bivalent-run

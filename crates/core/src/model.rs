@@ -36,8 +36,10 @@ use crate::{Pid, Value};
 /// one local state per process plus the environment's local state (registers,
 /// message pools, failure records, …).
 ///
-/// See the [module documentation](self) for the grading contract successor
-/// graphs must satisfy.
+/// The successor graph must be *graded*: successors of a state at depth `d`
+/// are all at depth `d + 1` ([`depth`](LayeredModel::depth)), and equal
+/// states have equal depths ([`check_graded`](crate::check_graded) checks
+/// it on a region).
 pub trait LayeredModel {
     /// The global state type.
     type State: Clone + Eq + Hash + Debug;

@@ -8,7 +8,7 @@
 //! sizes the enumerator cannot touch.
 //!
 //! The bridge between the two worlds is [`SimModel`]: a
-//! [`LayeredModel`](crate::LayeredModel) that additionally exposes its layer
+//! [`LayeredModel`] that additionally exposes its layer
 //! as a set of compact, directly-applicable *moves* (environment actions)
 //! instead of only as the materialized successor set. Every move yielded by
 //! [`clean_move`](SimModel::clean_move), [`fault_move`](SimModel::fault_move)

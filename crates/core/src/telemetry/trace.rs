@@ -1,10 +1,10 @@
 //! Hierarchical span tracing: span ids, parent/child structure, thread
 //! attribution, and Chrome trace-event export.
 //!
-//! The flat [`Observer`](super::Observer) span hooks aggregate per-name
+//! The flat [`Observer`] span hooks aggregate per-name
 //! totals; this module records *individual* spans with structure. Every
 //! [`Span`](super::Span) entered against an observer that opts in via
-//! [`Observer::wants_span_records`](super::Observer::wants_span_records)
+//! [`Observer::wants_span_records`]
 //! allocates a process-unique span id, captures its parent (the innermost
 //! open span on the same thread, or an explicit parent for work handed to
 //! `std::thread::scope` workers), and on drop delivers a completed
@@ -86,7 +86,7 @@ pub(super) fn pop_open(id: u64) {
 }
 
 /// One completed span, as delivered to
-/// [`Observer::span_record`](super::Observer::span_record).
+/// [`Observer::span_record`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Process-unique id (never 0).

@@ -60,20 +60,6 @@ impl Valences {
         }
     }
 
-    /// Is the state `v`-valent?
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not binary.
-    #[must_use]
-    pub fn is_valent(self, v: Value) -> bool {
-        match v {
-            Value::ZERO => self.zero,
-            Value::ONE => self.one,
-            other => panic!("binary valence queried with non-binary value {other:?}"),
-        }
-    }
-
     /// The classification induced by the flags.
     #[must_use]
     pub fn classify(self) -> Valence {

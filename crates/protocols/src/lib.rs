@@ -18,6 +18,9 @@
 //!   agreement 1-resiliently (Section 7) while violating consensus.
 //! * [`HastyMin`] — decides immediately; a checker-calibration protocol.
 //!
+//! The [`round`] module packs the per-process lanes of a synchronous round
+//! state; both synchronous models build their codecs on it.
+//!
 //! The FloodMin family floods a [`ValueSet`], a one-word set of values in
 //! `0..64` that orders, hashes, prints and encodes like `BTreeSet<Value>`.
 //!
@@ -42,6 +45,7 @@ mod eig;
 mod floodmin;
 mod fullinfo;
 mod relay;
+pub mod round;
 mod traits;
 mod trivial;
 

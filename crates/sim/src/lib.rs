@@ -23,7 +23,7 @@
 //!   [`Schedule`] that rebuilds the exact state sequence and can be
 //!   re-verified against the model's layering via
 //!   [`ExecutionTrace::validate`](layered_core::ExecutionTrace::validate).
-//! * **Shrinkability** ([`shrink`]) — a violating schedule reduces, by
+//! * **Shrinkability** ([`shrink`](mod@shrink)) — a violating schedule reduces, by
 //!   delta debugging, to a minimal prefix with the same violation class.
 //!
 //! The runtime reports through the `layered-core` telemetry bus

@@ -5,7 +5,7 @@
 //! adversary picks a legal layer move, the model applies it, and the runtime
 //! watches the resulting state for consensus violations with the same
 //! predicate the exhaustive checker uses
-//! ([`state_violations`](layered_core::checker::state_violations)). Every
+//! ([`state_violations`]). Every
 //! run is a pure function of `(master seed, run index, config)` and records
 //! a [`Schedule`] that replays to the identical state sequence.
 

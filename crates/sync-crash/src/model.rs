@@ -27,10 +27,8 @@
 
 use std::collections::{BTreeSet, HashSet};
 
-use layered_core::{
-    pack_decision, unpack_decision, LayeredModel, Pid, PidGroup, PidPerm, StatePacker, Symmetric,
-    Value, DECISION_BITS,
-};
+use layered_core::{LayeredModel, Pid, PidGroup, PidPerm, StatePacker, Symmetric, Value};
+use layered_protocols::round::RoundLanes;
 use layered_protocols::{Anonymous, SyncProtocol};
 
 use crate::state::CrashState;
@@ -327,80 +325,44 @@ impl<'a, P: SyncProtocol> Round<'a, P> {
     }
 }
 
-/// Builds the packed codec for an `n`-process crash model, if the protocol
-/// packs its local states and the lanes fit one word. Layout, low bits
-/// first: `n` lanes of `2` input bits, [`DECISION_BITS`] decision bits and
-/// the protocol's local codec; then 8 round bits; then the environment's
-/// failure record as an `n`-bit membership mask. The lanes and the mask
-/// bits are the two pid groups.
+/// Builds the packed codec for an `n`-process crash model: the
+/// [`RoundLanes`], then above the round bits the environment's failure
+/// record as an `n`-bit membership mask. The lanes and the mask bits are
+/// the two pid groups.
 fn build_packer<P: SyncProtocol>(
     n: usize,
     protocol: &P,
 ) -> Option<StatePacker<CrashState<P::LocalState>>> {
-    let lp = protocol.local_packer()?;
-    let lane = 2 + DECISION_BITS + lp.bits();
-    let head = n as u32 * lane;
-    if head + 8 + n as u32 > 127 {
-        return None;
-    }
-    let pack = {
-        let lp = lp.clone();
-        move |x: &CrashState<P::LocalState>| {
-            if x.locals.len() != n || x.round >= 1 << 8 {
-                return None;
-            }
-            let mut w = u128::from(x.round) << head;
-            for p in &x.failed {
-                w |= 1 << (head + 8 + p.index() as u32);
-            }
-            for i in 0..n {
-                let off = i as u32 * lane;
-                let inp = u64::from(x.inputs[i].get());
-                if inp >= 4 {
-                    return None;
-                }
-                let dec = pack_decision(x.decided[i])?;
-                let loc = lp.pack(&x.locals[i])?;
-                w |= u128::from(inp) << off;
-                w |= u128::from(dec) << (off + 2);
-                w |= u128::from(loc) << (off + 2 + DECISION_BITS);
-            }
-            Some(w)
+    let lanes = RoundLanes::new(n, protocol, n as u32)?;
+    let top = lanes.top();
+    let groups = [
+        lanes.group(),
+        PidGroup {
+            start: top,
+            width: 1,
+        },
+    ];
+    let codec = lanes.clone();
+    let pack = move |x: &CrashState<P::LocalState>| {
+        let mut w = codec.pack(x.round, &x.inputs, &x.decided, &x.locals)?;
+        for p in &x.failed {
+            w |= 1 << (top + p.index() as u32);
         }
+        Some(w)
     };
     let unpack = move |w: u128| {
-        let mut inputs = Vec::with_capacity(n);
-        let mut decided = Vec::with_capacity(n);
-        let mut locals = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = i as u32 * lane;
-            inputs.push(Value::new(((w >> off) & 0b11) as u32));
-            decided.push(unpack_decision(
-                ((w >> (off + 2)) as u64) & ((1 << DECISION_BITS) - 1),
-            ));
-            locals.push(lp.unpack(((w >> (off + 2 + DECISION_BITS)) as u64) & lp.mask()));
-        }
+        let (round, inputs, decided, locals) = lanes.unpack(w);
         CrashState {
-            round: ((w >> head) & 0xFF) as u16,
+            round,
             inputs,
             locals,
             decided,
             failed: (0..n)
-                .filter(|i| w >> (head + 8 + *i as u32) & 1 == 1)
+                .filter(|i| w >> (top + *i as u32) & 1 == 1)
                 .map(Pid::new)
                 .collect(),
         }
     };
-    let groups = [
-        PidGroup {
-            start: 0,
-            width: lane,
-        },
-        PidGroup {
-            start: head + 8,
-            width: 1,
-        },
-    ];
     Some(StatePacker::new(pack, unpack).with_pid_groups(n, &groups))
 }
 

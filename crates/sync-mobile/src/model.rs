@@ -16,10 +16,8 @@
 
 use std::collections::HashSet;
 
-use layered_core::{
-    pack_decision, unpack_decision, LayeredModel, Pid, PidGroup, PidPerm, StatePacker, Symmetric,
-    Value, DECISION_BITS,
-};
+use layered_core::{LayeredModel, Pid, PidPerm, StatePacker, Symmetric, Value};
+use layered_protocols::round::RoundLanes;
 use layered_protocols::{Anonymous, SyncProtocol};
 
 use crate::state::MobileState;
@@ -186,67 +184,27 @@ impl<P: SyncProtocol> MobileModel<P> {
     }
 }
 
-/// Builds the packed codec for an `n`-process mobile model, if the protocol
-/// packs its local states and the lanes fit one word. Layout, low bits
-/// first: `n` lanes of `2` input bits, [`DECISION_BITS`] decision bits and
-/// the protocol's local codec (the one pid group), then 8 round bits on
-/// top.
+/// Builds the packed codec for an `n`-process mobile model: the
+/// [`RoundLanes`] alone, whose lanes are the one pid group.
 fn build_packer<P: SyncProtocol>(
     n: usize,
     protocol: &P,
 ) -> Option<StatePacker<MobileState<P::LocalState>>> {
-    let lp = protocol.local_packer()?;
-    let lane = 2 + DECISION_BITS + lp.bits();
-    let head = n as u32 * lane;
-    if head + 8 > 127 {
-        return None;
-    }
-    let pack = {
-        let lp = lp.clone();
-        move |x: &MobileState<P::LocalState>| {
-            if x.locals.len() != n || x.round >= 1 << 8 {
-                return None;
-            }
-            let mut w = u128::from(x.round) << head;
-            for i in 0..n {
-                let off = i as u32 * lane;
-                let inp = u64::from(x.inputs[i].get());
-                if inp >= 4 {
-                    return None;
-                }
-                let dec = pack_decision(x.decided[i])?;
-                let loc = lp.pack(&x.locals[i])?;
-                w |= u128::from(inp) << off;
-                w |= u128::from(dec) << (off + 2);
-                w |= u128::from(loc) << (off + 2 + DECISION_BITS);
-            }
-            Some(w)
-        }
-    };
+    let lanes = RoundLanes::new(n, protocol, 0)?;
+    let group = lanes.group();
+    let codec = lanes.clone();
+    let pack =
+        move |x: &MobileState<P::LocalState>| codec.pack(x.round, &x.inputs, &x.decided, &x.locals);
     let unpack = move |w: u128| {
-        let mut inputs = Vec::with_capacity(n);
-        let mut decided = Vec::with_capacity(n);
-        let mut locals = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = i as u32 * lane;
-            inputs.push(Value::new(((w >> off) & 0b11) as u32));
-            decided.push(unpack_decision(
-                ((w >> (off + 2)) as u64) & ((1 << DECISION_BITS) - 1),
-            ));
-            locals.push(lp.unpack(((w >> (off + 2 + DECISION_BITS)) as u64) & lp.mask()));
-        }
+        let (round, inputs, decided, locals) = lanes.unpack(w);
         MobileState {
-            round: ((w >> head) & 0xFF) as u16,
+            round,
             inputs,
             locals,
             decided,
         }
     };
-    let lanes = PidGroup {
-        start: 0,
-        width: lane,
-    };
-    Some(StatePacker::new(pack, unpack).with_pid_groups(n, &[lanes]))
+    Some(StatePacker::new(pack, unpack).with_pid_groups(n, &[group]))
 }
 
 impl<P: SyncProtocol> LayeredModel for MobileModel<P> {

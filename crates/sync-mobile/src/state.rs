@@ -40,15 +40,6 @@ impl<L> MobileState<L> {
     pub fn decision(&self, i: Pid) -> Option<Value> {
         self.decided[i.index()]
     }
-
-    /// Processes that have decided.
-    pub fn decided_processes(&self) -> impl Iterator<Item = Pid> + '_ {
-        self.decided
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_some())
-            .map(|(i, _)| Pid::new(i))
-    }
 }
 
 impl<L: SnapshotState> SnapshotState for MobileState<L> {

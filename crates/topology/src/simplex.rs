@@ -103,13 +103,6 @@ impl Simplex {
         }
     }
 
-    /// Adds or replaces a vertex, returning the extended simplex.
-    #[must_use]
-    pub fn with_vertex(mut self, p: Pid, v: Value) -> Simplex {
-        self.vertices.insert(p, v);
-        self
-    }
-
     /// Iterates over the vertices in process order.
     pub fn vertices(&self) -> impl Iterator<Item = (Pid, Value)> + '_ {
         self.vertices.iter().map(|(&p, &v)| (p, v))
