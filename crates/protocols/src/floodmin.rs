@@ -246,10 +246,10 @@ impl SnapshotState for ValueSet {
 
 /// Width of the value-set bitmask in the packed codecs below: sets over
 /// values `0..4` pack, wider values spill.
-const MASK_BITS: u32 = 4;
+pub(crate) const MASK_BITS: u32 = 4;
 
 /// The set's mask if every member is below [`MASK_BITS`].
-fn small_mask(s: ValueSet) -> Option<u64> {
+pub(crate) fn small_mask(s: ValueSet) -> Option<u64> {
     (s.bits() < 1 << MASK_BITS).then_some(s.bits())
 }
 

@@ -50,7 +50,7 @@ mod traits;
 mod trivial;
 
 pub use collect::{CollectState, MpCollectMin};
-pub use early::{EarlyFloodMin, EarlyState};
+pub use early::{EarlyFloodMin, EarlyState, PidSet};
 pub use eig::{Eig, EigState, EigTree};
 pub use floodmin::{FloodMin, FloodState, HastyMin, MpFloodMin, SmFloodMin, ValueSet};
 pub use fullinfo::{FullInfoMin, View};
