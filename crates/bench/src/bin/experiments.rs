@@ -44,9 +44,10 @@
 //! * `--horizon <k>` — (scan mode) fix the valence horizon / FloodMin
 //!   deadline independently of `--depth` (default `depth + 1`); this is
 //!   what keeps the *model* unchanged when a resumed scan deepens the
-//!   scan depth. The scan's horizon must lie in `1..=65535` (FloodMin
-//!   counts its rounds in a `u16`). (In `--sim` mode: layers per simulated
-//!   run.)
+//!   scan depth. The scan's horizon must lie in `1..=MAX_HORIZON` and
+//!   `--depth` in `0..=MAX_HORIZON` (`layered_core::MAX_HORIZON`, 1024: the
+//!   valence recursion nests one call per round). (In `--sim` mode: layers
+//!   per simulated run.)
 //! * `--trace <path>` — (scan mode) record the hierarchical span tree and
 //!   write it as Chrome trace-event JSON, loadable in `chrome://tracing`
 //!   or [Perfetto](https://ui.perfetto.dev).
@@ -70,6 +71,7 @@ use layered_cert::{registry, CertStore, Certificate};
 use layered_core::sym::MAX_ENUMERATED_N;
 use layered_core::telemetry::profile::{profile, profile_table};
 use layered_core::telemetry::{set_heartbeat_period_ns, Observer, TraceObserver, NOOP};
+use layered_core::MAX_HORIZON;
 
 /// The default mode, as error messages name it.
 const SUITE: &str = "the experiment suite";
@@ -210,11 +212,15 @@ fn parse_args() -> Result<Options, String> {
         opts.sim = Some(sim_cfg);
     }
     if scan_requested {
-        let horizon = scan_cfg.horizon.or(scan_cfg.depth.checked_add(1));
-        if !horizon.is_some_and(|h| (1..=usize::from(u16::MAX)).contains(&h)) {
+        if scan_cfg.depth > MAX_HORIZON {
             return Err(format!(
-                "the scan horizon (--horizon, default --depth + 1) must lie in 1..={}",
-                u16::MAX
+                "--depth must lie in 0..={MAX_HORIZON} (the valence recursion nests one call per round)"
+            ));
+        }
+        let horizon = scan_cfg.horizon.unwrap_or(scan_cfg.depth + 1);
+        if !(1..=MAX_HORIZON).contains(&horizon) {
+            return Err(format!(
+                "the scan horizon (--horizon, default --depth + 1) must lie in 1..={MAX_HORIZON} (the valence recursion nests one call per round)"
             ));
         }
         if scan_cfg.n < 2 {

@@ -121,10 +121,28 @@ fn scan_threads_outside_the_bound_exit_2() {
 }
 
 #[test]
-fn scan_horizon_beyond_u16_exits_2() {
-    let message = "the scan horizon (--horizon, default --depth + 1) must lie in 1..=65535";
-    assert_rejected(&["--scan", "--horizon", "65536"], message);
-    assert_rejected(&["--scan", "--n", "2", "--depth", "65535"], message);
-    assert_rejected(&["--scan", "--horizon", "0"], message);
-    assert_rejected(&["--scan", "--depth", &u64::MAX.to_string()], message);
+fn scan_horizon_and_depth_beyond_max_horizon_exit_2() {
+    // `--horizon 65535` used to be accepted and overflow the main thread's
+    // stack in the valence recursion.
+    let horizon = "the scan horizon (--horizon, default --depth + 1) must lie in 1..=1024";
+    for h in ["0", "1025", "65535", "65536"] {
+        assert_rejected(&["--scan", "--horizon", h], horizon);
+    }
+    assert_rejected(&["--scan", "--depth", "1024"], horizon);
+    let depth = "--depth must lie in 0..=1024";
+    for d in [
+        "1025".to_string(),
+        "65535".to_string(),
+        u64::MAX.to_string(),
+    ] {
+        assert_rejected(
+            &["--scan", "--n", "2", "--depth", &d, "--horizon", "2"],
+            depth,
+        );
+    }
+    assert_eq!(
+        layered_core::MAX_HORIZON,
+        1024,
+        "the messages above name it"
+    );
 }

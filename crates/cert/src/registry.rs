@@ -37,7 +37,7 @@ use layered_core::telemetry::json::Json;
 use layered_core::telemetry::Observer;
 use layered_core::{
     scan_layer_valence_connectivity, undecided_non_failed, witness_from_json, witness_to_json,
-    ImpossibilityWitness, LayeredModel, SimModel, ValenceSolver,
+    ImpossibilityWitness, LayeredModel, SimModel, ValenceSolver, MAX_HORIZON,
 };
 use layered_protocols::{FloodMin, MpFloodMin, SmFloodMin};
 use layered_sim::{classify, Schedule};
@@ -371,10 +371,16 @@ fn schedule_deadline(body: &Json) -> Result<u16, RegistryError> {
         .ok_or(RegistryError::VerifyFailed("missing deadline"))
 }
 
-/// The protocol deadline to rebuild the model with when re-verifying a
-/// chain-shaped body: the recorded horizon (certificates produced by the
-/// scan harness may use a deeper horizon than the registry's default 2).
-fn chain_deadline(body: &Json) -> u16 {
+/// The recorded horizon of a chain-shaped body, which is also the protocol
+/// deadline to rebuild the model with when re-verifying it (certificates
+/// produced by the scan harness may use a deeper horizon than the
+/// registry's default 2).
+///
+/// # Errors
+///
+/// [`RegistryError::VerifyFailed`] for a horizon above [`MAX_HORIZON`]:
+/// the valence re-check recurses once per round of it.
+fn chain_horizon(body: &Json) -> Result<u16, RegistryError> {
     // Scan-verdict bodies nest the chain under "witness"; plain witness
     // and run bodies carry "horizon" at top level.
     let horizon = body
@@ -382,7 +388,13 @@ fn chain_deadline(body: &Json) -> u16 {
         .or_else(|| body.get("witness").and_then(|w| w.get("horizon")))
         .and_then(Json::as_u64)
         .unwrap_or(2);
-    u16::try_from(horizon).unwrap_or(u16::MAX).max(1)
+    usize::try_from(horizon)
+        .ok()
+        .filter(|&h| h <= MAX_HORIZON)
+        .and_then(|h| u16::try_from(h.max(1)).ok())
+        .ok_or(RegistryError::VerifyFailed(
+            "horizon above layered_core::MAX_HORIZON; re-certify at a smaller horizon",
+        ))
 }
 
 /// Rebuilds the mobile model a certificate's chain was produced under:
@@ -448,22 +460,25 @@ fn verify_inner(cert: &Certificate) -> Result<(), RegistryError> {
             verify_schedule(&m, &cert.body)
         }
         ("sync-mobile", CertKind::ScanVerdict) => {
-            let m = mobile_model(n, chain_deadline(&cert.body), &cert.meta.layering);
+            let m = mobile_model(n, chain_horizon(&cert.body)?, &cert.meta.layering);
             verify_scan_verdict(&m, &cert.body)
         }
         ("sync-mobile", CertKind::Witness) => {
-            let m = mobile_model(n, chain_deadline(&cert.body), &cert.meta.layering);
+            let m = mobile_model(n, chain_horizon(&cert.body)?, &cert.meta.layering);
             verify_chain_body(&m, &cert.body, CertKind::Witness)
         }
         ("async-sm", CertKind::Witness) => {
-            let m = layered_async_sm::SmModel::new(n, SmFloodMin::new(chain_deadline(&cert.body)));
+            let m = layered_async_sm::SmModel::new(n, SmFloodMin::new(chain_horizon(&cert.body)?));
             verify_chain_body(&m, &cert.body, CertKind::Witness)
         }
         ("async-mp", CertKind::Witness) => {
-            let m = layered_async_mp::MpModel::new(n, MpFloodMin::new(chain_deadline(&cert.body)));
+            let m = layered_async_mp::MpModel::new(n, MpFloodMin::new(chain_horizon(&cert.body)?));
             verify_chain_body(&m, &cert.body, CertKind::Witness)
         }
         ("sync-crash", CertKind::Run) => {
+            // The run's model is fixed by `n`; the horizon is still checked
+            // here, before the chain replays.
+            chain_horizon(&cert.body)?;
             let t = crash_resilience(n);
             let deadline = u16::try_from(t + 1).unwrap_or(u16::MAX);
             let m = CrashModel::new(n, t, FloodMin::new(deadline));

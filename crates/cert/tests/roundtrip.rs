@@ -1,10 +1,13 @@
 //! Satellite: store→load→verify is the identity for every certificate
-//! kind, and the integrity hash rejects tampered files.
+//! kind, the integrity hash rejects tampered files, and verify refuses a
+//! recorded horizon too deep to re-check.
 
 use std::path::PathBuf;
 
-use layered_cert::{registry, CertKind, CertStore, Certificate, StoreError};
+use layered_cert::{registry, CertKind, CertStore, Certificate, RegistryError, StoreError};
+use layered_core::telemetry::json::Json;
 use layered_core::telemetry::{MetricsRegistry, NoopObserver};
+use layered_core::MAX_HORIZON;
 use layered_protocols::FloodMin;
 use layered_sim::{RandomAdversary, SimConfig, Simulator};
 use layered_sync_mobile::MobileModel;
@@ -196,4 +199,48 @@ fn truncated_objects_are_rejected() {
         Err(StoreError::Corrupt { .. })
     ));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sync-mobile n = 3 Theorem 4.2 witness certificate with only its
+/// recorded horizon replaced.
+fn witness_with_horizon(horizon: u64) -> Certificate {
+    let cert = registry::compute("sync-mobile", 3, "theorem_4_2", &NoopObserver)
+        .expect("witness computes");
+    let Json::Object(mut members) = cert.body else {
+        panic!("witness bodies are objects");
+    };
+    for (key, value) in &mut members {
+        if key == "horizon" {
+            *value = Json::from(horizon);
+        }
+    }
+    Certificate::new(cert.meta, cert.kind, Json::Object(members))
+}
+
+/// A horizon above `MAX_HORIZON` is refused with an actionable reason, on
+/// the 2 MiB stack `cert-serve` gives each connection: without the bound,
+/// the valence re-check recurses once per round of the horizon and
+/// overflows that stack, aborting the process. The bound itself verifies.
+#[test]
+fn oversized_horizon_is_refused() {
+    let verify_on_server_stack = |cert: Certificate| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || registry::verify(&cert, &NoopObserver))
+            .expect("verifier thread starts")
+            .join()
+            .expect("verifier thread returns")
+    };
+    let bound = u64::try_from(MAX_HORIZON).expect("small bound");
+    for horizon in [bound + 1, 70_000, 1_000_000_000] {
+        assert_eq!(
+            verify_on_server_stack(witness_with_horizon(horizon)),
+            Err(RegistryError::VerifyFailed(
+                "horizon above layered_core::MAX_HORIZON; re-certify at a smaller horizon"
+            )),
+            "horizon {horizon}"
+        );
+    }
+    let bound = u64::try_from(MAX_HORIZON).expect("small bound");
+    assert_eq!(verify_on_server_stack(witness_with_horizon(bound)), Ok(()));
 }

@@ -187,3 +187,45 @@ fn cert_by_hash_matches_query_bytes() {
     assert_eq!(by_hash.body, reply.body);
     assert_eq!(by_hash.header("X-Cert-Source"), Some("store"));
 }
+
+/// A stored certificate whose recorded horizon is too deep to re-check is
+/// answered with a 500 naming the bound, and the server keeps serving:
+/// the connection's thread does not overflow its stack and abort the
+/// process.
+#[test]
+fn oversized_horizon_certificate_is_refused_and_the_server_survives() {
+    let cert = layered_cert::registry::compute(
+        "sync-mobile",
+        3,
+        "theorem_4_2",
+        &layered_core::telemetry::NOOP,
+    )
+    .expect("witness computes");
+    let Json::Object(mut members) = cert.body else {
+        panic!("witness bodies are objects");
+    };
+    for (key, value) in &mut members {
+        if key == "horizon" {
+            *value = Json::from(70_000u64);
+        }
+    }
+    let bad = Certificate::new(cert.meta, cert.kind, Json::Object(members));
+    let mut store = CertStore::open(&store_dir("horizon")).expect("store opens");
+    let (hash, _) = store
+        .put(&bad, &layered_core::telemetry::NOOP)
+        .expect("store accepts the bytes");
+    let server = CertServer::bind("127.0.0.1:0", store, ServerConfig { max_compute_n: 4 })
+        .expect("server binds");
+    let addr = server.local_addr().expect("bound address");
+    std::thread::spawn(move || {
+        let _ = server.run();
+    });
+    let reply = http_get(addr, &format!("/cert/{hash}"));
+    assert_eq!(reply.status, 500);
+    assert!(
+        String::from_utf8_lossy(&reply.body).contains("MAX_HORIZON"),
+        "body: {}",
+        String::from_utf8_lossy(&reply.body)
+    );
+    assert_eq!(http_get(addr, "/healthz").status, 200);
+}

@@ -24,7 +24,7 @@
 
 use crate::telemetry::json::Json;
 use crate::witness::ImpossibilityWitness;
-use crate::{ExecutionTrace, LayeredModel, Value};
+use crate::{ExecutionTrace, LayeredModel, Value, MAX_HORIZON};
 
 /// Why encoding or decoding an artifact failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -252,17 +252,21 @@ pub fn witness_to_json<M: LayeredModel>(
 ///
 /// # Errors
 ///
-/// Any [`ArtifactError`] from the chain, or malformed witness fields.
+/// Any [`ArtifactError`] from the chain, or malformed witness fields,
+/// among them a horizon above [`MAX_HORIZON`].
 pub fn witness_from_json<M: LayeredModel>(
     model: &M,
     json: &Json,
 ) -> Result<ImpossibilityWitness<M::State>, ArtifactError> {
-    let chain = trace_from_json(model, json)?;
     let horizon = json
         .get("horizon")
         .and_then(Json::as_u64)
         .and_then(|v| usize::try_from(v).ok())
         .ok_or(ArtifactError::Malformed("missing horizon"))?;
+    if horizon > MAX_HORIZON {
+        return Err(ArtifactError::Malformed("horizon above MAX_HORIZON"));
+    }
+    let chain = trace_from_json(model, json)?;
     let undecided = u64s_from_json(
         json.get("undecided")
             .ok_or(ArtifactError::Malformed("missing undecided"))?,
@@ -363,6 +367,29 @@ mod tests {
             trace_from_json(&m, &Json::Object(members)),
             Err(ArtifactError::FingerprintMismatch { index: 0 })
         );
+    }
+
+    #[test]
+    fn horizon_above_the_bound_is_rejected() {
+        let m = CounterModel::new(2, 5);
+        let chain = trace_of_len(&m, 1);
+        for horizon in [MAX_HORIZON, MAX_HORIZON + 1, 70_000] {
+            let witness = ImpossibilityWitness {
+                undecided: vec![0; chain.states().len()],
+                chain: chain.clone(),
+                horizon,
+            };
+            let json = witness_to_json(&m, &witness).expect("encodable");
+            let back = witness_from_json(&m, &json);
+            if horizon <= MAX_HORIZON {
+                assert_eq!(back.expect("decodable").horizon, horizon);
+            } else {
+                assert_eq!(
+                    back.err(),
+                    Some(ArtifactError::Malformed("horizon above MAX_HORIZON"))
+                );
+            }
+        }
     }
 
     #[test]

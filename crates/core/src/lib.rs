@@ -98,6 +98,6 @@ pub use telemetry::{
 };
 pub use valence::{
     undecided_non_failed, DecidedValues, QuotientSolver, Solver, Valence, ValenceProbe,
-    ValenceSolver, Valences, DECIDED,
+    ValenceSolver, Valences, DECIDED, MAX_HORIZON,
 };
 pub use witness::{ImpossibilityWitness, WitnessError};

@@ -157,6 +157,17 @@ pub struct Solver<'a, M: LayeredModel, K: Keying<M>> {
     obs: &'a dyn Observer,
 }
 
+/// The deepest valence horizon accepted from outside the program: a
+/// certificate's recorded `horizon` and the `experiments --scan` flags
+/// `--horizon` and `--depth`.
+///
+/// [`Solver::valences_id`] recurses once per round down to the horizon, so
+/// the horizon bounds its stack depth. In a debug build a sync-mobile n = 3
+/// witness verifies at horizon 4000 on a 2 MiB thread (the stack
+/// `cert-serve` gives each connection) and overflows at 8000; this bound
+/// leaves a fourfold margin. The experiments use horizons below 10.
+pub const MAX_HORIZON: usize = 1024;
+
 /// Memoizing valence solver over the full state space.
 ///
 /// # Examples
