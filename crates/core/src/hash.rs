@@ -139,30 +139,97 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
     }
 }
 
+/// An incremental SHA-256: [`update`](Self::update) with the message in
+/// pieces, then [`finish`](Self::finish). The digest depends only on the
+/// concatenated bytes, not on how they were split, so a caller can hash a
+/// header and a body without first copying them into one buffer.
+#[derive(Clone, Debug)]
+pub struct Sha256 {
+    state: [u32; 8],
+    /// Bytes of the current, not yet compressed block.
+    block: [u8; 64],
+    /// How many bytes of `block` are filled.
+    filled: usize,
+    /// Total message length so far, in bytes.
+    len: u64,
+}
+
+impl Default for Sha256 {
+    fn default() -> Self {
+        Sha256 {
+            state: H0,
+            block: [0; 64],
+            filled: 0,
+            len: 0,
+        }
+    }
+}
+
+impl Sha256 {
+    /// Appends `bytes` to the message.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len = self.len.wrapping_add(bytes.len() as u64);
+        if self.filled > 0 {
+            let (head, rest) = bytes.split_at(bytes.len().min(64 - self.filled));
+            for (dst, src) in self.block.iter_mut().skip(self.filled).zip(head) {
+                *dst = *src;
+            }
+            self.filled += head.len();
+            bytes = rest;
+            if self.filled < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.block);
+            self.filled = 0;
+        }
+        let mut blocks = bytes.chunks_exact(64);
+        for block in blocks.by_ref() {
+            compress(&mut self.state, block);
+        }
+        let rem = blocks.remainder();
+        self.block[..rem.len()].copy_from_slice(rem);
+        self.filled = rem.len();
+    }
+
+    /// The digest of everything appended so far.
+    #[must_use]
+    pub fn finish(mut self) -> [u8; 32] {
+        // Padding: 0x80, zeros, and the 64-bit big-endian message bit length.
+        let bit_len = self.len.wrapping_mul(8);
+        let mut tail = [0u8; 128];
+        tail[..self.filled].copy_from_slice(&self.block[..self.filled]);
+        tail[self.filled] = 0x80;
+        let tail_len = if self.filled < 56 { 64 } else { 128 };
+        tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+        for block in tail[..tail_len].chunks_exact(64) {
+            compress(&mut self.state, block);
+        }
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// [`finish`](Self::finish) as 64 lowercase hex characters.
+    #[must_use]
+    pub fn finish_hex(self) -> String {
+        let digest = self.finish();
+        let mut out = String::with_capacity(64);
+        for b in digest {
+            out.push(char::from_digit(u32::from(b >> 4), 16).unwrap_or('0'));
+            out.push(char::from_digit(u32::from(b & 0xf), 16).unwrap_or('0'));
+        }
+        out
+    }
+}
+
 /// SHA-256 of `bytes` as the raw 32-byte digest.
 #[must_use]
 pub fn sha256(bytes: &[u8]) -> [u8; 32] {
-    let mut state = H0;
-    let mut blocks = bytes.chunks_exact(64);
-    for block in blocks.by_ref() {
-        compress(&mut state, block);
-    }
-    // Padding: 0x80, zeros, and the 64-bit big-endian message bit length.
-    let mut tail = [0u8; 128];
-    let rem = blocks.remainder();
-    tail[..rem.len()].copy_from_slice(rem);
-    tail[rem.len()] = 0x80;
-    let bit_len = (bytes.len() as u64).wrapping_mul(8);
-    let tail_len = if rem.len() < 56 { 64 } else { 128 };
-    tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-    for block in tail[..tail_len].chunks_exact(64) {
-        compress(&mut state, block);
-    }
-    let mut out = [0u8; 32];
-    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
-        chunk.copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    let mut h = Sha256::default();
+    h.update(bytes);
+    h.finish()
 }
 
 /// SHA-256 of `bytes` as 64 lowercase hex characters — the form used as a
@@ -170,13 +237,9 @@ pub fn sha256(bytes: &[u8]) -> [u8; 32] {
 /// the `sha256` field of an arena snapshot header.
 #[must_use]
 pub fn sha256_hex(bytes: &[u8]) -> String {
-    let digest = sha256(bytes);
-    let mut out = String::with_capacity(64);
-    for b in digest {
-        out.push(char::from_digit(u32::from(b >> 4), 16).unwrap_or('0'));
-        out.push(char::from_digit(u32::from(b & 0xf), 16).unwrap_or('0'));
-    }
-    out
+    let mut h = Sha256::default();
+    h.update(bytes);
+    h.finish_hex()
 }
 
 /// Whether `s` is a well-formed content address: exactly 64 lowercase
@@ -226,6 +289,58 @@ mod tests {
         for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128] {
             let msg = vec![0x5au8; len];
             assert!(seen.insert(sha256_hex(&msg)), "collision at len {len}");
+        }
+    }
+
+    /// The incremental digest equals the one-shot digest however the
+    /// message is split: the FIPS vectors in pieces of every size, and
+    /// pseudo-random messages at random split points.
+    #[test]
+    fn incremental_digest_matches_one_shot() {
+        let digest_of_pieces = |pieces: &[&[u8]]| {
+            let mut h = Sha256::default();
+            for piece in pieces {
+                h.update(piece);
+            }
+            h.finish_hex()
+        };
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [&[u8]; 4] = [
+            b"",
+            b"abc",
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            &million_a,
+        ];
+        for msg in vectors {
+            let want = sha256_hex(msg);
+            for piece in [1, 3, 55, 56, 63, 64, 65, 1000] {
+                let pieces: Vec<&[u8]> = msg.chunks(piece).collect();
+                assert_eq!(digest_of_pieces(&pieces), want, "pieces of {piece}");
+            }
+        }
+        // xorshift64: a fixed pseudo-random byte stream and split points.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..200 {
+            let len = (next() % 300) as usize;
+            let msg: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let mut cuts: Vec<usize> = (0..next() % 5)
+                .map(|_| (next() as usize) % (len + 1))
+                .collect();
+            cuts.sort_unstable();
+            let mut pieces = Vec::new();
+            let mut at = 0;
+            for cut in cuts {
+                pieces.push(&msg[at..cut]);
+                at = cut;
+            }
+            pieces.push(&msg[at..]);
+            assert_eq!(digest_of_pieces(&pieces), sha256_hex(&msg), "{len} bytes");
         }
     }
 

@@ -57,20 +57,15 @@
 //! and walks CSR rows through the same code paths as a cold one, which is
 //! what keeps resumed sequential and parallel scans bit-identical.
 
-use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use super::pack::{StatePacker, SPILL_TAG};
 use super::{Arena, Index, Keying, Slot, StateId, Store, SuccRange};
-use crate::hash::{is_hash, sha256_hex};
+use crate::hash::{is_hash, Sha256};
 use crate::sym::PidPerm;
 use crate::telemetry::json::Json;
 use crate::telemetry::{clock, Observer, Span};
 use crate::{LayeredModel, Pid, Value};
-
-/// The sorted bucket view the index sections are encoded from and checked
-/// against (hash → dense ids, ascending).
-type IndexBuckets = BTreeMap<u64, Vec<StateId>>;
 
 /// Snapshot format version this module writes and accepts. Version 2 added
 /// the header's `packed` flag and the tagged packed-word states section.
@@ -422,16 +417,21 @@ fn header_fields(
     ]
 }
 
+/// The integrity hash: SHA-256 of the canonical header rendered without
+/// `sha256`, a `\n`, and the body.
+fn integrity_digest(unsigned: Vec<(String, Json)>, body: &[u8]) -> String {
+    let mut h = Sha256::default();
+    h.update(Json::Object(unsigned).canonicalize().to_string().as_bytes());
+    h.update(b"\n");
+    h.update(body);
+    h.finish_hex()
+}
+
 /// Assembles the final snapshot: hashes header-sans-`sha256` + body,
 /// embeds the digest, and concatenates. Returns the blob and its
 /// integrity hash.
 fn seal(fields: Vec<(String, Json)>, body: Vec<u8>) -> (Vec<u8>, String) {
-    let unsigned = Json::Object(fields.clone()).canonicalize().to_string();
-    let mut hashed = Vec::with_capacity(unsigned.len() + 1 + body.len());
-    hashed.extend_from_slice(unsigned.as_bytes());
-    hashed.push(b'\n');
-    hashed.extend_from_slice(&body);
-    let digest = sha256_hex(&hashed);
+    let digest = integrity_digest(fields.clone(), &body);
     let mut fields = fields;
     fields.push(("sha256".into(), Json::from(digest.as_str())));
     let header = Json::Object(fields).canonicalize().to_string();
@@ -510,12 +510,7 @@ fn open<'a>(
         .filter(|(k, _)| k != "sha256")
         .cloned()
         .collect();
-    let unsigned = Json::Object(unsigned).canonicalize().to_string();
-    let mut hashed = Vec::with_capacity(unsigned.len() + 1 + body.len());
-    hashed.extend_from_slice(unsigned.as_bytes());
-    hashed.push(b'\n');
-    hashed.extend_from_slice(body);
-    if sha256_hex(&hashed) != digest {
+    if integrity_digest(unsigned, body) != digest {
         return Err(SnapshotError::HashMismatch);
     }
     if header_u64(&json, "body_len")? != body.len() as u64 {
@@ -546,13 +541,15 @@ fn open<'a>(
 
 /// Encodes the intern index sorted by bucket hash (bucket contents stay
 /// in interning order, which is ascending id order).
-fn encode_index(buckets: &IndexBuckets, out: &mut Vec<u8>) {
+fn encode_index(index: &Index, out: &mut Vec<u8>) {
+    let mut buckets: Vec<(&u64, &Vec<u32>)> = index.iter().collect();
+    buckets.sort_unstable_by_key(|&(h, _)| *h);
     (buckets.len() as u32).encode(out);
     for (h, ids) in buckets {
         h.encode(out);
         (ids.len() as u32).encode(out);
         for id in ids {
-            (id.index() as u32).encode(out);
+            id.encode(out);
         }
     }
 }
@@ -560,8 +557,11 @@ fn encode_index(buckets: &IndexBuckets, out: &mut Vec<u8>) {
 /// Decodes the stored intern index and checks it equals `rebuilt` — the
 /// index derived from the decoded states themselves. Disagreement means
 /// the snapshot is internally inconsistent (a buggy or adversarial
-/// encoder; random corruption is already caught by the hash).
-fn check_index(r: &mut SnapshotReader<'_>, rebuilt: &IndexBuckets) -> Result<(), SnapshotError> {
+/// encoder; random corruption is already caught by the hash). The stored
+/// buckets must be as many as the rebuilt ones, in strictly ascending hash
+/// order, each a rebuilt bucket with the same ids; so together they are
+/// exactly the rebuilt index.
+fn check_index(r: &mut SnapshotReader<'_>, rebuilt: &Index) -> Result<(), SnapshotError> {
     let buckets = r.u32()? as usize;
     if buckets != rebuilt.len() {
         return Err(SnapshotError::Malformed("index bucket count"));
@@ -580,8 +580,8 @@ fn check_index(r: &mut SnapshotReader<'_>, rebuilt: &IndexBuckets) -> Result<(),
         if len != expected.len() {
             return Err(SnapshotError::Malformed("index bucket length"));
         }
-        for want in expected {
-            if r.u32()? as usize != want.index() {
+        for &want in expected {
+            if r.u32()? != want {
                 return Err(SnapshotError::Malformed("index bucket ids"));
             }
         }
@@ -730,15 +730,6 @@ fn rebuild_index<S: Clone + Eq + Hash>(store: &Store<S>) -> Result<Index, Snapsh
     Ok(index)
 }
 
-/// The intern index's buckets sorted by hash (the snapshot's index
-/// section).
-fn bucket_snapshot(index: &Index) -> IndexBuckets {
-    index
-        .iter()
-        .map(|(&h, ids)| (h, ids.iter().map(|&e| StateId(e)).collect()))
-        .collect()
-}
-
 /// Reports snapshot-save telemetry: the `space.snapshot.save` span wraps
 /// `body()`, and the byte count / wall time land on the
 /// `space.snapshot.bytes_written` and `space.snapshot.save_ns` gauges.
@@ -804,7 +795,7 @@ where
     measured_save(obs, || {
         let mut body = Vec::new();
         encode_store(&space.store, &mut body);
-        encode_index(&bucket_snapshot(&space.index), &mut body);
+        encode_index(&space.index, &mut body);
         encode_csr(&space.succ, &space.edges, &mut body);
         for fp in &space.succ_fp {
             fp.encode(&mut body);
@@ -864,7 +855,7 @@ where
         let mut r = SnapshotReader::new(h.body);
         let store = decode_store(&mut r, count, h.packed, model.state_packer().cloned())?;
         let index = rebuild_index(&store)?;
-        check_index(&mut r, &bucket_snapshot(&index))?;
+        check_index(&mut r, &index)?;
         let (succ, edges) = decode_csr(&mut r, count, h.edges)?;
         let mut succ_fp = Vec::with_capacity(count);
         for _ in 0..count {
