@@ -6,10 +6,10 @@
 //! experiments [quick] [--json <path>] [--metrics] [--store <dir>]
 //! experiments --sim [--seed <u64>] [--runs <k>] [--n <k>] [--horizon <k>]
 //!             [--adversary <name>] [--json <path>] [--metrics] [--store <dir>]
-//! experiments --scan [--quotient] [--n <k>] [--depth <k>] [--threads <k>]
-//!             [--horizon <k>] [--snapshot <dir>] [--resume <dir>]
-//!             [--json <path>] [--metrics] [--trace <path>] [--profile]
-//!             [--heartbeat-ms <k>] [--store <dir>]
+//! experiments --scan [--quotient] [--n <k>] [--depth <k>] [--horizon <k>]
+//!             [--snapshot <dir>] [--resume <dir>] [--json <path>]
+//!             [--metrics] [--trace <path>] [--profile] [--heartbeat-ms <k>]
+//!             [--store <dir>]
 //! ```
 //!
 //! Arguments of one mode are rejected in the others (exit 2 with the
@@ -25,9 +25,8 @@
 //!   (`--seed`/`--runs`/`--n`/`--horizon` control the batch; `--adversary`
 //!   is one of `random`, `round-robin`, `roamer`, `dropper`).
 //! * `--scan` — run only the interned layer-scan scaling experiment: one
-//!   Lemma 5.1 instance (default n = 4) through both the sequential and
-//!   the parallel expansion path, cross-checked for identity
-//!   (`--n`/`--depth`/`--threads` control the instance).
+//!   Lemma 5.1 instance (default n = 4) scanned over the interned arena,
+//!   its witness re-verified (`--n`/`--depth` control the instance).
 //! * `--scan --quotient` — the symmetry-reduced variant: the same Lemma
 //!   5.1 instance over canonical orbits, cross-checked against the full
 //!   space when n ≤ 5 and quotient-only beyond (the reduction plus packed
@@ -76,10 +75,6 @@ use layered_core::MAX_HORIZON;
 /// The default mode, as error messages name it.
 const SUITE: &str = "the experiment suite";
 
-/// The largest `--threads` the scan accepts: each expansion batch starts one
-/// OS thread per worker.
-const MAX_THREADS: usize = 256;
-
 /// Arguments that apply in some modes only, with those modes: [`SUITE`],
 /// `--sim` or `--scan`. Any other mode rejects them.
 const MODE_SCOPED: &[(&str, &[&str])] = &[
@@ -90,7 +85,6 @@ const MODE_SCOPED: &[(&str, &[&str])] = &[
     ("--adversary", &["--sim"]),
     ("--quotient", &["--scan"]),
     ("--depth", &["--scan"]),
-    ("--threads", &["--scan"]),
     ("--snapshot", &["--scan"]),
     ("--resume", &["--scan"]),
     ("--trace", &["--scan"]),
@@ -149,7 +143,6 @@ fn parse_args() -> Result<Options, String> {
                 scan_cfg.n = n;
             }
             "--depth" => scan_cfg.depth = numeric("--depth")? as usize,
-            "--threads" => scan_cfg.threads = numeric("--threads")? as usize,
             "--horizon" => {
                 let h = numeric("--horizon")? as usize;
                 sim_cfg.horizon = h;
@@ -225,11 +218,6 @@ fn parse_args() -> Result<Options, String> {
         }
         if scan_cfg.n < 2 {
             return Err("--n must be at least 2 for the layer scan".to_string());
-        }
-        if !(1..=MAX_THREADS).contains(&scan_cfg.threads) {
-            return Err(format!(
-                "--threads must lie in 1..={MAX_THREADS} (each expansion batch starts one OS thread per worker)"
-            ));
         }
         if scan_cfg.quotient && scan_cfg.n > MAX_ENUMERATED_N {
             return Err(format!(
@@ -381,10 +369,12 @@ fn run_scan(cfg: &ScanConfig, opts: &Options) {
         if cfg.quotient {
             println!("Quotient and full verdicts agree; the de-quotiented witness re-verifies.");
         } else {
-            println!("Sequential and parallel scans agree; the witness re-verifies.");
+            println!("Every checked layer is valence connected; the witness re-verifies.");
         }
     } else {
-        println!("Scan cross-check FAILED: the two paths diverged or the witness broke.");
+        println!(
+            "Scan FAILED: a layer is disconnected, a cross-check diverged or the witness broke."
+        );
         std::process::exit(1);
     }
 }
@@ -395,7 +385,7 @@ fn main() {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!(
-                "usage: experiments [quick|full] [--json <path>] [--metrics] [--store <dir>]\n       experiments --sim [--seed <u64>] [--runs <k>] [--n <k>] [--horizon <k>] [--adversary <name>] [--json <path>] [--store <dir>]\n       experiments --scan [--quotient] [--n <k>] [--depth <k>] [--threads <k>] [--horizon <k>] [--snapshot <dir>] [--resume <dir>] [--json <path>] [--trace <path>] [--profile] [--heartbeat-ms <k>] [--store <dir>]"
+                "usage: experiments [quick|full] [--json <path>] [--metrics] [--store <dir>]\n       experiments --sim [--seed <u64>] [--runs <k>] [--n <k>] [--horizon <k>] [--adversary <name>] [--json <path>] [--store <dir>]\n       experiments --scan [--quotient] [--n <k>] [--depth <k>] [--horizon <k>] [--snapshot <dir>] [--resume <dir>] [--json <path>] [--trace <path>] [--profile] [--heartbeat-ms <k>] [--store <dir>]"
             );
             std::process::exit(2);
         }

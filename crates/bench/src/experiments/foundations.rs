@@ -7,8 +7,7 @@ use layered_core::report::{yes_no, Table};
 use layered_core::telemetry::Observer;
 use layered_core::{
     build_bivalent_run, check_lemma_3_1, check_lemma_3_2, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, similarity_report, valence_report, LayeredModel,
-    Valence, ValenceSolver,
+    similarity_report, valence_report, LayeredModel, Valence, ValenceSolver,
 };
 use layered_protocols::{FloodMin, MpFloodMin, SmFloodMin};
 use layered_sync_crash::CrashModel;
@@ -242,15 +241,10 @@ pub fn theorem_4_2(scope: Scope) -> Experiment {
                     let m = $model;
                     let mut solver = ValenceSolver::with_observer(&m, horizon, obs);
                     let scan = scan_layer_valence_connectivity(&mut solver, depth, true);
-                    // Cross-check: the parallel expansion path must report
-                    // exactly what the sequential path did.
-                    let mut par_solver = ValenceSolver::with_observer(&m, horizon, obs);
-                    let par_scan =
-                        scan_layer_valence_connectivity_parallel(&mut par_solver, depth, true, 4);
                     let run = build_bivalent_run(&mut solver, depth);
                     let reached = run.reached_target();
                     let len = run.chain.as_ref().map_or(0, |c| c.steps());
-                    ok &= scan.all_connected() && scan == par_scan && reached;
+                    ok &= scan.all_connected() && reached;
                     table.row_owned(vec![
                         $name.to_string(),
                         $n.to_string(),

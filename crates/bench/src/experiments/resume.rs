@@ -9,9 +9,7 @@
 //!    (the arena's successor cache replaces all model and
 //!    canonicalization work).
 //! 2. **Resume-and-extend** — deepening the scan by one layer over the
-//!    reloaded arena matches a cold scan at the deeper depth, on both the
-//!    sequential and the parallel expansion path (the seq ≡ par contract
-//!    survives save/load).
+//!    reloaded arena matches a cold scan at the deeper depth.
 //! 3. **Interned twin** — the plain (non-quotient) arena runs the same
 //!    round-trip and extend steps (one `round_trip`, generic over the
 //!    arena keying).
@@ -30,9 +28,8 @@
 use layered_core::report::Table;
 use layered_core::telemetry::{clock, Observer};
 use layered_core::{
-    load_arena, save_arena, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, ArenaMeta, Keying, Orbits, Plain, QuotientSolver,
-    Solver,
+    load_arena, save_arena, scan_layer_valence_connectivity, ArenaMeta, Keying, Orbits, Plain,
+    QuotientSolver, Solver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -55,8 +52,7 @@ struct RoundTrip {
     warm_ns: u64,
     /// Whether the warm scan equals the cold one.
     warm_identical: bool,
-    /// Whether the resumed scans one layer deeper, sequential and
-    /// parallel, equal cold scans there, which equal each other.
+    /// Whether the resumed scan one layer deeper equals a cold scan there.
     extend_identical: bool,
     /// States the cold scan one layer deeper saw.
     deep_states_seen: usize,
@@ -64,7 +60,7 @@ struct RoundTrip {
 
 /// Under the keying `K`: a cold scan at `cfg.depth`, its snapshot, a warm
 /// scan over the reloaded arena, then cold and resumed scans one layer
-/// deeper, each sequential and parallel.
+/// deeper.
 fn round_trip<K: Keying<MobileModel<FloodMin>>>(
     cfg: &ScanConfig,
     m: &MobileModel<FloodMin>,
@@ -99,21 +95,15 @@ fn round_trip<K: Keying<MobileModel<FloodMin>>>(
     let warm = reload().map(|mut s| scan_layer_valence_connectivity(&mut s, cfg.depth, true));
     let warm_ns = clock::monotonic_ns().saturating_sub(t0).max(1);
 
-    let cold_seq = scan_layer_valence_connectivity(&mut fresh(), deeper, true);
-    let cold_par =
-        scan_layer_valence_connectivity_parallel(&mut fresh(), deeper, true, cfg.threads);
-    let seq = reload().map(|mut s| scan_layer_valence_connectivity(&mut s, deeper, true));
-    let par = reload()
-        .map(|mut s| scan_layer_valence_connectivity_parallel(&mut s, deeper, true, cfg.threads));
+    let cold_deep = scan_layer_valence_connectivity(&mut fresh(), deeper, true);
+    let resumed = reload().map(|mut s| scan_layer_valence_connectivity(&mut s, deeper, true));
     RoundTrip {
         bytes,
         cold_ns,
         warm_ns,
         warm_identical: warm.as_ref() == Some(&cold_scan),
-        extend_identical: cold_seq == cold_par
-            && seq.as_ref() == Some(&cold_seq)
-            && par.as_ref() == Some(&cold_par),
-        deep_states_seen: cold_seq.states_seen,
+        extend_identical: resumed.as_ref() == Some(&cold_deep),
+        deep_states_seen: cold_deep.states_seen,
     }
 }
 
@@ -142,7 +132,7 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             // 1-3. The quotient pipeline: cold scan and snapshot, warm
             // reload at the same depth (identical verdict, >=5x faster:
             // every successor row comes from the snapshot), and
-            // resume-and-extend, sequential and parallel.
+            // resume-and-extend.
             let quot = round_trip::<Orbits>(&cfg, &m, horizon, "full", obs);
             let speedup_x1000 = quot.cold_ns.saturating_mul(1000) / quot.warm_ns;
             obs.gauge("scan.sym.n", cfg.n as u64);
@@ -157,7 +147,7 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             ]);
             table.row_owned(vec![
                 "quotient".to_string(),
-                format!("extend to depth {deeper} (seq + par)"),
+                format!("extend to depth {deeper}"),
                 format!("{} states seen", quot.deep_states_seen),
                 verdict(quot.extend_identical),
             ]);
@@ -168,7 +158,7 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             let interned_identical = interned.warm_identical && interned.extend_identical;
             table.row_owned(vec![
                 "interned".to_string(),
-                format!("reload @ {depth0}, extend to {deeper} (seq + par)"),
+                format!("reload @ {depth0}, extend to {deeper}"),
                 format!("{} states seen", interned.deep_states_seen),
                 verdict(interned_identical),
             ]);

@@ -1,12 +1,11 @@
 //! Scaling experiments for the interned state spaces: a Lemma 5.1 instance
-//! (layer valence connectivity in the mobile-failure model) run through
-//! both the sequential and the parallel expansion path, over the plain
-//! arena (E-scan) or over canonical orbits (E-sym).
+//! (layer valence connectivity in the mobile-failure model) scanned over
+//! the plain arena (E-scan) or over canonical orbits (E-sym).
 //!
-//! The two paths must produce identical [`LayerScan`] reports, and the
-//! Theorem 4.2 witness, built on the sequential scan's own solver, must
-//! re-verify from scratch. The `--scan` mode of the `experiments` binary
-//! runs these instances in CI.
+//! Every checked layer must be valence connected, and the Theorem 4.2
+//! witness, built on the scan's own solver, must re-verify from scratch.
+//! The `--scan` mode of the `experiments` binary runs these instances in
+//! CI.
 
 use std::path::Path;
 
@@ -15,8 +14,7 @@ use layered_core::report::Table;
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::{clock, Observer};
 use layered_core::{
-    load_arena, save_arena, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, witness_to_json, Arena, ArenaMeta,
+    load_arena, save_arena, scan_layer_valence_connectivity, witness_to_json, Arena, ArenaMeta,
     ImpossibilityWitness, Keying, LayerScan, LayeredModel, MemoryFootprint, Orbits, Plain, Solver,
     ValenceSolver,
 };
@@ -142,8 +140,6 @@ pub struct ScanConfig {
     /// Scan depth: layers of every bivalent state down to this depth are
     /// checked for valence connectivity.
     pub depth: usize,
-    /// Worker threads for the parallel expansion path.
-    pub threads: usize,
     /// Run the symmetry-reduced quotient scan instead of the plain
     /// interned scan (the `--quotient` flag).
     pub quotient: bool,
@@ -174,7 +170,6 @@ impl Default for ScanConfig {
         ScanConfig {
             n: 4,
             depth: 1,
-            threads: 4,
             quotient: false,
             horizon: None,
             snapshot_dir: None,
@@ -183,9 +178,8 @@ impl Default for ScanConfig {
     }
 }
 
-/// Runs the Lemma 5.1 layer scan on the mobile model sequentially and in
-/// parallel, cross-checks the two, and builds the Theorem 4.2 witness on
-/// the sequential scan's solver (see the module docs).
+/// Runs the Lemma 5.1 layer scan on the mobile model and builds the
+/// Theorem 4.2 witness on the scan's solver (see the module docs).
 ///
 /// `cfg.quotient` picks the arena: the plain interned scan (E-scan) under
 /// the `S₁` layering, or the symmetry-reduced scan over canonical orbits
@@ -217,8 +211,8 @@ type Mobile = MobileModel<FloodMin>;
 type Scan = LayerScan<<Mobile as LayeredModel>::State>;
 
 /// What tells the plain layer scan (E-scan) from the orbit one (E-sym).
-/// The resume, snapshot, sequential ≡ parallel, witness and certificate
-/// steps are [`scan`]'s and the same for both.
+/// The resume, snapshot, witness and certificate steps are [`scan`]'s and
+/// the same for both.
 trait ScanKeying: Keying<Mobile> {
     /// Experiment id.
     const ID: &'static str;
@@ -236,25 +230,24 @@ trait ScanKeying: Keying<Mobile> {
     const MODEL_LABEL: &'static str;
     /// Snapshot file inside a `--snapshot`/`--resume` directory.
     const SNAPSHOT_FILE: &'static str;
-    /// Row labels of the sequential and the parallel scan.
-    const PATHS: [&'static str; 2];
+    /// Row label of the scan.
+    const PATH: &'static str;
     /// What the resume row calls a refreshed successor row.
     const ROWS: &'static str;
 
-    /// The keying's own checks, run once both scans are done and before
-    /// the witness is built on `solver`, the sequential scan's solver
-    /// (they report to its observer).
+    /// The keying's own checks, run once the scan is done and before the
+    /// witness is built on `solver`, the scan's solver (they report to its
+    /// observer).
     fn cross_check(
         cfg: &ScanConfig,
         solver: &Solver<'_, Mobile, Self>,
-        seq: (&Scan, f64),
-        par: &Scan,
+        scan: (&Scan, f64),
     ) -> CrossCheck;
 }
 
 /// A keying's contribution to the scan table and verdict.
 struct CrossCheck {
-    /// A scan row shown above the sequential and parallel ones.
+    /// A scan row shown above the keying's own.
     baseline: Option<(&'static str, Scan, f64)>,
     /// The cross-check row's cells before its witness cell.
     cells: [String; 3],
@@ -264,27 +257,20 @@ struct CrossCheck {
 
 impl ScanKeying for Plain {
     const ID: &'static str = "E-scan";
-    const CLAIM: &'static str =
-        "Lemma 5.1 layer scan on interned state spaces (sequential ≡ parallel)";
-    const TITLE: &'static str = "Interned layer scan — sequential vs. parallel expansion";
+    const CLAIM: &'static str = "Lemma 5.1 layer scan on interned state spaces";
+    const TITLE: &'static str = "Interned layer scan";
     const COLUMN: &'static str = "path";
     const LAYERING: MobileLayering = MobileLayering::S1;
     const LAYERING_KEY: &'static str = "s1";
     const MODEL_LABEL: &'static str = "M^mf (S₁)";
     const SNAPSHOT_FILE: &'static str = STATE_SNAPSHOT_FILE;
-    const PATHS: [&'static str; 2] = ["sequential", "parallel"];
+    const PATH: &'static str = "sequential";
     const ROWS: &'static str = "rows";
 
-    fn cross_check(
-        _: &ScanConfig,
-        _: &Solver<'_, Mobile, Self>,
-        (seq, _): (&Scan, f64),
-        par: &Scan,
-    ) -> CrossCheck {
-        let identical = if seq == par { "identical" } else { "DIVERGED" };
+    fn cross_check(_: &ScanConfig, _: &Solver<'_, Mobile, Self>, _: (&Scan, f64)) -> CrossCheck {
         CrossCheck {
             baseline: None,
-            cells: ["-".to_string(), "-".to_string(), identical.to_string()],
+            cells: ["-".to_string(), "-".to_string(), "-".to_string()],
             ok: true,
         }
     }
@@ -300,7 +286,7 @@ impl ScanKeying for Orbits {
     const LAYERING_KEY: &'static str = "full";
     const MODEL_LABEL: &'static str = "M^mf (Full)";
     const SNAPSHOT_FILE: &'static str = QUOTIENT_SNAPSHOT_FILE;
-    const PATHS: [&'static str; 2] = ["quotient (seq)", "quotient (par)"];
+    const PATH: &'static str = "quotient (seq)";
     const ROWS: &'static str = "orbits";
 
     /// The full-space baseline at n ≤ 5, the `scan.sym.*` gauges, and the
@@ -309,7 +295,6 @@ impl ScanKeying for Orbits {
         cfg: &ScanConfig,
         solver: &Solver<'_, Mobile, Self>,
         (quot, quot_ms): (&Scan, f64),
-        _: &Scan,
     ) -> CrossCheck {
         let obs = solver.observer();
         // Full-space baseline, only at sizes the full engine can reach
@@ -366,14 +351,12 @@ fn ms_since(start: u64) -> f64 {
     clock::monotonic_ns().saturating_sub(start) as f64 / 1e6
 }
 
-/// A resumed scan's two arenas, its resume-row note and the snapshot's
+/// A resumed scan's arena, its resume-row note and the snapshot's
 /// integrity hash.
-type Resumed<K> = (Arena<Mobile, K>, Arena<Mobile, K>, String, String);
+type Resumed<K> = (Arena<Mobile, K>, String, String);
 
-/// Restores the arena snapshot in `dir` twice (the sequential and parallel
-/// paths must stay independent to mean anything as a cross-check),
-/// refreshing both differentially if the deadline moved since the
-/// snapshot was taken.
+/// Restores the arena snapshot in `dir`, refreshing it differentially if
+/// the deadline moved since the snapshot was taken.
 fn resume<K: ScanKeying>(
     dir: &str,
     m: &Mobile,
@@ -382,7 +365,6 @@ fn resume<K: ScanKeying>(
 ) -> Result<Resumed<K>, String> {
     let bytes = read_snapshot(dir, K::SNAPSHOT_FILE)?;
     let (mut a, meta, hash) = load_arena::<_, K>(m, &bytes, obs).map_err(|e| e.to_string())?;
-    let (mut b, _, _) = load_arena::<_, K>(m, &bytes, obs).map_err(|e| e.to_string())?;
     check_resume_compat(&meta, m.num_processes(), K::LAYERING_KEY)?;
     let note = if meta.horizon == horizon as u64 {
         format!(
@@ -393,7 +375,6 @@ fn resume<K: ScanKeying>(
         )
     } else {
         let diff = a.refresh_differential(m, obs);
-        b.refresh_differential(m, obs);
         format!(
             "deadline {} -> {horizon}: {} {} reused, {} recomputed",
             meta.horizon,
@@ -402,7 +383,7 @@ fn resume<K: ScanKeying>(
             diff.recomputed
         )
     };
-    Ok((a, b, note, hash))
+    Ok((a, note, hash))
 }
 
 /// The layer scan under the keying `K` (see [`layer_scan`]).
@@ -423,40 +404,30 @@ fn scan<K: ScanKeying>(
             Ok(resumed) => (resumed, None),
             Err(e) => (None, Some(e)),
         };
-        let (seq_space, par_space, resume_note, mut snapshot_hash) = match resumed {
-            Some((a, b, note, hash)) => (Some(a), Some(b), Some(note), Some(hash)),
-            None => (None, None, None, None),
-        };
-        let solver = |space: Option<Arena<Mobile, K>>| {
-            let space = space.unwrap_or_else(|| Arena::for_model(&m));
-            Solver::with_space(&m, horizon, space, obs)
+        let (space, resume_note, mut snapshot_hash) = match resumed {
+            Some((space, note, hash)) => (space, Some(note), Some(hash)),
+            None => (Arena::for_model(&m), None, None),
         };
 
         let start = clock::monotonic_ns();
-        let mut seq_solver = solver(seq_space);
-        let seq = scan_layer_valence_connectivity(&mut seq_solver, cfg.depth, true);
-        let seq_ms = ms_since(start);
+        let mut solver = Solver::with_space(&m, horizon, space, obs);
+        let scan = scan_layer_valence_connectivity(&mut solver, cfg.depth, true);
+        let scan_ms = ms_since(start);
 
-        // Snapshot the (possibly extended) sequential arena before the
-        // certificate is built, so the verdict can carry its hash.
+        // Snapshot the (possibly extended) arena before the certificate is
+        // built, so the verdict can carry its hash.
         if let (None, Some(dir)) = (&resume_err, &cfg.snapshot_dir) {
             let meta = scan_meta(cfg, horizon, K::LAYERING_KEY);
-            let (bytes, hash) = save_arena(seq_solver.space(), &meta, obs);
+            let (bytes, hash) = save_arena(solver.space(), &meta, obs);
             match write_snapshot(dir, K::SNAPSHOT_FILE, &bytes) {
                 Ok(()) => snapshot_hash = Some(hash),
                 Err(e) => resume_err = Some(e),
             }
         }
+        solver.report_memory(obs);
 
-        let start = clock::monotonic_ns();
-        let mut par_solver = solver(par_space);
-        let par =
-            scan_layer_valence_connectivity_parallel(&mut par_solver, cfg.depth, true, cfg.threads);
-        let par_ms = ms_since(start);
-        par_solver.report_memory(obs);
-
-        let check = K::cross_check(cfg, &seq_solver, (&seq, seq_ms), &par);
-        let witness = ImpossibilityWitness::from_solver(&mut seq_solver, cfg.depth);
+        let check = K::cross_check(cfg, &solver, (&scan, scan_ms));
+        let witness = ImpossibilityWitness::from_solver(&mut solver, cfg.depth);
         let verified = witness.as_ref().is_some_and(|w| w.verify(&m).is_ok());
         if let Some(w) = &witness {
             certificate = scan_certificate(
@@ -464,7 +435,7 @@ fn scan<K: ScanKeying>(
                 K::LAYERING_KEY,
                 cfg.depth,
                 horizon,
-                (seq.layers_checked, seq.states_seen, seq.all_connected()),
+                (scan.layers_checked, scan.states_seen, scan.all_connected()),
                 w,
                 snapshot_hash.as_deref(),
             );
@@ -491,12 +462,11 @@ fn scan<K: ScanKeying>(
             row.extend(cells);
             table.row_owned(row);
         };
-        let scans = [(K::PATHS[0], &seq, seq_ms), (K::PATHS[1], &par, par_ms)];
         let baseline = check
             .baseline
             .as_ref()
             .map(|(label, scan, ms)| (*label, scan, *ms));
-        for (label, scan, ms) in baseline.into_iter().chain(scans) {
+        for (label, scan, ms) in baseline.into_iter().chain([(K::PATH, &scan, scan_ms)]) {
             row(
                 label,
                 [
@@ -530,7 +500,7 @@ fn scan<K: ScanKeying>(
 
         (
             table,
-            seq == par && seq.all_connected() && check.ok && verified && resume_err.is_none(),
+            scan.all_connected() && check.ok && verified && resume_err.is_none(),
         )
     });
     (exp, certificate)

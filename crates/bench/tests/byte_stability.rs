@@ -2,7 +2,7 @@
 //!
 //! The determinism contract for `experiments --json`: two runs of the
 //! same experiment produce **byte-identical** records modulo the
-//! documented timing fields, regardless of `--threads`. The documented
+//! documented timing fields. The documented
 //! timing fields are exactly the `_ns`-suffixed keys (the telemetry
 //! naming convention reserves that suffix for wall-clock values — see
 //! `telemetry::names`):
@@ -13,8 +13,9 @@
 //! * the `*_ns` timing histograms (e.g. `space.layer_expand_ns`).
 //!
 //! Everything else — counters, gauge levels, work histograms, events,
-//! verdicts — must not move when the thread count changes, or parallel
-//! scans are leaking scheduling order into results.
+//! verdicts — must not move from one run to the next, or something other
+//! than the instance (hash seeds, addresses, the clock) is leaking into
+//! results.
 //!
 //! A second contract rides along since the packed encodings landed:
 //! packed and boxed arenas produce byte-identical records modulo the
@@ -31,9 +32,8 @@ use layered_core::telemetry::json::Json;
 use layered_core::telemetry::{MetricsRegistry, NOOP};
 use layered_core::testkit::Unpacked;
 use layered_core::{
-    scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel, witness_to_json,
-    ImpossibilityWitness, LayerScan, LayeredModel, MemoryFootprint, QuotientSolver, Symmetric,
-    ValenceSolver,
+    scan_layer_valence_connectivity, witness_to_json, ImpossibilityWitness, LayerScan,
+    LayeredModel, MemoryFootprint, QuotientSolver, Symmetric, ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel};
@@ -103,11 +103,10 @@ fn record_modulo_representation(record: Json) -> String {
     record.to_string()
 }
 
-fn scan_record(threads: usize, quotient: bool) -> Json {
+fn scan_record(quotient: bool) -> Json {
     let cfg = ScanConfig {
         n: 3,
         depth: 1,
-        threads,
         quotient,
         ..ScanConfig::default()
     };
@@ -120,29 +119,21 @@ fn scan_record(threads: usize, quotient: bool) -> Json {
 }
 
 #[test]
-fn interned_scan_records_are_identical_across_thread_counts() {
-    let one = record_modulo_timing(scan_record(1, false));
-    for threads in [2, 8] {
-        assert_eq!(
-            one,
-            record_modulo_timing(scan_record(threads, false)),
-            "E-scan records diverged between --threads 1 and --threads {threads}"
-        );
-    }
-    // And across repeated runs at the same thread count.
-    assert_eq!(one, record_modulo_timing(scan_record(1, false)));
+fn interned_scan_records_are_identical_across_runs() {
+    assert_eq!(
+        record_modulo_timing(scan_record(false)),
+        record_modulo_timing(scan_record(false)),
+        "E-scan records diverged between two runs"
+    );
 }
 
 #[test]
-fn quotient_scan_records_are_identical_across_thread_counts() {
-    let one = record_modulo_timing(scan_record(1, true));
-    for threads in [2, 8] {
-        assert_eq!(
-            one,
-            record_modulo_timing(scan_record(threads, true)),
-            "E-sym records diverged between --threads 1 and --threads {threads}"
-        );
-    }
+fn quotient_scan_records_are_identical_across_runs() {
+    assert_eq!(
+        record_modulo_timing(scan_record(true)),
+        record_modulo_timing(scan_record(true)),
+        "E-sym records diverged between two runs"
+    );
 }
 
 /// The scan experiments' horizon and depth at `--depth 1`.
@@ -170,42 +161,29 @@ fn storage_record<M: LayeredModel>(
     ])
 }
 
-/// What `layer_scan` runs without `quotient`, one layer down: the
-/// sequential and 4-thread Lemma 5.1 scans and the Theorem 4.2 witness
-/// built on the sequential scan's solver.
-fn interned_storage_record<M>(m: &M) -> Json
-where
-    M: LayeredModel + Sync,
-    M::State: Send + Sync,
-{
+/// What `layer_scan` runs without `quotient`, one layer down: the Lemma
+/// 5.1 scan and the Theorem 4.2 witness built on its solver.
+fn interned_storage_record<M: LayeredModel>(m: &M) -> Json {
     let reg = MetricsRegistry::new();
-    let mut seq = ValenceSolver::with_observer(m, HORIZON, &reg);
-    let a = scan_layer_valence_connectivity(&mut seq, DEPTH, true);
-    let mut par = ValenceSolver::with_observer(m, HORIZON, &reg);
-    let b = scan_layer_valence_connectivity_parallel(&mut par, DEPTH, true, 4);
-    par.report_memory(&reg);
-    let witness = ImpossibilityWitness::from_solver(&mut seq, DEPTH);
-    storage_record(m, &[a, b], witness, &reg)
+    let mut solver = ValenceSolver::with_observer(m, HORIZON, &reg);
+    let scan = scan_layer_valence_connectivity(&mut solver, DEPTH, true);
+    solver.report_memory(&reg);
+    let witness = ImpossibilityWitness::from_solver(&mut solver, DEPTH);
+    storage_record(m, &[scan], witness, &reg)
 }
 
-/// What `layer_scan` runs with `quotient`, one layer down: the sequential
-/// and 4-thread quotient scans, the full-space baseline and the
-/// de-quotiented witness built on the sequential scan's solver.
-fn quotient_storage_record<M>(m: &M) -> Json
-where
-    M: Symmetric + Sync,
-    M::State: Send + Sync,
-{
+/// What `layer_scan` runs with `quotient`, one layer down: the quotient
+/// scan, the full-space baseline and the de-quotiented witness built on
+/// the quotient scan's solver.
+fn quotient_storage_record<M: Symmetric>(m: &M) -> Json {
     let reg = MetricsRegistry::new();
-    let mut seq = QuotientSolver::with_observer(m, HORIZON, &reg);
-    let a = scan_layer_valence_connectivity(&mut seq, DEPTH, true);
-    let mut par = QuotientSolver::with_observer(m, HORIZON, &reg);
-    let b = scan_layer_valence_connectivity_parallel(&mut par, DEPTH, true, 4);
-    par.report_memory(&reg);
+    let mut solver = QuotientSolver::with_observer(m, HORIZON, &reg);
+    let quot = scan_layer_valence_connectivity(&mut solver, DEPTH, true);
+    solver.report_memory(&reg);
     let mut full = ValenceSolver::with_observer(m, HORIZON, &reg);
-    let c = scan_layer_valence_connectivity(&mut full, DEPTH, true);
-    let witness = ImpossibilityWitness::from_solver(&mut seq, DEPTH);
-    storage_record(m, &[a, b, c], witness, &reg)
+    let baseline = scan_layer_valence_connectivity(&mut full, DEPTH, true);
+    let witness = ImpossibilityWitness::from_solver(&mut solver, DEPTH);
+    storage_record(m, &[quot, baseline], witness, &reg)
 }
 
 #[test]
@@ -232,7 +210,7 @@ fn packed_and_boxed_quotient_scans_are_identical() {
 
 #[test]
 fn records_are_canonical_json() {
-    let record = scan_record(2, false);
+    let record = scan_record(false);
     let rendered = record.to_string();
     let reparsed = Json::parse(&rendered).expect("record parses");
     assert_eq!(

@@ -9,7 +9,7 @@
 //! change.
 //!
 //! * `golden/*.json` — `layer_scan` records, plain (n = 3) and over
-//!   orbits (n = 3, 4), at depth 1 and one thread, with every `_ns` timing
+//!   orbits (n = 3, 4), at depth 1, with every `_ns` timing
 //!   field nulled (the same stripping `byte_stability.rs` applies).
 //! * `golden/snapshot_sha256.txt` — the SHA-256 of the `save_arena` and
 //!   `save_arena` blobs of the mobile-failure model running FloodMin at
@@ -59,7 +59,6 @@ fn scan_record(n: usize, quotient: bool) -> String {
     let cfg = ScanConfig {
         n,
         depth: 1,
-        threads: 1,
         quotient,
         ..ScanConfig::default()
     };

@@ -27,7 +27,6 @@ fn cold_warm_and_deadline_runs(quotient: bool) {
     let base = ScanConfig {
         n: 3,
         depth: 1,
-        threads: 2,
         quotient,
         ..ScanConfig::default()
     };

@@ -409,6 +409,70 @@ fn mobile_model(n: usize, deadline: u16, layering: &str) -> MobileModel<FloodMin
     }
 }
 
+/// What a stored certificate of `kind` about `model` may carry in its
+/// meta fields: its claim key, the layering keys its producers write, and
+/// the smallest `n` the model is defined at. `None` for a pair the
+/// registry does not verify.
+fn expected_meta(
+    model: &str,
+    kind: CertKind,
+) -> Option<(&'static str, &'static [&'static str], usize)> {
+    let schedule =
+        |layering: &'static [&'static str], min_n| Some((SIM_VIOLATION_CLAIM, layering, min_n));
+    match (model, kind) {
+        // `full` is the layering of the symmetry-reduced scans.
+        ("sync-mobile", CertKind::ScanVerdict) => Some(("lemma_5_1", &["s1", "full"], 2)),
+        ("sync-mobile", CertKind::Witness) => Some(("theorem_4_2", &["s1"], 2)),
+        ("sync-mobile", CertKind::Schedule) => schedule(&["s1"], 2),
+        ("sync-crash", CertKind::Run) => Some(("lemma_6_1", &["s_t"], 3)),
+        ("sync-crash", CertKind::Schedule) => schedule(&["s_t"], 3),
+        ("async-sm", CertKind::Witness) => Some(("theorem_4_2", &["s_rw"], 2)),
+        ("async-sm", CertKind::Schedule) => schedule(&["s_rw"], 2),
+        ("async-mp", CertKind::Witness) => Some(("theorem_4_2", &["s_per"], 2)),
+        ("async-mp", CertKind::Schedule) => schedule(&["s_per"], 2),
+        _ => None,
+    }
+}
+
+/// Checks a stored certificate's meta fields against what the registry
+/// knows for its model and kind, before any model is built from them: a
+/// model constructor panics on a size it is not defined at, and a claim
+/// or layering the registry never writes would otherwise be verified as
+/// if it were the one it does.
+fn check_meta(meta: &CertMeta, kind: CertKind) -> Result<(), RegistryError> {
+    let (claim, layerings, min_n) =
+        expected_meta(&meta.model, kind).ok_or(RegistryError::UnknownClaim)?;
+    if meta.claim != claim {
+        return Err(RegistryError::VerifyFailed(
+            "claim does not match the model and kind (see registry::claims_for and sim_violation)",
+        ));
+    }
+    if !layerings.contains(&meta.layering.as_str()) {
+        return Err(RegistryError::VerifyFailed(
+            "layering is not one this model's certificates carry (see registry::layering_key)",
+        ));
+    }
+    // A `Pid` names at most 256 processes.
+    if meta.n < min_n || meta.n > usize::from(u8::MAX) + 1 {
+        return Err(RegistryError::VerifyFailed(
+            "n is outside the sizes the model is defined at (2..=256, sync-crash 3..=256)",
+        ));
+    }
+    Ok(())
+}
+
+/// The crash model's failure budget `t`, which it defines for
+/// `1 ≤ t ≤ n − 2` only.
+fn check_crash_budget(n: usize, t: usize) -> Result<usize, RegistryError> {
+    if (1..=n.saturating_sub(2)).contains(&t) {
+        Ok(t)
+    } else {
+        Err(RegistryError::VerifyFailed(
+            "sync-crash t is outside 1..=n-2",
+        ))
+    }
+}
+
 /// Re-verifies `cert` from scratch per the tiered policy in the
 /// [module docs](self), moving the `cert.verify.ok` / `cert.verify.fail`
 /// counters.
@@ -432,6 +496,7 @@ fn verify_inner(cert: &Certificate) -> Result<(), RegistryError> {
     if layering_key(&cert.meta.model).is_none() {
         return Err(RegistryError::UnknownModel);
     }
+    check_meta(&cert.meta, cert.kind)?;
     match (cert.meta.model.as_str(), cert.kind) {
         ("sync-mobile", CertKind::Schedule) => {
             let deadline = schedule_deadline(&cert.body)?;
@@ -444,9 +509,10 @@ fn verify_inner(cert: &Certificate) -> Result<(), RegistryError> {
                 .body
                 .get("t")
                 .and_then(Json::as_u64)
-                .and_then(|t| usize::try_from(t).ok())
-                .unwrap_or_else(|| crash_resilience(n));
-            let m = CrashModel::new(n, t, FloodMin::new(deadline));
+                .map_or(crash_resilience(n), |t| {
+                    usize::try_from(t).unwrap_or(usize::MAX)
+                });
+            let m = CrashModel::new(n, check_crash_budget(n, t)?, FloodMin::new(deadline));
             verify_schedule(&m, &cert.body)
         }
         ("async-sm", CertKind::Schedule) => {

@@ -1,10 +1,13 @@
 //! Satellite: store→load→verify is the identity for every certificate
 //! kind, the integrity hash rejects tampered files, and verify refuses a
-//! recorded horizon too deep to re-check.
+//! recorded horizon too deep to re-check and meta fields the registry does
+//! not know for the certificate's model and kind.
 
 use std::path::PathBuf;
 
-use layered_cert::{registry, CertKind, CertStore, Certificate, RegistryError, StoreError};
+use layered_cert::{
+    registry, CertKind, CertMeta, CertStore, Certificate, RegistryError, StoreError,
+};
 use layered_core::telemetry::json::Json;
 use layered_core::telemetry::{MetricsRegistry, NoopObserver};
 use layered_core::MAX_HORIZON;
@@ -243,4 +246,87 @@ fn oversized_horizon_is_refused() {
     }
     let bound = u64::try_from(MAX_HORIZON).expect("small bound");
     assert_eq!(verify_on_server_stack(witness_with_horizon(bound)), Ok(()));
+}
+
+/// `cert` with its meta fields passed through `edit`.
+fn with_meta(cert: &Certificate, edit: impl FnOnce(&mut CertMeta)) -> Certificate {
+    let mut meta = cert.meta.clone();
+    edit(&mut meta);
+    Certificate::new(meta, cert.kind, cert.body.clone())
+}
+
+/// A `sync-crash` schedule certificate at `n` recording failure budget
+/// `t`; the body is refused before the schedule is read.
+fn crash_schedule(n: usize, t: u64) -> Certificate {
+    let body = Json::Object(vec![
+        ("deadline".into(), Json::from(3u64)),
+        ("outcome".into(), Json::from("agreement")),
+        ("schedule".into(), Json::Object(Vec::new())),
+        ("t".into(), Json::from(t)),
+    ]);
+    let meta = CertMeta {
+        model: "sync-crash".to_string(),
+        n,
+        layering: "s_t".to_string(),
+        claim: registry::SIM_VIOLATION_CLAIM.to_string(),
+    };
+    Certificate::new(meta, CertKind::Schedule, body)
+}
+
+/// Meta fields are checked against what the registry knows for the
+/// certificate's model and kind before a model is built from them: sizes
+/// and failure budgets a model constructor panics on, and claims or
+/// layerings the registry never writes, are refused with a reason.
+#[test]
+fn meta_fields_outside_the_registry_are_refused() {
+    let failed = |what| Err(RegistryError::VerifyFailed(what));
+    let bad_n = "n is outside the sizes the model is defined at (2..=256, sync-crash 3..=256)";
+    let bad_t = "sync-crash t is outside 1..=n-2";
+    let bad_layering =
+        "layering is not one this model's certificates carry (see registry::layering_key)";
+    let bad_claim =
+        "claim does not match the model and kind (see registry::claims_for and sim_violation)";
+    let verify = |cert: &Certificate| registry::verify(cert, &NoopObserver);
+
+    assert_eq!(verify(&crash_schedule(4, 0)), failed(bad_t));
+    assert_eq!(verify(&crash_schedule(4, 3)), failed(bad_t));
+    assert_eq!(verify(&crash_schedule(2, 1)), failed(bad_n));
+
+    let model = MobileModel::new(3, FloodMin::new(4));
+    let run = Simulator::new(&model)
+        .run_many(&SimConfig::new(7, 1, 4), || RandomAdversary)
+        .remove(0);
+    let schedule = registry::schedule_certificate(
+        "sync-mobile",
+        &model,
+        4,
+        None,
+        run.outcome.class(),
+        &run.schedule,
+    )
+    .expect("schedule packages");
+    assert_eq!(verify(&schedule), Ok(()));
+    assert_eq!(verify(&with_meta(&schedule, |m| m.n = 1)), failed(bad_n));
+    assert_eq!(verify(&with_meta(&schedule, |m| m.n = 257)), failed(bad_n));
+
+    let crash_run =
+        registry::compute("sync-crash", 3, "lemma_6_1", &NoopObserver).expect("run computes");
+    assert_eq!(verify(&crash_run), Ok(()));
+    assert_eq!(verify(&with_meta(&crash_run, |m| m.n = 2)), failed(bad_n));
+
+    let scan =
+        registry::compute("sync-mobile", 3, "lemma_5_1", &NoopObserver).expect("scan computes");
+    assert_eq!(verify(&scan), Ok(()));
+    for layering in ["bogus", "s_rw"] {
+        let bad = with_meta(&scan, |m| m.layering = layering.to_string());
+        assert_eq!(verify(&bad), failed(bad_layering), "layering {layering}");
+    }
+    for claim in ["theorem_4_2", "lemma_6_1", ""] {
+        let bad = with_meta(&scan, |m| m.claim = claim.to_string());
+        assert_eq!(verify(&bad), failed(bad_claim), "claim {claim:?}");
+    }
+    let witness =
+        registry::compute("async-mp", 2, "theorem_4_2", &NoopObserver).expect("witness computes");
+    let bad = with_meta(&witness, |m| m.layering = "s_rw".to_string());
+    assert_eq!(verify(&bad), failed(bad_layering));
 }

@@ -229,3 +229,39 @@ fn oversized_horizon_certificate_is_refused_and_the_server_survives() {
     );
     assert_eq!(http_get(addr, "/healthz").status, 200);
 }
+
+/// A stored certificate whose meta fields name a size its model is not
+/// defined at (a `sync-crash` run at n = 2) is answered with a 500 naming
+/// the reason, and the server keeps serving: building the model no longer
+/// panics the connection's thread.
+#[test]
+fn undefined_size_certificate_is_refused_and_the_server_survives() {
+    let cert = layered_cert::registry::compute(
+        "sync-crash",
+        3,
+        "lemma_6_1",
+        &layered_core::telemetry::NOOP,
+    )
+    .expect("run computes");
+    let mut meta = cert.meta.clone();
+    meta.n = 2;
+    let bad = Certificate::new(meta, cert.kind, cert.body);
+    let mut store = CertStore::open(&store_dir("meta")).expect("store opens");
+    let (hash, _) = store
+        .put(&bad, &layered_core::telemetry::NOOP)
+        .expect("store accepts the bytes");
+    let server = CertServer::bind("127.0.0.1:0", store, ServerConfig { max_compute_n: 4 })
+        .expect("server binds");
+    let addr = server.local_addr().expect("bound address");
+    std::thread::spawn(move || {
+        let _ = server.run();
+    });
+    let reply = http_get(addr, &format!("/cert/{hash}"));
+    assert_eq!(reply.status, 500);
+    assert!(
+        String::from_utf8_lossy(&reply.body).contains("n is outside the sizes"),
+        "body: {}",
+        String::from_utf8_lossy(&reply.body)
+    );
+    assert_eq!(http_get(addr, "/healthz").status, 200);
+}

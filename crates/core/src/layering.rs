@@ -307,40 +307,6 @@ pub fn scan_layer_valence_connectivity<M: LayeredModel, K: Keying<M>>(
 /// function), kept public because `perfbench/src/scan.rs` imports it.
 pub use scan_layer_valence_connectivity as scan_layer_valence_connectivity_quotient;
 
-/// [`scan_layer_valence_connectivity`] with the successor computation (and,
-/// over the quotient, canonicalization) fanned out across up to `threads`
-/// scoped workers.
-///
-/// The reachable region is first expanded in parallel into the solver's
-/// arena ([`Arena::expand_layers_parallel`](crate::space::Arena::expand_layers_parallel),
-/// which is bit-identical to sequential expansion); the scan itself then
-/// runs over fully cached adjacency. The returned [`LayerScan`] — layers
-/// checked, states seen, and any violation — is therefore identical to the
-/// sequential path's.
-pub fn scan_layer_valence_connectivity_parallel<M, K>(
-    solver: &mut Solver<'_, M, K>,
-    depth_limit: usize,
-    only_bivalent: bool,
-    threads: usize,
-) -> LayerScan<M::State>
-where
-    M: LayeredModel + Sync,
-    M::State: Send + Sync,
-    K: Keying<M>,
-{
-    let model = solver.model();
-    let obs = solver.observer();
-    let roots = model.initial_states();
-    // Valence lookahead reaches the horizon; the scan itself needs layers of
-    // states down to `depth_limit`. Expanding to the max covers both, so the
-    // scan below finds every successor list already cached.
-    let expand_to = solver.horizon().max(depth_limit + 1);
-    solver
-        .space_mut()
-        .expand_layers_parallel(model, &roots, expand_to, threads, obs);
-    scan_layer_valence_connectivity(solver, depth_limit, only_bivalent)
-}
-
 /// Lemma 3.1, checked exhaustively: every bivalent state reachable within
 /// `depth_limit` layers has at least `n − t` non-failed undecided processes.
 ///

@@ -73,8 +73,8 @@ pub use connectivity::{
 };
 pub use layering::{
     bivalent_successor_id, build_bivalent_run, check_lemma_3_1, check_lemma_3_2,
-    extend_bivalent_run, scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel,
-    scan_layer_valence_connectivity_quotient, BivalentRunOutcome, LayerScan, Stuck,
+    extend_bivalent_run, scan_layer_valence_connectivity, scan_layer_valence_connectivity_quotient,
+    BivalentRunOutcome, LayerScan, Stuck,
 };
 pub use model::{ExecutionTrace, LayeredModel, TraceError};
 pub use pid::{binary_input_vectors, Pid, Value};

@@ -1,6 +1,6 @@
 //! Hash-consed state spaces: dense [`StateId`]s over a model's reachable
 //! states, with CSR-packed successor adjacency, a hash-bucketed intern
-//! index, packed state storage and deterministic parallel layer expansion.
+//! index, packed state storage and deterministic layer expansion.
 //!
 //! Every exact engine in this crate (valence, connectivity, layering, the
 //! consensus checker) explores the same graded state graph. Keying those
@@ -35,20 +35,19 @@
 //! derived report are identical to the boxed arena's. A model without a
 //! codec spills every state.
 //!
-//! # Parallel keying, serial interning
+//! # Serial keying and interning
 //!
 //! The intern index is one hash map from a key's hash to the ids of the
 //! keys with that hash, and one probe-or-insert routine serves every path
 //! that interns: direct interning, lazily cached successor rows, the
-//! differential refresh and bulk expansion. Parallel bulk expansion hands
-//! the frontier, one bounded batch at a time, to scoped workers that
-//! compute each entry's successors and key them (for [`Orbits`], the `n!`
-//! canonicalization that dominates quotient expansion); the workers never
-//! touch the index. The calling thread then interns the keyed rows **in
-//! frontier order**, exactly as the sequential path does, so sequential
-//! and parallel expansion assign the same ids by construction. Parallelism
-//! changes how fast successor lists are produced, never which states exist,
-//! their ids, or the contents of any layer.
+//! differential refresh and bulk expansion. Bulk expansion
+//! ([`Arena::expand_layers`]) takes a frontier in order: it computes each
+//! entry's successors, keys them (for [`Orbits`], the `n!`
+//! canonicalization that dominates quotient expansion) and interns the
+//! keyed row before it moves to the next entry. A lazy scan that asks for
+//! the same rows through [`Arena::successor_ids`] presents the same keys in
+//! the same order, so a pre-expanded arena and a lazily filled one assign
+//! the same ids.
 //!
 //! # Id layout and determinism
 //!
@@ -83,9 +82,7 @@ use fxhash::{FxHashMap, FxHasher};
 use self::pack::{word_hash, StatePacker, SPILL_TAG};
 use self::snapshot::{SnapshotError, SnapshotReader};
 use crate::sym::{PidPerm, Symmetric};
-use crate::telemetry::{
-    clock, trace, Heartbeat, MemoryBreakdown, MemoryFootprint, Observer, Span, NOOP,
-};
+use crate::telemetry::{clock, Heartbeat, MemoryBreakdown, MemoryFootprint, Observer, Span, NOOP};
 use crate::LayeredModel;
 
 /// FxHash of a full model state (the spill-path hash). Fast
@@ -325,11 +322,6 @@ impl<S: Clone + Eq + Hash> Store<S> {
     }
 }
 
-/// Frontier entries each parallel worker keys per batch. The calling
-/// thread interns a batch before the next is keyed, so the keyed
-/// successors held in memory are bounded by the batch, not the frontier.
-const ROWS_PER_WORKER: usize = 16;
-
 /// The intern index of an [`Arena`]: each key hash maps to the ids of the
 /// keys with that hash, in ascending id (interning) order.
 type Index = FxHashMap<u64, Vec<u32>>;
@@ -425,10 +417,10 @@ mod sealed {
 pub trait Keying<M: LayeredModel>: sealed::Sealed + Sized {
     /// Per-state datum: the orbit size under [`Orbits`], nothing (`()`)
     /// under [`Plain`].
-    type Weight: Copy + Send + Sync;
+    type Weight: Copy;
     /// Per-edge datum: the permutation carrying the raw successor onto its
     /// key under [`Orbits`], nothing (`()`) under [`Plain`].
-    type Witness: Clone + Send + Sync;
+    type Witness: Clone;
     /// Whether a successor row keeps each key once (first witness wins)
     /// rather than keeping the raw successor multiplicity.
     const DEDUP_ROWS: bool;
@@ -688,8 +680,8 @@ impl<M: Symmetric> Keying<M> for Orbits {
 ///
 /// Interning deduplicates keys structurally: equal keys get the same
 /// [`StateId`] and each distinct key is stored exactly once. Successor
-/// lists are computed lazily (or eagerly, in parallel, via
-/// [`Arena::prefetch_successors`]) and cached in CSR form, so each
+/// lists are computed lazily (or eagerly, a layer at a time, via
+/// [`Arena::expand_layers`]) and cached in CSR form, so each
 /// `model.successors` call happens at most once per entry per arena.
 ///
 /// Use it through [`StateSpace`] (the full space) or [`QuotientSpace`]
@@ -1071,8 +1063,8 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         K::note_size(obs, self);
     }
 
-    /// Sequential bulk expansion of `ids` (no `Sync` bounds): each entry
-    /// in order is expanded, keyed, interned and recorded.
+    /// Bulk expansion of `ids`: each entry in order is expanded, keyed,
+    /// interned and recorded.
     fn bulk_seq(&mut self, model: &M, ids: &[StateId], obs: &dyn Observer) {
         let pending = self.pending_of(ids);
         if pending.is_empty() {
@@ -1082,63 +1074,6 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         for &id in &pending {
             let row = key_row::<M, K>(model, &self.store, id);
             hits += self.intern_row(id, row, obs);
-        }
-        self.report_bulk(base, hits, obs);
-    }
-
-    /// Eagerly computes, keys and caches the successor lists of `ids`,
-    /// fanning the per-entry work (`model.successors` plus, under
-    /// [`Orbits`], the canonicalization of every raw successor) out across
-    /// up to `threads` scoped workers.
-    ///
-    /// Determinism: workers only expand and key, a bounded batch of entries
-    /// at a time; the calling thread interns their rows in the order of
-    /// `ids`. The resulting interning order —
-    /// and therefore every id, layer and report derived from it — is
-    /// identical to calling [`Arena::successor_ids`] sequentially over
-    /// `ids`.
-    pub fn prefetch_successors(
-        &mut self,
-        model: &M,
-        ids: &[StateId],
-        threads: usize,
-        obs: &dyn Observer,
-    ) where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        let pending = self.pending_of(ids);
-        if pending.len() <= 1 || threads <= 1 {
-            return self.bulk_seq(model, &pending, obs);
-        }
-        let (base, mut hits) = (self.store.len(), 0);
-        for batch in pending.chunks(threads.saturating_mul(ROWS_PER_WORKER)) {
-            let store = &self.store;
-            let parent = trace::current_span_id();
-            let rows: Vec<KeyedRow<M, K>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = balanced_chunks(batch, threads)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            let _span = Span::enter_under(
-                                obs,
-                                "space.prefetch_chunk",
-                                parent,
-                                &[("chunk_len", part.len() as u64)],
-                            );
-                            part.iter()
-                                .map(|&id| key_row::<M, K>(model, store, id))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("successor worker panicked"))
-                    .collect()
-            });
-            for (&id, row) in batch.iter().zip(rows) {
-                hits += self.intern_row(id, row, obs);
-            }
         }
         self.report_bulk(base, hits, obs);
     }
@@ -1157,41 +1092,6 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         roots: &[M::State],
         horizon: usize,
         obs: &dyn Observer,
-    ) -> Vec<Vec<StateId>> {
-        self.expand_with(model, roots, horizon, obs, |space, frontier| {
-            space.bulk_seq(model, frontier, obs);
-        })
-    }
-
-    /// [`Arena::expand_layers`] with the per-level successor computation
-    /// fanned out across up to `threads` scoped workers.
-    ///
-    /// Bit-identical to the sequential path (see
-    /// [`Arena::prefetch_successors`] for why).
-    pub fn expand_layers_parallel(
-        &mut self,
-        model: &M,
-        roots: &[M::State],
-        horizon: usize,
-        threads: usize,
-        obs: &dyn Observer,
-    ) -> Vec<Vec<StateId>>
-    where
-        M: Sync,
-        M::State: Send + Sync,
-    {
-        self.expand_with(model, roots, horizon, obs, |space, frontier| {
-            space.prefetch_successors(model, frontier, threads, obs);
-        })
-    }
-
-    fn expand_with(
-        &mut self,
-        model: &M,
-        roots: &[M::State],
-        horizon: usize,
-        obs: &dyn Observer,
-        mut prefetch: impl FnMut(&mut Self, &[StateId]),
     ) -> Vec<Vec<StateId>> {
         let _span = Span::enter(obs, "space.build");
         let mut first = NextLevel::default();
@@ -1217,7 +1117,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
             } else {
                 0
             };
-            prefetch(self, frontier);
+            self.bulk_seq(model, frontier, obs);
             for &id in frontier {
                 obs.counter("engine.states_visited", 1);
                 next.offer(self.successor_ids(model, id, obs), obs);
@@ -1453,26 +1353,6 @@ impl<M: LayeredModel, K: Keying<M>> MemoryFootprint for Arena<M, K> {
     }
 }
 
-/// Splits `items` into at most `parts` contiguous chunks whose lengths
-/// differ by at most one (the first `len % parts` chunks get the extra
-/// element). Unlike `chunks(len.div_ceil(parts))`, this never produces a
-/// degenerate tail chunk — 9 items over 8 workers yield chunks of
-/// 2,1,1,1,1,1,1,1 instead of four chunks of 2 and one of 1 on 5 workers.
-fn balanced_chunks<T>(items: &[T], parts: usize) -> impl Iterator<Item = &[T]> {
-    let parts = parts.clamp(1, items.len().max(1));
-    let base = items.len() / parts;
-    let extra = items.len() % parts;
-    let mut start = 0;
-    (0..parts).map(move |k| {
-        let len = base + usize::from(k < extra);
-        let part = items
-            .get(start..start + len)
-            .expect("chunk arithmetic partitions the slice exactly");
-        start += len;
-        part
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1596,25 +1476,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_expansion_is_bit_identical() {
-        let m = CounterModel::new(3, 4);
-        let roots = m.initial_states();
-        let mut seq: StateSpace<CounterModel> = StateSpace::for_model(&m);
-        let seq_levels = seq.expand_layers(&m, &roots, 3, &NOOP);
-        for threads in [2, 3, 8] {
-            let mut par: StateSpace<CounterModel> = StateSpace::for_model(&m);
-            let par_levels = par.expand_layers_parallel(&m, &roots, 3, threads, &NOOP);
-            assert_eq!(seq_levels, par_levels, "threads={threads}");
-            assert_eq!(seq.len(), par.len());
-            for k in 0..seq.len() {
-                let id = StateId(k as u32);
-                assert_eq!(seq.resolve(id), par.resolve(id));
-                assert_eq!(seq.cached_successors(id), par.cached_successors(id));
-            }
-        }
-    }
-
-    #[test]
     fn packed_and_boxed_arenas_agree() {
         // Packing is a pure representation change: the packed arena (what
         // `for_model` picks for CounterModel) and the arena of the same
@@ -1657,31 +1518,18 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_marks_all_requested_states() {
+    fn expansion_caches_every_row_once() {
         let m = CounterModel::new(2, 4);
+        let roots = m.initial_states();
         let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
-        let ids: Vec<StateId> = m.initial_states().iter().map(|s| space.intern(s)).collect();
-        space.prefetch_successors(&m, &ids, 4, &NOOP);
-        for &id in &ids {
+        let levels = space.expand_layers(&m, &roots, 1, &NOOP);
+        for &id in &levels[0] {
             assert!(space.cached_successors(id).is_some());
         }
-        // Prefetching again is a no-op.
-        let edges = space.edge_count();
-        space.prefetch_successors(&m, &ids, 4, &NOOP);
-        assert_eq!(space.edge_count(), edges);
-    }
-
-    #[test]
-    fn balanced_chunks_never_degenerate() {
-        let items: Vec<u32> = (0..9).collect();
-        let parts: Vec<&[u32]> = balanced_chunks(&items, 8).collect();
-        assert_eq!(parts.len(), 8);
-        let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
-        assert_eq!(lens, vec![2, 1, 1, 1, 1, 1, 1, 1]);
-        let flat: Vec<u32> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-        assert_eq!(flat, items, "chunks cover the slice in order");
-        // More workers than items: one chunk per item.
-        assert_eq!(balanced_chunks(&items[..2], 8).count(), 2);
+        // Expanding again is a no-op.
+        let (len, edges) = (space.len(), space.edge_count());
+        assert_eq!(space.expand_layers(&m, &roots, 1, &NOOP), levels);
+        assert_eq!((space.len(), space.edge_count()), (len, edges));
     }
 
     #[test]
@@ -1715,13 +1563,7 @@ mod tests {
         let levels = q.expand_layers(&m, &roots, 2, &NOOP);
         // 2^3 = 8 input vectors collapse to 4 orbits (0..=3 ones).
         assert_eq!(levels[0].len(), 4);
-        // Parallel expansion is bit-identical; so is the boxed arena.
-        for threads in [2, 3, 8] {
-            let mut par: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
-            let par_levels = par.expand_layers_parallel(&m, &roots, 2, threads, &NOOP);
-            assert_eq!(levels, par_levels, "threads={threads}");
-            assert_eq!(q.len(), par.len());
-        }
+        // The boxed arena is bit-identical.
         let unpacked = Unpacked(m.clone());
         let mut boxed = QuotientSpace::for_model(&unpacked);
         let boxed_levels = boxed.expand_layers(&unpacked, &roots, 2, &NOOP);
@@ -1776,22 +1618,29 @@ mod tests {
     }
 
     #[test]
-    fn bulk_interning_counts_match_sequential_interning() {
-        // hits/misses from the bulk path are thread-count-invariant.
+    fn bulk_interning_counts_match_lazy_interning() {
+        // The bulk path reports the hits and misses that asking for the
+        // same rows one at a time does.
         let m = CounterModel::new(3, 4);
         let roots = m.initial_states();
-        let mut counts = Vec::new();
-        for threads in [1, 2, 8] {
-            let reg = MetricsRegistry::new();
-            let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
-            space.expand_layers_parallel(&m, &roots, 3, threads, &reg);
+        let counts = |reg: &MetricsRegistry| {
             let snap = reg.snapshot();
-            counts.push((
+            (
                 snap.counter("space.intern.hits"),
                 snap.counter("space.intern.misses"),
-            ));
+            )
+        };
+        let bulk = MetricsRegistry::new();
+        let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        let levels = space.expand_layers(&m, &roots, 3, &bulk);
+        let lazy = MetricsRegistry::new();
+        let mut space: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        for r in &roots {
+            space.intern_with(r, &lazy);
         }
-        assert_eq!(counts[0], counts[1], "1 vs 2 threads");
-        assert_eq!(counts[0], counts[2], "1 vs 8 threads");
+        for &id in levels[..3].iter().flatten() {
+            space.successor_ids(&m, id, &lazy);
+        }
+        assert_eq!(counts(&bulk), counts(&lazy));
     }
 }

@@ -58,10 +58,8 @@ pub use trace::{InstantRecord, SpanRecord, TraceObserver};
 ///
 /// All methods default to no-ops so sinks only implement what they need.
 /// Methods take `&self`: sinks use interior mutability, which lets one
-/// observer be shared by several engines in a single analysis. `Sync` is a
-/// supertrait for the same reason — parallel engines hand the observer to
-/// `std::thread::scope` workers.
-pub trait Observer: Sync {
+/// observer be shared by several engines in a single analysis.
+pub trait Observer {
     /// Whether this observer records anything. Engines may skip computing
     /// expensive telemetry (e.g. span timing) when this is `false`.
     fn enabled(&self) -> bool {
@@ -242,12 +240,6 @@ pub struct Span<'a> {
     name: &'static str,
     started: Option<u64>,
     ctx: Option<TraceCtx>,
-    /// Whether to feed the flat per-name aggregates
-    /// ([`Observer::span_start`]/[`Observer::span_end`]). Worker spans
-    /// entered with [`Span::enter_under`] skip them: their per-name counts
-    /// depend on the thread count, which would break the byte-stability
-    /// contract for [`MetricsSnapshot`].
-    aggregate: bool,
 }
 
 impl<'a> Span<'a> {
@@ -270,7 +262,6 @@ impl<'a> Span<'a> {
                 name,
                 started: None,
                 ctx: None,
-                aggregate: false,
             };
         }
         obs.span_start(name);
@@ -289,44 +280,6 @@ impl<'a> Span<'a> {
             name,
             started: Some(clock::monotonic_ns()),
             ctx,
-            aggregate: true,
-        }
-    }
-
-    /// Starts a span under an explicit parent id, for work dispatched to
-    /// another thread (capture [`trace::current_span_id`] *before*
-    /// `std::thread::scope` and pass it to the worker).
-    ///
-    /// Worker spans feed only the structured trace, not the flat per-name
-    /// aggregates: how many there are depends on the thread count, and the
-    /// aggregate surface must stay thread-count-independent.
-    pub fn enter_under(
-        obs: &'a dyn Observer,
-        name: &'static str,
-        parent: u64,
-        attrs: &[(&'static str, u64)],
-    ) -> Self {
-        if !obs.wants_span_records() {
-            return Span {
-                obs,
-                name,
-                started: None,
-                ctx: None,
-                aggregate: false,
-            };
-        }
-        let id = trace::next_span_id();
-        trace::push_open(id);
-        Span {
-            obs,
-            name,
-            started: Some(clock::monotonic_ns()),
-            ctx: Some(TraceCtx {
-                id,
-                parent,
-                attrs: attrs.to_vec(),
-            }),
-            aggregate: false,
         }
     }
 
@@ -343,9 +296,7 @@ impl Drop for Span<'_> {
             return;
         };
         let end = clock::monotonic_ns();
-        if self.aggregate {
-            self.obs.span_end(self.name, end.saturating_sub(started));
-        }
+        self.obs.span_end(self.name, end.saturating_sub(started));
         if let Some(ctx) = self.ctx.take() {
             trace::pop_open(ctx.id);
             self.obs.span_record(&SpanRecord {

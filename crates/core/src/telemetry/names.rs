@@ -126,7 +126,6 @@ pub const NAMES: &[&str] = &[
     "space.layer",
     "space.layer_expand_ns",
     "space.pack.bytes_saved",
-    "space.prefetch_chunk",
     "space.quotient.mean_orbit_x1000",
     "space.resume.loads",
     "space.resume.orbits_recomputed",

@@ -6,8 +6,7 @@
 //! [`Span`](super::Span) entered against an observer that opts in via
 //! [`Observer::wants_span_records`]
 //! allocates a process-unique span id, captures its parent (the innermost
-//! open span on the same thread, or an explicit parent for work handed to
-//! `std::thread::scope` workers), and on drop delivers a completed
+//! open span on the same thread), and on drop delivers a completed
 //! [`SpanRecord`] to the observer.
 //!
 //! [`TraceObserver`] is the standard sink: a bounded in-memory ring of
@@ -56,11 +55,8 @@ pub fn thread_index() -> u64 {
     THREAD_IX.with(|ix| *ix)
 }
 
-/// The innermost open traced span on this thread, or 0 if none.
-///
-/// Capture this *before* `std::thread::scope` and hand it to
-/// [`Span::enter_under`](super::Span::enter_under) so worker spans attach
-/// to the dispatching span instead of floating as roots.
+/// The innermost open traced span on this thread, or 0 if none: the
+/// parent a [`Span`](super::Span) entered now records.
 #[must_use]
 pub fn current_span_id() -> u64 {
     OPEN_SPANS.with(|s| s.borrow().last().copied().unwrap_or(0))

@@ -80,7 +80,7 @@ impl Valences {
 /// take a probe other than [`DECIDED`] ([`Solver::with_probe`]): a
 /// quotient would need it invariant under process renaming, which a
 /// covering need not be.
-pub trait ValenceProbe<M: LayeredModel>: Sync {
+pub trait ValenceProbe<M: LayeredModel> {
     /// The valences `x` witnesses itself.
     fn probe(&self, model: &M, x: &M::State, at_horizon: bool) -> Valences;
 }
@@ -252,8 +252,8 @@ impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
         &self.space
     }
 
-    /// Mutable access to the arena (used by the layering engine to expand
-    /// layers — possibly in parallel — before classifying them).
+    /// Mutable access to the arena (to expand layers before classifying
+    /// them).
     pub fn space_mut(&mut self) -> &mut Arena<M, K> {
         &mut self.space
     }

@@ -1,11 +1,13 @@
 //! Property tests for the hash-consing state arena: interning round-trips,
-//! id density, and sequential/parallel expansion equivalence under random
-//! model shapes and interning orders.
+//! id density, and bulk/lazy expansion equivalence under random model
+//! shapes and interning orders.
 
 use proptest::prelude::*;
 
 use layered_core::testkit::{CounterModel, Unpacked};
-use layered_core::{LayeredModel, NoopObserver, QuotientSpace, Region, StateId, StateSpace};
+use layered_core::{
+    Arena, Keying, LayeredModel, NoopObserver, Orbits, Plain, Region, StateId, StateSpace,
+};
 
 /// Every distinct state reachable in 3 layers of a 3-way branching model —
 /// the pool random interning orders draw from.
@@ -60,64 +62,78 @@ proptest! {
         }
     }
 
-    /// Parallel expansion is bit-identical to sequential for arbitrary
-    /// process counts, branching factors, horizons, thread counts and arena
+    /// Bulk expansion ([`Arena::expand_layers`]) is bit-identical to
+    /// filling the arena lazily, row by row through `successor_ids`, for
+    /// arbitrary process counts, branching factors, horizons and arena
     /// kinds (boxed, packed, symmetry quotient): the same levels, ids,
     /// states, successor rows and — over the quotient — edge permutations
-    /// and orbit sizes. At `n = 5` a level holds up to 96 states, more than
-    /// one parallel batch.
+    /// and orbit sizes. The levels name every interned id.
     #[test]
-    fn parallel_expansion_matches_sequential(
+    fn bulk_expansion_matches_lazy(
         n in 3usize..6,
         branch in 1u8..4,
         horizon in 0usize..4,
-        threads in 1usize..9,
         arena in 0usize..3,
     ) {
         let m = CounterModel::new(n, branch);
         let roots = m.initial_states();
         if arena == 2 {
-            let mut seq: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
-            let a = seq.expand_layers(&m, &roots, horizon, &NoopObserver);
-            let mut par: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
-            let b = par.expand_layers_parallel(&m, &roots, horizon, threads, &NoopObserver);
-            prop_assert_eq!(&a, &b);
-            prop_assert_eq!(seq.len(), par.len());
-            prop_assert_eq!(seq.edge_count(), par.edge_count());
-            prop_assert_eq!(ids(&a).len(), seq.len());
-            for id in ids(&a) {
-                prop_assert_eq!(seq.resolve(id), par.resolve(id));
+            let (levels, bulk, lazy) =
+                bulk_and_lazy::<_, Orbits>(&m, &roots, horizon, |q, x| q.intern(&m, x).0);
+            for id in ids(&levels) {
                 prop_assert_eq!(
-                    seq.cached_successors_with_perms(id),
-                    par.cached_successors_with_perms(id)
+                    bulk.cached_successors_with_perms(id),
+                    lazy.cached_successors_with_perms(id)
                 );
-                prop_assert_eq!(seq.orbit_size_of(id), par.orbit_size_of(id));
+                prop_assert_eq!(bulk.orbit_size_of(id), lazy.orbit_size_of(id));
             }
         } else if arena == 0 {
-            plain_parallel_matches_sequential(&Unpacked(m), &roots, horizon, threads);
+            bulk_and_lazy::<_, Plain>(&Unpacked(m), &roots, horizon, |s, x| s.intern(x));
         } else {
-            plain_parallel_matches_sequential(&m, &roots, horizon, threads);
+            bulk_and_lazy::<_, Plain>(&m, &roots, horizon, |s, x| s.intern(x));
         }
     }
 }
 
-/// The full-space half of `parallel_expansion_matches_sequential`, for
-/// the packed model or its boxed twin.
-fn plain_parallel_matches_sequential<M>(m: &M, roots: &[M::State], horizon: usize, threads: usize)
-where
-    M: LayeredModel + Sync,
-    M::State: Send + Sync,
-{
-    let mut seq = StateSpace::for_model(m);
-    let a = seq.expand_layers(m, roots, horizon, &NoopObserver);
-    let mut par = StateSpace::for_model(m);
-    let b = par.expand_layers_parallel(m, roots, horizon, threads, &NoopObserver);
-    assert_eq!(&a, &b);
-    assert_eq!(seq.len(), par.len());
-    assert_eq!(seq.edge_count(), par.edge_count());
-    assert_eq!(ids(&a).len(), seq.len());
-    for id in ids(&a) {
-        assert_eq!(seq.resolve(id), par.resolve(id));
-        assert_eq!(seq.cached_successors(id), par.cached_successors(id));
+/// Expands `roots` for `horizon` layers twice under keying `K`: in bulk,
+/// and lazily (roots interned with `intern`, then each level's rows asked
+/// for one state at a time). Asserts the two agree on levels, sizes,
+/// states and successor rows, and that the levels name every interned id;
+/// returns the levels and both arenas for keying-specific checks.
+fn bulk_and_lazy<M: LayeredModel, K: Keying<M>>(
+    m: &M,
+    roots: &[M::State],
+    horizon: usize,
+    intern: impl Fn(&mut Arena<M, K>, &M::State) -> StateId,
+) -> (Vec<Vec<StateId>>, Arena<M, K>, Arena<M, K>) {
+    let mut bulk = Arena::<M, K>::for_model(m);
+    let levels = bulk.expand_layers(m, roots, horizon, &NoopObserver);
+
+    let mut lazy = Arena::<M, K>::for_model(m);
+    let mut level = first_seen(roots.iter().map(|r| intern(&mut lazy, r)));
+    let mut lazy_levels = vec![level.clone()];
+    for _ in 0..horizon {
+        let rows: Vec<StateId> = level
+            .iter()
+            .flat_map(|&id| lazy.successor_ids(m, id, &NoopObserver))
+            .collect();
+        level = first_seen(rows);
+        lazy_levels.push(level.clone());
     }
+
+    assert_eq!(levels, lazy_levels);
+    assert_eq!(bulk.len(), lazy.len());
+    assert_eq!(bulk.edge_count(), lazy.edge_count());
+    assert_eq!(ids(&levels).len(), bulk.len());
+    for id in ids(&levels) {
+        assert_eq!(bulk.resolve(id), lazy.resolve(id));
+        assert_eq!(bulk.cached_successors(id), lazy.cached_successors(id));
+    }
+    (levels, bulk, lazy)
+}
+
+/// `ids` in first-seen order, each kept once.
+fn first_seen(ids: impl IntoIterator<Item = StateId>) -> Vec<StateId> {
+    let mut seen = std::collections::HashSet::new();
+    ids.into_iter().filter(|&id| seen.insert(id)).collect()
 }

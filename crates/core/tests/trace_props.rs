@@ -1,6 +1,6 @@
-//! Properties of the hierarchical trace layer: parent attribution across
-//! scoped worker threads, guard drop-order safety, and balance of the
-//! Chrome trace-event export.
+//! Properties of the hierarchical trace layer: parent attribution of the
+//! expansion spans, guard drop-order safety, and balance of the Chrome
+//! trace-event export.
 
 use proptest::prelude::*;
 
@@ -9,20 +9,14 @@ use layered_core::telemetry::{Observer, Span, SpanRecord, TraceObserver};
 use layered_core::testkit::{CounterModel, Unpacked};
 use layered_core::{LayeredModel, StateSpace, Value};
 
-/// Expands a branchy model in parallel under a trace observer and returns
-/// the recorded spans.
-fn traced_parallel_expansion() -> Vec<SpanRecord> {
+#[test]
+fn expansion_spans_nest_under_the_build_and_export_balanced() {
     let model = Unpacked(CounterModel::new(2, 8));
     let roots = [model.initial_state(&[Value::ZERO, Value::ZERO])];
     let tracer = TraceObserver::new();
     let mut space = StateSpace::for_model(&model);
-    space.expand_layers_parallel(&model, &roots, 3, 4, &tracer);
-    tracer.spans()
-}
-
-#[test]
-fn parallel_worker_spans_attach_to_the_dispatching_layer_span() {
-    let spans = traced_parallel_expansion();
+    space.expand_layers(&model, &roots, 3, &tracer);
+    let spans = tracer.spans();
     let build = spans
         .iter()
         .find(|s| s.name == "space.build")
@@ -36,24 +30,7 @@ fn parallel_worker_spans_attach_to_the_dispatching_layer_span() {
             "layer spans carry their depth attribute"
         );
     }
-    let chunks: Vec<&SpanRecord> = spans
-        .iter()
-        .filter(|s| s.name == "space.prefetch_chunk")
-        .collect();
-    assert!(
-        chunks.len() >= 2,
-        "branch factor 8 across 4 threads must dispatch several chunks"
-    );
-    for chunk in &chunks {
-        assert!(
-            layers.iter().any(|l| l.id == chunk.parent),
-            "worker span {chunk:?} must attach to a dispatching layer span"
-        );
-    }
-    assert!(
-        chunks.iter().any(|c| c.thread != build.thread),
-        "scoped workers run on other threads, and the records say so"
-    );
+    assert_balanced(&tracer.to_chrome_trace());
 }
 
 #[test]

@@ -710,7 +710,7 @@ const OBSERVER_METHODS: &[&str] = &[
     "progress",
 ];
 
-const SPAN_CONSTRUCTORS: &[&str] = &["enter", "enter_with", "enter_under"];
+const SPAN_CONSTRUCTORS: &[&str] = &["enter", "enter_with"];
 
 /// L005: every telemetry name literal must appear in the registry.
 fn rule_l005(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
@@ -725,8 +725,8 @@ fn rule_l005(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
         {
             check_name(ctx, out, &toks[i + 3]);
         }
-        // `Span::enter(obs, "name")` and its `enter_with` / `enter_under`
-        // variants — the name is the first string literal inside the call.
+        // `Span::enter(obs, "name")` and its `enter_with` variant — the
+        // name is the first string literal inside the call.
         if i + 4 < toks.len()
             && toks[i].is_ident("Span")
             && toks[i + 1].is_punct(':')

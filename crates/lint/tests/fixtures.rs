@@ -205,18 +205,16 @@ fn l005_checks_span_enter_names() {
 }
 
 #[test]
-fn l005_checks_span_enter_with_and_enter_under_names() {
+fn l005_checks_span_enter_with_names() {
     let bad = r#"
         fn timed(obs: &dyn Observer) {
             let _a = Span::enter_with(obs, "typo.with", &[("depth", 1)]);
-            let _b = Span::enter_under(obs, "typo.under", 7, &[]);
         }
     "#;
-    assert_eq!(rules_hit(&lint(bad)), vec!["L005", "L005"]);
+    assert_eq!(rules_hit(&lint(bad)), vec!["L005"]);
     let good = r#"
         fn timed(obs: &dyn Observer) {
             let _a = Span::enter_with(obs, "engine.states_visited", &[("depth", 1)]);
-            let _b = Span::enter_under(obs, "valence.memo_hits", 7, &[]);
         }
     "#;
     assert_eq!(rules_hit(&lint(good)), Vec::<&str>::new());

@@ -1,13 +1,11 @@
 //! Snapshot round-trips for the mobile-failure model, and the resume
 //! acceptance case: an n = 4 scan *extended* from a reloaded snapshot is
-//! bit-identical to a cold scan at the deeper depth — on the sequential
-//! and the parallel expansion path, for both arena kinds.
+//! bit-identical to a cold scan at the deeper depth, for both arena kinds.
 
 use layered_core::testkit::Unpacked;
 use layered_core::{
-    load_arena, save_arena, scan_layer_valence_connectivity,
-    scan_layer_valence_connectivity_parallel, ArenaMeta, LayeredModel, NoopObserver, Orbits, Plain,
-    QuotientSolver, QuotientSpace, SnapshotError, StateSpace, ValenceSolver,
+    load_arena, save_arena, scan_layer_valence_connectivity, ArenaMeta, LayeredModel, NoopObserver,
+    Orbits, Plain, QuotientSolver, QuotientSpace, SnapshotError, StateSpace, ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel, MODEL_KEY};
@@ -116,7 +114,7 @@ fn snapshot_of_another_process_count_is_rejected() {
 
 /// The interned acceptance case at n = 4: scan at depth 1, snapshot,
 /// reload, extend to depth 2 — the extended verdict must be bit-identical
-/// to a cold depth-2 scan, sequentially and in parallel.
+/// to a cold depth-2 scan.
 #[test]
 fn resumed_interned_scan_is_bit_identical_at_n4() {
     let horizon = 3; // room to deepen without moving the deadline
@@ -125,22 +123,13 @@ fn resumed_interned_scan_is_bit_identical_at_n4() {
     scan_layer_valence_connectivity(&mut cold, 1, true);
     let (bytes, _) = save_arena(cold.space(), &meta(4, horizon, 1, "s1"), &NOOP);
 
-    let mut deep_seq = ValenceSolver::with_observer(&m, horizon, &NOOP);
-    let cold_seq = scan_layer_valence_connectivity(&mut deep_seq, 2, true);
-    let mut deep_par = ValenceSolver::with_observer(&m, horizon, &NOOP);
-    let cold_par = scan_layer_valence_connectivity_parallel(&mut deep_par, 2, true, 4);
-    assert_eq!(cold_seq, cold_par, "seq/par cold scans disagree");
+    let mut deep = ValenceSolver::with_observer(&m, horizon, &NOOP);
+    let cold_deep = scan_layer_valence_connectivity(&mut deep, 2, true);
 
-    for threads in [0, 4] {
-        let (space, _, _) = load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("snapshot reloads");
-        let mut resumed = ValenceSolver::with_space(&m, horizon, space, &NOOP);
-        let scan = if threads == 0 {
-            scan_layer_valence_connectivity(&mut resumed, 2, true)
-        } else {
-            scan_layer_valence_connectivity_parallel(&mut resumed, 2, true, threads)
-        };
-        assert_eq!(scan, cold_seq, "resumed scan (threads={threads}) diverged");
-    }
+    let (space, _, _) = load_arena::<_, Plain>(&m, &bytes, &NOOP).expect("snapshot reloads");
+    let mut resumed = ValenceSolver::with_space(&m, horizon, space, &NOOP);
+    let scan = scan_layer_valence_connectivity(&mut resumed, 2, true);
+    assert_eq!(scan, cold_deep, "resumed scan diverged");
 }
 
 /// The quotient acceptance case at n = 4: same shape through the
@@ -153,22 +142,13 @@ fn resumed_quotient_scan_is_bit_identical_at_n4() {
     scan_layer_valence_connectivity(&mut cold, 1, true);
     let (bytes, _) = save_arena(cold.space(), &meta(4, horizon, 1, "full"), &NOOP);
 
-    let mut deep_seq = QuotientSolver::with_observer(&m, horizon, &NOOP);
-    let cold_seq = scan_layer_valence_connectivity(&mut deep_seq, 2, true);
-    let mut deep_par = QuotientSolver::with_observer(&m, horizon, &NOOP);
-    let cold_par = scan_layer_valence_connectivity_parallel(&mut deep_par, 2, true, 4);
-    assert_eq!(cold_seq, cold_par, "seq/par cold scans disagree");
+    let mut deep = QuotientSolver::with_observer(&m, horizon, &NOOP);
+    let cold_deep = scan_layer_valence_connectivity(&mut deep, 2, true);
 
-    for threads in [0, 4] {
-        let (space, _, _) = load_arena::<_, Orbits>(&m, &bytes, &NOOP).expect("snapshot reloads");
-        let mut resumed = QuotientSolver::with_space(&m, horizon, space, &NOOP);
-        let scan = if threads == 0 {
-            scan_layer_valence_connectivity(&mut resumed, 2, true)
-        } else {
-            scan_layer_valence_connectivity_parallel(&mut resumed, 2, true, threads)
-        };
-        assert_eq!(scan, cold_seq, "resumed scan (threads={threads}) diverged");
-    }
+    let (space, _, _) = load_arena::<_, Orbits>(&m, &bytes, &NOOP).expect("snapshot reloads");
+    let mut resumed = QuotientSolver::with_space(&m, horizon, space, &NOOP);
+    let scan = scan_layer_valence_connectivity(&mut resumed, 2, true);
+    assert_eq!(scan, cold_deep, "resumed scan diverged");
 }
 
 /// Differential refresh after a deadline move: rows far from the deadline

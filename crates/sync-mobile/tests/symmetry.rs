@@ -6,8 +6,8 @@
 use std::collections::HashSet;
 
 use layered_core::{
-    build_bivalent_run, scan_layer_valence_connectivity, scan_layer_valence_connectivity_parallel,
-    ImpossibilityWitness, LayeredModel, PidPerm, QuotientSolver, Symmetric, ValenceSolver,
+    build_bivalent_run, scan_layer_valence_connectivity, ImpossibilityWitness, LayeredModel,
+    PidPerm, QuotientSolver, Symmetric, ValenceSolver,
 };
 use layered_protocols::FloodMin;
 use layered_sync_mobile::{MobileLayering, MobileModel};
@@ -83,18 +83,6 @@ fn quotient_and_full_scans_agree_at_n3() {
     let quot = scan_layer_valence_connectivity(&mut quot_solver, 1, true);
     assert_eq!(full.violation.is_none(), quot.violation.is_none());
     assert!(quot.states_seen <= full.states_seen);
-}
-
-#[test]
-fn quotient_scan_parallel_matches_sequential() {
-    let m = sym_model(3, 2);
-    let mut seq = QuotientSolver::new(&m, 2);
-    let a = scan_layer_valence_connectivity(&mut seq, 1, true);
-    let mut par = QuotientSolver::new(&m, 2);
-    let b = scan_layer_valence_connectivity_parallel(&mut par, 1, true, 4);
-    assert_eq!(a.layers_checked, b.layers_checked);
-    assert_eq!(a.states_seen, b.states_seen);
-    assert_eq!(a.violation.is_none(), b.violation.is_none());
 }
 
 #[test]
