@@ -95,6 +95,9 @@ proptest! {
     }
 }
 
+/// The levels of one expansion, and the bulk and the lazy arena.
+type Expanded<M, K> = (Vec<Vec<StateId>>, Arena<M, K>, Arena<M, K>);
+
 /// Expands `roots` for `horizon` layers twice under keying `K`: in bulk,
 /// and lazily (roots interned with `intern`, then each level's rows asked
 /// for one state at a time). Asserts the two agree on levels, sizes,
@@ -105,7 +108,7 @@ fn bulk_and_lazy<M: LayeredModel, K: Keying<M>>(
     roots: &[M::State],
     horizon: usize,
     intern: impl Fn(&mut Arena<M, K>, &M::State) -> StateId,
-) -> (Vec<Vec<StateId>>, Arena<M, K>, Arena<M, K>) {
+) -> Expanded<M, K> {
     let mut bulk = Arena::<M, K>::for_model(m);
     let levels = bulk.expand_layers(m, roots, horizon, &NoopObserver);
 
