@@ -1533,6 +1533,24 @@ mod tests {
     }
 
     #[test]
+    fn fresh_arenas_expand_identically() {
+        // Interning order depends only on the model and the roots, so two
+        // fresh arenas assign the same ids, levels and successor rows.
+        let m = CounterModel::new(3, 4);
+        let roots = m.initial_states();
+        let mut a: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        let mut b: StateSpace<CounterModel> = StateSpace::for_model(&m);
+        let levels = a.expand_layers(&m, &roots, 3, &NOOP);
+        assert_eq!(levels, b.expand_layers(&m, &roots, 3, &NOOP));
+        assert_eq!(a.len(), b.len());
+        for k in 0..a.len() {
+            let id = StateId(k as u32);
+            assert_eq!(a.resolve(id), b.resolve(id));
+            assert_eq!(a.cached_successors(id), b.cached_successors(id));
+        }
+    }
+
+    #[test]
     fn quotient_interning_collapses_orbits() {
         let m = CounterModel::new(3, 2);
         let mut q: QuotientSpace<CounterModel> = QuotientSpace::for_model(&m);
