@@ -15,7 +15,12 @@
 //! tolerances documented in [`layered_bench::regress`]. The fresh run is
 //! repeated three times: the samples must agree on every work counter and
 //! verdict, and each key is gated on its least wall time
-//! ([`layered_bench::regress::fold_samples`]). Exits 1 on a regression or
+//! ([`layered_bench::regress::fold_samples`]). Each sample is followed by
+//! a run of the same experiments under a no-op observer
+//! ([`layered_bench::unobserved`]); each key's least registry wall over
+//! its least no-op wall is printed and written into its record
+//! as [`OVERHEAD_FIELD`](layered_bench::regress::OVERHEAD_FIELD), reported
+//! and not gated. Exits 1 on a regression or
 //! a disagreement between samples, 2 on usage or I/O errors.
 //!
 //! * `--baseline <path>` — a committed record file; repeatable. Defaults to
@@ -23,7 +28,8 @@
 //! * `--fresh <path>` — gate the records in `<path>` instead of running the
 //!   experiments (the hook the negative test uses).
 //! * `--out <path>` — write the fresh records, each key's least-wall
-//!   sample, to `<path>` (the next committed `BENCH_PR<k>.json`).
+//!   sample with its registry overhead, to `<path>` (the next committed
+//!   `BENCH_PR<k>.json`).
 //!
 //! The tolerances are [`Tolerance::default`]'s and the lint gate's budget
 //! is [`LINT_BUDGET_MS`]; neither has a command-line override, so a bar
@@ -33,8 +39,8 @@
 //! anything: the lint must stay cheap enough to run on every push.
 
 use layered_bench::regress::{
-    collect_baselines, compare, fold_samples, sort_commit_order, verdict_table, BenchRecord,
-    Tolerance, Verdict,
+    collect_baselines, compare, fold_samples, sort_commit_order, verdict_table,
+    with_registry_overhead, BenchRecord, Tolerance, Verdict,
 };
 use layered_bench::{
     layer_scan, lemma_7_1, lower_bound, resume_roundtrip, task_solvability, theorem_4_2,
@@ -181,6 +187,30 @@ fn fresh_run() -> Vec<String> {
     .collect()
 }
 
+/// `lines` with their registry overhead priced against the least wall of
+/// each experiment over the [`unobserved`] samples `noop`, which list the
+/// same experiments in the same order; prints the ratios.
+///
+/// [`unobserved`]: layered_bench::unobserved
+fn price_registry(lines: &[String], noop: &[Vec<String>]) -> Result<Vec<String>, String> {
+    println!("Registry overhead (least registry wall / least no-op wall):");
+    lines
+        .iter()
+        .enumerate()
+        .map(|(i, line)| {
+            let key = BenchRecord::parse(line)?.key;
+            let mut noop_wall = u64::MAX;
+            for sample in noop {
+                let noop_line = sample.get(i).ok_or("no-op sample is short")?;
+                noop_wall = noop_wall.min(BenchRecord::parse(noop_line)?.wall_ns);
+            }
+            let (priced, ratio) = with_registry_overhead(line, noop_wall)?;
+            println!("  {key:<16} {}.{:03}", ratio / 1000, ratio % 1000);
+            Ok(priced)
+        })
+        .collect()
+}
+
 fn main() {
     let opts = match parse_args() {
         Ok(opts) => opts,
@@ -208,6 +238,7 @@ fn main() {
     }
     let baselines = collect_baselines(&baseline_records);
 
+    let mut noop_samples: Vec<Vec<String>> = Vec::new();
     let samples: Vec<Vec<String>> = match &opts.fresh {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(text) => vec![text
@@ -223,9 +254,15 @@ fn main() {
         },
         None => {
             println!(
-                "Running fresh experiments {SAMPLES} times (E-scan n=4, E-sym n=4/5/6/7, E-resume n=4, E-6.3 full, E-4.2 full, E-7.3 full, E-7.1 full)..."
+                "Running fresh experiments {SAMPLES} times (E-scan n=4, E-sym n=4/5/6/7, E-resume n=4, E-6.3 full, E-4.2 full, E-7.3 full, E-7.1 full), each time also under a no-op observer..."
             );
-            (0..SAMPLES).map(|_| fresh_run()).collect()
+            (0..SAMPLES)
+                .map(|_| {
+                    let sample = fresh_run();
+                    noop_samples.push(layered_bench::unobserved(fresh_run));
+                    sample
+                })
+                .collect()
         }
     };
     let parsed: Vec<Vec<BenchRecord>> = match samples
@@ -249,16 +286,26 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let fresh_lines: Vec<&str> = chosen
+    let mut fresh_lines: Vec<String> = chosen
         .iter()
         .enumerate()
-        .map(|(i, &s)| samples[s][i].as_str())
+        .map(|(i, &s)| samples[s][i].clone())
         .collect();
     let fresh: Vec<BenchRecord> = chosen
         .iter()
         .enumerate()
         .map(|(i, &s)| parsed[s][i].clone())
         .collect();
+
+    if !noop_samples.is_empty() {
+        match price_registry(&fresh_lines, &noop_samples) {
+            Ok(priced) => fresh_lines = priced,
+            Err(msg) => {
+                eprintln!("error: no-op samples: {msg}");
+                std::process::exit(2);
+            }
+        }
+    }
 
     if let Some(path) = &opts.out {
         if let Err(e) = std::fs::write(path, fresh_lines.join("\n") + "\n") {

@@ -26,7 +26,7 @@
 //! something for the experiment to pass.
 
 use layered_core::report::Table;
-use layered_core::telemetry::{clock, Observer};
+use layered_core::telemetry::{clock, names, Observer};
 use layered_core::{
     load_arena, save_arena, scan_layer_valence_connectivity, ArenaMeta, Keying, Orbits, Plain,
     QuotientSolver, Solver,
@@ -135,10 +135,10 @@ pub fn resume_roundtrip(cfg: &ScanConfig) -> Experiment {
             // resume-and-extend.
             let quot = round_trip::<Orbits>(&cfg, &m, horizon, "full", obs);
             let speedup_x1000 = quot.cold_ns.saturating_mul(1000) / quot.warm_ns;
-            obs.gauge("scan.sym.n", cfg.n as u64);
-            obs.gauge("scan.resume.cold_wall_ns", quot.cold_ns);
-            obs.gauge("scan.resume.warm_wall_ns", quot.warm_ns);
-            obs.gauge("scan.resume.speedup_x1000", speedup_x1000);
+            obs.gauge(names::SCAN_SYM_N, cfg.n as u64);
+            obs.gauge(names::SCAN_RESUME_COLD_WALL_NS, quot.cold_ns);
+            obs.gauge(names::SCAN_RESUME_WARM_WALL_NS, quot.warm_ns);
+            obs.gauge(names::SCAN_RESUME_SPEEDUP_X1000, speedup_x1000);
             table.row_owned(vec![
                 "quotient".to_string(),
                 format!("warm reload @ depth {depth0}"),

@@ -12,7 +12,7 @@ use std::path::Path;
 use layered_cert::{CertKind, CertMeta, Certificate};
 use layered_core::report::Table;
 use layered_core::telemetry::json::Json;
-use layered_core::telemetry::{clock, Observer};
+use layered_core::telemetry::{clock, names, Observer};
 use layered_core::{
     load_arena, save_arena, scan_layer_valence_connectivity, witness_to_json, Arena, ArenaMeta,
     ImpossibilityWitness, Keying, LayerScan, LayeredModel, MemoryFootprint, Orbits, Plain, Solver,
@@ -308,12 +308,15 @@ impl ScanKeying for Orbits {
 
         // Headline numbers as gauges so the JSON record carries the
         // full-vs-quotient comparison as stable machine-readable fields.
-        obs.gauge("scan.sym.n", cfg.n as u64);
-        obs.gauge("scan.sym.quotient.states_seen", quot.states_seen as u64);
-        obs.gauge("scan.sym.quotient.wall_ns", (quot_ms * 1e6) as u64);
+        obs.gauge(names::SCAN_SYM_N, cfg.n as u64);
+        obs.gauge(
+            names::SCAN_SYM_QUOTIENT_STATES_SEEN,
+            quot.states_seen as u64,
+        );
+        obs.gauge(names::SCAN_SYM_QUOTIENT_WALL_NS, (quot_ms * 1e6) as u64);
         if let Some((scan, ms)) = &full {
-            obs.gauge("scan.sym.full.states_seen", scan.states_seen as u64);
-            obs.gauge("scan.sym.full.wall_ns", (*ms * 1e6) as u64);
+            obs.gauge(names::SCAN_SYM_FULL_STATES_SEEN, scan.states_seen as u64);
+            obs.gauge(names::SCAN_SYM_FULL_WALL_NS, (*ms * 1e6) as u64);
         }
 
         let parity = full

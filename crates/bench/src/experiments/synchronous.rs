@@ -2,7 +2,7 @@
 //! surrounding lemmas in the t-resilient synchronous model.
 
 use layered_core::report::{yes_no, Table};
-use layered_core::telemetry::{Observer, NOOP};
+use layered_core::telemetry::{names, Observer, NOOP};
 use layered_core::{check_consensus, Region, Valence, ValenceSolver};
 use layered_protocols::FloodMin;
 use layered_sync_crash::{
@@ -229,7 +229,7 @@ pub fn early_stopping(scope: Scope) -> Experiment {
                     acc: &mut std::collections::BTreeMap<usize, (usize, usize, usize)>,
                     obs: &dyn Observer,
                 ) {
-                    obs.counter("engine.states_visited", 1);
+                    obs.counter(names::ENGINE_STATES_VISITED, 1);
                     let first_done = first_done.or_else(|| all_decided(m, x).then_some(depth));
                     if depth == horizon {
                         let f = m.non_failed(x).len();

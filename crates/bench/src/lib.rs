@@ -16,9 +16,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::cell::Cell;
+
 use layered_core::report::Table;
 use layered_core::telemetry::json::Json;
-use layered_core::telemetry::{Fanout, MetricsRegistry, MetricsSnapshot, Observer, Span, NOOP};
+use layered_core::telemetry::{
+    clock, names, Fanout, MetricsRegistry, MetricsSnapshot, Observer, Span, NOOP,
+};
 
 mod experiments {
     pub mod certstore;
@@ -121,6 +125,23 @@ impl Experiment {
     }
 }
 
+thread_local! {
+    /// Set while [`unobserved`] runs: experiment bodies get [`NOOP`].
+    static UNOBSERVED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with every experiment it runs on this thread observed by
+/// [`NOOP`] instead of a [`MetricsRegistry`]. Their tables and verdicts
+/// are unchanged, and their metrics hold only the `experiment.run` wall.
+/// `bench regress` compares that wall with a registry-observed run to
+/// price the registry.
+pub fn unobserved<T>(f: impl FnOnce() -> T) -> T {
+    let was = UNOBSERVED.replace(true);
+    let out = f();
+    UNOBSERVED.set(was);
+    out
+}
+
 /// Runs an experiment body against a fresh [`MetricsRegistry`], timing it
 /// via the `experiment.run` span and freezing the telemetry into the
 /// returned [`Experiment`].
@@ -129,7 +150,7 @@ pub(crate) fn measured(
     claim: &'static str,
     body: impl FnOnce(&dyn Observer) -> (Table, bool),
 ) -> Experiment {
-    measured_with(id, claim, &NOOP, body)
+    measured_on(id, claim, None, body)
 }
 
 /// [`measured`] with a second observer teed alongside the registry —
@@ -141,12 +162,27 @@ pub(crate) fn measured_with(
     extra: &dyn Observer,
     body: impl FnOnce(&dyn Observer) -> (Table, bool),
 ) -> Experiment {
+    measured_on(id, claim, Some(extra), body)
+}
+
+fn measured_on(
+    id: &'static str,
+    claim: &'static str,
+    extra: Option<&dyn Observer>,
+    body: impl FnOnce(&dyn Observer) -> (Table, bool),
+) -> Experiment {
     let registry = MetricsRegistry::new();
-    let (table, ok) = {
+    let (table, ok) = if UNOBSERVED.get() {
+        let started = clock::monotonic_ns();
+        let out = body(extra.unwrap_or(&NOOP));
+        let wall = clock::monotonic_ns().saturating_sub(started);
+        registry.span_end(names::EXPERIMENT_RUN, wall);
+        out
+    } else if let Some(extra) = extra {
         let targets: [&dyn Observer; 2] = [&registry, extra];
-        let fan = Fanout::new(&targets);
-        let _run_span = Span::enter(&fan, "experiment.run");
-        body(&fan)
+        run_spanned(&Fanout::new(&targets), body)
+    } else {
+        run_spanned(&registry, body)
     };
     Experiment {
         id,
@@ -155,6 +191,12 @@ pub(crate) fn measured_with(
         ok,
         metrics: registry.snapshot(),
     }
+}
+
+/// Runs `body` on `obs` inside the `experiment.run` span.
+fn run_spanned<T>(obs: &dyn Observer, body: impl FnOnce(&dyn Observer) -> T) -> T {
+    let _run_span = Span::enter(obs, names::EXPERIMENT_RUN);
+    body(obs)
 }
 
 /// Runs every experiment at the given scope, in paper order.

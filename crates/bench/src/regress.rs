@@ -308,6 +308,34 @@ pub fn compare(baselines: &Baselines, fresh: &[BenchRecord], tol: Tolerance) -> 
         .collect()
 }
 
+/// The record field `bench regress` adds to each record it writes: the
+/// record's wall over the same experiment's least wall in as many
+/// [`unobserved`](crate::unobserved) runs, interleaved with the gated
+/// samples, ×1000 (`1030` reads "the registry costs 3%"). Reported, not
+/// gated.
+pub const OVERHEAD_FIELD: &str = "registry_overhead_x1000";
+
+/// `line`, one canonical record, with [`OVERHEAD_FIELD`] set against a
+/// no-op wall of `noop_wall_ns`, and the field's value.
+///
+/// # Errors
+///
+/// `line` is not a JSON object with a numeric `wall_ns`.
+pub fn with_registry_overhead(line: &str, noop_wall_ns: u64) -> Result<(String, u64), String> {
+    let json = Json::parse(line).map_err(|e| format!("bad record: {e}"))?;
+    let wall_ns = json
+        .get("wall_ns")
+        .and_then(Json::as_u64)
+        .ok_or("record has no numeric `wall_ns`")?;
+    let Json::Object(mut fields) = json else {
+        return Err("record is not an object".to_string());
+    };
+    let ratio = wall_ns.saturating_mul(1000) / noop_wall_ns.max(1);
+    fields.retain(|(k, _)| k != OVERHEAD_FIELD);
+    fields.push((OVERHEAD_FIELD.to_string(), Json::from(ratio)));
+    Ok((Json::Object(fields).canonicalize().to_string(), ratio))
+}
+
 /// Renders the verdicts as a report table.
 #[must_use]
 pub fn verdict_table(verdicts: &[Verdict]) -> Table {
@@ -334,6 +362,25 @@ pub fn verdict_table(verdicts: &[Verdict]) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn overhead_field_is_the_wall_ratio_in_thousandths() {
+        let line = r#"{"id":"E-4.2","ok":true,"wall_ns":2060}"#;
+        let (out, ratio) = with_registry_overhead(line, 2000).expect("object record");
+        assert_eq!(ratio, 1030);
+        assert_eq!(
+            out,
+            r#"{"id":"E-4.2","ok":true,"registry_overhead_x1000":1030,"wall_ns":2060}"#
+        );
+        // Re-pricing replaces the field, and the record still parses.
+        let (again, _) = with_registry_overhead(&out, 2060).expect("object record");
+        assert!(
+            again.contains(r#""registry_overhead_x1000":1000"#),
+            "{again}"
+        );
+        assert_eq!(BenchRecord::parse(&again).map(|r| r.wall_ns), Ok(2060));
+        assert!(with_registry_overhead("[1]", 1).is_err());
+    }
 
     #[test]
     fn bench_files_sort_by_pr_number() {

@@ -34,7 +34,7 @@
 //!   schedules.
 
 use layered_core::telemetry::json::Json;
-use layered_core::telemetry::Observer;
+use layered_core::telemetry::{names, Observer};
 use layered_core::{
     scan_layer_valence_connectivity, undecided_non_failed, witness_from_json, witness_to_json,
     ImpossibilityWitness, LayeredModel, SimModel, ValenceSolver, MAX_HORIZON,
@@ -485,8 +485,8 @@ fn check_crash_budget(n: usize, t: usize) -> Result<usize, RegistryError> {
 pub fn verify(cert: &Certificate, obs: &dyn Observer) -> Result<(), RegistryError> {
     let result = verify_inner(cert);
     match &result {
-        Ok(()) => obs.counter("cert.verify.ok", 1),
-        Err(_) => obs.counter("cert.verify.fail", 1),
+        Ok(()) => obs.counter(names::CERT_VERIFY_OK, 1),
+        Err(_) => obs.counter(names::CERT_VERIFY_FAIL, 1),
     }
     result
 }

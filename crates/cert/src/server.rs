@@ -28,7 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 
 use layered_core::telemetry::clock;
-use layered_core::telemetry::{MetricsRegistry, Observer};
+use layered_core::telemetry::{names, MetricsRegistry, Observer};
 
 use crate::cert::Certificate;
 use crate::registry;
@@ -155,7 +155,7 @@ impl CertServer {
             let config = self.config;
             std::thread::spawn(move || {
                 if handle_connection(stream, &store, &metrics, config).is_err() {
-                    metrics.counter("cert.server.errors", 1);
+                    metrics.counter(names::CERT_SERVER_ERRORS, 1);
                 }
             });
         }
@@ -174,12 +174,12 @@ fn handle_connection(
         Some(path) => route(&path, store, metrics, config),
         None => Response::text(400, "Bad Request", "only GET is supported\n"),
     };
-    metrics.counter("cert.server.requests", 1);
+    metrics.counter(names::CERT_SERVER_REQUESTS, 1);
     if response.status >= 400 {
-        metrics.counter("cert.server.errors", 1);
+        metrics.counter(names::CERT_SERVER_ERRORS, 1);
     }
     metrics.histogram(
-        "cert.server.request_ns",
+        names::CERT_SERVER_REQUEST_NS,
         clock::monotonic_ns().saturating_sub(started),
     );
     response.write_to(&mut stream)
@@ -264,7 +264,7 @@ fn serve_query(
         match guard.query(&model, n, &claim).map(|e| e.hash.clone()) {
             Some(hash) => guard.get(&hash, metrics).transpose(),
             None => {
-                metrics.counter("cert.store.misses", 1);
+                metrics.counter(names::CERT_STORE_MISSES, 1);
                 None
             }
         }
@@ -288,7 +288,7 @@ fn serve_query(
     }
     match registry::compute(&model, n, &claim, metrics) {
         Ok(cert) => {
-            metrics.counter("cert.server.computed", 1);
+            metrics.counter(names::CERT_SERVER_COMPUTED, 1);
             let put = {
                 let mut guard = store.lock().expect("store mutex poisoned");
                 guard.put(&cert, metrics)

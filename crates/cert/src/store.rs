@@ -24,7 +24,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use layered_core::telemetry::json::Json;
-use layered_core::telemetry::Observer;
+use layered_core::telemetry::{names, Observer};
 
 use crate::cert::{CertError, Certificate};
 use crate::hash::{is_hash, sha256_hex};
@@ -184,7 +184,7 @@ impl CertStore {
             std::fs::write(&tmp, bytes.as_bytes())
                 .map_err(|e| StoreError::Io("write object", e))?;
             std::fs::rename(&tmp, &path).map_err(|e| StoreError::Io("commit object", e))?;
-            obs.counter("cert.store.puts", 1);
+            obs.counter(names::CERT_STORE_PUTS, 1);
         }
         let entry = IndexEntry {
             model: cert.meta.model.clone(),
@@ -226,7 +226,7 @@ impl CertStore {
         }
         let path = self.object_path(hash);
         if !path.exists() {
-            obs.counter("cert.store.misses", 1);
+            obs.counter(names::CERT_STORE_MISSES, 1);
             return Ok(None);
         }
         let bytes = std::fs::read(&path).map_err(|e| StoreError::Io("read object", e))?;
@@ -239,7 +239,7 @@ impl CertStore {
             hash: hash.to_string(),
             error,
         })?;
-        obs.counter("cert.store.hits", 1);
+        obs.counter(names::CERT_STORE_HITS, 1);
         Ok(Some(cert))
     }
 

@@ -9,8 +9,8 @@
 //! * the input assignment of the initial state, and
 //! * for each step, the **index** of the chosen successor within
 //!   `model.successors(x)` (whose order is deterministic under the repo's
-//!   determinism contract — the same contract the seq ≡ par bit-identity
-//!   tests enforce).
+//!   determinism contract, which the model crates' layer differential
+//!   tests and the byte-stability suite enforce).
 //!
 //! Decoding replays the path from `initial_state(inputs)`, so a decoded
 //! trace is a genuine `S`-execution *by construction*. To detect drift

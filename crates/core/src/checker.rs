@@ -23,7 +23,7 @@ use std::collections::HashSet;
 use std::ops::ControlFlow;
 
 use crate::space::{walk, NextLevel, Region, StateId, StateSpace};
-use crate::telemetry::{Observer, Span, NOOP};
+use crate::telemetry::{names, Observer, Span, NOOP};
 use crate::{LayeredModel, Pid, Value};
 
 /// A violation of one of the three consensus requirements, with its witness
@@ -203,20 +203,20 @@ pub fn sweep<M: LayeredModel, V>(
     obs: &dyn Observer,
     mut check: impl FnMut(&M::State, bool) -> Vec<V>,
 ) -> (usize, Vec<V>) {
-    let _span = Span::enter(obs, "checker.sweep");
+    let _span = Span::enter(obs, names::CHECKER_SWEEP);
     let mut visited = 0;
     let mut violations = Vec::new();
     let mut space = StateSpace::for_model(model);
     let mut first = NextLevel::default();
     first.offer(roots.into_iter().map(|x| space.intern_owned(x, obs)), &NOOP);
     walk(first, horizon + 1, |depth, level, next| {
-        obs.gauge("engine.frontier_width", level.len() as u64);
+        obs.gauge(names::ENGINE_FRONTIER_WIDTH, level.len() as u64);
         for &id in level {
             visited += 1;
-            obs.counter("engine.states_visited", 1);
+            obs.counter(names::ENGINE_STATES_VISITED, 1);
             for v in check(&space.state(id), depth == horizon) {
                 if violations.len() < max_violations {
-                    obs.counter("checker.violations", 1);
+                    obs.counter(names::CHECKER_VIOLATIONS, 1);
                     violations.push(v);
                 }
             }

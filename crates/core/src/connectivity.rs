@@ -16,7 +16,7 @@ use std::fmt::Debug;
 
 use crate::graph::Graph;
 use crate::space::{Keying, StateId};
-use crate::telemetry::{Observer, NOOP};
+use crate::telemetry::{names, Observer, NOOP};
 use crate::valence::{Solver, Valences};
 use crate::{LayeredModel, Pid, ValenceSolver, Value};
 
@@ -68,10 +68,10 @@ pub fn similarity_graph<M: LayeredModel>(
     obs: &dyn Observer,
 ) -> Graph {
     Graph::from_predicate(states.len(), |a, b| {
-        obs.counter("connectivity.pairs_tested", 1);
+        obs.counter(names::CONNECTIVITY_PAIRS_TESTED, 1);
         let edge = similar(model, &states[a], &states[b]);
         if edge {
-            obs.counter("connectivity.similarity_edges", 1);
+            obs.counter(names::CONNECTIVITY_SIMILARITY_EDGES, 1);
         }
         edge
     })
@@ -278,7 +278,7 @@ pub fn similarity_chain_between<M: LayeredModel>(
 ) -> Option<SimilarityChain<M::State>> {
     let g = similarity_graph(model, states, obs);
     let path = g.shortest_path(from, to)?;
-    obs.gauge("connectivity.chain_length", (path.len() - 1) as u64);
+    obs.gauge(names::CONNECTIVITY_CHAIN_LENGTH, (path.len() - 1) as u64);
     let chain_states: Vec<M::State> = path.iter().map(|&i| states[i].clone()).collect();
     let witnesses: Vec<SimilarityWitness> = chain_states
         .windows(2)

@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use crate::telemetry::{MemoryBreakdown, MemoryFootprint, Observer};
+use crate::telemetry::{names, MemoryBreakdown, MemoryFootprint, Observer};
 
 /// Disjoint-set forest with union by rank and path halving.
 ///
@@ -201,7 +201,7 @@ impl Graph {
         dist[src] = Some(0);
         let mut q = VecDeque::from([src]);
         while let Some(v) = q.pop_front() {
-            obs.counter("graph.bfs_visits", 1);
+            obs.counter(names::GRAPH_BFS_VISITS, 1);
             let dv = dist[v].expect("queued vertices have distances");
             for &w in &self.adj[v] {
                 if dist[w].is_none() {
@@ -209,7 +209,7 @@ impl Graph {
                     q.push_back(w);
                 }
             }
-            obs.gauge("graph.bfs_frontier", q.len() as u64);
+            obs.gauge(names::GRAPH_BFS_FRONTIER, q.len() as u64);
         }
         dist
     }
@@ -279,7 +279,7 @@ impl MemoryFootprint for Graph {
             .map(|l| l.capacity() as u64 * std::mem::size_of::<usize>() as u64)
             .sum();
         let mut b = MemoryBreakdown::new();
-        b.push("mem.graph.adj_bytes", spine + lists);
+        b.push(names::MEM_GRAPH_ADJ_BYTES, spine + lists);
         b
     }
 }

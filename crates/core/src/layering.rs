@@ -25,7 +25,7 @@ use std::ops::ControlFlow;
 use crate::connectivity::{valence_report_ids, ConnectivityReport};
 use crate::model::ExecutionTrace;
 use crate::space::{walk, Keying, NextLevel, StateId};
-use crate::telemetry::{Span, NOOP};
+use crate::telemetry::{names, Span, NOOP};
 use crate::valence::{undecided_non_failed, Solver, Valence};
 use crate::{LayeredModel, ValenceSolver};
 
@@ -41,7 +41,7 @@ pub fn bivalent_successor_id<M: LayeredModel, K: Keying<M>>(
 ) -> Option<StateId> {
     let obs = solver.observer();
     solver.successor_ids(x).into_iter().find(|&y| {
-        obs.counter("layering.candidates_tested", 1);
+        obs.counter(names::LAYERING_CANDIDATES_TESTED, 1);
         solver.is_bivalent_id(y)
     })
 }
@@ -109,8 +109,8 @@ pub fn build_bivalent_run<M: LayeredModel, K: Keying<M>>(
 ) -> BivalentRunOutcome<M::State> {
     let Some(x0) = solver.bivalent_initial_id() else {
         let obs = solver.observer();
-        obs.counter("layering.stuck", 1);
-        obs.event("layering.stuck", "no_bivalent_initial_state");
+        obs.counter(names::LAYERING_STUCK, 1);
+        obs.event(names::LAYERING_STUCK, "no_bivalent_initial_state");
         return BivalentRunOutcome {
             chain: None,
             stuck: Some(Stuck::NoBivalentInitialState),
@@ -146,7 +146,7 @@ fn run_from<M: LayeredModel, K: Keying<M>>(
         "extend_bivalent_run requires a bivalent starting state"
     );
     let (chain, stuck, undecided_per_state) = {
-        let _span = Span::enter(solver.observer(), "layering.bivalent_run");
+        let _span = Span::enter(solver.observer(), names::LAYERING_BIVALENT_RUN);
         extend_chain(solver, start, steps)
     };
     let states = solver
@@ -175,18 +175,18 @@ fn extend_chain<M: LayeredModel, K: Keying<M>>(
         let x = *chain.last().expect("chain is non-empty");
         match bivalent_successor_id(solver, x) {
             Some(y) => {
-                obs.counter("layering.extensions", 1);
+                obs.counter(names::LAYERING_EXTENSIONS, 1);
                 undecided.push(undecided_non_failed(model, &solver.space().resolve(y)).len());
                 chain.push(y);
-                obs.gauge("layering.run_length", (chain.len() - 1) as u64);
+                obs.gauge(names::LAYERING_RUN_LENGTH, (chain.len() - 1) as u64);
             }
             None => {
                 let layer = solver.successor_ids(x);
                 let report = valence_report_ids(solver, &layer);
                 let depth = model.depth(&solver.space().resolve(x));
-                obs.counter("layering.stuck", 1);
+                obs.counter(names::LAYERING_STUCK, 1);
                 obs.event(
-                    "layering.stuck",
+                    names::LAYERING_STUCK,
                     &format!(
                         "no_bivalent_successor depth={depth} layer_{}={} components={}",
                         K::UNIT,
@@ -251,21 +251,24 @@ pub fn scan_layer_valence_connectivity<M: LayeredModel, K: Keying<M>>(
 ) -> LayerScan<M::State> {
     let model = solver.model();
     let obs = solver.observer();
-    let _span = Span::enter(obs, "layering.layer_scan");
+    let _span = Span::enter(obs, names::LAYERING_LAYER_SCAN);
     let mut first = NextLevel::default();
     let initial = model.initial_states();
     first.offer(initial.iter().map(|x| solver.intern_id(x)), &NOOP);
     let mut states_seen = first.ids().len();
     let mut layers_checked = 0;
-    obs.gauge("engine.frontier_width", states_seen as u64);
+    obs.gauge(names::ENGINE_FRONTIER_WIDTH, states_seen as u64);
     let violation = walk(first, depth_limit + 1, |_, level, next| {
         for &id in level {
-            obs.counter("engine.states_visited", 1);
-            let _check_span =
-                Span::enter_with(obs, "layering.check_layer", &[("state", id.index() as u64)]);
+            obs.counter(names::ENGINE_STATES_VISITED, 1);
+            let _check_span = Span::enter_with(
+                obs,
+                names::LAYERING_CHECK_LAYER,
+                &[("state", id.index() as u64)],
+            );
             if only_bivalent {
                 let bivalent = {
-                    let _classify_span = Span::enter(obs, "valence.classify");
+                    let _classify_span = Span::enter(obs, names::VALENCE_CLASSIFY);
                     solver.is_bivalent_id(id)
                 };
                 if !bivalent {
@@ -275,10 +278,10 @@ pub fn scan_layer_valence_connectivity<M: LayeredModel, K: Keying<M>>(
             let layer = solver.successor_ids(id);
             let report = valence_report_ids(solver, &layer);
             layers_checked += 1;
-            obs.counter("layering.layers_scanned", 1);
+            obs.counter(names::LAYERING_LAYERS_SCANNED, 1);
             if !report.connected {
                 obs.event(
-                    "layering.scan_violation",
+                    names::LAYERING_SCAN_VIOLATION,
                     &format!(
                         "disconnected layer: {} {} in {} components",
                         report.states,
@@ -292,7 +295,7 @@ pub fn scan_layer_valence_connectivity<M: LayeredModel, K: Keying<M>>(
                 next.offer(layer, obs);
             }
         }
-        obs.gauge("engine.frontier_width", next.ids().len() as u64);
+        obs.gauge(names::ENGINE_FRONTIER_WIDTH, next.ids().len() as u64);
         states_seen += next.ids().len();
         ControlFlow::Continue(())
     });
@@ -361,7 +364,7 @@ fn lemma_sweep<M: LayeredModel>(
     first.offer(initial.iter().map(|x| solver.intern(x)), &NOOP);
     walk(first, depth_limit + 1, |_, level, next| {
         for &id in level {
-            obs.counter("engine.states_visited", 1);
+            obs.counter(names::ENGINE_STATES_VISITED, 1);
             let x = solver.space().resolve(id);
             precheck(model, &x);
             if solver.valence_id(id) == Valence::Bivalent
@@ -373,7 +376,7 @@ fn lemma_sweep<M: LayeredModel>(
                 next.offer(solver.successor_ids(id), obs);
             }
         }
-        obs.gauge("engine.frontier_width", next.ids().len() as u64);
+        obs.gauge(names::ENGINE_FRONTIER_WIDTH, next.ids().len() as u64);
         ControlFlow::Continue(())
     })
 }

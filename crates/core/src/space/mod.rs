@@ -82,7 +82,9 @@ use fxhash::{FxHashMap, FxHasher};
 use self::pack::{word_hash, StatePacker, SPILL_TAG};
 use self::snapshot::{SnapshotError, SnapshotReader};
 use crate::sym::{PidPerm, Symmetric};
-use crate::telemetry::{clock, Heartbeat, MemoryBreakdown, MemoryFootprint, Observer, Span, NOOP};
+use crate::telemetry::{
+    clock, names, Heartbeat, MemoryBreakdown, MemoryFootprint, Observer, Span, NOOP,
+};
 use crate::LayeredModel;
 
 /// FxHash of a full model state (the spill-path hash). Fast
@@ -126,7 +128,7 @@ impl NextLevel {
             if self.seen.insert(id) {
                 self.ids.push(id);
             } else {
-                obs.counter("engine.dedup_hits", 1);
+                obs.counter(names::ENGINE_DEDUP_HITS, 1);
             }
         }
     }
@@ -526,26 +528,29 @@ impl<M: LayeredModel> Keying<M> for Plain {
 
     fn note_probe(obs: &dyn Observer, hit: bool, compared: u64) {
         if hit {
-            obs.counter("space.intern.hits", 1);
-            obs.histogram("space.intern.probe_len", compared);
+            obs.counter(names::SPACE_INTERN_HITS, 1);
+            obs.histogram(names::SPACE_INTERN_PROBE_LEN, compared);
         } else {
-            obs.histogram("space.intern.probe_len", compared);
-            obs.counter("space.intern.misses", 1);
+            obs.histogram(names::SPACE_INTERN_PROBE_LEN, compared);
+            obs.counter(names::SPACE_INTERN_MISSES, 1);
         }
     }
 
     fn note_new(_: &dyn Observer, _: ()) {}
 
     fn note_bulk(obs: &dyn Observer, hits: u64, misses: u64, _: &[()]) {
-        obs.counter("space.intern.hits", hits);
-        obs.counter("space.intern.misses", misses);
+        obs.counter(names::SPACE_INTERN_HITS, hits);
+        obs.counter(names::SPACE_INTERN_MISSES, misses);
     }
 
     fn note_size(_: &dyn Observer, _: &Arena<M, Self>) {}
 
     fn note_refresh(obs: &dyn Observer, report: &DiffReport) {
-        obs.counter("space.resume.rows_reused", report.reused as u64);
-        obs.counter("space.resume.rows_recomputed", report.recomputed as u64);
+        obs.counter(names::SPACE_RESUME_ROWS_REUSED, report.reused as u64);
+        obs.counter(
+            names::SPACE_RESUME_ROWS_RECOMPUTED,
+            report.recomputed as u64,
+        );
     }
 
     fn weigh_extras(_: &Arena<M, Self>, _: &mut MemoryBreakdown) {}
@@ -587,7 +592,7 @@ impl<M: Symmetric> Keying<M> for Orbits {
         x: &'s M::State,
         obs: &dyn Observer,
     ) -> (Cow<'s, M::State>, PidPerm, u64) {
-        let _span = Span::enter(obs, "space.canonicalize");
+        let _span = Span::enter(obs, names::SPACE_CANONICALIZE);
         Self::key(model, x)
     }
 
@@ -603,17 +608,17 @@ impl<M: Symmetric> Keying<M> for Orbits {
 
     fn note_probe(obs: &dyn Observer, hit: bool, _: u64) {
         if hit {
-            obs.counter("space.canon.hits", 1);
+            obs.counter(names::SPACE_CANON_HITS, 1);
         }
     }
 
     fn note_new(obs: &dyn Observer, orbit: u64) {
-        obs.counter("space.canon.orbit_states", orbit);
+        obs.counter(names::SPACE_CANON_ORBIT_STATES, orbit);
     }
 
     fn note_bulk(obs: &dyn Observer, hits: u64, _: u64, orbits: &[u64]) {
-        obs.counter("space.canon.hits", hits);
-        obs.counter("space.canon.orbit_states", orbits.iter().sum());
+        obs.counter(names::SPACE_CANON_HITS, hits);
+        obs.counter(names::SPACE_CANON_ORBIT_STATES, orbits.iter().sum());
     }
 
     fn note_size(obs: &dyn Observer, arena: &Arena<M, Self>) {
@@ -622,25 +627,28 @@ impl<M: Symmetric> Keying<M> for Orbits {
         // states on average) — see the units table in `telemetry::names`.
         if !arena.is_empty() {
             obs.gauge(
-                "space.quotient.mean_orbit_x1000",
+                names::SPACE_QUOTIENT_MEAN_ORBIT_X1000,
                 arena.covered_states() * 1000 / arena.len() as u64,
             );
         }
     }
 
     fn note_refresh(obs: &dyn Observer, report: &DiffReport) {
-        obs.counter("space.resume.orbits_reused", report.reused as u64);
-        obs.counter("space.resume.orbits_recomputed", report.recomputed as u64);
+        obs.counter(names::SPACE_RESUME_ORBITS_REUSED, report.reused as u64);
+        obs.counter(
+            names::SPACE_RESUME_ORBITS_RECOMPUTED,
+            report.recomputed as u64,
+        );
     }
 
     fn weigh_extras(arena: &Arena<M, Self>, b: &mut MemoryBreakdown) {
         b.push(
-            "mem.space.orbits_bytes",
+            names::MEM_SPACE_ORBITS_BYTES,
             arena.weights.capacity() as u64 * std::mem::size_of::<u64>() as u64,
         );
         let perm_maps: u64 = arena.witnesses.iter().map(|p| p.degree() as u64).sum();
         b.push(
-            "mem.space.perms_bytes",
+            names::MEM_SPACE_PERMS_BYTES,
             arena.witnesses.capacity() as u64 * std::mem::size_of::<PidPerm>() as u64 + perm_maps,
         );
     }
@@ -819,7 +827,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         K::note_probe(obs, hit, compared);
         if !hit {
             K::note_new(obs, weight);
-            obs.gauge("space.states", self.store.len() as u64);
+            obs.gauge(names::SPACE_STATES, self.store.len() as u64);
             K::note_size(obs, self);
         }
         id
@@ -925,7 +933,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
             u32::try_from(self.edges.len() - start as usize).expect("layer larger than u32::MAX");
         self.succ[id.index()] = Some(SuccRange { start, len });
         self.succ_fp[id.index()] = fp;
-        obs.histogram("space.succ_fanout", len.into());
+        obs.histogram(names::SPACE_SUCC_FANOUT, len.into());
     }
 
     /// Keys and interns the raw successors `raw` of `id` one at a time,
@@ -974,7 +982,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     ///
     /// [`cached_successors`]: Arena::cached_successors
     pub fn refresh_differential(&mut self, model: &M, obs: &dyn Observer) -> DiffReport {
-        let _span = Span::enter(obs, "space.resume.refresh");
+        let _span = Span::enter(obs, names::SPACE_RESUME_REFRESH);
         let old_len = self.store.len();
         let old_succ = std::mem::take(&mut self.succ);
         let old_edges = std::mem::take(&mut self.edges);
@@ -1059,7 +1067,7 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
     fn report_bulk(&self, base: usize, hits: u64, obs: &dyn Observer) {
         let misses = (self.store.len() - base) as u64;
         K::note_bulk(obs, hits, misses, &self.weights[base..]);
-        obs.gauge("space.states", self.store.len() as u64);
+        obs.gauge(names::SPACE_STATES, self.store.len() as u64);
         K::note_size(obs, self);
     }
 
@@ -1093,20 +1101,20 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
         horizon: usize,
         obs: &dyn Observer,
     ) -> Vec<Vec<StateId>> {
-        let _span = Span::enter(obs, "space.build");
+        let _span = Span::enter(obs, names::SPACE_BUILD);
         let mut first = NextLevel::default();
         first.offer(
             roots.iter().map(|r| self.intern_state(model, r, obs).0),
             obs,
         );
-        obs.gauge("engine.frontier_width", first.ids().len() as u64);
+        obs.gauge(names::ENGINE_FRONTIER_WIDTH, first.ids().len() as u64);
         let mut levels: Vec<Vec<StateId>> = Vec::with_capacity(horizon + 1);
         levels.push(first.ids().to_vec());
         let mut heartbeat = Heartbeat::new();
         walk(first, horizon, |depth, frontier, next| {
             let _layer_span = Span::enter_with(
                 obs,
-                "space.layer",
+                names::SPACE_LAYER,
                 &[
                     ("depth", depth as u64 + 1),
                     ("frontier", frontier.len() as u64),
@@ -1119,16 +1127,16 @@ impl<M: LayeredModel, K: Keying<M>> Arena<M, K> {
             };
             self.bulk_seq(model, frontier, obs);
             for &id in frontier {
-                obs.counter("engine.states_visited", 1);
+                obs.counter(names::ENGINE_STATES_VISITED, 1);
                 next.offer(self.successor_ids(model, id, obs), obs);
             }
             if obs.enabled() {
                 obs.histogram(
-                    "space.layer_expand_ns",
+                    names::SPACE_LAYER_EXPAND_NS,
                     clock::monotonic_ns().saturating_sub(layer_started),
                 );
             }
-            obs.gauge("engine.frontier_width", next.ids().len() as u64);
+            obs.gauge(names::ENGINE_FRONTIER_WIDTH, next.ids().len() as u64);
             heartbeat.tick(obs, depth + 1, next.ids().len(), self.len());
             levels.push(next.ids().to_vec());
             ControlFlow::<()>::Continue(())
@@ -1330,10 +1338,10 @@ impl<M: LayeredModel, K: Keying<M>> MemoryFootprint for Arena<M, K> {
     /// [`Orbits`] adds its orbit sizes and per-edge permutations.
     fn memory_footprint(&self) -> MemoryBreakdown {
         let mut b = MemoryBreakdown::new();
-        b.push("mem.space.states_bytes", self.store.state_bytes());
-        b.push("mem.space.index_bytes", index_bytes(&self.index));
+        b.push(names::MEM_SPACE_STATES_BYTES, self.store.state_bytes());
+        b.push(names::MEM_SPACE_INDEX_BYTES, index_bytes(&self.index));
         b.push(
-            "mem.space.edges_bytes",
+            names::MEM_SPACE_EDGES_BYTES,
             self.edges.capacity() as u64 * std::mem::size_of::<StateId>() as u64
                 + self.succ.capacity() as u64 * std::mem::size_of::<Option<SuccRange>>() as u64,
         );
@@ -1346,10 +1354,10 @@ impl<M: LayeredModel, K: Keying<M>> MemoryFootprint for Arena<M, K> {
     fn report_memory(&self, obs: &dyn Observer) {
         self.memory_footprint().report(obs);
         obs.gauge(
-            "space.intern.load_x1000",
+            names::SPACE_INTERN_LOAD_X1000,
             self.index.len() as u64 * 1000 / self.index.capacity().max(1) as u64,
         );
-        obs.gauge("space.pack.bytes_saved", self.store.bytes_saved());
+        obs.gauge(names::SPACE_PACK_BYTES_SAVED, self.store.bytes_saved());
     }
 }
 

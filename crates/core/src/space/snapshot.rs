@@ -55,7 +55,7 @@
 //! loading reconstructs the arena exactly — so `save(load(bytes)) ==
 //! bytes`, byte for byte. A solver resumed from a snapshot interns states
 //! and walks CSR rows through the same code paths as a cold one, which is
-//! what keeps resumed sequential and parallel scans bit-identical.
+//! what keeps a resumed scan bit-identical to a cold one.
 
 use std::hash::Hash;
 
@@ -64,7 +64,7 @@ use super::{Arena, Index, Keying, Slot, StateId, Store, SuccRange};
 use crate::hash::{is_hash, Sha256};
 use crate::sym::PidPerm;
 use crate::telemetry::json::Json;
-use crate::telemetry::{clock, Observer, Span};
+use crate::telemetry::{clock, names, Observer, Span};
 use crate::{LayeredModel, Pid, Value};
 
 /// Snapshot format version this module writes and accepts. Version 2 added
@@ -737,7 +737,7 @@ fn measured_save(
     obs: &dyn Observer,
     body: impl FnOnce() -> (Vec<u8>, String),
 ) -> (Vec<u8>, String) {
-    let _span = Span::enter(obs, "space.snapshot.save");
+    let _span = Span::enter(obs, names::SPACE_SNAPSHOT_SAVE);
     let started = if obs.enabled() {
         clock::monotonic_ns()
     } else {
@@ -745,9 +745,9 @@ fn measured_save(
     };
     let (bytes, digest) = body();
     if obs.enabled() {
-        obs.gauge("space.snapshot.bytes_written", bytes.len() as u64);
+        obs.gauge(names::SPACE_SNAPSHOT_BYTES_WRITTEN, bytes.len() as u64);
         obs.gauge(
-            "space.snapshot.save_ns",
+            names::SPACE_SNAPSHOT_SAVE_NS,
             clock::monotonic_ns().saturating_sub(started),
         );
     }
@@ -761,17 +761,17 @@ fn measured_load<T>(
     obs: &dyn Observer,
     body: impl FnOnce() -> Result<T, SnapshotError>,
 ) -> Result<T, SnapshotError> {
-    let _span = Span::enter(obs, "space.snapshot.load");
+    let _span = Span::enter(obs, names::SPACE_SNAPSHOT_LOAD);
     let started = if obs.enabled() {
         clock::monotonic_ns()
     } else {
         0
     };
     let out = body()?;
-    obs.counter("space.resume.loads", 1);
+    obs.counter(names::SPACE_RESUME_LOADS, 1);
     if obs.enabled() {
         obs.gauge(
-            "space.snapshot.load_ns",
+            names::SPACE_SNAPSHOT_LOAD_NS,
             clock::monotonic_ns().saturating_sub(started),
         );
     }

@@ -7,7 +7,7 @@
 //! fractions; the experiment harness tabulates them per model.
 
 use crate::space::Region;
-use crate::telemetry::{Observer, Span};
+use crate::telemetry::{names, Observer, Span};
 use crate::{LayeredModel, Pid};
 
 /// Census of one depth level.
@@ -59,20 +59,20 @@ pub fn census<M: LayeredModel>(
     region: &Region<M>,
     obs: &dyn Observer,
 ) -> Vec<LevelCensus> {
-    let _span = Span::enter(obs, "stats.census");
+    let _span = Span::enter(obs, names::STATS_CENSUS);
     let n = model.num_processes();
     let levels = region.levels();
     let mut out = Vec::with_capacity(levels.len());
     for (d, level) in levels.iter().enumerate() {
-        obs.gauge("engine.frontier_width", level.len() as u64);
+        obs.gauge(names::ENGINE_FRONTIER_WIDTH, level.len() as u64);
         let with_decisions = region
             .space()
             .materialize(level)
             .iter()
             .filter(|x| Pid::all(n).any(|i| model.decision(x, i).is_some()))
             .count();
-        obs.counter("engine.states_visited", level.len() as u64);
-        obs.counter("census.decided_states", with_decisions as u64);
+        obs.counter(names::ENGINE_STATES_VISITED, level.len() as u64);
+        obs.counter(names::CENSUS_DECIDED_STATES, with_decisions as u64);
         let layers: Vec<usize> = if d < region.horizon() {
             level.iter().map(|&x| region.row(x).len()).collect()
         } else {
@@ -82,7 +82,7 @@ pub fn census<M: LayeredModel>(
         // Each edge leaving the level reaches a new state or repeats one.
         let hits = edges - levels.get(d + 1).map_or(0, Vec::len);
         if hits > 0 {
-            obs.counter("engine.dedup_hits", hits as u64);
+            obs.counter(names::ENGINE_DEDUP_HITS, hits as u64);
         }
         out.push(LevelCensus {
             depth: d,

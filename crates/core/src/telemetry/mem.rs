@@ -16,16 +16,15 @@
 //! the (deterministic) sequence of insertions, so they are safe on the
 //! canonical record surface.
 
-use super::Observer;
+use super::{Name, Observer};
 
 /// Byte counts of a structure, itemized by component.
 ///
-/// Component names are full `mem.*` gauge names registered in
-/// [`names::NAMES`](super::names::NAMES), so a breakdown can be published
-/// verbatim with [`report`](MemoryBreakdown::report).
+/// Component names are `mem.*` gauge [`Name`]s, so a breakdown can be
+/// published verbatim with [`report`](MemoryBreakdown::report).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoryBreakdown {
-    components: Vec<(&'static str, u64)>,
+    components: Vec<(Name, u64)>,
 }
 
 impl MemoryBreakdown {
@@ -35,9 +34,9 @@ impl MemoryBreakdown {
         MemoryBreakdown::default()
     }
 
-    /// Adds a component; `name` must be a registered `mem.*` gauge name.
-    /// Repeated names accumulate.
-    pub fn push(&mut self, name: &'static str, bytes: u64) {
+    /// Adds a component under a `mem.*` gauge name. Repeated names
+    /// accumulate.
+    pub fn push(&mut self, name: Name, bytes: u64) {
         if let Some(slot) = self.components.iter_mut().find(|(n, _)| *n == name) {
             slot.1 += bytes;
         } else {
@@ -47,7 +46,7 @@ impl MemoryBreakdown {
 
     /// The components, in insertion order.
     #[must_use]
-    pub fn components(&self) -> &[(&'static str, u64)] {
+    pub fn components(&self) -> &[(Name, u64)] {
         &self.components
     }
 
@@ -79,23 +78,23 @@ pub trait MemoryFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::MetricsRegistry;
+    use crate::telemetry::{names, MetricsRegistry};
 
     #[test]
     fn breakdown_accumulates_and_totals() {
         let mut b = MemoryBreakdown::new();
-        b.push("mem.space.states_bytes", 100);
-        b.push("mem.space.index_bytes", 50);
-        b.push("mem.space.states_bytes", 10);
+        b.push(names::MEM_SPACE_STATES_BYTES, 100);
+        b.push(names::MEM_SPACE_INDEX_BYTES, 50);
+        b.push(names::MEM_SPACE_STATES_BYTES, 10);
         assert_eq!(b.total_bytes(), 160);
         assert_eq!(b.components().len(), 2);
-        assert_eq!(b.components()[0], ("mem.space.states_bytes", 110));
+        assert_eq!(b.components()[0], (names::MEM_SPACE_STATES_BYTES, 110));
     }
 
     #[test]
     fn report_publishes_gauges() {
         let mut b = MemoryBreakdown::new();
-        b.push("mem.space.states_bytes", 4096);
+        b.push(names::MEM_SPACE_STATES_BYTES, 4096);
         let reg = MetricsRegistry::new();
         b.report(&reg);
         assert_eq!(reg.snapshot().gauge_max("mem.space.states_bytes"), 4096);

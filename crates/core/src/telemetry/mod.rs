@@ -34,12 +34,13 @@
 //! `engine.dedup_hits`, and the `engine.frontier_width` gauge), so totals
 //! can be aggregated across engines; engine-specific metrics use their own
 //! prefix (`valence.memo_hits`, `connectivity.similarity_edges`,
-//! `layering.extensions`, …). Every name must be registered in
-//! [`names::NAMES`] (lint rule L005), and names of timing-valued metrics
-//! end in `_ns` — the suffix the byte-stability contract strips.
+//! `layering.extensions`, …). Every name is a typed [`Name`] constant in
+//! [`names`], so an unregistered name does not compile, and names of
+//! timing-valued metrics end in `_ns` — the suffix the byte-stability
+//! contract strips.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub mod clock;
@@ -52,6 +53,7 @@ pub mod trace;
 
 pub use hist::Histogram;
 pub use mem::{MemoryBreakdown, MemoryFootprint};
+pub use names::Name;
 pub use trace::{InstantRecord, SpanRecord, TraceObserver};
 
 /// Receiver for engine telemetry.
@@ -67,31 +69,31 @@ pub trait Observer {
     }
 
     /// Adds `delta` to the named monotone counter.
-    fn counter(&self, name: &'static str, delta: u64) {
+    fn counter(&self, name: Name, delta: u64) {
         let _ = (name, delta);
     }
 
     /// Records an instantaneous level (frontier width, chain length, …).
     /// Sinks keep both the last and the maximum observed value.
-    fn gauge(&self, name: &'static str, value: u64) {
+    fn gauge(&self, name: Name, value: u64) {
         let _ = (name, value);
     }
 
     /// Records one sample into the named distribution (probe length,
     /// fan-out, per-layer nanoseconds, …). Sinks bucket log-scale; see
     /// [`Histogram`].
-    fn histogram(&self, name: &'static str, value: u64) {
+    fn histogram(&self, name: Name, value: u64) {
         let _ = (name, value);
     }
 
     /// Marks the start of a named span. Paired with [`Observer::span_end`];
     /// prefer the RAII [`Span`] guard over calling these directly.
-    fn span_start(&self, name: &'static str) {
+    fn span_start(&self, name: Name) {
         let _ = name;
     }
 
     /// Marks the end of a named span that took `nanos` nanoseconds.
-    fn span_end(&self, name: &'static str, nanos: u64) {
+    fn span_end(&self, name: Name, nanos: u64) {
         let _ = (name, nanos);
     }
 
@@ -110,7 +112,7 @@ pub trait Observer {
 
     /// Records a discrete event with free-form detail (e.g. why a bivalent
     /// run got stuck).
-    fn event(&self, name: &'static str, detail: &str) {
+    fn event(&self, name: Name, detail: &str) {
         let _ = (name, detail);
     }
 
@@ -118,7 +120,7 @@ pub trait Observer {
     /// separate channel from [`Observer::event`]: heartbeats fire on a
     /// wall-clock cadence, so [`MetricsRegistry`] ignores them to keep
     /// snapshots deterministic, while streaming/trace sinks surface them.
-    fn progress(&self, name: &'static str, detail: &str) {
+    fn progress(&self, name: Name, detail: &str) {
         let _ = (name, detail);
     }
 }
@@ -137,12 +139,12 @@ pub static NOOP: NoopObserver = NoopObserver;
 /// # Examples
 ///
 /// ```
-/// use layered_core::telemetry::{Fanout, MetricsRegistry, Observer, TraceObserver};
+/// use layered_core::telemetry::{names, Fanout, MetricsRegistry, Observer, TraceObserver};
 ///
 /// let reg = MetricsRegistry::new();
 /// let trace = TraceObserver::new();
 /// let tee = Fanout::new(&[&reg, &trace]);
-/// tee.counter("engine.states_visited", 1);
+/// tee.counter(names::ENGINE_STATES_VISITED, 1);
 /// assert_eq!(reg.snapshot().counter("engine.states_visited"), 1);
 /// ```
 pub struct Fanout<'a> {
@@ -164,31 +166,31 @@ impl Observer for Fanout<'_> {
         self.targets.iter().copied().any(|t| t.enabled())
     }
 
-    fn counter(&self, name: &'static str, delta: u64) {
+    fn counter(&self, name: Name, delta: u64) {
         for t in &self.targets {
             t.counter(name, delta);
         }
     }
 
-    fn gauge(&self, name: &'static str, value: u64) {
+    fn gauge(&self, name: Name, value: u64) {
         for t in &self.targets {
             t.gauge(name, value);
         }
     }
 
-    fn histogram(&self, name: &'static str, value: u64) {
+    fn histogram(&self, name: Name, value: u64) {
         for t in &self.targets {
             t.histogram(name, value);
         }
     }
 
-    fn span_start(&self, name: &'static str) {
+    fn span_start(&self, name: Name) {
         for t in &self.targets {
             t.span_start(name);
         }
     }
 
-    fn span_end(&self, name: &'static str, nanos: u64) {
+    fn span_end(&self, name: Name, nanos: u64) {
         for t in &self.targets {
             t.span_end(name, nanos);
         }
@@ -206,13 +208,13 @@ impl Observer for Fanout<'_> {
         }
     }
 
-    fn event(&self, name: &'static str, detail: &str) {
+    fn event(&self, name: Name, detail: &str) {
         for t in &self.targets {
             t.event(name, detail);
         }
     }
 
-    fn progress(&self, name: &'static str, detail: &str) {
+    fn progress(&self, name: Name, detail: &str) {
         for t in &self.targets {
             t.progress(name, detail);
         }
@@ -237,24 +239,20 @@ struct TraceCtx {
 /// traces their hierarchy without any engine-side bookkeeping.
 pub struct Span<'a> {
     obs: &'a dyn Observer,
-    name: &'static str,
+    name: Name,
     started: Option<u64>,
     ctx: Option<TraceCtx>,
 }
 
 impl<'a> Span<'a> {
     /// Starts the span (and the clock, if `obs` records anything).
-    pub fn enter(obs: &'a dyn Observer, name: &'static str) -> Self {
+    pub fn enter(obs: &'a dyn Observer, name: Name) -> Self {
         Span::enter_with(obs, name, &[])
     }
 
     /// Starts the span with static attribute pairs (layer depth, chunk
     /// size, …) that ride along on the [`SpanRecord`] when tracing.
-    pub fn enter_with(
-        obs: &'a dyn Observer,
-        name: &'static str,
-        attrs: &[(&'static str, u64)],
-    ) -> Self {
+    pub fn enter_with(obs: &'a dyn Observer, name: Name, attrs: &[(&'static str, u64)]) -> Self {
         let tracing = obs.wants_span_records();
         if !obs.enabled() && !tracing {
             return Span {
@@ -302,7 +300,7 @@ impl Drop for Span<'_> {
             self.obs.span_record(&SpanRecord {
                 id: ctx.id,
                 parent: ctx.parent,
-                name: self.name,
+                name: self.name.as_str(),
                 thread: trace::thread_index(),
                 start_ns: started,
                 end_ns: end,
@@ -388,7 +386,7 @@ impl Heartbeat {
         let elapsed_ns = now.saturating_sub(self.start_ns).max(1);
         let per_sec = (total_states as u128 * 1_000_000_000 / u128::from(elapsed_ns)) as u64;
         obs.progress(
-            "scan.progress",
+            names::SCAN_PROGRESS,
             &format!(
                 "depth={depth} frontier={frontier} states={total_states} states_per_sec={per_sec}"
             ),
@@ -423,12 +421,34 @@ pub struct Event {
     pub detail: String,
 }
 
+/// The atomically updated statistics of one registered name.
 #[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, GaugeStat>,
-    hists: BTreeMap<&'static str, Histogram>,
-    spans: BTreeMap<&'static str, SpanStat>,
+struct Slot {
+    counter: AtomicU64,
+    /// Whether [`Observer::counter`] was called for the name, so a counter
+    /// that only ever received zero deltas still appears in snapshots.
+    counted: AtomicBool,
+    gauge_last: AtomicU64,
+    gauge_max: AtomicU64,
+    gauged: AtomicBool,
+    span_count: AtomicU64,
+    span_nanos: AtomicU64,
+}
+
+impl Slot {
+    /// Sets `flag` once; the relaxed load keeps repeat calls write-free.
+    fn touch(flag: &AtomicBool) {
+        if !flag.load(Ordering::Relaxed) {
+            flag.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// What the registry still keeps behind its lock: the histograms, which
+/// are too large to hold one per name, and the ordered event log.
+#[derive(Debug, Default)]
+struct Locked {
+    hists: BTreeMap<Name, Histogram>,
     events: Vec<Event>,
 }
 
@@ -436,21 +456,38 @@ struct RegistryInner {
 /// and events. Progress heartbeats are deliberately *not* recorded (their
 /// presence depends on wall-clock cadence; snapshots must not).
 ///
+/// Counters, gauges and span totals live in one slot of atomics per
+/// registered [`Name`], indexed by [`Name::index`] and updated with relaxed
+/// ordering, so those calls never lock. Histogram samples and events take
+/// a single mutex. The registry may be shared across threads; totals are
+/// exact, and a snapshot taken while other threads record sees each slot
+/// at some point of its own history.
+///
 /// # Examples
 ///
 /// ```
-/// use layered_core::telemetry::{MetricsRegistry, Observer};
+/// use layered_core::telemetry::{names, MetricsRegistry, Observer};
 ///
 /// let reg = MetricsRegistry::new();
-/// reg.counter("engine.states_visited", 3);
-/// reg.gauge("engine.frontier_width", 12);
+/// reg.counter(names::ENGINE_STATES_VISITED, 3);
+/// reg.gauge(names::ENGINE_FRONTIER_WIDTH, 12);
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.counter("engine.states_visited"), 3);
 /// assert_eq!(snap.gauge_max("engine.frontier_width"), 12);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
+    slots: [Slot; names::COUNT],
+    locked: Mutex<Locked>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            slots: std::array::from_fn(|_| Slot::default()),
+            locked: Mutex::default(),
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -460,6 +497,10 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    fn slot(&self, name: Name) -> &Slot {
+        &self.slots[name.index()]
+    }
+
     /// Freezes the current totals into an immutable snapshot.
     ///
     /// # Panics
@@ -467,14 +508,32 @@ impl MetricsRegistry {
     /// Panics if the registry mutex was poisoned.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
-        MetricsSnapshot {
-            counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
-            hists: inner.hists.clone(),
-            spans: inner.spans.clone(),
-            events: inner.events.clone(),
+        let mut snap = MetricsSnapshot::default();
+        for (name, slot) in names::NAMES.iter().zip(&self.slots) {
+            let key = name.as_str();
+            if slot.counted.load(Ordering::Relaxed) {
+                snap.counters
+                    .insert(key, slot.counter.load(Ordering::Relaxed));
+            }
+            if slot.gauged.load(Ordering::Relaxed) {
+                let last = slot.gauge_last.load(Ordering::Relaxed);
+                let max = slot.gauge_max.load(Ordering::Relaxed);
+                snap.gauges.insert(key, GaugeStat { last, max });
+            }
+            let count = slot.span_count.load(Ordering::Relaxed);
+            if count > 0 {
+                let total_nanos = slot.span_nanos.load(Ordering::Relaxed);
+                snap.spans.insert(key, SpanStat { count, total_nanos });
+            }
         }
+        let locked = self.locked.lock().expect("metrics registry poisoned");
+        snap.hists = locked
+            .hists
+            .iter()
+            .map(|(name, h)| (name.as_str(), h.clone()))
+            .collect();
+        snap.events = locked.events.clone();
+        snap
     }
 }
 
@@ -483,34 +542,36 @@ impl Observer for MetricsRegistry {
         true
     }
 
-    fn counter(&self, name: &'static str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        *inner.counters.entry(name).or_insert(0) += delta;
+    fn counter(&self, name: Name, delta: u64) {
+        let slot = self.slot(name);
+        slot.counter.fetch_add(delta, Ordering::Relaxed);
+        Slot::touch(&slot.counted);
     }
 
-    fn gauge(&self, name: &'static str, value: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        let g = inner.gauges.entry(name).or_default();
-        g.last = value;
-        g.max = g.max.max(value);
+    fn gauge(&self, name: Name, value: u64) {
+        let slot = self.slot(name);
+        slot.gauge_last.store(value, Ordering::Relaxed);
+        if value > slot.gauge_max.load(Ordering::Relaxed) {
+            slot.gauge_max.fetch_max(value, Ordering::Relaxed);
+        }
+        Slot::touch(&slot.gauged);
     }
 
-    fn histogram(&self, name: &'static str, value: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.hists.entry(name).or_default().record(value);
+    fn histogram(&self, name: Name, value: u64) {
+        let mut locked = self.locked.lock().expect("metrics registry poisoned");
+        locked.hists.entry(name).or_default().record(value);
     }
 
-    fn span_end(&self, name: &'static str, nanos: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        let s = inner.spans.entry(name).or_default();
-        s.count += 1;
-        s.total_nanos += nanos;
+    fn span_end(&self, name: Name, nanos: u64) {
+        let slot = self.slot(name);
+        slot.span_nanos.fetch_add(nanos, Ordering::Relaxed);
+        slot.span_count.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn event(&self, name: &'static str, detail: &str) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.events.push(Event {
-            name,
+    fn event(&self, name: Name, detail: &str) {
+        let mut locked = self.locked.lock().expect("metrics registry poisoned");
+        locked.events.push(Event {
+            name: name.as_str(),
             detail: detail.to_string(),
         });
     }
@@ -651,13 +712,13 @@ mod tests {
         let obs = NoopObserver;
         assert!(!obs.enabled());
         assert!(!obs.wants_span_records());
-        obs.counter("x", 1);
-        obs.gauge("x", 1);
-        obs.histogram("x", 1);
-        obs.event("x", "y");
-        obs.progress("x", "y");
+        obs.counter(names::VALENCE_QUERIES, 1);
+        obs.gauge(names::ENGINE_FRONTIER_WIDTH, 1);
+        obs.histogram(names::SPACE_SUCC_FANOUT, 1);
+        obs.event(names::LAYERING_STUCK, "y");
+        obs.progress(names::SCAN_PROGRESS, "y");
         {
-            let span = Span::enter(&obs, "s");
+            let span = Span::enter(&obs, names::SPACE_BUILD);
             assert_eq!(span.id(), 0);
         }
     }
@@ -665,19 +726,19 @@ mod tests {
     #[test]
     fn registry_aggregates_counters_gauges_spans_events() {
         let reg = MetricsRegistry::new();
-        reg.counter("a.count", 2);
-        reg.counter("a.count", 3);
-        reg.gauge("a.width", 7);
-        reg.gauge("a.width", 4);
-        reg.span_end("a.span", 100);
-        reg.span_end("a.span", 50);
-        reg.event("a.stuck", "why");
+        reg.counter(names::ENGINE_STATES_VISITED, 2);
+        reg.counter(names::ENGINE_STATES_VISITED, 3);
+        reg.gauge(names::ENGINE_FRONTIER_WIDTH, 7);
+        reg.gauge(names::ENGINE_FRONTIER_WIDTH, 4);
+        reg.span_end(names::SPACE_LAYER, 100);
+        reg.span_end(names::SPACE_LAYER, 50);
+        reg.event(names::LAYERING_STUCK, "why");
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("a.count"), 5);
+        assert_eq!(snap.counter("engine.states_visited"), 5);
         assert_eq!(snap.counter("missing"), 0);
-        let g = snap.gauges["a.width"];
+        let g = snap.gauges["engine.frontier_width"];
         assert_eq!((g.last, g.max), (4, 7));
-        let s = snap.spans["a.span"];
+        let s = snap.spans["space.layer"];
         assert_eq!((s.count, s.total_nanos), (2, 150));
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.events[0].detail, "why");
@@ -687,10 +748,10 @@ mod tests {
     fn registry_aggregates_histograms() {
         let reg = MetricsRegistry::new();
         for v in [1u64, 2, 3, 100] {
-            reg.histogram("a.dist", v);
+            reg.histogram(names::SPACE_SUCC_FANOUT, v);
         }
         let snap = reg.snapshot();
-        let h = snap.histogram("a.dist").expect("recorded");
+        let h = snap.histogram("space.succ_fanout").expect("recorded");
         assert_eq!(h.count(), 4);
         assert_eq!(h.max(), 100);
         assert!(snap.histogram("missing").is_none());
@@ -699,28 +760,28 @@ mod tests {
     #[test]
     fn registry_ignores_progress() {
         let reg = MetricsRegistry::new();
-        reg.progress("scan.progress", "depth=1");
+        reg.progress(names::SCAN_PROGRESS, "depth=1");
         assert_eq!(reg.snapshot().events.len(), 0);
     }
 
     #[test]
     fn prefix_totals_sum_engine_counters() {
         let reg = MetricsRegistry::new();
-        reg.counter("engine.states_visited", 10);
-        reg.counter("engine.dedup_hits", 4);
-        reg.counter("engineering.other", 99);
+        reg.counter(names::SPACE_CANON_HITS, 10);
+        reg.counter(names::SPACE_CANON_ORBIT_STATES, 4);
+        reg.counter(names::SPACE_CANONICALIZE, 99);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter_prefix_total("engine"), 14);
+        assert_eq!(snap.counter_prefix_total("space.canon"), 14);
     }
 
     #[test]
     fn span_guard_records_into_registry() {
         let reg = MetricsRegistry::new();
         {
-            let _span = Span::enter(&reg, "timed");
+            let _span = Span::enter(&reg, names::SPACE_BUILD);
         }
         let snap = reg.snapshot();
-        assert_eq!(snap.spans["timed"].count, 1);
+        assert_eq!(snap.spans["space.build"].count, 1);
     }
 
     #[test]
@@ -728,18 +789,21 @@ mod tests {
         let a = MetricsRegistry::new();
         let b = MetricsRegistry::new();
         let tee = Fanout::new(&[&a, &b]);
-        tee.counter("a.count", 1);
-        tee.gauge("a.width", 2);
-        tee.histogram("a.dist", 3);
+        tee.counter(names::ENGINE_STATES_VISITED, 1);
+        tee.gauge(names::ENGINE_FRONTIER_WIDTH, 2);
+        tee.histogram(names::SPACE_SUCC_FANOUT, 3);
         {
-            let _span = Span::enter(&tee, "a.span");
+            let _span = Span::enter(&tee, names::SPACE_LAYER);
         }
         for reg in [&a, &b] {
             let snap = reg.snapshot();
-            assert_eq!(snap.counter("a.count"), 1);
-            assert_eq!(snap.gauge_max("a.width"), 2);
-            assert_eq!(snap.histogram("a.dist").map(Histogram::count), Some(1));
-            assert_eq!(snap.spans["a.span"].count, 1);
+            assert_eq!(snap.counter("engine.states_visited"), 1);
+            assert_eq!(snap.gauge_max("engine.frontier_width"), 2);
+            assert_eq!(
+                snap.histogram("space.succ_fanout").map(Histogram::count),
+                Some(1)
+            );
+            assert_eq!(snap.spans["space.layer"].count, 1);
         }
     }
 
@@ -749,8 +813,8 @@ mod tests {
         let tr = TraceObserver::new();
         let tee = Fanout::new(&[&reg, &tr]);
         {
-            let _outer = Span::enter(&tee, "space.build");
-            let _inner = Span::enter(&tee, "space.layer");
+            let _outer = Span::enter(&tee, names::SPACE_BUILD);
+            let _inner = Span::enter(&tee, names::SPACE_LAYER);
         }
         assert_eq!(reg.snapshot().spans["space.build"].count, 1);
         let spans = tr.spans();
@@ -798,22 +862,34 @@ mod tests {
     #[test]
     fn snapshot_json_round_trips() {
         let reg = MetricsRegistry::new();
-        reg.counter("a.count", 5);
-        reg.gauge("a.width", 7);
-        reg.histogram("a.dist", 9);
-        reg.span_end("a.span", 30);
-        reg.event("a.evt", "de\"tail");
+        reg.counter(names::ENGINE_STATES_VISITED, 5);
+        reg.gauge(names::ENGINE_FRONTIER_WIDTH, 7);
+        reg.histogram(names::SPACE_SUCC_FANOUT, 9);
+        reg.span_end(names::SPACE_LAYER, 30);
+        reg.event(names::SIM_VIOLATION, "de\"tail");
         let rendered = reg.snapshot().to_json().to_string();
         let parsed = json::Json::parse(&rendered).expect("valid json");
         assert_eq!(
-            parsed["counters"]["a.count"].as_u64(),
+            parsed["counters"]["engine.states_visited"].as_u64(),
             Some(5),
             "in {rendered}"
         );
-        assert_eq!(parsed["gauges"]["a.width"]["max"].as_u64(), Some(7));
-        assert_eq!(parsed["histograms"]["a.dist"]["count"].as_u64(), Some(1));
-        assert_eq!(parsed["histograms"]["a.dist"]["p50"].as_u64(), Some(9));
-        assert_eq!(parsed["spans"]["a.span"]["total_ns"].as_u64(), Some(30));
+        assert_eq!(
+            parsed["gauges"]["engine.frontier_width"]["max"].as_u64(),
+            Some(7)
+        );
+        assert_eq!(
+            parsed["histograms"]["space.succ_fanout"]["count"].as_u64(),
+            Some(1)
+        );
+        assert_eq!(
+            parsed["histograms"]["space.succ_fanout"]["p50"].as_u64(),
+            Some(9)
+        );
+        assert_eq!(
+            parsed["spans"]["space.layer"]["total_ns"].as_u64(),
+            Some(30)
+        );
         assert_eq!(parsed["events"][0]["detail"].as_str(), Some("de\"tail"));
     }
 }

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use super::json::Json;
-use super::Observer;
+use super::{Name, Observer};
 
 /// Default ring capacity of a [`TraceObserver`] (completed spans).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
@@ -138,12 +138,12 @@ struct TraceRing {
 /// # Examples
 ///
 /// ```
-/// use layered_core::telemetry::{Span, TraceObserver};
+/// use layered_core::telemetry::{names, Span, TraceObserver};
 ///
 /// let trace = TraceObserver::new();
 /// {
-///     let _outer = Span::enter(&trace, "layering.layer_scan");
-///     let _inner = Span::enter(&trace, "valence.classify");
+///     let _outer = Span::enter(&trace, names::LAYERING_LAYER_SCAN);
+///     let _inner = Span::enter(&trace, names::VALENCE_CLASSIFY);
 /// }
 /// let spans = trace.spans();
 /// assert_eq!(spans.len(), 2);
@@ -334,12 +334,12 @@ impl Observer for TraceObserver {
         }
     }
 
-    fn event(&self, name: &'static str, detail: &str) {
-        self.instant(name, detail);
+    fn event(&self, name: Name, detail: &str) {
+        self.instant(name.as_str(), detail);
     }
 
-    fn progress(&self, name: &'static str, detail: &str) {
-        self.instant(name, detail);
+    fn progress(&self, name: Name, detail: &str) {
+        self.instant(name.as_str(), detail);
     }
 }
 
@@ -363,7 +363,7 @@ impl TraceObserver {
 
 #[cfg(test)]
 mod tests {
-    use super::super::Span;
+    use super::super::{names, Span};
     use super::*;
 
     #[test]
@@ -379,9 +379,9 @@ mod tests {
     fn nested_guards_record_parent_links() {
         let trace = TraceObserver::new();
         {
-            let _outer = Span::enter(&trace, "space.build");
+            let _outer = Span::enter(&trace, names::SPACE_BUILD);
             {
-                let _inner = Span::enter(&trace, "space.layer");
+                let _inner = Span::enter(&trace, names::SPACE_LAYER);
             }
         }
         let spans = trace.spans();
@@ -401,7 +401,7 @@ mod tests {
     fn ring_capacity_drops_newest_and_counts() {
         let trace = TraceObserver::with_capacity(2);
         for _ in 0..4 {
-            let _s = Span::enter(&trace, "sim.run");
+            let _s = Span::enter(&trace, names::SIM_RUN);
         }
         assert_eq!(trace.spans().len(), 2);
         assert_eq!(trace.dropped(), 2);
@@ -411,10 +411,10 @@ mod tests {
     fn chrome_trace_pairs_are_balanced() {
         let trace = TraceObserver::new();
         {
-            let _a = Span::enter(&trace, "space.build");
-            let _b = Span::enter(&trace, "space.layer");
+            let _a = Span::enter(&trace, names::SPACE_BUILD);
+            let _b = Span::enter(&trace, names::SPACE_LAYER);
         }
-        trace.event("sim.violation", "agreement");
+        trace.event(names::SIM_VIOLATION, "agreement");
         let json = trace.to_chrome_trace();
         let rendered = json.to_string();
         let parsed = Json::parse(&rendered).expect("valid json");
@@ -441,8 +441,8 @@ mod tests {
     #[test]
     fn out_of_order_drops_keep_the_stack_sane() {
         let trace = TraceObserver::new();
-        let a = Span::enter(&trace, "space.build");
-        let b = Span::enter(&trace, "space.layer");
+        let a = Span::enter(&trace, names::SPACE_BUILD);
+        let b = Span::enter(&trace, names::SPACE_LAYER);
         drop(a); // outer dropped first, on purpose
         assert_eq!(current_span_id(), b.id());
         drop(b);

@@ -31,7 +31,7 @@
 
 use crate::space::{Arena, Keying, NextLevel, Orbits, Plain, StateId};
 use crate::sym::{PidPerm, Symmetric};
-use crate::telemetry::{MemoryBreakdown, MemoryFootprint, Observer, NOOP};
+use crate::telemetry::{names, MemoryBreakdown, MemoryFootprint, Observer, NOOP};
 use crate::{LayeredModel, Pid, Value};
 
 /// Which of the two binary decision values are reachable-by-a-nonfaulty
@@ -296,15 +296,15 @@ impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
     /// The valence flags of the interned entry `id` (memoized in a flat
     /// vector indexed by id — no state hashing or cloning on the hot path).
     pub fn valences_id(&mut self, id: StateId) -> Valences {
-        self.obs.counter("valence.queries", 1);
+        self.obs.counter(names::VALENCE_QUERIES, 1);
         if let Some(Some(v)) = self.memo.get(id.index()) {
-            self.obs.counter("valence.memo_hits", 1);
+            self.obs.counter(names::VALENCE_MEMO_HITS, 1);
             return *v;
         }
         let (mut flags, below_horizon) = {
             let x = self.space.resolve(id);
             let below_horizon = self.model.depth(&x) < self.horizon;
-            self.obs.counter("valence.decided_probes", 1);
+            self.obs.counter(names::VALENCE_DECIDED_PROBES, 1);
             (
                 self.probe.probe(self.model, &x, !below_horizon),
                 below_horizon,
@@ -322,7 +322,7 @@ impl<'a, M: LayeredModel, K: Keying<M>> Solver<'a, M, K> {
             self.memo.resize(self.space.len(), None);
         }
         self.memo[id.index()] = Some(flags);
-        self.obs.counter("valence.states_classified", 1);
+        self.obs.counter(names::VALENCE_STATES_CLASSIFIED, 1);
         flags
     }
 
@@ -420,7 +420,7 @@ impl<M: LayeredModel, K: Keying<M>> MemoryFootprint for Solver<'_, M, K> {
     /// of the flat valence memo.
     fn memory_footprint(&self) -> MemoryBreakdown {
         let mut b = self.space.memory_footprint();
-        b.push("mem.valence.memo_bytes", memo_bytes(&self.memo));
+        b.push(names::MEM_VALENCE_MEMO_BYTES, memo_bytes(&self.memo));
         b
     }
 
@@ -428,7 +428,7 @@ impl<M: LayeredModel, K: Keying<M>> MemoryFootprint for Solver<'_, M, K> {
         // Delegate to the arena so the intern-table load-factor gauge rides
         // along, then add the memo.
         self.space.report_memory(obs);
-        obs.gauge("mem.valence.memo_bytes", memo_bytes(&self.memo));
+        obs.gauge(names::MEM_VALENCE_MEMO_BYTES, memo_bytes(&self.memo));
     }
 }
 

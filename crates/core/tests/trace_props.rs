@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use layered_core::telemetry::json::Json;
-use layered_core::telemetry::{Observer, Span, SpanRecord, TraceObserver};
+use layered_core::telemetry::{names, Observer, Span, SpanRecord, TraceObserver};
 use layered_core::testkit::{CounterModel, Unpacked};
 use layered_core::{LayeredModel, StateSpace, Value};
 
@@ -36,14 +36,14 @@ fn expansion_spans_nest_under_the_build_and_export_balanced() {
 #[test]
 fn out_of_order_guard_drops_keep_attribution_and_export_sane() {
     let tracer = TraceObserver::new();
-    let a = Span::enter(&tracer, "space.build");
-    let b = Span::enter(&tracer, "space.layer");
-    let c = Span::enter(&tracer, "valence.classify");
+    let a = Span::enter(&tracer, names::SPACE_BUILD);
+    let b = Span::enter(&tracer, names::SPACE_LAYER);
+    let c = Span::enter(&tracer, names::VALENCE_CLASSIFY);
     let (a_id, b_id) = (a.id(), b.id());
     // Drop the *outermost* guard first: the overlapping survivors must
     // keep their original parents and the export must stay balanced.
     drop(a);
-    let d = Span::enter(&tracer, "layering.check_layer");
+    let d = Span::enter(&tracer, names::LAYERING_CHECK_LAYER);
     drop(d);
     drop(c);
     drop(b);

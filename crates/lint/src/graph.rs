@@ -52,9 +52,6 @@ pub enum Effect {
     /// Slices with a computed range (`[a..a + b]` and friends) that
     /// panics when out of bounds.
     PanicIndex,
-    /// Acquires an intern-shard guard (`lock_counting`, or
-    /// `.lock()`/`.try_lock()` inside a `space` module).
-    AcquiresGuard,
 }
 
 /// All effect bits, in mask-bit order.
@@ -63,7 +60,6 @@ pub const EFFECTS: &[Effect] = &[
     Effect::UnorderedIter,
     Effect::Random,
     Effect::PanicIndex,
-    Effect::AcquiresGuard,
 ];
 
 impl Effect {
@@ -75,7 +71,6 @@ impl Effect {
             Effect::UnorderedIter => 1 << 1,
             Effect::Random => 1 << 2,
             Effect::PanicIndex => 1 << 3,
-            Effect::AcquiresGuard => 1 << 4,
         }
     }
 
@@ -87,7 +82,6 @@ impl Effect {
             Effect::UnorderedIter => 1,
             Effect::Random => 2,
             Effect::PanicIndex => 3,
-            Effect::AcquiresGuard => 4,
         }
     }
 
@@ -99,7 +93,6 @@ impl Effect {
             Effect::UnorderedIter => "unordered-iter",
             Effect::Random => "random",
             Effect::PanicIndex => "panic-index",
-            Effect::AcquiresGuard => "acquires-guard",
         }
     }
 }
@@ -167,7 +160,7 @@ pub struct CallGraph {
     /// Per function, per effect: the first-discovered `(callee,
     /// call-site line)` through which the effect arrives, for functions
     /// whose summary holds the effect non-locally.
-    pub down: Vec<[Option<(usize, u32)>; 5]>,
+    pub down: Vec<[Option<(usize, u32)>; EFFECTS.len()]>,
     /// Entry-point function indexes, sorted (see [`is_entry`]).
     pub entries: Vec<usize>,
     /// Per function: `(caller, call-site line)` parent pointer from the
@@ -282,21 +275,15 @@ impl CallGraph {
             reverse: vec![Vec::new(); n],
             local: vec![Vec::new(); n],
             summary: vec![Effects::NONE; n],
-            down: vec![[None; 5]; n],
+            down: vec![[None; EFFECTS.len()]; n],
             entries: Vec::new(),
             from_entry: vec![None; n],
         };
         let resolver = Resolver::new(ws);
         let fields = FieldIndex::new(ws);
         for (idx, f) in ws.fns.iter().enumerate() {
-            let Some((s, e)) = f.body else { continue };
-            let toks = &ws.files[f.file].toks;
-            let skip = nested_ranges(ws, idx, s, e);
-            let body = BodyView {
-                toks,
-                start: s,
-                end: e,
-                skip,
+            let Some(body) = body_view(ws, idx) else {
+                continue;
             };
             g.edges[idx] = find_calls(ws, &resolver, f, &body);
             g.local[idx] = find_effects(ws, f, &body, &fields);
@@ -788,7 +775,6 @@ fn find_effects(
     let toks = body.toks;
     let rel = ws.files[f.file].rel.as_str();
     let krate = ws.files[f.file].crate_name.as_str();
-    let in_space_module = f.module.iter().any(|m| m == "space");
     let clock_exempt = rel == "crates/core/src/telemetry/clock.rs";
     let idxs: Vec<usize> = body.indexes().collect();
     let ordered = ordered_bindings(toks, &idxs);
@@ -807,27 +793,6 @@ fn find_effects(
                     line: t.line,
                     detail: format!("`{}` non-deterministic hashing/randomness", t.text),
                 }),
-                "lock_counting"
-                    if toks_at(toks, &idxs, pos + 1).is_some_and(|n| n.is_punct('(')) =>
-                {
-                    out.push(LocalEffect {
-                        effect: Effect::AcquiresGuard,
-                        line: t.line,
-                        detail: "`lock_counting(…)` shard-guard acquisition".to_string(),
-                    });
-                }
-                "lock" | "try_lock"
-                    if in_space_module
-                        && pos > 0
-                        && toks[idxs[pos - 1]].is_punct('.')
-                        && toks_at(toks, &idxs, pos + 1).is_some_and(|n| n.is_punct('(')) =>
-                {
-                    out.push(LocalEffect {
-                        effect: Effect::AcquiresGuard,
-                        line: t.line,
-                        detail: format!("`.{}()` shard-guard acquisition", t.text),
-                    });
-                }
                 "for" => {
                     if let Some(le) = for_loop_effect(toks, &idxs, pos, f, krate, fields, &ordered)
                     {
@@ -1190,15 +1155,5 @@ mod tests {
         assert!(g.summary[fn_idx(&ws, "slice")].has(Effect::PanicIndex));
         assert!(!g.summary[fn_idx(&ws, "plain")].has(Effect::PanicIndex));
         assert!(!g.summary[fn_idx(&ws, "whole")].has(Effect::PanicIndex));
-    }
-
-    #[test]
-    fn guard_acquisition_is_detected_in_space_modules() {
-        let (ws, g) = build(
-            "struct I;\nimpl I { fn shard(&self) { let _g = self.inner.lock(); } }\n\
-             fn stage(stats: &mut u32) { let _g = lock_counting(stats); }\nfn lock_counting(_s: &mut u32) {}",
-        );
-        assert!(g.summary[fn_idx(&ws, "shard")].has(Effect::AcquiresGuard));
-        assert!(g.summary[fn_idx(&ws, "stage")].has(Effect::AcquiresGuard));
     }
 }

@@ -1,15 +1,16 @@
 //! `layered-lint` — the determinism & contract static-analysis pass.
 //!
 //! Every engine in this workspace rests on a determinism contract:
-//! interned layer scans are bit-identical sequential vs. parallel,
+//! interning order and snapshot bytes are a function of the model alone,
 //! quotient scans de-quotient into verifier-clean executions, sim
 //! schedules replay bit-for-bit, and `--json` experiment records are
 //! byte-stable modulo documented timing fields. This crate guards that
 //! contract *statically*: a hand-rolled, offline, dependency-free pass
 //! over the workspace sources — a small Rust tokenizer
-//! ([`lexer`]) plus a rule engine ([`rules`]) with a catalog of
-//! repo-specific lints (L001–L006), reported through the same
-//! hand-rolled JSON encoder as the experiment records ([`report`]).
+//! ([`lexer`]) plus a rule engine ([`rules`]) with per-file token rules
+//! (L001–L006) and whole-program call-graph rules ([`wholeprog`]:
+//! L007, L009, L010), reported through the same hand-rolled JSON
+//! encoder as the experiment records ([`report`]).
 //!
 //! Run it as a binary:
 //!
@@ -123,25 +124,22 @@ pub fn classify(rel: &str) -> FileKind {
 }
 
 /// Lints a set of in-memory sources — both tiers: the per-file token
-/// rules (L001–L006) and the whole-program call-graph rules
-/// (L007–L010). Each entry is `(rel path, src)`; classification is
-/// derived from the path exactly as for on-disk files.
+/// rules (L001–L006) and the whole-program call-graph rules (L007, L009,
+/// L010). Each entry is `(rel path, src)`; classification is derived
+/// from the path exactly as for on-disk files.
 ///
 /// This is the engine behind [`lint_workspace`] and the fixture suites'
 /// way of exercising multi-file rules without touching disk.
 #[must_use]
-pub fn lint_sources(sources: &[(String, String)], names: &[&str]) -> Report {
+pub fn lint_sources(sources: &[(String, String)]) -> Report {
     let mut result = Report::default();
     for (rel, src) in sources {
-        let outcome = check_file(
-            &FileInput {
-                path: rel.clone(),
-                kind: classify(rel),
-                crate_root: rel.ends_with("src/lib.rs"),
-                src,
-            },
-            names,
-        );
+        let outcome = check_file(&FileInput {
+            path: rel.clone(),
+            kind: classify(rel),
+            crate_root: rel.ends_with("src/lib.rs"),
+            src,
+        });
         result.findings.extend(outcome.findings);
         result.suppressed.extend(outcome.suppressed);
         result.files_scanned += 1;
@@ -150,7 +148,7 @@ pub fn lint_sources(sources: &[(String, String)], names: &[&str]) -> Report {
         .iter()
         .map(|(rel, src)| (rel.clone(), classify(rel), src.as_str()))
         .collect();
-    let (whole, stats) = wholeprog::check_workspace(&typed, names);
+    let (whole, stats) = wholeprog::check_workspace(&typed);
     result.findings.extend(whole.findings);
     result.suppressed.extend(whole.suppressed);
     result.graph = Some(stats);
@@ -159,9 +157,7 @@ pub fn lint_sources(sources: &[(String, String)], names: &[&str]) -> Report {
 }
 
 /// Lints every workspace source under `root` against the full catalog
-/// (token rules and call-graph rules), validating telemetry names
-/// against the compiled-in [`layered_core::telemetry::names::NAMES`]
-/// registry.
+/// (token rules and call-graph rules).
 #[must_use]
 pub fn lint_workspace(root: &Path) -> Report {
     let sources: Vec<(String, String)> = workspace_files(root)
@@ -172,7 +168,7 @@ pub fn lint_workspace(root: &Path) -> Report {
                 .map(|src| (file.rel, src))
         })
         .collect();
-    lint_sources(&sources, layered_core::telemetry::names::NAMES)
+    lint_sources(&sources)
 }
 
 /// Locates the workspace root: `--root`'s value if given, else the

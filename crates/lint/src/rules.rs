@@ -1,4 +1,4 @@
-//! The rule catalog (L001–L006) and the per-file checking engine.
+//! The rule catalog and the per-file token rules (L001–L006).
 //!
 //! Each rule is a pattern over the lossy token stream produced by
 //! [`crate::lexer`]; the catalog, scoping and rationale are documented in
@@ -10,8 +10,12 @@
 //! | L002 | deny | `Instant::now`/`SystemTime` in result-record paths (timing must be a documented, strippable field) |
 //! | L003 | warn | `unwrap()` / `expect("")` in library code — panics need a stated invariant |
 //! | L004 | warn | crate roots missing `#![forbid(unsafe_code)]` / `#![deny(missing_docs)]` |
-//! | L005 | deny | telemetry name literals not registered in `layered_core::telemetry::names::NAMES` |
 //! | L006 | deny | floats formatted with `{}`/`{:?}` straight into JSON text instead of the canonical encoder |
+//!
+//! Ids L005 and L008 are retired and not reused. L005 checked telemetry
+//! name literals against the registry; names are now typed constants, so
+//! an unregistered name does not compile. L008 checked the nesting of
+//! intern shard locks, which no longer exist.
 //!
 //! Rules apply to library and binary sources only; tests, benches and
 //! examples are exempt (L003 additionally exempts the `crates/bench`
@@ -76,7 +80,7 @@ impl Severity {
 /// Static description of one rule, for reports and docs.
 #[derive(Clone, Copy, Debug)]
 pub struct RuleMeta {
-    /// The rule id (`L001`…`L006`).
+    /// The rule id (`L001`…`L010`).
     pub id: &'static str,
     /// The rule's severity.
     pub severity: Severity,
@@ -107,11 +111,6 @@ pub const RULES: &[RuleMeta] = &[
         summary: "crate root missing #![forbid(unsafe_code)]/#![deny(missing_docs)]",
     },
     RuleMeta {
-        id: "L005",
-        severity: Severity::Deny,
-        summary: "telemetry name literal not registered in telemetry::NAMES",
-    },
-    RuleMeta {
         id: "L006",
         severity: Severity::Deny,
         summary: "float formatted into JSON text instead of the canonical encoder",
@@ -120,11 +119,6 @@ pub const RULES: &[RuleMeta] = &[
         id: "L007",
         severity: Severity::Deny,
         summary: "nondeterministic source reachable from a scan/sim/snapshot entry point",
-    },
-    RuleMeta {
-        id: "L008",
-        severity: Severity::Deny,
-        summary: "lock guard held across another acquisition or a re-entrant call",
     },
     RuleMeta {
         id: "L009",
@@ -146,7 +140,7 @@ pub fn explain(id: &str) -> Option<&'static str> {
             "L001 — unordered iteration (token rule).\n\
              Iterating a HashMap/HashSet (or the Fx variants) yields platform- and\n\
              seed-dependent order. If that order can reach output, serialization, or\n\
-             interning, seq/par bit-identity is lost. Fix: use BTreeMap/BTreeSet, or\n\
+             interning, records stop being byte-stable. Fix: use BTreeMap/BTreeSet, or\n\
              sort before consuming, or consume with an order-insensitive reduction\n\
              (count/sum/min/max/…). The rule is per-file: it only sees bindings whose\n\
              unordered type is visible in the same file — the cross-file laundering\n\
@@ -171,13 +165,6 @@ pub fn explain(id: &str) -> Option<&'static str> {
              #![deny(missing_docs)]: the determinism argument leans on the absence\n\
              of unsafe aliasing, and the lint itself parses doc comments."
         }
-        "L005" => {
-            "L005 — unregistered telemetry name (token rule).\n\
-             Observer calls and span constructors must use names listed in\n\
-             layered_core::telemetry::names::NAMES, so records stay greppable and\n\
-             the registry stays the single source of truth. L010 checks the reverse\n\
-             direction (registered but never emitted)."
-        }
         "L006" => {
             "L006 — float formatted into JSON text (token rule).\n\
              Formatting an f64 with {} or {:?} bypasses the canonical JSON encoder's\n\
@@ -197,17 +184,6 @@ pub fn explain(id: &str) -> Option<&'static str> {
              a BTreeMap/BTreeSet or an order-insensitive reduction neutralizes the\n\
              iteration source."
         }
-        "L008" => {
-            "L008 — lock discipline (call-graph rule).\n\
-             Code that takes locks is deadlock-free only if a lock guard is never\n\
-             held while acquiring another guard, and never held across a call\n\
-             that may acquire one again. The rule finds let-bound guard\n\
-             acquisitions (lock_counting, or .lock()/.try_lock() in space\n\
-             modules) and flags, within the guard's scope, both direct second\n\
-             acquisitions and calls to functions whose transitive effect summary\n\
-             includes acquires-guard. Fix: drop the guard first, or hoist the\n\
-             re-entrant work out of the critical section."
-        }
         "L009" => {
             "L009 — panic-freedom on hot paths (call-graph rule).\n\
              Extends L003 beyond unwrap: computed-range slicing (v[a..a + n] and\n\
@@ -224,8 +200,8 @@ pub fn explain(id: &str) -> Option<&'static str> {
              (1) every crate implementing SimModel or Symmetric must also provide a\n\
              SnapshotState impl and a state_packer definition, so its state spaces\n\
              are checkpointable and packable like every other model's; (2) every\n\
-             name registered in telemetry::names::NAMES must be emitted somewhere\n\
-             in the workspace — a dead registry entry is a stale contract."
+             telemetry name constant in telemetry/names.rs must be used in another\n\
+             workspace file — a dead registry entry is a stale contract."
         }
         _ => return None,
     })
@@ -265,20 +241,15 @@ pub struct FileReport {
     pub suppressed: Vec<SuppressedFinding>,
 }
 
-/// Checks one file against the whole catalog.
-///
-/// `names` is the telemetry registry L005 validates against — pass
-/// `layered_core::telemetry::names::NAMES` for real runs, or a custom
-/// slice in fixtures.
+/// Checks one file against the per-file rules.
 #[must_use]
-pub fn check_file(input: &FileInput<'_>, names: &[&str]) -> FileReport {
+pub fn check_file(input: &FileInput<'_>) -> FileReport {
     let lexed = lex(input.src);
     let test_lines = test_line_ranges(&lexed.toks);
     let ctx = Ctx {
         input,
         toks: &lexed.toks,
         test_lines: &test_lines,
-        names,
     };
 
     let mut raw: Vec<Finding> = Vec::new();
@@ -286,7 +257,6 @@ pub fn check_file(input: &FileInput<'_>, names: &[&str]) -> FileReport {
     rule_l002(&ctx, &mut raw);
     rule_l003(&ctx, &mut raw);
     rule_l004(&ctx, &mut raw);
-    rule_l005(&ctx, &mut raw);
     rule_l006(&ctx, &mut raw);
     raw.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
 
@@ -320,7 +290,6 @@ struct Ctx<'a> {
     input: &'a FileInput<'a>,
     toks: &'a [Tok],
     test_lines: &'a [(u32, u32)],
-    names: &'a [&'a str],
 }
 
 impl Ctx<'_> {
@@ -698,70 +667,6 @@ fn has_inner_attr(toks: &[Tok], attr: &str, arg: &str) -> bool {
             && w[5].is_ident(arg)
             && w[6].is_punct(')')
     })
-}
-
-const OBSERVER_METHODS: &[&str] = &[
-    "counter",
-    "gauge",
-    "histogram",
-    "span_start",
-    "span_end",
-    "event",
-    "progress",
-];
-
-const SPAN_CONSTRUCTORS: &[&str] = &["enter", "enter_with"];
-
-/// L005: every telemetry name literal must appear in the registry.
-fn rule_l005(ctx: &Ctx<'_>, out: &mut Vec<Finding>) {
-    let toks = ctx.toks;
-    for i in 0..toks.len() {
-        // `.counter("name", …)` and the other Observer methods.
-        if i + 3 < toks.len()
-            && toks[i].is_punct('.')
-            && OBSERVER_METHODS.iter().any(|m| toks[i + 1].is_ident(m))
-            && toks[i + 2].is_punct('(')
-            && toks[i + 3].kind == TokKind::Str
-        {
-            check_name(ctx, out, &toks[i + 3]);
-        }
-        // `Span::enter(obs, "name")` and its `enter_with` variant — the
-        // name is the first string literal inside the call.
-        if i + 4 < toks.len()
-            && toks[i].is_ident("Span")
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && SPAN_CONSTRUCTORS.iter().any(|m| toks[i + 3].is_ident(m))
-            && toks[i + 4].is_punct('(')
-        {
-            if let Some(name_tok) = toks[i + 5..]
-                .iter()
-                .take(12)
-                .take_while(|t| !t.is_punct(')'))
-                .find(|t| t.kind == TokKind::Str)
-            {
-                check_name(ctx, out, name_tok);
-            }
-        }
-    }
-}
-
-fn check_name(ctx: &Ctx<'_>, out: &mut Vec<Finding>, name_tok: &Tok) {
-    if !ctx.lintable(name_tok.line) {
-        return;
-    }
-    if !ctx.names.iter().any(|n| *n == name_tok.text) {
-        ctx.emit(
-            out,
-            "L005",
-            name_tok.line,
-            format!(
-                "telemetry name \"{}\" is not registered in `telemetry::names::NAMES` — \
-                 typo'd names produce silently empty time series",
-                name_tok.text
-            ),
-        );
-    }
 }
 
 const FORMAT_MACROS: &[&str] = &[

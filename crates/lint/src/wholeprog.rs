@@ -1,6 +1,7 @@
-//! The whole-program rules L007–L010, computed over the call graph.
+//! The whole-program rules L007, L009 and L010, computed over the call
+//! graph.
 //!
-//! Where L001–L006 are per-file token patterns, these four rules are
+//! Where L001–L006 are per-file token patterns, these rules are
 //! reachability questions over [`crate::graph::CallGraph`]:
 //!
 //! * **L007** — nondeterminism taint: a wall-clock, laundered-iteration
@@ -8,15 +9,12 @@
 //!   point, flagged *at the source* with the entry→source call chain in
 //!   the message (so one suppression covers one source, not one per
 //!   entry).
-//! * **L008** — lock discipline: a let-bound lock guard held across
-//!   another acquisition or across a call whose transitive summary says
-//!   it may acquire again.
 //! * **L009** — panic freedom: a computed-range slice reachable from an
 //!   entry point, with the call chain.
 //! * **L010** — cross-crate conformance: `SimModel`/`Symmetric`
 //!   implementers whose crate lacks a `SnapshotState` impl or a
-//!   `state_packer` definition; and telemetry names registered in
-//!   `telemetry::names::NAMES` but never emitted anywhere.
+//!   `state_packer` definition; and telemetry name constants declared in
+//!   `telemetry/names.rs` but used in no other file.
 //!
 //! Findings land in real files and are waivable with the same
 //! `// lint:allow(L00x, reason)` comments as the token rules; the
@@ -25,32 +23,27 @@
 
 use std::collections::BTreeSet;
 
-use crate::graph::{body_view, CallGraph, ChainStep, Effect, GraphStats};
+use crate::graph::{CallGraph, ChainStep, Effect, GraphStats};
 use crate::items::Workspace;
 use crate::lexer::TokKind;
 use crate::rules::{
     next_code_line, FileKind, FileReport, Finding, Severity, SuppressedFinding, RULES,
 };
 
-/// Runs L007–L010 over `sources` and returns the merged outcome plus
-/// the call-graph statistics for `--graph-stats`.
+/// Runs L007, L009 and L010 over `sources` and returns the merged
+/// outcome plus the call-graph statistics for `--graph-stats`.
 ///
 /// `sources` is every workspace file as `(rel path, kind, src)`; only
 /// library/bin files contribute graph nodes, but test/bench sources
-/// still count as telemetry emission sites for L010. `names` is the
-/// telemetry registry (pass `layered_core::telemetry::names::NAMES`).
+/// still count as telemetry use sites for L010.
 #[must_use]
-pub fn check_workspace(
-    sources: &[(String, FileKind, &str)],
-    names: &[&str],
-) -> (FileReport, GraphStats) {
+pub fn check_workspace(sources: &[(String, FileKind, &str)]) -> (FileReport, GraphStats) {
     let ws = Workspace::parse(sources);
     let g = CallGraph::build(&ws);
     let mut raw: Vec<Finding> = Vec::new();
     rule_l007(&ws, &g, &mut raw);
-    rule_l008(&ws, &g, &mut raw);
     rule_l009(&ws, &g, &mut raw);
-    rule_l010(&ws, sources, names, &mut raw);
+    rule_l010(&ws, sources, &mut raw);
     raw.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     raw.dedup();
 
@@ -140,154 +133,8 @@ fn rule_l009(ws: &Workspace, g: &CallGraph, out: &mut Vec<Finding>) {
     taint_rule(ws, g, "L009", &[Effect::PanicIndex], out);
 }
 
-/// L008: shard guards held across further acquisition.
-///
-/// A *guard window* opens at a `let` statement whose initializer
-/// acquires (a direct acquisition token, or a call to a function whose
-/// summary includes acquires-guard) and closes at the enclosing block's
-/// `}` or at `drop(<binding>)`. Within a window the rule flags direct
-/// acquisition tokens and calls to may-acquire functions.
-fn rule_l008(ws: &Workspace, g: &CallGraph, out: &mut Vec<Finding>) {
-    for (idx, f) in ws.fns.iter().enumerate() {
-        let Some(body) = body_view(ws, idx) else {
-            continue;
-        };
-        let toks = body.toks;
-        let idxs: Vec<usize> = body.indexes().collect();
-        // Effect-occurrence lines for direct acquisitions in this fn.
-        let acquire_lines: BTreeSet<u32> = g.local[idx]
-            .iter()
-            .filter(|l| l.effect == Effect::AcquiresGuard)
-            .map(|l| l.line)
-            .collect();
-        // Call sites (line → callees that may acquire).
-        let may_acquire_calls: Vec<(u32, usize)> = g.edges[idx]
-            .iter()
-            .filter(|&&(callee, _)| g.summary[callee].has(Effect::AcquiresGuard))
-            .map(|&(callee, line)| (line, callee))
-            .collect();
-        let mut pos = 0usize;
-        while pos < idxs.len() {
-            if !toks[idxs[pos]].is_ident("let") {
-                pos += 1;
-                continue;
-            }
-            // Binding name (skip `mut`); destructuring lets never bind a
-            // guard in this workspace's idiom.
-            let mut p = pos + 1;
-            if idxs.get(p).is_some_and(|&j| toks[j].is_ident("mut")) {
-                p += 1;
-            }
-            let binding = idxs
-                .get(p)
-                .filter(|&&j| toks[j].kind == TokKind::Ident)
-                .map(|&j| toks[j].text.clone());
-            // Statement end: `;` at relative depth 0.
-            let mut depth = 0i32;
-            let mut q = p;
-            while let Some(&j) = idxs.get(q) {
-                let t = &toks[j];
-                if t.is_punct('(') || t.is_punct('{') || t.is_punct('[') {
-                    depth += 1;
-                } else if t.is_punct(')') || t.is_punct('}') || t.is_punct(']') {
-                    depth -= 1;
-                } else if t.is_punct(';') && depth <= 0 {
-                    break;
-                }
-                q += 1;
-            }
-            let Some(&stmt_end_tok) = idxs.get(q) else {
-                break;
-            };
-            let stmt_range = (toks[idxs[pos]].line, toks[stmt_end_tok].line);
-            // A window opens only on a *direct* acquisition in the
-            // initializer (`.lock(`/`.try_lock(`/`lock_counting(`): a
-            // call that merely acquires transitively releases its guard
-            // before returning, so the let does not bind one. (A helper
-            // that returns a guard is missed — a documented
-            // under-approximation; the workspace's accessors that do so
-            // are themselves direct acquirers and checked locally.)
-            let acquires_here = acquire_lines
-                .iter()
-                .any(|&l| (stmt_range.0..=stmt_range.1).contains(&l));
-            if !acquires_here {
-                pos = q + 1;
-                continue;
-            }
-            // Window: from after the statement to the enclosing block's
-            // close (depth −1 relative to here) or `drop(binding)`.
-            let mut wdepth = 0i32;
-            let mut w = q + 1;
-            let mut window_end = idxs.len();
-            while let Some(&j) = idxs.get(w) {
-                let t = &toks[j];
-                if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-                    wdepth += 1;
-                } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-                    wdepth -= 1;
-                    if wdepth < 0 {
-                        window_end = w;
-                        break;
-                    }
-                } else if t.is_ident("drop")
-                    && binding
-                        .as_deref()
-                        .is_some_and(|b| idxs.get(w + 2).is_some_and(|&k| toks[k].is_ident(b)))
-                {
-                    window_end = w;
-                    break;
-                }
-                w += 1;
-            }
-            let window_lines = (
-                toks[stmt_end_tok].line,
-                idxs.get(window_end.min(idxs.len() - 1))
-                    .map_or(u32::MAX, |&j| toks[j].line),
-            );
-            let held = binding.as_deref().unwrap_or("_");
-            let rel = &ws.files[f.file].rel;
-            for &l in &acquire_lines {
-                if l > window_lines.0 && l <= window_lines.1 {
-                    out.push(Finding {
-                        rule: "L008",
-                        severity: severity_of("L008"),
-                        file: rel.clone(),
-                        line: l,
-                        message: format!(
-                            "lock-guard acquisition while `{held}` (acquired on line {}) is still held — nested locking can deadlock",
-                            stmt_range.0
-                        ),
-                    });
-                }
-            }
-            for &(l, callee) in &may_acquire_calls {
-                if l > window_lines.0 && l <= window_lines.1 {
-                    let down = g.chain_to_local(callee, Effect::AcquiresGuard, ws);
-                    out.push(Finding {
-                        rule: "L008",
-                        severity: severity_of("L008"),
-                        file: rel.clone(),
-                        line: l,
-                        message: format!(
-                            "call to `{}` may re-enter the intern index (acquires via {}) while `{held}` is held",
-                            ws.fns[callee].qualified_name(),
-                            chain_names(ws, &down),
-                        ),
-                    });
-                }
-            }
-            pos = q + 1;
-        }
-    }
-}
-
 /// L010: model-crate conformance and dead telemetry names.
-fn rule_l010(
-    ws: &Workspace,
-    sources: &[(String, FileKind, &str)],
-    names: &[&str],
-    out: &mut Vec<Finding>,
-) {
+fn rule_l010(ws: &Workspace, sources: &[(String, FileKind, &str)], out: &mut Vec<Finding>) {
     // (1) Every crate with a SimModel/Symmetric impl provides
     // SnapshotState and state_packer.
     let crate_of = |file: usize| ws.files[file].crate_name.as_str();
@@ -337,8 +184,8 @@ fn rule_l010(
         });
     }
 
-    // (2) Dead registry names: registered in telemetry/names.rs but never
-    // emitted as a quoted literal anywhere else in the workspace.
+    // (2) Dead registry names: a `CONST = "name"` entry of
+    // telemetry/names.rs whose constant no other file mentions.
     let Some(reg) = ws
         .files
         .iter()
@@ -346,28 +193,42 @@ fn rule_l010(
     else {
         return;
     };
-    for tok in reg
-        .toks
-        .iter()
-        .filter(|t| t.kind == TokKind::Str && names.contains(&t.text.as_str()))
-    {
-        let needle = format!("\"{}\"", tok.text);
-        let emitted = sources
+    for w in reg.toks.windows(3) {
+        let (id, eq, text) = (&w[0], &w[1], &w[2]);
+        if !(id.kind == TokKind::Ident
+            && id
+                .text
+                .bytes()
+                .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_')
+            && eq.is_punct('=')
+            && text.kind == TokKind::Str)
+        {
+            continue;
+        }
+        let used = sources
             .iter()
-            .any(|(rel, _, src)| rel != &reg.rel && src.contains(&needle));
-        if !emitted {
+            .any(|(rel, _, src)| rel != &reg.rel && mentions(src, &id.text));
+        if !used {
             out.push(Finding {
                 rule: "L010",
                 severity: severity_of("L010"),
                 file: reg.rel.clone(),
-                line: tok.line,
+                line: id.line,
                 message: format!(
-                    "telemetry name \"{}\" is registered but never emitted — dead registry entries are stale contracts",
-                    tok.text
+                    "telemetry name `{}` (\"{}\") is registered but never used — dead registry entries are stale contracts",
+                    id.text, text.text
                 ),
             });
         }
     }
+}
+
+/// Whether `src` contains `ident` as a whole identifier.
+fn mentions(src: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    src.match_indices(ident).any(|(at, _)| {
+        !src[..at].ends_with(is_ident) && !src[at + ident.len()..].starts_with(is_ident)
+    })
 }
 
 #[cfg(test)]
@@ -379,7 +240,7 @@ mod tests {
             .iter()
             .map(|(rel, src)| ((*rel).to_string(), crate::classify(rel), *src))
             .collect();
-        check_workspace(&sources, &["sim.step"]).0
+        check_workspace(&sources).0
     }
 
     #[test]
@@ -440,34 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn l008_flags_nested_acquisition_and_reentrant_calls() {
-        let report = run(&[(
-            "crates/x/src/space/mod.rs",
-            "struct Ix;\nimpl Ix {\n\
-             fn shard(&self) -> u32 { let g = self.inner.lock(); 0 }\n\
-             fn nested(&self) {\nlet a = self.inner.lock();\nlet b = self.other.lock();\n}\n\
-             fn reentrant(&self) {\nlet a = self.inner.lock();\nself.shard();\n}\n\
-             fn fine(&self) {\nlet a = self.inner.lock();\ndrop(a);\nself.shard();\n}\n}",
-        )]);
-        let rules: Vec<(&str, u32)> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
-        assert!(
-            rules.contains(&("L008", 6)),
-            "nested acquisition flagged: {:?}",
-            report.findings
-        );
-        assert!(
-            rules.contains(&("L008", 10)),
-            "re-entrant call flagged: {:?}",
-            report.findings
-        );
-        assert!(
-            !report.findings.iter().any(|f| f.line == 15),
-            "drop() closes the window: {:?}",
-            report.findings
-        );
-    }
-
-    #[test]
     fn l009_flags_reachable_computed_range_slices() {
         let report = run(&[(
             "crates/x/src/scan.rs",
@@ -507,13 +340,19 @@ mod tests {
         let report = run(&[
             (
                 "crates/core/src/telemetry/names.rs",
-                "pub const NAMES: &[&str] = &[\"sim.step\"];",
+                "registry! {\n    SIM_STEP = \"sim.step\",\n    SIM_RUN = \"sim.run\",\n}",
             ),
-            ("crates/x/src/lib.rs", "pub fn quiet() {}"),
+            (
+                "crates/x/src/lib.rs",
+                "pub fn busy(o: &dyn Observer) { o.counter(names::SIM_RUN, 1); }\n\
+                 // SIM_STEP_COUNT is a different identifier\n\
+                 pub fn quiet() {}",
+            ),
         ]);
         assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-        assert_eq!(report.findings[0].rule, "L010");
-        assert!(report.findings[0].message.contains("sim.step"));
+        let f = &report.findings[0];
+        assert_eq!((f.rule, f.line), ("L010", 2));
+        assert!(f.message.contains("SIM_STEP") && f.message.contains("sim.step"));
     }
 
     #[test]

@@ -3,27 +3,17 @@
 
 use layered_lint::rules::{check_file, FileInput, FileKind, Severity, RULES};
 
-const FIXTURE_NAMES: &[&str] = &[
-    "engine.states_visited",
-    "scan.progress",
-    "space.intern.probe_len",
-    "valence.memo_hits",
-];
-
 fn lint(src: &str) -> layered_lint::rules::FileReport {
     lint_as(src, FileKind::Library, false)
 }
 
 fn lint_as(src: &str, kind: FileKind, crate_root: bool) -> layered_lint::rules::FileReport {
-    check_file(
-        &FileInput {
-            path: "crates/fake/src/fixture.rs".to_string(),
-            kind,
-            crate_root,
-            src,
-        },
-        FIXTURE_NAMES,
-    )
+    check_file(&FileInput {
+        path: "crates/fake/src/fixture.rs".to_string(),
+        kind,
+        crate_root,
+        src,
+    })
 }
 
 fn rules_hit(report: &layered_lint::rules::FileReport) -> Vec<&'static str> {
@@ -176,69 +166,6 @@ fn l004_requires_both_crate_headers() {
 }
 
 #[test]
-fn l005_flags_unregistered_telemetry_names() {
-    let bad = r#"
-        fn instrument(obs: &dyn Observer) {
-            obs.counter("engine.states_visited", 1);
-            obs.counter("valence.memo_hit", 1);
-        }
-    "#;
-    let report = lint(bad);
-    assert_eq!(rules_hit(&report), vec!["L005"]);
-    assert!(report.findings[0].message.contains("valence.memo_hit"));
-}
-
-#[test]
-fn l005_checks_span_enter_names() {
-    let bad = r#"
-        fn timed(obs: &dyn Observer) {
-            let _span = Span::enter(obs, "typo.span");
-        }
-    "#;
-    assert_eq!(rules_hit(&lint(bad)), vec!["L005"]);
-    let good = r#"
-        fn timed(obs: &dyn Observer) {
-            let _span = Span::enter(obs, "engine.states_visited");
-        }
-    "#;
-    assert_eq!(rules_hit(&lint(good)), Vec::<&str>::new());
-}
-
-#[test]
-fn l005_checks_span_enter_with_names() {
-    let bad = r#"
-        fn timed(obs: &dyn Observer) {
-            let _a = Span::enter_with(obs, "typo.with", &[("depth", 1)]);
-        }
-    "#;
-    assert_eq!(rules_hit(&lint(bad)), vec!["L005"]);
-    let good = r#"
-        fn timed(obs: &dyn Observer) {
-            let _a = Span::enter_with(obs, "engine.states_visited", &[("depth", 1)]);
-        }
-    "#;
-    assert_eq!(rules_hit(&lint(good)), Vec::<&str>::new());
-}
-
-#[test]
-fn l005_checks_histogram_and_progress_names() {
-    let bad = r#"
-        fn instrument(obs: &dyn Observer) {
-            obs.histogram("typo.probe_len", 3);
-            obs.progress("typo.progress", "depth=1");
-        }
-    "#;
-    assert_eq!(rules_hit(&lint(bad)), vec!["L005", "L005"]);
-    let good = r#"
-        fn instrument(obs: &dyn Observer) {
-            obs.histogram("space.intern.probe_len", 3);
-            obs.progress("scan.progress", "depth=1");
-        }
-    "#;
-    assert_eq!(rules_hit(&lint(good)), Vec::<&str>::new());
-}
-
-#[test]
 fn l006_flags_float_formatting_into_json_text() {
     let bad = r#"
         fn emit(rate: u64) -> String {
@@ -309,7 +236,7 @@ fn catalog_is_complete_and_ordered() {
     let ids: Vec<&str> = RULES.iter().map(|r| r.id).collect();
     assert_eq!(
         ids,
-        vec!["L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L010"]
+        vec!["L001", "L002", "L003", "L004", "L006", "L007", "L009", "L010"]
     );
 }
 
@@ -325,4 +252,7 @@ fn every_rule_has_explain_prose() {
         assert!(prose.len() > 120, "more than a one-liner for {}", r.id);
     }
     assert!(layered_lint::rules::explain("L999").is_none());
+    // Retired ids stay retired.
+    assert!(layered_lint::rules::explain("L005").is_none());
+    assert!(layered_lint::rules::explain("L008").is_none());
 }

@@ -2,7 +2,7 @@
 //! unsuppressed findings, and every suppression must state a reason.
 //!
 //! This is the CI teeth of the determinism contract — a `HashMap`
-//! iteration leaking into output, a typo'd telemetry name, or a new
+//! iteration leaking into output, a dead telemetry name, or a new
 //! `unwrap()` in a library hot path fails this test.
 
 use layered_lint::{default_root, lint_workspace};
@@ -57,7 +57,7 @@ fn json_report_is_canonical_and_consistent() {
     );
     // Counts in the report body match the structured totals.
     let by_rule_total: u64 = [
-        "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "L009", "L010",
+        "L001", "L002", "L003", "L004", "L006", "L007", "L009", "L010",
     ]
     .iter()
     .filter_map(|r| reparsed["rules"][*r]["suppressed"].as_u64())

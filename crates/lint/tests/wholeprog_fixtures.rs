@@ -8,14 +8,12 @@
 use layered_lint::lint_sources;
 use layered_lint::report::Report;
 
-const FIXTURE_NAMES: &[&str] = &["sim.step", "scan.progress"];
-
 fn lint(files: &[(&str, &str)]) -> Report {
     let sources: Vec<(String, String)> = files
         .iter()
         .map(|(rel, src)| ((*rel).to_string(), (*src).to_string()))
         .collect();
-    lint_sources(&sources, FIXTURE_NAMES)
+    lint_sources(&sources)
 }
 
 /// The two-file laundering fixture: `store.rs` declares the unordered
@@ -97,29 +95,6 @@ fn both_tiers_report_into_one_sorted_document() {
 }
 
 #[test]
-fn l008_window_closes_at_drop_and_block_end() {
-    let report = lint(&[(
-        "crates/x/src/space/mod.rs",
-        "struct Ix;\nimpl Ix {\n\
-         fn shard(&self) -> u32 { let g = self.inner.lock(); 0 }\n\
-         fn nested(&self) {\nlet a = self.inner.lock();\nlet b = self.other.lock();\n}\n\
-         fn fine(&self) {\nlet a = self.inner.lock();\ndrop(a);\nself.shard();\n}\n}",
-    )]);
-    let l008: Vec<u32> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "L008")
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(
-        l008,
-        vec![6],
-        "only the nested acquisition: {:?}",
-        report.findings
-    );
-}
-
-#[test]
 fn l009_scopes_to_reachable_code_and_suppressions_carry_reasons() {
     let report = lint(&[(
         "crates/x/src/scan.rs",
@@ -147,11 +122,11 @@ fn l010_cross_crate_conformance_and_dead_names() {
         ),
         (
             "crates/core/src/telemetry/names.rs",
-            "pub const NAMES: &[&str] = &[\"sim.step\", \"scan.progress\"];",
+            "registry! {\n    SCAN_PROGRESS = \"scan.progress\",\n    SIM_STEP = \"sim.step\",\n}",
         ),
         (
             "crates/x/src/lib.rs",
-            "pub fn emit(obs: &dyn Observer) { obs.counter(\"scan.progress\", 1); }",
+            "pub fn emit(obs: &dyn Observer) { obs.counter(names::SCAN_PROGRESS, 1); }",
         ),
     ]);
     let l010: Vec<&str> = report
@@ -164,7 +139,7 @@ fn l010_cross_crate_conformance_and_dead_names() {
     assert!(l010.iter().any(|m| m.contains("SnapshotState")));
     assert!(
         l010.iter().any(|m| m.contains("sim.step")),
-        "the un-emitted name is dead; the emitted one is not: {l010:?}"
+        "the unused constant is dead; the used one is not: {l010:?}"
     );
 }
 

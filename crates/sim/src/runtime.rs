@@ -11,7 +11,7 @@
 
 use layered_core::checker::{state_violations, Violation};
 use layered_core::telemetry::json::Json;
-use layered_core::telemetry::{Observer, Span, NOOP};
+use layered_core::telemetry::{names, Observer, Span, NOOP};
 use layered_core::{Pid, SimModel, Value};
 
 use crate::adversary::Adversary;
@@ -201,7 +201,7 @@ impl<'a, M: SimModel> Simulator<'a, M> {
         index: usize,
         adversary: &mut A,
     ) -> SimRun<M::Move> {
-        let _span = Span::enter(self.observer, "sim.run");
+        let _span = Span::enter(self.observer, names::SIM_RUN);
         let seed = SimRng::derive(config.seed, index as u64);
         let mut rng = SimRng::new(seed);
         let n = self.model.num_processes();
@@ -214,7 +214,7 @@ impl<'a, M: SimModel> Simulator<'a, M> {
                 .map(|_| if rng.coin() { Value::ONE } else { Value::ZERO })
                 .collect(),
         };
-        self.observer.counter("sim.runs", 1);
+        self.observer.counter(names::SIM_RUNS, 1);
 
         let mut states = vec![self.model.initial_state(&inputs)];
         let mut moves = Vec::with_capacity(config.horizon);
@@ -226,12 +226,12 @@ impl<'a, M: SimModel> Simulator<'a, M> {
             if self.model.is_fault(&mv) {
                 faults += 1;
                 first_fault_round.get_or_insert(round);
-                self.observer.counter("sim.faults_injected", 1);
+                self.observer.counter(names::SIM_FAULTS_INJECTED, 1);
             }
             let next = self.model.apply_move(x, &mv);
             moves.push(mv);
             states.push(next);
-            self.observer.counter("sim.steps", 1);
+            self.observer.counter(names::SIM_STEPS, 1);
             if classify_prefix_violates(self.model, states.last().expect("non-empty")) {
                 break;
             }
@@ -239,9 +239,9 @@ impl<'a, M: SimModel> Simulator<'a, M> {
 
         let outcome = classify(self.model, &states);
         self.observer
-            .histogram("sim.run_layers", moves.len() as u64);
+            .histogram(names::SIM_RUN_LAYERS, moves.len() as u64);
         if outcome.is_violation() {
-            self.observer.event("sim.violation", outcome.class());
+            self.observer.event(names::SIM_VIOLATION, outcome.class());
             if let (
                 Some(first),
                 RunOutcome::AgreementViolation { round } | RunOutcome::ValidityViolation { round },
@@ -250,7 +250,7 @@ impl<'a, M: SimModel> Simulator<'a, M> {
                 // Layers between the first injected fault and the violation
                 // surfacing — the "blast latency" of the fault.
                 self.observer.histogram(
-                    "sim.fault_to_violation_layers",
+                    names::SIM_FAULT_TO_VIOLATION_LAYERS,
                     round.saturating_sub(first) as u64,
                 );
             }
