@@ -28,9 +28,10 @@
 //! reg.counter("valence.memo_hits", 1); // a string is not a `Name`
 //! ```
 //!
-//! Each constant carries its string and its dense index in [`NAMES`];
+//! Each constant is its dense index in [`NAMES`], and
+//! [`Name::as_str`] looks its string up;
 //! [`MetricsRegistry`](super::MetricsRegistry) keeps its counters, gauges
-//! and spans in arrays indexed by it. Keep the list sorted and
+//! and span totals in one slot per index. Keep the list sorted and
 //! duplicate-free — `names_are_sorted_and_unique` below enforces both —
 //! and add the name here in the same change that introduces the
 //! instrumentation. Names follow the `engine.metric` convention described
